@@ -12,7 +12,7 @@ GO ?= go
 # `make bench-compare` (cmd/benchcmp) to spot regressions.
 BENCH_OUT ?= BENCH_baseline.json
 
-.PHONY: build test race vet lint verify bench bench-compare fuzz campaign-smoke replay-smoke scale-smoke figures clean
+.PHONY: build test race vet lint verify bench-test bench bench-compare fuzz campaign-smoke replay-smoke scale-smoke figures clean
 
 build:
 	$(GO) build ./...
@@ -34,7 +34,14 @@ vet:
 lint:
 	$(GO) run ./cmd/rwlint -timing $(RWLINT_FLAGS) ./...
 
-verify: build vet lint race
+# The rwbench harness (bench/) is a module of its own, so `go build ./...`
+# and `go test ./...` at the root never compile it. Its tests do (~2.5 s),
+# so a change to an internal/ API the harness calls (routing.ComputeTable,
+# protocol.Run) fails here instead of at the next benchmark run.
+bench-test:
+	$(GO) -C bench test ./...
+
+verify: build vet lint race bench-test
 
 # Every benchmark in the tree — the paper-figure harness at the root plus
 # the micro-benchmarks (auth, packet, summary codecs, telemetry hot paths) —
@@ -69,8 +76,9 @@ bench-compare:
 	$(GO) run ./cmd/benchcmp $(BENCHCMP_FLAGS) $(BENCH_BASELINE) BENCH_current.json
 
 # Short fuzz pass over every fuzz harness (satisfies `go test` normally
-# too — the seed corpus runs as ordinary tests): the summary codecs plus
-# the mutation-campaign spec round-trip. Override FUZZTIME for quicker
+# too — the seed corpus runs as ordinary tests): the summary codecs, the
+# mutation-campaign spec round-trip, the capture decoders, and the SPF
+# kernels against their reference. Override FUZZTIME for quicker
 # smokes: make fuzz FUZZTIME=2s.
 FUZZTIME ?= 10s
 
@@ -84,6 +92,7 @@ fuzz:
 	@for f in FuzzPcapRoundTrip FuzzDecodeFrame; do \
 		$(GO) test ./internal/capture/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
+	$(GO) test ./internal/routing/ -run='^$$' -fuzz=FuzzComputeTable -fuzztime=$(FUZZTIME)
 
 # Bounded adversary-mutation campaign (cmd/campaign): one operator axis per
 # family would be too narrow, so the smoke sweeps the full catalog with a

@@ -110,7 +110,7 @@ func AttachEnv(env protocol.Env, opts Options) *Protocol {
 		env:    env,
 		opts:   opts,
 		flood:  env.Flood(),
-		oracle: tvinfo.NewPathOracle(g),
+		oracle: tvinfo.NewPathOracleFromPaths(paths),
 		agents: make(map[packet.NodeID]*agent),
 		tel:    detector.NewInstruments(env.Telemetry(), "pi2"),
 	}

@@ -198,7 +198,7 @@ func AttachEnv(env protocol.Env, opts Options) *Protocol {
 		env:    env,
 		opts:   opts,
 		flood:  env.Flood(),
-		oracle: NewPathOracle(g),
+		oracle: tvinfo.NewPathOracleFromPaths(paths),
 		agents: make(map[packet.NodeID]*agent),
 		tel:    detector.NewInstruments(env.Telemetry(), "pik2"),
 	}

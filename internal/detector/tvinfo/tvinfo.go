@@ -271,9 +271,11 @@ func NewECMPPathOracle(e *topology.ECMP) *PathOracle {
 }
 
 // NewPathOracleFromPaths builds an oracle from explicit per-pair paths
-// (e.g. traced from live forwarding tables after a routing change).
+// (e.g. traced from live forwarding tables after a routing change, or the
+// Graph.AllPairsPaths a detector already holds). It keeps the paths, which
+// callers must not mutate afterwards.
 func NewPathOracleFromPaths(paths []topology.Path) *PathOracle {
-	o := &PathOracle{paths: make(map[uint64]topology.Path)}
+	o := &PathOracle{paths: make(map[uint64]topology.Path, len(paths))}
 	for _, p := range paths {
 		if len(p) < 2 {
 			continue
@@ -285,19 +287,7 @@ func NewPathOracleFromPaths(paths []topology.Path) *PathOracle {
 
 // NewPathOracle precomputes all-pairs deterministic paths.
 func NewPathOracle(g *topology.Graph) *PathOracle {
-	o := &PathOracle{paths: make(map[uint64]topology.Path)}
-	for _, src := range g.Nodes() {
-		parent, _ := g.ShortestPathTree(src)
-		for _, dst := range g.Nodes() {
-			if src == dst {
-				continue
-			}
-			if p := topology.PathBetween(parent, src, dst); p != nil {
-				o.paths[pairKey(src, dst)] = p
-			}
-		}
-	}
-	return o
+	return NewPathOracleFromPaths(g.AllPairsPaths())
 }
 
 func pairKey(a, b packet.NodeID) uint64 {

@@ -367,3 +367,28 @@ func TestNetworkWideConservationProperty(t *testing.T) {
 		}
 	}
 }
+
+// The static forwarders must send every (src, dst) to the second node of
+// the deterministic shortest path, and treat an unreachable or out-of-range
+// destination as unroutable.
+func TestInstallShortestPathsMatchesTreePaths(t *testing.T) {
+	g := topology.ISP(topology.ISPSpec{Nodes: 96, PoPs: 4, Seed: 11})
+	island := g.AddNode("island")
+	net := New(g, Options{Seed: 1})
+	for _, src := range g.Nodes() {
+		parent, _ := g.ShortestPathTree(src)
+		fwd := net.Router(src).forwarder
+		for _, dst := range append(g.Nodes(), -1, packet.NodeID(g.NumNodes())) {
+			want := packet.NodeID(-1)
+			if p := topology.PathBetween(parent, src, dst); len(p) >= 2 {
+				want = p[1]
+			}
+			if nh, ok := fwd(&packet.Packet{Dst: dst}, src); nh != want || ok != (want >= 0) {
+				t.Fatalf("%v→%v: next hop %v/%v, want %v", src, dst, nh, ok, want)
+			}
+		}
+	}
+	if nh, ok := net.Router(0).forwarder(&packet.Packet{Dst: island}, 0); ok {
+		t.Fatalf("route to a disconnected router: %v", nh)
+	}
+}

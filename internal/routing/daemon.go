@@ -2,7 +2,6 @@ package routing
 
 import (
 	"encoding/binary"
-	"sort"
 	"time"
 
 	"routerwatch/internal/auth"
@@ -77,11 +76,6 @@ type Daemon struct {
 	everComputed  bool
 
 	table *Table
-	// lastSig is the exact signature of the inputs the current table was
-	// computed from ((origin, seq) pairs plus exclusion version); sigScratch
-	// is its reusable comparison buffer. See prepare.
-	lastSig    []uint64
-	sigScratch []uint64
 
 	// pending and flushQueued implement bundled flooding (Options.BundleFlood):
 	// accepted LSAs collect here until the flood-hold flush.
@@ -250,33 +244,23 @@ func (d *Daemon) scheduleRecompute() {
 	sched.AtShard(d.shard, at, d.recompute)
 }
 
-// recompute rebuilds the graph from the LSDB, applies exclusions, computes
-// the table, and installs it as the router's forwarder.
+// recompute rebuilds the adjacency from the LSDB, applies exclusions,
+// computes the table, and installs it as the router's forwarder.
 func (d *Daemon) recompute() {
-	d.prepare()
+	d.prepare(d.proto.net.Graph().CSR())
 	d.install(d.proto.net.Scheduler().Now())
 }
 
-// prepare computes (or, when nothing recompute reads has changed, reuses)
-// the daemon's table. It touches only daemon-private state plus read-only
-// lookups on the immutable ground-truth graph, so a batch of prepares over
-// distinct daemons may run concurrently (Protocol.runBatch).
-//
-// The memoization is exact, not a hash: lastSig records every input the
-// computation reads — the (origin, seq) pairs of the LSDB (an (origin, seq)
-// pair fully determines an LSA's content: origination builds one LSA object
-// per seq and floods that same object) and the grow-only exclusion-set
-// version. Equal signatures therefore imply an identical result, and a
-// memo hit is observably identical to recomputing.
-func (d *Daemon) prepare() {
-	sig := d.inputSig(d.sigScratch[:0])
-	d.sigScratch = sig
-	if d.table != nil && uint64sEqual(sig, d.lastSig) {
-		return
-	}
-	d.lastSig = append(d.lastSig[:0], sig...)
-	g := d.graphFromLSDB()
-	d.table = ComputeTable(g, d.id, d.excl)
+// prepare computes the daemon's table. truth is the ground-truth adjacency,
+// fetched by the caller on the event goroutine; prepare itself touches only
+// daemon-private state, that read-only snapshot and pooled scratch, so a
+// batch of prepares over distinct daemons may run concurrently
+// (Protocol.runBatch).
+func (d *Daemon) prepare(truth *topology.CSR) {
+	s := spfPool.Get().(*spfScratch)
+	d.lsdbCSR(&s.csr, truth)
+	d.table = s.computeTable(&s.csr, d.id, d.excl)
+	spfPool.Put(s)
 }
 
 // install publishes the prepared table as the router's forwarder and fires
@@ -286,11 +270,7 @@ func (d *Daemon) install(at time.Duration) {
 	d.lastCompute = at
 	d.everComputed = true
 	tbl := d.table
-	self := d.id
 	d.router.SetForwarder(func(p *packet.Packet, from packet.NodeID) (packet.NodeID, bool) {
-		if from == self {
-			return tbl.NextHop(self, p.Dst)
-		}
 		return tbl.NextHop(from, p.Dst)
 	})
 	if d.onRecompute != nil {
@@ -298,55 +278,60 @@ func (d *Daemon) install(at time.Duration) {
 	}
 }
 
-// inputSig appends the exact recompute inputs to buf: (origin, seq) pairs in
-// origin order, then the exclusion version. Iteration is by node index, not
-// map order, so the signature is deterministic.
-func (d *Daemon) inputSig(buf []uint64) []uint64 {
-	n := d.proto.net.Graph().NumNodes()
-	for id := 0; id < n; id++ {
-		if lsa := d.lsdb[packet.NodeID(id)]; lsa != nil {
-			buf = append(buf, uint64(id), lsa.Seq)
+// lsdbCSR rebuilds c as the topology as advertised. A link u→v is installed
+// iff u advertises v and the link physically exists (LSAs are trusted here;
+// securing the control plane is §1.1.1's problem, explicitly out of scope
+// for the detectors), at the advertised cost; of duplicate entries the last
+// wins.
+func (d *Daemon) lsdbCSR(c *topology.CSR, truth *topology.CSR) {
+	n := truth.NumNodes()
+	c.Off = grow(c.Off, n+1)
+	c.To, c.Cost = c.To[:0], c.Cost[:0]
+	for o := 0; o < n; o++ {
+		start := len(c.To)
+		c.Off[o] = int32(start)
+		lsa := d.lsdb[packet.NodeID(o)]
+		if lsa == nil {
+			continue
 		}
-	}
-	return append(buf, d.excl.Version())
-}
-
-func uint64sEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// graphFromLSDB reconstructs the topology as advertised. A link u→v is
-// installed iff u advertises v (LSAs are trusted here; securing the control
-// plane is §1.1.1's problem, explicitly out of scope for the detectors).
-// Physical attributes are copied from the simulator's ground-truth graph.
-func (d *Daemon) graphFromLSDB() *topology.Graph {
-	truth := d.proto.net.Graph()
-	g := topology.NewGraph()
-	for _, id := range truth.Nodes() {
-		g.AddNode(truth.Name(id))
-	}
-	origins := make([]packet.NodeID, 0, len(d.lsdb))
-	for o := range d.lsdb {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	for _, o := range origins {
-		for _, nb := range d.lsdb[o].Neighbors {
-			if l, ok := truth.Link(o, nb.ID); ok {
-				l.Cost = nb.Cost
-				g.AddLink(l)
+		ordered := true
+		for _, nb := range lsa.Neighbors {
+			if truth.Edge(packet.NodeID(o), nb.ID) < 0 {
+				continue
 			}
+			if len(c.To) > start && nb.ID <= c.To[len(c.To)-1] {
+				ordered = false
+			}
+			c.To = append(c.To, nb.ID)
+			c.Cost = append(c.Cost, int64(nb.Cost))
+		}
+		if !ordered {
+			sortRow(c, start)
 		}
 	}
-	return g
+	c.Off[n] = int32(len(c.To))
+}
+
+// sortRow restores ascending, duplicate-free order to the row c.To[start:]
+// (an LSA this simulator did not originate may list neighbors in any order):
+// a stable insertion sort, then the last of each run of equal IDs kept.
+func sortRow(c *topology.CSR, start int) {
+	to, cost := c.To[start:], c.Cost[start:]
+	for i := 1; i < len(to); i++ {
+		for j := i; j > 0 && to[j-1] > to[j]; j-- {
+			to[j-1], to[j] = to[j], to[j-1]
+			cost[j-1], cost[j] = cost[j], cost[j-1]
+		}
+	}
+	k := 0
+	for i := range to {
+		if i+1 < len(to) && to[i+1] == to[i] {
+			continue
+		}
+		to[k], cost[k] = to[i], cost[i]
+		k++
+	}
+	c.To, c.Cost = c.To[:start+k], c.Cost[:start+k]
 }
 
 // Converged reports whether every daemon has computed at least one table

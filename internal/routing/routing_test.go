@@ -283,6 +283,17 @@ func TestTableNextHopFallback(t *testing.T) {
 	if !ok || nh != 2 {
 		t.Fatalf("fallback next hop = %v/%v", nh, ok)
 	}
+	// So does a negative one, and a destination outside the table — either
+	// way round, as a fabricated packet or a corrupt trace can carry — is
+	// unroutable, not a panic.
+	if nh, ok := tbl.NextHop(-1, 2); !ok || nh != 2 {
+		t.Fatalf("negative inbound neighbor: next hop = %v/%v", nh, ok)
+	}
+	for _, dst := range []packet.NodeID{-1, 3, 99} {
+		if nh, ok := tbl.NextHop(0, dst); ok || nh != -1 {
+			t.Fatalf("NextHop(0, %v) = %v/%v, want -1/false", dst, nh, ok)
+		}
+	}
 }
 
 // Property: under random segment exclusions on random connected graphs,

@@ -15,7 +15,7 @@
 //     per-LSA flooding.
 //   - BatchCompute coalesces all recomputes that land on the same simulated
 //     instant into one event: tables are prepared concurrently on the
-//     runner pool (each prepare touches only daemon-private state, see
+//     runner pool (each prepare writes only daemon-private state, see
 //     Daemon.prepare) and installed sequentially in router-ID order, which
 //     fixes the installation order independent of worker interleaving.
 //
@@ -162,9 +162,8 @@ func (p *Protocol) runBatch(at time.Duration) {
 	batch := p.due[at]
 	delete(p.due, at)
 	sort.Slice(batch, func(i, j int) bool { return batch[i].id < batch[j].id })
-	// Warm the shared truth graph's lazy neighbor cache before fanning out.
-	p.net.Graph().Neighbors(0)
-	runner.Do(p.opts.Workers, len(batch), func(i int) { batch[i].prepare() })
+	truth := p.net.Graph().CSR()
+	runner.Do(p.opts.Workers, len(batch), func(i int) { batch[i].prepare(truth) })
 	for _, d := range batch {
 		d.install(at)
 	}

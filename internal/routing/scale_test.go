@@ -101,54 +101,6 @@ func TestBatchComputeWorkerInvariance(t *testing.T) {
 	}
 }
 
-// Recompute memoization: when nothing the computation reads has changed, the
-// installed table object is reused; any LSDB or exclusion change invalidates.
-func TestRecomputeMemoization(t *testing.T) {
-	g := topology.Abilene()
-	net := network.New(g, network.Options{Seed: 5})
-	proto := Attach(net, Timers{Delay: time.Second, Hold: 2 * time.Second})
-	if !proto.RunUntilConverged(time.Minute) {
-		t.Fatal("no convergence")
-	}
-	d := proto.Daemon(0)
-	before := d.Table()
-	d.prepare()
-	if d.Table() != before {
-		t.Fatal("prepare recomputed despite unchanged inputs")
-	}
-	// An exclusion change must invalidate the memo.
-	d.excl.Add(topology.Segment{1, 2})
-	d.prepare()
-	if d.Table() == before {
-		t.Fatal("prepare reused a table after the exclusion set changed")
-	}
-	// And a fresh LSA (seq bump) must as well.
-	after := d.Table()
-	d.originateLSA()
-	d.prepare()
-	if d.Table() == after {
-		t.Fatal("prepare reused a table after an LSDB change")
-	}
-}
-
-// Memoization must not suppress the observable installation: the forwarder
-// is still reinstalled and the observer still fires on a memo hit.
-func TestMemoHitStillInstalls(t *testing.T) {
-	g := topology.Line(3)
-	net := network.New(g, network.Options{Seed: 1})
-	proto := Attach(net, Timers{Delay: 100 * time.Millisecond, Hold: 200 * time.Millisecond})
-	if !proto.RunUntilConverged(time.Minute) {
-		t.Fatal("no convergence")
-	}
-	d := proto.Daemon(0)
-	fired := 0
-	d.OnRecompute(func(at time.Duration) { fired++ })
-	d.recompute()
-	if fired != 1 {
-		t.Fatalf("onRecompute fired %d times on a memo hit, want 1", fired)
-	}
-}
-
 // Bundled flooding alone (no batching) still converges and the bundles
 // terminate: total control traffic is finite and tables match legacy.
 func TestBundleFloodConverges(t *testing.T) {

@@ -3,16 +3,15 @@
 // computation, and — the response mechanism of §2.4.3/§5.3.1 — policy-based
 // forwarding that excises suspected path-segments from the routing fabric.
 //
-// Exclusions are realized by routing on the line graph (states are directed
-// links) with forbidden transitions: a suspected 2-segment ⟨a,b⟩ removes the
-// directed link a→b, and a suspected x-segment forbids each of its interior
-// transitions ⟨u,v,w⟩, so no traffic traverses the segment while the
-// adjacent routers remain usable on other paths — exactly the "less
-// aggressive countermeasure" the paper selects.
+// Exclusions are realized as excised links and forbidden transitions: a
+// suspected 2-segment ⟨a,b⟩ removes the directed link a→b, and a suspected
+// x-segment forbids each of its interior transitions ⟨u,v,w⟩ (routing on
+// the line graph, whose states are directed links), so no traffic traverses
+// the segment while the adjacent routers remain usable on other paths —
+// exactly the "less aggressive countermeasure" the paper selects.
 package routing
 
 import (
-	"container/heap"
 	"time"
 
 	"routerwatch/internal/packet"
@@ -25,9 +24,6 @@ type Exclusions struct {
 	segments map[topology.SegmentKey]topology.Segment
 	links    map[[2]packet.NodeID]bool
 	trans    map[[3]packet.NodeID]bool
-	// version counts successful Adds; the set only grows, so equal versions
-	// imply equal sets. Recompute memoization keys on it.
-	version uint64
 }
 
 // NewExclusions returns an empty exclusion set.
@@ -51,7 +47,6 @@ func (e *Exclusions) Add(seg topology.Segment) bool {
 		return false
 	}
 	e.segments[key] = append(topology.Segment(nil), seg...)
-	e.version++
 	if len(seg) == 2 {
 		e.links[[2]packet.NodeID{seg[0], seg[1]}] = true
 		return true
@@ -80,10 +75,6 @@ func (e *Exclusions) Segments() []topology.Segment {
 // Len returns the number of excluded segments.
 func (e *Exclusions) Len() int { return len(e.segments) }
 
-// Version returns a counter incremented on every successful Add. Because the
-// set is grow-only, two observations with equal versions saw identical sets.
-func (e *Exclusions) Version() uint64 { return e.version }
-
 // LinkExcluded reports whether the directed link u→v is excised.
 func (e *Exclusions) LinkExcluded(u, v packet.NodeID) bool {
 	return e.links[[2]packet.NodeID{u, v}]
@@ -99,25 +90,39 @@ func (e *Exclusions) TransitionForbidden(u, v, w packet.NodeID) bool {
 // paper's policy-based routing (§5.3.1): traffic that arrived along the
 // prefix of a suspected segment must not continue along its suffix.
 type Table struct {
-	router packet.NodeID
-	// next[from][dst] = next hop, -1 if unreachable.
-	next map[packet.NodeID][]packet.NodeID
+	// rows[i][dst] = next hop, -1 if unreachable. Row 0 serves locally
+	// originated traffic, row 1+i traffic arriving from the router's i-th
+	// neighbor (ascending ID).
+	rows [][]packet.NodeID
+	// rowOf[from] is the row for inbound neighbor from; 0 for every other
+	// node, the router itself included.
+	rowOf []int32
+}
+
+// newTable allocates the table of a router with neighbors nbrs, n
+// destinations per row.
+func newTable(n int, nbrs []packet.NodeID) *Table {
+	t := &Table{rows: make([][]packet.NodeID, 1+len(nbrs)), rowOf: make([]int32, n)}
+	cells := make([]packet.NodeID, len(t.rows)*n)
+	for i := range t.rows {
+		t.rows[i] = cells[i*n : (i+1)*n : (i+1)*n]
+	}
+	for i, nb := range nbrs {
+		t.rowOf[nb] = int32(1 + i)
+	}
+	return t
 }
 
 // NextHop returns the next hop for a packet from inbound neighbor from
 // (equal to the table's router for locally originated traffic) toward dst.
+// An unknown inbound neighbor (e.g. mis-delivered traffic) falls back to
+// the locally-originated row, which has no transition constraint.
 func (t *Table) NextHop(from, dst packet.NodeID) (packet.NodeID, bool) {
-	row, ok := t.next[from]
-	if !ok {
-		// Unknown inbound neighbor (e.g. mis-delivered traffic): fall back
-		// to the locally-originated row, which has no transition
-		// constraint.
-		row, ok = t.next[t.router]
-		if !ok {
-			return -1, false
-		}
+	row := t.rows[0]
+	if uint32(from) < uint32(len(t.rowOf)) {
+		row = t.rows[t.rowOf[from]]
 	}
-	if int(dst) >= len(row) {
+	if uint32(dst) >= uint32(len(row)) {
 		return -1, false
 	}
 	nh := row[dst]
@@ -125,105 +130,12 @@ func (t *Table) NextHop(from, dst packet.NodeID) (packet.NodeID, bool) {
 }
 
 // ComputeTable builds router r's forwarding table over graph g with the
-// given exclusions, by Dijkstra on the line graph from each entry context.
+// given exclusions (see spf.go for the kernels).
 func ComputeTable(g *topology.Graph, r packet.NodeID, excl *Exclusions) *Table {
-	t := &Table{router: r, next: make(map[packet.NodeID][]packet.NodeID)}
-	contexts := append([]packet.NodeID{r}, g.Neighbors(r)...)
-	for _, from := range contexts {
-		t.next[from] = computeRow(g, r, from, excl)
-	}
+	s := spfPool.Get().(*spfScratch)
+	t := s.computeTable(g.CSR(), r, excl)
+	spfPool.Put(s)
 	return t
-}
-
-// edgeState indexes a directed link for line-graph Dijkstra.
-type edgeState struct {
-	u, v packet.NodeID
-}
-
-type lgItem struct {
-	st   edgeState
-	dist int64
-	// firstHop is the next hop out of the computing router for the path
-	// this state lies on; carried through so the row can be filled.
-	firstHop packet.NodeID
-}
-
-type lgHeap []lgItem
-
-func (h lgHeap) Len() int { return len(h) }
-func (h lgHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	if h[i].firstHop != h[j].firstHop {
-		return h[i].firstHop < h[j].firstHop
-	}
-	if h[i].st.u != h[j].st.u {
-		return h[i].st.u < h[j].st.u
-	}
-	return h[i].st.v < h[j].st.v
-}
-func (h lgHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
-func (h *lgHeap) Push(x any)     { *h = append(*h, x.(lgItem)) }
-func (h *lgHeap) Pop() (out any) { old := *h; n := len(old); out = old[n-1]; *h = old[:n-1]; return }
-
-// computeRow computes next hops at router r for traffic entering from
-// neighbor from (or originated locally when from == r).
-func computeRow(g *topology.Graph, r, from packet.NodeID, excl *Exclusions) []packet.NodeID {
-	n := g.NumNodes()
-	row := make([]packet.NodeID, n)
-	bestDist := make([]int64, n)
-	const inf = int64(1) << 62
-	for i := range row {
-		row[i] = -1
-		bestDist[i] = inf
-	}
-
-	type seenKey = edgeState
-	seen := make(map[seenKey]bool)
-	h := &lgHeap{}
-
-	for _, nb := range g.Neighbors(r) {
-		if excl.LinkExcluded(r, nb) {
-			continue
-		}
-		if from != r && excl.TransitionForbidden(from, r, nb) {
-			continue
-		}
-		if from != r && nb == from {
-			continue // no immediate U-turn back over the arrival link
-		}
-		link, _ := g.Link(r, nb)
-		heap.Push(h, lgItem{st: edgeState{r, nb}, dist: int64(link.Cost), firstHop: nb})
-	}
-
-	for h.Len() > 0 {
-		it := heap.Pop(h).(lgItem)
-		if seen[it.st] {
-			continue
-		}
-		seen[it.st] = true
-		v := it.st.v
-		if it.dist < bestDist[v] {
-			bestDist[v] = it.dist
-			row[v] = it.firstHop
-		}
-		for _, w := range g.Neighbors(v) {
-			next := edgeState{v, w}
-			if seen[next] {
-				continue
-			}
-			if excl.LinkExcluded(v, w) {
-				continue
-			}
-			if excl.TransitionForbidden(it.st.u, v, w) {
-				continue
-			}
-			link, _ := g.Link(v, w)
-			heap.Push(h, lgItem{st: next, dist: it.dist + int64(link.Cost), firstHop: it.firstHop})
-		}
-	}
-	return row
 }
 
 // PathFromTables traces the path a packet from src to dst takes under the

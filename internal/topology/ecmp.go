@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"encoding/binary"
 
 	"routerwatch/internal/packet"
@@ -64,19 +63,19 @@ func (e *ECMP) reverseDijkstra(dst packet.NodeID) []int64 {
 		dist[i] = infCost
 	}
 	dist[dst] = 0
-	h := &spHeap{{node: dst, dist: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(spItem)
-		if done[it.node] {
+	h := distHeap{{node: dst}}
+	for len(h) > 0 {
+		v := h.pop().node
+		if done[v] {
 			continue
 		}
-		done[it.node] = true
-		for _, from := range e.g.Neighbors(it.node) {
-			l, _ := e.g.Link(from, it.node)
-			nd := dist[it.node] + int64(l.Cost)
+		done[v] = true
+		for _, from := range e.g.Neighbors(v) {
+			l, _ := e.g.Link(from, v)
+			nd := dist[v] + int64(l.Cost)
 			if nd < dist[from] {
 				dist[from] = nd
-				heap.Push(h, spItem{node: from, dist: nd})
+				h.push(distItem{dist: nd, node: from})
 			}
 		}
 	}

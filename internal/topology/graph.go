@@ -5,9 +5,8 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -49,15 +48,15 @@ type Graph struct {
 	index map[string]packet.NodeID
 	adj   map[packet.NodeID]map[packet.NodeID]*Link
 
-	// nbrCache[v] is v's neighbors in ascending ID order and adjCache[v]
-	// the matching (to, cost) edges, built lazily on first read and
-	// invalidated (nil) by any topology mutation. They keep Dijkstra's
+	// csr is the adjacency in compressed-sparse-row form (neighbors in
+	// ascending ID order with their link costs), built lazily on first read
+	// and invalidated (nil) by any topology mutation. It keeps Dijkstra's
 	// inner loop and flood-relay iteration off the map-sort path. Shared
-	// slices: readers must not mutate. Like the rest of Graph, lazy
+	// state: readers must not mutate. Like the rest of Graph, lazy
 	// (re)building is not safe under concurrent first reads — warm the
-	// cache (any Neighbors call) before sharing a graph across goroutines.
-	nbrCache [][]packet.NodeID
-	adjCache [][]adjEdge
+	// cache (any Neighbors or CSR call) before sharing a graph across
+	// goroutines.
+	csr *CSR
 
 	// regions[v] is v's spatial region (PoP) for the sharded simulation
 	// core; nil when the topology carries no region structure. Regions are
@@ -66,40 +65,32 @@ type Graph struct {
 	regions []int
 }
 
-// adjEdge is one cached outgoing edge.
-type adjEdge struct {
-	to   packet.NodeID
-	cost int64
-}
+// invalidate drops the adjacency cache after a topology mutation.
+func (g *Graph) invalidate() { g.csr = nil }
 
-// invalidate drops the adjacency caches after a topology mutation.
-func (g *Graph) invalidate() {
-	g.nbrCache = nil
-	g.adjCache = nil
-}
-
-// ensureCache (re)builds the adjacency caches.
-func (g *Graph) ensureCache() {
-	if g.nbrCache != nil {
-		return
+// CSR returns the graph's adjacency in compressed-sparse-row form. The
+// result is shared cache state valid until the next topology mutation;
+// callers must not mutate it.
+func (g *Graph) CSR() *CSR {
+	if g.csr != nil {
+		return g.csr
 	}
-	n := len(g.names)
-	g.nbrCache = make([][]packet.NodeID, n)
-	g.adjCache = make([][]adjEdge, n)
+	n, m := len(g.names), g.NumDirectedLinks()
+	c := &CSR{Off: make([]int32, n+1), To: make([]packet.NodeID, 0, m), Cost: make([]int64, 0, m)}
 	for v := 0; v < n; v++ {
+		c.Off[v] = int32(len(c.To))
 		m := g.adj[packet.NodeID(v)]
-		nbrs := make([]packet.NodeID, 0, len(m))
 		for to := range m {
-			nbrs = append(nbrs, to)
+			c.To = append(c.To, to)
 		}
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-		edges := make([]adjEdge, len(nbrs))
-		for i, to := range nbrs {
-			edges[i] = adjEdge{to: to, cost: int64(m[to].Cost)}
+		slices.Sort(c.To[c.Off[v]:])
+		for _, to := range c.To[c.Off[v]:] {
+			c.Cost = append(c.Cost, int64(m[to].Cost))
 		}
-		g.nbrCache[v] = nbrs
-		g.adjCache[v] = edges
 	}
+	c.Off[n] = int32(len(c.To))
+	g.csr = c
+	return c
 }
 
 // NewGraph returns an empty graph.
@@ -252,11 +243,7 @@ func (g *Graph) Link(from, to packet.NodeID) (Link, bool) {
 // across runs. The returned slice is shared cache state valid until the
 // next topology mutation; callers must not mutate it.
 func (g *Graph) Neighbors(from packet.NodeID) []packet.NodeID {
-	g.ensureCache()
-	if int(from) < 0 || int(from) >= len(g.nbrCache) {
-		return nil
-	}
-	return g.nbrCache[from]
+	return g.CSR().Row(from)
 }
 
 // Degree returns the out-degree of a node.
@@ -335,25 +322,6 @@ func (g *Graph) RemoveLink(from, to packet.NodeID) {
 // ---------------------------------------------------------------------------
 // Shortest paths
 
-// spItem is a priority-queue entry for Dijkstra.
-type spItem struct {
-	node packet.NodeID
-	dist int64
-}
-
-type spHeap []spItem
-
-func (h spHeap) Len() int { return len(h) }
-func (h spHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	return h[i].node < h[j].node
-}
-func (h spHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
-func (h *spHeap) Push(x any)     { *h = append(*h, x.(spItem)) }
-func (h *spHeap) Pop() (out any) { old := *h; n := len(old); out = old[n-1]; *h = old[:n-1]; return }
-
 // ShortestPathTree computes a deterministic single-source shortest path tree
 // from src using link costs. Ties are broken toward the lower predecessor
 // node ID, modeling the deterministic forwarding the paper assumes (§4.1:
@@ -372,22 +340,21 @@ func (g *Graph) ShortestPathTree(src packet.NodeID) (parent []packet.NodeID, dis
 	}
 	parent[src] = src
 	dist[src] = 0
-	g.ensureCache()
-	h := &spHeap{{node: src, dist: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(spItem)
-		v := it.node
+	c := g.CSR()
+	h := distHeap{{node: src}}
+	for len(h) > 0 {
+		v := h.pop().node
 		if done[v] {
 			continue
 		}
 		done[v] = true
-		for _, e := range g.adjCache[v] {
-			to := e.to
-			nd := dist[v] + e.cost
+		for e := c.Off[v]; e < c.Off[v+1]; e++ {
+			to := c.To[e]
+			nd := dist[v] + c.Cost[e]
 			if nd < dist[to] || (nd == dist[to] && !done[to] && parent[to] != -1 && v < parent[to]) {
 				dist[to] = nd
 				parent[to] = v
-				heap.Push(h, spItem{node: to, dist: nd})
+				h.push(distItem{dist: nd, node: to})
 			}
 		}
 	}
@@ -427,7 +394,7 @@ func (p Path) Contains(r packet.NodeID) bool {
 // returns b unchanged. AllPairsPaths uses it to pack every path into
 // shared arena chunks instead of one heap object per pair.
 func appendPath(b Path, parent []packet.NodeID, src, dst packet.NodeID) Path {
-	if int(dst) >= len(parent) || parent[dst] == -1 {
+	if int(dst) < 0 || int(dst) >= len(parent) || parent[dst] == -1 {
 		return b
 	}
 	start := len(b)
@@ -472,9 +439,10 @@ func (g *Graph) AllPairsPaths() []Path {
 				continue
 			}
 			// A path visits at most n nodes; keep that much headroom so
-			// one path never straddles two chunks.
+			// one path never straddles two chunks. A small graph's n(n-1)
+			// paths do not need a full chunk.
 			if cap(arena)-len(arena) < n {
-				arena = make(Path, 0, segArenaChunk+n)
+				arena = make(Path, 0, min(segArenaChunk, n*n)+n)
 			}
 			start := len(arena)
 			arena = appendPath(arena, parent, packet.NodeID(src), packet.NodeID(dst))
