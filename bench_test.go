@@ -375,20 +375,18 @@ func BenchmarkTraceReplay(b *testing.B) {
 	}
 }
 
-// benchShardedSpec is the sharded-core benchmark scenario: Πk+2 over a
-// generated 200-router hierarchical ISP topology, link-state routing with
-// the scale options on, and a 100-pair random traffic mesh — the
-// internet-scale shape the per-region shard layout exists for.
-func benchShardedSpec(shards int) *protocol.Spec {
+// benchISPSpec is the ISP-scale benchmark scenario: Πk+2 over a generated
+// 200-router hierarchical ISP topology, link-state routing with the scale
+// options on, and a 100-pair random traffic mesh.
+func benchISPSpec() *protocol.Spec {
 	return &protocol.Spec{
-		Name:     "bench-sharded",
+		Name:     "bench-isp",
 		Protocol: "pik2",
 		Options: protocol.Params{
 			"k": "1", "round": "1s", "timeout": "250ms",
 			"loss-threshold": "2", "fabrication-threshold": "2",
 		},
 		Seed:     1,
-		Shards:   shards,
 		Duration: protocol.Duration(8 * time.Second),
 		Topology: protocol.TopologySpec{Kind: "isp", N: 200, Pops: 8, Seed: 7},
 		Routing: &protocol.RoutingSpec{
@@ -405,22 +403,17 @@ func benchShardedSpec(shards int) *protocol.Spec {
 	}
 }
 
-// BenchmarkShardedSim measures the sharded event core end to end on the
-// generated ISP topology, single-heap vs per-region shards — same scenario,
-// same verdicts (TestShardCountInvariance pins that), different layout.
-func BenchmarkShardedSim(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := protocol.Run(benchShardedSpec(shards), protocol.RunOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Net.Now() == 0 {
-					b.Fatal("benchmark run did not advance the clock")
-				}
-			}
-		})
+// BenchmarkISPSim measures the whole stack end to end on the generated ISP
+// topology: topology build, routing convergence, detector, traffic.
+func BenchmarkISPSim(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := protocol.Run(benchISPSpec(), protocol.RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Net.Now() == 0 {
+			b.Fatal("benchmark run did not advance the clock")
+		}
 	}
 }

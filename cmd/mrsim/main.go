@@ -74,7 +74,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	dur := flag.Duration("duration", 30*time.Second, "simulated duration")
 	trials := flag.Int("trials", 1, "independent trials (per-trial derived seeds)")
-	shards := flag.Int("shards", 0, "event-core shards (0 = scenario's value; verdicts are identical for any count)")
 	parallel := flag.Int("parallel", 0, "worker pool size for -trials (0 = GOMAXPROCS, 1 = serial)")
 	scenario := flag.String("scenario", "", "run a declarative scenario file (JSON Spec) instead of the flag-built one")
 	record := flag.String("record", "", "record per-router pcap traces into this directory (single-run only; replay with mrreplay)")
@@ -94,9 +93,6 @@ func main() {
 	spec, err := buildSpec(*scenario, *protoName, *attackName, *rate, *seed, *dur)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *shards > 0 {
-		spec.Shards = *shards
 	}
 
 	if tf.CPUProfile != "" {

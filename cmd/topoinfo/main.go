@@ -101,7 +101,7 @@ func buildTopology(name string, seed int64) (*topology.Graph, error) {
 // printStructure reports the graph's shape: hierarchy tiers (when the
 // ISP-generator naming convention identifies them), degree distribution,
 // diameter, and — for region-tagged topologies — the cross-region link
-// count that bounds the sharded core's lookahead.
+// count.
 func printStructure(g *topology.Graph) {
 	core, agg, edge := 0, 0, 0
 	for _, id := range g.Nodes() {

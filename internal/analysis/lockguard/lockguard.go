@@ -1,7 +1,7 @@
-// Package lockguard machine-checks the locking discipline the sharded
-// event core and the long-running daemon (ROADMAP items 1 and 5) will
-// lean on. Three classes of concurrency bug survive every test that
-// happens not to interleave badly; each becomes a diagnostic here:
+// Package lockguard machine-checks the locking discipline the parallel
+// trial runner and routing's worker fan-out lean on. Three classes of
+// concurrency bug survive every test that happens not to interleave badly;
+// each becomes a diagnostic here:
 //
 //   - Locks copied by value: a sync.Mutex / RWMutex / WaitGroup (or a
 //     struct holding one) received, passed, assigned or ranged over by

@@ -97,7 +97,5 @@ func (n *Network) relayControl(m *ControlMessage) {
 		delay = link.Delay
 	}
 	delay += n.opts.ControlDelay
-	// The relay event belongs to the next holder's shard; its delay is at
-	// least the link propagation time, within the lookahead bound.
-	n.sched.CallAfterShard(n.Router(nextHop).shard, delay, n.cbRelay, m, 0)
+	n.sched.CallAfter(delay, n.cbRelay, m, 0)
 }

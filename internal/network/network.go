@@ -19,7 +19,6 @@ import (
 	"routerwatch/internal/auth"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/queue"
-	"routerwatch/internal/runner"
 	"routerwatch/internal/sim"
 	"routerwatch/internal/telemetry"
 	"routerwatch/internal/topology"
@@ -76,24 +75,6 @@ type Options struct {
 	// way the simulation's behaviour and canonical output are identical —
 	// telemetry only observes, it never feeds back.
 	Telemetry *telemetry.Set
-
-	// Shards spatially partitions the event queue by topology region
-	// (sim.ConfigureShards): each router's events land on the shard of its
-	// region, cross-region events go through shard mailboxes, and the
-	// barrier window is the minimum inter-region link latency. 0 or 1
-	// keeps the classic single-heap kernel. Shard count is a pure
-	// performance knob — verdicts and outputs are byte-identical for any
-	// value (the shard-invariance suite pins this).
-	Shards int
-
-	// ShardWorkers sizes the worker pool for barrier mailbox drains:
-	// 0 = GOMAXPROCS, 1 = serial. Only meaningful with Shards > 1.
-	ShardWorkers int
-
-	// Regions overrides the node→region map used for shard placement.
-	// Nil uses the topology's own regions (ISP generator) and falls back
-	// to topology.PartitionRegions for untagged graphs.
-	Regions []int
 }
 
 func (o *Options) fill() {
@@ -117,12 +98,6 @@ type Network struct {
 	opts   Options
 
 	routers []*Router
-
-	// shardOf maps each router to its event-queue shard (nil when the
-	// scheduler runs the classic single heap); lookahead is the barrier
-	// window derived from the minimum cross-shard link latency.
-	shardOf   []int
-	lookahead time.Duration
 
 	tel netTel
 
@@ -171,7 +146,6 @@ func New(g *topology.Graph, opts Options) *Network {
 		m.hop++
 		n.relayControl(m)
 	}
-	n.configureShards()
 
 	// Resolve instrumentation handles once; with opts.Telemetry == nil the
 	// registry accessors return nil instruments and every site below
@@ -207,69 +181,6 @@ func New(g *topology.Graph, opts Options) *Network {
 	n.InstallShortestPaths()
 	return n
 }
-
-// configureShards switches the scheduler into sharded mode when the
-// options ask for it: resolve the node→region map, fold regions onto
-// shards, derive the lookahead window from the minimum cross-shard link
-// latency, and wire barrier drains onto the worker pool. Runs before any
-// event is scheduled (a sim.ConfigureShards requirement).
-func (n *Network) configureShards() {
-	if n.opts.Shards <= 1 {
-		return
-	}
-	regions := n.opts.Regions
-	if regions == nil {
-		regions = n.graph.Regions()
-	}
-	if regions == nil {
-		regions = topology.PartitionRegions(n.graph, n.opts.Shards)
-	}
-	n.shardOf = make([]int, n.graph.NumNodes())
-	for id := range n.shardOf {
-		r := 0
-		if id < len(regions) {
-			r = regions[id]
-		}
-		n.shardOf[id] = r % n.opts.Shards
-	}
-
-	// Lookahead = the least virtual time any cross-shard event can take:
-	// data hops arrive one link propagation delay after transmission, and
-	// control relays add ControlDelay on top, so the minimum cross-shard
-	// link delay bounds both. No cross-shard link at all (a single-region
-	// graph folded onto many shards) falls back to the control delay.
-	n.lookahead = 0
-	for _, l := range n.graph.Links() {
-		if n.shardOf[l.From] == n.shardOf[l.To] {
-			continue
-		}
-		if n.lookahead == 0 || l.Delay < n.lookahead {
-			n.lookahead = l.Delay
-		}
-	}
-	if n.lookahead == 0 {
-		n.lookahead = n.opts.ControlDelay
-	}
-	n.sched.ConfigureShards(n.opts.Shards, n.lookahead)
-	if n.opts.ShardWorkers != 1 {
-		workers := n.opts.ShardWorkers
-		n.sched.SetFanout(func(k int, each func(int)) { runner.Do(workers, k, each) })
-	}
-}
-
-// ShardCount returns the event-queue shard count (1 when unsharded).
-func (n *Network) ShardCount() int { return n.sched.Shards() }
-
-// ShardOf returns the event-queue shard of a router (0 when unsharded).
-func (n *Network) ShardOf(id packet.NodeID) int {
-	if n.shardOf == nil {
-		return 0
-	}
-	return n.shardOf[id]
-}
-
-// Lookahead returns the shard barrier window (0 when unsharded).
-func (n *Network) Lookahead() time.Duration { return n.lookahead }
 
 // Scheduler exposes the event scheduler.
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }

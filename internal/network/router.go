@@ -112,11 +112,6 @@ type Router struct {
 	net *Network
 	rng *rand.Rand
 
-	// shard is the event-queue shard this router's events land on (its
-	// topology region folded onto the shard count; 0 when unsharded).
-	// Placement only — never consulted for behaviour.
-	shard int
-
 	ifaces map[packet.NodeID]*iface
 
 	forwarder Forwarder
@@ -162,7 +157,6 @@ func newRouter(n *Network, id packet.NodeID) *Router {
 		id:          id,
 		net:         n,
 		rng:         sim.NewRNG(n.opts.Seed*1_000_003 + int64(id)),
-		shard:       n.ShardOf(id),
 		ifaces:      make(map[packet.NodeID]*iface),
 		lastProcess: make(map[packet.NodeID]time.Duration),
 	}
@@ -298,7 +292,7 @@ func (r *Router) receive(p *packet.Packet, from packet.NodeID) {
 		t = last
 	}
 	r.lastProcess[from] = t
-	r.net.sched.CallAfterShard(r.shard, t-now, r.cbForward, p, int64(from))
+	r.net.sched.CallAfter(t-now, r.cbForward, p, int64(from))
 }
 
 // forward routes and transmits a packet. from is the upstream neighbor (or
@@ -340,7 +334,7 @@ func (r *Router) forward(p *packet.Packet, from packet.NodeID) {
 				next = v.NewNext
 			}
 		case ActDelay:
-			r.net.sched.CallAfterShard(r.shard, v.Delay, r.cbTransmit, p, int64(next))
+			r.net.sched.CallAfter(v.Delay, r.cbTransmit, p, int64(next))
 			return
 		case ActModify, ActForward:
 			// Packet already mutated in place for ActModify.
@@ -395,16 +389,13 @@ func (i *iface) drain() {
 	// Dequeue marks the packet's exit from Q: transmission starts now.
 	i.r.emit(Event{Kind: EvDequeue, Packet: p, Peer: i.link.To, QueueBytes: i.q.Bytes()})
 	tx := i.link.TransmissionTime(p.Size)
-	i.r.net.sched.CallAfterShard(i.r.shard, tx, i.cbTxDone, p, 0)
+	i.r.net.sched.CallAfter(tx, i.cbTxDone, p, 0)
 }
 
 // txDone runs when p's serialization completes: the line is free for the
 // next packet, and p begins propagating toward the downstream router.
 func (i *iface) txDone(p *packet.Packet) {
-	// The cross-router hop: the receive event belongs to the downstream
-	// router's shard. Its delay is at least the link propagation time —
-	// the lookahead bound the shard barrier window is derived from.
 	dst := i.r.net.Router(i.link.To)
-	i.r.net.sched.CallAfterShard(dst.shard, i.link.Delay, dst.cbReceive, p, int64(i.r.id))
+	i.r.net.sched.CallAfter(i.link.Delay, dst.cbReceive, p, int64(i.r.id))
 	i.drain()
 }

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"routerwatch/internal/network"
-	"routerwatch/internal/routing"
 	"routerwatch/internal/telemetry"
 )
 
@@ -84,40 +82,17 @@ func (b *simBackend) Close() error           { return nil }
 // escape hatches (ground truth, the raw network).
 func (b *simBackend) Result() *Result { return b.res }
 
-// AssembleSim builds a simulated Backend from a declarative spec: topology,
-// network, routing convergence, attack installation and traffic scheduling
-// — everything RunGeneric does except attaching a protocol, which the
-// caller performs against Env() (so one assembled backend can host any
-// registry protocol, or none). Note the ordering difference from
-// RunGeneric, which attaches the protocol before installing attacks;
-// scheduling at equal virtual instants may therefore interleave
-// differently than a RunGeneric run of the same spec.
+// AssembleSim builds a simulated Backend from a declarative spec through
+// the same assembly sequence as RunGeneric, minus the attach step: the
+// caller attaches a protocol against Env() afterwards (so one assembled
+// backend can host any registry protocol, or none). That is the only
+// difference from a RunGeneric run of the same spec — the protocol's
+// events are scheduled after the attack's and the traffic's instead of
+// before them, so they may interleave differently at equal virtual
+// instants.
 func AssembleSim(spec *Spec, tel *telemetry.Set) (Backend, error) {
-	g, err := spec.Topology.Build()
+	res, base, err := assemble(spec, tel, nil)
 	if err != nil {
-		return nil, err
-	}
-	net := network.New(g, network.Options{
-		Seed:             spec.Seed,
-		ProcessingJitter: spec.Jitter.D(),
-		Telemetry:        tel,
-	})
-	env := NewSimEnv(net)
-	res := &Result{Spec: spec, Env: env, Net: net, Faulty: -1}
-
-	if spec.Routing != nil {
-		res.Routing = routing.Attach(net, routing.Timers{
-			Delay: spec.Routing.Delay.D(), Hold: spec.Routing.Hold.D(),
-		})
-		if c := spec.Routing.Converge.D(); c > 0 {
-			res.Routing.RunUntilConverged(c)
-		}
-	}
-	if err := installAttack(net, spec, res); err != nil {
-		return nil, err
-	}
-	base := net.Now()
-	if err := scheduleTraffic(net, spec, base); err != nil {
 		return nil, err
 	}
 	return &simBackend{res: res, horizon: base + spec.Duration.D()}, nil

@@ -13,9 +13,9 @@ import (
 	"routerwatch/internal/telemetry"
 )
 
-// line5DropShardSpec is the replay smoke's golden scenario shape: Πk+2 on a
+// line5DropSpec is the replay smoke's golden scenario shape: Πk+2 on a
 // 5-router line with the middle router dropping 30% from t=1s.
-func line5DropShardSpec() *protocol.Spec {
+func line5DropSpec() *protocol.Spec {
 	return &protocol.Spec{
 		Name:     "line5drop",
 		Protocol: "pik2",
@@ -73,17 +73,15 @@ func ispDropSpec() *protocol.Spec {
 	}
 }
 
-// runWithShards executes a copy of the spec at the given shard count and
-// returns the byte-comparable artifacts: the rendered suspicion log and the
-// folded telemetry registry.
-func runWithShards(t *testing.T, spec *protocol.Spec, shards int) (string, string, *protocol.Result) {
+// renderRun executes the spec with a metrics registry and returns the
+// byte-comparable artifacts: the rendered suspicion log and the
+// Prometheus-rendered telemetry.
+func renderRun(t *testing.T, spec *protocol.Spec) (string, string, *protocol.Result) {
 	t.Helper()
-	s := *spec
-	s.Shards = shards
 	reg := telemetry.NewRegistry()
-	res, err := protocol.Run(&s, protocol.RunOptions{Telemetry: &telemetry.Set{Metrics: reg}})
+	res, err := protocol.Run(spec, protocol.RunOptions{Telemetry: &telemetry.Set{Metrics: reg}})
 	if err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
+		t.Fatal(err)
 	}
 	var verdicts strings.Builder
 	for _, sus := range res.Log.All() {
@@ -92,31 +90,54 @@ func runWithShards(t *testing.T, spec *protocol.Spec, shards int) (string, strin
 	}
 	var tel bytes.Buffer
 	if err := reg.WritePrometheus(&tel); err != nil {
-		t.Fatalf("shards=%d: telemetry render: %v", shards, err)
+		t.Fatalf("telemetry render: %v", err)
 	}
 	return verdicts.String(), tel.String(), res
 }
 
-// TestShardCountInvariance pins the sharded core's contract: the shard
-// count is a pure performance knob. Suspicion verdicts and folded telemetry
-// must be byte-identical at 1, 2 and 8 shards — on the committed golden
-// scenario shape and on a generated hierarchical topology with the routing
-// scale options on.
-func TestShardCountInvariance(t *testing.T) {
+// withShardsField returns the spec as decoded from its scenario-file form
+// with "shards": 8 set — a file written for the removed sharded kernel.
+func withShardsField(t *testing.T, spec *protocol.Spec) *protocol.Spec {
+	t.Helper()
+	legacy := *spec
+	legacy.Shards = 8
+	file, err := legacy.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(file, []byte(`"shards": 8`)) {
+		t.Fatalf("encoded scenario carries no shards field:\n%s", file)
+	}
+	dec, err := protocol.DecodeSpec(file)
+	if err != nil {
+		t.Fatalf("scenario file with a shards field no longer decodes: %v", err)
+	}
+	return dec
+}
+
+// TestScaleScenariosDetect runs Πk+2 end to end on the committed golden
+// scenario shape and on a generated hierarchical topology with every
+// routing scale option on — the only tier-1 run of a detector over an ISP
+// graph — and requires suspicions that implicate the faulty router. The
+// legacyShards row pins that a scenario file carrying the ignored "shards"
+// field still decodes and changes neither verdicts nor telemetry.
+func TestScaleScenariosDetect(t *testing.T) {
 	scenarios := []struct {
-		name string
-		spec *protocol.Spec
+		name         string
+		spec         *protocol.Spec
+		legacyShards bool
 	}{
-		{"line5drop", line5DropShardSpec()},
-		{"isp96drop", ispDropSpec()},
+		{"line5drop", line5DropSpec(), false},
+		{"isp96drop", ispDropSpec(), false},
+		{"line5drop-shards-field", line5DropSpec(), true},
 	}
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			wantV, wantT, res := runWithShards(t, sc.spec, 1)
+			verdicts, tel, res := renderRun(t, sc.spec)
 			if res.Log.Len() == 0 {
-				t.Fatal("baseline run raised no suspicions — the scenario is inert")
+				t.Fatal("the run raised no suspicions — the scenario is inert")
 			}
 			implicated := false
 			for _, seg := range res.Log.Segments() {
@@ -125,26 +146,46 @@ func TestShardCountInvariance(t *testing.T) {
 				}
 			}
 			if !implicated {
-				t.Fatalf("baseline suspicions never implicate the faulty router %v", res.Faulty)
+				t.Fatalf("suspicions never implicate the faulty router %v", res.Faulty)
 			}
-			for _, shards := range []int{2, 8} {
-				gotV, gotT, _ := runWithShards(t, sc.spec, shards)
-				if gotV != wantV {
-					t.Errorf("shards=%d: verdicts diverge from single-heap run\n--- shards=1\n%s--- shards=%d\n%s",
-						shards, wantV, shards, gotV)
+			if sc.legacyShards {
+				gotV, gotT, _ := renderRun(t, withShardsField(t, sc.spec))
+				if gotV != verdicts {
+					t.Errorf("verdicts change with the shards field\n--- without\n%s--- with\n%s", verdicts, gotV)
 				}
-				if gotT != wantT {
-					t.Errorf("shards=%d: folded telemetry diverges from single-heap run", shards)
+				if gotT != tel {
+					t.Error("telemetry changes with the shards field")
 				}
 			}
 		})
 	}
 }
 
+// TestAssembleSimHonoursRoutingSpec pins that AssembleSim attaches the
+// routing fabric with the spec's scale options, as RunGeneric does:
+// bundling LSA floods must cut the control messages sent by assembly time.
+func TestAssembleSimHonoursRoutingSpec(t *testing.T) {
+	controlMessages := func(bundle bool) int64 {
+		spec := ispDropSpec()
+		spec.Routing.BundleFlood = bundle
+		reg := telemetry.NewRegistry()
+		be, err := protocol.AssembleSim(spec, &telemetry.Set{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer be.Close()
+		return reg.Counter("rw_control_messages_total").Value()
+	}
+	bundled, plain := controlMessages(true), controlMessages(false)
+	if bundled <= 0 || bundled >= plain {
+		t.Errorf("rw_control_messages_total after assembly: %d with bundle-flood, %d without; want 0 < bundled < plain", bundled, plain)
+	}
+}
+
 // TestScaleSmoke drives a ~200-router, multi-thousand-flow generated
-// scenario end to end through Πk+2 on the sharded core and judges the
-// suspicion log with the §4.2.2 conformance checkers. Heavy; enabled by
-// RW_SCALE_SMOKE=1 (the CI scale-smoke job).
+// scenario end to end through Πk+2 and judges the suspicion log with the
+// §4.2.2 conformance checkers. Heavy; enabled by RW_SCALE_SMOKE=1 (the CI
+// scale-smoke job).
 func TestScaleSmoke(t *testing.T) {
 	if os.Getenv("RW_SCALE_SMOKE") == "" {
 		t.Skip("set RW_SCALE_SMOKE=1 to run the ~200-router scale smoke")
@@ -152,7 +193,6 @@ func TestScaleSmoke(t *testing.T) {
 	spec := ispDropSpec()
 	spec.Name = "isp200smoke"
 	spec.Topology = protocol.TopologySpec{Kind: "isp", N: 200, Pops: 8, Seed: 7}
-	spec.Shards = 8
 	spec.Routing.Workers = 0 // GOMAXPROCS
 	spec.Traffic = []protocol.TrafficSpec{{
 		Kind: "mesh", Pairs: 120, Count: 600,
@@ -166,9 +206,6 @@ func TestScaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Net.ShardCount(); got != 8 {
-		t.Fatalf("ShardCount = %d, want 8", got)
-	}
 	envtest.CheckDetection(t, envtest.Detection{
 		Log:      res.Log,
 		Faulty:   []packet.NodeID{res.Faulty},
@@ -178,8 +215,8 @@ func TestScaleSmoke(t *testing.T) {
 
 // TestScaleFull is the roadmap's internet-scale acceptance run: the
 // committed 1000-router, one-million-flow scenario (the same file cmd/mrsim
-// runs with -scenario) executes end to end on the 8-shard core and the
-// §4.2.2 checkers judge the verdicts. ~80s wall; enabled by RW_SCALE_FULL=1.
+// runs with -scenario) executes end to end and the §4.2.2 checkers judge
+// the verdicts. ~80s wall; enabled by RW_SCALE_FULL=1.
 func TestScaleFull(t *testing.T) {
 	if os.Getenv("RW_SCALE_FULL") == "" {
 		t.Skip("set RW_SCALE_FULL=1 to run the 1000-router / 1M-flow acceptance scenario")
@@ -195,9 +232,6 @@ func TestScaleFull(t *testing.T) {
 	res, err := protocol.Run(spec, protocol.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := res.Net.ShardCount(); got != 8 {
-		t.Fatalf("ShardCount = %d, want 8", got)
 	}
 	envtest.CheckDetection(t, envtest.Detection{
 		Log:      res.Log,

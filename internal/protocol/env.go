@@ -115,11 +115,6 @@ func (e *SimEnv) Nodes() []packet.NodeID {
 // Graph returns the topology.
 func (e *SimEnv) Graph() *topology.Graph { return e.net.Graph() }
 
-// ShardCount returns the event core's shard count (1 for the classic
-// single-heap scheduler). Sharding never changes observable behaviour;
-// protocols may use this for capacity planning only.
-func (e *SimEnv) ShardCount() int { return e.net.ShardCount() }
-
 // Auth returns the key-distribution authority.
 func (e *SimEnv) Auth() *auth.Authority { return e.net.Auth() }
 

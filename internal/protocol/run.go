@@ -93,8 +93,7 @@ func (r *Result) FaultyContains(seg topology.Segment) bool {
 
 // Run executes a declarative scenario. Protocols with a canonical custom
 // scenario (χ's learning pass, Fatih's Abilene composition) dispatch to
-// their descriptor's Scenario; everything else runs through the generic
-// topology → routing → protocol → attack → traffic sequence below.
+// their descriptor's Scenario; everything else runs through RunGeneric.
 func Run(spec *Spec, run RunOptions) (*Result, error) {
 	d, err := Lookup(spec.Protocol)
 	if err != nil {
@@ -106,10 +105,8 @@ func Run(spec *Spec, run RunOptions) (*Result, error) {
 	return RunGeneric(spec, run)
 }
 
-// RunGeneric is the shared scenario sequence. The assembly order is fixed
-// — topology, network, routing convergence, protocol attach, attack
-// install, traffic schedule, BeforeRun, run — because event-insertion
-// order at equal virtual times is part of the determinism contract.
+// RunGeneric runs a scenario through the shared assembly sequence, with
+// the protocol attached between routing convergence and attack install.
 func RunGeneric(spec *Spec, run RunOptions) (*Result, error) {
 	d, err := Lookup(spec.Protocol)
 	if err != nil {
@@ -119,35 +116,24 @@ func RunGeneric(spec *Spec, run RunOptions) (*Result, error) {
 		return nil, fmt.Errorf("protocol %q only runs as a full scenario", spec.Protocol)
 	}
 
-	g, err := spec.Topology.Build()
+	res, base, err := assemble(spec, run.Telemetry, func(res *Result) error {
+		return attachProtocol(d, run.Hooks, res)
+	})
 	if err != nil {
 		return nil, err
 	}
-	net := network.New(g, network.Options{
-		Seed:             spec.Seed,
-		ProcessingJitter: spec.Jitter.D(),
-		Telemetry:        run.Telemetry,
-		Shards:           spec.Shards,
-	})
-	env := NewSimEnv(net)
-	res := &Result{Spec: spec, Env: env, Net: net, Faulty: -1}
-
-	if spec.Routing != nil {
-		r := spec.Routing
-		res.Routing = routing.AttachWith(net, routing.Options{
-			Timers:         routing.Timers{Delay: r.Delay.D(), Hold: r.Hold.D()},
-			StaggerRegions: r.StaggerRegions,
-			BundleFlood:    r.BundleFlood,
-			FloodHold:      r.FloodHold.D(),
-			BatchCompute:   r.BatchCompute,
-			Workers:        r.Workers,
-		})
-		if c := r.Converge.D(); c > 0 {
-			res.Routing.RunUntilConverged(c)
-		}
+	if run.BeforeRun != nil {
+		run.BeforeRun(res)
 	}
+	res.Net.Run(base + spec.Duration.D())
+	return res, nil
+}
 
-	hooks := run.Hooks
+// attachProtocol is RunGeneric's attach step: wire the suspicion hooks
+// (and, when the spec asks, the routing response), parse the spec's
+// options and deploy d on the assembled environment.
+func attachProtocol(d Descriptor, hooks Hooks, res *Result) error {
+	spec := res.Spec
 	if hooks.Log == nil && hooks.Sink == nil && hooks.Responder == nil {
 		hooks, res.Log = LogHooks()
 	} else {
@@ -162,34 +148,68 @@ func RunGeneric(spec *Spec, run RunOptions) (*Result, error) {
 	}
 
 	var opts any
+	var err error
 	if len(spec.Options) > 0 {
 		if d.ParseOptions == nil {
-			return nil, fmt.Errorf("protocol %q takes no options", spec.Protocol)
+			return fmt.Errorf("protocol %q takes no options", spec.Protocol)
 		}
 		if opts, err = d.ParseOptions(spec.Options); err != nil {
-			return nil, fmt.Errorf("protocol %q: %v", spec.Protocol, err)
+			return fmt.Errorf("protocol %q: %v", spec.Protocol, err)
 		}
 	}
-	if res.Instance, err = d.Attach(env, opts, hooks); err != nil {
-		return nil, fmt.Errorf("protocol %q: %v", spec.Protocol, err)
+	if res.Instance, err = d.Attach(res.Env, opts, hooks); err != nil {
+		return fmt.Errorf("protocol %q: %v", spec.Protocol, err)
 	}
+	return nil
+}
 
+// assemble is the one scenario sequence: topology, network, routing
+// convergence, the caller's attach step (nil for none), attack install,
+// traffic schedule. The order is fixed because event-insertion order at
+// equal virtual times is part of the determinism contract. It returns the
+// assembled scenario and the traffic base (the post-convergence time the
+// spec's offsets and duration are relative to).
+func assemble(spec *Spec, tel *telemetry.Set, attach func(*Result) error) (*Result, time.Duration, error) {
+	g, err := spec.Topology.Build()
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := spec.validate(g.NumNodes()); err != nil {
+		return nil, 0, err
+	}
+	net := network.New(g, network.Options{
+		Seed:             spec.Seed,
+		ProcessingJitter: spec.Jitter.D(),
+		Telemetry:        tel,
+	})
+	res := &Result{Spec: spec, Env: NewSimEnv(net), Net: net, Faulty: -1}
+
+	if r := spec.Routing; r != nil {
+		res.Routing = routing.AttachWith(net, routing.Options{
+			Timers:         routing.Timers{Delay: r.Delay.D(), Hold: r.Hold.D()},
+			StaggerRegions: r.StaggerRegions,
+			BundleFlood:    r.BundleFlood,
+			FloodHold:      r.FloodHold.D(),
+			BatchCompute:   r.BatchCompute,
+			Workers:        r.Workers,
+		})
+		if c := r.Converge.D(); c > 0 {
+			res.Routing.RunUntilConverged(c)
+		}
+	}
+	if attach != nil {
+		if err := attach(res); err != nil {
+			return nil, 0, err
+		}
+	}
 	if err := installAttack(net, spec, res); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-
-	// Traffic offsets are relative to the post-convergence time so specs
-	// read the same with and without a routing warm-up.
 	base := net.Now()
 	if err := scheduleTraffic(net, spec, base); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-
-	if run.BeforeRun != nil {
-		run.BeforeRun(res)
-	}
-	net.Run(base + spec.Duration.D())
-	return res, nil
+	return res, base, nil
 }
 
 // installAttack compromises the spec's routers (Attack plus the colluding
@@ -356,9 +376,8 @@ func scheduleTraffic(net *network.Network, spec *Spec, base time.Duration) error
 // scheduleMesh installs a "mesh" workload: Pairs random src→dst flows drawn
 // from a stream derived from the scenario seed and the workload's position
 // (never from the network's streams, so a mesh cannot shift unrelated
-// draws). Each flow is one self-rechaining event pinned to its source's
-// shard — a 1000-pair × 1000-packet mesh keeps only 1000 events pending
-// instead of a million.
+// draws). Each flow is one self-rechaining event — a 1000-pair ×
+// 1000-packet mesh keeps only 1000 events pending instead of a million.
 func scheduleMesh(net *network.Network, spec *Spec, t *TrafficSpec, ti int, arena *packet.Arena, base time.Duration, size int) {
 	sched := net.Scheduler()
 	pairs := t.Pairs
@@ -375,7 +394,6 @@ func scheduleMesh(net *network.Network, spec *Spec, t *TrafficSpec, ti int, aren
 			dst++
 		}
 		flow := t.Flow + packet.FlowID(k)
-		shard := net.ShardOf(src)
 		// Smear flow starts across one interval so pairs don't all fire on
 		// the same instant.
 		start := base + t.Offset.D() + interval*time.Duration(k)/time.Duration(pairs)
@@ -388,9 +406,9 @@ func scheduleMesh(net *network.Network, spec *Spec, t *TrafficSpec, ti int, aren
 			net.Inject(src, p)
 			i++
 			if i < t.Count {
-				sched.AtShard(shard, sched.Now()+interval, tick)
+				sched.At(sched.Now()+interval, tick)
 			}
 		}
-		sched.AtShard(shard, start, tick)
+		sched.At(start, tick)
 	}
 }

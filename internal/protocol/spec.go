@@ -58,9 +58,8 @@ type Spec struct {
 	Duration Duration `json:"duration,omitempty"`
 	// Jitter is the per-hop processing jitter of the network.
 	Jitter Duration `json:"jitter,omitempty"`
-	// Shards splits the event core into per-region shards (0/1 = the
-	// classic single heap). Purely a performance knob: verdicts and
-	// telemetry are byte-identical for any value.
+	// Shards is accepted and ignored: scenario files written for the removed
+	// sharded event kernel still decode, and run on the single heap.
 	Shards int `json:"shards,omitempty"`
 
 	Topology TopologySpec `json:"topology"`
@@ -88,6 +87,39 @@ func (s *Spec) AttackList() []*AttackSpec {
 		}
 	}
 	return list
+}
+
+// validate checks the scenario against its built topology of n routers:
+// what a scenario file can get wrong that the run would otherwise panic on.
+func (s *Spec) validate(n int) error {
+	outside := func(ids ...int) bool {
+		for _, id := range ids {
+			if id < 0 || id >= n {
+				return true
+			}
+		}
+		return false
+	}
+	for _, a := range s.AttackList() {
+		if outside(a.Node) {
+			return fmt.Errorf("scenario: attack node %d is not a router of the %d-node topology", a.Node, n)
+		}
+		if a.Kind == "fabricate" && outside(a.Src, a.Dst) {
+			return fmt.Errorf("scenario: fabricate src %d, dst %d: not routers of the %d-node topology", a.Src, a.Dst, n)
+		}
+	}
+	for i := range s.Traffic {
+		t := &s.Traffic[i]
+		switch {
+		case t.Interval < 0 || t.Offset < 0 || t.Count < 0 || t.Pairs < 0:
+			return fmt.Errorf("scenario: traffic[%d]: interval, offset, count and pairs must not be negative", i)
+		case t.Kind == "mesh" && n < 2:
+			return fmt.Errorf("scenario: traffic[%d]: mesh needs at least 2 routers, the topology has %d", i, n)
+		case t.Kind != "mesh" && outside(t.Src, t.Dst):
+			return fmt.Errorf("scenario: traffic[%d]: src %d, dst %d: not routers of the %d-node topology", i, t.Src, t.Dst, n)
+		}
+	}
+	return nil
 }
 
 // TopologySpec selects a named topology builder or describes a custom

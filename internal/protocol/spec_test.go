@@ -144,3 +144,46 @@ func TestTopologyBuildErrors(t *testing.T) {
 		t.Error("link to unknown node did not error")
 	}
 }
+
+// TestScenarioFileErrors feeds Run and AssembleSim scenario files whose
+// values do not fit their topology. Such files used to panic inside the run
+// (or, for fabricate endpoints and negative count/pairs, ran a silently
+// different scenario); all must come back as "scenario: …" errors from both
+// entry points.
+func TestScenarioFileErrors(t *testing.T) {
+	registry["stub"] = Descriptor{Name: "stub", Attach: func(Env, any, Hooks) (Instance, error) {
+		return NewInstance(Info{Name: "stub"}), nil
+	}}
+	defer delete(registry, "stub")
+
+	const line5 = `"protocol":"stub","duration":"1s","topology":{"kind":"line","n":5}`
+	cases := []struct {
+		name, in, wantErr string
+	}{
+		{"attack node", `{` + line5 + `,"attack":{"kind":"drop","node":99}}`, "attack node 99"},
+		{"colluder node", `{` + line5 + `,"attacks":[{"kind":"drop","node":-1}]}`, "attack node -1"},
+		{"fabricate dst", `{` + line5 + `,"attack":{"kind":"fabricate","node":2,"src":0,"dst":5}}`, "fabricate src 0, dst 5"},
+		{"stream src", `{` + line5 + `,"traffic":[{"src":99,"dst":4,"count":3,"interval":"1ms"}]}`, "traffic[0]: src 99, dst 4"},
+		{"pair dst", `{` + line5 + `,"traffic":[{"kind":"pair","src":0,"dst":7,"count":3,"interval":"1ms"}]}`, "traffic[0]: src 0, dst 7"},
+		{"mesh on one node", `{"protocol":"stub","topology":{"kind":"custom","nodes":["a"]},"traffic":[{"kind":"mesh","count":3,"interval":"1ms"}]}`, "at least 2 routers"},
+		{"negative interval", `{` + line5 + `,"traffic":[{"src":0,"dst":4,"count":3,"interval":"-1ms"}]}`, "must not be negative"},
+		{"negative offset", `{` + line5 + `,"traffic":[{"src":0,"dst":4,"count":3,"interval":"1ms","offset":"-1s"}]}`, "must not be negative"},
+		{"negative count", `{` + line5 + `,"traffic":[{"kind":"mesh","count":-3,"interval":"1ms"}]}`, "must not be negative"},
+		{"negative pairs", `{` + line5 + `,"traffic":[{"kind":"mesh","pairs":-1,"count":3,"interval":"1ms"}]}`, "must not be negative"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := DecodeSpec([]byte(tc.in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, runErr := Run(spec, RunOptions{})
+			_, asmErr := AssembleSim(spec, nil)
+			for entry, err := range map[string]error{"Run": runErr, "AssembleSim": asmErr} {
+				if err == nil || !strings.HasPrefix(err.Error(), "scenario: ") || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("%s error = %v, want a scenario error mentioning %q", entry, err, tc.wantErr)
+				}
+			}
+		})
+	}
+}

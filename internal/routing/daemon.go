@@ -60,9 +60,6 @@ type Daemon struct {
 	proto  *Protocol
 	router *network.Router
 	id     packet.NodeID
-	// shard is the router's event-shard hint: purely a scheduling-locality
-	// affinity, never consulted for behaviour.
-	shard int
 
 	lsdb      map[packet.NodeID]*LSA
 	seenAlert map[packet.NodeID]uint64
@@ -236,12 +233,12 @@ func (d *Daemon) scheduleRecompute() {
 	if p.opts.BatchCompute {
 		if _, ok := p.due[at]; !ok {
 			due := at
-			sched.AtShard(d.shard, due, func() { p.runBatch(due) })
+			sched.At(due, func() { p.runBatch(due) })
 		}
 		p.due[at] = append(p.due[at], d)
 		return
 	}
-	sched.AtShard(d.shard, at, d.recompute)
+	sched.At(at, d.recompute)
 }
 
 // recompute rebuilds the adjacency from the LSDB, applies exclusions,

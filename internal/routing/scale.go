@@ -86,7 +86,6 @@ func AttachWith(net *network.Network, opts Options) *Protocol {
 			proto:     p,
 			router:    r,
 			id:        r.ID(),
-			shard:     net.ShardOf(r.ID()),
 			lsdb:      make(map[packet.NodeID]*LSA),
 			seenAlert: make(map[packet.NodeID]uint64),
 			excl:      NewExclusions(),
@@ -109,7 +108,7 @@ func AttachWith(net *network.Network, opts Options) *Protocol {
 		if opts.StaggerRegions {
 			at = time.Duration(g.Region(d.id)) * time.Millisecond
 		}
-		net.Scheduler().AtShard(d.shard, at, d.originateLSA)
+		net.Scheduler().At(at, d.originateLSA)
 	}
 	return p
 }
@@ -134,7 +133,7 @@ func (d *Daemon) enqueueFlood(lsa *LSA) {
 	}
 	d.flushQueued = true
 	sched := d.proto.net.Scheduler()
-	sched.AtShard(d.shard, sched.Now()+d.proto.opts.FloodHold, d.flushPending)
+	sched.At(sched.Now()+d.proto.opts.FloodHold, d.flushPending)
 }
 
 // flushPending sends everything accepted since the last flush as one bundle

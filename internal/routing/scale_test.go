@@ -50,7 +50,7 @@ func TestScaleOptionsConvergeToLegacyTables(t *testing.T) {
 		t.Fatal("legacy path did not converge")
 	}
 
-	scaledNet := network.New(g.Clone(), network.Options{Seed: 5, Shards: 4})
+	scaledNet := network.New(g.Clone(), network.Options{Seed: 5})
 	scaled := AttachWith(scaledNet, Options{
 		Timers:         timers,
 		StaggerRegions: true,

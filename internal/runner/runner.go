@@ -118,10 +118,10 @@ func (c Config) workers(n int) int {
 
 // Do runs f(0), ..., f(n-1) to completion on up to workers goroutines
 // (0 = GOMAXPROCS, 1 = inline on the calling goroutine) and returns when
-// all calls have finished. It is the synchronous parallel-for under the
-// sharded simulation core's barrier drains: each f(i) must touch only
-// state partitioned by i, in which case the fan-out is race-free and —
-// because Do imposes a full join — invisible to the caller's determinism.
+// all calls have finished. It is the synchronous parallel-for under
+// routing's batched table computation: each f(i) must touch only state
+// partitioned by i, in which case the fan-out is race-free and — because
+// Do imposes a full join — invisible to the caller's determinism.
 func Do(workers, n int, f func(int)) {
 	if n <= 0 {
 		return

@@ -122,11 +122,7 @@ func (h eventHeap) swap(i, j int) {
 }
 
 func (h *eventHeap) push(ev *Event) {
-	h.pushSlot(heapSlot{at: ev.at, seq: ev.seq, id: ev.id})
-}
-
-func (h *eventHeap) pushSlot(sl heapSlot) {
-	*h = append(*h, sl)
+	*h = append(*h, heapSlot{at: ev.at, seq: ev.seq, id: ev.id})
 	a := *h
 	j := len(a) - 1
 	for j > 0 {
@@ -136,16 +132,6 @@ func (h *eventHeap) pushSlot(sl heapSlot) {
 		}
 		a.swap(i, j)
 		j = i
-	}
-}
-
-// init establishes the heap invariant over arbitrary contents in O(n) — the
-// bulk-build used when a shard barrier merges a large mailbox batch, where
-// n+m sift-downs beat m individual pushes.
-func (h eventHeap) init() {
-	n := len(h)
-	for i := (n - 2) / 4; i >= 0; i-- {
-		h.down(i, n)
 	}
 }
 
@@ -218,18 +204,6 @@ type Scheduler struct {
 	// firedCtr, when attached, counts fired events for per-trial sim-event
 	// throughput metrics. Nil (the default) costs one nil-check per event.
 	firedCtr *telemetry.Counter
-
-	// Sharded mode (see shard.go): nshards == 0 is the classic single-heap
-	// kernel and every field below is dormant. ConfigureShards(n>1, ...)
-	// splits the queue into per-region shard heaps fed through mailboxes
-	// that are drained at deterministic window barriers.
-	nshards   int
-	shards    []shardQ
-	window    time.Duration
-	windowEnd time.Duration
-	fanout    func(n int, each func(int))
-	barriers  uint64
-	mailed    uint64
 }
 
 // New returns a new Scheduler starting at virtual time zero.
@@ -247,16 +221,7 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 func (s *Scheduler) InstrumentFired(c *telemetry.Counter) { s.firedCtr = c }
 
 // Pending returns the number of events scheduled but not yet fired.
-func (s *Scheduler) Pending() int {
-	if s.nshards > 0 {
-		total := 0
-		for i := range s.shards {
-			total += len(s.shards[i].heap) + len(s.shards[i].mail)
-		}
-		return total
-	}
-	return len(s.events)
-}
+func (s *Scheduler) Pending() int { return len(s.events) }
 
 // FreeListLen returns the current size of the event free list (tests and
 // instrumentation; liveness regressions pin this).
@@ -291,16 +256,9 @@ func (s *Scheduler) release(ev *Event) {
 	s.free = append(s.free, ev)
 }
 
+// schedule is the single insertion point for every event: the seq counter
+// assigned here, in call order, breaks ties between events at equal times.
 func (s *Scheduler) schedule(t time.Duration, fn func(), cb Callback, arg any, n int64) Handle {
-	return s.scheduleShard(0, t, fn, cb, arg, n)
-}
-
-// scheduleShard is the single insertion point for every event. The shard
-// index is a pure placement hint: the global seq counter — assigned here, in
-// call order — defines the (at, seq) total order events commit in, so the
-// shard an event lands on can never change what fires or when. In classic
-// mode the hint is ignored and the event goes on the single heap.
-func (s *Scheduler) scheduleShard(shard int, t time.Duration, fn func(), cb Callback, arg any, n int64) Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -313,19 +271,7 @@ func (s *Scheduler) scheduleShard(shard int, t time.Duration, fn func(), cb Call
 	ev.n = n
 	ev.canceled = false
 	s.seq++
-	if s.nshards > 0 {
-		q := &s.shards[uint(shard)%uint(s.nshards)]
-		if t >= s.windowEnd {
-			// Beyond the current window: O(1) mailbox append, merged into
-			// the shard heap in bulk at the next barrier.
-			q.mail = append(q.mail, heapSlot{at: ev.at, seq: ev.seq, id: ev.id})
-			s.mailed++
-		} else {
-			q.heap.push(ev)
-		}
-	} else {
-		s.events.push(ev)
-	}
+	s.events.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -377,9 +323,6 @@ func (s *Scheduler) fire(ev *Event) {
 // Step executes the single earliest pending event, advancing virtual time.
 // It returns false if no events remain.
 func (s *Scheduler) Step() bool {
-	if s.nshards > 0 {
-		return s.stepSharded()
-	}
 	for len(s.events) > 0 {
 		ev := s.byID[s.events.pop()]
 		if ev.canceled {
@@ -416,9 +359,6 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 // peek returns the earliest non-canceled event without firing it, dropping
 // (and recycling) canceled events it skips over.
 func (s *Scheduler) peek() *Event {
-	if s.nshards > 0 {
-		return s.peekSharded()
-	}
 	for len(s.events) > 0 {
 		ev := s.byID[s.events[0].id]
 		if !ev.canceled {

@@ -58,10 +58,11 @@ type Graph struct {
 	// goroutines.
 	csr *CSR
 
-	// regions[v] is v's spatial region (PoP) for the sharded simulation
-	// core; nil when the topology carries no region structure. Regions are
-	// advisory placement metadata: they never influence routing or
-	// forwarding, only which event-queue shard a router's events land on.
+	// regions[v] is v's spatial region (PoP); nil when the topology carries
+	// no region structure. Regions are advisory metadata: they never
+	// influence path computation or forwarding, only when a router first
+	// originates its LSA (routing.Options.StaggerRegions) and the topoinfo
+	// statistics.
 	regions []int
 }
 
@@ -133,8 +134,7 @@ func (g *Graph) Lookup(name string) (packet.NodeID, bool) {
 func (g *Graph) NumNodes() int { return len(g.names) }
 
 // SetRegion tags a node with its spatial region (PoP index). Regions are
-// placement metadata for the sharded event core; they have no routing
-// semantics.
+// metadata; they have no routing semantics.
 func (g *Graph) SetRegion(id packet.NodeID, region int) {
 	if region < 0 {
 		region = 0

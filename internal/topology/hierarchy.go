@@ -79,8 +79,8 @@ func (s ISPSpec) fill() ISPSpec {
 }
 
 // Link attribute tiers. Backbone delay is drawn per link (2–8 ms); all
-// intra-PoP delays sit far below it, so the minimum inter-region latency —
-// the shard lookahead — is the backbone floor.
+// intra-PoP delays sit far below it, so the minimum inter-region latency is
+// the backbone floor.
 var (
 	ispCoreAttrs = LinkAttrs{Bandwidth: 40e9, Delay: 100 * time.Microsecond, QueueLimit: 512 << 10, Cost: 2}
 	ispAggAttrs  = LinkAttrs{Bandwidth: 10e9, Delay: 200 * time.Microsecond, QueueLimit: 256 << 10, Cost: 5}

@@ -77,30 +77,6 @@ func TestISPGeneratorDefaults(t *testing.T) {
 	}
 }
 
-func TestPartitionRegions(t *testing.T) {
-	g := Abilene()
-	for _, k := range []int{1, 2, 4} {
-		regions := PartitionRegions(g, k)
-		if len(regions) != g.NumNodes() {
-			t.Fatalf("k=%d: region table has %d entries, want %d", k, len(regions), g.NumNodes())
-		}
-		seen := map[int]int{}
-		for id, r := range regions {
-			if r < 0 || r >= k {
-				t.Fatalf("k=%d: node %d assigned region %d out of range", k, id, r)
-			}
-			seen[r]++
-		}
-		if len(seen) != k {
-			t.Fatalf("k=%d: only %d regions used", k, len(seen))
-		}
-		again := PartitionRegions(g, k)
-		if !reflect.DeepEqual(regions, again) {
-			t.Fatalf("k=%d: partition is not deterministic", k)
-		}
-	}
-}
-
 func TestRegionMetadataOnGraph(t *testing.T) {
 	g := NewGraph()
 	a := g.AddNode("a")

@@ -2,64 +2,6 @@ package topology
 
 import "routerwatch/internal/packet"
 
-// PartitionRegions computes a deterministic k-way spatial partition for a
-// graph that carries no region structure of its own (the hand-built
-// topologies): balanced multi-source BFS from k evenly spaced seed nodes,
-// ties claimed by the lower region. The sharded simulation core uses the
-// result as its node→shard map; since shard placement never affects
-// results, the partition only needs to be deterministic and roughly
-// locality-preserving, not optimal.
-func PartitionRegions(g *Graph, k int) []int {
-	n := g.NumNodes()
-	regions := make([]int, n)
-	if k <= 1 || n == 0 {
-		return regions
-	}
-	if k > n {
-		k = n
-	}
-	for i := range regions {
-		regions[i] = -1
-	}
-	frontiers := make([][]packet.NodeID, k)
-	for r := 0; r < k; r++ {
-		seed := packet.NodeID(r * n / k)
-		if regions[seed] == -1 {
-			regions[seed] = r
-			frontiers[r] = append(frontiers[r], seed)
-		}
-	}
-	// Round-robin BFS: each round every region expands one hop, region
-	// order breaking ties — deterministic because Neighbors is ID-sorted.
-	for {
-		grew := false
-		for r := 0; r < k; r++ {
-			var next []packet.NodeID
-			for _, v := range frontiers[r] {
-				for _, nb := range g.Neighbors(v) {
-					if regions[nb] == -1 {
-						regions[nb] = r
-						next = append(next, nb)
-						grew = true
-					}
-				}
-			}
-			frontiers[r] = next
-		}
-		if !grew {
-			break
-		}
-	}
-	// Disconnected stragglers (none in our graphs, but the contract must
-	// not depend on connectivity): deterministic round-robin by ID.
-	for id := range regions {
-		if regions[id] == -1 {
-			regions[id] = id % k
-		}
-	}
-	return regions
-}
-
 // DegreeHistogram returns counts indexed by node degree (out-degree; equal
 // to undirected degree on duplex graphs).
 func DegreeHistogram(g *Graph) []int {
@@ -113,7 +55,7 @@ func Diameter(g *Graph) int {
 }
 
 // CrossRegionLinks counts duplex links whose endpoints lie in different
-// regions — the traffic the shard mailboxes carry.
+// regions: the backbone of an ISP-generated topology.
 func CrossRegionLinks(g *Graph) int {
 	cross := 0
 	for _, l := range g.Links() {
