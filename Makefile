@@ -7,12 +7,7 @@
 
 GO ?= go
 
-# Benchmark log destination. BENCH_baseline.json is the committed first
-# baseline; run `make bench BENCH_OUT=BENCH_current.json` and compare with
-# `make bench-compare` (cmd/benchcmp) to spot regressions.
-BENCH_OUT ?= BENCH_baseline.json
-
-.PHONY: build test race vet lint verify bench-test bench bench-compare fuzz campaign-smoke replay-smoke scale-smoke figures clean
+.PHONY: build test race vet lint verify bench-test perf fuzz campaign-smoke replay-smoke scale-smoke figures clean
 
 build:
 	$(GO) build ./...
@@ -43,37 +38,16 @@ bench-test:
 
 verify: build vet lint race bench-test
 
-# Every benchmark in the tree — the paper-figure harness at the root plus
-# the micro-benchmarks (auth, packet, summary codecs, telemetry hot paths) —
-# in machine-readable test2json form, teeing the human-readable lines to the
-# terminal.
-# The summary pipeline degrades gracefully: grep exits non-zero when a
-# run produced no benchmark lines (e.g. benchmark-less packages under a
-# narrowed ./pkg/... target), which must not fail the target — the JSON
-# log in $(BENCH_OUT) is the product, the terminal echo is a courtesy.
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ -json ./... > $(BENCH_OUT)
-	@{ grep -o '"Output":"\(Benchmark[^"]*\\t\|[^"]*ns/op[^"]*\)"' $(BENCH_OUT) || \
-		echo '"Output":"(no benchmark lines in $(BENCH_OUT))\t"' ; } | \
-		sed -e 's/^"Output":"//' -e 's/"$$//' -e 's/\\t/\t/g' -e 's/\\n//g' | \
-		paste -d '\0' - -
-
-# Run a fresh benchmark pass and diff it against the committed baseline:
-# per-benchmark ns/op and allocs/op deltas via cmd/benchcmp. Benchmarks
-# missing from either log print "-" instead of failing the comparison.
-# Override BENCH_BASELINE to diff against a different recorded log (e.g.
-# BENCH_baseline.json for the full history). The default is the most
-# recent committed log, BENCH_pr10.json, so the blocking CI gate measures
-# drift from the current expected performance, not from the
-# pre-optimization era. Set
-# BENCHCMP_FLAGS="-threshold 40 -alloc-threshold 5" to turn the diff
-# into a gate: exit 1 when ns/op or allocs/op regresses beyond 20%.
-BENCH_BASELINE ?= BENCH_pr10.json
-BENCHCMP_FLAGS ?=
-
-bench-compare:
-	$(GO) test -bench=. -benchmem -run=^$$ -json ./... > BENCH_current.json
-	$(GO) run ./cmd/benchcmp $(BENCHCMP_FLAGS) $(BENCH_BASELINE) BENCH_current.json
+# The performance ledger: run rwbench's five workloads (three untraced runs
+# plus one traced run each, ~8 min) and judge every end-to-end metric
+# against the committed baseline set with its per-metric bounds. Exit 1 on
+# any "worse" row. The root bench_test.go is not a measurement: CI runs it
+# at -benchtime=1x for the allocation guards it carries.
+perf:
+	@tmp=$$(mktemp) && \
+	$(GO) -C bench run ./rwbench -runs 3 -seconds 18 -out $$tmp && \
+	$(GO) -C bench run ./rwbench -compare out/baseline-seed1-a.json $$tmp; \
+	status=$$?; rm -f $$tmp; exit $$status
 
 # Short fuzz pass over every fuzz harness (satisfies `go test` normally
 # too — the seed corpus runs as ordinary tests): the summary codecs, the

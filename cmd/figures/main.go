@@ -44,7 +44,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	trials := flag.Int("trials", 0, "also run N multi-seed Fatih trials (aggregate Fig 5.7 statistics)")
 	progress := flag.Bool("progress", false, "report per-figure completions and pool utilization on stderr")
-	tf := telemetry.RegisterFlags(flag.CommandLine)
+	tf := telemetry.RegisterFlags(flag.CommandLine, "trace")
 	flag.Parse()
 
 	if tf.Trace != "" {

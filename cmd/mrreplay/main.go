@@ -52,18 +52,9 @@ func main() {
 	verdicts := flag.String("verdicts", "", "write the full suspicion log, one per line, to this file")
 	info := flag.Bool("info", false, "print the trace manifest and exit")
 
-	// The telemetry flags are registered by hand: telemetry's standard set
-	// claims -trace, which here names the trace directory, so the event
-	// timeline answers to -timeline instead.
-	var tf telemetry.Flags
-	flag.StringVar(&tf.Metrics, "metrics", "",
-		"write a metrics snapshot at exit (.prom/.txt = Prometheus text, else JSON; - = Prometheus to stderr)")
-	flag.StringVar(&tf.Trace, "timeline", "",
-		"write the virtual-time event trace at exit (.json = Chrome trace-event, else plain timeline; - = timeline to stderr)")
-	flag.BoolVar(&tf.TracePackets, "trace-packets", false,
-		"include per-packet events in -timeline (large)")
-	flag.StringVar(&tf.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
-	flag.StringVar(&tf.MemProfile, "memprofile", "", "write a pprof allocation profile at exit")
+	// -trace names the trace directory here, so the event timeline answers
+	// to -timeline.
+	tf := telemetry.RegisterFlags(flag.CommandLine, "timeline")
 	flag.Parse()
 
 	if *traceDir == "" {

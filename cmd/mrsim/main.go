@@ -79,7 +79,7 @@ func main() {
 	record := flag.String("record", "", "record per-router pcap traces into this directory (single-run only; replay with mrreplay)")
 	verdicts := flag.String("verdicts", "", "write the full suspicion log, one per line, to this file (single-run only)")
 	list := flag.Bool("list-protocols", false, "list the registered protocols and exit")
-	tf := telemetry.RegisterFlags(flag.CommandLine)
+	tf := telemetry.RegisterFlags(flag.CommandLine, "trace")
 	flag.Parse()
 
 	if *list {

@@ -633,9 +633,5 @@ func (v *queueValidator) suspect(seg topology.Segment, kind detector.Kind, conf 
 		By: v.q.RD, Segment: seg, Round: v.round - 1, At: v.p.env.Now(),
 		Kind: kind, Confidence: conf, Detail: detail,
 	}
-	v.p.opts.Sink(s)
-	v.p.tel.ObserveSuspicion(s, detector.RoundEnd(s.Round, v.p.opts.Round))
-	if v.p.opts.Responder != nil {
-		v.p.opts.Responder(v.q.RD, seg)
-	}
+	v.p.tel.Deliver(s, v.p.opts.Sink, v.p.opts.Round, v.p.opts.Responder)
 }

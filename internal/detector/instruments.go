@@ -3,7 +3,9 @@ package detector
 import (
 	"time"
 
+	"routerwatch/internal/packet"
 	"routerwatch/internal/telemetry"
+	"routerwatch/internal/topology"
 )
 
 // suspicionLatencyBucketsMs bins detection latency — the delay from the end
@@ -69,12 +71,6 @@ func NewInstruments(set *telemetry.Set, protocol string) Instruments {
 	}
 }
 
-// RoundEnd returns the virtual time at which validation round n of period
-// tau ends — the reference point suspicion latency is measured from.
-func RoundEnd(n int, tau time.Duration) time.Duration {
-	return time.Duration(n+1) * tau
-}
-
 // ObserveSuspicion records a raised or adopted suspicion: the counter, the
 // detection latency relative to the validated round's end, and — when
 // tracing — an instant carrying the suspicion kind.
@@ -85,6 +81,18 @@ func (ins *Instruments) ObserveSuspicion(s Suspicion, roundEnd time.Duration) {
 	}
 	if tr := ins.Trace; tr != nil {
 		tr.Instant("suspicion", "detector", s.At, int32(s.By), s.Kind.String())
+	}
+}
+
+// Deliver is the one outlet for a raised or adopted suspicion: the run's
+// sink, then the instruments (latency measured from (s.Round+1)·tau, the end
+// of the validated round), then — when the deployment closes the response
+// loop — the responder at the suspecting router.
+func (ins *Instruments) Deliver(s Suspicion, sink Sink, tau time.Duration, responder func(by packet.NodeID, seg topology.Segment)) {
+	sink(s)
+	ins.ObserveSuspicion(s, time.Duration(s.Round+1)*tau)
+	if responder != nil {
+		responder(s.By, s.Segment)
 	}
 }
 

@@ -5,28 +5,19 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"routerwatch/internal/consensus"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/tvinfo"
-	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/topology"
 )
 
-// segState is per-(router, monitored segment) state.
+// segState is per-(router, monitored segment) state: the shared recording
+// half plus what Π2's consensus and judging add.
 type segState struct {
-	seg topology.Segment
-	key topology.SegmentKey
-	// pos is this router's index in seg.
-	pos int
-	// links are the segment links from pos to the sink, for arrival-time
-	// binning.
-	links []topology.Link
+	tvinfo.Watch
 
-	// cur holds this router's own per-round summaries.
-	cur map[int]*tvinfo.Summary
 	// collected maps round → origin → received signed summaries (more
 	// than one distinct payload per origin = equivocation).
 	collected map[int]map[packet.NodeID][]consensus.Msg
@@ -35,8 +26,9 @@ type segState struct {
 
 // agent is the per-router Π2 engine.
 type agent struct {
-	p  *Protocol
-	id packet.NodeID
+	p   *Protocol
+	id  packet.NodeID
+	mon tvinfo.Monitor
 
 	segs     map[topology.SegmentKey]*segState
 	segOrder []*segState
@@ -54,36 +46,19 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 		segs:      make(map[topology.SegmentKey]*segState),
 		suspected: make(map[topology.SegmentKey]bool),
 	}
-	g := p.env.Graph()
+	a.mon.Start(&p.rec, id)
 	for _, seg := range monitored {
-		pos := -1
-		for i, v := range seg {
-			if v == a.id {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
-			continue
-		}
 		st := &segState{
-			seg:       seg,
-			key:       topology.Key(seg),
-			pos:       pos,
-			cur:       make(map[int]*tvinfo.Summary),
 			collected: make(map[int]map[packet.NodeID][]consensus.Msg),
 			judged:    make(map[int]bool),
 		}
-		for i := pos; i+1 < len(seg); i++ {
-			if l, ok := g.Link(seg[i], seg[i+1]); ok {
-				st.links = append(st.links, l)
-			}
+		if !a.mon.Watch(&st.Watch, seg) {
+			continue
 		}
-		a.segs[st.key] = st
+		a.segs[st.Key] = st
 		a.segOrder = append(a.segOrder, st)
 	}
 
-	p.env.Tap(a.id, a.onEvent)
 	p.flood.Subscribe(a.id, TopicInfo, a.onInfo)
 	p.flood.Subscribe(a.id, TopicAlert, a.onAlert)
 
@@ -97,78 +72,25 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 	return a
 }
 
-// transit predicts traversal time from this router's dequeue to the sink's
-// receive.
-func (st *segState) transit(size int) time.Duration {
-	var d time.Duration
-	for _, l := range st.links {
-		d += l.Delay + l.TransmissionTime(size)
-	}
-	return d
-}
-
-// onEvent records traffic this router forwards along each monitored
-// segment (interior and source positions), or receives from the segment
-// (sink position).
-func (a *agent) onEvent(ev network.Event) {
-	switch ev.Kind {
-	case network.EvDequeue:
-		for _, st := range a.segOrder {
-			if st.pos >= len(st.seg)-1 || st.seg[st.pos+1] != ev.Peer {
-				continue
-			}
-			if !a.p.oracle.OnSegment(ev.Packet.Src, ev.Packet.Dst, ev.Packet.Flow, st.seg, a.id, st.pos) {
-				continue
-			}
-			a.record(st, ev.Packet, ev.Time+st.transit(ev.Packet.Size))
-		}
-	case network.EvReceive:
-		for _, st := range a.segOrder {
-			if st.pos != len(st.seg)-1 || st.seg[st.pos-1] != ev.Peer {
-				continue
-			}
-			if !a.p.oracle.OnSegment(ev.Packet.Src, ev.Packet.Dst, ev.Packet.Flow, st.seg, a.id, st.pos) {
-				continue
-			}
-			a.record(st, ev.Packet, ev.Time)
-		}
-	}
-}
-
-func (a *agent) record(st *segState, p *packet.Packet, sinkTS time.Duration) {
-	n := int(sinkTS / a.p.opts.Round)
-	s := st.cur[n]
-	if s == nil {
-		s = tvinfo.NewSummary(a.p.opts.Policy)
-		st.cur[n] = s
-	}
-	s.RecordTimed(a.p.env.Hasher().Fingerprint(p), p.Size, sinkTS)
-	a.p.tel.Fingerprints.Inc()
-}
-
 // publishRound floods this router's signed summaries for round n.
 func (a *agent) publishRound(n int) {
 	for _, st := range a.segOrder {
-		s := st.cur[n]
-		if s == nil {
-			s = tvinfo.NewSummary(a.p.opts.Policy)
-			st.cur[n] = s
-		}
+		s := st.Summary(n)
 		if a.corrupt != nil {
-			s = a.corrupt(st.seg, n, s)
+			s = a.corrupt(st.Seg, n, s)
 			if s == nil {
 				continue
 			}
 		}
-		inst := infoInstance(st.key, n)
-		payload := infoPayload(st.pos, s)
+		inst := infoInstance(st.Key, n)
+		payload := infoPayload(st.Pos, s)
 		a.p.flood.Flood(a.id, TopicInfo, inst, payload)
 		a.p.tel.Summaries.Inc()
 		a.p.tel.SummaryBytes.Add(int64(len(payload)))
 		if a.equivocate {
 			forged := tvinfo.NewSummary(a.p.opts.Policy)
 			forged.Record(packet.Fingerprint(n)+0xE0E0, 1)
-			a.p.flood.Flood(a.id, TopicInfo, inst, infoPayload(st.pos, forged))
+			a.p.flood.Flood(a.id, TopicInfo, inst, infoPayload(st.Pos, forged))
 		}
 	}
 }
@@ -188,7 +110,7 @@ func (a *agent) onInfo(m consensus.Msg) {
 		return
 	}
 	pos := int(binary.BigEndian.Uint32(m.Payload))
-	if pos < 0 || pos >= len(st.seg) || st.seg[pos] != m.Origin {
+	if pos < 0 || pos >= len(st.Seg) || st.Seg[pos] != m.Origin {
 		return // a router may only report for its own position
 	}
 	byOrigin := st.collected[n]
@@ -216,7 +138,7 @@ func (a *agent) judgeRound(n int) {
 		a.p.tel.Rounds.Inc()
 		byOrigin := st.collected[n]
 		delete(st.collected, n)
-		delete(st.cur, n)
+		st.Close(n)
 
 		// Decode each participant's summary; classify missing and
 		// equivocating participants.
@@ -224,8 +146,8 @@ func (a *agent) judgeRound(n int) {
 			sum *tvinfo.Summary
 			msg consensus.Msg
 		}
-		reports := make([]*report, len(st.seg))
-		for i, router := range st.seg {
+		reports := make([]*report, len(st.Seg))
+		for i, router := range st.Seg {
 			msgs := byOrigin[router]
 			switch len(msgs) {
 			case 0:
@@ -239,20 +161,20 @@ func (a *agent) judgeRound(n int) {
 					fmt.Sprintf("%v equivocated during consensus", router), nil, nil)
 			}
 		}
-		for i, router := range st.seg {
+		for i, router := range st.Seg {
 			if reports[i] == nil && len(byOrigin[router]) <= 1 {
 				a.suspectPair(st, n, i, detector.KindExchangeTimeout,
 					fmt.Sprintf("no signed summary from %v", router), nil, nil)
 			}
 		}
-		for i := 0; i+1 < len(st.seg); i++ {
+		for i := 0; i+1 < len(st.Seg); i++ {
 			up, dn := reports[i], reports[i+1]
 			if up == nil || dn == nil {
 				continue
 			}
 			res := tvinfo.Validate(a.p.opts.Policy, a.p.opts.Thresholds, up.sum, dn.sum)
 			if !res.OK {
-				pair := topology.Segment{st.seg[i], st.seg[i+1]}
+				pair := topology.Segment{st.Seg[i], st.Seg[i+1]}
 				a.suspect(st, pair, n, detector.KindTrafficValidation, res.String(),
 					&up.msg, &dn.msg)
 			}
@@ -265,10 +187,10 @@ func (a *agent) judgeRound(n int) {
 
 // suspectPair suspects the 2-segment(s) of seg containing position i.
 func (a *agent) suspectPair(st *segState, n, i int, kind detector.Kind, detail string, up, dn *consensus.Msg) {
-	if i+1 < len(st.seg) {
-		a.suspect(st, topology.Segment{st.seg[i], st.seg[i+1]}, n, kind, detail, up, dn)
+	if i+1 < len(st.Seg) {
+		a.suspect(st, topology.Segment{st.Seg[i], st.Seg[i+1]}, n, kind, detail, up, dn)
 	} else if i > 0 {
-		a.suspect(st, topology.Segment{st.seg[i-1], st.seg[i]}, n, kind, detail, up, dn)
+		a.suspect(st, topology.Segment{st.Seg[i-1], st.Seg[i]}, n, kind, detail, up, dn)
 	}
 }
 
@@ -283,13 +205,9 @@ func (a *agent) suspect(st *segState, pair topology.Segment, n int, kind detecto
 		By: a.id, Segment: pair, Round: n, At: a.p.env.Now(),
 		Kind: kind, Confidence: 1, Detail: detail,
 	}
-	a.p.opts.Sink(s)
-	a.p.tel.ObserveSuspicion(s, detector.RoundEnd(n, a.p.opts.Round))
-	if a.p.opts.Responder != nil {
-		a.p.opts.Responder(a.id, pair)
-	}
+	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round, a.p.opts.Responder)
 	ev := &AlertEvidence{
-		Seg: st.seg, Pair: pair, Round: n, Detail: detail, Announce: a.id, Kind: kind,
+		Seg: st.Seg, Pair: pair, Round: n, Detail: detail, Announce: a.id, Kind: kind,
 	}
 	if up != nil && dn != nil {
 		ev.Up, ev.Dn = *up, *dn
@@ -325,11 +243,7 @@ func (a *agent) onAlert(m consensus.Msg) {
 		Kind: ev.Kind, Confidence: 1,
 		Detail: fmt.Sprintf("announced by %v: %s", ev.Announce, ev.Detail),
 	}
-	a.p.opts.Sink(s)
-	a.p.tel.ObserveSuspicion(s, detector.RoundEnd(ev.Round, a.p.opts.Round))
-	if a.p.opts.Responder != nil {
-		a.p.opts.Responder(a.id, ev.Pair)
-	}
+	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round, a.p.opts.Responder)
 }
 
 // verifyEvidence checks the two signed summaries and re-runs TV.
@@ -346,6 +260,9 @@ func (a *agent) verifyEvidence(ev *AlertEvidence) bool {
 		}
 	}
 	// Origins must be the adjacent pair, in order, at their positions.
+	if len(ev.Up.Payload) < 4 || len(ev.Dn.Payload) < 4 {
+		return false
+	}
 	upPos := int(binary.BigEndian.Uint32(ev.Up.Payload))
 	dnPos := int(binary.BigEndian.Uint32(ev.Dn.Payload))
 	if dnPos != upPos+1 || upPos < 0 || dnPos >= len(ev.Seg) {

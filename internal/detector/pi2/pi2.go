@@ -88,7 +88,7 @@ type Protocol struct {
 	env    protocol.Env
 	opts   Options
 	flood  *consensus.Service
-	oracle *tvinfo.PathOracle
+	rec    tvinfo.Recording
 	agents map[packet.NodeID]*agent
 	tel    detector.Instruments
 }
@@ -110,9 +110,15 @@ func AttachEnv(env protocol.Env, opts Options) *Protocol {
 		env:    env,
 		opts:   opts,
 		flood:  env.Flood(),
-		oracle: tvinfo.NewPathOracleFromPaths(paths),
 		agents: make(map[packet.NodeID]*agent),
 		tel:    detector.NewInstruments(env.Telemetry(), "pi2"),
+	}
+	p.rec = tvinfo.Recording{
+		Env:          env,
+		Oracle:       tvinfo.NewPathOracleFromPaths(paths),
+		Policy:       opts.Policy,
+		Round:        opts.Round,
+		Fingerprints: p.tel.Fingerprints,
 	}
 	for _, id := range env.Nodes() {
 		p.agents[id] = newAgent(p, id, pr[id])
@@ -135,7 +141,7 @@ func (p *Protocol) MonitoredSegments(r packet.NodeID) []topology.Segment {
 	a := p.agents[r]
 	out := make([]topology.Segment, 0, len(a.segOrder))
 	for _, st := range a.segOrder {
-		out = append(out, st.seg)
+		out = append(out, st.Seg)
 	}
 	return out
 }

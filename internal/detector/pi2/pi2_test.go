@@ -1,6 +1,7 @@
 package pi2
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
+	"routerwatch/internal/summary"
 	"routerwatch/internal/topology"
 )
 
@@ -228,6 +230,65 @@ func TestBogusAlertWithoutEvidenceRejected(t *testing.T) {
 	for _, s := range log.All() {
 		if s.Detail == "announced by r0: framed" {
 			t.Fatalf("bogus alert adopted: %v", s)
+		}
+	}
+}
+
+func TestSelfSignedEmptyEvidenceRejected(t *testing.T) {
+	// A faulty router signs two empty-payload pi2/info messages itself and
+	// floods them as evidence: both signatures verify, and there is no
+	// position to read. Receivers drop the alert.
+	log := detector.NewLog()
+	net := network.New(topology.Line(4), network.Options{Seed: 8})
+	p := Attach(net, testOpts(log))
+	net.Run(300 * time.Millisecond)
+
+	seg := topology.Segment{1, 2, 3}
+	inst := infoInstance(topology.Key(seg), 0)
+	empty := consensus.Msg{Origin: 0, Topic: TopicInfo, Instance: inst}
+	empty.Sig = net.Auth().Sign(0, consensus.SignedBody(0, TopicInfo, inst, nil))
+	p.floodAlert(0, &AlertEvidence{
+		Seg:         seg,
+		Pair:        topology.Segment{2, 3},
+		Round:       0,
+		Kind:        detector.KindTrafficValidation,
+		Detail:      "framed",
+		Announce:    0,
+		HasEvidence: true,
+		Up:          empty,
+		Dn:          empty,
+	})
+	net.Run(2 * time.Second)
+
+	if log.Len() != 0 {
+		t.Fatalf("empty evidence adopted: %v", log.All())
+	}
+}
+
+func TestHostileMultiplicityLocalizedToReporterPair(t *testing.T) {
+	// Router 1 forwards honestly but reports one fingerprint with a claimed
+	// multiplicity of 2³²−1. Judging costs the one wire entry, and the lie
+	// is a traffic-validation failure of a pair containing the liar.
+	entry := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, 0xF00D), 1<<32-1)
+	fps, err := summary.DecodeFPSet(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := detector.NewLog()
+	net := network.New(topology.Line(3), network.Options{Seed: 10})
+	p := Attach(net, testOpts(log))
+	p.SetCorruptor(1, func(topology.Segment, int, *tvinfo.Summary) *tvinfo.Summary {
+		return &tvinfo.Summary{FPs: fps}
+	})
+	pump(net, 0, 2, 100, 1)
+	net.Run(2 * time.Second)
+
+	if log.Len() == 0 {
+		t.Fatal("hostile multiplicity not suspected")
+	}
+	for _, s := range log.All() {
+		if s.Kind != detector.KindTrafficValidation || !s.Segment.Contains(1) {
+			t.Fatalf("suspicion is not a TV failure of the liar's pair: %v", s)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package pik2
 
 import (
 	"fmt"
-	"time"
 
 	"routerwatch/internal/auth"
 	"routerwatch/internal/consensus"
@@ -15,29 +14,14 @@ import (
 	"routerwatch/internal/validate"
 )
 
-// segRole is this router's end of a monitored segment.
-type segRole int
-
-const (
-	roleSource segRole = iota + 1 // seg[0]: records traffic sent into π
-	roleSink                      // seg[len-1]: records traffic received from π
-)
-
-// segState is per-(router, monitored segment) state.
+// segState is per-(router, monitored segment) state: the shared recording
+// half plus what Πk+2's end-to-end exchange and judging add. The router is
+// the segment's source when Pos == 0 and its sink otherwise.
 type segState struct {
-	seg  topology.Segment
-	key  topology.SegmentKey
-	role segRole
-	peer packet.NodeID
-	// links are the segment's directed links, used to predict the
-	// traversal time from the source end's dequeue to the sink end's
-	// receive; packets are binned into rounds by predicted arrival time at
-	// the sink so both ends agree on binning.
-	links  []topology.Link
-	sample summary.SampleRange
+	tvinfo.Watch
 
-	// cur accumulates per-round summaries keyed by round index.
-	cur map[int]*Summary
+	// peer is the segment's other end.
+	peer packet.NodeID
 	// peerMsgs holds validated summary messages received from the peer.
 	peerMsgs map[int]*SummaryMsg
 	// validated marks rounds already judged.
@@ -46,8 +30,9 @@ type segState struct {
 
 // agent is the per-router protocol engine.
 type agent struct {
-	p  *Protocol
-	id packet.NodeID
+	p   *Protocol
+	id  packet.NodeID
+	mon tvinfo.Monitor
 
 	segs     map[topology.SegmentKey]*segState
 	segOrder []*segState
@@ -78,38 +63,23 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 		segs:      make(map[topology.SegmentKey]*segState),
 		suspected: make(map[topology.SegmentKey]bool),
 	}
-	g := p.env.Graph()
+	a.mon.Start(&p.rec, id)
 	for _, seg := range monitored {
 		st := &segState{
-			seg:       seg,
-			key:       topology.Key(seg),
-			cur:       make(map[int]*Summary),
 			peerMsgs:  make(map[int]*SummaryMsg),
 			validated: make(map[int]bool),
 		}
-		if seg[0] == a.id {
-			st.role = roleSource
+		if !a.mon.Watch(&st.Watch, seg) {
+			continue
+		}
+		st.peer = seg[0]
+		if st.Pos == 0 {
 			st.peer = seg[len(seg)-1]
-		} else {
-			st.role = roleSink
-			st.peer = seg[0]
 		}
-		for i := 0; i+1 < len(seg); i++ {
-			if l, ok := g.Link(seg[i], seg[i+1]); ok {
-				st.links = append(st.links, l)
-			}
-		}
-		if f := p.opts.Sampling; f > 0 && f < 1 {
-			k0, k1 := p.env.Auth().SamplingKeys(seg[0], seg[len(seg)-1])
-			st.sample = summary.SampleRange{K0: k0, K1: k1, Fraction: f}
-		} else {
-			st.sample = summary.SampleRange{Fraction: 1}
-		}
-		a.segs[st.key] = st
+		a.segs[st.Key] = st
 		a.segOrder = append(a.segOrder, st)
 	}
 
-	p.env.Tap(a.id, a.onEvent)
 	p.env.HandleControl(a.id, KindSummary, a.onSummary)
 	p.flood.Subscribe(a.id, TopicAlert, a.onAlert)
 
@@ -124,63 +94,6 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 	return a
 }
 
-// roundOf bins a sink-side timestamp into a round index.
-func (a *agent) roundOf(ts time.Duration) int { return int(ts / a.p.opts.Round) }
-
-// transit predicts how long a size-byte packet takes from the source end's
-// dequeue to the sink end's receive: per-link transmission plus propagation
-// (queueing and processing jitter at interior routers are unpredictable and
-// absorbed by the loss threshold).
-func (st *segState) transit(size int) time.Duration {
-	var d time.Duration
-	for _, l := range st.links {
-		d += l.Delay + l.TransmissionTime(size)
-	}
-	return d
-}
-
-// onEvent observes the router's local packet events and updates segment
-// summaries.
-func (a *agent) onEvent(ev network.Event) {
-	switch ev.Kind {
-	case network.EvDequeue:
-		for _, st := range a.segOrder {
-			if st.role != roleSource || st.seg[1] != ev.Peer {
-				continue
-			}
-			if !a.p.oracle.OnSegment(ev.Packet.Src, ev.Packet.Dst, ev.Packet.Flow, st.seg, a.id, 0) {
-				continue
-			}
-			a.record(st, ev.Packet, ev.Time+st.transit(ev.Packet.Size))
-		}
-	case network.EvReceive:
-		for _, st := range a.segOrder {
-			if st.role != roleSink || st.seg[len(st.seg)-2] != ev.Peer {
-				continue
-			}
-			if !a.p.oracle.OnSegment(ev.Packet.Src, ev.Packet.Dst, ev.Packet.Flow, st.seg, a.id, len(st.seg)-1) {
-				continue
-			}
-			a.record(st, ev.Packet, ev.Time)
-		}
-	}
-}
-
-func (a *agent) record(st *segState, p *packet.Packet, sinkTS time.Duration) {
-	fp := a.p.env.Hasher().Fingerprint(p)
-	if !st.sample.Selects(fp) {
-		return
-	}
-	n := a.roundOf(sinkTS)
-	s := st.cur[n]
-	if s == nil {
-		s = NewSummary(a.p.opts.Policy)
-		st.cur[n] = s
-	}
-	s.RecordTimed(fp, p.Size, sinkTS)
-	a.p.tel.Fingerprints.Inc()
-}
-
 // exchangeRound sends this router's summary for round n on every monitored
 // segment, through the segment itself. The boundary is batched: every
 // segment's message is encoded into one buffer first, the whole set is
@@ -193,19 +106,15 @@ func (a *agent) exchangeRound(n int) {
 	a.exOffs = a.exOffs[:0]
 	buf := a.p.bodyBuf[:0]
 	for _, st := range a.segOrder {
-		s := st.cur[n]
-		if s == nil {
-			s = NewSummary(a.p.opts.Policy)
-			st.cur[n] = s
-		}
+		s := st.Summary(n)
 		if a.corrupt != nil {
-			replaced := a.corrupt(st.seg, n, s)
+			replaced := a.corrupt(st.Seg, n, s)
 			if replaced == nil {
 				continue // protocol faulty: silently does not report
 			}
 			s = replaced
 		}
-		msg := &SummaryMsg{Seg: st.seg, Round: n, From: a.id}
+		msg := &SummaryMsg{Seg: st.Seg, Round: n, From: a.id}
 		switch a.p.opts.Exchange {
 		case ExchangeReconcile:
 			fps := fpMultiset(s)
@@ -252,8 +161,8 @@ func (a *agent) exchangeRound(n int) {
 
 		// The exchange travels through π itself (§5.2.1): source→sink
 		// along the segment, sink→source along its reverse.
-		path := append(topology.Path(nil), st.seg...)
-		if st.role == roleSink {
+		path := append(topology.Path(nil), st.Seg...)
+		if st.Pos != 0 {
 			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 				path[i], path[j] = path[j], path[i]
 			}
@@ -307,8 +216,8 @@ func (a *agent) judgeRound(n int) {
 		}
 		st.validated[n] = true
 		a.p.tel.Rounds.Inc()
-		local := st.cur[n]
-		delete(st.cur, n)
+		local := st.Summary(n)
+		st.Close(n)
 		peer := st.peerMsgs[n]
 		delete(st.peerMsgs, n)
 
@@ -319,9 +228,6 @@ func (a *agent) judgeRound(n int) {
 				fmt.Sprintf("no summary from %v within %v", st.peer, a.p.opts.Timeout))
 			continue
 		}
-		if local == nil {
-			local = NewSummary(a.p.opts.Policy)
-		}
 		if a.p.opts.Exchange == ExchangeReconcile {
 			a.judgeReconcile(st, n, local, peer)
 			continue
@@ -331,7 +237,7 @@ func (a *agent) judgeRound(n int) {
 			continue
 		}
 		var up, down *Summary
-		if st.role == roleSource {
+		if st.Pos == 0 {
 			up, down = local, peer.Summary
 		} else {
 			up, down = peer.Summary, local
@@ -355,7 +261,7 @@ func (a *agent) judgeReconcile(st *segState, n int, local *Summary, peer *Summar
 
 	var upEvals, downEvals []uint64
 	var upCount, downCount int
-	if st.role == roleSource {
+	if st.Pos == 0 {
 		upEvals, upCount = localEvals, len(localFPs)
 		downEvals, downCount = peer.Evals, peer.Count
 	} else {
@@ -401,7 +307,7 @@ func (a *agent) judgeSketch(st *segState, n int, local *Summary, peer *SummaryMs
 	}
 	var up, down *summary.CountingBloom
 	var upCount, downCount int
-	if st.role == roleSource {
+	if st.Pos == 0 {
 		up, upCount = sk, len(localFPs)
 		down, downCount = peer.Sketch, peer.Count
 	} else {
@@ -451,23 +357,19 @@ func (p *Protocol) validateTV(up, down *Summary) validate.Result {
 	return tvinfo.Validate(p.opts.Policy, th, up, down)
 }
 
-// suspect raises and floods a suspicion of st.seg.
+// suspect raises and floods a suspicion of st.Seg.
 func (a *agent) suspect(st *segState, round int, kind detector.Kind, conf float64, detail string) {
-	if a.suspected[st.key] {
+	if a.suspected[st.Key] {
 		return
 	}
-	a.suspected[st.key] = true
+	a.suspected[st.Key] = true
 	s := detector.Suspicion{
-		By: a.id, Segment: st.seg, Round: round,
+		By: a.id, Segment: st.Seg, Round: round,
 		At: a.p.env.Now(), Kind: kind, Confidence: conf, Detail: detail,
 	}
-	a.p.opts.Sink(s)
-	a.p.tel.ObserveSuspicion(s, detector.RoundEnd(round, a.p.opts.Round))
-	if a.p.opts.Responder != nil {
-		a.p.opts.Responder(a.id, st.seg)
-	}
+	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round, a.p.opts.Responder)
 	// Reliable broadcast of [π]r (Fig 5.3): strong completeness.
-	a.p.flood.Flood(a.id, TopicAlert, fmt.Sprintf("%d", round), AlertBody(a.id, round, st.seg))
+	a.p.flood.Flood(a.id, TopicAlert, fmt.Sprintf("%d", round), AlertBody(a.id, round, st.Seg))
 }
 
 // onAlert accepts another router's flooded suspicion: verify the flood
@@ -494,11 +396,7 @@ func (a *agent) onAlert(m consensus.Msg) {
 		Kind: detector.KindTrafficValidation, Confidence: 1,
 		Detail: fmt.Sprintf("announced by %v", by),
 	}
-	a.p.opts.Sink(s)
-	a.p.tel.ObserveSuspicion(s, detector.RoundEnd(round, a.p.opts.Round))
-	if a.p.opts.Responder != nil {
-		a.p.opts.Responder(a.id, seg)
-	}
+	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round, a.p.opts.Responder)
 }
 
 func decodeAlert(b []byte) (by packet.NodeID, round int, seg topology.Segment, ok bool) {

@@ -168,7 +168,7 @@ type Protocol struct {
 	env    protocol.Env
 	opts   Options
 	flood  *consensus.Service
-	oracle *PathOracle
+	rec    tvinfo.Recording
 	agents map[packet.NodeID]*agent
 	tel    detector.Instruments
 
@@ -189,23 +189,8 @@ func Attach(net *network.Network, opts Options) *Protocol {
 // segments are derived from the deterministic routing paths of the current
 // topology (§4.1: paths are predictable in the stable state).
 func AttachEnv(env protocol.Env, opts Options) *Protocol {
-	opts.fill()
-	g := env.Graph()
-	paths := g.AllPairsPaths()
-	pr, _ := topology.MonitorSets(paths, opts.K, topology.ModeEnds)
-
-	p := &Protocol{
-		env:    env,
-		opts:   opts,
-		flood:  env.Flood(),
-		oracle: tvinfo.NewPathOracleFromPaths(paths),
-		agents: make(map[packet.NodeID]*agent),
-		tel:    detector.NewInstruments(env.Telemetry(), "pik2"),
-	}
-	for _, id := range env.Nodes() {
-		p.agents[id] = newAgent(p, id, pr[id])
-	}
-	return p
+	paths := env.Graph().AllPairsPaths()
+	return attach(env, opts, paths, tvinfo.NewPathOracleFromPaths(paths))
 }
 
 // AttachECMP deploys Πk+2 over an equal-cost multipath fabric (§7.4.1).
@@ -219,7 +204,6 @@ func AttachECMP(net *network.Network, e *topology.ECMP, flows []packet.FlowID, o
 
 // AttachECMPEnv is AttachECMP for any environment backend.
 func AttachECMPEnv(env protocol.Env, e *topology.ECMP, flows []packet.FlowID, opts Options) *Protocol {
-	opts.fill()
 	g := env.Graph()
 	pathSet := make(map[string]topology.Path)
 	for _, src := range g.Nodes() {
@@ -243,15 +227,29 @@ func AttachECMPEnv(env protocol.Env, e *topology.ECMP, flows []packet.FlowID, op
 	for _, k := range keys {
 		paths = append(paths, pathSet[k])
 	}
+	return attach(env, opts, paths, tvinfo.NewECMPPathOracle(e))
+}
+
+// attach deploys Πk+2 monitoring the segment ends of paths, with oracle
+// predicting which of them each packet follows.
+func attach(env protocol.Env, opts Options, paths []topology.Path, oracle *tvinfo.PathOracle) *Protocol {
+	opts.fill()
 	pr, _ := topology.MonitorSets(paths, opts.K, topology.ModeEnds)
 
 	p := &Protocol{
 		env:    env,
 		opts:   opts,
 		flood:  env.Flood(),
-		oracle: tvinfo.NewECMPPathOracle(e),
 		agents: make(map[packet.NodeID]*agent),
 		tel:    detector.NewInstruments(env.Telemetry(), "pik2"),
+	}
+	p.rec = tvinfo.Recording{
+		Env:          env,
+		Oracle:       oracle,
+		Policy:       opts.Policy,
+		Round:        opts.Round,
+		Sampling:     opts.Sampling,
+		Fingerprints: p.tel.Fingerprints,
 	}
 	for _, id := range env.Nodes() {
 		p.agents[id] = newAgent(p, id, pr[id])
@@ -264,20 +262,10 @@ func (p *Protocol) SetCorruptor(r packet.NodeID, c Corruptor) {
 	p.agents[r].corrupt = c
 }
 
-// RefreshOracle replaces the path-prediction oracle after a routing change
-// (the Fatih coordinator is "kept abreast of routing changes so that it
-// always knows which path-segments should be monitored", §5.3.1).
-// Monitored segments whose paths no longer carry traffic validate trivially
-// (both ends see nothing); newly used paths are monitored again once their
-// segments coincide with the refreshed predictions.
-func (p *Protocol) RefreshOracle(g *topology.Graph) {
-	p.oracle = NewPathOracle(g)
-}
-
 // RefreshPaths replaces the oracle with explicit routing paths traced from
 // the live forwarding tables (which include path-segment exclusions).
 func (p *Protocol) RefreshPaths(paths []topology.Path) {
-	p.oracle = tvinfo.NewPathOracleFromPaths(paths)
+	p.rec.Oracle = tvinfo.NewPathOracleFromPaths(paths)
 }
 
 // newSketch allocates a counting-Bloom sketch with the deployment's shared
@@ -319,16 +307,10 @@ type Agent agent
 func (a *Agent) MonitoredSegments() []topology.Segment {
 	out := make([]topology.Segment, 0, len(a.segs))
 	for _, st := range a.segOrder {
-		out = append(out, st.seg)
+		out = append(out, st.Seg)
 	}
 	return out
 }
-
-// PathOracle predicts deterministic routing paths; see tvinfo.PathOracle.
-type PathOracle = tvinfo.PathOracle
-
-// NewPathOracle precomputes all-pairs deterministic paths.
-func NewPathOracle(g *topology.Graph) *PathOracle { return tvinfo.NewPathOracle(g) }
 
 // Summary is one end's traffic information for a segment-round; see
 // tvinfo.Summary.
@@ -390,12 +372,6 @@ func appendSignedBody(b []byte, m *SummaryMsg) []byte {
 		b = m.Sketch.AppendEncode(b)
 	}
 	return b
-}
-
-// signedBody binds the summary (or its reconciliation evaluations) to its
-// segment, round and sender.
-func signedBody(m *SummaryMsg) []byte {
-	return appendSignedBody(make([]byte, 0, 64), m)
 }
 
 // AlertBody encodes a flooded suspicion for signing.

@@ -327,24 +327,6 @@ func TestResponderInvoked(t *testing.T) {
 	}
 }
 
-func TestOracleOnSegment(t *testing.T) {
-	g := topology.Line(5)
-	o := NewPathOracle(g)
-	// Path 0→4 is 0-1-2-3-4.
-	if !o.OnSegment(0, 4, 0, topology.Segment{1, 2, 3}, 1, 0) {
-		t.Fatal("aligned segment rejected")
-	}
-	if o.OnSegment(0, 4, 0, topology.Segment{1, 2, 3}, 1, 1) {
-		t.Fatal("misaligned position accepted")
-	}
-	if o.OnSegment(0, 4, 0, topology.Segment{2, 1, 0}, 2, 0) {
-		t.Fatal("reverse segment accepted for forward path")
-	}
-	if !o.OnSegment(4, 0, 0, topology.Segment{2, 1, 0}, 0, 2) {
-		t.Fatal("reverse path segment rejected")
-	}
-}
-
 func TestDelayDetectedOnlyByTimelinessPolicy(t *testing.T) {
 	// A constant 30 ms delay at the middle router preserves content and
 	// order; only conservation of timeliness catches it (§2.4.1).

@@ -1,0 +1,154 @@
+package tvinfo
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"routerwatch/internal/auth"
+	"routerwatch/internal/network"
+	"routerwatch/internal/packet"
+	"routerwatch/internal/topology"
+)
+
+// tapEnv is the monitor's environment with the taps exposed, so a test
+// plays a router's packet events straight into its monitor.
+type tapEnv struct {
+	g    *topology.Graph
+	au   *auth.Authority
+	taps map[packet.NodeID]func(network.Event)
+}
+
+func (e *tapEnv) Graph() *topology.Graph { return e.g }
+func (e *tapEnv) Auth() *auth.Authority  { return e.au }
+func (e *tapEnv) Hasher() packet.Hasher  { return packet.NewHasher(1, 2) }
+func (e *tapEnv) Tap(at packet.NodeID, fn func(network.Event)) {
+	e.taps[at] = fn
+}
+
+// Line(5) is 0-1-2-3-4 with the default 100 Mb/s, 2 ms links: a 1000-byte
+// packet takes 80 µs + 2 ms per hop.
+const (
+	testSize  = 1000
+	testHop   = 2080 * time.Microsecond
+	testRound = time.Second
+)
+
+// watchLine deploys a monitor on every router of π = ⟨1,2,3⟩ and returns
+// the environment and each router's watch.
+func watchLine(sampling float64) (*tapEnv, map[packet.NodeID]*Watch) {
+	g := topology.Line(5)
+	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
+	rec := &Recording{
+		Env:      env,
+		Oracle:   NewPathOracle(g),
+		Policy:   PolicyTimeliness,
+		Round:    testRound,
+		Sampling: sampling,
+	}
+	seg := topology.Segment{1, 2, 3}
+	watches := make(map[packet.NodeID]*Watch)
+	for _, id := range seg {
+		m, w := new(Monitor), new(Watch)
+		m.Start(rec, id)
+		if !m.Watch(w, seg) {
+			panic("router not on its own segment")
+		}
+		watches[id] = w
+	}
+	return env, watches
+}
+
+func TestMonitorRecording(t *testing.T) {
+	type event struct {
+		at       packet.NodeID // router whose tap sees the event
+		kind     network.EventKind
+		peer     packet.NodeID
+		src, dst packet.NodeID
+		t        time.Duration
+	}
+	type recorded struct {
+		at    packet.NodeID
+		round int
+		ts    time.Duration
+	}
+	const t0 = 100 * time.Millisecond
+	// A packet dequeued at the source this long before the round boundary
+	// is predicted to reach the sink after it.
+	const straddle = testRound - testHop
+	cases := []struct {
+		name   string
+		events []event
+		want   []recorded
+	}{
+		{"source dequeue toward seg[1] records at predicted sink arrival",
+			[]event{{1, network.EvDequeue, 2, 0, 4, t0}},
+			[]recorded{{1, 0, t0 + 2*testHop}}},
+		{"interior dequeue toward seg[2] records at predicted sink arrival",
+			[]event{{2, network.EvDequeue, 3, 0, 4, t0}},
+			[]recorded{{2, 0, t0 + testHop}}},
+		{"sink dequeue toward its next hop is not segment traffic",
+			[]event{{3, network.EvDequeue, 4, 0, 4, t0}}, nil},
+		{"dequeue toward a router off the segment is ignored",
+			[]event{{2, network.EvDequeue, 1, 4, 0, t0}}, nil},
+		{"receive from seg[pos-1] records only at the sink, at arrival time",
+			[]event{
+				{1, network.EvReceive, 0, 0, 4, t0},
+				{2, network.EvReceive, 1, 0, 4, t0},
+				{3, network.EvReceive, 2, 0, 4, t0},
+			},
+			[]recorded{{3, 0, t0}}},
+		{"a packet whose predicted path leaves π is ignored",
+			[]event{
+				{1, network.EvDequeue, 2, 0, 2, t0}, // 0-1-2 ends inside π
+				{3, network.EvReceive, 2, 2, 4, t0}, // 2-3-4 enters inside π
+				{1, network.EvDequeue, 2, 4, 0, t0}, // 4→0 runs against π
+			}, nil},
+		{"predicted arrival past the boundary lands in the next round at both ends",
+			[]event{
+				{1, network.EvDequeue, 2, 0, 4, straddle},
+				{3, network.EvReceive, 2, 0, 4, straddle + 2*testHop},
+			},
+			[]recorded{{1, 1, straddle + 2*testHop}, {3, 1, straddle + 2*testHop}}},
+	}
+	for _, tc := range cases {
+		env, watches := watchLine(0)
+		for _, ev := range tc.events {
+			env.taps[ev.at](network.Event{
+				Time: ev.t, Router: ev.at, Kind: ev.kind, Peer: ev.peer,
+				Packet: &packet.Packet{Src: ev.src, Dst: ev.dst, Size: testSize},
+			})
+		}
+		var got []recorded
+		for _, id := range []packet.NodeID{1, 2, 3} {
+			for _, n := range []int{0, 1} {
+				if watches[id].cur[n] == nil {
+					continue
+				}
+				for _, e := range watches[id].Summary(n).Timed.Entries() {
+					got = append(got, recorded{id, n, e.TS})
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: recorded %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// A sample range of ½ keeps a proper subset, and the same one at both
+	// ends of π.
+	env, watches := watchLine(0.5)
+	const packets = 400
+	for i := 0; i < packets; i++ {
+		p := &packet.Packet{Src: 0, Dst: 4, Size: testSize, Seq: uint32(i)}
+		env.taps[1](network.Event{Time: t0, Router: 1, Kind: network.EvDequeue, Peer: 2, Packet: p})
+		env.taps[3](network.Event{Time: t0 + 2*testHop, Router: 3, Kind: network.EvReceive, Peer: 2, Packet: p})
+	}
+	src, sink := watches[1].Summary(0).FPs, watches[3].Summary(0).FPs
+	if n := src.Len(); n == 0 || n == packets {
+		t.Fatalf("sampling ½ kept %d of %d packets at the source", n, packets)
+	}
+	if lost, fabricated := src.DiffCounts(sink); lost != 0 || fabricated != 0 || sink.Len() != src.Len() {
+		t.Fatalf("ends sampled different subsets: %d only at source, %d only at sink", lost, fabricated)
+	}
+}

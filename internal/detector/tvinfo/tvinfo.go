@@ -153,8 +153,7 @@ func DecodeSummary(b []byte) (*Summary, bool) {
 		return nil, false
 	}
 	s := &Summary{}
-	s.Counter.Packets = int64(binary.BigEndian.Uint64(b[0:]))
-	s.Counter.Bytes = int64(binary.BigEndian.Uint64(b[8:]))
+	s.Counter, _ = summary.DecodeCounter(b[:16]) // length checked above
 	rest := b[16:]
 
 	readSection := func() ([]byte, bool, bool) { // data, present, ok
@@ -179,17 +178,11 @@ func DecodeSummary(b []byte) (*Summary, bool) {
 		return nil, false
 	}
 	if fpPresent {
-		if len(fpSec)%12 != 0 {
+		fps, err := summary.DecodeFPSet(fpSec)
+		if err != nil {
 			return nil, false
 		}
-		s.FPs = summary.NewFPSet()
-		for i := 0; i+12 <= len(fpSec); i += 12 {
-			fp := packet.Fingerprint(binary.BigEndian.Uint64(fpSec[i:]))
-			count := int(binary.BigEndian.Uint32(fpSec[i+8:]))
-			for j := 0; j < count; j++ {
-				s.FPs.Add(fp)
-			}
-		}
+		s.FPs = fps
 	}
 	ordSec, ordPresent, ok := readSection()
 	if !ok {

@@ -1,11 +1,13 @@
 package tvinfo
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"routerwatch/internal/packet"
+	"routerwatch/internal/topology"
 )
 
 func TestSummaryEncodeDecodeRoundTrip(t *testing.T) {
@@ -76,17 +78,56 @@ func TestValidateTimeliness(t *testing.T) {
 	}
 }
 
-func TestDecodeSummaryMalformed(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		make([]byte, 10),
-		make([]byte, 23),
-		append(NewSummary(PolicyContent).Encode(), 0xFF), // trailing junk
+// contentEncoding is a PolicyContent summary encoding around a raw FP
+// section of (fingerprint, count) entries.
+func contentEncoding(entries ...uint64) []byte {
+	b := make([]byte, 16) // counter
+	b = binary.BigEndian.AppendUint32(b, uint32(12*len(entries)/2))
+	for i := 0; i+1 < len(entries); i += 2 {
+		b = binary.BigEndian.AppendUint64(b, entries[i])
+		b = binary.BigEndian.AppendUint32(b, uint32(entries[i+1]))
 	}
-	for i, b := range cases {
-		if _, ok := DecodeSummary(b); ok {
-			t.Errorf("case %d: malformed input decoded", i)
+	b = binary.BigEndian.AppendUint32(b, ^uint32(0))    // no order section
+	return binary.BigEndian.AppendUint32(b, ^uint32(0)) // no timed section
+}
+
+func TestDecodeSummaryMalformed(t *testing.T) {
+	const hostile = 1<<32 - 1
+	cases := []struct {
+		name  string
+		b     []byte
+		ok    bool
+		count int // multiplicity of fingerprint 3 when decoded
+	}{
+		{"nil", nil, false, 0},
+		{"short", make([]byte, 10), false, 0},
+		{"truncated header", make([]byte, 23), false, 0},
+		{"trailing junk", append(NewSummary(PolicyContent).Encode(), 0xFF), false, 0},
+		{"canonical fp section", contentEncoding(3, 1, 9, 2), true, 1},
+		{"unsorted fp section", contentEncoding(9, 1, 3, 1), false, 0},
+		{"duplicate fingerprint", contentEncoding(3, 1, 3, 1), false, 0},
+		{"zero count", contentEncoding(3, 0), false, 0},
+		// One 12-byte entry claiming 2³²−1 copies is canonical; decoding it
+		// must cost one entry, not 2³²−1 insertions.
+		{"hostile multiplicity", contentEncoding(3, hostile), true, hostile},
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, tc := range cases {
+			s, ok := DecodeSummary(tc.b)
+			if ok != tc.ok {
+				t.Errorf("%s: decoded = %v, want %v", tc.name, ok, tc.ok)
+			}
+			if ok && s.FPs.Count(3) != tc.count {
+				t.Errorf("%s: count %d, want %d", tc.name, s.FPs.Count(3), tc.count)
+			}
 		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("DecodeSummary still running after 1s: decode cost follows the claimed multiplicity")
 	}
 }
 
@@ -119,5 +160,23 @@ func TestValidatePolicies(t *testing.T) {
 	}
 	if res := Validate(PolicyContent, Thresholds{Loss: 5}, up, down); !res.OK {
 		t.Error("losses within threshold failed")
+	}
+}
+
+func TestOracleOnSegment(t *testing.T) {
+	g := topology.Line(5)
+	o := NewPathOracle(g)
+	// Path 0→4 is 0-1-2-3-4.
+	if !o.OnSegment(0, 4, 0, topology.Segment{1, 2, 3}, 1, 0) {
+		t.Fatal("aligned segment rejected")
+	}
+	if o.OnSegment(0, 4, 0, topology.Segment{1, 2, 3}, 1, 1) {
+		t.Fatal("misaligned position accepted")
+	}
+	if o.OnSegment(0, 4, 0, topology.Segment{2, 1, 0}, 2, 0) {
+		t.Fatal("reverse segment accepted for forward path")
+	}
+	if !o.OnSegment(4, 0, 0, topology.Segment{2, 1, 0}, 0, 2) {
+		t.Fatal("reverse path segment rejected")
 	}
 }

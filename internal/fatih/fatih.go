@@ -110,7 +110,7 @@ func Deploy(net *network.Network, opts Options) *System {
 	// Coordinator refreshes it once the wave settles ("the coordinator is
 	// kept abreast of routing changes so that it always knows which
 	// path-segments should be monitored", §5.3.1).
-	s.Routing = routing.Attach(net, opts.Timers)
+	s.Routing = routing.Attach(net, routing.Options{Timers: opts.Timers})
 	dirty := false
 	tr := net.Telemetry().Tracer()
 	rerouteCtr := net.Telemetry().Registry().Counter("rw_reroutes_total")

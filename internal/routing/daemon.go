@@ -87,20 +87,11 @@ type Daemon struct {
 // Protocol wires a routing daemon onto every router of a network.
 type Protocol struct {
 	net     *network.Network
-	timers  Timers
 	opts    Options
 	daemons []*Daemon
 	// due maps a batch instant to the daemons whose recompute is coalesced
 	// into it (Options.BatchCompute).
 	due map[time.Duration][]*Daemon
-}
-
-// Attach creates and starts a daemon on every router. Initial LSAs flood at
-// staggered start times; tables converge after the delay/hold timers. It is
-// exactly AttachWith with default options: every event it schedules is
-// byte-identical to what this package scheduled before options existed.
-func Attach(net *network.Network, timers Timers) *Protocol {
-	return AttachWith(net, Options{Timers: timers})
 }
 
 // Daemon returns the daemon at router id.

@@ -115,7 +115,7 @@ func newAbileneNet(t *testing.T) (*network.Network, *Protocol) {
 	t.Helper()
 	g := topology.Abilene()
 	net := network.New(g, network.Options{Seed: 5})
-	proto := Attach(net, Timers{Delay: time.Second, Hold: 2 * time.Second})
+	proto := Attach(net, Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
 	if !proto.RunUntilConverged(time.Minute) {
 		t.Fatal("routing did not converge")
 	}
@@ -242,7 +242,7 @@ func TestForgedAlertSignatureRejected(t *testing.T) {
 func TestHoldTimerBatchesRecomputations(t *testing.T) {
 	g := topology.Abilene()
 	net := network.New(g, network.Options{Seed: 5})
-	proto := Attach(net, Timers{Delay: time.Second, Hold: 10 * time.Second})
+	proto := Attach(net, Options{Timers: Timers{Delay: time.Second, Hold: 10 * time.Second}})
 	if !proto.RunUntilConverged(2 * time.Minute) {
 		t.Fatal("no convergence")
 	}

@@ -1,9 +1,8 @@
 // Scale options for the routing substrate on internet-scale topologies.
 //
-// The legacy Attach path floods every LSA as its own control message and
-// recomputes every router's table in its own event — fine for a dozen
-// routers, quadratic pain for a thousand. AttachWith keeps that path
-// byte-identical under zero Options and adds three opt-in mechanisms:
+// Under zero Options, Attach floods every LSA as its own control message
+// and recomputes every router's table in its own event — fine for a dozen
+// routers, quadratic pain for a thousand. Three opt-in mechanisms:
 //
 //   - StaggerRegions quantizes initial LSA origination to the router's
 //     region (PoP) index instead of its router index, so a 1000-router
@@ -21,8 +20,8 @@
 //
 // The options change which events exist and therefore the event-sequence
 // numbering; runs with different Options are internally deterministic but
-// not byte-comparable to each other. Attach == AttachWith(Options{Timers})
-// is the compatibility anchor the golden fixtures pin.
+// not byte-comparable to each other. The golden fixtures pin the schedule
+// zero Options emit.
 package routing
 
 import (
@@ -44,7 +43,7 @@ type LSABundle struct {
 	LSAs []*LSA
 }
 
-// Options configures AttachWith. The zero value reproduces Attach exactly.
+// Options configures Attach.
 type Options struct {
 	// Timers are the OSPF delay/hold timers; zero means DefaultTimers.
 	Timers Timers
@@ -68,16 +67,16 @@ type Options struct {
 	Workers      int
 }
 
-// AttachWith creates and starts a daemon on every router with the given
-// scale options. See Attach for the default-path contract.
-func AttachWith(net *network.Network, opts Options) *Protocol {
+// Attach creates and starts a daemon on every router. Initial LSAs flood at
+// staggered start times; tables converge after the delay/hold timers.
+func Attach(net *network.Network, opts Options) *Protocol {
 	if opts.Timers.Delay == 0 && opts.Timers.Hold == 0 {
 		opts.Timers = DefaultTimers()
 	}
 	if opts.BundleFlood && opts.FloodHold == 0 {
 		opts.FloodHold = time.Millisecond
 	}
-	p := &Protocol{net: net, timers: opts.Timers, opts: opts}
+	p := &Protocol{net: net, opts: opts}
 	if opts.BatchCompute {
 		p.due = make(map[time.Duration][]*Daemon)
 	}

@@ -45,13 +45,13 @@ func TestScaleOptionsConvergeToLegacyTables(t *testing.T) {
 	timers := Timers{Delay: time.Second, Hold: 2 * time.Second}
 
 	legacyNet := network.New(g.Clone(), network.Options{Seed: 5})
-	legacy := Attach(legacyNet, timers)
+	legacy := Attach(legacyNet, Options{Timers: timers})
 	if !legacy.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("legacy path did not converge")
 	}
 
 	scaledNet := network.New(g.Clone(), network.Options{Seed: 5})
-	scaled := AttachWith(scaledNet, Options{
+	scaled := Attach(scaledNet, Options{
 		Timers:         timers,
 		StaggerRegions: true,
 		BundleFlood:    true,
@@ -81,7 +81,7 @@ func TestBatchComputeWorkerInvariance(t *testing.T) {
 	timers := Timers{Delay: time.Second, Hold: 2 * time.Second}
 	run := func(workers int) map[[3]packet.NodeID]packet.NodeID {
 		net := network.New(g.Clone(), network.Options{Seed: 9})
-		p := AttachWith(net, Options{Timers: timers, BatchCompute: true, Workers: workers})
+		p := Attach(net, Options{Timers: timers, BatchCompute: true, Workers: workers})
 		if !p.RunUntilConverged(5 * time.Minute) {
 			t.Fatalf("workers=%d did not converge", workers)
 		}
@@ -108,13 +108,13 @@ func TestBundleFloodConverges(t *testing.T) {
 	timers := Timers{Delay: time.Second, Hold: 2 * time.Second}
 
 	legacyNet := network.New(g.Clone(), network.Options{Seed: 3})
-	legacy := Attach(legacyNet, timers)
+	legacy := Attach(legacyNet, Options{Timers: timers})
 	if !legacy.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("legacy did not converge")
 	}
 
 	net := network.New(g.Clone(), network.Options{Seed: 3})
-	p := AttachWith(net, Options{Timers: timers, BundleFlood: true, FloodHold: 2 * time.Millisecond})
+	p := Attach(net, Options{Timers: timers, BundleFlood: true, FloodHold: 2 * time.Millisecond})
 	if !p.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("bundled flooding did not converge")
 	}

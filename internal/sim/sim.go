@@ -289,14 +289,9 @@ func (s *Scheduler) After(d time.Duration, fn func()) Handle {
 	return s.schedule(s.now+d, fn, nil, nil, 0)
 }
 
-// CallAt schedules cb(arg, n) at absolute virtual time t. Unlike At, it
-// allocates nothing in steady state: bind cb once, pass the per-event state
-// through arg and n.
-func (s *Scheduler) CallAt(t time.Duration, cb Callback, arg any, n int64) Handle {
-	return s.schedule(t, nil, cb, arg, n)
-}
-
 // CallAfter schedules cb(arg, n) to run d after the current virtual time.
+// Unlike After, it allocates nothing in steady state: bind cb once, pass the
+// per-event state through arg and n.
 func (s *Scheduler) CallAfter(d time.Duration, cb Callback, arg any, n int64) Handle {
 	if d < 0 {
 		d = 0

@@ -64,13 +64,6 @@ func (c *CountingBloom) Add(fp packet.Fingerprint) {
 	c.n++
 }
 
-// AddMultiset inserts a fingerprint count times.
-func (c *CountingBloom) AddMultiset(fp packet.Fingerprint, count int) {
-	for i := 0; i < count; i++ {
-		c.Add(fp)
-	}
-}
-
 // N returns the number of inserted occurrences.
 func (c *CountingBloom) N() int { return c.n }
 

@@ -91,6 +91,23 @@ func (s *FPSet) Diff(o *FPSet) (onlyS, onlyO []packet.Fingerprint) {
 	return onlyS, onlyO
 }
 
+// DiffCounts returns |s∖o| and |o∖s| without materializing either
+// difference: time and memory depend on the number of distinct
+// fingerprints, never on the multiplicities a peer's encoding claims.
+func (s *FPSet) DiffCounts(o *FPSet) (onlyS, onlyO int) {
+	for fp, n := range s.m {
+		if d := n - o.m[fp]; d > 0 {
+			onlyS += d
+		}
+	}
+	for fp, n := range o.m {
+		if d := n - s.m[fp]; d > 0 {
+			onlyO += d
+		}
+	}
+	return onlyS, onlyO
+}
+
 // Fingerprints returns the distinct fingerprints in sorted order.
 func (s *FPSet) Fingerprints() []packet.Fingerprint {
 	out := make([]packet.Fingerprint, 0, len(s.m))

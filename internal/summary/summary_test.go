@@ -41,6 +41,9 @@ func TestFPSetDiff(t *testing.T) {
 	if len(onlyB) != 1 || onlyB[0] != 4 {
 		t.Fatalf("onlyB = %v", onlyB)
 	}
+	if nA, nB := a.DiffCounts(b); nA != len(onlyA) || nB != len(onlyB) {
+		t.Fatalf("DiffCounts = (%d, %d), want (%d, %d)", nA, nB, len(onlyA), len(onlyB))
+	}
 	if a.Len() != 4 || a.Count(3) != 2 {
 		t.Fatalf("len/count wrong: %d %d", a.Len(), a.Count(3))
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // Flags is the standard command-line surface of the telemetry subsystem,
-// shared by the CLIs (cmd/mrsim, cmd/figures). All outputs go to explicit
+// shared by the CLIs (cmd/mrsim, cmd/figures, cmd/mrreplay). All outputs go to explicit
 // files or stderr, never stdout: the canonical figure/scenario output on
 // stdout stays byte-identical whether or not instrumentation is on.
 type Flags struct {
@@ -27,15 +27,17 @@ type Flags struct {
 	MemProfile string
 }
 
-// RegisterFlags installs the telemetry flags on fs.
-func RegisterFlags(fs *flag.FlagSet) *Flags {
+// RegisterFlags installs the telemetry flags on fs. trace names the flag the
+// event trace answers to: "trace", except in a CLI whose -trace already
+// means something else (mrreplay's trace directory).
+func RegisterFlags(fs *flag.FlagSet, trace string) *Flags {
 	var f Flags
 	fs.StringVar(&f.Metrics, "metrics", "",
 		"write a metrics snapshot at exit (.prom/.txt = Prometheus text, else JSON; - = Prometheus to stderr)")
-	fs.StringVar(&f.Trace, "trace", "",
+	fs.StringVar(&f.Trace, trace, "",
 		"write the virtual-time event trace at exit (.json = Chrome trace-event, else plain timeline; - = timeline to stderr)")
 	fs.BoolVar(&f.TracePackets, "trace-packets", false,
-		"include per-packet events in -trace (large)")
+		"include per-packet events in -"+trace+" (large)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof allocation profile at exit")
 	return &f

@@ -76,8 +76,8 @@ type ContentTV struct {
 
 // Validate compares fingerprint multisets.
 func (tv ContentTV) Validate(up, down *summary.FPSet) Result {
-	onlyUp, onlyDown := up.Diff(down)
-	res := Result{OK: true, Lost: len(onlyUp), Fabricated: len(onlyDown)}
+	lost, fabricated := up.DiffCounts(down)
+	res := Result{OK: true, Lost: lost, Fabricated: fabricated}
 	if res.Lost > tv.LossThreshold {
 		res.OK = false
 		res.Detail = fmt.Sprintf("%d fingerprints missing exceeds threshold %d", res.Lost, tv.LossThreshold)
@@ -107,8 +107,8 @@ func (tv OrderTV) Validate(up, down *summary.OrderedFP) Result {
 	for _, fp := range down.Seq() {
 		downSet.Add(fp)
 	}
-	onlyUp, onlyDown := upSet.Diff(downSet)
-	res := Result{OK: true, Lost: len(onlyUp), Fabricated: len(onlyDown)}
+	lost, fabricated := upSet.DiffCounts(downSet)
+	res := Result{OK: true, Lost: lost, Fabricated: fabricated}
 	res.Reordered = summary.ReorderAmount(up, down)
 	if res.Lost > tv.LossThreshold {
 		res.OK = false

@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +72,44 @@ func TestContentTVDetectsModification(t *testing.T) {
 	res := ContentTV{}.Validate(up, down)
 	if res.OK || res.Lost != 1 || res.Fabricated != 1 {
 		t.Fatalf("modification signature wrong: %v", res)
+	}
+}
+
+func TestContentTVHostileMultiplicity(t *testing.T) {
+	// One 12-byte wire entry may claim 2³²−1 copies of a fingerprint. The
+	// predicate counts the difference instead of expanding it, and the
+	// verdict is the (correct) failure of the liar's pair.
+	const claimed = 1<<32 - 1
+	entry := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, 7), claimed)
+	liar, err := summary.DecodeFPSet(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := summary.NewFPSet()
+	honest.Add(7)
+	honest.Add(8)
+	tv := ContentTV{LossThreshold: 2, FabricationThreshold: 2}
+	if res := tv.Validate(liar, honest); res.OK || res.Lost != claimed-1 || res.Fabricated != 1 {
+		t.Fatalf("liar upstream: %v", res)
+	}
+	if res := tv.Validate(honest, liar); res.OK || res.Lost != 1 || res.Fabricated != claimed-1 {
+		t.Fatalf("liar downstream: %v", res)
+	}
+}
+
+func TestOrderTVCountsMultiplicity(t *testing.T) {
+	// Loss and fabrication are multiset differences: two of three copies
+	// lost, one extra copy of another fingerprint fabricated.
+	up, down := summary.NewOrderedFP(), summary.NewOrderedFP()
+	for _, fp := range []packet.Fingerprint{1, 1, 1, 2} {
+		up.Add(fp)
+	}
+	for _, fp := range []packet.Fingerprint{1, 2, 2} {
+		down.Add(fp)
+	}
+	res := OrderTV{LossThreshold: 1, FabricationThreshold: 1}.Validate(up, down)
+	if res.OK || res.Lost != 2 || res.Fabricated != 1 {
+		t.Fatalf("multiset difference: %v", res)
 	}
 }
 

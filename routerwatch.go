@@ -124,7 +124,7 @@ func AttachChi(net *Network, opts chi.Options) *chi.Protocol {
 // AttachRouting deploys the link-state routing substrate with alert-driven
 // path-segment exclusion.
 func AttachRouting(net *Network, timers routing.Timers) *routing.Protocol {
-	return routing.Attach(net, timers)
+	return routing.Attach(net, routing.Options{Timers: timers})
 }
 
 // DeployFatih assembles the full Fatih system (detector + routing response
