@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint verify bench-test perf fuzz campaign-smoke replay-smoke scale-smoke figures clean
+.PHONY: build test race vet lint verify bench-test perf fuzz campaign-smoke trials-smoke replay-smoke scale-smoke figures clean
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,18 @@ campaign-smoke:
 	cmp campaign-a.json campaign-b.json
 	@rm -f campaign-a.json campaign-b.json
 	@echo "campaign smoke: deterministic across -parallel"
+
+# Aggregate-mode smoke (mrsim -trials): no test drives the CLI's fold, which
+# is how a shard array sized for 64 workers survived to panic on a 65-CPU
+# host. 70 trials on a 65-way pool must print their aggregate, and a
+# 16-trial aggregate must be byte-identical across -parallel.
+trials-smoke:
+	GOMAXPROCS=65 $(GO) run ./cmd/mrsim -protocol pik2 -trials 70 -duration 8s > /dev/null
+	$(GO) run ./cmd/mrsim -protocol pik2 -trials 16 -duration 8s -parallel 1 > trials-a.txt
+	$(GO) run ./cmd/mrsim -protocol pik2 -trials 16 -duration 8s -parallel 4 > trials-b.txt
+	cmp trials-a.txt trials-b.txt
+	@rm -f trials-a.txt trials-b.txt
+	@echo "trials smoke: aggregate printed on a 65-way pool, deterministic across -parallel"
 
 # Capture-and-replay smoke (internal/capture + cmd/mrreplay): record an
 # Abilene Πk+2 run, replay the trace, and require the suspicion verdicts to

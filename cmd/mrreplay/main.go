@@ -104,15 +104,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report(logbook)
+	if err := logbook.WriteReport(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+	// The same transcript mrsim -verdicts writes, so the two are diffable.
 	if *verdicts != "" {
-		if err := writeVerdicts(*verdicts, logbook); err != nil {
+		if err := os.WriteFile(*verdicts, []byte(logbook.String()), 0o644); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	if *repeat > 1 {
-		if err := verifyRepeats(*traceDir, *protoName, opts, *dur, *repeat, *parallel, render(logbook)); err != nil {
+		if err := verifyRepeats(*traceDir, *protoName, opts, *dur, *repeat, *parallel, logbook.String()); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%d replays, all verdicts byte-identical\n", *repeat)
@@ -149,7 +152,7 @@ func verifyRepeats(dir, name string, opts any, dur time.Duration, repeat, parall
 		if err != nil {
 			return "error: " + err.Error()
 		}
-		return render(logbook)
+		return logbook.String()
 	})
 	for i, got := range outs {
 		if got != want {
@@ -176,41 +179,11 @@ func parseParams(s string) (protocol.Params, error) {
 	return p, nil
 }
 
-// render flattens a suspicion log into the byte-comparable transcript.
-func render(logbook *detector.Log) string {
-	var b strings.Builder
-	for _, s := range logbook.All() {
-		b.WriteString(s.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// writeVerdicts dumps the complete suspicion log, one per line — the same
-// format mrsim -verdicts writes, so the two are diffable.
-func writeVerdicts(path string, logbook *detector.Log) error {
-	return os.WriteFile(path, []byte(render(logbook)), 0o644)
-}
-
 func printInfo(meta *capture.Meta) {
 	fmt.Printf("seed %d, duration %v, control delay %v, jitter %v\n",
 		meta.Seed, meta.Duration.D(), meta.ControlDelay.D(), meta.Jitter.D())
 	fmt.Printf("%d routers, %d directed links\n", len(meta.Nodes), len(meta.Links))
 	for i, n := range meta.Nodes {
 		fmt.Printf("  r%-3d %-14s %s\n", i, n, meta.Files[i])
-	}
-}
-
-func report(logbook *detector.Log) {
-	fmt.Printf("%d suspicions:\n", logbook.Len())
-	for i, s := range logbook.All() {
-		if i >= 12 {
-			fmt.Printf("  ... and %d more\n", logbook.Len()-i)
-			break
-		}
-		fmt.Printf("  %v\n", s)
-	}
-	if logbook.Len() == 0 {
-		fmt.Println("  (none)")
 	}
 }

@@ -25,9 +25,9 @@
 //
 // Capture & replay: -record dumps the run as per-router pcap traces (a
 // directory replayable with cmd/mrreplay), and -verdicts writes the full
-// suspicion log one line per suspicion — the byte-comparable artifact the
-// replay smoke diffs against a trace replay of the same run. Both are
-// single-run features.
+// suspicion log one line per suspicion (detector.Log's transcript) — the
+// byte-comparable artifact the replay smoke diffs against a trace replay
+// of the same run. Both are single-run features.
 //
 // With -trials N > 1 the scenario is replayed over N independent seeds on a
 // bounded worker pool (-parallel; default GOMAXPROCS, 1 = serial) and the
@@ -38,7 +38,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -108,7 +107,7 @@ func main() {
 		logbook, faulty := runSpec(spec, true, tel, *record)
 		report(logbook, faulty)
 		if *verdicts != "" {
-			if err := writeVerdicts(*verdicts, logbook); err != nil {
+			if err := os.WriteFile(*verdicts, []byte(logbook.String()), 0o644); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -135,7 +134,6 @@ func main() {
 	if tf.Metrics != "" {
 		foldReg = telemetry.NewRegistry()
 	}
-	agg := stats.NewSharded(shardCount(*parallel))
 	outs, rep := runner.MapFold(runner.Config{Workers: *parallel, BaseSeed: spec.Seed}, *trials, foldReg,
 		func(tr runner.Trial, reg *telemetry.Registry) outcome {
 			var tel *telemetry.Set
@@ -145,14 +143,11 @@ func main() {
 			s := *spec
 			s.Seed = tr.Seed
 			logbook, faulty := runSpec(&s, false, tel, "")
-			o := summarize(logbook, faulty)
-			if o.firstAt > 0 {
-				agg.Shard(tr.Worker).Observe(tr.Index, o.firstAt.Seconds())
-			}
-			return o
+			return summarize(logbook, faulty)
 		})
 
 	detected, implicated := 0, 0
+	var first stats.Folded
 	for _, o := range outs {
 		if o.suspicions > 0 {
 			detected++
@@ -160,8 +155,10 @@ func main() {
 		if o.implicated {
 			implicated++
 		}
+		if o.firstAt > 0 {
+			first.Add(o.firstAt.Seconds())
+		}
 	}
-	first := agg.Fold()
 	fmt.Printf("%d trials of %s/%s (base seed %d):\n", *trials, spec.Protocol, *attackName, spec.Seed)
 	fmt.Printf("  detected:        %d/%d\n", detected, *trials)
 	fmt.Printf("  faulty implicated: %d/%d\n", implicated, *trials)
@@ -175,14 +172,6 @@ func main() {
 	if err := tf.Finish(&telemetry.Set{Metrics: foldReg}); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// shardCount mirrors runner.Config's worker resolution for shard sizing.
-func shardCount(parallel int) int {
-	if parallel > 0 {
-		return parallel
-	}
-	return 64 // generous cover for GOMAXPROCS; unused shards cost nothing
 }
 
 // buildSpec assembles the declarative scenario: from a -scenario file when
@@ -340,37 +329,12 @@ func summarize(logbook *detector.Log, faulty packet.NodeID) outcome {
 	return o
 }
 
-// writeVerdicts dumps the complete suspicion log, one rendered suspicion
-// per line — the byte-comparable artifact the replay smoke test diffs
-// against a trace replay of the same run.
-func writeVerdicts(path string, logbook *detector.Log) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, s := range logbook.All() {
-		if _, err := fmt.Fprintln(f, s); err != nil {
-			if cerr := f.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return err
-		}
-	}
-	return f.Close()
-}
-
 func report(logbook *detector.Log, faulty packet.NodeID) {
-	fmt.Printf("\n%d suspicions:\n", logbook.Len())
-	for i, s := range logbook.All() {
-		if i >= 12 {
-			fmt.Printf("  ... and %d more\n", logbook.Len()-i)
-			break
-		}
-		fmt.Printf("  %v\n", s)
+	fmt.Println()
+	if err := logbook.WriteReport(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	if logbook.Len() == 0 {
-		fmt.Println("  (none)")
-		return
+	if logbook.Len() > 0 {
+		fmt.Printf("\nfaulty router %v implicated: %v\n", faulty, summarize(logbook, faulty).implicated)
 	}
-	fmt.Printf("\nfaulty router %v implicated: %v\n", faulty, summarize(logbook, faulty).implicated)
 }

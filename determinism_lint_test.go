@@ -53,8 +53,7 @@ func TestDeterminismInvariants(t *testing.T) {
 		// The capture subsystem replays recorded traffic under the same
 		// determinism contract the simulator honors: TraceEnv is an Env
 		// backend, so its clock, RNG streams and replay pump must stay
-		// free of global rand and wall-clock reads (live_linux.go is the
-		// allowlisted, build-tag-gated exception).
+		// free of global rand and wall-clock reads.
 		"routerwatch/internal/capture",
 		// The trial fan-out and the simulator core are where the
 		// interprocedural analyzers bite: runner spawns the goroutines

@@ -1,35 +1,31 @@
 // Package envpurity is the interprocedural closure of the walltime and
 // globalrand invariants: every function transitively reachable from code
-// the protocol runtime attaches — a protocol.Instance method, an Env or
-// Backend implementation, or anything handed to protocol.Register /
-// RegisterBackend — must obtain time, randomness and signing material only
-// through the protocol.Env contract. The per-package analyzers catch a
-// direct time.Now in detector code; this one catches the helper two hops
-// below an Instance method, the utility reached through an interface
+// the protocol runtime attaches — an Env or Backend implementation, or
+// anything handed to protocol.Register / RegisterBackend — must obtain
+// time, randomness and signing material only through the protocol.Env
+// contract. The per-package analyzers catch a direct time.Now in detector
+// code; this one catches the helper two hops below a Backend method, the
+// utility reached through an interface
 // dispatch, and reaches of packages the syntactic lints do not watch at
 // all (crypto/rand, whose nondeterminism would silently break bitwise
 // replay of signing-dependent verdicts).
 //
 // Roots are derived from the loaded tree, not hard-coded: any package
-// named "protocol" that declares Instance / Env / Backend interfaces
-// defines the contract, every named type satisfying one of them
+// named "protocol" that declares Env / Backend interfaces defines the
+// contract, every named type satisfying one of them
 // contributes its contract methods, and every function that calls
 // Register or RegisterBackend from such a package is a root (its
 // registered descriptors and closures are reached through the call
 // graph's function-value edges). Violations report the banned call site
 // with one shortest root→site call path.
 //
-// Allow lists individually justified exemptions by rendered function name;
-// AllowFiles carries file-scoped ones ("pkg:file.go" suffix form, like
-// walltime.Allow) — internal/capture's tag-gated live_linux.go inherits
-// its wall-clock exemption here so a tag-aware load stays green.
+// Allow lists individually justified exemptions by rendered function name.
 package envpurity
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 
 	"routerwatch/internal/analysis"
@@ -49,15 +45,6 @@ var Analyzer = &analysis.Analyzer{
 // Keep every entry justified — the tree currently needs none.
 var Allow = map[string]string{}
 
-// AllowFiles lists file-scoped exemptions as package-path suffixes with a
-// ":file.go" narrowing, mirroring walltime.Allow.
-var AllowFiles = []string{
-	// The AF_PACKET live source timestamps real packets off the wire; the
-	// file is behind the linux+rwlive build tags, so only a tag-aware load
-	// ever sees it. Same entry as walltime.Allow.
-	"internal/capture:live_linux.go",
-}
-
 // bannedTime are the package-level time functions that observe or wait on
 // the real clock (walltime's set).
 var bannedTime = map[string]bool{
@@ -68,7 +55,7 @@ var bannedTime = map[string]bool{
 
 // contractInterfaces are the interface names that define the runtime
 // contract when declared in a package named "protocol".
-var contractInterfaces = []string{"Instance", "Env", "Backend"}
+var contractInterfaces = []string{"Env", "Backend"}
 
 func run(pass *analysis.ModulePass) error {
 	g := callgraph.Of(pass)
@@ -85,7 +72,7 @@ func run(pass *analysis.ModulePass) error {
 	seen := make(map[finding]bool)
 	report := func(pos token.Pos, what string, n *callgraph.Node) {
 		f := finding{pos, what}
-		if seen[f] || allowed(pass, n) {
+		if _, allowed := Allow[n.Name()]; seen[f] || allowed {
 			return
 		}
 		seen[f] = true
@@ -215,27 +202,6 @@ func banned(fn *types.Func) (string, bool) {
 		return "crypto/rand." + fn.Name(), true
 	}
 	return "", false
-}
-
-// allowed reports whether the node carries a justified exemption.
-func allowed(pass *analysis.ModulePass, n *callgraph.Node) bool {
-	if _, ok := Allow[n.Name()]; ok {
-		return true
-	}
-	if n.Pkg == nil || n.Decl == nil {
-		return false
-	}
-	file := filepath.Base(pass.Fset.Position(n.Decl.Pos()).Filename)
-	for _, entry := range AllowFiles {
-		pkgPart, filePart, _ := strings.Cut(entry, ":")
-		if n.Pkg.Path != pkgPart && !strings.HasSuffix(n.Pkg.Path, "/"+pkgPart) {
-			continue
-		}
-		if filePart == "" || filePart == file {
-			return true
-		}
-	}
-	return false
 }
 
 // renderPath formats a root→site call path for the diagnostic.

@@ -10,7 +10,7 @@ import (
 	"protocol"
 )
 
-// inst implements protocol.Instance; its violation sits two calls below
+// inst implements protocol.Backend; its violation sits two calls below
 // the contract method — invisible to the intraprocedural walltime lint.
 type inst struct{}
 
@@ -53,7 +53,7 @@ func (i inst2) Step() int { return i.s.draw() }
 
 // attach is rooted through the Register call below: the function value
 // flows into the registry, so everything it reaches is Env-attached.
-func attach() protocol.Instance {
+func attach() protocol.Backend {
 	_ = seedFromClock()
 	return inst{}
 }

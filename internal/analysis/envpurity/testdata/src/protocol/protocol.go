@@ -1,11 +1,11 @@
 // Package protocol is the fixture stand-in for the runtime contract: the
-// envpurity analyzer recognizes Instance/Env/Backend interfaces (and
+// envpurity analyzer recognizes Env/Backend interfaces (and
 // Register* calls) in any package named "protocol", so the fixture tree
 // mirrors the module's shape without importing it.
 package protocol
 
-// Instance is a running protocol deployment.
-type Instance interface {
+// Backend is a runnable protocol deployment.
+type Backend interface {
 	Step() int
 }
 
@@ -15,4 +15,4 @@ type Env interface {
 }
 
 // Register installs a protocol attach function under a name.
-func Register(name string, attach func() Instance) {}
+func Register(name string, attach func() Backend) {}

@@ -37,12 +37,6 @@ var Analyzer = &analysis.Analyzer{
 var Allow = []string{
 	"internal/runner",               // wall-time throughput of the trial fan-out
 	"internal/telemetry:profile.go", // pprof start/stop wiring
-	// Live capture timestamps real packets as they arrive off the wire —
-	// the one place the capture subsystem legitimately reads the wall
-	// clock. The file is also behind the linux+rwlive build tags, so the
-	// default-context lint load never sees it; the entry documents the
-	// exemption and keeps a tag-aware load green.
-	"internal/capture:live_linux.go",
 	// rwlint times its own analyzers (the -timing flag and the JSON
 	// report); lint infrastructure measuring itself never touches
 	// simulation output.

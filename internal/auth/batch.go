@@ -8,12 +8,11 @@ import (
 	"routerwatch/internal/packet"
 )
 
-// Batched signing and verification. The per-message Sign/Verify pair pays a
+// Batched signing and aggregate verification. The per-message Sign pays a
 // lock acquisition and a signer pad-state lookup per call; round boundaries
-// sign and verify whole batches of bodies at once, so these variants hold
-// the lock once and reuse the resolved pad state for every consecutive body
-// under the same signer — the amortization that makes per-round summary
-// exchange O(1) setup instead of O(messages).
+// sign whole batches of bodies at once, so SignBatch holds the lock once
+// and reuses the resolved pad state for every body — the amortization that
+// makes per-round summary exchange O(1) setup instead of O(messages).
 
 // SignBatch signs each body under r's key and appends the signatures to
 // dst (pass nil to allocate). One locked pass with one pad-state
@@ -24,31 +23,6 @@ func (a *Authority) SignBatch(r packet.NodeID, bodies [][]byte, dst []Signature)
 	for _, body := range bodies {
 		a.macInto(st, body, &a.outBuf)
 		dst = append(dst, Signature{Signer: r, Tag: a.outBuf})
-	}
-	a.mu.Unlock()
-	return dst
-}
-
-// VerifyBatch checks each (body, signature) pair and appends the per-pair
-// verdicts to dst (pass nil to allocate). It holds the lock once and
-// re-resolves the pad state only when the signer changes between
-// consecutive pairs, so a batch sharing one signer costs one resolution.
-// The verdicts equal Verify(body, sig) pair-wise. len(bodies) must equal
-// len(sigs).
-func (a *Authority) VerifyBatch(bodies [][]byte, sigs []Signature, dst []bool) []bool {
-	if len(bodies) != len(sigs) {
-		panic("auth: VerifyBatch length mismatch")
-	}
-	a.mu.Lock()
-	var st *macState
-	last := packet.NodeID(-1)
-	for i, body := range bodies {
-		if st == nil || sigs[i].Signer != last {
-			last = sigs[i].Signer
-			st = a.signingState(last)
-		}
-		a.macInto(st, body, &a.outBuf)
-		dst = append(dst, hmac.Equal(a.outBuf[:], sigs[i].Tag[:]))
 	}
 	a.mu.Unlock()
 	return dst

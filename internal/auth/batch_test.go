@@ -38,52 +38,6 @@ func TestSignBatchMatchesSign(t *testing.T) {
 	}
 }
 
-// TestVerifyBatchMatchesVerify asserts pair-wise equivalence with Verify,
-// including corrupted tags, corrupted bodies, and signer changes mid-batch
-// (which exercise the pad-state cache invalidation).
-func TestVerifyBatchMatchesVerify(t *testing.T) {
-	a := NewAuthority(7)
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(12)
-		bodies := randBodies(rng, n)
-		sigs := make([]Signature, n)
-		for i, body := range bodies {
-			sigs[i] = a.Sign(packet.NodeID(rng.Intn(4)), body)
-		}
-		// Corrupt a random subset: flip a tag byte, mutate a body, or
-		// reattribute to a different signer.
-		for i := range sigs {
-			switch rng.Intn(4) {
-			case 0:
-				sigs[i].Tag[rng.Intn(32)] ^= 1 << uint(rng.Intn(8))
-			case 1:
-				if len(bodies[i]) > 0 {
-					bodies[i][rng.Intn(len(bodies[i]))] ^= 0xff
-				}
-			case 2:
-				sigs[i].Signer++
-			}
-		}
-		got := a.VerifyBatch(bodies, sigs, nil)
-		for i := range bodies {
-			if want := a.Verify(bodies[i], sigs[i]); got[i] != want {
-				t.Fatalf("trial %d pair %d: VerifyBatch %v != Verify %v", trial, i, got[i], want)
-			}
-		}
-	}
-}
-
-func TestVerifyBatchLengthMismatchPanics(t *testing.T) {
-	a := NewAuthority(7)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on length mismatch")
-		}
-	}()
-	a.VerifyBatch([][]byte{{1}}, nil, nil)
-}
-
 // TestAggregateTag covers the round trip and every tamper class the
 // aggregate must reject: a mutated body, swapped order, a dropped or added
 // item, a wrong signer, and tampering across the chain-fold boundary.

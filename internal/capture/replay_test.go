@@ -3,7 +3,6 @@ package capture_test
 import (
 	"fmt"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -68,18 +67,7 @@ func line5ChiOptions(log *detector.Log) chi.Options {
 // render flattens the two detectors' suspicion logs into the canonical
 // byte-comparable transcript.
 func render(pik, chiLog *detector.Log) string {
-	var b strings.Builder
-	b.WriteString("=== pik2 ===\n")
-	for _, s := range pik.All() {
-		b.WriteString(s.String())
-		b.WriteByte('\n')
-	}
-	b.WriteString("=== chi ===\n")
-	for _, s := range chiLog.All() {
-		b.WriteString(s.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return "=== pik2 ===\n" + pik.String() + "=== chi ===\n" + chiLog.String()
 }
 
 // runLine5Sim runs the golden scenario under SimEnv, recording every
@@ -95,7 +83,7 @@ func runLine5Sim(t *testing.T, dir string) string {
 			if err := rec.Attach(r.Net); err != nil {
 				t.Fatalf("recorder attach: %v", err)
 			}
-			chi.AttachEnv(r.Env, line5ChiOptions(chiLog))
+			chi.Attach(r.Env, line5ChiOptions(chiLog))
 		},
 	})
 	if err != nil {
@@ -133,7 +121,7 @@ func replayLine5(t testing.TB, dir string) string {
 		t.Fatalf("attach pik2: %v", err)
 	}
 	chiLog := detector.NewLog()
-	chi.AttachEnv(env, line5ChiOptions(chiLog))
+	chi.Attach(env, line5ChiOptions(chiLog))
 	env.Run(0)
 	if err := env.Err(); err != nil {
 		t.Fatalf("replay: %v", err)

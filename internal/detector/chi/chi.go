@@ -24,7 +24,6 @@ import (
 	"routerwatch/internal/auth"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/tvinfo"
-	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 	"routerwatch/internal/queue"
@@ -65,18 +64,6 @@ type Options struct {
 	// REDThreshold is the target significance for the RED excess-drop
 	// test. Default 0.999.
 	REDThreshold float64
-	// REDWindow is how many recent rounds the RED excess test aggregates
-	// over; windowing averages out replay-divergence noise and grows the
-	// power against sustained attacks. Default 10.
-	REDWindow int
-	// REDShareZ is the z-score threshold of the per-flow drop-share test:
-	// a flow whose windowed drop count exceeds its share of the replayed
-	// drop probability by this many binomial standard deviations is being
-	// selectively dropped. The contrast is immune to global replay bias.
-	// TCP's per-flow drop clustering makes the binomial null heavy-tailed
-	// (no-attack maxima of 5–7 were measured), so the default of 9 fires
-	// only on egregious selectivity (full victim-flow drops).
-	REDShareZ float64
 	// FabricationTolerance ignores this many unexplained departures per
 	// round before suspecting fabrication. Default 0.
 	FabricationTolerance int
@@ -102,6 +89,21 @@ type Options struct {
 	Observer func(RoundReport)
 }
 
+const (
+	// redWindowRounds is how many recent rounds the RED excess test aggregates
+	// over; windowing averages out replay-divergence noise and grows the
+	// power against sustained attacks.
+	redWindowRounds = 10
+	// redShareZ is the z-score threshold of the per-flow drop-share test:
+	// a flow whose windowed drop count exceeds its share of the replayed
+	// drop probability by this many binomial standard deviations is being
+	// selectively dropped. The contrast is immune to global replay bias.
+	// TCP's per-flow drop clustering makes the binomial null heavy-tailed
+	// (no-attack maxima of 5–7 were measured), so 9 fires only on
+	// egregious selectivity (full victim-flow drops).
+	redShareZ = 9.0
+)
+
 func (o *Options) fill() {
 	if o.Round == 0 {
 		o.Round = time.Second
@@ -117,12 +119,6 @@ func (o *Options) fill() {
 	}
 	if o.REDThreshold == 0 {
 		o.REDThreshold = 0.999
-	}
-	if o.REDWindow == 0 {
-		o.REDWindow = 10
-	}
-	if o.REDShareZ == 0 {
-		o.REDShareZ = 9
 	}
 	if o.Sink == nil {
 		o.Sink = func(detector.Suspicion) {}
@@ -201,14 +197,8 @@ type Protocol struct {
 	tel        detector.Instruments
 }
 
-// Attach deploys χ on the simulated network; it is AttachEnv over the
-// network's environment adapter.
-func Attach(net *network.Network, opts Options) *Protocol {
-	return AttachEnv(protocol.NewSimEnv(net), opts)
-}
-
-// AttachEnv deploys χ validators and reporters for the selected queues.
-func AttachEnv(env protocol.Env, opts Options) *Protocol {
+// Attach deploys χ validators and reporters for the selected queues.
+func Attach(env protocol.Env, opts Options) *Protocol {
 	opts.fill()
 	g := env.Graph()
 	p := &Protocol{
@@ -229,9 +219,6 @@ func AttachEnv(env protocol.Env, opts Options) *Protocol {
 	}
 	return p
 }
-
-// Round returns the validation interval τ.
-func (p *Protocol) Round() time.Duration { return p.opts.Round }
 
 // Validator returns the validator for a queue (tests, experiments).
 func (p *Protocol) Validator(q QueueID) *Validator {

@@ -10,6 +10,7 @@ import (
 	"routerwatch/internal/detector"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
+	"routerwatch/internal/protocol"
 	"routerwatch/internal/queue"
 	"routerwatch/internal/stats"
 	"routerwatch/internal/tcpsim"
@@ -57,7 +58,7 @@ func buildRig(seed int64, opts Options, redCfg *queue.REDConfig) *rig {
 			prevObs(rr)
 		}
 	}
-	r.proto = Attach(net, opts)
+	r.proto = Attach(protocol.NewSimEnv(net), opts)
 	r.man = tcpsim.NewManager(net)
 	return r
 }

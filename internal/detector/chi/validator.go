@@ -79,8 +79,8 @@ type queueValidator struct {
 	flowObs  map[packet.FlowID]int
 	report   RoundReport
 
-	// redWindow holds the last REDWindow rounds' excess for the windowed
-	// test; redTrail holds a longer trail for the drift baseline.
+	// redWindow holds the last redWindowRounds rounds' excess for the
+	// windowed test; redTrail holds a longer trail for the drift baseline.
 	redWindow []redRound
 	redTrail  []float64
 
@@ -519,7 +519,7 @@ func (v *queueValidator) finishRound(n int) {
 			flowExp: v.flowExp, flowObs: v.flowObs,
 		})
 		v.flowExp, v.flowObs = nil, nil
-		if len(v.redWindow) > v.p.opts.REDWindow {
+		if len(v.redWindow) > redWindowRounds {
 			v.redWindow = v.redWindow[1:]
 		}
 		var sum float64
@@ -533,7 +533,7 @@ func (v *queueValidator) finishRound(n int) {
 		// regime, so the test is differenced against the recent past — an
 		// attack onset lifts the window above its own baseline.
 		v.redTrail = append(v.redTrail, excess)
-		trailLen := 4*v.p.opts.REDWindow + 10
+		trailLen := 4*redWindowRounds + 10
 		if len(v.redTrail) > trailLen {
 			v.redTrail = v.redTrail[1:]
 		}
@@ -574,7 +574,7 @@ func (v *queueValidator) finishRound(n int) {
 		// its share of the replayed drop probability. A global replay bias
 		// scales expected and observed alike, so the binomial contrast
 		// stays calibrated where the volume test drifts.
-		if len(v.redWindow) >= v.p.opts.REDWindow {
+		if len(v.redWindow) >= redWindowRounds {
 			eTot, oTot := 0.0, 0
 			eFlow := make(map[packet.FlowID]float64)
 			oFlow := make(map[packet.FlowID]int)
@@ -608,7 +608,7 @@ func (v *queueValidator) finishRound(n int) {
 					if z > v.report.REDMaxShareZ {
 						v.report.REDMaxShareZ = z
 					}
-					if !v.p.opts.Learning && z >= v.p.opts.REDShareZ {
+					if !v.p.opts.Learning && z >= redShareZ {
 						v.report.Detected = true
 						v.suspect(topology.Segment{v.q.R, v.q.RD}, detector.KindREDShare,
 							stats.StdNormalCDF(z),

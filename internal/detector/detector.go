@@ -1,13 +1,16 @@
 // Package detector defines the failure-detector specification of §4.2.2 —
 // suspicions as (path-segment, interval) pairs, a-Accuracy, a-FI/FC-
-// Completeness, and precision — plus the shared round machinery and the
-// property checkers the protocol test suites use to verify that Π2, Πk+2
-// and χ meet their specifications against ground truth.
+// Completeness, and precision — plus the suspicion log with its canonical
+// transcript and the property checkers the protocol test suites use to
+// verify that Π2, Πk+2 and χ meet their specifications against ground
+// truth.
 package detector
 
 import (
 	"fmt"
+	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"routerwatch/internal/packet"
@@ -112,6 +115,39 @@ func (l *Log) All() []Suspicion { return append([]Suspicion(nil), l.suspicions..
 
 // Len returns the number of suspicions.
 func (l *Log) Len() int { return len(l.suspicions) }
+
+// String renders the log as the verdict transcript: one Suspicion.String()
+// per line, in recording order. It is the byte-comparable form of a run's
+// outcome — what the CLIs' -verdicts flag writes, what mrreplay -repeat and
+// the record/replay goldens compare, and the format the rwbench verdict
+// digest hashes.
+func (l *Log) String() string {
+	var b strings.Builder
+	for _, s := range l.suspicions {
+		b.WriteString(s.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// WriteReport prints the CLIs' human-readable report of the log to w: the
+// suspicion count, then the first 12 suspicions.
+func (l *Log) WriteReport(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d suspicions:\n", l.Len())
+	for i, s := range l.suspicions {
+		if i >= 12 {
+			fmt.Fprintf(&b, "  ... and %d more\n", l.Len()-i)
+			break
+		}
+		fmt.Fprintf(&b, "  %v\n", s)
+	}
+	if l.Len() == 0 {
+		b.WriteString("  (none)\n")
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
 
 // ByRouter returns the suspicions announced by router r.
 func (l *Log) ByRouter(r packet.NodeID) []Suspicion {

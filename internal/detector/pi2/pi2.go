@@ -26,7 +26,6 @@ import (
 	"routerwatch/internal/consensus"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/tvinfo"
-	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 	"routerwatch/internal/topology"
@@ -93,14 +92,8 @@ type Protocol struct {
 	tel    detector.Instruments
 }
 
-// Attach deploys Π2 on every router of the simulated network; it is
-// AttachEnv over the network's environment adapter.
-func Attach(net *network.Network, opts Options) *Protocol {
-	return AttachEnv(protocol.NewSimEnv(net), opts)
-}
-
-// AttachEnv deploys Π2 on every router of the environment.
-func AttachEnv(env protocol.Env, opts Options) *Protocol {
+// Attach deploys Π2 on every router of the environment.
+func Attach(env protocol.Env, opts Options) *Protocol {
 	opts.fill()
 	g := env.Graph()
 	paths := g.AllPairsPaths()
@@ -125,9 +118,6 @@ func AttachEnv(env protocol.Env, opts Options) *Protocol {
 	}
 	return p
 }
-
-// Round returns the validation interval τ.
-func (p *Protocol) Round() time.Duration { return p.opts.Round }
 
 // SetCorruptor installs protocol-faulty reporting at router r.
 func (p *Protocol) SetCorruptor(r packet.NodeID, c Corruptor) { p.agents[r].corrupt = c }

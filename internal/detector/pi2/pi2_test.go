@@ -11,6 +11,7 @@ import (
 	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
+	"routerwatch/internal/protocol"
 	"routerwatch/internal/summary"
 	"routerwatch/internal/topology"
 )
@@ -39,7 +40,7 @@ func pump(net *network.Network, from, to packet.NodeID, n int, flow packet.FlowI
 
 func TestMonitoredSegments(t *testing.T) {
 	net := network.New(topology.Line(6), network.Options{Seed: 1})
-	p := Attach(net, testOpts(detector.NewLog()))
+	p := Attach(protocol.NewSimEnv(net), testOpts(detector.NewLog()))
 	// k=1 on a 6-line: router 2 belongs to 3-segments starting at 0,1,2 in
 	// each direction = 6 (mirrors the topology test).
 	if got := len(p.MonitoredSegments(2)); got != 6 {
@@ -50,7 +51,7 @@ func TestMonitoredSegments(t *testing.T) {
 func TestNoAttackNoSuspicions(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(4), network.Options{Seed: 2, ProcessingJitter: 100 * time.Microsecond})
-	Attach(net, testOpts(log))
+	Attach(protocol.NewSimEnv(net), testOpts(log))
 	pump(net, 0, 3, 1500, 1)
 	pump(net, 3, 0, 1500, 2)
 	net.Run(3 * time.Second)
@@ -64,7 +65,7 @@ func TestHonestRecorderDropLocalizedUpstreamPair(t *testing.T) {
 	// appears between 0's sends and 1's (empty) sends — pair ⟨0,1⟩.
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 3})
-	Attach(net, testOpts(log))
+	Attach(protocol.NewSimEnv(net), testOpts(log))
 	net.Router(1).SetBehavior(&attack.Dropper{Select: attack.All, P: 1})
 	pump(net, 0, 2, 400, 1)
 	net.Run(3 * time.Second)
@@ -100,7 +101,7 @@ func TestLyingDropperLocalizedDownstreamPair(t *testing.T) {
 	// ⟨1,2⟩ then fails: 1 claims sends that 2 never saw.
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 4})
-	p := Attach(net, testOpts(log))
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
 	net.Router(1).SetBehavior(&attack.Dropper{Select: attack.All, P: 1})
 
 	// The liar builds its forged "sends" from what it actually received.
@@ -149,7 +150,7 @@ func TestLyingDropperLocalizedDownstreamPair(t *testing.T) {
 func TestEquivocationDetected(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 5})
-	p := Attach(net, testOpts(log))
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
 	p.SetEquivocator(1)
 	pump(net, 0, 2, 100, 1)
 	net.Run(2 * time.Second)
@@ -168,7 +169,7 @@ func TestEquivocationDetected(t *testing.T) {
 func TestSilentParticipantDetected(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 6})
-	p := Attach(net, testOpts(log))
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
 	p.SetCorruptor(1, func(topology.Segment, int, *tvinfo.Summary) *tvinfo.Summary { return nil })
 	pump(net, 0, 2, 100, 1)
 	net.Run(2 * time.Second)
@@ -187,7 +188,7 @@ func TestSilentParticipantDetected(t *testing.T) {
 func TestModificationLocalized(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(5), network.Options{Seed: 7})
-	Attach(net, testOpts(log))
+	Attach(protocol.NewSimEnv(net), testOpts(log))
 	net.Router(2).SetBehavior(&attack.Modifier{Select: attack.All})
 	pump(net, 0, 4, 400, 1)
 	net.Run(3 * time.Second)
@@ -209,7 +210,7 @@ func TestBogusAlertWithoutEvidenceRejected(t *testing.T) {
 	// correct pair: nobody adopts it.
 	log := detector.NewLog()
 	net := network.New(topology.Line(4), network.Options{Seed: 8})
-	p := Attach(net, testOpts(log))
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
 	pump(net, 0, 3, 50, 1)
 	net.Run(600 * time.Millisecond)
 
@@ -240,7 +241,7 @@ func TestSelfSignedEmptyEvidenceRejected(t *testing.T) {
 	// position to read. Receivers drop the alert.
 	log := detector.NewLog()
 	net := network.New(topology.Line(4), network.Options{Seed: 8})
-	p := Attach(net, testOpts(log))
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
 	net.Run(300 * time.Millisecond)
 
 	seg := topology.Segment{1, 2, 3}
@@ -276,7 +277,7 @@ func TestHostileMultiplicityLocalizedToReporterPair(t *testing.T) {
 	}
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 10})
-	p := Attach(net, testOpts(log))
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
 	p.SetCorruptor(1, func(topology.Segment, int, *tvinfo.Summary) *tvinfo.Summary {
 		return &tvinfo.Summary{FPs: fps}
 	})
@@ -296,7 +297,7 @@ func TestHostileMultiplicityLocalizedToReporterPair(t *testing.T) {
 func TestNonMemberTimeoutAlertRejected(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(4), network.Options{Seed: 9})
-	p := Attach(net, testOpts(log))
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
 	net.Run(300 * time.Millisecond)
 
 	// Router 0 (not in ⟨1,2,3⟩) floods an evidence-free timeout alert.

@@ -278,7 +278,7 @@ func (a *agent) judgeReconcile(st *segState, n int, local *Summary, peer *Summar
 		// loss/fabrication thresholds: conclusive validation failure.
 		a.suspect(st, n, detector.KindTrafficValidation, 1,
 			fmt.Sprintf("set difference exceeds reconciliation budget %d: %v",
-				a.p.opts.ReconcileBudget, err))
+				a.p.reconcileBudget(), err))
 		return
 	}
 	lost, fabricated := len(onlyUp), len(onlyDown)

@@ -22,7 +22,6 @@ import (
 	"routerwatch/internal/consensus"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/tvinfo"
-	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 	"routerwatch/internal/summary"
@@ -103,11 +102,6 @@ type Options struct {
 	Sampling float64
 	// Exchange selects the summary transfer encoding.
 	Exchange ExchangeMode
-	// ReconcileBudget bounds the recoverable set difference per
-	// segment-round under ExchangeReconcile; differences beyond it are
-	// themselves conclusive TV failures (they exceed any sane loss
-	// threshold). Default LossThreshold + FabricationThreshold + 8.
-	ReconcileBudget int
 	// SketchCapacity sizes the ExchangeSketch counting filter for this
 	// many packets per segment-round. Default 4096.
 	SketchCapacity int
@@ -138,9 +132,6 @@ func (o *Options) fill() {
 	}
 	if o.Sink == nil {
 		o.Sink = func(detector.Suspicion) {}
-	}
-	if o.ReconcileBudget == 0 {
-		o.ReconcileBudget = o.LossThreshold + o.FabricationThreshold + 8
 	}
 	if o.SketchCapacity == 0 {
 		o.SketchCapacity = 4096
@@ -179,16 +170,10 @@ type Protocol struct {
 	bodyBuf []byte
 }
 
-// Attach deploys Πk+2 on every router of the simulated network; it is
-// AttachEnv over the network's environment adapter.
-func Attach(net *network.Network, opts Options) *Protocol {
-	return AttachEnv(protocol.NewSimEnv(net), opts)
-}
-
-// AttachEnv deploys Πk+2 on every router of the environment. Monitored
+// Attach deploys Πk+2 on every router of the environment. Monitored
 // segments are derived from the deterministic routing paths of the current
 // topology (§4.1: paths are predictable in the stable state).
-func AttachEnv(env protocol.Env, opts Options) *Protocol {
+func Attach(env protocol.Env, opts Options) *Protocol {
 	paths := env.Graph().AllPairsPaths()
 	return attach(env, opts, paths, tvinfo.NewPathOracleFromPaths(paths))
 }
@@ -198,12 +183,7 @@ func AttachEnv(env protocol.Env, opts Options) *Protocol {
 // the given active flows, and the path oracle resolves the same flow-hash
 // choices the routers make, so both segment ends classify every packet
 // identically.
-func AttachECMP(net *network.Network, e *topology.ECMP, flows []packet.FlowID, opts Options) *Protocol {
-	return AttachECMPEnv(protocol.NewSimEnv(net), e, flows, opts)
-}
-
-// AttachECMPEnv is AttachECMP for any environment backend.
-func AttachECMPEnv(env protocol.Env, e *topology.ECMP, flows []packet.FlowID, opts Options) *Protocol {
+func AttachECMP(env protocol.Env, e *topology.ECMP, flows []packet.FlowID, opts Options) *Protocol {
 	g := env.Graph()
 	pathSet := make(map[string]topology.Path)
 	for _, src := range g.Nodes() {
@@ -274,18 +254,22 @@ func (p *Protocol) newSketch() *summary.CountingBloom {
 	return summary.NewCountingBloom(p.opts.SketchCapacity, p.opts.SketchFPRate)
 }
 
+// reconcileBudget bounds the recoverable set difference per segment-round
+// under ExchangeReconcile; differences beyond it are themselves conclusive
+// TV failures (they exceed both thresholds).
+func (p *Protocol) reconcileBudget() int {
+	return p.opts.LossThreshold + p.opts.FabricationThreshold + 8
+}
+
 // reconcilePoints returns the shared evaluation points (public; secrecy is
 // not required, only agreement). One extra point verifies the rational fit.
 // The slice is cached; callers must not mutate it.
 func (p *Protocol) reconcilePoints() []uint64 {
 	if p.recPts == nil {
-		p.recPts = summary.ReconcilePoints(p.opts.ReconcileBudget + 2)
+		p.recPts = summary.ReconcilePoints(p.reconcileBudget() + 2)
 	}
 	return p.recPts
 }
-
-// Round returns the validation interval τ.
-func (p *Protocol) Round() time.Duration { return p.opts.Round }
 
 // BandwidthBytes returns the total summary-exchange payload bytes sent by
 // all routers so far (§5.2.1/§7 overhead accounting).

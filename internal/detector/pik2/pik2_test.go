@@ -9,6 +9,7 @@ import (
 	"routerwatch/internal/detector"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
+	"routerwatch/internal/protocol"
 	"routerwatch/internal/topology"
 )
 
@@ -41,7 +42,7 @@ func pump(net *network.Network, from, to packet.NodeID, n int, flow packet.FlowI
 
 func TestMonitoredSegmentsLine(t *testing.T) {
 	net := network.New(topology.Line(4), network.Options{Seed: 1})
-	p := Attach(net, testOpts(detector.NewLog()))
+	p := Attach(protocol.NewSimEnv(net), testOpts(detector.NewLog()))
 	// k=1: router 0 is an end of ⟨0,1,2⟩ and ⟨2,1,0⟩ only.
 	segs := p.Agent(0).MonitoredSegments()
 	if len(segs) != 2 {
@@ -52,7 +53,7 @@ func TestMonitoredSegmentsLine(t *testing.T) {
 func TestNoAttackNoSuspicions(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(4), network.Options{Seed: 3, ProcessingJitter: 100 * time.Microsecond})
-	Attach(net, testOpts(log))
+	Attach(protocol.NewSimEnv(net), testOpts(log))
 	pump(net, 0, 3, 2000, 1)
 	pump(net, 3, 0, 2000, 2)
 	net.Run(4 * time.Second)
@@ -64,7 +65,7 @@ func TestNoAttackNoSuspicions(t *testing.T) {
 func TestDropAttackDetected(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 4, ProcessingJitter: 100 * time.Microsecond})
-	Attach(net, testOpts(log))
+	Attach(protocol.NewSimEnv(net), testOpts(log))
 	net.Router(1).SetBehavior(&attack.Dropper{Select: attack.All, P: 1})
 	pump(net, 0, 2, 500, 1)
 	net.Run(3 * time.Second)
@@ -87,7 +88,7 @@ func TestDropAttackDetected(t *testing.T) {
 func TestDetectionLatencyWithinOneRound(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 5})
-	Attach(net, testOpts(log))
+	Attach(protocol.NewSimEnv(net), testOpts(log))
 	attackStart := 1200 * time.Millisecond
 	net.Router(1).SetBehavior(&attack.Dropper{Select: attack.All, P: 1, Start: attackStart})
 	pump(net, 0, 2, 4000, 1)
@@ -110,7 +111,7 @@ func TestPartialDropDetected(t *testing.T) {
 	// 20% selective drop — the Fatih experiment's attack magnitude.
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 6})
-	Attach(net, testOpts(log))
+	Attach(protocol.NewSimEnv(net), testOpts(log))
 	net.Router(1).SetBehavior(&attack.Dropper{
 		Select: attack.All, P: 0.2, Rng: rand.New(rand.NewSource(1)),
 	})
@@ -133,7 +134,7 @@ func TestModificationDetectedByContentNotFlow(t *testing.T) {
 		net := network.New(topology.Line(3), network.Options{Seed: 7})
 		opts := testOpts(log)
 		opts.Policy = tc.policy
-		Attach(net, opts)
+		Attach(protocol.NewSimEnv(net), opts)
 		net.Router(1).SetBehavior(&attack.Modifier{Select: attack.All})
 		pump(net, 0, 2, 500, 1)
 		net.Run(3 * time.Second)
@@ -156,7 +157,7 @@ func TestReorderingDetectedOnlyByOrderPolicy(t *testing.T) {
 		opts := testOpts(log)
 		opts.Policy = tc.policy
 		opts.ReorderThreshold = 5
-		Attach(net, opts)
+		Attach(protocol.NewSimEnv(net), opts)
 		net.Router(1).SetBehavior(&attack.Delayer{
 			Select: attack.All, Jitter: 20 * time.Millisecond, Rng: rand.New(rand.NewSource(2)),
 		})
@@ -179,7 +180,7 @@ func TestReorderingDetectedOnlyByOrderPolicy(t *testing.T) {
 func TestFabricationDetected(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 9})
-	Attach(net, testOpts(log))
+	Attach(protocol.NewSimEnv(net), testOpts(log))
 	attack.NewFabricator(net, 1, 0, 2, 700, 5*time.Millisecond)
 	pump(net, 0, 2, 300, 1)
 	net.Run(3 * time.Second)
@@ -193,7 +194,7 @@ func TestProtocolFaultySummarySuppression(t *testing.T) {
 	// exchange: the ends time out and suspect the segment.
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 10})
-	Attach(net, testOpts(log))
+	Attach(protocol.NewSimEnv(net), testOpts(log))
 	net.Router(1).SetBehavior(&attack.ControlDropper{Kinds: map[string]bool{KindSummary: true}})
 	pump(net, 0, 2, 100, 1)
 	net.Run(2 * time.Second)
@@ -218,7 +219,7 @@ func TestConsortingRoutersK2(t *testing.T) {
 	net := network.New(topology.Line(4), network.Options{Seed: 11})
 	opts := testOpts(log)
 	opts.K = 2
-	p := Attach(net, opts)
+	p := Attach(protocol.NewSimEnv(net), opts)
 
 	net.Router(1).SetBehavior(&attack.Dropper{Select: attack.ByFlow(1), P: 1})
 	// Router 2 (sink end of ⟨0,1,2⟩) claims to have received everything
@@ -288,7 +289,7 @@ func TestSamplingStillDetects(t *testing.T) {
 	net := network.New(topology.Line(3), network.Options{Seed: 12})
 	opts := testOpts(log)
 	opts.Sampling = 0.25
-	Attach(net, opts)
+	Attach(protocol.NewSimEnv(net), opts)
 	net.Router(1).SetBehavior(&attack.Dropper{Select: attack.All, P: 1})
 	pump(net, 0, 2, 1000, 1)
 	net.Run(3 * time.Second)
@@ -302,7 +303,7 @@ func TestSamplingNoFalsePositives(t *testing.T) {
 	net := network.New(topology.Line(4), network.Options{Seed: 13, ProcessingJitter: 100 * time.Microsecond})
 	opts := testOpts(log)
 	opts.Sampling = 0.25
-	Attach(net, opts)
+	Attach(protocol.NewSimEnv(net), opts)
 	pump(net, 0, 3, 1500, 1)
 	net.Run(3 * time.Second)
 	if log.Len() != 0 {
@@ -318,7 +319,7 @@ func TestResponderInvoked(t *testing.T) {
 	opts.Responder = func(by packet.NodeID, seg topology.Segment) {
 		responses = append(responses, seg)
 	}
-	Attach(net, opts)
+	Attach(protocol.NewSimEnv(net), opts)
 	net.Router(1).SetBehavior(&attack.Dropper{Select: attack.All, P: 1})
 	pump(net, 0, 2, 300, 1)
 	net.Run(3 * time.Second)
@@ -343,7 +344,7 @@ func TestDelayDetectedOnlyByTimelinessPolicy(t *testing.T) {
 		opts.Policy = tc.policy
 		opts.MaxDelay = 10 * time.Millisecond
 		opts.LateThreshold = 2
-		Attach(net, opts)
+		Attach(protocol.NewSimEnv(net), opts)
 		net.Router(1).SetBehavior(&attack.Delayer{Select: attack.DataOnly, Delay: 30 * time.Millisecond})
 		// Traffic confined to round interiors so the delay cannot displace
 		// packets across bins (which content validation would notice).
@@ -367,7 +368,7 @@ func TestTimelinessNoFalsePositives(t *testing.T) {
 	opts.Policy = PolicyTimeliness
 	opts.MaxDelay = 10 * time.Millisecond
 	opts.LateThreshold = 2
-	Attach(net, opts)
+	Attach(protocol.NewSimEnv(net), opts)
 	pump(net, 0, 3, 2000, 1)
 	net.Run(4 * time.Second)
 	if log.Len() != 0 {
@@ -414,7 +415,7 @@ func TestECMPFabricDetection(t *testing.T) {
 
 	log := detector.NewLog()
 	opts := testOpts(log)
-	AttachECMP(net, e, []packet.FlowID{via2, via3}, opts)
+	AttachECMP(protocol.NewSimEnv(net), e, []packet.FlowID{via2, via3}, opts)
 	net.Router(m2).SetBehavior(&attack.Dropper{Select: attack.All, P: 1})
 
 	for i := 0; i < 600; i++ {

@@ -9,6 +9,7 @@ import (
 	"routerwatch/internal/detector"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
+	"routerwatch/internal/protocol"
 	"routerwatch/internal/topology"
 )
 
@@ -21,7 +22,7 @@ func reconcileOpts(log *detector.Log) Options {
 func TestReconcileNoAttackNoSuspicions(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(4), network.Options{Seed: 61, ProcessingJitter: 100 * time.Microsecond})
-	Attach(net, reconcileOpts(log))
+	Attach(protocol.NewSimEnv(net), reconcileOpts(log))
 	pump(net, 0, 3, 2000, 1)
 	pump(net, 3, 0, 2000, 2)
 	net.Run(4 * time.Second)
@@ -36,7 +37,7 @@ func TestReconcileDetectsSmallDrop(t *testing.T) {
 	// missing fingerprints are recovered.
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 62})
-	Attach(net, reconcileOpts(log))
+	Attach(protocol.NewSimEnv(net), reconcileOpts(log))
 	net.Router(1).SetBehavior(&attack.Dropper{
 		Select: attack.All, P: 0.01, Rng: rand.New(rand.NewSource(3)),
 	})
@@ -56,7 +57,7 @@ func TestReconcileBudgetOverflowStillDetects(t *testing.T) {
 	// itself conclusive evidence.
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 63})
-	Attach(net, reconcileOpts(log))
+	Attach(protocol.NewSimEnv(net), reconcileOpts(log))
 	net.Router(1).SetBehavior(&attack.Dropper{Select: attack.All, P: 1})
 	pump(net, 0, 2, 500, 1)
 	net.Run(3 * time.Second)
@@ -73,7 +74,7 @@ func TestReconcileBandwidthMuchSmaller(t *testing.T) {
 		net := network.New(topology.Line(3), network.Options{Seed: 64})
 		opts := testOpts(log)
 		opts.Exchange = mode
-		p := Attach(net, opts)
+		p := Attach(protocol.NewSimEnv(net), opts)
 		pump(net, 0, 2, 3000, 1)
 		net.Run(4 * time.Second)
 		if log.Len() != 0 {
@@ -98,7 +99,7 @@ func TestReconcileRequiresContentPolicy(t *testing.T) {
 	net := network.New(topology.Line(3), network.Options{Seed: 65})
 	opts := reconcileOpts(log)
 	opts.Policy = PolicyOrder
-	Attach(net, opts)
+	Attach(protocol.NewSimEnv(net), opts)
 }
 
 func TestReconcileModificationDetected(t *testing.T) {
@@ -109,7 +110,7 @@ func TestReconcileModificationDetected(t *testing.T) {
 	opts := reconcileOpts(log)
 	opts.LossThreshold = 0
 	opts.FabricationThreshold = 0
-	Attach(net, opts)
+	Attach(protocol.NewSimEnv(net), opts)
 	net.Router(1).SetBehavior(&attack.Modifier{Select: attack.ByFlow(1), Start: 600 * time.Millisecond})
 	// Sparse traffic well inside round interiors to avoid boundary noise
 	// with zero thresholds.

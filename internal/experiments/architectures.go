@@ -111,10 +111,10 @@ func RunArchitectures(seed int64) *ArchitecturesResult {
 	{
 		// Learning pass.
 		lnet := buildNet(seed + 100)
-		linst := protocol.MustAttach(protocol.NewSimEnv(lnet), "chi", chi.Options{
+		learner := chi.Attach(protocol.NewSimEnv(lnet), chi.Options{
 			Learning: true, Round: 500 * time.Millisecond,
 			Queues: []chi.QueueID{{R: faulty, RD: 3}},
-		}, protocol.Hooks{})
+		})
 		for i := 0; i < 4000; i++ {
 			i := i
 			lnet.Scheduler().At(time.Duration(i)*time.Millisecond+time.Microsecond, func() {
@@ -122,7 +122,7 @@ func RunArchitectures(seed int64) *ArchitecturesResult {
 			})
 		}
 		lnet.Run(4 * time.Second)
-		cal := linst.Engine().(*chi.Protocol).Validator(chi.QueueID{R: faulty, RD: 3}).Calibrate()
+		cal := learner.Validator(chi.QueueID{R: faulty, RD: 3}).Calibrate()
 
 		net := buildNet(seed + 2)
 		hooks, log := protocol.LogHooks()

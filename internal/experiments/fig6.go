@@ -8,34 +8,12 @@ import (
 	"routerwatch/internal/attack"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/chi"
-	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
-	"routerwatch/internal/protocol"
-	"routerwatch/internal/queue"
+	"routerwatch/internal/protocol/catalog"
 	"routerwatch/internal/stats"
 	"routerwatch/internal/tcpsim"
 	"routerwatch/internal/topology"
 )
-
-// ChiScenario drives one Protocol χ experiment on the Fig 6.4 topology.
-type ChiScenario struct {
-	// Seed drives the simulation (the learning pass derives related
-	// seeds).
-	Seed int64
-	// Flows is the TCP workload size.
-	Flows int
-	// RED switches the bottleneck to the §6.5.3 RED configuration.
-	RED bool
-	// AttackAt is when the compromised router's behaviour starts (0 = no
-	// attack).
-	AttackAt time.Duration
-	// Attack builds the behaviour given the started flows (nil = none).
-	Attack func(flows []*tcpsim.Flow) *attack.Dropper
-	// ExtraTraffic runs after setup, e.g. the SYN-attack victim flow.
-	ExtraTraffic func(man *tcpsim.Manager, st *topology.SimpleChiTopology, start time.Duration) *tcpsim.Flow
-	// Duration is the detection run length.
-	Duration time.Duration
-}
 
 // ChiResult is one χ experiment's output.
 type ChiResult struct {
@@ -54,104 +32,16 @@ type ChiResult struct {
 // Detected reports whether any suspicion was raised.
 func (r *ChiResult) Detected() bool { return len(r.Suspicions) > 0 }
 
-// redConfig is the §6.5.3 RED configuration (see internal/detector/chi's
-// red tests for the tuning rationale).
-func redConfig() *queue.REDConfig {
-	return &queue.REDConfig{
-		Limit: 90_000, MinTh: 15_000, MaxTh: 60_000,
-		MaxP: 0.012, Weight: 0.002, MeanPacketSize: 1000,
-	}
-}
-
-// buildChiNet assembles the topology, network and χ deployment.
-func buildChiNet(seed int64, opts chi.Options, red bool) (*network.Network, *topology.SimpleChiTopology, *chi.Protocol) {
-	st := topology.SimpleChi(3, 2)
-	netOpts := network.Options{Seed: seed, ProcessingJitter: 2 * time.Millisecond}
-	var redCfg *queue.REDConfig
-	if red {
-		redCfg = redConfig()
-		netOpts.QueueFactory = network.REDFactory(*redCfg)
-		// The paper's RED experiments are NS simulations with near-exact
-		// timing (§6.5.3); see internal/detector/chi's tests.
-		netOpts.ProcessingJitter = 200 * time.Microsecond
-	}
-	net := network.New(st.Graph, netOpts)
-	opts.Queues = []chi.QueueID{{R: st.R, RD: st.RD}}
-	opts.RED = redCfg
-	inst := protocol.MustAttach(protocol.NewSimEnv(net), "chi", opts, protocol.Hooks{})
-	return net, st, inst.Engine().(*chi.Protocol)
-}
-
-func startFlows(man *tcpsim.Manager, st *topology.SimpleChiTopology, n int) []*tcpsim.Flow {
-	var flows []*tcpsim.Flow
-	for i := 0; i < n; i++ {
-		flows = append(flows, man.StartFlow(tcpsim.FlowConfig{
-			Src:   st.Sources[i%len(st.Sources)],
-			Dst:   st.Sinks[i%len(st.Sinks)],
-			Start: time.Duration(i) * 200 * time.Millisecond,
-		}))
-	}
-	return flows
-}
-
-// calibrate runs the learning period (two passes for RED; §6.2.1).
-func calibrate(seed int64, flows int, red bool) chi.Calibration {
-	onePass := func(seed int64, base chi.Calibration) chi.Calibration {
-		net, st, proto := buildChiNet(seed, chi.Options{
-			Learning: true, Round: time.Second, Calibration: base,
-		}, red)
-		man := tcpsim.NewManager(net)
-		startFlows(man, st, flows)
-		net.Run(60 * time.Second)
-		return proto.Validator(chi.QueueID{R: st.R, RD: st.RD}).Calibrate()
-	}
-	cal := onePass(seed, chi.Calibration{})
-	if !red {
-		cal.REDExcessMean, cal.REDExcessStd = 0, 0
-		return cal
-	}
-	return onePass(seed+100000, chi.Calibration{Mu: cal.Mu, Sigma: cal.Sigma})
-}
-
-// Run executes the scenario: learn, then detect.
-func (s ChiScenario) Run() *ChiResult {
-	if s.Flows == 0 {
-		s.Flows = 3
-	}
-	if s.Duration == 0 {
-		s.Duration = 45 * time.Second
-	}
-	res := &ChiResult{Calibration: calibrate(s.Seed, s.Flows, s.RED)}
-
-	opts := chi.Options{
-		Round:       time.Second,
-		Calibration: res.Calibration,
-		// Calibrated target significance values (see EXPERIMENTS.md).
-		SingleThreshold:      0.999,
-		CombinedThreshold:    0.99,
-		REDThreshold:         0.97,
-		FabricationTolerance: 2,
-		Sink:                 func(susp detector.Suspicion) { res.Suspicions = append(res.Suspicions, susp) },
-		Observer:             func(rr chi.RoundReport) { res.Rounds = append(res.Rounds, rr) },
-	}
-	net, st, _ := buildChiNet(s.Seed+1, opts, s.RED)
-	man := tcpsim.NewManager(net)
-	flows := startFlows(man, st, s.Flows)
-
-	var att *attack.Dropper
-	if s.Attack != nil {
-		net.Run(s.AttackAt)
-		att = s.Attack(flows)
-		att.Start = s.AttackAt
-		net.Router(st.R).SetBehavior(att)
-	}
-	if s.ExtraTraffic != nil {
-		res.Victim = s.ExtraTraffic(man, st, s.AttackAt+500*time.Millisecond)
-	}
-	net.Run(s.Duration)
-
-	if att != nil {
-		res.AttackerDropped = att.Dropped
+// runChi runs one χ experiment through the shared harness, collecting the
+// suspicions and the per-round series the figures plot.
+func runChi(h catalog.ChiHarness) *ChiResult {
+	res := &ChiResult{}
+	h.Sink = func(susp detector.Suspicion) { res.Suspicions = append(res.Suspicions, susp) }
+	h.Observer = func(rr chi.RoundReport) { res.Rounds = append(res.Rounds, rr) }
+	run := h.Run()
+	res.Calibration, res.Victim = run.Calibration, run.Victim
+	if run.Attacker != nil {
+		res.AttackerDropped = run.Attacker.Dropped
 	}
 	if len(res.Suspicions) > 0 {
 		res.FirstDetectionAt = res.Suspicions[0].At
@@ -200,14 +90,12 @@ func Fig6_2(qlimit, ps, mu, sigma float64) *Table {
 
 // Fig6_3 runs the learning period and reports the qerror distribution.
 func Fig6_3(seed int64) (stats.NormalityReport, *Table) {
-	net, st, proto := buildChiNet(seed, chi.Options{Learning: true, Round: time.Second}, false)
-	man := tcpsim.NewManager(net)
-	startFlows(man, st, 3)
-	man.StartCBR(st.Sources[0], st.Sinks[1], 5e5, 300, 0, 30*time.Second)
-	man.StartPoisson(st.Sources[1], st.Sinks[0], 100, 700, 0, 30*time.Second)
-	net.Run(30 * time.Second)
-	samples := proto.Validator(chi.QueueID{R: st.R, RD: st.RD}).QErrorSamples()
-	rep := stats.CheckNormality(samples)
+	n, v := catalog.ChiHarness{}.Learn(seed, chi.Calibration{})
+	st := n.Topology
+	n.Manager.StartCBR(st.Sources[0], st.Sinks[1], 5e5, 300, 0, 30*time.Second)
+	n.Manager.StartPoisson(st.Sources[1], st.Sinks[0], 100, 700, 0, 30*time.Second)
+	n.Net.Run(30 * time.Second)
+	rep := stats.CheckNormality(v.QErrorSamples())
 
 	t := &Table{
 		Title:  "Fig 6.3 — distribution of qerror = qact − qpred (learning period)",
@@ -225,12 +113,12 @@ func Fig6_3(seed int64) (stats.NormalityReport, *Table) {
 
 // Fig6_5 is the drop-tail no-attack run.
 func Fig6_5(seed int64) *ChiResult {
-	return ChiScenario{Seed: seed, Duration: 40 * time.Second}.Run()
+	return runChi(catalog.ChiHarness{Seed: seed, Duration: 40 * time.Second})
 }
 
 // Fig6_6 is attack 1: drop 20% of the selected flows.
 func Fig6_6(seed int64) *ChiResult {
-	return ChiScenario{
+	return runChi(catalog.ChiHarness{
 		Seed: seed, AttackAt: 15 * time.Second,
 		Attack: func(flows []*tcpsim.Flow) *attack.Dropper {
 			return &attack.Dropper{
@@ -238,12 +126,12 @@ func Fig6_6(seed int64) *ChiResult {
 				P:      0.2, Rng: rand.New(rand.NewSource(seed)),
 			}
 		},
-	}.Run()
+	})
 }
 
 // Fig6_7 is attack 2: drop the selected flows when the queue is 90% full.
 func Fig6_7(seed int64) *ChiResult {
-	return ChiScenario{
+	return runChi(catalog.ChiHarness{
 		Seed: seed, AttackAt: 15 * time.Second,
 		Attack: func(flows []*tcpsim.Flow) *attack.Dropper {
 			return &attack.Dropper{
@@ -251,13 +139,13 @@ func Fig6_7(seed int64) *ChiResult {
 				P:      1, MinQueueFrac: 0.90,
 			}
 		},
-	}.Run()
+	})
 }
 
 // Fig6_8 is attack 3: drop the selected flows when the queue is 95% full.
 // The masking window is rare, so the run is longer than the other attacks.
 func Fig6_8(seed int64) *ChiResult {
-	return ChiScenario{
+	return runChi(catalog.ChiHarness{
 		Seed: seed, AttackAt: 15 * time.Second, Duration: 90 * time.Second,
 		Attack: func(flows []*tcpsim.Flow) *attack.Dropper {
 			return &attack.Dropper{
@@ -265,12 +153,12 @@ func Fig6_8(seed int64) *ChiResult {
 				P:      1, MinQueueFrac: 0.95,
 			}
 		},
-	}.Run()
+	})
 }
 
 // Fig6_9 is attack 4: target a host opening a connection by dropping SYNs.
 func Fig6_9(seed int64) *ChiResult {
-	return ChiScenario{
+	return runChi(catalog.ChiHarness{
 		Seed: seed, Flows: 2, AttackAt: 12 * time.Second, Duration: 30 * time.Second,
 		Attack: func([]*tcpsim.Flow) *attack.Dropper {
 			return &attack.Dropper{Select: attack.SYNOnly, P: 1}
@@ -280,7 +168,7 @@ func Fig6_9(seed int64) *ChiResult {
 				Src: st.Sources[2], Dst: st.Sinks[0], Start: start, MaxPackets: 10,
 			})
 		},
-	}.Run()
+	})
 }
 
 // victimSet selects the first n flows as attack victims.
@@ -294,13 +182,13 @@ func victimSet(flows []*tcpsim.Flow, n int) attack.Selector {
 
 // Fig6_11 is the RED no-attack run.
 func Fig6_11(seed int64) *ChiResult {
-	return ChiScenario{Seed: seed, Flows: 12, RED: true, Duration: 40 * time.Second}.Run()
+	return runChi(catalog.ChiHarness{Seed: seed, Flows: 12, RED: true, Duration: 40 * time.Second})
 }
 
 // Fig6_12 is RED attack 1: drop the selected flows when the average queue
 // exceeds 45,000 bytes.
 func Fig6_12(seed int64) *ChiResult {
-	return ChiScenario{
+	return runChi(catalog.ChiHarness{
 		Seed: seed, Flows: 12, RED: true, AttackAt: 30 * time.Second, Duration: 75 * time.Second,
 		Attack: func(flows []*tcpsim.Flow) *attack.Dropper {
 			return &attack.Dropper{
@@ -308,12 +196,12 @@ func Fig6_12(seed int64) *ChiResult {
 				P:      1, MinREDAvg: 45_000,
 			}
 		},
-	}.Run()
+	})
 }
 
 // Fig6_13 is RED attack 2: the 54,000-byte masking threshold.
 func Fig6_13(seed int64) *ChiResult {
-	return ChiScenario{
+	return runChi(catalog.ChiHarness{
 		Seed: seed, Flows: 18, RED: true, AttackAt: 30 * time.Second, Duration: 150 * time.Second,
 		Attack: func(flows []*tcpsim.Flow) *attack.Dropper {
 			return &attack.Dropper{
@@ -321,12 +209,12 @@ func Fig6_13(seed int64) *ChiResult {
 				P:      1, MinREDAvg: 54_000,
 			}
 		},
-	}.Run()
+	})
 }
 
 // Fig6_14 is RED attack 3: drop 10% of the selected flows above 45 kB.
 func Fig6_14(seed int64) *ChiResult {
-	return ChiScenario{
+	return runChi(catalog.ChiHarness{
 		Seed: seed, Flows: 12, RED: true, AttackAt: 30 * time.Second, Duration: 150 * time.Second,
 		Attack: func(flows []*tcpsim.Flow) *attack.Dropper {
 			return &attack.Dropper{
@@ -334,12 +222,12 @@ func Fig6_14(seed int64) *ChiResult {
 				P:      0.10, Rng: rand.New(rand.NewSource(seed)), MinREDAvg: 45_000,
 			}
 		},
-	}.Run()
+	})
 }
 
 // Fig6_15 is RED attack 4: drop 5% of the selected flows above 45 kB.
 func Fig6_15(seed int64) *ChiResult {
-	return ChiScenario{
+	return runChi(catalog.ChiHarness{
 		Seed: seed, Flows: 12, RED: true, AttackAt: 30 * time.Second, Duration: 150 * time.Second,
 		Attack: func(flows []*tcpsim.Flow) *attack.Dropper {
 			return &attack.Dropper{
@@ -347,34 +235,24 @@ func Fig6_15(seed int64) *ChiResult {
 				P:      0.05, Rng: rand.New(rand.NewSource(seed)), MinREDAvg: 45_000,
 			}
 		},
-	}.Run()
+	})
 }
 
 // Fig6_16 is RED attack 5: SYN targeting, with light background so the
 // victim connects in the below-minth regime.
 func Fig6_16(seed int64) *ChiResult {
-	res := &ChiResult{Calibration: calibrate(seed, 3, true)}
-	opts := chi.Options{
-		Round:           time.Second,
-		Calibration:     res.Calibration,
-		SingleThreshold: 0.999, CombinedThreshold: 0.99, REDThreshold: 0.97,
-		FabricationTolerance: 2,
-		Sink:                 func(s detector.Suspicion) { res.Suspicions = append(res.Suspicions, s) },
-		Observer:             func(rr chi.RoundReport) { res.Rounds = append(res.Rounds, rr) },
-	}
-	net, st, _ := buildChiNet(seed+1, opts, true)
-	man := tcpsim.NewManager(net)
-	man.StartCBR(st.Sources[0], st.Sinks[0], 2e6, 1000, 0, 30*time.Second)
-	net.Run(12 * time.Second)
-	att := &attack.Dropper{Select: attack.SYNOnly, P: 1, Start: 12 * time.Second}
-	net.Router(st.R).SetBehavior(att)
-	res.Victim = man.StartFlow(tcpsim.FlowConfig{
-		Src: st.Sources[2], Dst: st.Sinks[0], Start: 12500 * time.Millisecond, MaxPackets: 10,
+	return runChi(catalog.ChiHarness{
+		Seed: seed, RED: true, AttackAt: 12 * time.Second, Duration: 30 * time.Second,
+		Background: func(man *tcpsim.Manager, st *topology.SimpleChiTopology) {
+			man.StartCBR(st.Sources[0], st.Sinks[0], 2e6, 1000, 0, 30*time.Second)
+		},
+		Attack: func([]*tcpsim.Flow) *attack.Dropper {
+			return &attack.Dropper{Select: attack.SYNOnly, P: 1}
+		},
+		ExtraTraffic: func(man *tcpsim.Manager, st *topology.SimpleChiTopology, start time.Duration) *tcpsim.Flow {
+			return man.StartFlow(tcpsim.FlowConfig{
+				Src: st.Sources[2], Dst: st.Sinks[0], Start: start, MaxPackets: 10,
+			})
+		},
 	})
-	net.Run(30 * time.Second)
-	res.AttackerDropped = att.Dropped
-	if len(res.Suspicions) > 0 {
-		res.FirstDetectionAt = res.Suspicions[0].At
-	}
-	return res
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/pik2"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
@@ -56,11 +55,10 @@ func SummarySizeTable(packetsPerRound []int, reconcileBudget int) *Table {
 func ExchangeBandwidthTable(seed int64) *Table {
 	run := func(mode pik2.ExchangeMode) int64 {
 		net := network.New(topology.Line(3), network.Options{Seed: seed})
-		inst := protocol.MustAttach(protocol.NewSimEnv(net), "pik2", pik2.Options{
+		p := pik2.Attach(protocol.NewSimEnv(net), pik2.Options{
 			K: 1, Round: 500 * time.Millisecond, Timeout: 100 * time.Millisecond,
 			LossThreshold: 2, FabricationThreshold: 2, Exchange: mode,
-		}, protocol.Hooks{Sink: func(detector.Suspicion) {}})
-		p := inst.Engine().(*pik2.Protocol)
+		})
 		for i := 0; i < 3000; i++ {
 			i := i
 			net.Scheduler().At(time.Duration(i)*time.Millisecond+time.Microsecond, func() {

@@ -9,9 +9,7 @@ import (
 	"routerwatch/internal/detector"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
-	"routerwatch/internal/protocol"
 	"routerwatch/internal/protocol/catalog"
-	"routerwatch/internal/tcpsim"
 	"routerwatch/internal/topology"
 )
 
@@ -49,33 +47,23 @@ func RunChiVsThreshold(seed int64) *ChiVsThresholdResult {
 	res := &ChiVsThresholdResult{}
 
 	runMonitor := func(attacked bool) (*baseline.QueueMonitor, *attack.Dropper) {
-		st := topology.SimpleChi(3, 2)
-		net := network.New(st.Graph, network.Options{Seed: seed, ProcessingJitter: 2 * time.Millisecond})
-		mon := protocol.MustAttach(protocol.NewSimEnv(net), "queue-monitor", catalog.QueueMonitorConfig{
-			R: st.R, RD: st.RD,
-			Options: baseline.QueueMonitorOptions{
+		var mon *baseline.QueueMonitor
+		n := catalog.ChiHarness{}.Assemble(seed, func(n *catalog.ChiNet) {
+			mon = baseline.AttachQueueMonitor(n.Net, n.Topology.R, n.Topology.RD, baseline.QueueMonitorOptions{
 				Mode: baseline.ModeStatic, StaticThreshold: 1 << 30,
-			},
-		}, protocol.Hooks{}).Engine().(*baseline.QueueMonitor)
-		man := tcpsim.NewManager(net)
-		var flows []*tcpsim.Flow
-		for i := 0; i < 3; i++ {
-			flows = append(flows, man.StartFlow(tcpsim.FlowConfig{
-				Src: st.Sources[i], Dst: st.Sinks[i%2],
-				Start: time.Duration(i) * 200 * time.Millisecond,
-			}))
-		}
+			})
+		})
 		var att *attack.Dropper
 		if attacked {
 			att = &attack.Dropper{
-				Select:       attack.And(attack.ByFlow(flows[1].ID()), attack.DataOnly),
+				Select:       attack.And(attack.ByFlow(n.Flows[1].ID()), attack.DataOnly),
 				P:            1,
 				MinQueueFrac: 0.90,
 				Start:        15 * time.Second,
 			}
-			net.Scheduler().At(15*time.Second, func() { net.Router(st.R).SetBehavior(att) })
+			n.Net.Scheduler().At(15*time.Second, func() { n.Net.Router(n.Topology.R).SetBehavior(att) })
 		}
-		net.Run(45 * time.Second)
+		n.Net.Run(45 * time.Second)
 		return mon, att
 	}
 
@@ -162,10 +150,11 @@ func WatchersFlawTable(seed int64) *Table {
 	run := func(fixed bool) (detected bool, accurate bool) {
 		g, ids := consortingTopology()
 		net := network.New(g, network.Options{Seed: seed})
-		hooks, log := protocol.LogHooks()
-		w := protocol.MustAttach(protocol.NewSimEnv(net), "watchers", baseline.WatchersOptions{
+		log := detector.NewLog()
+		w := baseline.AttachWatchers(net, baseline.WatchersOptions{
 			Round: 500 * time.Millisecond, Threshold: 5000, Fixed: fixed,
-		}, hooks).Engine().(*baseline.Watchers)
+			Sink: detector.LogSink(log),
+		})
 		sel := attack.And(attack.ByDst(ids["e"]), attack.All)
 		net.Router(ids["c"]).SetBehavior(&attack.Dropper{Select: sel, P: 1})
 		net.Router(ids["d"]).SetBehavior(&attack.Dropper{Select: sel, P: 1})

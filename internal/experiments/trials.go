@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
+	"time"
 
 	"routerwatch/internal/fatih"
 	"routerwatch/internal/runner"
@@ -33,62 +33,41 @@ type FatihTrialsResult struct {
 // including every folded statistic — is bitwise identical for any worker
 // count.
 func FatihTrials(baseSeed int64, n, workers int, progress func(runner.Snapshot)) *FatihTrialsResult {
+	// trialOut is the slice of a trial's timeline the statistics need.
 	type trialOut struct {
-		detected           bool
-		detectS            float64
-		rerouteS           float64
-		rttShiftMs         float64
-		hasReroute, hasRTT bool
+		attackAt, detectedAt, rerouteAt time.Duration
+		preRTT, postRTT                 time.Duration
 	}
-	detect := stats.NewSharded(workers_(workers))
-	reroute := stats.NewSharded(workers_(workers))
-	rtt := stats.NewSharded(workers_(workers))
-
 	outs, rep := runner.Map(runner.Config{Workers: workers, BaseSeed: baseSeed, Progress: progress},
 		n, func(tr runner.Trial) trialOut {
 			res := fatih.RunAbilene(fatih.ScenarioOptions{Seed: tr.Seed})
-			var o trialOut
-			if res.FirstDetectionAt > 0 {
-				o.detected = true
-				o.detectS = (res.FirstDetectionAt - res.AttackAt).Seconds()
-				detect.Shard(tr.Worker).Observe(tr.Index, o.detectS)
+			return trialOut{
+				attackAt: res.AttackAt, detectedAt: res.FirstDetectionAt, rerouteAt: res.RerouteAt,
+				preRTT: res.PreAttackRTT, postRTT: res.PostRerouteRTT,
 			}
-			if res.RerouteAt > 0 && res.FirstDetectionAt > 0 {
-				o.hasReroute = true
-				o.rerouteS = (res.RerouteAt - res.FirstDetectionAt).Seconds()
-				reroute.Shard(tr.Worker).Observe(tr.Index, o.rerouteS)
-			}
-			if res.PreAttackRTT > 0 && res.PostRerouteRTT > 0 {
-				o.hasRTT = true
-				o.rttShiftMs = float64((res.PostRerouteRTT - res.PreAttackRTT).Microseconds()) / 1000
-				rtt.Shard(tr.Worker).Observe(tr.Index, o.rttShiftMs)
-			}
-			return o
 		})
 
 	res := &FatihTrialsResult{
 		N:              n,
 		BaseSeed:       baseSeed,
-		DetectLatency:  detect.Fold(),
-		RerouteLatency: reroute.Fold(),
-		RTTShift:       rtt.Fold(),
+		DetectLatency:  &stats.Folded{},
+		RerouteLatency: &stats.Folded{},
+		RTTShift:       &stats.Folded{},
 		Report:         rep,
 	}
 	for _, o := range outs {
-		if o.detected {
+		if o.detectedAt > 0 {
 			res.Detected++
+			res.DetectLatency.Add((o.detectedAt - o.attackAt).Seconds())
+			if o.rerouteAt > 0 {
+				res.RerouteLatency.Add((o.rerouteAt - o.detectedAt).Seconds())
+			}
+		}
+		if o.preRTT > 0 && o.postRTT > 0 {
+			res.RTTShift.Add(float64((o.postRTT - o.preRTT).Microseconds()) / 1000)
 		}
 	}
 	return res
-}
-
-// workers_ resolves a worker bound the same way runner.Config does, for
-// sizing shards before the pool exists.
-func workers_(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
 }
 
 // Table renders the aggregate timeline statistics.

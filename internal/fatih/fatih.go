@@ -135,7 +135,7 @@ func Deploy(net *network.Network, opts Options) *System {
 
 	// The Coordinator + Traffic Validators: Πk+2 with the response loop
 	// wired into the routing daemons.
-	s.Detector = pik2.AttachEnv(env, pik2.Options{
+	s.Detector = pik2.Attach(env, pik2.Options{
 		K:                    opts.K,
 		Round:                opts.Round,
 		Timeout:              opts.Timeout,

@@ -65,9 +65,6 @@ type Options struct {
 	// QueueFactory builds output queues; nil means drop-tail.
 	QueueFactory QueueFactory
 
-	// DefaultTTL is the initial TTL of injected packets; 0 means 64.
-	DefaultTTL uint8
-
 	// Telemetry, when non-nil, instruments the simulator: per-router
 	// forward/drop counters, queue occupancy histograms, control-plane
 	// counters, and (with Telemetry.PacketEvents) per-packet trace
@@ -77,12 +74,12 @@ type Options struct {
 	Telemetry *telemetry.Set
 }
 
+// defaultTTL is the initial TTL of injected packets.
+const defaultTTL = 64
+
 func (o *Options) fill() {
 	if o.QueueFactory == nil {
 		o.QueueFactory = DropTailFactory
-	}
-	if o.DefaultTTL == 0 {
-		o.DefaultTTL = 64
 	}
 	if o.ControlDelay == 0 {
 		o.ControlDelay = 100 * time.Microsecond
@@ -298,7 +295,7 @@ func (n *Network) Inject(src packet.NodeID, p *packet.Packet) {
 		p.ID = n.NextPacketID()
 	}
 	if p.TTL == 0 {
-		p.TTL = n.opts.DefaultTTL
+		p.TTL = defaultTTL
 	}
 	p.Src = src
 	p.SentAt = n.sched.Now()

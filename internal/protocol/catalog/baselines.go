@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"fmt"
-	"time"
 
 	"routerwatch/internal/baseline"
 	"routerwatch/internal/detector/replica"
@@ -55,7 +54,7 @@ func parseReplicaOptions(p protocol.Params) (any, error) {
 	return c, nil
 }
 
-func attachReplica(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Instance, error) {
+func attachReplica(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 	net, err := simNetwork(env, "replica")
 	if err != nil {
 		return nil, err
@@ -65,15 +64,7 @@ func attachReplica(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.I
 		return nil, fmt.Errorf("replica: options are %T, want catalog.ReplicaConfig", opts)
 	}
 	c.Options.Sink = protocol.MergeSink(c.Options.Sink, hooks.Sink)
-	round := c.Options.Round
-	if round == 0 {
-		round = time.Second // replica.Attach's own default
-	}
-	det := replica.Attach(net, c.Observed, c.Options)
-	return protocol.NewInstance(protocol.Info{
-		Name: "replica", Round: round, Log: hooks.Log,
-		Telemetry: env.Telemetry(), Engine: det,
-	}), nil
+	return replica.Attach(net, c.Observed, c.Options), nil
 }
 
 func parseQueueMonitorOptions(p protocol.Params) (any, error) {
@@ -104,7 +95,7 @@ func parseQueueMonitorOptions(p protocol.Params) (any, error) {
 	return c, nil
 }
 
-func attachQueueMonitor(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Instance, error) {
+func attachQueueMonitor(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 	net, err := simNetwork(env, "queue-monitor")
 	if err != nil {
 		return nil, err
@@ -114,13 +105,5 @@ func attachQueueMonitor(env protocol.Env, opts any, hooks protocol.Hooks) (proto
 		return nil, fmt.Errorf("queue-monitor: options are %T, want catalog.QueueMonitorConfig", opts)
 	}
 	c.Options.Sink = protocol.MergeSink(c.Options.Sink, hooks.Sink)
-	round := c.Options.Round
-	if round == 0 {
-		round = time.Second // AttachQueueMonitor's own default
-	}
-	mon := baseline.AttachQueueMonitor(net, c.R, c.RD, c.Options)
-	return protocol.NewInstance(protocol.Info{
-		Name: "queue-monitor", Round: round, Log: hooks.Log,
-		Telemetry: env.Telemetry(), Engine: mon,
-	}), nil
+	return baseline.AttachQueueMonitor(net, c.R, c.RD, c.Options), nil
 }

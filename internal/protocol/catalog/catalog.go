@@ -9,8 +9,8 @@
 //
 // Each adapter translates between the runtime's textual Params and the
 // protocol's native typed Options, merges the runtime Hooks into the
-// options' sinks (never replacing caller-supplied ones), and wraps the
-// attached engine as a protocol.Instance.
+// options' sinks (never replacing caller-supplied ones), and returns the
+// attached engine.
 package catalog
 
 import (

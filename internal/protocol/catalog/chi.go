@@ -7,10 +7,9 @@ import (
 
 	"routerwatch/internal/attack"
 	"routerwatch/internal/detector/chi"
-	"routerwatch/internal/network"
 	"routerwatch/internal/protocol"
 	"routerwatch/internal/tcpsim"
-	"routerwatch/internal/telemetry"
+	"routerwatch/internal/topology"
 )
 
 func init() {
@@ -41,7 +40,7 @@ func parseChiOptions(p protocol.Params) (any, error) {
 	return o, nil
 }
 
-func attachChi(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Instance, error) {
+func attachChi(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 	var o chi.Options
 	if opts != nil {
 		var ok bool
@@ -51,129 +50,82 @@ func attachChi(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Insta
 	}
 	o.Sink = protocol.MergeSink(o.Sink, hooks.Sink)
 	o.Responder = protocol.MergeResponder(o.Responder, hooks.Responder)
-	p := chi.AttachEnv(env, o)
-	return protocol.NewInstance(protocol.Info{
-		Name: "chi", Round: p.Round(), Log: hooks.Log,
-		Telemetry: env.Telemetry(), Engine: p,
-	}), nil
+	return chi.Attach(env, o), nil
 }
 
-// runChiScenario is χ's canonical end-to-end scenario (Fig 6.4 topology):
-// a learning pass estimates the queue-prediction-error distribution
-// (§6.2.1), then the calibrated detector watches TCP traffic through the
-// validated queue under the spec's attack. The generic runner cannot
-// express it because of the two-pass calibration and the TCP sources.
+// runChiScenario is χ's canonical end-to-end scenario: the spec translated
+// onto ChiHarness. The generic runner cannot express it because of the
+// two-pass calibration and the TCP sources.
 func runChiScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.Result, error) {
 	st := spec.Topology.BuildChi()
-	jitter := spec.Jitter.D()
-	if jitter == 0 {
-		jitter = 2 * time.Millisecond
-	}
-	nSrc, nSink := len(st.Sources), len(st.Sinks)
-
-	buildNet := func(seed int64, opts chi.Options, hooks protocol.Hooks, tel *telemetry.Set) (*network.Network, *protocol.SimEnv, protocol.Instance, *tcpsim.Manager, error) {
-		net := network.New(st.Graph, network.Options{
-			Seed: seed, ProcessingJitter: jitter, Telemetry: tel,
-		})
-		env := protocol.NewSimEnv(net)
-		opts.Queues = []chi.QueueID{{R: st.R, RD: st.RD}}
-		inst, err := attachChi(env, opts, hooks)
-		return net, env, inst, tcpsim.NewManager(net), err
-	}
-	startFlows := func(man *tcpsim.Manager) []*tcpsim.Flow {
-		flows := make([]*tcpsim.Flow, 0, nSrc)
-		for i := 0; i < nSrc; i++ {
-			flows = append(flows, man.StartFlow(tcpsim.FlowConfig{
-				Src: st.Sources[i], Dst: st.Sinks[i%nSink],
-				Start: time.Duration(i) * 200 * time.Millisecond,
-			}))
-		}
-		return flows
-	}
-
-	progress := run.Progress
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
-
-	// The learning run is calibration machinery, not the scenario under
-	// observation: it runs uninstrumented.
-	progress("learning period (60 s simulated)...\n")
-	lnet, _, linst, lman, err := buildNet(spec.Seed,
-		chi.Options{Learning: true, Round: time.Second}, protocol.Hooks{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	startFlows(lman)
-	lnet.Run(60 * time.Second)
-	cal := linst.Engine().(*chi.Protocol).Validator(chi.QueueID{R: st.R, RD: st.RD}).Calibrate()
-	progress("calibrated: mu=%.0f sigma=%.0f\n", cal.Mu, cal.Sigma)
-
+	res := &protocol.Result{Spec: spec, Faulty: -1}
 	hooks := run.Hooks
-	var res protocol.Result
 	if hooks.Log == nil && hooks.Sink == nil && hooks.Responder == nil {
 		hooks, res.Log = protocol.LogHooks()
 	} else {
 		res.Log = hooks.Log
 	}
-	net, env, inst, man, err := buildNet(spec.Seed+1, chi.Options{
-		Round: time.Second, Calibration: cal,
-		SingleThreshold: 0.999, CombinedThreshold: 0.99,
-		FabricationTolerance: 2,
-	}, hooks, run.Telemetry)
-	if err != nil {
-		return nil, err
+	h := ChiHarness{
+		Seed: spec.Seed, Topology: st, Jitter: spec.Jitter.D(),
+		AttackAt: 10 * time.Second, Duration: spec.Duration.D(),
+		Sink: hooks.Sink, Responder: hooks.Responder,
+		Telemetry: run.Telemetry, Progress: run.Progress,
 	}
-	res.Spec, res.Env, res.Net, res.Instance = spec, env, net, inst
-	res.Faulty, res.Extra = -1, cal
-	flows := startFlows(man)
+	if h.Duration < 30*time.Second {
+		h.Duration = 30 * time.Second
+	}
 
-	attackAt := 10 * time.Second
 	kind, rate := "none", 0.0
 	aseed := spec.Seed
 	if a := spec.Attack; a != nil {
 		kind, rate = a.Kind, a.Rate
 		if a.Start != 0 {
-			attackAt = a.Start.D()
+			h.AttackAt = a.Start.D()
 		}
 		if a.Seed != 0 {
 			aseed = a.Seed
 		}
 	}
-	net.Run(attackAt)
 	switch kind {
 	case "drop":
-		net.Router(st.R).SetBehavior(&attack.Dropper{
-			Select: attack.And(attack.ByFlow(flows[0].ID()), attack.DataOnly),
-			P:      rate, Rng: rand.New(rand.NewSource(aseed)), Start: attackAt,
-		})
-		res.Faulty = st.R
+		h.Attack = func(flows []*tcpsim.Flow) *attack.Dropper {
+			return &attack.Dropper{
+				Select: attack.And(attack.ByFlow(flows[0].ID()), attack.DataOnly),
+				P:      rate, Rng: rand.New(rand.NewSource(aseed)),
+			}
+		}
 	case "masked90":
-		net.Router(st.R).SetBehavior(&attack.Dropper{
-			Select: attack.And(attack.ByFlow(flows[1].ID()), attack.DataOnly),
-			P:      1, MinQueueFrac: 0.9, Start: attackAt,
-		})
-		res.Faulty = st.R
+		h.Attack = func(flows []*tcpsim.Flow) *attack.Dropper {
+			return &attack.Dropper{
+				Select: attack.And(attack.ByFlow(flows[1].ID()), attack.DataOnly),
+				P:      1, MinQueueFrac: 0.9,
+			}
+		}
 	case "syn":
-		net.Router(st.R).SetBehavior(&attack.Dropper{Select: attack.SYNOnly, P: 1, Start: attackAt})
-		man.StartFlow(tcpsim.FlowConfig{
-			Src: st.Sources[nSrc-1], Dst: st.Sinks[0],
-			Start: attackAt + 500*time.Millisecond, MaxPackets: 10,
-		})
-		res.Faulty = st.R
+		h.Attack = func([]*tcpsim.Flow) *attack.Dropper {
+			return &attack.Dropper{Select: attack.SYNOnly, P: 1}
+		}
+		h.ExtraTraffic = func(man *tcpsim.Manager, st *topology.SimpleChiTopology, start time.Duration) *tcpsim.Flow {
+			return man.StartFlow(tcpsim.FlowConfig{
+				Src: st.Sources[len(st.Sources)-1], Dst: st.Sinks[0],
+				Start: start, MaxPackets: 10,
+			})
+		}
 	case "", "none":
 	default:
 		return nil, fmt.Errorf("attack %q not available for chi", kind)
 	}
-	dur := spec.Duration.D()
-	if dur < 30*time.Second {
-		dur = 30 * time.Second
+	if h.Attack != nil {
+		res.Faulty = st.R
 	}
-	if run.BeforeRun != nil {
-		run.BeforeRun(&res)
+	h.BeforeRun = func(cr *ChiRun) {
+		res.Env, res.Net, res.Engine, res.Extra = cr.Env, cr.Net, cr.Protocol, cr.Calibration
+		if run.BeforeRun != nil {
+			run.BeforeRun(res)
+		}
 	}
-	net.Run(dur)
-	return &res, nil
+	h.Run()
+	return res, nil
 }
 
 func chiDefaultSpec(seed int64, clean bool) *protocol.Spec {

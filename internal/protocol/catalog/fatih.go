@@ -35,7 +35,7 @@ func parseFatihOptions(p protocol.Params) (any, error) {
 	return o, nil
 }
 
-func attachFatih(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Instance, error) {
+func attachFatih(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 	// Fatih deploys its own routing fabric alongside the detector, which
 	// today only exists in the simulator.
 	net, err := simNetwork(env, "fatih")
@@ -50,19 +50,7 @@ func attachFatih(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Ins
 		}
 	}
 	o.Sink = protocol.MergeSink(o.Sink, hooks.Sink)
-	sys := fatih.Deploy(net, o)
-	round := o.Round
-	if round == 0 {
-		round = 5 * time.Second // Deploy's own default
-	}
-	logbook := hooks.Log
-	if logbook == nil {
-		logbook = sys.Log
-	}
-	return protocol.NewInstance(protocol.Info{
-		Name: "fatih", Round: round, Log: logbook,
-		Telemetry: env.Telemetry(), Engine: sys,
-	}), nil
+	return fatih.Deploy(net, o), nil
 }
 
 // runFatihScenario runs the Fig 5.7 Abilene experiment: OSPF convergence,
@@ -95,11 +83,7 @@ func runFatihScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.R
 	}
 	return &protocol.Result{
 		Spec: spec, Env: protocol.NewSimEnv(net), Net: net,
-		Routing: sres.System.Routing,
-		Instance: protocol.NewInstance(protocol.Info{
-			Name: "fatih", Round: sres.System.Detector.Round(),
-			Log: sres.System.Log, Telemetry: net.Telemetry(), Engine: sres.System,
-		}),
+		Routing: sres.System.Routing, Engine: sres.System,
 		Log: sres.System.Log, Faulty: faulty, Extra: sres,
 	}, nil
 }

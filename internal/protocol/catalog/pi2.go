@@ -36,7 +36,7 @@ func parsePi2Options(p protocol.Params) (any, error) {
 	return o, nil
 }
 
-func attachPi2(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Instance, error) {
+func attachPi2(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 	var o pi2.Options
 	if opts != nil {
 		var ok bool
@@ -46,11 +46,7 @@ func attachPi2(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Insta
 	}
 	o.Sink = protocol.MergeSink(o.Sink, hooks.Sink)
 	o.Responder = protocol.MergeResponder(o.Responder, hooks.Responder)
-	p := pi2.AttachEnv(env, o)
-	return protocol.NewInstance(protocol.Info{
-		Name: "pi2", Round: p.Round(), Log: hooks.Log,
-		Telemetry: env.Telemetry(), Engine: p,
-	}), nil
+	return pi2.Attach(env, o), nil
 }
 
 func pi2DefaultSpec(seed int64, clean bool) *protocol.Spec {

@@ -47,7 +47,7 @@ func parsePik2Options(p protocol.Params) (any, error) {
 	return o, nil
 }
 
-func attachPik2(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Instance, error) {
+func attachPik2(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 	var o pik2.Options
 	if opts != nil {
 		var ok bool
@@ -57,11 +57,7 @@ func attachPik2(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Inst
 	}
 	o.Sink = protocol.MergeSink(o.Sink, hooks.Sink)
 	o.Responder = protocol.MergeResponder(o.Responder, hooks.Responder)
-	p := pik2.AttachEnv(env, o)
-	return protocol.NewInstance(protocol.Info{
-		Name: "pik2", Round: p.Round(), Log: hooks.Log,
-		Telemetry: env.Telemetry(), Engine: p,
-	}), nil
+	return pik2.Attach(env, o), nil
 }
 
 // pik2DefaultSpec is the canonical path-segment scenario: a 5-router line,

@@ -3,7 +3,6 @@ package catalog
 import (
 	"bytes"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -83,16 +82,11 @@ func renderRun(t *testing.T, spec *protocol.Spec) (string, string, *protocol.Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	var verdicts strings.Builder
-	for _, sus := range res.Log.All() {
-		verdicts.WriteString(sus.String())
-		verdicts.WriteByte('\n')
-	}
 	var tel bytes.Buffer
 	if err := reg.WritePrometheus(&tel); err != nil {
 		t.Fatalf("telemetry render: %v", err)
 	}
-	return verdicts.String(), tel.String(), res
+	return res.Log.String(), tel.String(), res
 }
 
 // withShardsField returns the spec as decoded from its scenario-file form

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"routerwatch/internal/detector/pik2"
 	"routerwatch/internal/protocol"
 )
 
@@ -52,6 +53,27 @@ func TestRunBadOptions(t *testing.T) {
 				t.Errorf("err = %v, want mention of %s", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestCanonicalScenarioRejectsIgnoredFields is the ISSUE 17 reproduction on
+// the two registered Descriptor.Scenario protocols: a scenario file setting
+// fields the canonical scenario never reads used to run to completion as if
+// they were absent.
+func TestCanonicalScenarioRejectsIgnoredFields(t *testing.T) {
+	for _, name := range []string{"chi", "fatih"} {
+		spec, err := protocol.DecodeSpec([]byte(`{"protocol":"` + name + `","topology":{"kind":"simple-chi"},
+			"options":{"bogus":"1","round":"fast"},
+			"traffic":[{"src":99,"dst":100,"count":3,"interval":"1ms"}],
+			"routing":{"converge":"1s"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = protocol.Run(spec, protocol.RunOptions{})
+		if err == nil || !strings.HasPrefix(err.Error(), "scenario: ") ||
+			!strings.Contains(err.Error(), "takes no options, traffic, routing or attacks list") {
+			t.Errorf("%s: err = %v, want the canonical-scenario error", name, err)
+		}
 	}
 }
 
@@ -106,7 +128,7 @@ func TestScenarioFileRuns(t *testing.T) {
 	if res.Log.Len() == 0 {
 		t.Error("scenario raised no suspicions")
 	}
-	if got := res.Instance.ProtocolName(); got != "pik2" {
-		t.Errorf("instance protocol = %q, want pik2", got)
+	if _, ok := res.Engine.(*pik2.Protocol); !ok {
+		t.Errorf("engine is %T, want *pik2.Protocol", res.Engine)
 	}
 }

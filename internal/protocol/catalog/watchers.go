@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"fmt"
-	"time"
 
 	"routerwatch/internal/baseline"
 	"routerwatch/internal/protocol"
@@ -32,7 +31,7 @@ func parseWatchersOptions(p protocol.Params) (any, error) {
 	return o, nil
 }
 
-func attachWatchers(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.Instance, error) {
+func attachWatchers(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 	net, err := simNetwork(env, "watchers")
 	if err != nil {
 		return nil, err
@@ -45,15 +44,7 @@ func attachWatchers(env protocol.Env, opts any, hooks protocol.Hooks) (protocol.
 		}
 	}
 	o.Sink = protocol.MergeSink(o.Sink, hooks.Sink)
-	round := o.Round
-	if round == 0 {
-		round = 5 * time.Second // AttachWatchers' own default
-	}
-	w := baseline.AttachWatchers(net, o)
-	return protocol.NewInstance(protocol.Info{
-		Name: "watchers", Round: round, Log: hooks.Log,
-		Telemetry: env.Telemetry(), Engine: w,
-	}), nil
+	return baseline.AttachWatchers(net, o), nil
 }
 
 func watchersDefaultSpec(seed int64, clean bool) *protocol.Spec {

@@ -28,60 +28,16 @@
 package protocol
 
 import (
-	"time"
-
 	"routerwatch/internal/detector"
 	"routerwatch/internal/packet"
-	"routerwatch/internal/telemetry"
 	"routerwatch/internal/topology"
 )
-
-// Instance is a running protocol deployment, as seen by the runtime: the
-// common surface of Π2, Πk+2, χ and Fatih (name, per-round lifecycle,
-// suspicion log, telemetry set). The native engine stays reachable for
-// protocol-specific APIs (calibration, bandwidth accounting, corruptors).
-type Instance interface {
-	// ProtocolName returns the registry name this instance was built under.
-	ProtocolName() string
-	// Round returns the validation interval τ driving the per-round
-	// lifecycle (0 when the protocol is not round-based).
-	Round() time.Duration
-	// Log returns the suspicion log the runtime attached (nil when the
-	// caller wired its own sinks instead).
-	Log() *detector.Log
-	// Telemetry returns the instrumentation set the deployment reports to
-	// (nil when telemetry is disabled).
-	Telemetry() *telemetry.Set
-	// Engine returns the protocol's native value (*pik2.Protocol,
-	// *chi.Protocol, *fatih.System, …) for protocol-specific access.
-	Engine() any
-}
-
-// Info carries everything a Descriptor's Attach needs to satisfy Instance.
-type Info struct {
-	Name      string
-	Round     time.Duration
-	Log       *detector.Log
-	Telemetry *telemetry.Set
-	Engine    any
-}
-
-// NewInstance wraps an attached protocol's Info as an Instance.
-func NewInstance(info Info) Instance { return &instance{info} }
-
-type instance struct{ info Info }
-
-func (i *instance) ProtocolName() string       { return i.info.Name }
-func (i *instance) Round() time.Duration       { return i.info.Round }
-func (i *instance) Log() *detector.Log         { return i.info.Log }
-func (i *instance) Telemetry() *telemetry.Set  { return i.info.Telemetry }
-func (i *instance) Engine() any                { return i.info.Engine }
 
 // Hooks is what the runtime wires into every protocol it attaches: where
 // suspicions go and what the response mechanism is. Descriptors merge these
 // with (never replace) sinks the caller set in typed options.
 type Hooks struct {
-	// Log is the suspicion log behind Sink, surfaced on the Instance.
+	// Log is the suspicion log behind Sink; Run surfaces it as Result.Log.
 	Log *detector.Log
 	// Sink receives every suspicion the deployment raises or adopts.
 	Sink detector.Sink

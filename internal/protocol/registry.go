@@ -28,9 +28,10 @@ type Descriptor struct {
 	// means the protocol takes no textual options.
 	ParseOptions func(Params) (any, error)
 	// Attach deploys the protocol on env with the given native options (as
-	// produced by ParseOptions, or constructed directly by typed callers;
-	// nil means defaults) and the runtime hooks.
-	Attach func(env Env, opts any, hooks Hooks) (Instance, error)
+	// produced by ParseOptions; nil means defaults) and the runtime hooks,
+	// and returns the attached engine (*pik2.Protocol, *chi.Protocol,
+	// *fatih.System, …).
+	Attach func(env Env, opts any, hooks Hooks) (any, error)
 	// Scenario, when non-nil, runs the protocol's canonical end-to-end
 	// scenario for specs the generic runner cannot express (χ's learning
 	// pass + calibration, Fatih's full Abilene composition). Nil protocols
@@ -83,9 +84,11 @@ func Lookup(name string) (Descriptor, error) {
 }
 
 // Attach constructs the named protocol on env with native options (nil =
-// defaults) and hooks. This is the call sites' replacement for direct
-// <pkg>.Attach calls.
-func Attach(env Env, name string, opts any, hooks Hooks) (Instance, error) {
+// defaults) and hooks, and returns the attached engine. It is for callers
+// that hold a protocol name (a CLI flag, a scenario file); a caller that
+// holds typed options calls the protocol package's own Attach and gets
+// the typed engine.
+func Attach(env Env, name string, opts any, hooks Hooks) (any, error) {
 	d, err := Lookup(name)
 	if err != nil {
 		return nil, err
@@ -99,10 +102,10 @@ func Attach(env Env, name string, opts any, hooks Hooks) (Instance, error) {
 // MustAttach is Attach for call sites whose protocol name and options are
 // static (the experiment harnesses): any error is a bug, not an input
 // problem.
-func MustAttach(env Env, name string, opts any, hooks Hooks) Instance {
-	inst, err := Attach(env, name, opts, hooks)
+func MustAttach(env Env, name string, opts any, hooks Hooks) any {
+	engine, err := Attach(env, name, opts, hooks)
 	if err != nil {
 		panic(fmt.Sprintf("protocol: %v", err))
 	}
-	return inst
+	return engine
 }

@@ -40,9 +40,9 @@ type Result struct {
 	Net *network.Network
 	// Routing is the link-state fabric, when the spec asked for one.
 	Routing *routing.Protocol
-	// Instance is the attached protocol deployment (nil for descriptors
-	// whose Scenario composes differently and reports via Extra).
-	Instance Instance
+	// Engine is the attached protocol's native value (*pik2.Protocol,
+	// *chi.Protocol, *fatih.System, …), as Descriptor.Attach returned it.
+	Engine any
 	// Log is the suspicion log behind the run's hooks (nil when the caller
 	// supplied pure custom hooks with no log).
 	Log *detector.Log
@@ -93,13 +93,19 @@ func (r *Result) FaultyContains(seg topology.Segment) bool {
 
 // Run executes a declarative scenario. Protocols with a canonical custom
 // scenario (χ's learning pass, Fatih's Abilene composition) dispatch to
-// their descriptor's Scenario; everything else runs through RunGeneric.
+// their descriptor's Scenario; everything else runs through RunGeneric. A
+// canonical scenario fixes its own deployment, workload and fabric, so a
+// spec that sets the fields it would ignore is rejected, not run as if they
+// were absent.
 func Run(spec *Spec, run RunOptions) (*Result, error) {
 	d, err := Lookup(spec.Protocol)
 	if err != nil {
 		return nil, err
 	}
 	if d.Scenario != nil {
+		if len(spec.Options) > 0 || len(spec.Traffic) > 0 || spec.Routing != nil || len(spec.Attacks) > 0 {
+			return nil, fmt.Errorf("scenario: protocol %q runs its canonical scenario and takes no options, traffic, routing or attacks list", spec.Protocol)
+		}
 		return d.Scenario(spec, run)
 	}
 	return RunGeneric(spec, run)
@@ -157,7 +163,7 @@ func attachProtocol(d Descriptor, hooks Hooks, res *Result) error {
 			return fmt.Errorf("protocol %q: %v", spec.Protocol, err)
 		}
 	}
-	if res.Instance, err = d.Attach(res.Env, opts, hooks); err != nil {
+	if res.Engine, err = d.Attach(res.Env, opts, hooks); err != nil {
 		return fmt.Errorf("protocol %q: %v", spec.Protocol, err)
 	}
 	return nil

@@ -149,17 +149,29 @@ func TestTopologyBuildErrors(t *testing.T) {
 // values do not fit their topology. Such files used to panic inside the run
 // (or, for fabricate endpoints and negative count/pairs, ran a silently
 // different scenario); all must come back as "scenario: …" errors from both
-// entry points.
+// entry points. The "canon" rows set fields a Descriptor.Scenario protocol
+// never reads: Run used to run the canonical scenario as if they were
+// absent. (AssembleSim builds no protocol, so those rows check Run alone.)
 func TestScenarioFileErrors(t *testing.T) {
-	registry["stub"] = Descriptor{Name: "stub", Attach: func(Env, any, Hooks) (Instance, error) {
-		return NewInstance(Info{Name: "stub"}), nil
+	registry["stub"] = Descriptor{Name: "stub", Attach: func(Env, any, Hooks) (any, error) {
+		return nil, nil
 	}}
 	defer delete(registry, "stub")
+	registry["canon"] = Descriptor{Name: "canon", Scenario: func(spec *Spec, _ RunOptions) (*Result, error) {
+		return &Result{Spec: spec}, nil
+	}}
+	defer delete(registry, "canon")
 
 	const line5 = `"protocol":"stub","duration":"1s","topology":{"kind":"line","n":5}`
+	const canon = `"protocol":"canon","topology":{"kind":"line","n":5}`
+	const ignored = "takes no options, traffic, routing or attacks list"
 	cases := []struct {
 		name, in, wantErr string
 	}{
+		{"canonical options", `{` + canon + `,"options":{"bogus":"1","round":"fast"}}`, ignored},
+		{"canonical traffic", `{` + canon + `,"traffic":[{"src":0,"dst":4,"count":3,"interval":"1ms"}]}`, ignored},
+		{"canonical routing", `{` + canon + `,"routing":{"converge":"1s"}}`, ignored},
+		{"canonical attacks list", `{` + canon + `,"attacks":[{"kind":"drop","node":1}]}`, ignored},
 		{"attack node", `{` + line5 + `,"attack":{"kind":"drop","node":99}}`, "attack node 99"},
 		{"colluder node", `{` + line5 + `,"attacks":[{"kind":"drop","node":-1}]}`, "attack node -1"},
 		{"fabricate dst", `{` + line5 + `,"attack":{"kind":"fabricate","node":2,"src":0,"dst":5}}`, "fabricate src 0, dst 5"},
@@ -178,8 +190,11 @@ func TestScenarioFileErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, runErr := Run(spec, RunOptions{})
-			_, asmErr := AssembleSim(spec, nil)
-			for entry, err := range map[string]error{"Run": runErr, "AssembleSim": asmErr} {
+			entries := map[string]error{"Run": runErr}
+			if spec.Protocol != "canon" {
+				_, entries["AssembleSim"] = AssembleSim(spec, nil)
+			}
+			for entry, err := range entries {
 				if err == nil || !strings.HasPrefix(err.Error(), "scenario: ") || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Errorf("%s error = %v, want a scenario error mentioning %q", entry, err, tc.wantErr)
 				}

@@ -11,10 +11,11 @@
 //     Trial.Seed = sim.DeriveSeed(baseSeed, trialIndex). No trial ever
 //     touches another trial's generator, so results do not depend on
 //     execution order.
-//  3. Results are placed by trial index and aggregate statistics are folded
-//     in trial order (internal/stats.Sharded), so the output is byte-for-byte
-//     identical to a serial run with the same base seed — the regression
-//     suite asserts exactly this for workers ∈ {1, 4, 8}.
+//  3. Results are placed by trial index, so Map's return value is ordered
+//     whatever the pool size; aggregate statistics are a loop over it
+//     (stats.Folded.Add), and the output is byte-for-byte identical to a
+//     serial run with the same base seed — the regression suite asserts
+//     exactly this for workers ∈ {1, 4, 8}.
 //
 // Workers default to GOMAXPROCS; Config.Workers = 1 is the serial escape
 // hatch (trials run inline on the calling goroutine, no pool is spawned).
@@ -38,11 +39,6 @@ type Trial struct {
 	// randomness from sources seeded with it (directly or via further
 	// DeriveSeed calls) and never from shared generators.
 	Seed int64
-	// Worker is the index of the worker executing the trial, in
-	// [0, Report.Workers) — the key for per-worker shards
-	// (stats.Sharded.Shard). It carries no semantic meaning and must not
-	// influence the trial's result.
-	Worker int
 }
 
 // Config configures a fan-out.
@@ -160,7 +156,7 @@ func Do(workers, n int, f func(int)) {
 // results ordered by trial index, plus a timing report. fn must be safe to
 // call from multiple goroutines as long as it follows the package's
 // isolation rules (own kernel, own RNG stream, no shared mutable state
-// except per-worker shards keyed by Trial.Worker).
+// except slots keyed by Trial.Index).
 func Map[T any](cfg Config, n int, fn func(Trial) T) ([]T, Report) {
 	if n <= 0 {
 		return nil, Report{Workers: cfg.workers(1)}
@@ -170,17 +166,17 @@ func Map[T any](cfg Config, n int, fn func(Trial) T) ([]T, Report) {
 	durs := make([]time.Duration, n)
 	start := time.Now()
 
-	var done atomic.Int64
 	var cum atomic.Int64 // nanoseconds
 	var progressMu sync.Mutex
+	done := 0 // guarded by progressMu, so snapshots count up in call order
 	report := func(idx int, d time.Duration) {
 		durs[idx] = d
 		cum.Add(int64(d))
-		nd := done.Add(1)
 		if cfg.Progress != nil {
 			progressMu.Lock()
+			done++
 			cfg.Progress(Snapshot{
-				Done:     int(nd),
+				Done:     done,
 				Total:    n,
 				Wall:     time.Since(start),
 				CumTrial: time.Duration(cum.Load()),
@@ -188,36 +184,13 @@ func Map[T any](cfg Config, n int, fn func(Trial) T) ([]T, Report) {
 			progressMu.Unlock()
 		}
 	}
-	runTrial := func(idx, worker int) {
+	// Do runs a single worker inline, in index order, on the calling
+	// goroutine: the serial escape hatch.
+	Do(workers, n, func(idx int) {
 		t0 := time.Now()
-		results[idx] = fn(Trial{Index: idx, Seed: sim.DeriveSeed(cfg.BaseSeed, uint64(idx)), Worker: worker})
+		results[idx] = fn(Trial{Index: idx, Seed: sim.DeriveSeed(cfg.BaseSeed, uint64(idx))})
 		report(idx, time.Since(t0))
-	}
-
-	if workers == 1 {
-		// Serial escape hatch: no goroutines, trials run inline in index
-		// order on the calling goroutine.
-		for i := 0; i < n; i++ {
-			runTrial(i, 0)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				for {
-					idx := int(next.Add(1)) - 1
-					if idx >= n {
-						return
-					}
-					runTrial(idx, worker)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	})
 
 	return results, Report{
 		Workers:  workers,

@@ -35,12 +35,13 @@ func TestMapOrderedAndSeeded(t *testing.T) {
 }
 
 // TestMapDeterministicAcrossWorkerCounts runs a small stochastic simulation
-// per trial and asserts the full result vector and the folded statistics are
-// bitwise identical for 1, 4 and 8 workers.
+// per trial and asserts the full result vector, and the statistics folded
+// from it, are bitwise identical for 1, 4 and 8 workers — and for 70
+// workers on 70 trials, the pool size that used to overrun mrsim's
+// hand-sized shard array.
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) ([]float64, float64, float64) {
-		agg := stats.NewSharded(workers)
-		res, rep := Map(Config{Workers: workers, BaseSeed: 7}, 64, func(tr Trial) float64 {
+	run := func(workers, n int) ([]float64, float64, float64) {
+		res, rep := Map(Config{Workers: workers, BaseSeed: 7}, n, func(tr Trial) float64 {
 			rng := sim.NewRNG(tr.Seed)
 			// A little simulated work with trial-local randomness.
 			s := sim.New()
@@ -51,26 +52,28 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 				})
 			}
 			s.Run()
-			agg.Shard(tr.Worker).Observe(tr.Index, acc)
 			return acc
 		})
 		if rep.Workers > workers {
 			t.Fatalf("pool grew beyond request: %d > %d", rep.Workers, workers)
 		}
-		f := agg.Fold()
+		var f stats.Folded
+		for _, v := range res {
+			f.Add(v)
+		}
 		return res, f.Mean(), f.StdDev()
 	}
 
-	base, mean1, sd1 := run(1)
-	for _, workers := range []int{4, 8} {
-		got, mean, sd := run(workers)
+	for _, tc := range []struct{ n, workers int }{{64, 4}, {64, 8}, {70, 70}} {
+		base, mean1, sd1 := run(1, tc.n)
+		got, mean, sd := run(tc.workers, tc.n)
 		for i := range base {
 			if got[i] != base[i] {
-				t.Fatalf("workers=%d: trial %d result %v differs from serial %v", workers, i, got[i], base[i])
+				t.Fatalf("workers=%d: trial %d result %v differs from serial %v", tc.workers, i, got[i], base[i])
 			}
 		}
 		if mean != mean1 || sd != sd1 {
-			t.Fatalf("workers=%d: folded stats (%v, %v) differ from serial (%v, %v)", workers, mean, sd, mean1, sd1)
+			t.Fatalf("workers=%d: folded stats (%v, %v) differ from serial (%v, %v)", tc.workers, mean, sd, mean1, sd1)
 		}
 	}
 }

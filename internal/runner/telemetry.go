@@ -7,7 +7,7 @@ import (
 // MapFold is Map plus per-trial telemetry: each trial receives a private
 // registry so concurrent trials never share instrument state, and after the
 // fan-out completes the per-trial registries are folded into dst in trial-
-// index order — the telemetry analogue of stats.Sharded's fold. Because
+// index order — the telemetry analogue of a stats.Folded series. Because
 // all instrument state is integer, the folded totals are bitwise identical
 // to a serial run with the same base seed, whatever the pool size.
 //

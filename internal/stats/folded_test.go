@@ -1,0 +1,22 @@
+package stats
+
+import "testing"
+
+func TestFoldedOrderStats(t *testing.T) {
+	var f Folded
+	for _, v := range []float64{10, 30, 20, 40} {
+		f.Add(v)
+	}
+	if f.N() != 4 || f.Mean() != 25 {
+		t.Fatalf("n/mean %d/%v want 4/25", f.N(), f.Mean())
+	}
+	if f.Median() != 25 {
+		t.Fatalf("median %v want 25", f.Median())
+	}
+	if f.Max() != 40 || f.Min() != 10 {
+		t.Fatalf("max/min %v/%v want 40/10", f.Max(), f.Min())
+	}
+	if got := f.Values(); len(got) != 4 || got[1] != 30 {
+		t.Fatalf("values %v not in insertion order", got)
+	}
+}

@@ -313,7 +313,7 @@ func (r *Registry) gaugeByName(name string) *Gauge {
 }
 
 // Fold merges the given per-trial registries, in order, into a fresh
-// registry — the telemetry analogue of stats.Sharded.Fold. Nil entries
+// registry — the telemetry analogue of a stats.Folded series. Nil entries
 // (trials that ran without telemetry) are skipped.
 func Fold(regs ...*Registry) *Registry {
 	out := NewRegistry()

@@ -30,7 +30,7 @@
 // Registry; the per-trial registries are folded in trial-index order with
 // Registry.Merge. All instrument state is integer, so the folded snapshot
 // is bitwise identical to the one a serial run over the same trials
-// produces — mirroring the stats.Sharded contract.
+// produces — mirroring the stats.Folded contract.
 package telemetry
 
 // Set bundles the instrumentation handles one run threads through its

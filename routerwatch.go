@@ -70,9 +70,6 @@ type (
 	Scenario = protocol.Spec
 	// ScenarioResult is a completed scenario run.
 	ScenarioResult = protocol.Result
-	// ProtocolInstance is a running protocol deployment as seen by the
-	// unified runtime (name, round, suspicion log, native engine).
-	ProtocolInstance = protocol.Instance
 )
 
 // NewGraph returns an empty topology.
@@ -95,9 +92,12 @@ func Protocols() []string { return protocol.Names() }
 
 // AttachProtocol deploys a registered protocol by name on a simulated
 // network; opts is the protocol's native options value (nil = defaults).
-func AttachProtocol(net *Network, name string, opts any) (ProtocolInstance, error) {
-	hooks, _ := protocol.LogHooks()
-	return protocol.Attach(protocol.NewSimEnv(net), name, opts, hooks)
+// It returns the attached engine (*pik2.Protocol, *chi.Protocol, …) and
+// the log that collects the deployment's suspicions.
+func AttachProtocol(net *Network, name string, opts any) (any, *SuspicionLog, error) {
+	hooks, log := protocol.LogHooks()
+	engine, err := protocol.Attach(protocol.NewSimEnv(net), name, opts, hooks)
+	return engine, log, err
 }
 
 // RunScenario executes a declarative scenario through the protocol
@@ -108,17 +108,17 @@ func RunScenario(spec *Scenario, opts protocol.RunOptions) (*ScenarioResult, err
 
 // AttachPiK2 deploys Protocol Πk+2 (per path-segment ends, precision k+2).
 func AttachPiK2(net *Network, opts pik2.Options) *pik2.Protocol {
-	return protocol.MustAttach(protocol.NewSimEnv(net), "pik2", opts, protocol.Hooks{}).Engine().(*pik2.Protocol)
+	return pik2.Attach(protocol.NewSimEnv(net), opts)
 }
 
 // AttachPi2 deploys Protocol Π2 (per path-segment nodes, precision 2).
 func AttachPi2(net *Network, opts pi2.Options) *pi2.Protocol {
-	return protocol.MustAttach(protocol.NewSimEnv(net), "pi2", opts, protocol.Hooks{}).Engine().(*pi2.Protocol)
+	return pi2.Attach(protocol.NewSimEnv(net), opts)
 }
 
 // AttachChi deploys Protocol χ (per-interface queue replay).
 func AttachChi(net *Network, opts chi.Options) *chi.Protocol {
-	return protocol.MustAttach(protocol.NewSimEnv(net), "chi", opts, protocol.Hooks{}).Engine().(*chi.Protocol)
+	return chi.Attach(protocol.NewSimEnv(net), opts)
 }
 
 // AttachRouting deploys the link-state routing substrate with alert-driven
@@ -130,7 +130,7 @@ func AttachRouting(net *Network, timers routing.Timers) *routing.Protocol {
 // DeployFatih assembles the full Fatih system (detector + routing response
 // + clock sync) on a network.
 func DeployFatih(net *Network, opts fatih.Options) *fatih.System {
-	return protocol.MustAttach(protocol.NewSimEnv(net), "fatih", opts, protocol.Hooks{}).Engine().(*fatih.System)
+	return fatih.Deploy(net, opts)
 }
 
 // RunAbileneScenario executes the Fig 5.7 Fatih experiment.
