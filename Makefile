@@ -51,15 +51,15 @@ perf:
 
 # Short fuzz pass over every fuzz harness (satisfies `go test` normally
 # too — the seed corpus runs as ordinary tests): the summary codecs, the
-# mutation-campaign spec round-trip, the capture decoders, and the SPF
-# kernels against their reference. Override FUZZTIME for quicker
-# smokes: make fuzz FUZZTIME=2s.
+# flat-lane FPSet against its map-backed reference, the mutation-campaign
+# spec round-trip, the capture decoders, and the SPF kernels against their
+# reference. Override FUZZTIME for quicker smokes: make fuzz FUZZTIME=2s.
 FUZZTIME ?= 10s
 
 fuzz:
 	@for f in FuzzBloomDecode FuzzBloomRoundTrip FuzzBloomMergeCommutativity \
 	          FuzzCounterCodec FuzzFPSetCodec FuzzFPSetMergeCommutativity \
-	          FuzzCharPolyMultiplicative; do \
+	          FuzzFPSetMatchesReference FuzzCharPolyMultiplicative; do \
 		$(GO) test ./internal/summary/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 	$(GO) test ./internal/mutation/ -run='^$$' -fuzz=FuzzMutantSpecRoundTrip -fuzztime=$(FUZZTIME)

@@ -66,8 +66,8 @@ func collectThenSortSlice(m map[int]int) []int {
 	return keys
 }
 
-// collectThenHelperSort trusts a sort-named local helper, the
-// summary.FPSet.Diff pattern.
+// collectThenHelperSort trusts a sort-named local helper. The pattern was
+// summary.FPSet.Diff's; FPSet holds no map now, so this copy is the only one.
 func collectThenHelperSort(m map[string]int) []string {
 	var keys []string
 	for k := range m {

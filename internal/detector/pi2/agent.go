@@ -21,7 +21,9 @@ type segState struct {
 	// collected maps round → origin → received signed summaries (more
 	// than one distinct payload per origin = equivocation).
 	collected map[int]map[packet.NodeID][]consensus.Msg
-	judged    map[int]bool
+	// judged counts the rounds already judged (in tick order: round n is
+	// judged iff n < judged).
+	judged int
 }
 
 // agent is the per-router Π2 engine.
@@ -50,7 +52,6 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 	for _, seg := range monitored {
 		st := &segState{
 			collected: make(map[int]map[packet.NodeID][]consensus.Msg),
-			judged:    make(map[int]bool),
 		}
 		if !a.mon.Watch(&st.Watch, seg) {
 			continue
@@ -103,7 +104,7 @@ func (a *agent) onInfo(m consensus.Msg) {
 		return
 	}
 	st := a.segs[key]
-	if st == nil || st.judged[n] {
+	if st == nil || n < st.judged {
 		return
 	}
 	if len(m.Payload) < 4 {
@@ -131,10 +132,10 @@ func (a *agent) onInfo(m consensus.Msg) {
 // round n (Fig 5.1's post-consensus loop).
 func (a *agent) judgeRound(n int) {
 	for _, st := range a.segOrder {
-		if st.judged[n] {
+		if n < st.judged {
 			continue
 		}
-		st.judged[n] = true
+		st.judged = n + 1
 		a.p.tel.Rounds.Inc()
 		byOrigin := st.collected[n]
 		delete(st.collected, n)

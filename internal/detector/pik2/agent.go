@@ -2,6 +2,7 @@ package pik2
 
 import (
 	"fmt"
+	"slices"
 
 	"routerwatch/internal/auth"
 	"routerwatch/internal/consensus"
@@ -20,12 +21,32 @@ import (
 type segState struct {
 	tvinfo.Watch
 
-	// peer is the segment's other end.
+	// peer is the segment's other end, and path the segment as the exchange
+	// travels it from here to there (read-only: every round's message
+	// shares it).
 	peer packet.NodeID
-	// peerMsgs holds validated summary messages received from the peer.
-	peerMsgs map[int]*SummaryMsg
-	// validated marks rounds already judged.
-	validated map[int]bool
+	path topology.Path
+	// peerMsgs holds the verified summary messages received from the peer
+	// for rounds still to be judged, at most one per round. onSummary
+	// admits a round only inside the window [judged, the agent's tick
+	// count], so the list stays a couple of entries long whatever the peer
+	// signs.
+	peerMsgs []*SummaryMsg
+	// judged counts the rounds already judged: rounds are judged in tick
+	// order, so round n is judged iff n < judged.
+	judged int
+}
+
+// takePeerMsg removes and returns the peer's message for round n, nil if
+// none arrived.
+func (st *segState) takePeerMsg(n int) *SummaryMsg {
+	for i, msg := range st.peerMsgs {
+		if msg.Round == n {
+			st.peerMsgs = slices.Delete(st.peerMsgs, i, i+1)
+			return msg
+		}
+	}
+	return nil
 }
 
 // agent is the per-router protocol engine.
@@ -38,6 +59,10 @@ type agent struct {
 	segOrder []*segState
 
 	corrupt Corruptor
+
+	// ticks counts the round boundaries this router has passed: the next
+	// round to exchange.
+	ticks int
 
 	// suspected dedupes this agent's suspicions per segment.
 	suspected map[topology.SegmentKey]bool
@@ -54,6 +79,8 @@ type agent struct {
 	exOffs   []int
 	exBodies [][]byte
 	exSigs   []auth.Signature
+	// keyBuf is the scratch a received message's segment key is built in.
+	keyBuf []byte
 }
 
 func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agent {
@@ -65,16 +92,16 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 	}
 	a.mon.Start(&p.rec, id)
 	for _, seg := range monitored {
-		st := &segState{
-			peerMsgs:  make(map[int]*SummaryMsg),
-			validated: make(map[int]bool),
-		}
+		st := &segState{}
 		if !a.mon.Watch(&st.Watch, seg) {
 			continue
 		}
-		st.peer = seg[0]
-		if st.Pos == 0 {
-			st.peer = seg[len(seg)-1]
+		// The exchange travels through π itself (§5.2.1): source→sink
+		// along the segment, sink→source along its reverse.
+		st.peer, st.path = seg[len(seg)-1], topology.Path(seg)
+		if st.Pos != 0 {
+			st.peer, st.path = seg[0], slices.Clone(st.path)
+			slices.Reverse(st.path)
 		}
 		a.segs[st.Key] = st
 		a.segOrder = append(a.segOrder, st)
@@ -84,10 +111,9 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 	p.flood.Subscribe(a.id, TopicAlert, a.onAlert)
 
 	// Round ticks: snapshot/exchange at each boundary, judge at boundary+µ.
-	round := 0
 	p.env.Every(p.opts.Round, func() {
-		n := round
-		round++
+		n := a.ticks
+		a.ticks++
 		a.exchangeRound(n)
 		p.env.After(p.opts.Timeout, func() { a.judgeRound(n) })
 	})
@@ -158,18 +184,9 @@ func (a *agent) exchangeRound(n int) {
 		a.bytesSent += wire
 		a.p.tel.Summaries.Inc()
 		a.p.tel.SummaryBytes.Add(wire)
-
-		// The exchange travels through π itself (§5.2.1): source→sink
-		// along the segment, sink→source along its reverse.
-		path := append(topology.Path(nil), st.Seg...)
-		if st.Pos != 0 {
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-		}
 		a.p.env.SendControl(&network.ControlMessage{
 			From: a.id, To: st.peer, Kind: KindSummary,
-			Payload: msg, Path: path,
+			Payload: msg, Path: st.path,
 		})
 	}
 }
@@ -194,32 +211,46 @@ func (a *agent) onSummary(cm *network.ControlMessage) {
 			return
 		}
 	}
-	st := a.segs[topology.Key(msg.Seg)]
+	a.keyBuf = topology.AppendKey(a.keyBuf[:0], msg.Seg)
+	st := a.segs[topology.SegmentKey(a.keyBuf)]
 	if st == nil || msg.From != st.peer {
+		return
+	}
+	// A correct peer's summary for round n leaves after boundary n+1 and is
+	// judged µ after it: it arrives for a round this router has ticked past
+	// (or, its clock a boundary behind the peer's, is about to) and has not
+	// judged. Anything else is dropped before it costs a verification or a
+	// slot — a late summary cannot change a verdict (the timeout suspicion
+	// stands; rounds are not re-judged), and a protocol-faulty peer may sign
+	// any round number it likes.
+	if msg.Round < st.judged || msg.Round > a.ticks {
 		return
 	}
 	a.p.bodyBuf = appendSignedBody(a.p.bodyBuf[:0], msg)
 	if !a.p.env.Auth().Verify(a.p.bodyBuf, msg.Sig) || msg.Sig.Signer != msg.From {
 		return
 	}
-	st.peerMsgs[msg.Round] = msg
-	// If we already passed the judgement deadline for this round the
-	// timeout suspicion stands; late summaries are not re-judged.
+	for i, prev := range st.peerMsgs {
+		if prev.Round == msg.Round {
+			st.peerMsgs[i] = msg
+			return
+		}
+	}
+	st.peerMsgs = append(st.peerMsgs, msg)
 }
 
 // judgeRound runs at round boundary + µ: exchange failures and TV failures
 // become suspicions.
 func (a *agent) judgeRound(n int) {
 	for _, st := range a.segOrder {
-		if st.validated[n] {
+		if n < st.judged {
 			continue
 		}
-		st.validated[n] = true
+		st.judged = n + 1
 		a.p.tel.Rounds.Inc()
 		local := st.Summary(n)
 		st.Close(n)
-		peer := st.peerMsgs[n]
-		delete(st.peerMsgs, n)
+		peer := st.takePeerMsg(n)
 
 		if peer == nil {
 			// Exchange failed within µ: some router in π is protocol
@@ -335,13 +366,7 @@ func fpMultiset(s *Summary) []uint64 {
 	if s.FPs == nil {
 		return nil
 	}
-	out := make([]uint64, 0, s.FPs.Len())
-	for _, fp := range s.FPs.Fingerprints() {
-		for i := 0; i < s.FPs.Count(fp); i++ {
-			out = append(out, uint64(fp))
-		}
-	}
-	return out
+	return s.FPs.AppendMultiset(make([]uint64, 0, s.FPs.Len()))
 }
 
 // validateTV applies the configured conservation policy (§4.2.1's TV

@@ -170,11 +170,11 @@ func (d *Detector) compare() {
 	for _, nb := range d.net.Graph().Neighbors(d.target) {
 		real, pred := d.outReal[nb], d.outReplica[nb]
 		d.outReal[nb], d.outReplica[nb] = summary.NewFPSet(), summary.NewFPSet()
-		onlyPred, onlyReal := pred.Diff(real)
+		onlyPred, onlyReal := pred.DiffCounts(real)
 		// onlyPred: the replica forwarded it, r did not (drop/divert).
 		// onlyReal: r emitted something the replica did not (fabrication
 		// or modification).
-		if len(onlyPred) > d.opts.Tolerance || len(onlyReal) > d.opts.Tolerance {
+		if onlyPred > d.opts.Tolerance || onlyReal > d.opts.Tolerance {
 			d.Discrepancies++
 			d.opts.Sink(detector.Suspicion{
 				By:         d.target, // the detector is co-located with r
@@ -184,7 +184,7 @@ func (d *Detector) compare() {
 				Kind:       detector.KindTrafficValidation,
 				Confidence: 1,
 				Detail: fmt.Sprintf("replica divergence on interface →%v: %d missing, %d unexpected",
-					nb, len(onlyPred), len(onlyReal)),
+					nb, onlyPred, onlyReal),
 			})
 		}
 	}

@@ -50,14 +50,24 @@ type Watch struct {
 	// its sink.
 	Pos int
 
+	// order is the watch's rank among its monitor's watches.
+	order int
 	// links are the segment links from Pos to the sink. Packets are binned
 	// into rounds by predicted arrival time at the sink so every router of
 	// the segment agrees on the binning.
 	links  []topology.Link
 	sample summary.SampleRange
 	policy Policy
-	// cur holds this router's summaries keyed by round index.
-	cur map[int]*Summary
+	// open holds this router's summaries for the rounds not yet closed,
+	// oldest first. One or two are live at a time — a packet's bin is its
+	// predicted sink arrival, never earlier than now, and a round closes µ
+	// after its boundary — so a search is a compare or two.
+	open []openRound
+}
+
+type openRound struct {
+	n int
+	s *Summary
 }
 
 // Monitor is one router's traffic recorder (the Traffic Summary Generator
@@ -67,29 +77,80 @@ type Monitor struct {
 	rec     *Recording
 	id      packet.NodeID
 	watches []*Watch
+
+	// bySeg finds the router's watch on a segment, and shapes lists the
+	// distinct (segment length, router position) pairs its watches have:
+	// together they turn "which watched segments does this path follow
+	// through here" into one probe per shape instead of a pass over every
+	// watch.
+	bySeg  map[topology.SegmentKey]*Watch
+	shapes []shape
+
+	// routes memoises dispatch: for each traffic key the oracle tells apart,
+	// the watches its packets are recorded into here. It is filled against
+	// routesFor and dropped when rec.Oracle is another oracle.
+	routes    map[routeKey]route
+	routesFor *PathOracle
+
+	// The fill's scratch.
+	keyBuf        []byte
+	forward, sink []*Watch
 }
+
+type shape struct{ len, pos int }
+
+// routeKey is what a PathOracle keys a predicted path on: the address pair,
+// plus the flow when forwarding is ECMP (zero otherwise).
+type routeKey struct {
+	src, dst packet.NodeID
+	flow     packet.FlowID
+}
+
+// route is where a packet with one routeKey is recorded at this router. A
+// segment is aligned at the router's one position on the predicted path, so
+// every forwarding watch that matches continues to the path's next hop and
+// every sink watch arrives from its previous one: a direction is a
+// neighbour and a watch list, in Monitor.watches order.
+type route struct {
+	// A dequeue toward next is recorded into forward; a receive from prev
+	// into sink. A neighbour is meaningful only beside a non-empty list.
+	next, prev    packet.NodeID
+	forward, sink []*Watch
+}
+
+// maxRoutes bounds the memo: addresses and flow labels are the sender's to
+// choose, and a thousand routers each remembering every pair they carried
+// is memory the simulation would rather spend elsewhere, so a full memo is
+// dropped and refills from live traffic. A miss costs a probe per shape,
+// not a pass over the watches, so the memo only has to hold the pairs that
+// repeat: a router of the 100-router mesh-forward workload holds between 64
+// and 256.
+const maxRoutes = 512
 
 // Start binds the monitor to router id and installs its packet tap.
 func (m *Monitor) Start(rec *Recording, id packet.NodeID) {
 	m.rec, m.id = rec, id
+	m.bySeg = make(map[topology.SegmentKey]*Watch)
+	m.routes = make(map[routeKey]route)
 	rec.Env.Tap(id, m.onEvent)
 }
 
 // Watch initialises w as this router's watch on seg and starts recording
 // into it. It reports false, leaving w unwatched, when the router is not on
-// seg.
+// seg or already watches it.
 func (m *Monitor) Watch(w *Watch, seg topology.Segment) bool {
 	pos := slices.Index(seg, m.id)
-	if pos < 0 {
+	key := topology.Key(seg)
+	if pos < 0 || m.bySeg[key] != nil {
 		return false
 	}
 	*w = Watch{
 		Seg:    seg,
-		Key:    topology.Key(seg),
+		Key:    key,
 		Pos:    pos,
+		order:  len(m.watches),
 		sample: summary.SampleRange{Fraction: 1},
 		policy: m.rec.Policy,
-		cur:    make(map[int]*Summary),
 	}
 	g := m.rec.Env.Graph()
 	for i := pos; i+1 < len(seg); i++ {
@@ -102,6 +163,11 @@ func (m *Monitor) Watch(w *Watch, seg topology.Segment) bool {
 		w.sample = summary.SampleRange{K0: k0, K1: k1, Fraction: f}
 	}
 	m.watches = append(m.watches, w)
+	m.bySeg[key] = w
+	if sh := (shape{len(seg), pos}); !slices.Contains(m.shapes, sh) {
+		m.shapes = append(m.shapes, sh)
+	}
+	clear(m.routes) // filled without w
 	return true
 }
 
@@ -118,53 +184,154 @@ func (w *Watch) transit(size int) time.Duration {
 }
 
 // Summary returns this router's summary for round n, empty if nothing was
-// recorded yet.
+// recorded yet. The protocol may hand it to a peer, who reads it at its own
+// judge event: a summary returned here is never reset or reused.
 func (w *Watch) Summary(n int) *Summary {
-	s := w.cur[n]
-	if s == nil {
-		s = NewSummary(w.policy)
-		w.cur[n] = s
+	if s := w.lookup(n); s != nil {
+		return s
+	}
+	s := NewSummary(w.policy)
+	w.open = append(w.open, openRound{n, s})
+	return s
+}
+
+func (w *Watch) lookup(n int) *Summary {
+	for i := range w.open {
+		if w.open[i].n == n {
+			return w.open[i].s
+		}
+	}
+	return nil
+}
+
+// recording returns round n's summary for a packet about to be recorded. A
+// round opened here gets its fingerprint lane sized from the round before
+// it, which under steady traffic is still open and all but complete; one
+// opened by Summary for a round that saw no traffic stays a single
+// allocation.
+func (w *Watch) recording(n int) *Summary {
+	if s := w.lookup(n); s != nil {
+		return s
+	}
+	expect := 0
+	if k := len(w.open); k > 0 {
+		expect = int(w.open[k-1].s.Counter.Packets)
+	}
+	s := w.Summary(n)
+	if s.FPs != nil {
+		s.FPs.Grow(expect)
 	}
 	return s
 }
 
 // Close forgets round n once the protocol has judged it.
-func (w *Watch) Close(n int) { delete(w.cur, n) }
-
-// onEvent records the router's local packet events: traffic it forwards
-// along a watched segment (source and interior positions, on dequeue toward
-// the next router of the segment) and traffic it receives from one (sink
-// position, on receive from the previous router).
-func (m *Monitor) onEvent(ev network.Event) {
-	switch ev.Kind {
-	case network.EvDequeue:
-		for _, w := range m.watches {
-			if w.Pos < len(w.Seg)-1 && w.Seg[w.Pos+1] == ev.Peer {
-				m.record(w, ev.Packet, ev.Time)
-			}
-		}
-	case network.EvReceive:
-		for _, w := range m.watches {
-			if w.Pos == len(w.Seg)-1 && w.Seg[w.Pos-1] == ev.Peer {
-				m.record(w, ev.Packet, ev.Time)
-			}
+func (w *Watch) Close(n int) {
+	for i := range w.open {
+		if w.open[i].n == n {
+			w.open = slices.Delete(w.open, i, i+1)
+			return
 		}
 	}
 }
 
-// record adds a packet seen at virtual time now to w's summary for the round
-// its predicted sink arrival falls in, if the packet's predicted path follows
-// the segment through this router's position and the segment's sample range
-// selects it.
-func (m *Monitor) record(w *Watch, p *packet.Packet, now time.Duration) {
-	if !m.rec.Oracle.OnSegment(p.Src, p.Dst, p.Flow, w.Seg, m.id, w.Pos) {
+// onEvent records the router's local packet events: traffic it forwards
+// along a watched segment (source and interior positions, on dequeue toward
+// the next router of the segment) and traffic it receives from one (sink
+// position, on receive from the previous router). A packet is recorded into
+// a watch if its predicted path follows the segment through this router's
+// position; which watches those are is one memo lookup.
+func (m *Monitor) onEvent(ev network.Event) {
+	var into []*Watch
+	switch ev.Kind {
+	case network.EvDequeue:
+		if r := m.route(ev.Packet); r.next == ev.Peer {
+			into = r.forward
+		}
+	case network.EvReceive:
+		if r := m.route(ev.Packet); r.prev == ev.Peer {
+			into = r.sink
+		}
+	}
+	if len(into) == 0 {
 		return
 	}
-	fp := m.rec.Env.Hasher().Fingerprint(p)
+	fp := m.rec.Env.Hasher().Fingerprint(ev.Packet)
+	for _, w := range into {
+		m.record(w, fp, ev.Packet.Size, ev.Time)
+	}
+}
+
+// route returns where p's traffic key is recorded at this router.
+func (m *Monitor) route(p *packet.Packet) route {
+	oracle := m.rec.Oracle
+	if oracle != m.routesFor || len(m.routes) >= maxRoutes {
+		clear(m.routes)
+		m.routesFor = oracle
+	}
+	key := routeKey{src: p.Src, dst: p.Dst}
+	if oracle.ecmp != nil {
+		key.flow = p.Flow
+	}
+	r, ok := m.routes[key]
+	if !ok {
+		r = m.fill(oracle.Path(p.Src, p.Dst, p.Flow))
+		m.routes[key] = r
+	}
+	return r
+}
+
+// fill computes the route of traffic predicted to follow path: the watches
+// whose segment the path follows through this router's position. Each shape
+// the router's watches have names one window of the path around the router;
+// the window is a watched segment or it is not, so a miss costs a probe per
+// shape however many segments the router watches. (The scan this replaced
+// asked the oracle about every watch; TestDispatchMatchesScan holds the two
+// to the same answer.)
+func (m *Monitor) fill(path topology.Path) route {
+	at := slices.Index(path, m.id)
+	if at < 0 {
+		return route{}
+	}
+	forward, sink := m.forward[:0], m.sink[:0]
+	for _, sh := range m.shapes {
+		start := at - sh.pos
+		if start < 0 || start+sh.len > len(path) {
+			continue
+		}
+		m.keyBuf = topology.AppendKey(m.keyBuf[:0], topology.Segment(path[start:start+sh.len]))
+		switch w := m.bySeg[topology.SegmentKey(m.keyBuf)]; {
+		case w == nil || w.Pos != sh.pos:
+		case w.Pos < len(w.Seg)-1:
+			forward = append(forward, w)
+		default:
+			sink = append(sink, w)
+		}
+	}
+	m.forward, m.sink = forward, sink
+	byOrder := func(a, b *Watch) int { return a.order - b.order }
+	slices.SortFunc(forward, byOrder)
+	slices.SortFunc(sink, byOrder)
+
+	n := len(forward)
+	into := append(append(make([]*Watch, 0, n+len(sink)), forward...), sink...)
+	r := route{forward: into[:n:n], sink: into[n:]}
+	if n > 0 {
+		r.next = path[at+1]
+	}
+	if len(sink) > 0 {
+		r.prev = path[at-1]
+	}
+	return r
+}
+
+// record adds a packet seen at virtual time now to w's summary for the round
+// its predicted sink arrival falls in, if the segment's sample range selects
+// it.
+func (m *Monitor) record(w *Watch, fp packet.Fingerprint, size int, now time.Duration) {
 	if !w.sample.Selects(fp) {
 		return
 	}
-	sinkTS := now + w.transit(p.Size)
-	w.Summary(int(sinkTS/m.rec.Round)).RecordTimed(fp, p.Size, sinkTS)
+	sinkTS := now + w.transit(size)
+	w.recording(int(sinkTS/m.rec.Round)).RecordTimed(fp, size, sinkTS)
 	m.rec.Fingerprints.Inc()
 }

@@ -122,7 +122,7 @@ func TestMonitorRecording(t *testing.T) {
 		var got []recorded
 		for _, id := range []packet.NodeID{1, 2, 3} {
 			for _, n := range []int{0, 1} {
-				if watches[id].cur[n] == nil {
+				if watches[id].lookup(n) == nil {
 					continue
 				}
 				for _, e := range watches[id].Summary(n).Timed.Entries() {
@@ -150,5 +150,61 @@ func TestMonitorRecording(t *testing.T) {
 	}
 	if lost, fabricated := src.DiffCounts(sink); lost != 0 || fabricated != 0 || sink.Len() != src.Len() {
 		t.Fatalf("ends sampled different subsets: %d only at source, %d only at sink", lost, fabricated)
+	}
+}
+
+// TestRecordingAllocatesNothing pins the per-packet path: a packet of a pair
+// the route memo knows, recorded into a round whose lane is already sized,
+// costs no allocation at either end of the segment.
+func TestRecordingAllocatesNothing(t *testing.T) {
+	g := topology.Line(5)
+	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
+	rec := &Recording{Env: env, Oracle: NewPathOracle(g), Policy: PolicyContent, Round: testRound}
+	seg := topology.Segment{1, 2, 3}
+	for _, id := range []packet.NodeID{1, 3} {
+		m := new(Monitor)
+		m.Start(rec, id)
+		m.Watch(new(Watch), seg)
+	}
+	p := &packet.Packet{Src: 0, Dst: 4, Size: testSize}
+	events := func(now time.Duration) {
+		p.Seq++
+		env.taps[1](network.Event{Time: now, Router: 1, Kind: network.EvDequeue, Peer: 2, Packet: p})
+		env.taps[3](network.Event{Time: now + 2*testHop, Router: 3, Kind: network.EvReceive, Peer: 2, Packet: p})
+	}
+	// Round 0 fills the memo and grows its lanes by appending; round 1's
+	// lanes open sized for round 0's 1000 packets.
+	for i := 0; i < 1000; i++ {
+		events(0)
+	}
+	events(testRound)
+	if n := testing.AllocsPerRun(500, func() { events(testRound) }); n != 0 {
+		t.Fatalf("recording a packet of a known pair into a warmed lane: %v allocations, want 0", n)
+	}
+}
+
+// TestRouteMemoBounded: source addresses are the sender's to choose, so a
+// router shown more of them than the memo holds must not keep them all —
+// and must still record the pair it knows afterwards.
+func TestRouteMemoBounded(t *testing.T) {
+	g := topology.Line(5)
+	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
+	rec := &Recording{Env: env, Oracle: NewPathOracle(g), Policy: PolicyFlow, Round: testRound}
+	m, w := new(Monitor), new(Watch)
+	m.Start(rec, 1)
+	m.Watch(w, topology.Segment{1, 2, 3})
+	dequeue := func(src packet.NodeID) {
+		p := &packet.Packet{Src: src, Dst: 4, Size: testSize}
+		env.taps[1](network.Event{Router: 1, Kind: network.EvDequeue, Peer: 2, Packet: p})
+	}
+	for i := 0; i < maxRoutes+100; i++ {
+		dequeue(packet.NodeID(1000 + i))
+		if len(m.routes) > maxRoutes {
+			t.Fatalf("memo holds %d entries after %d spoofed sources, bound is %d", len(m.routes), i+1, maxRoutes)
+		}
+	}
+	dequeue(0)
+	if got := w.Summary(0).Counter.Packets; got != 1 {
+		t.Fatalf("recorded %d packets of the known pair after the memo was dropped, want 1", got)
 	}
 }

@@ -54,17 +54,25 @@ type Summary struct {
 	Timed   *summary.TimedFP
 }
 
-// NewSummary allocates the structures the policy needs.
+// NewSummary allocates the structures the policy needs — all of them in one
+// allocation beside the Summary that points at them, since most
+// segment-rounds of a large deployment see no traffic and are only this.
 func NewSummary(policy Policy) *Summary {
-	s := &Summary{}
+	b := &struct {
+		Summary
+		fps     summary.FPSet
+		ordered summary.OrderedFP
+		timed   summary.TimedFP
+	}{}
+	s := &b.Summary
 	if policy >= PolicyContent {
-		s.FPs = summary.NewFPSet()
+		s.FPs = &b.fps
 	}
 	if policy >= PolicyOrder {
-		s.Ordered = summary.NewOrderedFP()
+		s.Ordered = &b.ordered
 	}
 	if policy >= PolicyTimeliness {
-		s.Timed = summary.NewTimedFP()
+		s.Timed = &b.timed
 	}
 	return s
 }
@@ -293,30 +301,4 @@ func (o *PathOracle) Path(src, dst packet.NodeID, flow packet.FlowID) topology.P
 		return o.ecmp.FlowPath(src, dst, flow)
 	}
 	return o.paths[pairKey(src, dst)]
-}
-
-// OnSegment reports whether a packet routed src→dst traverses seg with the
-// segment aligned so that seg[segPos] sits at the packet's position of
-// router at.
-func (o *PathOracle) OnSegment(src, dst packet.NodeID, flow packet.FlowID, seg topology.Segment, at packet.NodeID, segPos int) bool {
-	path := o.Path(src, dst, flow)
-	if path == nil {
-		return false
-	}
-	for i, v := range path {
-		if v != at {
-			continue
-		}
-		start := i - segPos
-		if start < 0 || start+len(seg) > len(path) {
-			return false
-		}
-		for j, s := range seg {
-			if path[start+j] != s {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }

@@ -23,11 +23,11 @@ func parsePi2Options(p protocol.Params) (any, error) {
 	d := protocol.NewParamDecoder(p)
 	o := pi2.Options{
 		K:      d.Int("k", 0),
-		Round:  d.Duration("round", 0),
-		Settle: d.Duration("settle", 0),
+		Round:  d.NonNegDuration("round", 0),
+		Settle: d.NonNegDuration("settle", 0),
 		Thresholds: tvinfo.Thresholds{
-			Loss:        d.Int("loss-threshold", 0),
-			Fabrication: d.Int("fabrication-threshold", 0),
+			Loss:        d.NonNegInt("loss-threshold", 0),
+			Fabrication: d.NonNegInt("fabrication-threshold", 0),
 		},
 	}
 	if err := d.Err(); err != nil {

@@ -23,13 +23,13 @@ func parsePik2Options(p protocol.Params) (any, error) {
 	d := protocol.NewParamDecoder(p)
 	o := pik2.Options{
 		K:                    d.Int("k", 0),
-		Round:                d.Duration("round", 0),
-		Timeout:              d.Duration("timeout", 0),
-		LossThreshold:        d.Int("loss-threshold", 0),
-		FabricationThreshold: d.Int("fabrication-threshold", 0),
-		Sampling:             d.Float("sampling", 0),
-		SketchCapacity:       d.Int("sketch-capacity", 0),
-		SketchFPRate:         d.Float("sketch-fp-rate", 0),
+		Round:                d.NonNegDuration("round", 0),
+		Timeout:              d.NonNegDuration("timeout", 0),
+		LossThreshold:        d.NonNegInt("loss-threshold", 0),
+		FabricationThreshold: d.NonNegInt("fabrication-threshold", 0),
+		Sampling:             d.Fraction("sampling", 0),
+		SketchCapacity:       d.NonNegInt("sketch-capacity", 0),
+		SketchFPRate:         d.Fraction("sketch-fp-rate", 0),
 	}
 	switch mode := d.String("exchange", "full"); mode {
 	case "full":

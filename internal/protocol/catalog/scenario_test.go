@@ -37,18 +37,38 @@ func TestRunUnknownProtocol(t *testing.T) {
 
 func TestRunBadOptions(t *testing.T) {
 	cases := []struct {
-		name    string
-		opts    protocol.Params
-		wantErr string
+		name     string
+		protocol string // "" is pik2
+		opts     protocol.Params
+		wantErr  string
 	}{
-		{"unknown key", protocol.Params{"bogus": "1"}, `unknown options ["bogus"]`},
-		{"bad duration", protocol.Params{"round": "fast"}, `option "round"`},
-		{"bad int", protocol.Params{"k": "one"}, `option "k"`},
-		{"bad exchange mode", protocol.Params{"exchange": "psychic"}, `unknown exchange mode`},
+		{"unknown key", "", protocol.Params{"bogus": "1"}, `unknown options ["bogus"]`},
+		{"bad duration", "", protocol.Params{"round": "fast"}, `option "round"`},
+		{"bad int", "", protocol.Params{"k": "one"}, `option "k"`},
+		{"bad exchange mode", "", protocol.Params{"exchange": "psychic"}, `unknown exchange mode`},
+		// Well-formed values no run can use (ISSUE 19). A negative round
+		// used to reach SimEnv.Every and panic; the rest ran to completion
+		// on nonsense.
+		{"pik2 negative round", "pik2", protocol.Params{"round": "-1s"}, `option "round": "-1s" must not be negative`},
+		{"pi2 negative round", "pi2", protocol.Params{"round": "-1s"}, `option "round": "-1s" must not be negative`},
+		{"pik2 negative timeout", "pik2", protocol.Params{"timeout": "-1s"}, `option "timeout"`},
+		{"pi2 negative settle", "pi2", protocol.Params{"settle": "-1s"}, `option "settle"`},
+		{"pik2 negative loss threshold", "pik2", protocol.Params{"loss-threshold": "-1"}, `option "loss-threshold"`},
+		{"pi2 negative loss threshold", "pi2", protocol.Params{"loss-threshold": "-1"}, `option "loss-threshold"`},
+		{"pik2 negative fabrication threshold", "pik2", protocol.Params{"fabrication-threshold": "-3"}, `option "fabrication-threshold"`},
+		{"pi2 negative fabrication threshold", "pi2", protocol.Params{"fabrication-threshold": "-3"}, `option "fabrication-threshold"`},
+		{"pik2 negative sketch capacity", "pik2", protocol.Params{"exchange": "sketch", "sketch-capacity": "-5"}, `option "sketch-capacity"`},
+		{"pik2 sampling NaN", "pik2", protocol.Params{"sampling": "NaN"}, `option "sampling": "NaN" must lie in [0, 1]`},
+		{"pik2 sampling above one", "pik2", protocol.Params{"sampling": "1.5"}, `option "sampling"`},
+		{"pik2 negative sketch rate", "pik2", protocol.Params{"exchange": "sketch", "sketch-fp-rate": "-0.1"}, `option "sketch-fp-rate"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := protocol.Run(lineTestSpec(tc.opts), protocol.RunOptions{})
+			spec := lineTestSpec(tc.opts)
+			if tc.protocol != "" {
+				spec.Protocol = tc.protocol
+			}
+			_, err := protocol.Run(spec, protocol.RunOptions{})
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("err = %v, want mention of %s", err, tc.wantErr)
 			}

@@ -40,6 +40,14 @@ func (d *ParamDecoder) fail(key, val, want string, err error) {
 	}
 }
 
+// reject records that option key's value, though well-formed, is not one the
+// protocol can run with.
+func (d *ParamDecoder) reject(key, why string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("option %q: %q %s", key, d.params[key], why)
+	}
+}
+
 // String returns the string option key, or def when absent.
 func (d *ParamDecoder) String(key, def string) string {
 	if v, ok := d.lookup(key); ok {
@@ -62,6 +70,17 @@ func (d *ParamDecoder) Int(key string, def int) int {
 	return n
 }
 
+// NonNegInt is Int for a count, size or threshold: a negative value is an
+// error.
+func (d *ParamDecoder) NonNegInt(key string, def int) int {
+	n := d.Int(key, def)
+	if n < 0 {
+		d.reject(key, "must not be negative")
+		return def
+	}
+	return n
+}
+
 // Float returns the float option key, or def when absent.
 func (d *ParamDecoder) Float(key string, def float64) float64 {
 	v, ok := d.lookup(key)
@@ -71,6 +90,17 @@ func (d *ParamDecoder) Float(key string, def float64) float64 {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		d.fail(key, v, "number", err)
+		return def
+	}
+	return f
+}
+
+// Fraction is Float for a rate or probability: a value outside [0, 1], NaN
+// included, is an error.
+func (d *ParamDecoder) Fraction(key string, def float64) float64 {
+	f := d.Float(key, def)
+	if !(f >= 0 && f <= 1) {
+		d.reject(key, "must lie in [0, 1]")
 		return def
 	}
 	return f
@@ -100,6 +130,18 @@ func (d *ParamDecoder) Duration(key string, def time.Duration) time.Duration {
 	dur, err := time.ParseDuration(v)
 	if err != nil {
 		d.fail(key, v, "duration", err)
+		return def
+	}
+	return dur
+}
+
+// NonNegDuration is Duration for an interval or timeout: a negative value is
+// an error (it would reach the scheduler as a ticker interval or a delay into
+// the past).
+func (d *ParamDecoder) NonNegDuration(key string, def time.Duration) time.Duration {
+	dur := d.Duration(key, def)
+	if dur < 0 {
+		d.reject(key, "must not be negative")
 		return def
 	}
 	return dur

@@ -110,6 +110,7 @@ func DecodeFPSet(data []byte) (*FPSet, error) {
 		return nil, fmt.Errorf("%w: fpset length %d not a multiple of 12", ErrCodec, len(data))
 	}
 	s := NewFPSet()
+	s.Grow(len(data) / 12)
 	var prev packet.Fingerprint
 	for i := 0; i < len(data); i += 12 {
 		fp := packet.Fingerprint(binary.BigEndian.Uint64(data[i:]))
@@ -121,16 +122,18 @@ func DecodeFPSet(data []byte) (*FPSet, error) {
 			return nil, fmt.Errorf("%w: fpset fingerprints not strictly increasing", ErrCodec)
 		}
 		prev = fp
-		s.m[fp] = int(n)
+		s.push(fp, int(n))
 		s.count += int(n)
 	}
+	s.norm = len(s.fps)
 	return s, nil
 }
 
 // Merge adds another multiset into s (multiplicities sum).
 func (s *FPSet) Merge(o *FPSet) {
-	for fp, n := range o.m {
-		s.m[fp] += n
-		s.count += n
-	}
+	s.normalise()
+	o.normalise()
+	s.lanes = mergeRuns(s.lanes, o.lanes)
+	s.norm = len(s.fps)
+	s.count += o.count
 }

@@ -3,6 +3,7 @@ package summary
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"routerwatch/internal/packet"
@@ -187,6 +188,93 @@ func FuzzFPSetMergeCommutativity(f *testing.F) {
 		if !bytes.Equal(dec.Encode(), ab.Encode()) {
 			t.Fatal("merged fpset not canonical")
 		}
+	})
+}
+
+// FuzzFPSetMatchesReference drives the flat-lane FPSet and the map-backed
+// reference it replaced through the same script and requires every
+// observable to agree after every step, so reads land between writes (a
+// normalised set that is written again must re-normalise), duplicates pile
+// up, and a peer-claimed multiplicity of 2³²−1 is held, merged, compared and
+// re-encoded as a count. The script is (op, arg) byte pairs over two sets;
+// fingerprints come from a 16-value domain in scrambled order.
+func FuzzFPSetMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 3, 0, 1, 1, 3, 0, 9, 1, 9, 1, 9})       // duplicates on both sides
+	f.Add([]byte{0, 5, 0, 2, 6, 0, 0, 2, 0, 7, 6, 0, 0, 5, 6, 0}) // write, read, write, read
+	f.Add([]byte{0, 4, 4, 4, 2, 0, 4, 4, 2, 0, 3, 0, 5, 4})       // hostile count, merged twice, re-decoded
+	f.Add([]byte{1, 1, 2, 0, 2, 0, 3, 0, 0, 1, 2, 0})             // merge, decode own encoding, merge again
+	f.Add([]byte{})
+
+	fpOf := func(arg byte) packet.Fingerprint {
+		return packet.Fingerprint(uint64(arg%16) * 0x9e3779b97f4a7c15)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		got := [2]*FPSet{NewFPSet(), NewFPSet()}
+		ref := [2]*refFPSet{newRefFPSet(), newRefFPSet()}
+		check := func(step int) {
+			t.Helper()
+			for i := range got {
+				if got[i].Len() != ref[i].Len() {
+					t.Fatalf("step %d set %d: Len %d, reference %d", step, i, got[i].Len(), ref[i].Len())
+				}
+				if g, r := got[i].Fingerprints(), ref[i].Fingerprints(); !slices.Equal(g, r) {
+					t.Fatalf("step %d set %d: Fingerprints %x, reference %x", step, i, g, r)
+				}
+				for arg := byte(0); arg < 17; arg++ {
+					fp := fpOf(arg) + packet.Fingerprint(arg/16) // the 17th is never added
+					if g, r := got[i].Count(fp), ref[i].Count(fp); g != r {
+						t.Fatalf("step %d set %d: Count(%x) %d, reference %d", step, i, uint64(fp), g, r)
+					}
+				}
+				if g, r := got[i].Encode(), ref[i].Encode(); !bytes.Equal(g, r) {
+					t.Fatalf("step %d set %d: Encode %x, reference %x", step, i, g, r)
+				}
+				if g, r := got[i].EncodedLen(), ref[i].EncodedLen(); g != r {
+					t.Fatalf("step %d set %d: EncodedLen %d, reference %d", step, i, g, r)
+				}
+			}
+			for i := range got {
+				gotS, gotO := got[i].DiffCounts(got[1-i])
+				refS, refO := ref[i].DiffCounts(ref[1-i])
+				if gotS != refS || gotO != refO {
+					t.Fatalf("step %d: DiffCounts %d→%d = (%d, %d), reference (%d, %d)", step, i, 1-i, gotS, gotO, refS, refO)
+				}
+			}
+		}
+		for step := 0; step+1 < len(script) && step < 512; step += 2 {
+			op, arg := script[step]%7, script[step+1]
+			switch op {
+			case 0, 1: // Add to set op
+				got[op].Add(fpOf(arg))
+				ref[op].Add(fpOf(arg))
+			case 2, 3: // Merge the other set into set op-2
+				i := int(op - 2)
+				got[i].Merge(got[1-i])
+				ref[i].Merge(ref[1-i])
+			case 4: // Merge in a decoded entry claiming 2³²−1 copies
+				entry := binary.BigEndian.AppendUint64(nil, uint64(fpOf(arg)))
+				entry = binary.BigEndian.AppendUint32(entry, ^uint32(0))
+				g, err := DecodeFPSet(entry)
+				r, refErr := refDecodeFPSet(entry)
+				if err != nil || refErr != nil {
+					t.Fatalf("step %d: hostile entry rejected: %v / %v", step, err, refErr)
+				}
+				got[0].Merge(g)
+				ref[0].Merge(r)
+			case 5: // Replace set 0 by the decoding of its own encoding
+				g, err := DecodeFPSet(got[0].Encode())
+				r, refErr := refDecodeFPSet(ref[0].Encode())
+				if (err != nil) != (refErr != nil) {
+					t.Fatalf("step %d: decode of own encoding: %v, reference %v", step, err, refErr)
+				}
+				if err == nil { // a count that wrapped to 0 on the wire is rejected by both
+					got[0], ref[0] = g, r
+				}
+			case 6: // read between writes
+				check(step)
+			}
+		}
+		check(len(script))
 	})
 }
 

@@ -7,7 +7,9 @@
 package summary
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"time"
 
@@ -50,80 +52,202 @@ func (c Counter) EncodedLen() int { return 16 }
 // FPSet is the conservation-of-content summary: the multiset of packet
 // fingerprints observed in a round. Multiplicity matters — a fabricating
 // router might duplicate a legitimate packet.
+//
+// The set is flat lanes, not a map. Add appends; the first read after a
+// write normalises in place, so that fps[:norm] is strictly increasing and
+// every operation below is a linear pass over it (the canonical wire bytes
+// are the lane written out). A multiplicity is a count beside its
+// fingerprint, never adjacent copies: a peer's encoding may claim 2³²−1 of
+// one fingerprint in twelve bytes, and holding or comparing that must cost
+// one entry. The zero value is an empty set.
 type FPSet struct {
-	m     map[packet.Fingerprint]int
+	lanes
+	// norm is how much of fps is normalised; fps[norm:] are Adds since the
+	// last read, in arrival order.
+	norm  int
 	count int
 }
 
+// lanes is a run-length multiset: strictly increasing fingerprints and
+// their multiplicities in parallel. counts stays nil while every
+// multiplicity is 1, which is every round of honest traffic (fingerprints
+// are effectively unique), so the common set is one lane.
+type lanes struct {
+	fps    []packet.Fingerprint
+	counts []int
+}
+
+// mult returns the multiplicity of fps[i].
+func (l *lanes) mult(i int) int {
+	if l.counts == nil {
+		return 1
+	}
+	return l.counts[i]
+}
+
+// push appends n copies of fp, which must exceed every fingerprint pushed
+// before it.
+func (l *lanes) push(fp packet.Fingerprint, n int) {
+	if n != 1 && l.counts == nil {
+		l.counts = make([]int, len(l.fps), cap(l.fps))
+		for i := range l.counts {
+			l.counts[i] = 1
+		}
+	}
+	l.fps = append(l.fps, fp)
+	if l.counts != nil {
+		l.counts = append(l.counts, n)
+	}
+}
+
+// compactRuns run-length encodes sorted in place: the result's fps aliases
+// sorted's storage.
+func compactRuns(sorted []packet.Fingerprint) lanes {
+	out := lanes{fps: sorted[:0:len(sorted)]}
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		out.push(sorted[i], j-i)
+		i = j
+	}
+	return out
+}
+
+// mergeRuns returns the multiset sum of a and b in fresh lanes.
+func mergeRuns(a, b lanes) lanes {
+	out := lanes{fps: make([]packet.Fingerprint, 0, len(a.fps)+len(b.fps))}
+	i, j := 0, 0
+	for i < len(a.fps) && j < len(b.fps) {
+		switch x, y := a.fps[i], b.fps[j]; {
+		case x < y:
+			out.push(x, a.mult(i))
+			i++
+		case x > y:
+			out.push(y, b.mult(j))
+			j++
+		default:
+			out.push(x, a.mult(i)+b.mult(j))
+			i, j = i+1, j+1
+		}
+	}
+	for ; i < len(a.fps); i++ {
+		out.push(a.fps[i], a.mult(i))
+	}
+	for ; j < len(b.fps); j++ {
+		out.push(b.fps[j], b.mult(j))
+	}
+	return out
+}
+
 // NewFPSet returns an empty fingerprint set.
-func NewFPSet() *FPSet { return &FPSet{m: make(map[packet.Fingerprint]int)} }
+func NewFPSet() *FPSet { return &FPSet{} }
 
 // Add inserts a fingerprint.
 func (s *FPSet) Add(fp packet.Fingerprint) {
-	s.m[fp]++
+	s.fps = append(s.fps, fp)
 	s.count++
+}
+
+// Grow makes room for n more Adds, for a caller that knows about how many
+// fingerprints a round brings.
+func (s *FPSet) Grow(n int) { s.fps = slices.Grow(s.fps, n) }
+
+// normalise folds the Adds since the last read into the normalised prefix.
+// The first read of a set sorts and compacts in place; a read after a
+// later write merges the sorted newcomers into fresh lanes, so a lane once
+// read is never rearranged under a reader that still holds it.
+func (s *FPSet) normalise() {
+	if s.norm == len(s.fps) {
+		return
+	}
+	added := s.fps[s.norm:]
+	slices.Sort(added)
+	if s.norm == 0 {
+		s.lanes = compactRuns(added)
+	} else {
+		s.lanes = mergeRuns(lanes{s.fps[:s.norm], s.counts}, compactRuns(added))
+	}
+	s.norm = len(s.fps)
 }
 
 // Len returns the number of fingerprints (with multiplicity).
 func (s *FPSet) Len() int { return s.count }
 
 // Count returns the multiplicity of fp.
-func (s *FPSet) Count(fp packet.Fingerprint) int { return s.m[fp] }
-
-// Diff computes the multiset differences s∖o and o∖s.
-func (s *FPSet) Diff(o *FPSet) (onlyS, onlyO []packet.Fingerprint) {
-	for fp, n := range s.m {
-		if d := n - o.m[fp]; d > 0 {
-			for i := 0; i < d; i++ {
-				onlyS = append(onlyS, fp)
-			}
-		}
+func (s *FPSet) Count(fp packet.Fingerprint) int {
+	s.normalise()
+	if i, ok := slices.BinarySearch(s.fps, fp); ok {
+		return s.mult(i)
 	}
-	for fp, n := range o.m {
-		if d := n - s.m[fp]; d > 0 {
-			for i := 0; i < d; i++ {
-				onlyO = append(onlyO, fp)
-			}
-		}
-	}
-	sortFPs(onlyS)
-	sortFPs(onlyO)
-	return onlyS, onlyO
+	return 0
 }
 
 // DiffCounts returns |s∖o| and |o∖s| without materializing either
-// difference: time and memory depend on the number of distinct
-// fingerprints, never on the multiplicities a peer's encoding claims.
+// difference: one merge pass over the two normalised sets, so time and
+// memory depend on the number of distinct fingerprints, never on the
+// multiplicities a peer's encoding claims.
 func (s *FPSet) DiffCounts(o *FPSet) (onlyS, onlyO int) {
-	for fp, n := range s.m {
-		if d := n - o.m[fp]; d > 0 {
-			onlyS += d
+	s.normalise()
+	o.normalise()
+	i, j := 0, 0
+	for i < len(s.fps) && j < len(o.fps) {
+		switch x, y := s.fps[i], o.fps[j]; {
+		case x < y:
+			onlyS += s.mult(i)
+			i++
+		case x > y:
+			onlyO += o.mult(j)
+			j++
+		default:
+			if d := s.mult(i) - o.mult(j); d > 0 {
+				onlyS += d
+			} else {
+				onlyO -= d
+			}
+			i, j = i+1, j+1
 		}
 	}
-	for fp, n := range o.m {
-		if d := n - s.m[fp]; d > 0 {
-			onlyO += d
-		}
+	for ; i < len(s.fps); i++ {
+		onlyS += s.mult(i)
+	}
+	for ; j < len(o.fps); j++ {
+		onlyO += o.mult(j)
 	}
 	return onlyS, onlyO
 }
 
-// Fingerprints returns the distinct fingerprints in sorted order.
+// Fingerprints returns the distinct fingerprints in sorted order (not a
+// copy; callers must not mutate).
 func (s *FPSet) Fingerprints() []packet.Fingerprint {
-	out := make([]packet.Fingerprint, 0, len(s.m))
-	for fp := range s.m {
-		out = append(out, fp)
+	s.normalise()
+	return s.fps[:len(s.fps):len(s.fps)]
+}
+
+// AppendMultiset appends every fingerprint to dst in sorted order, each
+// repeated by its multiplicity, and returns the extended slice: the field
+// elements reconciliation and sketching consume.
+func (s *FPSet) AppendMultiset(dst []uint64) []uint64 {
+	s.normalise()
+	for i, fp := range s.fps {
+		for n := s.mult(i); n > 0; n-- {
+			dst = append(dst, uint64(fp))
+		}
 	}
-	sortFPs(out)
-	return out
+	return dst
 }
 
 // AppendEncode appends the canonical encoding — sorted (fp, count) pairs —
 // to b and returns the extended slice.
 func (s *FPSet) AppendEncode(b []byte) []byte {
-	for _, fp := range s.Fingerprints() {
-		b = binary.BigEndian.AppendUint64(b, uint64(fp))
-		b = binary.BigEndian.AppendUint32(b, uint32(s.m[fp]))
+	s.normalise()
+	at := len(b)
+	b = slices.Grow(b, 12*len(s.fps))[:at+12*len(s.fps)]
+	for i, fp := range s.fps {
+		binary.BigEndian.PutUint64(b[at:], uint64(fp))
+		binary.BigEndian.PutUint32(b[at+8:], uint32(s.mult(i)))
+		at += 12
 	}
 	return b
 }
@@ -132,10 +256,9 @@ func (s *FPSet) AppendEncode(b []byte) []byte {
 func (s *FPSet) Encode() []byte { return s.AppendEncode(make([]byte, 0, s.EncodedLen())) }
 
 // EncodedLen returns len(Encode()) without materializing the encoding.
-func (s *FPSet) EncodedLen() int { return 12 * len(s.m) }
-
-func sortFPs(fps []packet.Fingerprint) {
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
+func (s *FPSet) EncodedLen() int {
+	s.normalise()
+	return 12 * len(s.fps)
 }
 
 // OrderedFP is the conservation-of-order summary: packet fingerprints in
@@ -181,43 +304,47 @@ func (o *OrderedFP) EncodedLen() int { return 8 * len(o.seq) }
 // mapping positions and taking the longest increasing subsequence,
 // O(n log n) instead of the quadratic textbook LCS.
 func ReorderAmount(sent, received *OrderedFP) int {
-	// Common multiset filter.
-	counts := make(map[packet.Fingerprint]int)
-	for _, fp := range sent.seq {
-		counts[fp]++
+	// Pair the k-th occurrence of a fingerprint in the received stream with
+	// its k-th occurrence in the sent stream, for as many occurrences as
+	// both streams have; what stays unpaired on either side is loss or
+	// fabrication. Walking both streams in (fingerprint, position) order
+	// pairs them in one merge pass.
+	s, r := byFingerprint(sent.seq), byFingerprint(received.seq)
+	sentPos := make([]int, len(received.seq)) // received position → paired sent position
+	for i := range sentPos {
+		sentPos[i] = -1
 	}
-	recvCommon := make([]packet.Fingerprint, 0, len(received.seq))
-	rCounts := make(map[packet.Fingerprint]int)
-	for _, fp := range received.seq {
-		if rCounts[fp] < counts[fp] {
-			rCounts[fp]++
-			recvCommon = append(recvCommon, fp)
+	for i, j := 0, 0; i < len(s) && j < len(r); {
+		switch x, y := sent.seq[s[i]], received.seq[r[j]]; {
+		case x < y:
+			i++
+		case x > y:
+			j++
+		default:
+			sentPos[r[j]] = s[i]
+			i, j = i+1, j+1
 		}
 	}
-	sentCommon := make([]packet.Fingerprint, 0, len(sent.seq))
-	sCounts := make(map[packet.Fingerprint]int)
-	for _, fp := range sent.seq {
-		if sCounts[fp] < rCounts[fp] {
-			sCounts[fp]++
-			sentCommon = append(sentCommon, fp)
+	// The paired packets in received order, named by where they were sent:
+	// the longest run that kept its sent order is the LCS.
+	mapped := sentPos[:0]
+	for _, at := range sentPos {
+		if at >= 0 {
+			mapped = append(mapped, at)
 		}
 	}
+	return len(mapped) - longestIncreasing(mapped)
+}
 
-	// Positions of each fingerprint in sentCommon, consumed in order for
-	// duplicates.
-	pos := make(map[packet.Fingerprint][]int)
-	for i, fp := range sentCommon {
-		pos[fp] = append(pos[fp], i)
+// byFingerprint returns seq's positions ordered by fingerprint, equal
+// fingerprints in stream order.
+func byFingerprint(seq []packet.Fingerprint) []int {
+	idx := make([]int, len(seq))
+	for i := range idx {
+		idx[i] = i
 	}
-	mapped := make([]int, 0, len(recvCommon))
-	used := make(map[packet.Fingerprint]int)
-	for _, fp := range recvCommon {
-		k := used[fp]
-		mapped = append(mapped, pos[fp][k])
-		used[fp] = k + 1
-	}
-	lcs := longestIncreasing(mapped)
-	return len(sentCommon) - lcs
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(seq[a], seq[b]) })
+	return idx
 }
 
 // longestIncreasing returns the length of the longest strictly increasing

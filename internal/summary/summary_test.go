@@ -28,13 +28,17 @@ func TestCounter(t *testing.T) {
 
 func TestFPSetDiff(t *testing.T) {
 	a, b := NewFPSet(), NewFPSet()
+	refA, refB := newRefFPSet(), newRefFPSet()
 	for _, fp := range []packet.Fingerprint{1, 2, 3, 3} {
 		a.Add(fp)
+		refA.Add(fp)
 	}
 	for _, fp := range []packet.Fingerprint{2, 3, 4} {
 		b.Add(fp)
+		refB.Add(fp)
 	}
-	onlyA, onlyB := a.Diff(b)
+	// The materialised difference lives on in the reference only.
+	onlyA, onlyB := refA.Diff(refB)
 	if len(onlyA) != 2 || onlyA[0] != 1 || onlyA[1] != 3 {
 		t.Fatalf("onlyA = %v", onlyA)
 	}
@@ -135,6 +139,39 @@ func TestReorderAmountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReorderAmountMatchesReference compares the sort-and-merge metric with
+// the map-based one it replaced on streams with duplicates, losses,
+// fabrications and local shuffles.
+func TestReorderAmountMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		sent, received := NewOrderedFP(), NewOrderedFP()
+		domain := 1 + rng.Intn(40) // small domains force duplicate fingerprints
+		var stream []packet.Fingerprint
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			fp := packet.Fingerprint(rng.Intn(domain))
+			sent.Add(fp)
+			if rng.Intn(8) != 0 { // else lost
+				stream = append(stream, fp)
+			}
+			if rng.Intn(10) == 0 { // fabricated, possibly a duplicate of a real one
+				stream = append(stream, packet.Fingerprint(rng.Intn(domain+5)))
+			}
+		}
+		for i := range stream { // swap with a neighbour up to 4 away
+			if j := i + rng.Intn(5); rng.Intn(3) == 0 && j < len(stream) {
+				stream[i], stream[j] = stream[j], stream[i]
+			}
+		}
+		for _, fp := range stream {
+			received.Add(fp)
+		}
+		if got, want := ReorderAmount(sent, received), refReorderAmount(sent, received); got != want {
+			t.Fatalf("trial %d: ReorderAmount(%v, %v) = %d, reference %d", trial, sent.Seq(), received.Seq(), got, want)
+		}
 	}
 }
 
