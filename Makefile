@@ -52,8 +52,9 @@ perf:
 # Short fuzz pass over every fuzz harness (satisfies `go test` normally
 # too — the seed corpus runs as ordinary tests): the summary codecs, the
 # flat-lane FPSet against its map-backed reference, the mutation-campaign
-# spec round-trip, the capture decoders, and the SPF kernels against their
-# reference. Override FUZZTIME for quicker smokes: make fuzz FUZZTIME=2s.
+# spec round-trip, the capture decoders, the SPF kernels against their
+# reference, the scenario-file decoder, and every descriptor's option parser.
+# Override FUZZTIME for quicker smokes: make fuzz FUZZTIME=2s.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -67,6 +68,8 @@ fuzz:
 		$(GO) test ./internal/capture/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 	$(GO) test ./internal/routing/ -run='^$$' -fuzz=FuzzComputeTable -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/protocol/ -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/protocol/catalog/ -run='^$$' -fuzz=FuzzParseOptions -fuzztime=$(FUZZTIME)
 
 # Bounded adversary-mutation campaign (cmd/campaign): one operator axis per
 # family would be too narrow, so the smoke sweeps the full catalog with a

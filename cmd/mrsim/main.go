@@ -175,8 +175,8 @@ func main() {
 }
 
 // buildSpec assembles the declarative scenario: from a -scenario file when
-// given, otherwise from the flag set. The flag-built specs reproduce the
-// historical hard-wired harnesses exactly.
+// given, otherwise the protocol's canonical DefaultSpec with the flags laid
+// over it.
 func buildSpec(file, protoName, attackName string, rate float64, seed int64, dur time.Duration) (*protocol.Spec, error) {
 	if file != "" {
 		data, err := os.ReadFile(file)
@@ -186,83 +186,38 @@ func buildSpec(file, protoName, attackName string, rate float64, seed int64, dur
 		return protocol.DecodeSpec(data)
 	}
 
-	switch protoName {
-	case "chi":
-		spec := &protocol.Spec{
-			Name: "chi", Protocol: "chi", Seed: seed,
-			Duration: protocol.Duration(dur),
-			Topology: protocol.TopologySpec{Kind: "simple-chi", N: 3, M: 2},
-		}
-		switch attackName {
-		case "none":
-		case "drop":
-			// The canonical χ drop experiment uses a fixed 20% rate; -rate
-			// tunes the path-segment scenarios only.
-			spec.Attack = &protocol.AttackSpec{Kind: "drop", Rate: 0.2}
-		default:
-			// masked90, syn — and anything the scenario will reject itself.
+	d, err := protocol.Lookup(protoName)
+	if err != nil {
+		return nil, err
+	}
+	if d.DefaultSpec == nil {
+		return nil, fmt.Errorf("protocol %q has no flag-built scenario; use -scenario", protoName)
+	}
+	spec := d.DefaultSpec(seed, attackName == "none")
+
+	if d.Scenario != nil {
+		// A canonical scenario (χ, Fatih) fixes its own attack parameters —
+		// χ's drop experiment runs at its 20%, -rate tunes the path-segment
+		// scenarios only — so the flag only picks the attack by name;
+		// anything the scenario does not know it rejects itself. Fatih's
+		// attack starts at 117 s, so durations below a minute fall back to
+		// its canonical 240 s.
+		if attackName != "none" && attackName != "drop" {
 			spec.Attack = &protocol.AttackSpec{Kind: attackName}
 		}
-		return spec, nil
-
-	case "fatih":
-		// Durations below a minute fall back to the scenario's canonical
-		// 240 s (the attack only starts at 117 s).
-		spec := &protocol.Spec{
-			Name: "fatih", Protocol: "fatih", Seed: seed,
-			Topology: protocol.TopologySpec{Kind: "abilene"},
-		}
-		if dur >= time.Minute {
+		if protoName != "fatih" || dur >= time.Minute {
 			spec.Duration = protocol.Duration(dur)
-		}
-		if attackName == "none" {
-			spec.Attack = &protocol.AttackSpec{Kind: "none"}
 		}
 		return spec, nil
 	}
 
 	// Path-segment protocols run on a 5-router line with the middle
 	// router compromised.
-	spec := &protocol.Spec{
-		Name: protoName, Protocol: protoName, Seed: seed,
-		Duration: protocol.Duration(dur),
-		Jitter:   protocol.Duration(100 * time.Microsecond),
-		Topology: protocol.TopologySpec{Kind: "line", N: 5},
-		Traffic: []protocol.TrafficSpec{{
-			Kind: "pair", Src: 0, Dst: 4, Count: int(dur.Seconds() * 500),
-			Interval: protocol.Duration(2 * time.Millisecond),
-			Offset:   protocol.Duration(time.Microsecond),
-			Size:     500, Flow: 1, ReverseFlow: 2,
-		}},
-	}
-	switch protoName {
-	case "pik2":
-		spec.Options = protocol.Params{
-			"k": "1", "round": "1s", "timeout": "250ms",
-			"loss-threshold": "2", "fabrication-threshold": "2",
-		}
-	case "pi2":
-		spec.Options = protocol.Params{
-			"k": "1", "round": "1s", "settle": "250ms",
-			"loss-threshold": "2", "fabrication-threshold": "2",
-		}
-	case "watchers":
-		spec.Options = protocol.Params{
-			"round": "1s", "threshold": "5000", "fixed": "true",
-		}
-	default:
-		// Let the registry produce the self-explaining error.
-		if _, err := protocol.Lookup(protoName); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("protocol %q has no flag-built scenario; use -scenario", protoName)
-	}
+	spec.Duration = protocol.Duration(dur)
+	spec.Traffic[0].Count = int(dur.Seconds() * 500)
 	switch attackName {
 	case "drop":
-		spec.Attack = &protocol.AttackSpec{
-			Kind: "drop", Node: 2, Rate: rate,
-			Start: protocol.Duration(5 * time.Second),
-		}
+		spec.Attack.Rate = rate
 	case "modify":
 		spec.Attack = &protocol.AttackSpec{
 			Kind: "modify", Node: 2, Start: protocol.Duration(5 * time.Second),

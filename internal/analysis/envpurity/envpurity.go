@@ -1,11 +1,11 @@
 // Package envpurity is the interprocedural closure of the walltime and
 // globalrand invariants: every function transitively reachable from code
-// the protocol runtime attaches — an Env or Backend implementation, or
-// anything handed to protocol.Register / RegisterBackend — must obtain
-// time, randomness and signing material only through the protocol.Env
-// contract. The per-package analyzers catch a direct time.Now in detector
-// code; this one catches the helper two hops below a Backend method, the
-// utility reached through an interface
+// the protocol runtime attaches — an Env or Backend implementation, the
+// function that constructs one, or anything handed to protocol.Register —
+// must obtain time, randomness and signing material only through the
+// protocol.Env contract. The per-package analyzers catch a direct time.Now
+// in detector code; this one catches the helper two hops below a Backend
+// method, the utility reached through an interface
 // dispatch, and reaches of packages the syntactic lints do not watch at
 // all (crypto/rand, whose nondeterminism would silently break bitwise
 // replay of signing-dependent verdicts).
@@ -13,11 +13,13 @@
 // Roots are derived from the loaded tree, not hard-coded: any package
 // named "protocol" that declares Env / Backend interfaces defines the
 // contract, every named type satisfying one of them
-// contributes its contract methods, and every function that calls
-// Register or RegisterBackend from such a package is a root (its
-// registered descriptors and closures are reached through the call
-// graph's function-value edges). Violations report the banned call site
-// with one shortest root→site call path.
+// contributes its contract methods, every function with a result whose type
+// is or implements one of them is a root (a constructor: what it reaches
+// builds the environment protocols then run on), and every function that
+// calls Register from such a package is a root (its registered descriptors
+// and closures are reached through the call graph's function-value edges).
+// Violations report the banned call site with one shortest root→site call
+// path.
 //
 // Allow lists individually justified exemptions by rendered function name.
 package envpurity
@@ -162,22 +164,44 @@ func collectRoots(pass *analysis.ModulePass, g *callgraph.Graph) []*callgraph.No
 		}
 	}
 
-	// Registrars: anything calling protocol.Register / RegisterBackend
-	// roots its registered descriptors via function-value edges.
 	for _, n := range g.Nodes() {
 		if !n.InTree() {
 			continue
 		}
+		// Constructors: a function handing out a contract implementation.
+		if constructs(n.Fn, ifaces) {
+			add(n)
+			continue
+		}
+		// Registrars: anything calling protocol.Register roots its
+		// registered descriptors via function-value edges.
 		for _, e := range n.Out {
 			callee := e.Callee.Fn
-			if callee.Pkg() != nil && callee.Pkg().Name() == "protocol" &&
-				(callee.Name() == "Register" || callee.Name() == "RegisterBackend") {
+			if callee.Pkg() != nil && callee.Pkg().Name() == "protocol" && callee.Name() == "Register" {
 				add(n)
 				break
 			}
 		}
 	}
 	return roots
+}
+
+// constructs reports whether fn has a result whose type is or implements a
+// contract interface.
+func constructs(fn *types.Func, ifaces []*types.Interface) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok {
+		return false
+	}
+	for i := 0; i < sig.Results().Len(); i++ {
+		t := sig.Results().At(i).Type()
+		for _, iface := range ifaces {
+			if types.Implements(t, iface) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // banned classifies a callee as a nondeterminism source.

@@ -88,3 +88,16 @@ func (i inst4) Step() int {
 	}
 	return int(time.Second) + i.r.Intn(4)
 }
+
+// open is rooted as a constructor: it returns a Backend implementation, so
+// what it reaches builds the deployment — though no contract method leads
+// here and nothing registers it.
+type inst5 struct{ seed int64 }
+
+func (inst5) Step() int { return 0 }
+
+func open() *inst5 { return &inst5{seed: clockSeed()} }
+
+func clockSeed() int64 {
+	return time.Now().UnixNano() // want `time\.Now reached from Env-attached code \(via envpurity\.open → envpurity\.clockSeed\)`
+}

@@ -1,6 +1,6 @@
 // Package protocol is the fixture stand-in for the runtime contract: the
 // envpurity analyzer recognizes Env/Backend interfaces (and
-// Register* calls) in any package named "protocol", so the fixture tree
+// Register calls) in any package named "protocol", so the fixture tree
 // mirrors the module's shape without importing it.
 package protocol
 

@@ -3,6 +3,7 @@ package capture_test
 import (
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +22,12 @@ import (
 const (
 	fixtureDir = "testdata/line5drop"
 	goldenPath = "testdata/line5drop.golden"
+)
+
+// A TraceEnv is both halves of the runtime contract.
+var (
+	_ protocol.Env     = (*capture.TraceEnv)(nil)
+	_ protocol.Backend = (*capture.TraceEnv)(nil)
 )
 
 // line5DropSpec is the golden scenario: Πk+2 on a 5-router line with the
@@ -251,5 +258,24 @@ func TestTraceReplayedEvents(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no events replayed")
+	}
+}
+
+// TestTraceEnvIsNotSimBacked guards the un-promoted Network(): TraceEnv
+// embeds its loopback network's Env as the interface, not as *SimEnv, so the
+// protocols that read live simulator state keep refusing a trace instead of
+// watching loopback routers no packet ever crosses.
+func TestTraceEnvIsNotSimBacked(t *testing.T) {
+	env, err := capture.OpenTrace(fixtureDir, capture.TraceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	for _, name := range []string{"watchers", "replica"} {
+		hooks, _ := protocol.LogHooks()
+		_, err := protocol.Attach(env, name, nil, hooks)
+		if err == nil || !strings.Contains(err.Error(), "requires a simulator-backed environment") {
+			t.Errorf("attach %s to a trace: err = %v, want the simulator-backed refusal", name, err)
+		}
 	}
 }

@@ -4,18 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"path/filepath"
 	"time"
 
-	"routerwatch/internal/auth"
-	"routerwatch/internal/consensus"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
-	"routerwatch/internal/sim"
 	"routerwatch/internal/telemetry"
-	"routerwatch/internal/topology"
 )
 
 // TraceOptions configures a TraceEnv.
@@ -44,10 +39,16 @@ type TraceOptions struct {
 // attachment is a pure function to a suspicion log, bitwise identical
 // across runs and across concurrent replays on separate goroutines.
 type TraceEnv struct {
-	meta  *Meta
-	dir   string
-	net   *network.Network
-	flood *consensus.Service
+	// loopbackEnv is the loopback network's own environment: everything but
+	// Tap is the simulator's, not restated here. It is embedded as the
+	// interface, not as *protocol.SimEnv, so SimEnv.Network() is not
+	// promoted: a trace has no live routers for a simulator-only protocol to
+	// read, and catalog.simNetwork must keep refusing one.
+	loopbackEnv
+
+	meta *Meta
+	dir  string
+	net  *network.Network
 
 	taps [][]func(network.Event)
 
@@ -58,6 +59,9 @@ type TraceEnv struct {
 
 	replayed *telemetry.Counter
 }
+
+// loopbackEnv names the embedded field; TraceEnv already has an Env method.
+type loopbackEnv = protocol.Env
 
 // traceCursor is one router's read position in its capture file.
 type traceCursor struct {
@@ -79,16 +83,18 @@ func OpenTrace(dir string, opts TraceOptions) (*TraceEnv, error) {
 	if err != nil {
 		return nil, err
 	}
+	net := network.New(g, network.Options{
+		Seed:         meta.Seed,
+		ControlDelay: meta.ControlDelay.D(),
+		Telemetry:    opts.Telemetry,
+	})
 	t := &TraceEnv{
-		meta: meta,
-		dir:  dir,
-		net: network.New(g, network.Options{
-			Seed:         meta.Seed,
-			ControlDelay: meta.ControlDelay.D(),
-			Telemetry:    opts.Telemetry,
-		}),
-		taps:     make([][]func(network.Event), len(meta.Nodes)),
-		replayed: opts.Telemetry.Registry().Counter("rw_replay_events_total"),
+		loopbackEnv: protocol.NewSimEnv(net),
+		meta:        meta,
+		dir:         dir,
+		net:         net,
+		taps:        make([][]func(network.Event), len(meta.Nodes)),
+		replayed:    opts.Telemetry.Registry().Counter("rw_replay_events_total"),
 	}
 	t.pump = t.step
 	t.cur = make([]traceCursor, len(meta.Files))
@@ -217,70 +223,12 @@ func (t *TraceEnv) Close() error {
 	return errors.Join(errs...)
 }
 
-// --- protocol.Env ---
-
-// Now returns the current virtual time.
-func (t *TraceEnv) Now() time.Duration { return t.net.Now() }
-
-// At schedules fn at absolute virtual time.
-func (t *TraceEnv) At(at time.Duration, fn func()) { t.net.Scheduler().At(at, fn) }
-
-// After schedules fn d after now.
-func (t *TraceEnv) After(d time.Duration, fn func()) { t.net.Scheduler().After(d, fn) }
-
-// Every schedules fn every interval.
-func (t *TraceEnv) Every(interval time.Duration, fn func()) *sim.Ticker {
-	return t.net.Scheduler().NewTicker(interval, fn)
-}
-
-// Nodes lists the recorded routers in ID order.
-func (t *TraceEnv) Nodes() []packet.NodeID { return t.net.Graph().Nodes() }
-
-// Graph returns the recorded topology.
-func (t *TraceEnv) Graph() *topology.Graph { return t.net.Graph() }
-
-// Auth returns the authority re-derived from the recorded seed — the
-// identical keys the recorded run used.
-func (t *TraceEnv) Auth() *auth.Authority { return t.net.Auth() }
-
-// Hasher returns the recorded network's fingerprint function.
-func (t *TraceEnv) Hasher() packet.Hasher { return t.net.Hasher() }
-
-// SendControl transmits over the loopback control plane, with the recorded
-// per-hop latencies.
-func (t *TraceEnv) SendControl(m *network.ControlMessage) { t.net.SendControl(m) }
-
-// HandleControl registers a control handler at a router.
-func (t *TraceEnv) HandleControl(at packet.NodeID, kind string, h func(*network.ControlMessage)) {
-	t.net.Router(at).HandleControl(kind, h)
-}
-
-// Tap subscribes to a router's replayed packet events. The loopback
-// routers carry no data traffic; taps observe the trace cursors only.
+// Tap subscribes to a router's replayed packet events — the one Env method
+// a trace changes. The loopback routers carry no data traffic; taps observe
+// the trace cursors only.
 func (t *TraceEnv) Tap(at packet.NodeID, fn func(network.Event)) {
 	t.taps[at] = append(t.taps[at], fn)
 }
-
-// Flood returns the robust-flooding service over the loopback control
-// plane, created on first use.
-func (t *TraceEnv) Flood() *consensus.Service {
-	if t.flood == nil {
-		t.flood = consensus.NewService(t.net)
-	}
-	return t.flood
-}
-
-// Seed returns the recorded base seed.
-func (t *TraceEnv) Seed() int64 { return t.net.Seed() }
-
-// RNG returns the deterministic RNG for a stream, derived exactly as the
-// recorded env derived it.
-func (t *TraceEnv) RNG(stream uint64) *rand.Rand {
-	return sim.NewRNG(sim.DeriveSeed(t.net.Seed(), stream))
-}
-
-// Telemetry returns the replay instrumentation set (nil when disabled).
-func (t *TraceEnv) Telemetry() *telemetry.Set { return t.net.Telemetry() }
 
 // --- cursor heap: min by (next event time, router ID) ---
 
@@ -332,10 +280,4 @@ func (t *TraceEnv) heapFix(i int) {
 		t.heapSwap(i, j)
 		i = j
 	}
-}
-
-func init() {
-	protocol.RegisterBackend("trace", func(source string) (protocol.Backend, error) {
-		return OpenTrace(source, TraceOptions{})
-	})
 }

@@ -28,7 +28,6 @@ import (
 	"routerwatch/internal/protocol"
 	"routerwatch/internal/queue"
 	"routerwatch/internal/stats"
-	"routerwatch/internal/topology"
 )
 
 // KindBatch is the control-message kind carrying reporter batches.
@@ -82,8 +81,6 @@ type Options struct {
 
 	// Sink receives suspicions.
 	Sink detector.Sink
-	// Responder is invoked at the detecting router (rd) on suspicion.
-	Responder func(by packet.NodeID, seg topology.Segment)
 	// Observer, if set, receives a report after every validated round of
 	// every queue — the data series behind Figs 6.5–6.16.
 	Observer func(RoundReport)

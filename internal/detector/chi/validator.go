@@ -633,5 +633,5 @@ func (v *queueValidator) suspect(seg topology.Segment, kind detector.Kind, conf 
 		By: v.q.RD, Segment: seg, Round: v.round - 1, At: v.p.env.Now(),
 		Kind: kind, Confidence: conf, Detail: detail,
 	}
-	v.p.tel.Deliver(s, v.p.opts.Sink, v.p.opts.Round, v.p.opts.Responder)
+	v.p.tel.Deliver(s, v.p.opts.Sink, v.p.opts.Round)
 }

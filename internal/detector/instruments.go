@@ -3,9 +3,7 @@ package detector
 import (
 	"time"
 
-	"routerwatch/internal/packet"
 	"routerwatch/internal/telemetry"
-	"routerwatch/internal/topology"
 )
 
 // suspicionLatencyBucketsMs bins detection latency — the delay from the end
@@ -84,16 +82,14 @@ func (ins *Instruments) ObserveSuspicion(s Suspicion, roundEnd time.Duration) {
 	}
 }
 
-// Deliver is the one outlet for a raised or adopted suspicion: the run's
-// sink, then the instruments (latency measured from (s.Round+1)·tau, the end
-// of the validated round), then — when the deployment closes the response
-// loop — the responder at the suspecting router.
-func (ins *Instruments) Deliver(s Suspicion, sink Sink, tau time.Duration, responder func(by packet.NodeID, seg topology.Segment)) {
-	sink(s)
+// Deliver is the one outlet for a raised or adopted suspicion: the
+// instruments (latency measured from (s.Round+1)·tau, the end of the
+// validated round), then the run's sink — the suspicion log and, when the
+// deployment closes the response loop, routing.(*Protocol).Respond teed in
+// after it, so the instruments have run by the time the fabric reacts.
+func (ins *Instruments) Deliver(s Suspicion, sink Sink, tau time.Duration) {
 	ins.ObserveSuspicion(s, time.Duration(s.Round+1)*tau)
-	if responder != nil {
-		responder(s.By, s.Segment)
-	}
+	sink(s)
 }
 
 // RoundSpan emits a validation-round span from round n's boundary to now on

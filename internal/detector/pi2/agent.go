@@ -206,7 +206,7 @@ func (a *agent) suspect(st *segState, pair topology.Segment, n int, kind detecto
 		By: a.id, Segment: pair, Round: n, At: a.p.env.Now(),
 		Kind: kind, Confidence: 1, Detail: detail,
 	}
-	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round, a.p.opts.Responder)
+	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round)
 	ev := &AlertEvidence{
 		Seg: st.Seg, Pair: pair, Round: n, Detail: detail, Announce: a.id, Kind: kind,
 	}
@@ -244,7 +244,7 @@ func (a *agent) onAlert(m consensus.Msg) {
 		Kind: ev.Kind, Confidence: 1,
 		Detail: fmt.Sprintf("announced by %v: %s", ev.Announce, ev.Detail),
 	}
-	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round, a.p.opts.Responder)
+	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round)
 }
 
 // verifyEvidence checks the two signed summaries and re-runs TV.

@@ -55,8 +55,6 @@ type Options struct {
 	Thresholds tvinfo.Thresholds
 	// Sink receives every suspicion raised or adopted by any router.
 	Sink detector.Sink
-	// Responder, if set, is invoked at each suspecting router.
-	Responder func(by packet.NodeID, seg topology.Segment)
 }
 
 func (o *Options) fill() {

@@ -12,7 +12,6 @@ import (
 	"routerwatch/internal/packet"
 	"routerwatch/internal/summary"
 	"routerwatch/internal/topology"
-	"routerwatch/internal/validate"
 )
 
 // segState is per-(router, monitored segment) state: the shared recording
@@ -273,7 +272,7 @@ func (a *agent) judgeRound(n int) {
 		} else {
 			up, down = peer.Summary, local
 		}
-		if res := a.p.validateTV(up, down); !res.OK {
+		if res := tvinfo.Validate(a.p.opts.Policy, a.p.opts.Thresholds, up, down); !res.OK {
 			a.suspect(st, n, detector.KindTrafficValidation, 1, res.String())
 		}
 	}
@@ -313,7 +312,7 @@ func (a *agent) judgeReconcile(st *segState, n int, local *Summary, peer *Summar
 		return
 	}
 	lost, fabricated := len(onlyUp), len(onlyDown)
-	if lost > a.p.opts.LossThreshold || fabricated > a.p.opts.FabricationThreshold {
+	if th := a.p.opts.Thresholds; lost > th.Loss || fabricated > th.Fabrication {
 		a.suspect(st, n, detector.KindTrafficValidation, 1,
 			fmt.Sprintf("reconciled difference: %d lost, %d fabricated", lost, fabricated))
 	}
@@ -323,9 +322,10 @@ func (a *agent) judgeReconcile(st *segState, n int, local *Summary, peer *Summar
 // is sketched with the deployment's shared geometry and differenced
 // cell-wise against the peer's sketch; the upstream surplus estimates loss,
 // the downstream surplus fabrication, judged against the same thresholds as
-// ContentTV's full fingerprint-list comparison. When one end's multiset
-// contains the other's (the pure-loss case every drop attack produces) the
-// estimates are exact and the verdict is identical to full mode.
+// tvinfo's content predicate over full fingerprint lists. When one end's
+// multiset contains the other's (the pure-loss case every drop attack
+// produces) the estimates are exact and the verdict is identical to full
+// mode.
 func (a *agent) judgeSketch(st *segState, n int, local *Summary, peer *SummaryMsg) {
 	localFPs := fpMultiset(local)
 	sk := a.p.newSketch()
@@ -355,7 +355,7 @@ func (a *agent) judgeSketch(st *segState, n int, local *Summary, peer *SummaryMs
 		residual = -residual
 	}
 	a.p.tel.SketchError.Observe(int64(residual))
-	if lost > a.p.opts.LossThreshold || fabricated > a.p.opts.FabricationThreshold {
+	if th := a.p.opts.Thresholds; lost > th.Loss || fabricated > th.Fabrication {
 		a.suspect(st, n, detector.KindTrafficValidation, 1,
 			fmt.Sprintf("sketched difference: ~%d lost, ~%d fabricated", lost, fabricated))
 	}
@@ -369,19 +369,6 @@ func fpMultiset(s *Summary) []uint64 {
 	return s.FPs.AppendMultiset(make([]uint64, 0, s.FPs.Len()))
 }
 
-// validateTV applies the configured conservation policy (§4.2.1's TV
-// predicate).
-func (p *Protocol) validateTV(up, down *Summary) validate.Result {
-	th := tvinfo.Thresholds{
-		Loss:        p.opts.LossThreshold,
-		Fabrication: p.opts.FabricationThreshold,
-		Reorder:     p.opts.ReorderThreshold,
-		MaxDelay:    p.opts.MaxDelay,
-		Late:        p.opts.LateThreshold,
-	}
-	return tvinfo.Validate(p.opts.Policy, th, up, down)
-}
-
 // suspect raises and floods a suspicion of st.Seg.
 func (a *agent) suspect(st *segState, round int, kind detector.Kind, conf float64, detail string) {
 	if a.suspected[st.Key] {
@@ -392,7 +379,7 @@ func (a *agent) suspect(st *segState, round int, kind detector.Kind, conf float6
 		By: a.id, Segment: st.Seg, Round: round,
 		At: a.p.env.Now(), Kind: kind, Confidence: conf, Detail: detail,
 	}
-	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round, a.p.opts.Responder)
+	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round)
 	// Reliable broadcast of [π]r (Fig 5.3): strong completeness.
 	a.p.flood.Flood(a.id, TopicAlert, fmt.Sprintf("%d", round), AlertBody(a.id, round, st.Seg))
 }
@@ -421,7 +408,7 @@ func (a *agent) onAlert(m consensus.Msg) {
 		Kind: detector.KindTrafficValidation, Confidence: 1,
 		Detail: fmt.Sprintf("announced by %v", by),
 	}
-	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round, a.p.opts.Responder)
+	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round)
 }
 
 func decodeAlert(b []byte) (by packet.NodeID, round int, seg topology.Segment, ok bool) {

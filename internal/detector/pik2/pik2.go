@@ -83,20 +83,10 @@ type Options struct {
 	Timeout time.Duration
 	// Policy selects the TV predicate. Default PolicyContent.
 	Policy Policy
-	// LossThreshold tolerates this many missing packets per segment-round
-	// (boundary jitter); the static congestion allowance the paper
-	// criticizes in §6.1.1 also lives here for lossy topologies.
-	LossThreshold int
-	// FabricationThreshold tolerates unexpected packets per segment-round.
-	FabricationThreshold int
-	// ReorderThreshold tolerates this reordering amount (PolicyOrder).
-	ReorderThreshold int
-	// MaxDelay bounds acceptable extra transit delay beyond the predicted
-	// arrival (PolicyTimeliness).
-	MaxDelay time.Duration
-	// LateThreshold tolerates this many over-delayed packets per round
-	// (PolicyTimeliness).
-	LateThreshold int
+	// Thresholds tolerate benign anomalies per segment-round: Loss covers
+	// boundary jitter, and the static congestion allowance the paper
+	// criticizes in §6.1.1 also lives there for lossy topologies.
+	Thresholds tvinfo.Thresholds
 	// Sampling, in (0,1), monitors only a keyed hash-range subsample per
 	// segment (§5.2.1); 0 or ≥1 monitors everything.
 	Sampling float64
@@ -109,12 +99,9 @@ type Options struct {
 	// SketchCapacity it fixes the sketch geometry both ends must share.
 	// Default 0.01.
 	SketchFPRate float64
-	// Sink receives every suspicion raised or accepted by any router.
+	// Sink receives every suspicion raised or accepted by any router; tee
+	// routing.(*Protocol).Respond in to close the response loop.
 	Sink detector.Sink
-	// Responder, if set, is invoked at the suspecting router for its own
-	// detections — wire routing.(*Daemon).AnnounceSuspicion here to close
-	// the response loop.
-	Responder func(by packet.NodeID, seg topology.Segment)
 }
 
 func (o *Options) fill() {
@@ -258,7 +245,7 @@ func (p *Protocol) newSketch() *summary.CountingBloom {
 // under ExchangeReconcile; differences beyond it are themselves conclusive
 // TV failures (they exceed both thresholds).
 func (p *Protocol) reconcileBudget() int {
-	return p.opts.LossThreshold + p.opts.FabricationThreshold + 8
+	return p.opts.Thresholds.Loss + p.opts.Thresholds.Fabrication + 8
 }
 
 // reconcilePoints returns the shared evaluation points (public; secrecy is

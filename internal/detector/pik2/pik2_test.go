@@ -7,6 +7,7 @@ import (
 
 	"routerwatch/internal/attack"
 	"routerwatch/internal/detector"
+	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
@@ -23,9 +24,8 @@ func testOpts(log *detector.Log) Options {
 		Timeout: 100 * time.Millisecond,
 		Policy:  PolicyContent,
 		// Allow a couple of boundary-straddling packets per round.
-		LossThreshold:        2,
-		FabricationThreshold: 2,
-		Sink:                 detector.LogSink(log),
+		Thresholds: tvinfo.Thresholds{Loss: 2, Fabrication: 2},
+		Sink:       detector.LogSink(log),
 	}
 }
 
@@ -156,7 +156,7 @@ func TestReorderingDetectedOnlyByOrderPolicy(t *testing.T) {
 		net := network.New(topology.Line(3), network.Options{Seed: 8})
 		opts := testOpts(log)
 		opts.Policy = tc.policy
-		opts.ReorderThreshold = 5
+		opts.Thresholds.Reorder = 5
 		Attach(protocol.NewSimEnv(net), opts)
 		net.Router(1).SetBehavior(&attack.Delayer{
 			Select: attack.All, Jitter: 20 * time.Millisecond, Rng: rand.New(rand.NewSource(2)),
@@ -311,20 +311,20 @@ func TestSamplingNoFalsePositives(t *testing.T) {
 	}
 }
 
-func TestResponderInvoked(t *testing.T) {
+func TestResponseSinkInvoked(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 14})
 	opts := testOpts(log)
 	var responses []topology.Segment
-	opts.Responder = func(by packet.NodeID, seg topology.Segment) {
-		responses = append(responses, seg)
-	}
+	opts.Sink = detector.Tee(opts.Sink, func(s detector.Suspicion) {
+		responses = append(responses, s.Segment)
+	})
 	Attach(protocol.NewSimEnv(net), opts)
 	net.Router(1).SetBehavior(&attack.Dropper{Select: attack.All, P: 1})
 	pump(net, 0, 2, 300, 1)
 	net.Run(3 * time.Second)
 	if len(responses) == 0 {
-		t.Fatal("responder never invoked")
+		t.Fatal("response sink never invoked")
 	}
 }
 
@@ -342,8 +342,8 @@ func TestDelayDetectedOnlyByTimelinessPolicy(t *testing.T) {
 		net := network.New(topology.Line(3), network.Options{Seed: 17})
 		opts := testOpts(log)
 		opts.Policy = tc.policy
-		opts.MaxDelay = 10 * time.Millisecond
-		opts.LateThreshold = 2
+		opts.Thresholds.MaxDelay = 10 * time.Millisecond
+		opts.Thresholds.Late = 2
 		Attach(protocol.NewSimEnv(net), opts)
 		net.Router(1).SetBehavior(&attack.Delayer{Select: attack.DataOnly, Delay: 30 * time.Millisecond})
 		// Traffic confined to round interiors so the delay cannot displace
@@ -366,8 +366,8 @@ func TestTimelinessNoFalsePositives(t *testing.T) {
 	net := network.New(topology.Line(4), network.Options{Seed: 18, ProcessingJitter: 200 * time.Microsecond})
 	opts := testOpts(log)
 	opts.Policy = PolicyTimeliness
-	opts.MaxDelay = 10 * time.Millisecond
-	opts.LateThreshold = 2
+	opts.Thresholds.MaxDelay = 10 * time.Millisecond
+	opts.Thresholds.Late = 2
 	Attach(protocol.NewSimEnv(net), opts)
 	pump(net, 0, 3, 2000, 1)
 	net.Run(4 * time.Second)

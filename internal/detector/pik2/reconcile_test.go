@@ -108,8 +108,8 @@ func TestReconcileModificationDetected(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 66})
 	opts := reconcileOpts(log)
-	opts.LossThreshold = 0
-	opts.FabricationThreshold = 0
+	opts.Thresholds.Loss = 0
+	opts.Thresholds.Fabrication = 0
 	Attach(protocol.NewSimEnv(net), opts)
 	net.Router(1).SetBehavior(&attack.Modifier{Select: attack.ByFlow(1), Start: 600 * time.Millisecond})
 	// Sparse traffic well inside round interiors to avoid boundary noise

@@ -11,7 +11,6 @@ import (
 	"routerwatch/internal/packet"
 	"routerwatch/internal/summary"
 	"routerwatch/internal/topology"
-	"routerwatch/internal/validate"
 )
 
 // Policy selects the conservation-of-traffic property to validate (§2.4.1).
@@ -228,31 +227,16 @@ func DecodeSummary(b []byte) (*Summary, bool) {
 
 // Validate applies the policy's TV predicate between an upstream and a
 // downstream summary.
-func Validate(policy Policy, th Thresholds, up, down *Summary) validate.Result {
+func Validate(policy Policy, th Thresholds, up, down *Summary) Result {
 	switch policy {
 	case PolicyFlow:
-		tv := validate.FlowTV{LossThreshold: int64(th.Loss)}
-		return tv.Validate(up.Counter, down.Counter)
+		return flowTV(th, up.Counter, down.Counter)
 	case PolicyTimeliness:
-		tv := validate.TimelinessTV{
-			LossThreshold: th.Loss,
-			MaxDelay:      th.MaxDelay,
-			LateThreshold: th.Late,
-		}
-		return tv.Validate(up.Timed, down.Timed)
+		return timelinessTV(th, up.Timed, down.Timed)
 	case PolicyOrder:
-		tv := validate.OrderTV{
-			LossThreshold:        th.Loss,
-			FabricationThreshold: th.Fabrication,
-			ReorderThreshold:     th.Reorder,
-		}
-		return tv.Validate(up.Ordered, down.Ordered)
+		return orderTV(th, up.Ordered, down.Ordered)
 	default:
-		tv := validate.ContentTV{
-			LossThreshold:        th.Loss,
-			FabricationThreshold: th.Fabrication,
-		}
-		return tv.Validate(up.FPs, down.FPs)
+		return contentTV(th, up.FPs, down.FPs)
 	}
 }
 

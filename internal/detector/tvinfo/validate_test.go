@@ -1,4 +1,4 @@
-package validate
+package tvinfo
 
 import (
 	"encoding/binary"
@@ -18,12 +18,12 @@ func TestFlowTV(t *testing.T) {
 	for i := 0; i < 95; i++ {
 		down.Add(1000)
 	}
-	tv := FlowTV{LossThreshold: 10}
-	if res := tv.Validate(up, down); !res.OK || res.Lost != 5 {
+	th := Thresholds{Loss: 10}
+	if res := flowTV(th, up, down); !res.OK || res.Lost != 5 {
 		t.Fatalf("within threshold: %v", res)
 	}
-	tv = FlowTV{LossThreshold: 3}
-	res := tv.Validate(up, down)
+	th = Thresholds{Loss: 3}
+	res := flowTV(th, up, down)
 	if res.OK {
 		t.Fatalf("5 losses passed threshold 3: %v", res)
 	}
@@ -37,7 +37,7 @@ func TestFlowTVFabricationShowsAsNegativeLoss(t *testing.T) {
 	up.Add(100)
 	down.Add(100)
 	down.Add(100)
-	res := FlowTV{}.Validate(up, down)
+	res := flowTV(Thresholds{}, up, down)
 	// Conservation of flow alone cannot flag fabrication as a failure —
 	// the WATCHERS weakness — but the counts are reported.
 	if res.Fabricated != 1 {
@@ -54,12 +54,12 @@ func TestContentTV(t *testing.T) {
 		}
 	}
 	down.Add(0xBAD) // 1 fabricated
-	tv := ContentTV{LossThreshold: 10, FabricationThreshold: 2}
-	if res := tv.Validate(up, down); !res.OK || res.Lost != 5 || res.Fabricated != 1 {
+	th := Thresholds{Loss: 10, Fabrication: 2}
+	if res := contentTV(th, up, down); !res.OK || res.Lost != 5 || res.Fabricated != 1 {
 		t.Fatalf("res %v", res)
 	}
-	tv = ContentTV{LossThreshold: 4, FabricationThreshold: 0}
-	if res := tv.Validate(up, down); res.OK {
+	th = Thresholds{Loss: 4, Fabrication: 0}
+	if res := contentTV(th, up, down); res.OK {
 		t.Fatalf("should fail both thresholds: %v", res)
 	}
 }
@@ -69,7 +69,7 @@ func TestContentTVDetectsModification(t *testing.T) {
 	up, down := summary.NewFPSet(), summary.NewFPSet()
 	up.Add(1)
 	down.Add(2)
-	res := ContentTV{}.Validate(up, down)
+	res := contentTV(Thresholds{}, up, down)
 	if res.OK || res.Lost != 1 || res.Fabricated != 1 {
 		t.Fatalf("modification signature wrong: %v", res)
 	}
@@ -88,11 +88,11 @@ func TestContentTVHostileMultiplicity(t *testing.T) {
 	honest := summary.NewFPSet()
 	honest.Add(7)
 	honest.Add(8)
-	tv := ContentTV{LossThreshold: 2, FabricationThreshold: 2}
-	if res := tv.Validate(liar, honest); res.OK || res.Lost != claimed-1 || res.Fabricated != 1 {
+	th := Thresholds{Loss: 2, Fabrication: 2}
+	if res := contentTV(th, liar, honest); res.OK || res.Lost != claimed-1 || res.Fabricated != 1 {
 		t.Fatalf("liar upstream: %v", res)
 	}
-	if res := tv.Validate(honest, liar); res.OK || res.Lost != 1 || res.Fabricated != claimed-1 {
+	if res := contentTV(th, honest, liar); res.OK || res.Lost != 1 || res.Fabricated != claimed-1 {
 		t.Fatalf("liar downstream: %v", res)
 	}
 }
@@ -107,7 +107,7 @@ func TestOrderTVCountsMultiplicity(t *testing.T) {
 	for _, fp := range []packet.Fingerprint{1, 2, 2} {
 		down.Add(fp)
 	}
-	res := OrderTV{LossThreshold: 1, FabricationThreshold: 1}.Validate(up, down)
+	res := orderTV(Thresholds{Loss: 1, Fabrication: 1}, up, down)
 	if res.OK || res.Lost != 2 || res.Fabricated != 1 {
 		t.Fatalf("multiset difference: %v", res)
 	}
@@ -125,13 +125,13 @@ func TestOrderTV(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		down.Add(packet.Fingerprint(i))
 	}
-	tv := OrderTV{ReorderThreshold: 5}
-	res := tv.Validate(up, down)
+	th := Thresholds{Reorder: 5}
+	res := orderTV(th, up, down)
 	if res.OK || res.Reordered != 10 {
 		t.Fatalf("block swap: %v", res)
 	}
-	tv = OrderTV{ReorderThreshold: 10}
-	if res := tv.Validate(up, down); !res.OK {
+	th = Thresholds{Reorder: 10}
+	if res := orderTV(th, up, down); !res.OK {
 		t.Fatalf("within reorder threshold: %v", res)
 	}
 }
@@ -148,13 +148,13 @@ func TestTimelinessTV(t *testing.T) {
 		}
 		down.Add(fp, 100, sent+delay)
 	}
-	tv := TimelinessTV{MaxDelay: 10 * time.Millisecond, LateThreshold: 0}
-	res := tv.Validate(up, down)
+	th := Thresholds{MaxDelay: 10 * time.Millisecond, Late: 0}
+	res := timelinessTV(th, up, down)
 	if res.OK || res.LateCount != 1 {
 		t.Fatalf("late packet not flagged: %v", res)
 	}
-	tv = TimelinessTV{MaxDelay: time.Second}
-	if res := tv.Validate(up, down); !res.OK {
+	th = Thresholds{MaxDelay: time.Second}
+	if res := timelinessTV(th, up, down); !res.OK {
 		t.Fatalf("all within bound: %v", res)
 	}
 }
@@ -165,8 +165,8 @@ func TestTimelinessTVLossAndFabrication(t *testing.T) {
 	up.Add(2, 100, 0)
 	down.Add(1, 100, time.Millisecond)
 	down.Add(9, 100, time.Millisecond)
-	tv := TimelinessTV{MaxDelay: time.Second, LossThreshold: 0}
-	res := tv.Validate(up, down)
+	th := Thresholds{MaxDelay: time.Second, Loss: 0}
+	res := timelinessTV(th, up, down)
 	if res.OK || res.Lost != 1 || res.Fabricated != 1 {
 		t.Fatalf("res %v", res)
 	}

@@ -141,7 +141,7 @@ func RunArchitectures(seed int64) *ArchitecturesResult {
 		hooks, log := protocol.LogHooks()
 		protocol.MustAttach(protocol.NewSimEnv(net), "pik2", pik2.Options{
 			K: 1, Round: 500 * time.Millisecond, Timeout: 100 * time.Millisecond,
-			LossThreshold: 2, FabricationThreshold: 2,
+			Thresholds: tvinfo.Thresholds{Loss: 2, Fabrication: 2},
 		}, hooks)
 		drive(net)
 		judge("per path-segment ends (Fig 2.4)", "Protocol Πk+2", log)

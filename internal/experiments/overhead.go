@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"routerwatch/internal/detector/pik2"
+	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
@@ -57,7 +58,7 @@ func ExchangeBandwidthTable(seed int64) *Table {
 		net := network.New(topology.Line(3), network.Options{Seed: seed})
 		p := pik2.Attach(protocol.NewSimEnv(net), pik2.Options{
 			K: 1, Round: 500 * time.Millisecond, Timeout: 100 * time.Millisecond,
-			LossThreshold: 2, FabricationThreshold: 2, Exchange: mode,
+			Thresholds: tvinfo.Thresholds{Loss: 2, Fabrication: 2}, Exchange: mode,
 		})
 		for i := 0; i < 3000; i++ {
 			i := i

@@ -12,6 +12,7 @@ import (
 	"routerwatch/internal/clocksync"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/pik2"
+	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
@@ -133,21 +134,18 @@ func Deploy(net *network.Network, opts Options) *System {
 		s.refreshDetectorPaths()
 	})
 
-	// The Coordinator + Traffic Validators: Πk+2 with the response loop
-	// wired into the routing daemons.
+	// The Coordinator + Traffic Validators: Πk+2 with the response loop —
+	// the routing daemons' announcement — teed in after the log.
 	s.Detector = pik2.Attach(env, pik2.Options{
-		K:                    opts.K,
-		Round:                opts.Round,
-		Timeout:              opts.Timeout,
-		Policy:               pik2.PolicyContent,
-		LossThreshold:        opts.LossThreshold,
-		FabricationThreshold: opts.FabricationThreshold,
-		Sink: detector.Tee(detector.LogSink(s.Log), func(susp detector.Suspicion) {
-			opts.Sink(susp)
-		}),
-		Responder: func(by packet.NodeID, seg topology.Segment) {
-			s.Routing.Daemon(by).AnnounceSuspicion(seg)
+		K:       opts.K,
+		Round:   opts.Round,
+		Timeout: opts.Timeout,
+		Policy:  pik2.PolicyContent,
+		Thresholds: tvinfo.Thresholds{
+			Loss:        opts.LossThreshold,
+			Fabrication: opts.FabricationThreshold,
 		},
+		Sink: detector.Tee(detector.LogSink(s.Log), opts.Sink, s.Routing.Respond),
 	})
 	return s
 }

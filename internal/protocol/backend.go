@@ -1,9 +1,6 @@
 package protocol
 
 import (
-	"fmt"
-	"os"
-	"sort"
 	"time"
 
 	"routerwatch/internal/telemetry"
@@ -12,7 +9,7 @@ import (
 // Backend is a runnable Env with a lifetime: something a detection
 // protocol can be attached to and driven to a horizon. SimEnv (wrapped by
 // AssembleSim) is the first backend; internal/capture's TraceEnv is the
-// second; ROADMAP item 5's live daemon is the intended third.
+// second.
 type Backend interface {
 	// Env returns the environment protocols attach to.
 	Env() Env
@@ -24,40 +21,6 @@ type Backend interface {
 	Horizon() time.Duration
 	// Close releases backend resources (open capture files).
 	Close() error
-}
-
-// backendOpeners is the name-keyed backend registry, populated by backend
-// packages from init (database/sql style, like the protocol registry).
-// source is backend-specific: a scenario file for "sim", a trace directory
-// for "trace".
-var backendOpeners = map[string]func(source string) (Backend, error){}
-
-// RegisterBackend installs a backend opener under a name. It panics on a
-// duplicate name, mirroring Register.
-func RegisterBackend(name string, open func(source string) (Backend, error)) {
-	if _, dup := backendOpeners[name]; dup {
-		panic(fmt.Sprintf("protocol: backend %q registered twice", name))
-	}
-	backendOpeners[name] = open
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	names := make([]string, 0, len(backendOpeners))
-	for name := range backendOpeners {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// OpenBackend opens a registered backend with its source argument.
-func OpenBackend(name, source string) (Backend, error) {
-	open, ok := backendOpeners[name]
-	if !ok {
-		return nil, fmt.Errorf("protocol: unknown backend %q (have %v)", name, Backends())
-	}
-	return open(source)
 }
 
 // simBackend wraps a fully assembled simulated scenario as a Backend.
@@ -96,21 +59,4 @@ func AssembleSim(spec *Spec, tel *telemetry.Set) (Backend, error) {
 		return nil, err
 	}
 	return &simBackend{res: res, horizon: base + spec.Duration.D()}, nil
-}
-
-// openSimBackend reads a scenario file and assembles it, uninstrumented.
-func openSimBackend(source string) (Backend, error) {
-	data, err := os.ReadFile(source)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := DecodeSpec(data)
-	if err != nil {
-		return nil, err
-	}
-	return AssembleSim(spec, nil)
-}
-
-func init() {
-	RegisterBackend("sim", openSimBackend)
 }

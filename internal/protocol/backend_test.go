@@ -36,24 +36,3 @@ func simFactory(t *testing.T) protocol.Backend {
 func TestSimEnvContract(t *testing.T) {
 	envtest.Run(t, simFactory)
 }
-
-// TestBackendRegistry pins that the sim backend is openable by name and
-// unknown names fail with the available set in the error.
-func TestBackendRegistry(t *testing.T) {
-	names := protocol.Backends()
-	found := false
-	for _, n := range names {
-		if n == "sim" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("sim backend not registered: %v", names)
-	}
-	if _, err := protocol.OpenBackend("sim", "testdata/line-drop.json"); err != nil {
-		t.Fatalf("OpenBackend(sim, line-drop.json): %v", err)
-	}
-	if _, err := protocol.OpenBackend("nope", ""); err == nil {
-		t.Fatal("OpenBackend(nope) succeeded")
-	}
-}

@@ -63,6 +63,9 @@ func attachReplica(env protocol.Env, opts any, hooks protocol.Hooks) (any, error
 	if !ok {
 		return nil, fmt.Errorf("replica: options are %T, want catalog.ReplicaConfig", opts)
 	}
+	if err := checkRouter(env, "observed", c.Observed); err != nil {
+		return nil, err
+	}
 	c.Options.Sink = protocol.MergeSink(c.Options.Sink, hooks.Sink)
 	return replica.Attach(net, c.Observed, c.Options), nil
 }
@@ -103,6 +106,15 @@ func attachQueueMonitor(env protocol.Env, opts any, hooks protocol.Hooks) (any, 
 	c, ok := opts.(QueueMonitorConfig)
 	if !ok {
 		return nil, fmt.Errorf("queue-monitor: options are %T, want catalog.QueueMonitorConfig", opts)
+	}
+	if err := checkRouter(env, "r", c.R); err != nil {
+		return nil, err
+	}
+	if err := checkRouter(env, "rd", c.RD); err != nil {
+		return nil, err
+	}
+	if _, ok := env.Graph().Link(c.R, c.RD); !ok {
+		return nil, fmt.Errorf("option %q: the topology has no link %v→%v, so no queue to monitor", "rd", c.R, c.RD)
 	}
 	c.Options.Sink = protocol.MergeSink(c.Options.Sink, hooks.Sink)
 	return baseline.AttachQueueMonitor(net, c.R, c.RD, c.Options), nil

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"routerwatch/internal/network"
+	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 )
 
@@ -30,4 +31,14 @@ func simNetwork(env protocol.Env, name string) (*network.Network, error) {
 		return b.Network(), nil
 	}
 	return nil, fmt.Errorf("protocol %q requires a simulator-backed environment", name)
+}
+
+// checkRouter rejects a router-id option that names no router of env's
+// topology — the one range an option parser cannot check, since it never
+// sees the topology.
+func checkRouter(env protocol.Env, option string, id packet.NodeID) error {
+	if n := env.Graph().NumNodes(); id < 0 || int(id) >= n {
+		return fmt.Errorf("option %q: %v is not one of the topology's %d routers", option, id, n)
+	}
+	return nil
 }

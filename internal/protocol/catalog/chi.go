@@ -29,8 +29,8 @@ func parseChiOptions(p protocol.Params) (any, error) {
 	o := chi.Options{
 		Round:                d.Duration("round", 0),
 		Timeout:              d.Duration("timeout", 0),
-		SingleThreshold:      d.Float("single-threshold", 0),
-		CombinedThreshold:    d.Float("combined-threshold", 0),
+		SingleThreshold:      d.Fraction("single-threshold", 0),
+		CombinedThreshold:    d.Fraction("combined-threshold", 0),
 		FabricationTolerance: d.Int("fabrication-tolerance", 0),
 		Learning:             d.Bool("learning", false),
 	}
@@ -49,7 +49,6 @@ func attachChi(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 		}
 	}
 	o.Sink = protocol.MergeSink(o.Sink, hooks.Sink)
-	o.Responder = protocol.MergeResponder(o.Responder, hooks.Responder)
 	return chi.Attach(env, o), nil
 }
 
@@ -58,17 +57,12 @@ func attachChi(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 // two-pass calibration and the TCP sources.
 func runChiScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.Result, error) {
 	st := spec.Topology.BuildChi()
-	res := &protocol.Result{Spec: spec, Faulty: -1}
-	hooks := run.Hooks
-	if hooks.Log == nil && hooks.Sink == nil && hooks.Responder == nil {
-		hooks, res.Log = protocol.LogHooks()
-	} else {
-		res.Log = hooks.Log
-	}
+	hooks, log := protocol.LogHooks()
+	res := &protocol.Result{Spec: spec, Log: log, Faulty: -1}
 	h := ChiHarness{
 		Seed: spec.Seed, Topology: st, Jitter: spec.Jitter.D(),
 		AttackAt: 10 * time.Second, Duration: spec.Duration.D(),
-		Sink: hooks.Sink, Responder: hooks.Responder,
+		Sink:      hooks.Sink,
 		Telemetry: run.Telemetry, Progress: run.Progress,
 	}
 	if h.Duration < 30*time.Second {

@@ -7,7 +7,6 @@ import (
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/chi"
 	"routerwatch/internal/network"
-	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 	"routerwatch/internal/queue"
 	"routerwatch/internal/tcpsim"
@@ -52,11 +51,10 @@ type ChiHarness struct {
 	// Duration is the detection run's horizon. Default 45 s.
 	Duration time.Duration
 
-	// Sink, Responder and Observer are the detection deployment's
-	// chi.Options fields of the same names.
-	Sink      detector.Sink
-	Responder func(by packet.NodeID, seg topology.Segment)
-	Observer  func(chi.RoundReport)
+	// Sink and Observer are the detection deployment's chi.Options fields
+	// of the same names.
+	Sink     detector.Sink
+	Observer func(chi.RoundReport)
 	// Telemetry instruments the detection network. The learning passes are
 	// calibration machinery, not the scenario under observation: they run
 	// uninstrumented.
@@ -214,7 +212,6 @@ func (h ChiHarness) Run() *ChiRun {
 			REDThreshold:         0.97,
 			FabricationTolerance: 2,
 			Sink:                 h.Sink,
-			Responder:            h.Responder,
 			Observer:             h.Observer,
 		})
 	})

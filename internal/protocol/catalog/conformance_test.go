@@ -119,3 +119,38 @@ func TestConformance(t *testing.T) {
 		t.Fatal("no registered protocol offers a DefaultSpec")
 	}
 }
+
+// TestRespondEveryProtocol pins that "routing": {"respond": true} closes the
+// response loop for every protocol that raises suspicions through its sink:
+// the runtime tees routing.(*Protocol).Respond in after the log, so no
+// adapter has a second hook to remember. WATCHERS' adapter never merged the
+// old one — its spec ran to completion and excised nothing.
+func TestRespondEveryProtocol(t *testing.T) {
+	for _, name := range []string{"pik2", "pi2", "watchers"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			d, err := protocol.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := trimmed(d, 1, false)
+			spec.Routing = &protocol.RoutingSpec{
+				Delay: protocol.Duration(time.Second), Hold: protocol.Duration(2 * time.Second),
+				Converge: protocol.Duration(30 * time.Second), Respond: true,
+			}
+			res, err := protocol.Run(spec, protocol.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Log.Len() == 0 {
+				t.Fatal("the dropping router raised no suspicion")
+			}
+			for _, s := range res.Log.All() {
+				if res.Routing.Daemon(s.By).Exclusions().Len() > 0 {
+					return
+				}
+			}
+			t.Errorf("%d suspicions, yet no suspecting router excluded anything:\n%s", res.Log.Len(), res.Log)
+		})
+	}
+}

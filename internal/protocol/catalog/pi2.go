@@ -23,11 +23,11 @@ func parsePi2Options(p protocol.Params) (any, error) {
 	d := protocol.NewParamDecoder(p)
 	o := pi2.Options{
 		K:      d.Int("k", 0),
-		Round:  d.NonNegDuration("round", 0),
-		Settle: d.NonNegDuration("settle", 0),
+		Round:  d.Duration("round", 0),
+		Settle: d.Duration("settle", 0),
 		Thresholds: tvinfo.Thresholds{
-			Loss:        d.NonNegInt("loss-threshold", 0),
-			Fabrication: d.NonNegInt("fabrication-threshold", 0),
+			Loss:        d.Int("loss-threshold", 0),
+			Fabrication: d.Int("fabrication-threshold", 0),
 		},
 	}
 	if err := d.Err(); err != nil {
@@ -45,7 +45,6 @@ func attachPi2(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 		}
 	}
 	o.Sink = protocol.MergeSink(o.Sink, hooks.Sink)
-	o.Responder = protocol.MergeResponder(o.Responder, hooks.Responder)
 	return pi2.Attach(env, o), nil
 }
 

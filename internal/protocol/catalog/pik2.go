@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"routerwatch/internal/detector/pik2"
+	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/protocol"
 )
 
@@ -22,14 +23,16 @@ func init() {
 func parsePik2Options(p protocol.Params) (any, error) {
 	d := protocol.NewParamDecoder(p)
 	o := pik2.Options{
-		K:                    d.Int("k", 0),
-		Round:                d.NonNegDuration("round", 0),
-		Timeout:              d.NonNegDuration("timeout", 0),
-		LossThreshold:        d.NonNegInt("loss-threshold", 0),
-		FabricationThreshold: d.NonNegInt("fabrication-threshold", 0),
-		Sampling:             d.Fraction("sampling", 0),
-		SketchCapacity:       d.NonNegInt("sketch-capacity", 0),
-		SketchFPRate:         d.Fraction("sketch-fp-rate", 0),
+		K:       d.Int("k", 0),
+		Round:   d.Duration("round", 0),
+		Timeout: d.Duration("timeout", 0),
+		Thresholds: tvinfo.Thresholds{
+			Loss:        d.Int("loss-threshold", 0),
+			Fabrication: d.Int("fabrication-threshold", 0),
+		},
+		Sampling:       d.Fraction("sampling", 0),
+		SketchCapacity: d.Int("sketch-capacity", 0),
+		SketchFPRate:   d.Fraction("sketch-fp-rate", 0),
 	}
 	switch mode := d.String("exchange", "full"); mode {
 	case "full":
@@ -56,7 +59,6 @@ func attachPik2(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 		}
 	}
 	o.Sink = protocol.MergeSink(o.Sink, hooks.Sink)
-	o.Responder = protocol.MergeResponder(o.Responder, hooks.Responder)
 	return pik2.Attach(env, o), nil
 }
 

@@ -187,7 +187,6 @@ func TestScaleSmoke(t *testing.T) {
 	spec := ispDropSpec()
 	spec.Name = "isp200smoke"
 	spec.Topology = protocol.TopologySpec{Kind: "isp", N: 200, Pops: 8, Seed: 7}
-	spec.Routing.Workers = 0 // GOMAXPROCS
 	spec.Traffic = []protocol.TrafficSpec{{
 		Kind: "mesh", Pairs: 120, Count: 600,
 		Interval: protocol.Duration(5 * time.Millisecond),

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"routerwatch/internal/detector/pik2"
+	"routerwatch/internal/network"
 	"routerwatch/internal/protocol"
+	"routerwatch/internal/topology"
 )
 
 func lineTestSpec(opts protocol.Params) *protocol.Spec {
@@ -61,6 +63,19 @@ func TestRunBadOptions(t *testing.T) {
 		{"pik2 sampling NaN", "pik2", protocol.Params{"sampling": "NaN"}, `option "sampling": "NaN" must lie in [0, 1]`},
 		{"pik2 sampling above one", "pik2", protocol.Params{"sampling": "1.5"}, `option "sampling"`},
 		{"pik2 negative sketch rate", "pik2", protocol.Params{"exchange": "sketch", "sketch-fp-rate": "-0.1"}, `option "sketch-fp-rate"`},
+		// The remaining descriptors (ISSUE 20), on the three-router line. The
+		// first seven used to panic — in SimEnv.Every, in Network.Router, or
+		// indexing the routers; the last two ran: a monitor on a queue that
+		// does not exist, and k=1.
+		{"watchers negative round", "watchers", protocol.Params{"round": "-1s"}, `option "round": "-1s" must not be negative`},
+		{"queue-monitor negative round", "queue-monitor", protocol.Params{"r": "0", "rd": "1", "round": "-1s"}, `option "round": "-1s" must not be negative`},
+		{"queue-monitor rd out of range", "queue-monitor", protocol.Params{"r": "1", "rd": "9"}, `option "rd": r9 is not one of the topology's 3 routers`},
+		{"replica negative observed", "replica", protocol.Params{"observed": "-1"}, `option "observed": "-1" must not be negative`},
+		{"replica observed out of range", "replica", protocol.Params{"observed": "99"}, `option "observed": r99 is not one of the topology's 3 routers`},
+		{"chi negative round", "chi", protocol.Params{"round": "-1s"}, `option "round": "-1s" must not be negative`},
+		{"fatih negative round", "fatih", protocol.Params{"round": "-1s"}, `option "round": "-1s" must not be negative`},
+		{"queue-monitor no such link", "queue-monitor", protocol.Params{"r": "0", "rd": "2"}, `option "rd": the topology has no link r0→r2`},
+		{"pik2 negative k", "pik2", protocol.Params{"k": "-3"}, `option "k": "-3" must not be negative`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,7 +83,22 @@ func TestRunBadOptions(t *testing.T) {
 			if tc.protocol != "" {
 				spec.Protocol = tc.protocol
 			}
-			_, err := protocol.Run(spec, protocol.RunOptions{})
+			d, err := protocol.Lookup(spec.Protocol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Scenario == nil {
+				_, err = protocol.Run(spec, protocol.RunOptions{})
+			} else {
+				// A canonical scenario takes no options; they reach these
+				// protocols through Attach, as from mrreplay and the façade.
+				var opts any
+				if opts, err = d.ParseOptions(tc.opts); err == nil {
+					env := protocol.NewSimEnv(network.New(topology.Line(3), network.Options{Seed: 1}))
+					hooks, _ := protocol.LogHooks()
+					_, err = protocol.Attach(env, spec.Protocol, opts, hooks)
+				}
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("err = %v, want mention of %s", err, tc.wantErr)
 			}

@@ -56,7 +56,9 @@ func (d *ParamDecoder) String(key, def string) string {
 	return def
 }
 
-// Int returns the integer option key, or def when absent.
+// Int returns the integer option key, or def when absent. Every integer
+// option is a count, size, threshold or router id, so a negative value is an
+// error.
 func (d *ParamDecoder) Int(key string, def int) int {
 	v, ok := d.lookup(key)
 	if !ok {
@@ -67,13 +69,6 @@ func (d *ParamDecoder) Int(key string, def int) int {
 		d.fail(key, v, "integer", err)
 		return def
 	}
-	return n
-}
-
-// NonNegInt is Int for a count, size or threshold: a negative value is an
-// error.
-func (d *ParamDecoder) NonNegInt(key string, def int) int {
-	n := d.Int(key, def)
 	if n < 0 {
 		d.reject(key, "must not be negative")
 		return def
@@ -121,7 +116,9 @@ func (d *ParamDecoder) Bool(key string, def bool) bool {
 }
 
 // Duration returns the duration option key ("250ms", "5s"), or def when
-// absent.
+// absent. Every duration option is an interval or timeout, so a negative
+// value is an error (it would reach the scheduler as a ticker interval or a
+// delay into the past).
 func (d *ParamDecoder) Duration(key string, def time.Duration) time.Duration {
 	v, ok := d.lookup(key)
 	if !ok {
@@ -132,14 +129,6 @@ func (d *ParamDecoder) Duration(key string, def time.Duration) time.Duration {
 		d.fail(key, v, "duration", err)
 		return def
 	}
-	return dur
-}
-
-// NonNegDuration is Duration for an interval or timeout: a negative value is
-// an error (it would reach the scheduler as a ticker interval or a delay into
-// the past).
-func (d *ParamDecoder) NonNegDuration(key string, def time.Duration) time.Duration {
-	dur := d.Duration(key, def)
 	if dur < 0 {
 		d.reject(key, "must not be negative")
 		return def

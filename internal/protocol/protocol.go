@@ -27,22 +27,17 @@
 // analyzers enforce the first two module-wide.
 package protocol
 
-import (
-	"routerwatch/internal/detector"
-	"routerwatch/internal/packet"
-	"routerwatch/internal/topology"
-)
+import "routerwatch/internal/detector"
 
 // Hooks is what the runtime wires into every protocol it attaches: where
-// suspicions go and what the response mechanism is. Descriptors merge these
-// with (never replace) sinks the caller set in typed options.
+// suspicions go. The response mechanism is one more sink
+// (routing.(*Protocol).Respond) teed in after the log. Descriptors merge
+// these with (never replace) sinks the caller set in typed options.
 type Hooks struct {
 	// Log is the suspicion log behind Sink; Run surfaces it as Result.Log.
 	Log *detector.Log
 	// Sink receives every suspicion the deployment raises or adopts.
 	Sink detector.Sink
-	// Responder is invoked at the suspecting router — the response loop.
-	Responder func(by packet.NodeID, seg topology.Segment)
 }
 
 // LogHooks builds the runtime's default hooks: a fresh suspicion log with
@@ -62,21 +57,5 @@ func MergeSink(opt detector.Sink, hook detector.Sink) detector.Sink {
 		return opt
 	default:
 		return detector.Tee(opt, hook)
-	}
-}
-
-// MergeResponder composes an options-level responder with the runtime hook
-// responder; either may be nil.
-func MergeResponder(opt, hook func(by packet.NodeID, seg topology.Segment)) func(by packet.NodeID, seg topology.Segment) {
-	switch {
-	case opt == nil:
-		return hook
-	case hook == nil:
-		return opt
-	default:
-		return func(by packet.NodeID, seg topology.Segment) {
-			opt(by, seg)
-			hook(by, seg)
-		}
 	}
 }

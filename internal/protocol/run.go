@@ -18,9 +18,6 @@ import (
 type RunOptions struct {
 	// Telemetry instruments the network and the protocol (nil = disabled).
 	Telemetry *telemetry.Set
-	// Hooks overrides the runtime's default suspicion wiring. The zero
-	// value means "give me a fresh suspicion log" (LogHooks).
-	Hooks Hooks
 	// Progress, when non-nil, receives human-readable narration from
 	// scenario descriptors (χ's learning-phase announcements).
 	Progress func(format string, args ...any)
@@ -43,8 +40,7 @@ type Result struct {
 	// Engine is the attached protocol's native value (*pik2.Protocol,
 	// *chi.Protocol, *fatih.System, …), as Descriptor.Attach returned it.
 	Engine any
-	// Log is the suspicion log behind the run's hooks (nil when the caller
-	// supplied pure custom hooks with no log).
+	// Log is the run's suspicion log.
 	Log *detector.Log
 	// Faulty is the (first) compromised router, -1 when the spec had no
 	// attack; FaultySet lists every compromised router in installation
@@ -123,7 +119,7 @@ func RunGeneric(spec *Spec, run RunOptions) (*Result, error) {
 	}
 
 	res, base, err := assemble(spec, run.Telemetry, func(res *Result) error {
-		return attachProtocol(d, run.Hooks, res)
+		return attachProtocol(d, res)
 	})
 	if err != nil {
 		return nil, err
@@ -135,22 +131,15 @@ func RunGeneric(spec *Spec, run RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// attachProtocol is RunGeneric's attach step: wire the suspicion hooks
-// (and, when the spec asks, the routing response), parse the spec's
+// attachProtocol is RunGeneric's attach step: wire the suspicion log (and,
+// when the spec asks, the routing response after it), parse the spec's
 // options and deploy d on the assembled environment.
-func attachProtocol(d Descriptor, hooks Hooks, res *Result) error {
+func attachProtocol(d Descriptor, res *Result) error {
 	spec := res.Spec
-	if hooks.Log == nil && hooks.Sink == nil && hooks.Responder == nil {
-		hooks, res.Log = LogHooks()
-	} else {
-		res.Log = hooks.Log
-	}
+	hooks, log := LogHooks()
+	res.Log = log
 	if spec.Routing != nil && spec.Routing.Respond {
-		rt := res.Routing
-		hooks.Responder = MergeResponder(hooks.Responder,
-			func(by packet.NodeID, seg topology.Segment) {
-				rt.Daemon(by).AnnounceSuspicion(seg)
-			})
+		hooks.Sink = detector.Tee(hooks.Sink, res.Routing.Respond)
 	}
 
 	var opts any
@@ -195,9 +184,7 @@ func assemble(spec *Spec, tel *telemetry.Set, attach func(*Result) error) (*Resu
 			Timers:         routing.Timers{Delay: r.Delay.D(), Hold: r.Hold.D()},
 			StaggerRegions: r.StaggerRegions,
 			BundleFlood:    r.BundleFlood,
-			FloodHold:      r.FloodHold.D(),
 			BatchCompute:   r.BatchCompute,
-			Workers:        r.Workers,
 		})
 		if c := r.Converge.D(); c > 0 {
 			res.Routing.RunUntilConverged(c)

@@ -232,18 +232,16 @@ type RoutingSpec struct {
 	// Converge runs the simulation until the fabric converges (bounded by
 	// this budget) before traffic starts.
 	Converge Duration `json:"converge,omitempty"`
-	// Respond wires the protocol's Responder to AnnounceSuspicion at the
-	// suspecting router's daemon — the paper's response mechanism.
+	// Respond tees routing.(*Protocol).Respond into the protocol's sink
+	// after the suspicion log: the suspecting router's daemon announces
+	// every suspected segment — the paper's response mechanism.
 	Respond bool `json:"respond,omitempty"`
-	// StaggerRegions, BundleFlood, FloodHold, BatchCompute and Workers map
-	// onto routing.Options — the substrate's scale knobs for generated
-	// topologies. All zero reproduces the legacy routing event stream
-	// byte-for-byte.
-	StaggerRegions bool     `json:"stagger-regions,omitempty"`
-	BundleFlood    bool     `json:"bundle-flood,omitempty"`
-	FloodHold      Duration `json:"flood-hold,omitempty"`
-	BatchCompute   bool     `json:"batch-compute,omitempty"`
-	Workers        int      `json:"workers,omitempty"`
+	// StaggerRegions, BundleFlood and BatchCompute map onto routing.Options
+	// — the substrate's scale knobs for generated topologies. All false
+	// reproduces the legacy routing event stream byte-for-byte.
+	StaggerRegions bool `json:"stagger-regions,omitempty"`
+	BundleFlood    bool `json:"bundle-flood,omitempty"`
+	BatchCompute   bool `json:"batch-compute,omitempty"`
 }
 
 // AttackSpec compromises one router.

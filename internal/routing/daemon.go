@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"routerwatch/internal/auth"
+	"routerwatch/internal/detector"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/sim"
@@ -75,7 +76,7 @@ type Daemon struct {
 	table *Table
 
 	// pending and flushQueued implement bundled flooding (Options.BundleFlood):
-	// accepted LSAs collect here until the flood-hold flush.
+	// accepted LSAs collect here until the floodHold flush.
 	pending     []*LSA
 	flushQueued bool
 
@@ -99,6 +100,13 @@ func (p *Protocol) Daemon(id packet.NodeID) *Daemon { return p.daemons[id] }
 
 // Daemons returns all daemons in router-ID order.
 func (p *Protocol) Daemons() []*Daemon { return p.daemons }
+
+// Respond is the response loop (§2.4.3) as a detector.Sink: the suspecting
+// router's daemon announces the suspected segment, which excises it from the
+// fabric. Tee it in after the suspicion log.
+func (p *Protocol) Respond(s detector.Suspicion) {
+	p.Daemon(s.By).AnnounceSuspicion(s.Segment)
+}
 
 // ID returns the daemon's router ID.
 func (d *Daemon) ID() packet.NodeID { return d.id }

@@ -8,7 +8,7 @@
 //     region (PoP) index instead of its router index, so a 1000-router
 //     topology starts flooding within its region count in milliseconds
 //     rather than a full second.
-//   - BundleFlood batches re-flooding: LSAs accepted within FloodHold of
+//   - BundleFlood batches re-flooding: LSAs accepted within floodHold of
 //     each other leave as one bundle message per neighbor. Novelty is still
 //     seq-gated per LSA at the receiver, so bundles terminate exactly like
 //     per-LSA flooding.
@@ -53,28 +53,24 @@ type Options struct {
 	// instant, in router-ID event order.
 	StaggerRegions bool
 
-	// BundleFlood collects accepted LSAs for FloodHold and re-floods them as
+	// BundleFlood collects accepted LSAs for floodHold and re-floods them as
 	// one bundle per neighbor instead of one message per LSA.
 	BundleFlood bool
-	// FloodHold is the bundling delay; 0 means 1ms. Only meaningful with
-	// BundleFlood.
-	FloodHold time.Duration
 
 	// BatchCompute coalesces same-instant table recomputes into one event,
-	// preparing tables in parallel on Workers goroutines (0 = GOMAXPROCS,
-	// 1 = serial) and installing them in router-ID order.
+	// preparing tables in parallel on GOMAXPROCS goroutines and installing
+	// them in router-ID order.
 	BatchCompute bool
-	Workers      int
 }
+
+// floodHold is the bundling delay of Options.BundleFlood.
+const floodHold = time.Millisecond
 
 // Attach creates and starts a daemon on every router. Initial LSAs flood at
 // staggered start times; tables converge after the delay/hold timers.
 func Attach(net *network.Network, opts Options) *Protocol {
 	if opts.Timers.Delay == 0 && opts.Timers.Hold == 0 {
 		opts.Timers = DefaultTimers()
-	}
-	if opts.BundleFlood && opts.FloodHold == 0 {
-		opts.FloodHold = time.Millisecond
 	}
 	p := &Protocol{net: net, opts: opts}
 	if opts.BatchCompute {
@@ -132,7 +128,7 @@ func (d *Daemon) enqueueFlood(lsa *LSA) {
 	}
 	d.flushQueued = true
 	sched := d.proto.net.Scheduler()
-	sched.At(sched.Now()+d.proto.opts.FloodHold, d.flushPending)
+	sched.At(sched.Now()+floodHold, d.flushPending)
 }
 
 // flushPending sends everything accepted since the last flush as one bundle
@@ -161,7 +157,7 @@ func (p *Protocol) runBatch(at time.Duration) {
 	delete(p.due, at)
 	sort.Slice(batch, func(i, j int) bool { return batch[i].id < batch[j].id })
 	truth := p.net.Graph().CSR()
-	runner.Do(p.opts.Workers, len(batch), func(i int) { batch[i].prepare(truth) })
+	runner.Do(0 /* GOMAXPROCS */, len(batch), func(i int) { batch[i].prepare(truth) })
 	for _, d := range batch {
 		d.install(at)
 	}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -56,7 +57,6 @@ func TestScaleOptionsConvergeToLegacyTables(t *testing.T) {
 		StaggerRegions: true,
 		BundleFlood:    true,
 		BatchCompute:   true,
-		Workers:        4,
 	})
 	if !scaled.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("scaled path did not converge")
@@ -75,13 +75,16 @@ func TestScaleOptionsConvergeToLegacyTables(t *testing.T) {
 	}
 }
 
-// Batch preparation must be invariant in the worker count.
+// Batch preparation must be invariant in the worker count, which is
+// GOMAXPROCS.
 func TestBatchComputeWorkerInvariance(t *testing.T) {
 	g := ispGraph(t)
 	timers := Timers{Delay: time.Second, Hold: 2 * time.Second}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	run := func(workers int) map[[3]packet.NodeID]packet.NodeID {
+		runtime.GOMAXPROCS(workers)
 		net := network.New(g.Clone(), network.Options{Seed: 9})
-		p := Attach(net, Options{Timers: timers, BatchCompute: true, Workers: workers})
+		p := Attach(net, Options{Timers: timers, BatchCompute: true})
 		if !p.RunUntilConverged(5 * time.Minute) {
 			t.Fatalf("workers=%d did not converge", workers)
 		}
@@ -114,7 +117,7 @@ func TestBundleFloodConverges(t *testing.T) {
 	}
 
 	net := network.New(g.Clone(), network.Options{Seed: 3})
-	p := Attach(net, Options{Timers: timers, BundleFlood: true, FloodHold: 2 * time.Millisecond})
+	p := Attach(net, Options{Timers: timers, BundleFlood: true})
 	if !p.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("bundled flooding did not converge")
 	}

@@ -6,6 +6,7 @@ import (
 
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/pik2"
+	"routerwatch/internal/detector/tvinfo"
 )
 
 // TestFacadeQuickstart exercises the public surface end to end: the
@@ -16,8 +17,8 @@ func TestFacadeQuickstart(t *testing.T) {
 	log := NewLog()
 	AttachPiK2(net, pik2.Options{
 		K: 1, Round: 500 * time.Millisecond, Timeout: 100 * time.Millisecond,
-		LossThreshold: 2, FabricationThreshold: 2,
-		Sink: detector.LogSink(log),
+		Thresholds: tvinfo.Thresholds{Loss: 2, Fabrication: 2},
+		Sink:       detector.LogSink(log),
 	})
 	net.Router(2).SetBehavior(DropAll())
 	for i := 0; i < 300; i++ {
