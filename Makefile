@@ -21,11 +21,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The determinism lint suite (cmd/rwlint): custom go/analysis-style
+# The determinism lint suite (cmd/rwlint): seven custom go/analysis-style
 # analyzers enforcing the invariants the parallel runner's bitwise
-# determinism rests on (no global math/rand, no wall clock outside the
-# allowlist, no map-ordered output, nil-safe telemetry instruments), plus
-# local nilness and shadow passes. See DESIGN.md "Static analysis".
+# determinism rests on — globalrand (no global math/rand), walltime (no wall
+# clock outside the allowlist), mapyield (no map-ordered output),
+# hotpathalloc (no per-message hash construction), nilinstrument (nil-safe
+# telemetry instruments), envpurity (time/randomness only through
+# protocol.Env, interprocedurally) and errsink (no dropped I/O errors in
+# internal/capture and cmd/). See DESIGN.md "Static analysis".
 lint:
 	$(GO) run ./cmd/rwlint -timing $(RWLINT_FLAGS) ./...
 
@@ -49,11 +52,12 @@ perf:
 	$(GO) -C bench run ./rwbench -compare out/baseline-seed1-a.json $$tmp; \
 	status=$$?; rm -f $$tmp; exit $$status
 
-# Short fuzz pass over every fuzz harness (satisfies `go test` normally
-# too — the seed corpus runs as ordinary tests): the summary codecs, the
-# flat-lane FPSet against its map-backed reference, the mutation-campaign
-# spec round-trip, the capture decoders, the SPF kernels against their
-# reference, the scenario-file decoder, and every descriptor's option parser.
+# Short fuzz pass over all fifteen fuzz harnesses (satisfies `go test`
+# normally too — the seed corpus runs as ordinary tests): the summary codecs,
+# the flat-lane FPSet against its map-backed reference, the mutation-campaign
+# spec round-trip, the capture decoders and the trace manifest loader, the
+# SPF kernels against their reference, the scenario-file decoder (which also
+# builds small custom topologies), and every descriptor's option parser.
 # Override FUZZTIME for quicker smokes: make fuzz FUZZTIME=2s.
 FUZZTIME ?= 10s
 
@@ -64,7 +68,7 @@ fuzz:
 		$(GO) test ./internal/summary/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 	$(GO) test ./internal/mutation/ -run='^$$' -fuzz=FuzzMutantSpecRoundTrip -fuzztime=$(FUZZTIME)
-	@for f in FuzzPcapRoundTrip FuzzDecodeFrame; do \
+	@for f in FuzzPcapRoundTrip FuzzDecodeFrame FuzzReadMeta; do \
 		$(GO) test ./internal/capture/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 	$(GO) test ./internal/routing/ -run='^$$' -fuzz=FuzzComputeTable -fuzztime=$(FUZZTIME)

@@ -1,8 +1,9 @@
 // Command rwlint is routerwatch's determinism lint suite: a multichecker
-// running the custom analyzers that machine-enforce the invariants the
-// parallel trial runner's bitwise determinism rests on, plus local ports
-// of the stock nilness and shadow passes and the interprocedural
-// call-graph analyzers (envpurity, lockguard, errsink).
+// running the seven analyzers of internal/analysis/suite — globalrand,
+// hotpathalloc, walltime, mapyield and nilinstrument per package, then the
+// interprocedural call-graph analyzers envpurity and errsink — that
+// machine-enforce the invariants the parallel trial runner's bitwise
+// determinism rests on.
 //
 //	rwlint [-only a,b] [-list] [-timing] [-json report.json] [packages]
 //
@@ -27,34 +28,9 @@ import (
 
 	"routerwatch/internal/analysis"
 	"routerwatch/internal/analysis/driver"
-	"routerwatch/internal/analysis/envpurity"
-	"routerwatch/internal/analysis/errsink"
-	"routerwatch/internal/analysis/globalrand"
-	"routerwatch/internal/analysis/hotpathalloc"
 	"routerwatch/internal/analysis/load"
-	"routerwatch/internal/analysis/lockguard"
-	"routerwatch/internal/analysis/mapyield"
-	"routerwatch/internal/analysis/nilinstrument"
-	"routerwatch/internal/analysis/passes/nilness"
-	"routerwatch/internal/analysis/passes/shadow"
-	"routerwatch/internal/analysis/walltime"
+	"routerwatch/internal/analysis/suite"
 )
-
-// suite is the full analyzer catalogue, in run order: the per-package
-// syntactic passes first, then the module-wide call-graph analyzers (which
-// share one cached call graph through the driver session).
-var suite = []*analysis.Analyzer{
-	globalrand.Analyzer,
-	hotpathalloc.Analyzer,
-	walltime.Analyzer,
-	mapyield.Analyzer,
-	nilinstrument.Analyzer,
-	nilness.Analyzer,
-	shadow.Analyzer,
-	envpurity.Analyzer,
-	lockguard.Analyzer,
-	errsink.Analyzer,
-}
 
 // report is the -json output shape.
 type report struct {
@@ -89,23 +65,23 @@ func main() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: rwlint [flags] [packages]\n\n")
 		flag.PrintDefaults()
 		fmt.Fprintf(flag.CommandLine.Output(), "\nanalyzers:\n")
-		for _, a := range suite {
+		for _, a := range suite.Analyzers {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
 
 	if *list {
-		for _, a := range suite {
+		for _, a := range suite.Analyzers {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
 
-	analyzers := suite
+	analyzers := suite.Analyzers
 	if *only != "" {
 		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range suite {
+		for _, a := range suite.Analyzers {
 			byName[a.Name] = a
 		}
 		analyzers = nil

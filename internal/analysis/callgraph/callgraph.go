@@ -1,7 +1,7 @@
 // Package callgraph builds a conservative, type-aware call graph over the
 // packages the analysis loader produced, for the interprocedural analyzers
-// (envpurity, lockguard, errsink). Precision is traded for simplicity in
-// three documented ways:
+// (envpurity, errsink). Precision is traded for simplicity in three
+// documented ways:
 //
 //   - Static calls resolve exactly. Calls through an interface method
 //     resolve to the implemented-by set: every named type in the loaded
@@ -268,19 +268,18 @@ func (g *Graph) walk(cur *Node, body *ast.BlockStmt, info *types.Info) {
 		call, isCall := callees[id]
 		dispatch := sig.Recv() != nil && types.IsInterface(sig.Recv().Type())
 		kind := KindStatic
-		if !isCall {
+		switch {
+		case !isCall:
 			kind = KindFuncValue
+		case dispatch:
+			kind = KindInterface
 		}
 		if dispatch {
 			abstract := g.node(fn)
 			targets := []*Node{abstract}
-			if isCall {
-				g.edge(cur, abstract, id.Pos(), KindInterface)
-			} else {
-				g.edge(cur, abstract, id.Pos(), KindFuncValue)
-			}
+			g.edge(cur, abstract, id.Pos(), kind)
 			for _, impl := range g.resolve(fn) {
-				g.edge(cur, impl, id.Pos(), kind1(isCall))
+				g.edge(cur, impl, id.Pos(), kind)
 				targets = append(targets, impl)
 			}
 			if isCall {
@@ -295,13 +294,6 @@ func (g *Graph) walk(cur *Node, body *ast.BlockStmt, info *types.Info) {
 		}
 		return true
 	})
-}
-
-func kind1(isCall bool) Kind {
-	if isCall {
-		return KindInterface
-	}
-	return KindFuncValue
 }
 
 // resolve computes (and caches) the implemented-by set of one interface

@@ -6,7 +6,7 @@
 // the steady-state garbage the zero-allocation hot path was built to
 // eliminate. Hot-path code precomputes pad states once per key and restores
 // them into a per-owner scratch digest (see internal/auth's macState and
-// DESIGN.md "Hot-path pooling"); constructors belong only in the setup
+// DESIGN.md "Hot path"); constructors belong only in the setup
 // functions that build those reusable states.
 //
 // The allowlist (Allow) names the construction-legitimate functions as
@@ -87,7 +87,7 @@ func run(pass *analysis.Pass) error {
 					return true
 				}
 				pass.Reportf(id.Pos(),
-					"%s.%s constructs a hash per call; hot paths must reuse a precomputed state or scratch digest (allowlist: hotpathalloc.Allow, see DESIGN.md \"Hot-path pooling\")",
+					"%s.%s constructs a hash per call; hot paths must reuse a precomputed state or scratch digest (allowlist: hotpathalloc.Allow, see DESIGN.md \"Hot path\")",
 					obj.Pkg().Path(), fn.Name())
 				return true
 			})

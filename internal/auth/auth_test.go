@@ -127,8 +127,11 @@ func TestSamplingKeysPerPair(t *testing.T) {
 	}
 }
 
+// TestConcurrentKeyAccess is the -race coverage for Authority.mu: the key
+// maps, and the scratch digest and sum buffers every Sign and Verify share.
 func TestConcurrentKeyAccess(t *testing.T) {
 	a := NewAuthority(8)
+	msg := []byte("summary")
 	done := make(chan struct{})
 	for i := 0; i < 8; i++ {
 		go func(i int) {
@@ -136,6 +139,9 @@ func TestConcurrentKeyAccess(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				a.SigningKey(packet.NodeID(j % 10))
 				a.PairwiseKey(packet.NodeID(i), packet.NodeID(j%10))
+				if sig := a.Sign(packet.NodeID(i), msg); !a.Verify(msg, sig) {
+					t.Errorf("r%d's signature does not verify", i)
+				}
 			}
 		}(i)
 	}

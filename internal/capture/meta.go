@@ -69,14 +69,18 @@ func (m *Meta) Graph() (*topology.Graph, error) {
 		if l.From < 0 || l.From >= n || l.To < 0 || l.To >= n {
 			return nil, fmt.Errorf("capture: link %d->%d outside %d nodes", l.From, l.To, n)
 		}
-		g.AddLink(topology.Link{
+		link := topology.Link{
 			From:       packet.NodeID(l.From),
 			To:         packet.NodeID(l.To),
 			Bandwidth:  l.Bandwidth,
 			Delay:      l.Delay.D(),
 			QueueLimit: l.QueueLimit,
 			Cost:       l.Cost,
-		})
+		}
+		if err := link.Validate(); err != nil {
+			return nil, fmt.Errorf("capture: link %d->%d: %w", l.From, l.To, err)
+		}
+		g.AddLink(link)
 	}
 	return g, nil
 }

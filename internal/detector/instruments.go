@@ -16,10 +16,6 @@ var suspicionLatencyBucketsMs = []int64{100, 250, 500, 1_000, 2_000, 5_000, 10_0
 // — the amortization factor of the batched hot path.
 var batchEntriesBuckets = []int64{1, 4, 16, 64, 256, 1_024, 4_096}
 
-// sketchErrorBuckets bins the absolute difference between a sketch-mode
-// loss/fabrication estimate and the exact full-summary count (packets).
-var sketchErrorBuckets = []int64{0, 1, 2, 4, 8, 16, 32, 64}
-
 // Instruments bundles a detection protocol's telemetry handles, resolved
 // once at Attach time and labeled protocol=<name>. The zero value (all nil
 // fields) is fully usable and free: every call degrades to a nil-check per
@@ -43,9 +39,6 @@ type Instruments struct {
 	// BatchEntries bins the record count of each signed batch a reporter
 	// flushes — the denominator of the aggregate-MAC amortization.
 	BatchEntries *telemetry.Histogram
-	// SketchError bins |sketch estimate − exact count| when a protocol
-	// judges rounds from mergeable sketches instead of full summaries.
-	SketchError *telemetry.Histogram
 
 	// Trace, when non-nil, receives suspicion instants and round spans on
 	// the suspecting router's timeline.
@@ -64,7 +57,6 @@ func NewInstruments(set *telemetry.Set, protocol string) Instruments {
 		Suspicions:   reg.Counter("rw_detector_suspicions_total", "protocol", protocol),
 		Latency:      reg.Histogram("rw_detector_suspicion_latency_ms", suspicionLatencyBucketsMs, "protocol", protocol),
 		BatchEntries: reg.Histogram("rw_detector_batch_entries", batchEntriesBuckets, "protocol", protocol),
-		SketchError:  reg.Histogram("rw_detector_sketch_error_packets", sketchErrorBuckets, "protocol", protocol),
 		Trace:        set.Tracer(),
 	}
 }

@@ -140,20 +140,11 @@ func (a *agent) exchangeRound(n int) {
 			s = replaced
 		}
 		msg := &SummaryMsg{Seg: st.Seg, Round: n, From: a.id}
-		switch a.p.opts.Exchange {
-		case ExchangeReconcile:
+		if a.p.opts.Exchange == ExchangeReconcile {
 			fps := fpMultiset(s)
 			msg.Count = len(fps)
 			msg.Evals = summary.EvaluateCharPoly(fps, a.p.reconcilePoints())
-		case ExchangeSketch:
-			fps := fpMultiset(s)
-			msg.Count = len(fps)
-			sk := a.p.newSketch()
-			for _, fp := range fps {
-				sk.Add(packet.Fingerprint(fp))
-			}
-			msg.Sketch = sk
-		default:
+		} else {
 			msg.Summary = s
 		}
 		a.exOffs = append(a.exOffs, len(buf))
@@ -196,19 +187,12 @@ func (a *agent) onSummary(cm *network.ControlMessage) {
 	if !ok {
 		return
 	}
-	switch a.p.opts.Exchange {
-	case ExchangeReconcile:
+	if a.p.opts.Exchange == ExchangeReconcile {
 		if msg.Evals == nil {
 			return
 		}
-	case ExchangeSketch:
-		if msg.Sketch == nil {
-			return
-		}
-	default:
-		if msg.Summary == nil {
-			return
-		}
+	} else if msg.Summary == nil {
+		return
 	}
 	a.keyBuf = topology.AppendKey(a.keyBuf[:0], msg.Seg)
 	st := a.segs[topology.SegmentKey(a.keyBuf)]
@@ -262,10 +246,6 @@ func (a *agent) judgeRound(n int) {
 			a.judgeReconcile(st, n, local, peer)
 			continue
 		}
-		if a.p.opts.Exchange == ExchangeSketch {
-			a.judgeSketch(st, n, local, peer)
-			continue
-		}
 		var up, down *Summary
 		if st.Pos == 0 {
 			up, down = local, peer.Summary
@@ -315,49 +295,6 @@ func (a *agent) judgeReconcile(st *segState, n int, local *Summary, peer *Summar
 	if th := a.p.opts.Thresholds; lost > th.Loss || fabricated > th.Fabrication {
 		a.suspect(st, n, detector.KindTrafficValidation, 1,
 			fmt.Sprintf("reconciled difference: %d lost, %d fabricated", lost, fabricated))
-	}
-}
-
-// judgeSketch validates via the counting-Bloom sketch: the local multiset
-// is sketched with the deployment's shared geometry and differenced
-// cell-wise against the peer's sketch; the upstream surplus estimates loss,
-// the downstream surplus fabrication, judged against the same thresholds as
-// tvinfo's content predicate over full fingerprint lists. When one end's
-// multiset contains the other's (the pure-loss case every drop attack
-// produces) the estimates are exact and the verdict is identical to full
-// mode.
-func (a *agent) judgeSketch(st *segState, n int, local *Summary, peer *SummaryMsg) {
-	localFPs := fpMultiset(local)
-	sk := a.p.newSketch()
-	for _, fp := range localFPs {
-		sk.Add(packet.Fingerprint(fp))
-	}
-	if peer.Sketch == nil || !sk.Compatible(peer.Sketch) {
-		a.suspect(st, n, detector.KindTrafficValidation, 1, "malformed or incompatible sketch")
-		return
-	}
-	var up, down *summary.CountingBloom
-	var upCount, downCount int
-	if st.Pos == 0 {
-		up, upCount = sk, len(localFPs)
-		down, downCount = peer.Sketch, peer.Count
-	} else {
-		up, upCount = peer.Sketch, peer.Count
-		down, downCount = sk, len(localFPs)
-	}
-	lost, fabricated := up.DiffEstimate(down)
-	// Self-consistency residual: the signed surplus difference must equal
-	// the exact count difference (cell sums are k·n on each side); any
-	// deviation is collision-induced estimation error, measurable without
-	// the peer's full summary.
-	residual := (lost - fabricated) - (upCount - downCount)
-	if residual < 0 {
-		residual = -residual
-	}
-	a.p.tel.SketchError.Observe(int64(residual))
-	if th := a.p.opts.Thresholds; lost > th.Loss || fabricated > th.Fabrication {
-		a.suspect(st, n, detector.KindTrafficValidation, 1,
-			fmt.Sprintf("sketched difference: ~%d lost, ~%d fabricated", lost, fabricated))
 	}
 }
 

@@ -10,14 +10,14 @@ import (
 	_ "routerwatch/internal/protocol/catalog"
 )
 
-// TestSketchConformance asserts that sketch-mode summary exchange reaches
-// the same suspicion verdicts as the full fingerprint-list exchange on
-// every committed golden scenario: the line5drop shape behind the capture
-// golden, plus every Πk+2 scenario in the surviving-mutant corpus. The
-// transcripts are compared in canonical rendering excluding Detail (the
+// TestExchangeConformance asserts that Appendix A's reconciling exchange
+// reaches the same suspicion verdicts as the full fingerprint-list exchange
+// on every committed golden scenario: the line5drop shape behind the
+// capture golden, plus every Πk+2 scenario in the surviving-mutant corpus.
+// The transcripts are compared in canonical rendering excluding Detail (the
 // human-readable explanation legitimately names the mode); By, Segment,
 // Round, At, Kind and Confidence must all match byte for byte.
-func TestSketchConformance(t *testing.T) {
+func TestExchangeConformance(t *testing.T) {
 	specs := map[string]func() *protocol.Spec{
 		"line5drop": conformanceLine5Spec,
 	}
@@ -40,27 +40,24 @@ func TestSketchConformance(t *testing.T) {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			full := runWithExchange(t, mk(), "")
-			sketch := runWithExchange(t, mk(), "sketch")
-			if full != sketch {
-				t.Errorf("verdicts diverge between exchange modes\nfull:\n%s\nsketch:\n%s", full, sketch)
+			full := runWithExchange(t, mk(), "full")
+			reconcile := runWithExchange(t, mk(), "reconcile")
+			if full != reconcile {
+				t.Errorf("verdicts diverge between exchange modes\nfull:\n%s\nreconcile:\n%s", full, reconcile)
 			}
 		})
 	}
 }
 
-// runWithExchange runs the spec with the given exchange mode forced (empty
-// keeps the spec's own, i.e. full) and returns the canonical verdict
-// transcript, Detail excluded.
+// runWithExchange runs the spec with the given exchange mode forced and
+// returns the canonical verdict transcript, Detail excluded.
 func runWithExchange(t *testing.T, spec *protocol.Spec, exchange string) string {
 	t.Helper()
 	opts := make(protocol.Params, len(spec.Options)+1)
 	for k, v := range spec.Options {
 		opts[k] = v
 	}
-	if exchange != "" {
-		opts["exchange"] = exchange
-	}
+	opts["exchange"] = exchange
 	run := *spec
 	run.Options = opts
 	res, err := protocol.Run(&run, protocol.RunOptions{})

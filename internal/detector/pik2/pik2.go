@@ -63,13 +63,6 @@ const (
 	// bandwidth ∝ the difference bound, independent of traffic volume
 	// ("optimal in bandwidth utilization", §2.4.1). PolicyContent only.
 	ExchangeReconcile
-	// ExchangeSketch sends a mergeable counting-Bloom sketch of the
-	// fingerprint multiset (§2.4.1's Bloom summary, in counting form):
-	// bandwidth is a fixed O(sketch) per round regardless of traffic, the
-	// peer estimates both one-sided multiset differences from cell-wise
-	// count surpluses, and sketches from consecutive rounds merge exactly.
-	// PolicyContent only.
-	ExchangeSketch
 )
 
 // Options configures the protocol.
@@ -92,13 +85,6 @@ type Options struct {
 	Sampling float64
 	// Exchange selects the summary transfer encoding.
 	Exchange ExchangeMode
-	// SketchCapacity sizes the ExchangeSketch counting filter for this
-	// many packets per segment-round. Default 4096.
-	SketchCapacity int
-	// SketchFPRate is the sketch's target collision rate; together with
-	// SketchCapacity it fixes the sketch geometry both ends must share.
-	// Default 0.01.
-	SketchFPRate float64
 	// Sink receives every suspicion raised or accepted by any router; tee
 	// routing.(*Protocol).Respond in to close the response loop.
 	Sink detector.Sink
@@ -120,17 +106,8 @@ func (o *Options) fill() {
 	if o.Sink == nil {
 		o.Sink = func(detector.Suspicion) {}
 	}
-	if o.SketchCapacity == 0 {
-		o.SketchCapacity = 4096
-	}
-	if o.SketchFPRate == 0 {
-		o.SketchFPRate = 0.01
-	}
 	if o.Exchange == ExchangeReconcile && o.Policy != PolicyContent {
 		panic("pik2: ExchangeReconcile requires PolicyContent")
-	}
-	if o.Exchange == ExchangeSketch && o.Policy != PolicyContent {
-		panic("pik2: ExchangeSketch requires PolicyContent")
 	}
 }
 
@@ -235,12 +212,6 @@ func (p *Protocol) RefreshPaths(paths []topology.Path) {
 	p.rec.Oracle = tvinfo.NewPathOracleFromPaths(paths)
 }
 
-// newSketch allocates a counting-Bloom sketch with the deployment's shared
-// geometry (both ends must agree for Merge/DiffEstimate to be defined).
-func (p *Protocol) newSketch() *summary.CountingBloom {
-	return summary.NewCountingBloom(p.opts.SketchCapacity, p.opts.SketchFPRate)
-}
-
 // reconcileBudget bounds the recoverable set difference per segment-round
 // under ExchangeReconcile; differences beyond it are themselves conclusive
 // TV failures (they exceed both thresholds).
@@ -292,9 +263,7 @@ func NewSummary(policy Policy) *Summary { return tvinfo.NewSummary(policy) }
 
 // SummaryMsg is the exchanged control payload. Under ExchangeFull, Summary
 // is set; under ExchangeReconcile, Count and Evals carry the fingerprint
-// multiset's size and characteristic-polynomial evaluations instead; under
-// ExchangeSketch, Count and Sketch carry the multiset's size and its
-// counting-Bloom sketch.
+// multiset's size and characteristic-polynomial evaluations instead.
 type SummaryMsg struct {
 	Seg   topology.Segment
 	Round int
@@ -304,8 +273,6 @@ type SummaryMsg struct {
 
 	Count int
 	Evals []uint64
-
-	Sketch *summary.CountingBloom
 
 	Sig auth.Signature
 }
@@ -317,11 +284,7 @@ func (m *SummaryMsg) WireBytes() int {
 	if m.Summary != nil {
 		n += m.Summary.EncodedLen()
 	}
-	n += 8 + 8*len(m.Evals)
-	if m.Sketch != nil {
-		n += m.Sketch.SizeBytes()
-	}
-	return n
+	return n + 8 + 8*len(m.Evals)
 }
 
 // appendSignedBody appends the byte string the sender signs — the summary
@@ -338,9 +301,6 @@ func appendSignedBody(b []byte, m *SummaryMsg) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(m.Count))
 	for _, e := range m.Evals {
 		b = binary.BigEndian.AppendUint64(b, e)
-	}
-	if m.Sketch != nil {
-		b = m.Sketch.AppendEncode(b)
 	}
 	return b
 }

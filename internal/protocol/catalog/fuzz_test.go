@@ -33,6 +33,8 @@ func FuzzParseOptions(f *testing.F) {
 	f.Add("r", "1", "rd", "-9")
 	f.Add("k", "-3", "sampling", "NaN")
 	f.Add("single-threshold", "1.5", "timeout", "-250ms")
+	// A deleted knob and a deleted mode: an unknown key and an unknown value
+	// (TestRunBadOptions asserts both are refused by name).
 	f.Add("sketch-capacity", "-5", "exchange", "sketch")
 	f.Add("mode", "model", "rtt", "-1ms")
 	f.Fuzz(func(t *testing.T, k1, v1, k2, v2 string) {

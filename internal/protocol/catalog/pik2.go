@@ -30,17 +30,13 @@ func parsePik2Options(p protocol.Params) (any, error) {
 			Loss:        d.Int("loss-threshold", 0),
 			Fabrication: d.Int("fabrication-threshold", 0),
 		},
-		Sampling:       d.Fraction("sampling", 0),
-		SketchCapacity: d.Int("sketch-capacity", 0),
-		SketchFPRate:   d.Fraction("sketch-fp-rate", 0),
+		Sampling: d.Fraction("sampling", 0),
 	}
 	switch mode := d.String("exchange", "full"); mode {
 	case "full":
 		o.Exchange = pik2.ExchangeFull
 	case "reconcile":
 		o.Exchange = pik2.ExchangeReconcile
-	case "sketch":
-		o.Exchange = pik2.ExchangeSketch
 	default:
 		return nil, fmt.Errorf("option %q: unknown exchange mode %q", "exchange", mode)
 	}

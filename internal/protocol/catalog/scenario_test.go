@@ -59,10 +59,13 @@ func TestRunBadOptions(t *testing.T) {
 		{"pi2 negative loss threshold", "pi2", protocol.Params{"loss-threshold": "-1"}, `option "loss-threshold"`},
 		{"pik2 negative fabrication threshold", "pik2", protocol.Params{"fabrication-threshold": "-3"}, `option "fabrication-threshold"`},
 		{"pi2 negative fabrication threshold", "pi2", protocol.Params{"fabrication-threshold": "-3"}, `option "fabrication-threshold"`},
-		{"pik2 negative sketch capacity", "pik2", protocol.Params{"exchange": "sketch", "sketch-capacity": "-5"}, `option "sketch-capacity"`},
+		// The sketch exchange and its two knobs are deleted (ISSUE 21): the
+		// mode is an unknown mode, the knobs unknown keys, whatever their value.
+		{"pik2 exchange sketch", "pik2", protocol.Params{"exchange": "sketch"}, `unknown exchange mode "sketch"`},
+		{"pik2 negative sketch capacity", "pik2", protocol.Params{"sketch-capacity": "-5"}, `unknown options ["sketch-capacity"]`},
+		{"pik2 negative sketch rate", "pik2", protocol.Params{"sketch-fp-rate": "-0.1"}, `unknown options ["sketch-fp-rate"]`},
 		{"pik2 sampling NaN", "pik2", protocol.Params{"sampling": "NaN"}, `option "sampling": "NaN" must lie in [0, 1]`},
 		{"pik2 sampling above one", "pik2", protocol.Params{"sampling": "1.5"}, `option "sampling"`},
-		{"pik2 negative sketch rate", "pik2", protocol.Params{"exchange": "sketch", "sketch-fp-rate": "-0.1"}, `option "sketch-fp-rate"`},
 		// The remaining descriptors (ISSUE 20), on the three-router line. The
 		// first seven used to panic — in SimEnv.Every, in Network.Router, or
 		// indexing the routers; the last two ran: a monitor on a queue that

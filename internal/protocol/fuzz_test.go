@@ -12,7 +12,10 @@ import (
 // file format — encode it, decode that, encode again, and the two encodings
 // are the same bytes (compared as encodings because omitempty folds an
 // empty list or map into an absent one). Seeded with the committed scenario
-// files.
+// files and the custom topologies Build must refuse. A small custom topology
+// is also built: Build returns an error or a graph whose every link passes
+// topology.Link.Validate — what network.New and the path computations rely
+// on.
 func FuzzDecodeSpec(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil || len(files) == 0 {
@@ -26,6 +29,9 @@ func FuzzDecodeSpec(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"protocol":"pik2","duration":-1,"options":{},"attacks":[{}],"traffic":[]}`))
+	for _, tc := range badLinkSpecs {
+		f.Add([]byte(tc.in))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := DecodeSpec(data)
 		if err != nil {
@@ -45,6 +51,18 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("round trip changed the spec:\n--- first\n%s--- second\n%s", enc, enc2)
+		}
+		if spec.Topology.Kind != "custom" || len(spec.Topology.Nodes) > 64 {
+			return
+		}
+		g, err := spec.Topology.Build()
+		if err != nil {
+			return
+		}
+		for _, l := range g.Links() {
+			if err := l.Validate(); err != nil {
+				t.Errorf("Build accepted link %v->%v: %v", l.From, l.To, err)
+			}
 		}
 	})
 }

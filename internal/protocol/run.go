@@ -167,7 +167,7 @@ func attachProtocol(d Descriptor, res *Result) error {
 func assemble(spec *Spec, tel *telemetry.Set, attach func(*Result) error) (*Result, time.Duration, error) {
 	g, err := spec.Topology.Build()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("scenario: topology: %w", err)
 	}
 	if err := spec.validate(g.NumNodes()); err != nil {
 		return nil, 0, err

@@ -179,17 +179,17 @@ func (t TopologySpec) Build() (*topology.Graph, error) {
 			return nil, fmt.Errorf("custom topology needs nodes")
 		}
 		g := topology.NewGraph()
-		ids := make(map[string]bool, len(t.Nodes))
-		for _, name := range t.Nodes {
-			g.AddNode(name)
-			ids[name] = true
+		for i, name := range t.Nodes {
+			if id := g.AddNode(name); int(id) != i {
+				return nil, fmt.Errorf("duplicate node name %q", name)
+			}
 		}
 		for _, l := range t.Links {
-			if !ids[l.From] || !ids[l.To] {
+			a, okA := g.Lookup(l.From)
+			b, okB := g.Lookup(l.To)
+			if !okA || !okB {
 				return nil, fmt.Errorf("link %s-%s references unknown node", l.From, l.To)
 			}
-			a, _ := g.Lookup(l.From)
-			b, _ := g.Lookup(l.To)
 			attrs := topology.DefaultLinkAttrs()
 			if l.Bandwidth != 0 {
 				attrs.Bandwidth = l.Bandwidth
@@ -202,6 +202,9 @@ func (t TopologySpec) Build() (*topology.Graph, error) {
 			}
 			if l.Cost != 0 {
 				attrs.Cost = l.Cost
+			}
+			if err := attrs.Link(a, b).Validate(); err != nil {
+				return nil, fmt.Errorf("link %s-%s: %w", l.From, l.To, err)
 			}
 			g.AddDuplex(a, b, attrs)
 		}

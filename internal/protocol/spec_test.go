@@ -145,6 +145,31 @@ func TestTopologyBuildErrors(t *testing.T) {
 	}
 }
 
+// customSpec is a scenario file on the custom topology a-b-c plus one more
+// link.
+func customSpec(link string) string {
+	return `{"protocol":"stub","duration":"1s","topology":{"kind":"custom","nodes":["a","b","c"],` +
+		`"links":[{"from":"a","to":"b"},{"from":"b","to":"c"},` + link + `]}}`
+}
+
+// scenarioErrCase is a scenario file and the error it must get.
+type scenarioErrCase struct {
+	name, in, wantErr string
+}
+
+// badLinkSpecs are custom topologies no run can use (ISSUE 21), rows of
+// TestScenarioFileErrors and seeds of FuzzDecodeSpec. The self-loop and the
+// queue limit used to panic in AddLink and NewDropTail, the negative cost
+// never came back from the all-pairs paths, and the last two ran to
+// completion as if valid.
+var badLinkSpecs = []scenarioErrCase{
+	{"link self-loop", customSpec(`{"from":"b","to":"b"}`), "link b-b: self-loop"},
+	{"link queue-limit", customSpec(`{"from":"a","to":"b","queue-limit":-5}`), "link a-b: queue-limit -5 must be positive"},
+	{"link cost", customSpec(`{"from":"a","to":"b","cost":-3}`), "link a-b: cost -3 must not be negative"},
+	{"link bandwidth", customSpec(`{"from":"a","to":"b","bandwidth":-1}`), "link a-b: bandwidth -1 must be positive"},
+	{"duplicate node", `{"protocol":"stub","duration":"1s","topology":{"kind":"custom","nodes":["a","b","a"]}}`, `duplicate node name "a"`},
+}
+
 // TestScenarioFileErrors feeds Run and AssembleSim scenario files whose
 // values do not fit their topology. Such files used to panic inside the run
 // (or, for fabricate endpoints and negative count/pairs, ran a silently
@@ -165,9 +190,7 @@ func TestScenarioFileErrors(t *testing.T) {
 	const line5 = `"protocol":"stub","duration":"1s","topology":{"kind":"line","n":5}`
 	const canon = `"protocol":"canon","topology":{"kind":"line","n":5}`
 	const ignored = "takes no options, traffic, routing or attacks list"
-	cases := []struct {
-		name, in, wantErr string
-	}{
+	cases := []scenarioErrCase{
 		{"canonical options", `{` + canon + `,"options":{"bogus":"1","round":"fast"}}`, ignored},
 		{"canonical traffic", `{` + canon + `,"traffic":[{"src":0,"dst":4,"count":3,"interval":"1ms"}]}`, ignored},
 		{"canonical routing", `{` + canon + `,"routing":{"converge":"1s"}}`, ignored},
@@ -183,6 +206,7 @@ func TestScenarioFileErrors(t *testing.T) {
 		{"negative count", `{` + line5 + `,"traffic":[{"kind":"mesh","count":-3,"interval":"1ms"}]}`, "must not be negative"},
 		{"negative pairs", `{` + line5 + `,"traffic":[{"kind":"mesh","pairs":-1,"count":3,"interval":"1ms"}]}`, "must not be negative"},
 	}
+	cases = append(cases, badLinkSpecs...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			spec, err := DecodeSpec([]byte(tc.in))

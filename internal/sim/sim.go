@@ -6,7 +6,7 @@
 // drawn from explicitly seeded sources so that every run is reproducible.
 //
 // The kernel recycles Event objects through a per-Scheduler free list (see
-// DESIGN.md "Hot-path pooling"): steady-state event scheduling allocates
+// DESIGN.md "Hot path"): steady-state event scheduling allocates
 // nothing, and because the pool is owned by the Scheduler — never a
 // sync.Pool or any other global — recycling order is a pure function of the
 // event sequence, preserving bitwise replay determinism and keeping

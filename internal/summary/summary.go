@@ -227,7 +227,7 @@ func (s *FPSet) Fingerprints() []packet.Fingerprint {
 
 // AppendMultiset appends every fingerprint to dst in sorted order, each
 // repeated by its multiplicity, and returns the extended slice: the field
-// elements reconciliation and sketching consume.
+// elements reconciliation consumes.
 func (s *FPSet) AppendMultiset(dst []uint64) []uint64 {
 	s.normalise()
 	for i, fp := range s.fps {

@@ -5,6 +5,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -205,8 +206,8 @@ func (g *Graph) AddLink(l Link) {
 
 // AddDuplex installs both directions of a bidirectional link.
 func (g *Graph) AddDuplex(a, b packet.NodeID, attrs LinkAttrs) {
-	g.AddLink(Link{From: a, To: b, Bandwidth: attrs.Bandwidth, Delay: attrs.Delay, QueueLimit: attrs.QueueLimit, Cost: attrs.Cost})
-	g.AddLink(Link{From: b, To: a, Bandwidth: attrs.Bandwidth, Delay: attrs.Delay, QueueLimit: attrs.QueueLimit, Cost: attrs.Cost})
+	g.AddLink(attrs.Link(a, b))
+	g.AddLink(attrs.Link(b, a))
 }
 
 // LinkAttrs bundles the physical attributes of a duplex link.
@@ -215,6 +216,32 @@ type LinkAttrs struct {
 	Delay      time.Duration
 	QueueLimit int
 	Cost       int
+}
+
+// Link returns the directed link from→to with these attributes.
+func (a LinkAttrs) Link(from, to packet.NodeID) Link {
+	return Link{From: from, To: to, Bandwidth: a.Bandwidth, Delay: a.Delay, QueueLimit: a.QueueLimit, Cost: a.Cost}
+}
+
+// Validate checks a link that arrived from outside the program — a scenario
+// file's custom topology, a trace manifest — before it reaches AddLink and
+// the queue constructors, which panic on a self-loop or a non-positive
+// buffer, and the SPF, which does not terminate on a negative cost. Go
+// builders call AddLink directly: a bad link from them is a programmer error.
+func (l Link) Validate() error {
+	switch {
+	case l.From == l.To:
+		return errors.New("self-loop")
+	case l.Bandwidth <= 0:
+		return fmt.Errorf("bandwidth %d must be positive", l.Bandwidth)
+	case l.QueueLimit <= 0:
+		return fmt.Errorf("queue-limit %d must be positive", l.QueueLimit)
+	case l.Delay < 0:
+		return fmt.Errorf("delay %v must not be negative", l.Delay)
+	case l.Cost < 0:
+		return fmt.Errorf("cost %d must not be negative", l.Cost)
+	}
+	return nil
 }
 
 // DefaultLinkAttrs are sensible backbone-ish defaults used by the synthetic
