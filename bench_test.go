@@ -19,6 +19,7 @@ import (
 	"routerwatch/internal/auth"
 	"routerwatch/internal/capture"
 	"routerwatch/internal/experiments"
+	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 	_ "routerwatch/internal/protocol/catalog"
@@ -326,11 +327,11 @@ func BenchmarkFatihTrials(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := topology.Line(4)
-		net := NewNetwork(g, NetworkOptions{Seed: int64(i)})
+		net := network.New(g, network.Options{Seed: int64(i)})
 		for j := 0; j < 5000; j++ {
 			j := j
 			net.Scheduler().At(time.Duration(j)*100*time.Microsecond, func() {
-				net.Inject(0, &Packet{Dst: 3, Size: 500, Seq: uint32(j)})
+				net.Inject(0, &packet.Packet{Dst: 3, Size: 500, Seq: uint32(j)})
 			})
 		}
 		net.Run(5 * time.Second)

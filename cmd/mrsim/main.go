@@ -46,7 +46,6 @@ import (
 
 	"routerwatch/internal/capture"
 	"routerwatch/internal/detector"
-	"routerwatch/internal/fatih"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 	_ "routerwatch/internal/protocol/catalog"
@@ -262,13 +261,6 @@ func runSpec(spec *protocol.Spec, verbose bool, tel *telemetry.Set, recordDir st
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "mrsim: recorded trace in %s\n", recordDir)
-	}
-	if verbose {
-		if sres, ok := res.Extra.(*fatih.ScenarioResult); ok {
-			fmt.Printf("routing converged at %v\n", sres.ConvergedAt)
-			fmt.Printf("attack at %v: KansasCity drops 20%% of transit traffic\n", sres.AttackAt)
-			fmt.Printf("first detection at %v, first reroute at %v\n", sres.FirstDetectionAt, sres.RerouteAt)
-		}
 	}
 	return res.Log, res.Faulty
 }

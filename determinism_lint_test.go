@@ -6,12 +6,33 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"routerwatch/internal/analysis/driver"
 	"routerwatch/internal/analysis/load"
 	"routerwatch/internal/analysis/suite"
 )
+
+// module is the type-checked non-test source of the whole module (bench/'s
+// non-test packages included), loaded once for the tests that sweep it.
+var module = sync.OnceValue(func() (m struct {
+	l    *load.Loader
+	pkgs []*load.Package
+	err  error
+}) {
+	m.l = load.New(load.Config{Dir: ".", Module: "routerwatch"})
+	m.pkgs, m.err = m.l.LoadAll()
+	return m
+})
+
+func loadModule(t *testing.T) (*load.Loader, []*load.Package) {
+	m := module()
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	return m.l, m.pkgs
+}
 
 // TestDeterminismInvariants drives the rwlint analyzer suite over the
 // whole module from inside `go test ./...`, so the determinism invariants
@@ -22,11 +43,7 @@ import (
 // DESIGN.md "Static analysis" for the invariant catalogue; cmd/rwlint runs
 // the same suite.Analyzers list.
 func TestDeterminismInvariants(t *testing.T) {
-	l := load.New(load.Config{Dir: ".", Module: "routerwatch"})
-	pkgs, err := l.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, pkgs := loadModule(t)
 
 	// The protocol runtime is the layer third-party Env backends plug
 	// into; it must be in the analyzed set so they inherit the

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"routerwatch/internal/attack"
+	"routerwatch/internal/detector"
 	"routerwatch/internal/network"
 	"routerwatch/internal/tcpsim"
 	"routerwatch/internal/topology"
@@ -100,11 +101,13 @@ func TestZhangStationaryVsBursty(t *testing.T) {
 	// assumption (demonstrated by the false-positive count).
 	st := topology.SimpleChi(3, 2)
 	net := network.New(st.Graph, network.Options{Seed: 303, ProcessingJitter: time.Millisecond})
+	log := detector.NewLog()
 	z := AttachZhang(net, st.R, st.RD, ZhangOptions{
 		Round:        time.Second,
 		LearnRounds:  5,
 		ServiceRate:  1250, // 10 Mbit/s of 1000 B packets
 		QueuePackets: 50,
+		Sink:         detector.LogSink(log),
 	})
 	man := tcpsim.NewManager(net)
 	// Stationary near-capacity CBR: 9.6 Mbit/s aggregate.
@@ -132,6 +135,15 @@ func TestZhangStationaryVsBursty(t *testing.T) {
 	for _, r := range z.Reports {
 		if r.Detected && r.Round < 20 {
 			t.Fatalf("false positive before the attack: %+v", r)
+		}
+	}
+	// Every flagged round reaches the sink as a suspicion of ⟨r, rd⟩.
+	if log.Len() != z.Detections() {
+		t.Fatalf("%d suspicions for %d flagged rounds", log.Len(), z.Detections())
+	}
+	for _, s := range log.All() {
+		if s.By != st.RD || len(s.Segment) != 2 || s.Segment[0] != st.R || s.Segment[1] != st.RD {
+			t.Fatalf("suspicion %v does not name the monitored queue", s)
 		}
 	}
 }

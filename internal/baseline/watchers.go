@@ -58,11 +58,6 @@ func (w *WatcherCounters) SetTransitOut(neighbor, dst packet.NodeID, v int64) {
 	w.TransitOut[watcherKey{Neighbor: neighbor, Dst: dst}] = v
 }
 
-// SetIn overrides the inbound counter for (neighbor, dst).
-func (w *WatcherCounters) SetIn(neighbor, dst packet.NodeID, v int64) {
-	w.In[watcherKey{Neighbor: neighbor, Dst: dst}] = v
-}
-
 // clone deep-copies the counters (snapshot at a round boundary).
 func (w *WatcherCounters) clone() *WatcherCounters {
 	c := NewWatcherCounters()

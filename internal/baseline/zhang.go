@@ -42,10 +42,11 @@ type ZhangOptions struct {
 	ServiceRate float64
 	// QueuePackets is the buffer size in packets (K in M/M/1/K).
 	QueuePackets int
-	// SignificanceZ is the z-score above which losses are malicious.
-	SignificanceZ float64
-	Sink          detector.Sink
+	Sink         detector.Sink
 }
+
+// zhangSignificanceZ is the z-score above which losses are malicious.
+const zhangSignificanceZ = 3
 
 // ZhangRound records one round's verdict.
 type ZhangRound struct {
@@ -64,9 +65,6 @@ func AttachZhang(net *network.Network, r, rd packet.NodeID, opts ZhangOptions) *
 	}
 	if opts.LearnRounds == 0 {
 		opts.LearnRounds = 10
-	}
-	if opts.SignificanceZ == 0 {
-		opts.SignificanceZ = 3
 	}
 	if opts.Sink == nil {
 		opts.Sink = func(detector.Suspicion) {}
@@ -127,7 +125,7 @@ func (z *Zhang) closeRound() {
 	sd := math.Sqrt(math.Max(predicted*(1-p), 1))
 	zscore := (float64(lost) - predicted) / sd
 	rep := ZhangRound{Round: n, Sent: sent, Lost: lost, Predicted: predicted, Z: zscore}
-	rep.Detected = zscore > z.opts.SignificanceZ
+	rep.Detected = zscore > zhangSignificanceZ
 	z.Reports = append(z.Reports, rep)
 	if rep.Detected {
 		z.opts.Sink(detector.Suspicion{

@@ -14,8 +14,6 @@ type RecorderOptions struct {
 	// Gzip compresses the per-router files (rN.pcap.gz). Committed test
 	// fixtures use it; interactive recordings default to plain pcap.
 	Gzip bool
-	// Format overrides the pcap format (zero value = DefaultFormat).
-	Format Format
 }
 
 // Recorder taps every router of a simulated network and writes each
@@ -40,9 +38,6 @@ type Recorder struct {
 // NewRecorder returns a recorder that will write into dir (created on
 // Attach).
 func NewRecorder(dir string, opts RecorderOptions) *Recorder {
-	if opts.Format == (Format{}) {
-		opts.Format = DefaultFormat()
-	}
 	return &Recorder{dir: dir, opts: opts}
 }
 
@@ -62,7 +57,7 @@ func (rec *Recorder) Attach(net *network.Network) error {
 		if rec.opts.Gzip {
 			name += ".gz"
 		}
-		w, err := CreateFile(name, rec.opts.Format)
+		w, err := CreateFile(name, DefaultFormat())
 		if err != nil {
 			if cerr := rec.close(); cerr != nil {
 				err = errors.Join(err, cerr)

@@ -208,9 +208,6 @@ func (t *TraceEnv) Env() protocol.Env { return t }
 // Err returns the first replay error (decode failure, disordered trace).
 func (t *TraceEnv) Err() error { return t.err }
 
-// Meta returns the trace manifest.
-func (t *TraceEnv) Meta() *Meta { return t.meta }
-
 // Close closes the capture files.
 func (t *TraceEnv) Close() error {
 	var errs []error

@@ -1,9 +1,9 @@
 // Package consensus provides the agreement substrate Protocol Π2 needs
 // (§5.1): Perlman-style robust flooding (reliable broadcast that reaches
 // every correct router despite protocol-faulty relays, given the good-path
-// condition §2.1.3), and signed-value collection with equivocation
-// detection — the "consensus ... digitally signed to prevent an attack"
-// step of Fig 5.1.
+// condition §2.1.3) of signed values — the "consensus ... digitally signed
+// to prevent an attack" step of Fig 5.1. Π2 collects the delivered values
+// per origin and classifies equivocation itself.
 //
 // With digital signatures and robust flooding, agreement on each router's
 // traffic summary reduces to: flood your signed value; accept a value from
@@ -152,55 +152,4 @@ func (s *Service) receive(at packet.NodeID, msg Msg, from packet.NodeID) {
 		}
 		s.net.SendControlDirect(at, nb, KindFlood, &m, msg.Sig)
 	}
-}
-
-// Status is the outcome of collecting an origin's value in one instance.
-type Status int
-
-// Collection outcomes.
-const (
-	// StatusMissing: no validly signed value arrived.
-	StatusMissing Status = iota
-	// StatusValue: exactly one value arrived.
-	StatusValue
-	// StatusEquivocated: conflicting signed values arrived — the origin is
-	// provably protocol faulty.
-	StatusEquivocated
-)
-
-// ValueSet accumulates flooded values for one instance and classifies each
-// origin's outcome.
-type ValueSet struct {
-	values map[packet.NodeID]map[string][]byte // origin → payload-digest → payload
-}
-
-// NewValueSet returns an empty collection.
-func NewValueSet() *ValueSet {
-	return &ValueSet{values: make(map[packet.NodeID]map[string][]byte)}
-}
-
-// Add records a received value.
-func (v *ValueSet) Add(origin packet.NodeID, payload []byte) {
-	m, ok := v.values[origin]
-	if !ok {
-		m = make(map[string][]byte)
-		v.values[origin] = m
-	}
-	sum := sha256.Sum256(payload)
-	m[string(sum[:])] = payload
-}
-
-// Outcome classifies origin's collection result and returns its unique
-// payload when StatusValue.
-func (v *ValueSet) Outcome(origin packet.NodeID) ([]byte, Status) {
-	m := v.values[origin]
-	switch len(m) {
-	case 0:
-		return nil, StatusMissing
-	case 1:
-		for _, p := range m {
-			return p, StatusValue
-		}
-	}
-	return nil, StatusEquivocated
 }

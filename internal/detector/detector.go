@@ -149,28 +149,6 @@ func (l *Log) WriteReport(w io.Writer) error {
 	return err
 }
 
-// ByRouter returns the suspicions announced by router r.
-func (l *Log) ByRouter(r packet.NodeID) []Suspicion {
-	var out []Suspicion
-	for _, s := range l.suspicions {
-		if s.By == r {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// After returns suspicions recorded at or after t.
-func (l *Log) After(t time.Duration) []Suspicion {
-	var out []Suspicion
-	for _, s := range l.suspicions {
-		if s.At >= t {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // FirstAt returns the time of the earliest suspicion, or 0 if none.
 func (l *Log) FirstAt() time.Duration {
 	if len(l.suspicions) == 0 {

@@ -27,12 +27,6 @@ func TestLogBasics(t *testing.T) {
 	if got := l.FirstAt(); got != 5*time.Second {
 		t.Fatalf("FirstAt %v", got)
 	}
-	if got := len(l.ByRouter(1)); got != 2 {
-		t.Fatalf("ByRouter(1) %d", got)
-	}
-	if got := len(l.After(10 * time.Second)); got != 2 {
-		t.Fatalf("After(10s) %d", got)
-	}
 	if got := len(l.Segments()); got != 2 {
 		t.Fatalf("Segments %d", got)
 	}

@@ -38,6 +38,10 @@ type agent struct {
 	corrupt    Corruptor
 	equivocate bool
 
+	// ticks counts the round boundaries this router has passed: the next
+	// round to publish.
+	ticks int
+
 	suspected map[topology.SegmentKey]bool
 }
 
@@ -63,10 +67,9 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 	p.flood.Subscribe(a.id, TopicInfo, a.onInfo)
 	p.flood.Subscribe(a.id, TopicAlert, a.onAlert)
 
-	round := 0
 	p.env.Every(p.opts.Round, func() {
-		n := round
-		round++
+		n := a.ticks
+		a.ticks++
 		a.publishRound(n)
 		p.env.After(p.opts.Settle, func() { a.judgeRound(n) })
 	})
@@ -103,8 +106,13 @@ func (a *agent) onInfo(m consensus.Msg) {
 	if !ok {
 		return
 	}
+	// A correct member's summary for round n is flooded at boundary n and
+	// judged Settle after it, so it arrives for a round this router has
+	// ticked past (or is about to) and has not judged. Anything else is
+	// dropped before it costs a slot: a late summary cannot change a
+	// verdict, and a protocol-faulty member may sign any round number.
 	st := a.segs[key]
-	if st == nil || n < st.judged {
+	if st == nil || n < st.judged || n > a.ticks {
 		return
 	}
 	if len(m.Payload) < 4 {

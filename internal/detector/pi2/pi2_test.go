@@ -294,6 +294,47 @@ func TestHostileMultiplicityLocalizedToReporterPair(t *testing.T) {
 	}
 }
 
+// TestCollectedBoundedByRoundWindow is ROADMAP 4a's open hole: onInfo filed
+// a flooded summary under any round not yet judged, so a protocol-faulty
+// segment member could grow every correct router's collected map without
+// bound by signing rounds far in the future. Router 1 of a 3-line floods
+// ten thousand of them for ⟨0,1,2⟩; every router must end the run holding
+// no more than the rounds in flight, with the verdicts of the run without
+// the flood.
+func TestCollectedBoundedByRoundWindow(t *testing.T) {
+	const forgeries = 10000
+	run := func(forge bool) (string, *Protocol) {
+		log := detector.NewLog()
+		net := network.New(topology.Line(3), network.Options{Seed: 12})
+		p := Attach(protocol.NewSimEnv(net), testOpts(log))
+		if forge {
+			key := topology.Key(topology.Segment{0, 1, 2})
+			net.Scheduler().At(1100*time.Millisecond, func() {
+				for i := 0; i < forgeries; i++ {
+					p.flood.Flood(1, TopicInfo, infoInstance(key, 1000+i),
+						infoPayload(1, tvinfo.NewSummary(tvinfo.PolicyContent)))
+				}
+			})
+		}
+		pump(net, 0, 2, 2400, 1)
+		net.Run(5*testRound + 200*time.Millisecond)
+		return log.String(), p
+	}
+
+	want, _ := run(false)
+	got, p := run(true)
+	if got != want {
+		t.Errorf("transcript with %d far-future summaries:\n%s\nwithout:\n%s", forgeries, got, want)
+	}
+	for id, a := range p.agents {
+		for _, st := range a.segOrder {
+			if n := len(st.collected); n > 2 {
+				t.Errorf("router %v holds %d rounds for %v after the run, want at most 2", id, n, st.Seg)
+			}
+		}
+	}
+}
+
 func TestNonMemberTimeoutAlertRejected(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(4), network.Options{Seed: 9})

@@ -246,7 +246,7 @@ func (a *agent) judgeRound(n int) {
 			a.judgeReconcile(st, n, local, peer)
 			continue
 		}
-		var up, down *Summary
+		var up, down *tvinfo.Summary
 		if st.Pos == 0 {
 			up, down = local, peer.Summary
 		} else {
@@ -264,7 +264,7 @@ func (a *agent) judgeRound(n int) {
 // judgeReconcile validates via Appendix A's set reconciliation: the exact
 // multiset difference between the two ends' fingerprint sets is recovered
 // from the peer's characteristic-polynomial evaluations and the local set.
-func (a *agent) judgeReconcile(st *segState, n int, local *Summary, peer *SummaryMsg) {
+func (a *agent) judgeReconcile(st *segState, n int, local *tvinfo.Summary, peer *SummaryMsg) {
 	points := a.p.reconcilePoints()
 	localFPs := fpMultiset(local)
 	localEvals := summary.EvaluateCharPoly(localFPs, points)
@@ -299,7 +299,7 @@ func (a *agent) judgeReconcile(st *segState, n int, local *Summary, peer *Summar
 }
 
 // fpMultiset expands a summary's fingerprint multiset into field elements.
-func fpMultiset(s *Summary) []uint64 {
+func fpMultiset(s *tvinfo.Summary) []uint64 {
 	if s.FPs == nil {
 		return nil
 	}

@@ -28,18 +28,6 @@ import (
 	"routerwatch/internal/topology"
 )
 
-// Policy selects the conservation-of-traffic property to validate
-// (§2.4.1). See tvinfo.Policy.
-type Policy = tvinfo.Policy
-
-// Validation policies, re-exported from tvinfo.
-const (
-	PolicyFlow       = tvinfo.PolicyFlow
-	PolicyContent    = tvinfo.PolicyContent
-	PolicyOrder      = tvinfo.PolicyOrder
-	PolicyTimeliness = tvinfo.PolicyTimeliness
-)
-
 // Control-plane message kinds.
 const (
 	// KindSummary carries a signed per-segment traffic summary between
@@ -75,7 +63,7 @@ type Options struct {
 	// Timeout is the exchange timeout µ after a round boundary. Default 1 s.
 	Timeout time.Duration
 	// Policy selects the TV predicate. Default PolicyContent.
-	Policy Policy
+	Policy tvinfo.Policy
 	// Thresholds tolerate benign anomalies per segment-round: Loss covers
 	// boundary jitter, and the static congestion allowance the paper
 	// criticizes in §6.1.1 also lives there for lossy topologies.
@@ -101,12 +89,12 @@ func (o *Options) fill() {
 		o.Timeout = time.Second
 	}
 	if o.Policy == 0 {
-		o.Policy = PolicyContent
+		o.Policy = tvinfo.PolicyContent
 	}
 	if o.Sink == nil {
 		o.Sink = func(detector.Suspicion) {}
 	}
-	if o.Exchange == ExchangeReconcile && o.Policy != PolicyContent {
+	if o.Exchange == ExchangeReconcile && o.Policy != tvinfo.PolicyContent {
 		panic("pik2: ExchangeReconcile requires PolicyContent")
 	}
 }
@@ -116,7 +104,7 @@ func (o *Options) fill() {
 // to silently not send (§2.2.1 "announcing incorrect reports" / not
 // participating). Traffic-faulty behaviour is modeled in internal/attack;
 // this hook models protocol-faulty behaviour.
-type Corruptor func(seg topology.Segment, round int, s *Summary) *Summary
+type Corruptor func(seg topology.Segment, round int, s *tvinfo.Summary) *tvinfo.Summary
 
 // Protocol is a running Πk+2 deployment.
 type Protocol struct {
@@ -254,13 +242,6 @@ func (a *Agent) MonitoredSegments() []topology.Segment {
 	return out
 }
 
-// Summary is one end's traffic information for a segment-round; see
-// tvinfo.Summary.
-type Summary = tvinfo.Summary
-
-// NewSummary allocates the structures the policy needs.
-func NewSummary(policy Policy) *Summary { return tvinfo.NewSummary(policy) }
-
 // SummaryMsg is the exchanged control payload. Under ExchangeFull, Summary
 // is set; under ExchangeReconcile, Count and Evals carry the fingerprint
 // multiset's size and characteristic-polynomial evaluations instead.
@@ -269,7 +250,7 @@ type SummaryMsg struct {
 	Round int
 	From  packet.NodeID
 
-	Summary *Summary
+	Summary *tvinfo.Summary
 
 	Count int
 	Evals []uint64

@@ -22,7 +22,7 @@ func testOpts(log *detector.Log) Options {
 		K:       1,
 		Round:   testRound,
 		Timeout: 100 * time.Millisecond,
-		Policy:  PolicyContent,
+		Policy:  tvinfo.PolicyContent,
 		// Allow a couple of boundary-straddling packets per round.
 		Thresholds: tvinfo.Thresholds{Loss: 2, Fabrication: 2},
 		Sink:       detector.LogSink(log),
@@ -124,11 +124,11 @@ func TestPartialDropDetected(t *testing.T) {
 
 func TestModificationDetectedByContentNotFlow(t *testing.T) {
 	for _, tc := range []struct {
-		policy Policy
+		policy tvinfo.Policy
 		want   bool
 	}{
-		{PolicyContent, true},
-		{PolicyFlow, false},
+		{tvinfo.PolicyContent, true},
+		{tvinfo.PolicyFlow, false},
 	} {
 		log := detector.NewLog()
 		net := network.New(topology.Line(3), network.Options{Seed: 7})
@@ -146,11 +146,11 @@ func TestModificationDetectedByContentNotFlow(t *testing.T) {
 
 func TestReorderingDetectedOnlyByOrderPolicy(t *testing.T) {
 	for _, tc := range []struct {
-		policy Policy
+		policy tvinfo.Policy
 		want   bool
 	}{
-		{PolicyOrder, true},
-		{PolicyContent, false},
+		{tvinfo.PolicyOrder, true},
+		{tvinfo.PolicyContent, false},
 	} {
 		log := detector.NewLog()
 		net := network.New(topology.Line(3), network.Options{Seed: 8})
@@ -236,24 +236,24 @@ func TestConsortingRoutersK2(t *testing.T) {
 	// source is 0, that is everything 0 sent — which 2 cannot fabricate
 	// without the content, but consorts share it.
 	hasher := net.Hasher()
-	sentByZero := make(map[int]*Summary)
+	sentByZero := make(map[int]*tvinfo.Summary)
 	net.Router(0).AddTap(func(ev network.Event) {
 		if ev.Kind == network.EvDequeue && ev.Peer == 1 {
 			n := int((ev.Time + 3*time.Millisecond) / testRound)
 			s := sentByZero[n]
 			if s == nil {
-				s = NewSummary(PolicyContent)
+				s = tvinfo.NewSummary(tvinfo.PolicyContent)
 				sentByZero[n] = s
 			}
 			s.Record(hasher.Fingerprint(ev.Packet), ev.Packet.Size)
 		}
 	})
-	p.SetCorruptor(2, func(seg topology.Segment, round int, s *Summary) *Summary {
+	p.SetCorruptor(2, func(seg topology.Segment, round int, s *tvinfo.Summary) *tvinfo.Summary {
 		if len(seg) == 3 && seg[0] == 0 && seg[2] == 2 {
 			if forged := sentByZero[round]; forged != nil {
 				return forged
 			}
-			return NewSummary(PolicyContent)
+			return tvinfo.NewSummary(tvinfo.PolicyContent)
 		}
 		return s
 	})
@@ -332,11 +332,11 @@ func TestDelayDetectedOnlyByTimelinessPolicy(t *testing.T) {
 	// A constant 30 ms delay at the middle router preserves content and
 	// order; only conservation of timeliness catches it (§2.4.1).
 	for _, tc := range []struct {
-		policy Policy
+		policy tvinfo.Policy
 		want   bool
 	}{
-		{PolicyTimeliness, true},
-		{PolicyContent, false},
+		{tvinfo.PolicyTimeliness, true},
+		{tvinfo.PolicyContent, false},
 	} {
 		log := detector.NewLog()
 		net := network.New(topology.Line(3), network.Options{Seed: 17})
@@ -365,7 +365,7 @@ func TestTimelinessNoFalsePositives(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(4), network.Options{Seed: 18, ProcessingJitter: 200 * time.Microsecond})
 	opts := testOpts(log)
-	opts.Policy = PolicyTimeliness
+	opts.Policy = tvinfo.PolicyTimeliness
 	opts.Thresholds.MaxDelay = 10 * time.Millisecond
 	opts.Thresholds.Late = 2
 	Attach(protocol.NewSimEnv(net), opts)

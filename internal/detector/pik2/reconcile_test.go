@@ -7,6 +7,7 @@ import (
 
 	"routerwatch/internal/attack"
 	"routerwatch/internal/detector"
+	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
@@ -98,7 +99,7 @@ func TestReconcileRequiresContentPolicy(t *testing.T) {
 	log := detector.NewLog()
 	net := network.New(topology.Line(3), network.Options{Seed: 65})
 	opts := reconcileOpts(log)
-	opts.Policy = PolicyOrder
+	opts.Policy = tvinfo.PolicyOrder
 	Attach(protocol.NewSimEnv(net), opts)
 }
 

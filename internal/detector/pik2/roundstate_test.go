@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"routerwatch/internal/detector"
+	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
@@ -57,7 +58,7 @@ func TestPeerMsgsBoundedByRoundWindow(t *testing.T) {
 			seg := topology.Segment{0, 1, 2}
 			net.Scheduler().At(1100*time.Millisecond, func() {
 				for i := 0; i < forgeries; i++ {
-					msg := &SummaryMsg{Seg: seg, Round: 1000 + i, From: 0, Summary: NewSummary(PolicyContent)}
+					msg := &SummaryMsg{Seg: seg, Round: 1000 + i, From: 0, Summary: tvinfo.NewSummary(tvinfo.PolicyContent)}
 					msg.Sig = net.Auth().Sign(0, appendSignedBody(nil, msg))
 					env.SendControl(&network.ControlMessage{
 						From: 0, To: 2, Kind: KindSummary, Payload: msg, Path: topology.Path(seg),

@@ -28,19 +28,17 @@ func SummarySizeTable(packetsPerRound []int, reconcileBudget int) *Table {
 	for _, n := range packetsPerRound {
 		fps := summary.NewFPSet()
 		ordered := summary.NewOrderedFP()
-		bloom := summary.NewBloom(n, 0.01)
 		for i := 0; i < n; i++ {
 			p := packet.Packet{ID: uint64(i + 1), Src: 1, Dst: 9, Flow: 3, Seq: uint32(i), Size: 1000}
 			fp := h.Fingerprint(&p)
 			fps.Add(fp)
 			ordered.Add(fp)
-			bloom.Add(fp)
 		}
 		var counter summary.Counter
 		counter.Packets = int64(n)
 		counter.Bytes = int64(n) * 1000
 		reconBytes := 8 + 8*(reconcileBudget+2) // count + evaluations
-		t.AddRow(n, len(counter.Encode()), len(fps.Encode()), bloom.SizeBytes(),
+		t.AddRow(n, len(counter.Encode()), len(fps.Encode()), summary.BloomBytes(n, 0.01),
 			reconBytes, len(ordered.Encode()))
 	}
 	t.Notes = append(t.Notes,

@@ -2,14 +2,13 @@
 // Coordinator scheduling validation rounds, per-segment Traffic Validators
 // (Protocol Πk+2), the kernel Traffic Summary Generator (packet
 // fingerprints via router taps), the link-state Routing Daemon with
-// alert-driven path-segment exclusion, and NTP-style time synchronization —
-// Fig 5.5's architecture on the simulated network.
+// alert-driven path-segment exclusion — Fig 5.5's architecture on the
+// simulated network.
 package fatih
 
 import (
 	"time"
 
-	"routerwatch/internal/clocksync"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/pik2"
 	"routerwatch/internal/detector/tvinfo"
@@ -20,70 +19,30 @@ import (
 	"routerwatch/internal/topology"
 )
 
-// Options configures a Fatih deployment.
-type Options struct {
-	// K is the AdjacentFault(k) bound; the prototype is configured with
-	// k=1 ("each router monitors all 3-path segments originating from
-	// itself", §5.3.1), "the most common capabilities available to an
-	// attacker".
-	K int
-	// Round is the validation round τ (prototype: 5 s).
-	Round time.Duration
-	// Timeout is the summary exchange timeout µ.
-	Timeout time.Duration
-	// Timers are the OSPF delay/hold timers (prototype: 5 s / 10 s).
-	Timers routing.Timers
-	// LossThreshold tolerates benign per-round losses per segment.
-	LossThreshold int
-	// FabricationThreshold tolerates benign per-round extra packets.
-	FabricationThreshold int
-	// ClockSkew is the initial clock error bound before NTP sync;
-	// ResidualSkew the post-sync bound (prototype: "within a few
-	// milliseconds").
-	ClockSkew, ResidualSkew time.Duration
-	// Sink receives all suspicions.
-	Sink detector.Sink
-}
-
-func (o *Options) fill() {
-	if o.K == 0 {
-		o.K = 1
-	}
-	if o.Round == 0 {
-		o.Round = 5 * time.Second
-	}
-	if o.Timeout == 0 {
-		o.Timeout = time.Second
-	}
-	if o.Timers == (routing.Timers{}) {
-		o.Timers = routing.DefaultTimers()
-	}
-	if o.LossThreshold == 0 {
-		o.LossThreshold = 3
-	}
-	if o.FabricationThreshold == 0 {
-		o.FabricationThreshold = 3
-	}
-	if o.ClockSkew == 0 {
-		o.ClockSkew = 100 * time.Millisecond
-	}
-	if o.ResidualSkew == 0 {
-		o.ResidualSkew = 2 * time.Millisecond
-	}
-	if o.Sink == nil {
-		o.Sink = func(detector.Suspicion) {}
-	}
-}
+// The prototype's configuration (§5.3.1), the only one the paper reports and
+// the only one any caller has run.
+const (
+	// k is the AdjacentFault(k) bound: "each router monitors all 3-path
+	// segments originating from itself", "the most common capabilities
+	// available to an attacker".
+	k = 1
+	// round is the validation round τ.
+	round = 5 * time.Second
+	// timeout is the summary exchange timeout µ.
+	timeout = time.Second
+	// lossThreshold and fabricationThreshold tolerate benign per-round
+	// losses and extra packets per segment.
+	lossThreshold        = 3
+	fabricationThreshold = 3
+)
 
 // System is a running Fatih deployment.
 type System struct {
 	Net      *network.Network
 	Routing  *routing.Protocol
 	Detector *pik2.Protocol
-	Clocks   *clocksync.Model
 	Log      *detector.Log
 
-	opts Options
 	// Reroutes records each table recomputation (router, time).
 	Reroutes []RerouteEvent
 }
@@ -94,24 +53,21 @@ type RerouteEvent struct {
 	At     time.Duration
 }
 
-// Deploy attaches the full Fatih stack to the network.
-func Deploy(net *network.Network, opts Options) *System {
-	opts.fill()
+// Deploy attaches the full Fatih stack to the network. Router clocks are
+// the simulator's: §5.3.1's NTP keeps them within a few milliseconds, orders
+// of magnitude below τ, which is why validation rounds are treated as
+// aligned across routers.
+func Deploy(net *network.Network) *System {
 	env := protocol.NewSimEnv(net)
-	s := &System{Net: net, Log: detector.NewLog(), opts: opts}
+	s := &System{Net: net, Log: detector.NewLog()}
 
-	// Time synchronization (§5.3.1): NTP keeps router clocks within a few
-	// milliseconds — orders of magnitude below τ, which is why validation
-	// rounds can be treated as aligned across routers.
-	s.Clocks = clocksync.New(net.Graph().NumNodes(), opts.ClockSkew, opts.ResidualSkew, 0x5A71)
-	s.Clocks.Sync()
-
-	// Link-state routing daemon with alert-driven exclusion. Every table
-	// recomputation marks the detector's path oracle dirty; the
+	// Link-state routing daemon with alert-driven exclusion, at routing's
+	// default timers — the prototype's OSPF delay 5 s / hold 10 s. Every
+	// table recomputation marks the detector's path oracle dirty; the
 	// Coordinator refreshes it once the wave settles ("the coordinator is
 	// kept abreast of routing changes so that it always knows which
 	// path-segments should be monitored", §5.3.1).
-	s.Routing = routing.Attach(net, routing.Options{Timers: opts.Timers})
+	s.Routing = routing.Attach(net, routing.Options{})
 	dirty := false
 	tr := net.Telemetry().Tracer()
 	rerouteCtr := net.Telemetry().Registry().Counter("rw_reroutes_total")
@@ -137,15 +93,15 @@ func Deploy(net *network.Network, opts Options) *System {
 	// The Coordinator + Traffic Validators: Πk+2 with the response loop —
 	// the routing daemons' announcement — teed in after the log.
 	s.Detector = pik2.Attach(env, pik2.Options{
-		K:       opts.K,
-		Round:   opts.Round,
-		Timeout: opts.Timeout,
-		Policy:  pik2.PolicyContent,
+		K:       k,
+		Round:   round,
+		Timeout: timeout,
+		Policy:  tvinfo.PolicyContent,
 		Thresholds: tvinfo.Thresholds{
-			Loss:        opts.LossThreshold,
-			Fabrication: opts.FabricationThreshold,
+			Loss:        lossThreshold,
+			Fabrication: fabricationThreshold,
 		},
-		Sink: detector.Tee(detector.LogSink(s.Log), opts.Sink, s.Routing.Respond),
+		Sink: detector.Tee(detector.LogSink(s.Log), s.Routing.Respond),
 	})
 	return s
 }
@@ -176,9 +132,3 @@ func (s *System) refreshDetectorPaths() {
 
 // Converged reports whether routing has converged.
 func (s *System) Converged() bool { return s.Routing.Converged() }
-
-// ExcludedSegments returns the segments excised from the routing fabric at
-// router r.
-func (s *System) ExcludedSegments(r packet.NodeID) []topology.Segment {
-	return s.Routing.Daemon(r).Exclusions().Segments()
-}

@@ -108,10 +108,3 @@ func TestAbileneNoAttackCleanRun(t *testing.T) {
 		t.Fatalf("only %d RTT samples", len(res.RTT))
 	}
 }
-
-func TestClockSkewWellBelowRound(t *testing.T) {
-	res := runScenario(t)
-	if skew := res.System.Clocks.MaxSkew(); skew >= 10*time.Millisecond {
-		t.Fatalf("post-sync skew %v too large", skew)
-	}
-}

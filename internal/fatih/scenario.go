@@ -16,9 +16,6 @@ import (
 type ScenarioOptions struct {
 	// Seed drives the simulation.
 	Seed int64
-	// TrafficStart is when background traffic and the RTT probe begin
-	// (after routing convergence; the paper's run converged by ≈55 s).
-	TrafficStart time.Duration
 	// AttackAt is when the Kansas City router is compromised (paper:
 	// ≈117 s).
 	AttackAt time.Duration
@@ -26,20 +23,21 @@ type ScenarioOptions struct {
 	AttackRate float64
 	// Duration is the total simulated time (paper's plot: 200 s).
 	Duration time.Duration
-	// PingInterval is the RTT probe period.
-	PingInterval time.Duration
-	// Fatih configures the deployed system.
-	Fatih Options
 	// Telemetry, when non-nil, instruments the run: simulator metrics,
 	// detector metrics, and the scenario's timeline events (attack onset,
 	// routing convergence) on the trace.
 	Telemetry *telemetry.Set
 }
 
+const (
+	// trafficStart is when background traffic and the RTT probe begin
+	// (after routing convergence; the paper's run converged by ≈55 s).
+	trafficStart = 60 * time.Second
+	// pingInterval is the RTT probe period.
+	pingInterval = 500 * time.Millisecond
+)
+
 func (o *ScenarioOptions) fill() {
-	if o.TrafficStart == 0 {
-		o.TrafficStart = 60 * time.Second
-	}
 	if o.AttackAt == 0 {
 		o.AttackAt = 117 * time.Second
 	}
@@ -48,9 +46,6 @@ func (o *ScenarioOptions) fill() {
 	}
 	if o.Duration == 0 {
 		o.Duration = 240 * time.Second
-	}
-	if o.PingInterval == 0 {
-		o.PingInterval = 500 * time.Millisecond
 	}
 }
 
@@ -100,7 +95,7 @@ func RunAbilene(opts ScenarioOptions) *ScenarioResult {
 		ProcessingJitter: 200 * time.Microsecond,
 		Telemetry:        opts.Telemetry,
 	})
-	sys := Deploy(net, opts.Fatih)
+	sys := Deploy(net)
 
 	// scenarioTID is the trace row for whole-run milestones (attack onset,
 	// routing convergence) that belong to no single router.
@@ -161,8 +156,8 @@ func RunAbilene(opts ScenarioOptions) *ScenarioResult {
 		delete(sentAt, p.Seq)
 		res.RTT = append(res.RTT, RTTSample{At: net.Now(), Seq: p.Seq, RTT: net.Now() - sent})
 	})
-	sched.At(opts.TrafficStart, func() {
-		sched.NewTicker(opts.PingInterval, func() {
+	sched.At(trafficStart, func() {
+		sched.NewTicker(pingInterval, func() {
 			seq++
 			sentAt[seq] = net.Now()
 			net.Inject(sunny, &packet.Packet{Dst: ny, Flow: pingFlow, Seq: seq, Size: 100})
@@ -181,7 +176,7 @@ func RunAbilene(opts ScenarioOptions) *ScenarioResult {
 		src, dst := lookup(pair[0]), lookup(pair[1])
 		flow := cbrFlowLo + packet.FlowID(i)
 		var n uint32
-		sched.At(opts.TrafficStart+time.Duration(i)*time.Millisecond, func() {
+		sched.At(trafficStart+time.Duration(i)*time.Millisecond, func() {
 			sched.NewTicker(10*time.Millisecond, func() {
 				n++
 				net.Inject(src, &packet.Packet{Dst: dst, Flow: flow, Seq: n, Size: 500, Payload: uint64(n)})
@@ -240,7 +235,7 @@ func RunAbilene(opts ScenarioOptions) *ScenarioResult {
 	net.Run(opts.Duration)
 
 	res.LostPings = len(sentAt)
-	res.PreAttackRTT = medianRTT(res.RTT, opts.TrafficStart, opts.AttackAt)
+	res.PreAttackRTT = medianRTT(res.RTT, trafficStart, opts.AttackAt)
 	if res.RerouteAt > 0 {
 		res.PostRerouteRTT = medianRTT(res.RTT, res.RerouteAt+2*time.Second, opts.Duration)
 	}

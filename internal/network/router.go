@@ -72,9 +72,6 @@ type RouterView struct {
 	r *Router
 }
 
-// ID returns the router's ID.
-func (v *RouterView) ID() packet.NodeID { return v.r.id }
-
 // Now returns the current virtual time.
 func (v *RouterView) Now() time.Duration { return v.r.net.sched.Now() }
 
@@ -190,9 +187,6 @@ func newRouter(n *Network, id packet.NodeID) *Router {
 // ID returns the router's node ID.
 func (r *Router) ID() packet.NodeID { return r.id }
 
-// View returns the instrumentation view of the router.
-func (r *Router) View() *RouterView { return &r.view }
-
 // SetForwarder installs the forwarding function.
 func (r *Router) SetForwarder(f Forwarder) { r.forwarder = f }
 
@@ -219,24 +213,6 @@ func (r *Router) HandleControl(kind string, h func(*ControlMessage)) {
 // AddTap registers an observer of this router's local packet events.
 // Detectors attach here; each router only ever observes its own events.
 func (r *Router) AddTap(tap func(Event)) { r.taps = append(r.taps, tap) }
-
-// Queue returns the output queue toward next (nil if no such neighbor);
-// exposed for tests and experiment instrumentation.
-func (r *Router) Queue(next packet.NodeID) queue.Discipline {
-	if ifc := r.ifaces[next]; ifc != nil {
-		return ifc.q
-	}
-	return nil
-}
-
-// Link returns the outgoing link toward next.
-func (r *Router) Link(next packet.NodeID) (topology.Link, bool) {
-	ifc := r.ifaces[next]
-	if ifc == nil {
-		return topology.Link{}, false
-	}
-	return ifc.link, true
-}
 
 // InjectTransit hands a packet directly to the router's forwarding path as
 // if it had arrived from neighbor from. It models a compromised router

@@ -16,9 +16,9 @@ type ReplicaConfig struct {
 	Options  replica.Options
 }
 
-// QueueMonitorConfig deploys a §6.1 congestion-inference baseline on the
-// output queue R → RD.
-type QueueMonitorConfig struct {
+// queueMonitorConfig deploys a §6.1 congestion-inference baseline on the
+// output queue R → RD. Unexported: only the textual options construct it.
+type queueMonitorConfig struct {
 	R, RD   packet.NodeID
 	Options baseline.QueueMonitorOptions
 }
@@ -72,7 +72,7 @@ func attachReplica(env protocol.Env, opts any, hooks protocol.Hooks) (any, error
 
 func parseQueueMonitorOptions(p protocol.Params) (any, error) {
 	d := protocol.NewParamDecoder(p)
-	c := QueueMonitorConfig{
+	c := queueMonitorConfig{
 		R:  packet.NodeID(d.Int("r", 0)),
 		RD: packet.NodeID(d.Int("rd", 0)),
 		Options: baseline.QueueMonitorOptions{
@@ -103,9 +103,9 @@ func attachQueueMonitor(env protocol.Env, opts any, hooks protocol.Hooks) (any, 
 	if err != nil {
 		return nil, err
 	}
-	c, ok := opts.(QueueMonitorConfig)
+	c, ok := opts.(queueMonitorConfig)
 	if !ok {
-		return nil, fmt.Errorf("queue-monitor: options are %T, want catalog.QueueMonitorConfig", opts)
+		return nil, fmt.Errorf("queue-monitor: options are %T, want its parsed textual options", opts)
 	}
 	if err := checkRouter(env, "r", c.R); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"fmt"
 	"time"
 
 	"routerwatch/internal/fatih"
@@ -10,52 +9,20 @@ import (
 
 func init() {
 	protocol.Register(protocol.Descriptor{
-		Name:         "fatih",
-		Precision:    3,
-		Summary:      "Fatih (§5.3): full prototype — Πk+2 + link-state routing with alert-driven exclusion",
-		ParseOptions: parseFatihOptions,
-		Attach:       attachFatih,
-		Scenario:     runFatihScenario,
-		DefaultSpec:  fatihDefaultSpec,
+		Name:        "fatih",
+		Precision:   3,
+		Summary:     "Fatih (§5.3): full prototype — Πk+2 + link-state routing with alert-driven exclusion",
+		Scenario:    runFatihScenario,
+		DefaultSpec: fatihDefaultSpec,
 	})
-}
-
-func parseFatihOptions(p protocol.Params) (any, error) {
-	d := protocol.NewParamDecoder(p)
-	o := fatih.Options{
-		K:                    d.Int("k", 0),
-		Round:                d.Duration("round", 0),
-		Timeout:              d.Duration("timeout", 0),
-		LossThreshold:        d.Int("loss-threshold", 0),
-		FabricationThreshold: d.Int("fabrication-threshold", 0),
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-func attachFatih(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
-	// Fatih deploys its own routing fabric alongside the detector, which
-	// today only exists in the simulator.
-	net, err := simNetwork(env, "fatih")
-	if err != nil {
-		return nil, err
-	}
-	var o fatih.Options
-	if opts != nil {
-		var ok bool
-		if o, ok = opts.(fatih.Options); !ok {
-			return nil, fmt.Errorf("fatih: options are %T, want fatih.Options", opts)
-		}
-	}
-	o.Sink = protocol.MergeSink(o.Sink, hooks.Sink)
-	return fatih.Deploy(net, o), nil
 }
 
 // runFatihScenario runs the Fig 5.7 Abilene experiment: OSPF convergence,
 // the Kansas City compromise, Πk+2 detection and the alert-driven reroute.
-// The *fatih.ScenarioResult timeline is returned in Result.Extra.
+// Fatih deploys its own routing fabric on its own network, so the
+// descriptor has no Attach and the prototype's configuration (§5.3.1) no
+// textual options. The *fatih.ScenarioResult timeline is returned in
+// Result.Extra and narrated through run.Progress.
 func runFatihScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.Result, error) {
 	opts := fatih.ScenarioOptions{Seed: spec.Seed, Telemetry: run.Telemetry}
 	if d := spec.Duration.D(); d > 0 {
@@ -75,6 +42,11 @@ func runFatihScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.R
 		}
 	}
 	sres := fatih.RunAbilene(opts)
+	if run.Progress != nil {
+		run.Progress("routing converged at %v\n", sres.ConvergedAt)
+		run.Progress("attack at %v: KansasCity drops 20%% of transit traffic\n", sres.AttackAt)
+		run.Progress("first detection at %v, first reroute at %v\n", sres.FirstDetectionAt, sres.RerouteAt)
+	}
 	net := sres.System.Net
 	kc, _ := net.Graph().Lookup("KansasCity")
 	faulty := kc

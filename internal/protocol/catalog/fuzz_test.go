@@ -7,8 +7,8 @@ import (
 	"routerwatch/internal/protocol"
 )
 
-// FuzzParseOptions hands every registered descriptor's ParseOptions
-// arbitrary key/value pairs: it must return options or an error, never
+// FuzzParseOptions hands every registered descriptor's ParseOptions (Fatih
+// has none) arbitrary key/value pairs: it must return options or an error, never
 // panic, and options it returns hold no negative count, size, threshold,
 // router id, interval or timeout — the values that used to reach the
 // scheduler and the router table unchecked. Seeded with every key the
@@ -20,6 +20,9 @@ func FuzzParseOptions(f *testing.F) {
 		d, err := protocol.Lookup(name)
 		if err != nil {
 			f.Fatal(err)
+		}
+		if d.ParseOptions == nil {
+			continue
 		}
 		descs = append(descs, d)
 		if d.DefaultSpec == nil {

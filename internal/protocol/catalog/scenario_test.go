@@ -76,7 +76,6 @@ func TestRunBadOptions(t *testing.T) {
 		{"replica negative observed", "replica", protocol.Params{"observed": "-1"}, `option "observed": "-1" must not be negative`},
 		{"replica observed out of range", "replica", protocol.Params{"observed": "99"}, `option "observed": r99 is not one of the topology's 3 routers`},
 		{"chi negative round", "chi", protocol.Params{"round": "-1s"}, `option "round": "-1s" must not be negative`},
-		{"fatih negative round", "fatih", protocol.Params{"round": "-1s"}, `option "round": "-1s" must not be negative`},
 		{"queue-monitor no such link", "queue-monitor", protocol.Params{"r": "0", "rd": "2"}, `option "rd": the topology has no link r0→r2`},
 		{"pik2 negative k", "pik2", protocol.Params{"k": "-3"}, `option "k": "-3" must not be negative`},
 	}
@@ -93,8 +92,8 @@ func TestRunBadOptions(t *testing.T) {
 			if d.Scenario == nil {
 				_, err = protocol.Run(spec, protocol.RunOptions{})
 			} else {
-				// A canonical scenario takes no options; they reach these
-				// protocols through Attach, as from mrreplay and the façade.
+				// A canonical scenario takes no options; they reach χ
+				// through Attach, as from mrreplay.
 				var opts any
 				if opts, err = d.ParseOptions(tc.opts); err == nil {
 					env := protocol.NewSimEnv(network.New(topology.Line(3), network.Options{Seed: 1}))
@@ -127,6 +126,18 @@ func TestCanonicalScenarioRejectsIgnoredFields(t *testing.T) {
 			!strings.Contains(err.Error(), "takes no options, traffic, routing or attacks list") {
 			t.Errorf("%s: err = %v, want the canonical-scenario error", name, err)
 		}
+	}
+}
+
+// TestFatihOnlyRunsAsScenario pins the one way to run Fatih: the descriptor
+// has no Attach (Fatih brings its own network and routing fabric), so
+// protocol.Attach — and with it mrreplay -protocol fatih — refuses by name.
+func TestFatihOnlyRunsAsScenario(t *testing.T) {
+	env := protocol.NewSimEnv(network.New(topology.Abilene(), network.Options{Seed: 1}))
+	hooks, _ := protocol.LogHooks()
+	_, err := protocol.Attach(env, "fatih", nil, hooks)
+	if want := `protocol "fatih" only runs as a full scenario`; err == nil || err.Error() != want {
+		t.Errorf("Attach: err = %v, want %s", err, want)
 	}
 }
 

@@ -73,18 +73,6 @@ func (b *PacketBatch) AppendBatch(src *PacketBatch) {
 	b.Flows = append(b.Flows, src.Flows...)
 }
 
-// AppendBatchTagged bulk-appends every record of src, stamping each with
-// tag (χ merges per-reporter batches into one tagged arrival stream).
-func (b *PacketBatch) AppendBatchTagged(src *PacketBatch, tag int32) {
-	b.FPs = append(b.FPs, src.FPs...)
-	b.Sizes = append(b.Sizes, src.Sizes...)
-	b.TSs = append(b.TSs, src.TSs...)
-	b.Flows = append(b.Flows, src.Flows...)
-	for range src.FPs {
-		b.Tags = append(b.Tags, tag)
-	}
-}
-
 // swapIdx exchanges records i and j across all present lanes.
 func (b *PacketBatch) swapIdx(i, j int) {
 	b.FPs[i], b.FPs[j] = b.FPs[j], b.FPs[i]

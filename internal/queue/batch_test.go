@@ -110,9 +110,8 @@ func TestAppendBatchAndReset(t *testing.T) {
 		t.Fatalf("AppendBatch: %+v", b.FPs)
 	}
 	var tagged PacketBatch
-	tagged.AppendBatchTagged(&b, 9)
-	if tagged.Len() != 2 || tagged.Tags[0] != 9 || tagged.Tags[1] != 9 {
-		t.Fatalf("AppendBatchTagged tags: %+v", tagged.Tags)
+	for i := range b.FPs {
+		tagged.AppendTagged(b.FPs[i], b.Sizes[i], b.TSs[i], b.Flows[i], 9)
 	}
 	tagged.Reset()
 	if tagged.Len() != 0 || len(tagged.Tags) != 0 {

@@ -1,7 +1,5 @@
 package sim
 
-import "math/rand"
-
 // splitmix64 is the finalizer of the SplitMix64 generator: a bijective
 // avalanche mix whose output streams are statistically independent for
 // distinct inputs. It is the standard way to expand one base seed into many
@@ -20,12 +18,4 @@ func splitmix64(x uint64) uint64 {
 // consumed, which is what makes parallel trial fan-out reproducible.
 func DeriveSeed(base int64, stream uint64) int64 {
 	return int64(splitmix64(splitmix64(uint64(base)) ^ stream))
-}
-
-// NewTrialRNG returns the deterministic random source for trial `trial` of a
-// run with the given base seed. Each trial gets its own stream; no two
-// trials share generator state, so trials may run concurrently and in any
-// order.
-func NewTrialRNG(base int64, trial int) *rand.Rand {
-	return NewRNG(DeriveSeed(base, uint64(trial)))
 }

@@ -66,15 +66,6 @@ type Handle struct {
 
 func (h Handle) live() bool { return h.ev != nil && h.ev.gen == h.gen }
 
-// Time returns the virtual time at which the event fires (zero if the event
-// already fired or was recycled).
-func (h Handle) Time() time.Duration {
-	if !h.live() {
-		return 0
-	}
-	return h.ev.at
-}
-
 // Cancel prevents the event from firing. Canceling an already-fired,
 // already-canceled, or zero Handle is a no-op.
 func (h Handle) Cancel() {

@@ -40,18 +40,3 @@ func (f *Folded) Max() float64 {
 	}
 	return max
 }
-
-// Min returns the minimum across trials (0 for an empty fold).
-func (f *Folded) Min() float64 {
-	min := 0.0
-	for i, v := range f.values {
-		if i == 0 || v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Values returns the per-trial values in trial order (not a copy; callers
-// must not mutate).
-func (f *Folded) Values() []float64 { return f.values }

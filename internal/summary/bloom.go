@@ -1,150 +1,42 @@
 package summary
 
-import (
-	"encoding/binary"
-	"math"
-	"math/bits"
+import "math"
 
-	"routerwatch/internal/packet"
-)
-
-// Bloom is the Bloom-filter fingerprint summary of §2.4.1: far cheaper to
-// communicate than the full fingerprint set, at some cost in accuracy. The
-// population of the bitwise difference between two filters estimates the
-// size of the set difference.
-type Bloom struct {
-	bits   []uint64
-	k      int
-	m      uint64
-	hasher packet.Hasher
-	n      int
-}
-
-// NewBloom builds a filter sized for expectedItems at the target false
-// positive rate.
-func NewBloom(expectedItems int, fpRate float64) *Bloom {
+// bloomShape is the sizing rule of the Bloom-filter fingerprint summary of
+// §2.4.1 — far cheaper to communicate than the full fingerprint set, at
+// some cost in accuracy: m bits (a positive multiple of 64) and k hash
+// functions for expectedItems at the target false positive rate.
+func bloomShape(expectedItems int, fpRate float64) (m uint64, k int) {
 	if expectedItems < 1 {
 		expectedItems = 1
 	}
 	if fpRate <= 0 || fpRate >= 1 {
 		fpRate = 0.01
 	}
-	m := uint64(math.Ceil(-float64(expectedItems) * math.Log(fpRate) / (math.Ln2 * math.Ln2)))
+	m = uint64(math.Ceil(-float64(expectedItems) * math.Log(fpRate) / (math.Ln2 * math.Ln2)))
 	if m < 64 {
 		m = 64
 	}
 	m = (m + 63) / 64 * 64
-	// k follows from the target rate alone: k = −log2(p) at the optimal
-	// m/n ratio. Deriving it from the clamped-and-rounded m instead would
-	// blow up for tiny filters (expectedItems ≪ 64 makes m/n huge and the
-	// hash count saturate pointlessly).
-	k := optimalHashes(fpRate)
-	return &Bloom{
-		bits:   make([]uint64, m/64),
-		k:      k,
-		m:      m,
-		hasher: packet.NewHasher(0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9),
-	}
-}
-
-// optimalHashes returns the hash count k = round(−log2(p)), clamped to
-// [1, 16] — the optimum for a filter sized m = −n·ln p / ln²2, independent
-// of how m was later rounded or clamped.
-func optimalHashes(fpRate float64) int {
-	k := int(math.Round(-math.Log2(fpRate)))
+	// k follows from the target rate alone: k = round(−log2(p)), clamped to
+	// [1, 16] — the optimum at m = −n·ln p / ln²2. Deriving it from the
+	// clamped-and-rounded m instead would blow up for tiny filters
+	// (expectedItems ≪ 64 makes m/n huge and the hash count saturate
+	// pointlessly).
+	k = int(math.Round(-math.Log2(fpRate)))
 	if k < 1 {
 		k = 1
 	}
 	if k > 16 {
 		k = 16
 	}
-	return k
+	return m, k
 }
 
-func (b *Bloom) indexes(fp packet.Fingerprint) (h1, h2 uint64) {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(fp))
-	h1 = b.hasher.HashBytes(buf[:])
-	h2 = h1>>33 | h1<<31
-	if h2 == 0 {
-		h2 = 0x27d4eb2f165667c5
-	}
-	return h1, h2
-}
-
-// Add inserts a fingerprint.
-func (b *Bloom) Add(fp packet.Fingerprint) {
-	h1, h2 := b.indexes(fp)
-	for i := 0; i < b.k; i++ {
-		idx := (h1 + uint64(i)*h2) % b.m
-		b.bits[idx/64] |= 1 << (idx % 64)
-	}
-	b.n++
-}
-
-// Contains reports (probabilistic) membership.
-func (b *Bloom) Contains(fp packet.Fingerprint) bool {
-	h1, h2 := b.indexes(fp)
-	for i := 0; i < b.k; i++ {
-		idx := (h1 + uint64(i)*h2) % b.m
-		if b.bits[idx/64]&(1<<(idx%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// N returns the number of inserted items.
-func (b *Bloom) N() int { return b.n }
-
-// SizeBytes returns the filter's size in bytes, the quantity that makes
-// Bloom summaries cheaper than explicit fingerprint lists.
-func (b *Bloom) SizeBytes() int { return len(b.bits) * 8 }
-
-// Compatible reports whether two filters can be compared.
-func (b *Bloom) Compatible(o *Bloom) bool {
-	return b.m == o.m && b.k == o.k
-}
-
-// EstimateDiff estimates |A△B| from the bitwise difference population of
-// two same-shape filters (§2.4.1: "use the population of the bitwise
-// difference between the filters to calculate the size of the set
-// difference").
-//
-// For a filter with m bits and k hashes, a set of n items leaves a fraction
-// q(n) = (1−1/m)^{kn} of bits zero. Bits set in exactly one filter come
-// from items in the symmetric difference; inverting the expected XOR
-// population gives the estimate.
-func (b *Bloom) EstimateDiff(o *Bloom) float64 {
-	if !b.Compatible(o) {
-		return math.NaN()
-	}
-	var xorPop, orPop int
-	for i := range b.bits {
-		xorPop += bits.OnesCount64(b.bits[i] ^ o.bits[i])
-		orPop += bits.OnesCount64(b.bits[i] | o.bits[i])
-	}
-	if xorPop == 0 {
-		return 0
-	}
-	m := float64(b.m)
-	k := float64(b.k)
-	// Union size estimate from OR population.
-	pOr := float64(orPop) / m
-	if pOr >= 1 {
-		pOr = 1 - 1/m
-	}
-	nUnion := -m / k * math.Log(1-pOr)
-	// Intersection bits: set in both ≈ bits set by common items plus
-	// coincidental overlap; a serviceable first-order estimate of the
-	// symmetric difference inverts the XOR population against the union.
-	pXor := float64(xorPop) / m
-	if pXor >= 1 {
-		pXor = 1 - 1/m
-	}
-	nDiff := -m / k * math.Log(1-pXor)
-	if nDiff > nUnion {
-		nDiff = nUnion
-	}
-	return nDiff
+// BloomBytes returns the size in bytes of a Bloom-filter summary of n
+// fingerprints at false positive rate p, the quantity that makes Bloom
+// summaries cheaper than explicit fingerprint lists.
+func BloomBytes(n int, p float64) int {
+	m, _ := bloomShape(n, p)
+	return int(m / 8)
 }

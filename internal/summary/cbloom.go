@@ -19,15 +19,15 @@ type CountingBloom struct {
 	hasher packet.Hasher
 }
 
-// NewCountingBloom builds a counting filter with NewBloom's sizing rule
+// NewCountingBloom builds a counting filter with bloomShape's sizing rule
 // (and degenerate-input clamps) for expectedItems at fpRate.
 func NewCountingBloom(expectedItems int, fpRate float64) *CountingBloom {
-	b := NewBloom(expectedItems, fpRate)
+	m, k := bloomShape(expectedItems, fpRate)
 	return &CountingBloom{
-		counts: make([]uint32, b.m),
-		k:      b.k,
-		m:      b.m,
-		hasher: b.hasher,
+		counts: make([]uint32, m),
+		k:      k,
+		m:      m,
+		hasher: packet.NewHasher(0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9),
 	}
 }
 

@@ -88,25 +88,6 @@ func (f poly) eval(x uint64) uint64 {
 	return acc
 }
 
-func polyAdd(a, b poly) poly {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make(poly, n)
-	for i := range out {
-		var av, bv uint64
-		if i < len(a) {
-			av = a[i]
-		}
-		if i < len(b) {
-			bv = b[i]
-		}
-		out[i] = addMod(av, bv)
-	}
-	return out.normalize()
-}
-
 func polySub(a, b poly) poly {
 	n := len(a)
 	if len(b) > n {

@@ -110,13 +110,6 @@ func refDecodeFPSet(data []byte) (*refFPSet, error) {
 	return s, nil
 }
 
-func (s *refFPSet) Merge(o *refFPSet) {
-	for fp, n := range o.m {
-		s.m[fp] += n
-		s.count += n
-	}
-}
-
 // refReorderAmount is ReorderAmount as it stood while it filtered the common
 // multiset and mapped positions through five fingerprint-keyed maps, kept
 // verbatim as TestReorderAmountMatchesReference's oracle.

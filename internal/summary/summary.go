@@ -2,8 +2,8 @@
 // counters for conservation of flow, fingerprint sets for conservation of
 // content, ordered fingerprint lists for conservation of order, and
 // timestamped fingerprints for conservation of timeliness — plus the
-// supporting machinery: Bloom filters, polynomial set reconciliation
-// (Appendix A), and hash-range sampling.
+// supporting machinery: the Bloom-filter sizing rule, polynomial set
+// reconciliation (Appendix A), and hash-range sampling.
 package summary
 
 import (
@@ -28,12 +28,6 @@ type Counter struct {
 func (c *Counter) Add(size int) {
 	c.Packets++
 	c.Bytes += int64(size)
-}
-
-// Merge adds another counter into c.
-func (c *Counter) Merge(o Counter) {
-	c.Packets += o.Packets
-	c.Bytes += o.Bytes
 }
 
 // AppendEncode appends the counter's encoding to b and returns the

@@ -71,28 +71,19 @@ type FlowConfig struct {
 	Src, Dst packet.NodeID
 	// Start is when the SYN is sent.
 	Start time.Duration
-	// MSS is the data packet size in bytes (default 1000).
-	MSS int
 	// MaxPackets caps the number of data packets (0 = unbounded).
 	MaxPackets int
-	// InitialRTO is the pre-sample retransmission timeout (default 3 s,
-	// the long SYN timeout of §6.1.1).
-	InitialRTO time.Duration
-	// MinRTO floors the adaptive RTO (default 200 ms).
-	MinRTO time.Duration
 }
 
-func (c *FlowConfig) fill() {
-	if c.MSS == 0 {
-		c.MSS = 1000
-	}
-	if c.InitialRTO == 0 {
-		c.InitialRTO = 3 * time.Second
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-}
+const (
+	// mss is the data packet size in bytes.
+	mss = 1000
+	// initialRTO is the pre-sample retransmission timeout, the long SYN
+	// timeout of §6.1.1.
+	initialRTO = 3 * time.Second
+	// minRTO floors the adaptive RTO.
+	minRTO = 200 * time.Millisecond
+)
 
 // FlowState is the connection state.
 type FlowState int
@@ -163,7 +154,6 @@ func (s FlowStats) ConnectLatency() time.Duration {
 
 // StartFlow creates a TCP flow and schedules its SYN.
 func (m *Manager) StartFlow(cfg FlowConfig) *Flow {
-	cfg.fill()
 	m.nextFlow++
 	f := &Flow{
 		m:        m,
@@ -171,7 +161,7 @@ func (m *Manager) StartFlow(cfg FlowConfig) *Flow {
 		cfg:      cfg,
 		cwnd:     1,
 		ssthresh: 64,
-		rto:      cfg.InitialRTO,
+		rto:      initialRTO,
 		sendTime: make(map[uint32]time.Duration),
 		inFlight: make(map[uint32]bool),
 		ooo:      make(map[uint32]bool),
@@ -200,7 +190,7 @@ func (f *Flow) Throughput() float64 {
 		return 0
 	}
 	dur := (f.Stats.LastDeliverAt - f.Stats.EstablishedAt).Seconds()
-	return float64(f.Stats.Delivered*f.cfg.MSS) / dur
+	return float64(f.Stats.Delivered*mss) / dur
 }
 
 func (f *Flow) now() time.Duration { return f.m.net.Scheduler().Now() }
@@ -220,7 +210,7 @@ func (f *Flow) sendSYN() {
 	p.Size, p.Payload = 40, uint64(f.id)<<32|0x5359
 	f.m.net.Inject(f.cfg.Src, p)
 	// SYN retransmission with exponential backoff (3 s, 6 s, 12 s, ...).
-	backoff := f.cfg.InitialRTO << uint(f.Stats.SynRetries)
+	backoff := initialRTO << uint(f.Stats.SynRetries)
 	f.armRTO(backoff, f.cbSYN)
 }
 
@@ -329,8 +319,8 @@ func (f *Flow) sampleRTT(rtt time.Duration) {
 		f.srtt = (7*f.srtt + rtt) / 8
 	}
 	f.rto = f.srtt + 4*f.rttvar
-	if f.rto < f.cfg.MinRTO {
-		f.rto = f.cfg.MinRTO
+	if f.rto < minRTO {
+		f.rto = minRTO
 	}
 }
 
@@ -353,7 +343,7 @@ func (f *Flow) pump() {
 
 func (f *Flow) sendData(seq uint32, isRetx bool) {
 	p := f.m.arena.New()
-	p.Dst, p.Flow, p.Seq, p.Size = f.cfg.Dst, f.id, seq, f.cfg.MSS
+	p.Dst, p.Flow, p.Seq, p.Size = f.cfg.Dst, f.id, seq, mss
 	p.Payload = uint64(f.id)<<32 | uint64(seq)
 	if isRetx {
 		f.Stats.Retransmits++

@@ -112,14 +112,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Bounds returns the bucket upper bounds (not a copy; do not mutate).
-func (h *Histogram) Bounds() []int64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
-}
-
 // BucketCounts returns the per-bucket counts, the last entry being the
 // +Inf bucket.
 func (h *Histogram) BucketCounts() []int64 {

@@ -19,18 +19,14 @@ import (
 // in Rocketfuel-style ISP maps.
 type ISPSpec struct {
 	// Nodes is the exact total router count (floored at
-	// PoPs*(CoresPerPoP+AggsPerPoP+1) so every PoP has at least one edge
-	// router).
+	// PoPs*(ispCoresPerPoP+aggsPerPoP+1) so every PoP has at least one
+	// edge router).
 	Nodes int
 	// PoPs is the number of points of presence (= regions). Default
 	// max(2, Nodes/50).
 	PoPs int
-	// CoresPerPoP and AggsPerPoP size the upper tiers (defaults 2 and
-	// max(2, Nodes/PoPs/6)).
-	CoresPerPoP int
-	AggsPerPoP  int
 	// EdgeUplinks is how many aggregation routers each edge router homes
-	// to (default 2, clamped to AggsPerPoP).
+	// to (default 2, clamped to aggsPerPoP).
 	EdgeUplinks int
 	// ExtraBackbone adds this many preferential-attachment backbone links
 	// beyond the PoP ring (default PoPs/2) — the degree-distribution knob.
@@ -39,7 +35,14 @@ type ISPSpec struct {
 	// keyed to a stable entity (a PoP, the backbone), never to generation
 	// order, so the graph is a pure function of the spec.
 	Seed int64
+
+	// aggsPerPoP sizes the aggregation tier: max(2, Nodes/PoPs/6), set by
+	// fill.
+	aggsPerPoP int
 }
+
+// ispCoresPerPoP sizes the core tier of every PoP.
+const ispCoresPerPoP = 2
 
 // fill resolves defaults and clamps to a constructible configuration.
 func (s ISPSpec) fill() ISPSpec {
@@ -52,27 +55,19 @@ func (s ISPSpec) fill() ISPSpec {
 			s.PoPs = 2
 		}
 	}
-	if s.CoresPerPoP <= 0 {
-		s.CoresPerPoP = 2
-	}
-	if s.AggsPerPoP <= 0 {
-		s.AggsPerPoP = s.Nodes / s.PoPs / 6
-		if s.AggsPerPoP < 2 {
-			s.AggsPerPoP = 2
-		}
-	}
+	s.aggsPerPoP = max(2, s.Nodes/s.PoPs/6)
 	if s.EdgeUplinks <= 0 {
 		s.EdgeUplinks = 2
 	}
-	if s.EdgeUplinks > s.AggsPerPoP {
-		s.EdgeUplinks = s.AggsPerPoP
+	if s.EdgeUplinks > s.aggsPerPoP {
+		s.EdgeUplinks = s.aggsPerPoP
 	}
 	if s.ExtraBackbone == 0 {
 		s.ExtraBackbone = s.PoPs / 2
 	} else if s.ExtraBackbone < 0 {
 		s.ExtraBackbone = 0
 	}
-	if min := s.PoPs * (s.CoresPerPoP + s.AggsPerPoP + 1); s.Nodes < min {
+	if min := s.PoPs * (ispCoresPerPoP + s.aggsPerPoP + 1); s.Nodes < min {
 		s.Nodes = min
 	}
 	return s
@@ -101,19 +96,19 @@ func ISP(spec ISPSpec) *Graph {
 
 	// Nodes left after the fixed tiers become edge routers, spread
 	// round-robin so PoP sizes differ by at most one.
-	base := spec.PoPs * (spec.CoresPerPoP + spec.AggsPerPoP)
+	base := spec.PoPs * (ispCoresPerPoP + spec.aggsPerPoP)
 	edgesTotal := spec.Nodes - base
 
 	coreIDs := make([][]packet.NodeID, spec.PoPs)
 	aggIDs := make([][]packet.NodeID, spec.PoPs)
 	for p := 0; p < spec.PoPs; p++ {
 		nEdges := edgesTotal/spec.PoPs + boolToInt(p < edgesTotal%spec.PoPs)
-		for i := 0; i < spec.CoresPerPoP; i++ {
+		for i := 0; i < ispCoresPerPoP; i++ {
 			id := g.AddNode(fmt.Sprintf("p%dc%d", p, i))
 			g.SetRegion(id, p)
 			coreIDs[p] = append(coreIDs[p], id)
 		}
-		for i := 0; i < spec.AggsPerPoP; i++ {
+		for i := 0; i < spec.aggsPerPoP; i++ {
 			id := g.AddNode(fmt.Sprintf("p%da%d", p, i))
 			g.SetRegion(id, p)
 			aggIDs[p] = append(aggIDs[p], id)
@@ -126,10 +121,8 @@ func ISP(spec ISPSpec) *Graph {
 		}
 		// Aggregation dual-homing into the cores.
 		for i, a := range aggIDs[p] {
-			g.AddDuplex(a, coreIDs[p][i%spec.CoresPerPoP], ispAggAttrs)
-			if spec.CoresPerPoP > 1 {
-				g.AddDuplex(a, coreIDs[p][(i+1)%spec.CoresPerPoP], ispAggAttrs)
-			}
+			g.AddDuplex(a, coreIDs[p][i%ispCoresPerPoP], ispAggAttrs)
+			g.AddDuplex(a, coreIDs[p][(i+1)%ispCoresPerPoP], ispAggAttrs)
 		}
 		// Per-PoP RNG stream: keyed to the PoP, independent of every other
 		// PoP's draws, so regenerating with more PoPs never shifts an
@@ -177,7 +170,7 @@ func ISP(spec ISPSpec) *Graph {
 			if a < 0 || b < 0 || a == b {
 				continue
 			}
-			if addBackbone(a, b, k%spec.CoresPerPoP) {
+			if addBackbone(a, b, k%ispCoresPerPoP) {
 				break
 			}
 		}
