@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint verify bench-test perf fuzz campaign-smoke trials-smoke replay-smoke scale-smoke figures clean
+.PHONY: build test race vet lint verify bench-test perf fuzz campaign-smoke trials-smoke replay-smoke scale-smoke budget-smoke figures clean
 
 build:
 	$(GO) build ./...
@@ -122,6 +122,23 @@ replay-smoke:
 scale-smoke:
 	RW_SCALE_SMOKE=1 $(GO) test ./internal/protocol/catalog/ -run TestScaleSmoke -v
 	@echo "scale smoke: 200-router ISP scenario detected and judged by the §4.2.2 checkers"
+
+# Event-budget smoke (DESIGN.md "Hot path", the per-hop event contract): the
+# mesh-forward scenario, read in place from bench/workloads, must fire at
+# most 1.5 scheduler events per forwarded packet (1.32 since ISSUE 23, 3.32
+# with a txDone and a zero-delay forward event per hop), read off the same
+# telemetry a user gets — rw_sim_events_total over the per-router
+# rw_packets_forwarded_total — and stdout must not notice -metrics.
+budget-smoke:
+	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json > budget-smoke-plain.txt
+	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json -metrics - \
+		> budget-smoke-metrics.txt 2> budget-smoke-metrics.prom
+	cmp budget-smoke-plain.txt budget-smoke-metrics.txt
+	@awk '/^rw_packets_forwarded_total/ { fwd += $$2 } /^rw_sim_events_total/ { ev = $$2 } \
+		END { if (fwd == 0) { print "budget smoke: no forwards counted"; exit 1 } \
+		      printf "budget smoke: %d events / %d forwards = %.2f per forward (limit 1.50)\n", ev, fwd, ev / fwd; \
+		      exit !(ev / fwd <= 1.5) }' budget-smoke-metrics.prom
+	@rm -f budget-smoke-plain.txt budget-smoke-metrics.txt budget-smoke-metrics.prom
 
 figures:
 	$(GO) run ./cmd/figures

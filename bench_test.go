@@ -321,21 +321,28 @@ func BenchmarkFatihTrials(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulator speed: packet events
-// per wall second on a saturated line (sanity metric for the harness
-// itself, not a paper figure).
+// BenchmarkSimulatorThroughput measures raw simulator speed on an
+// uncongested line: hops forwarded per wall second, and the scheduler events
+// each hop cost beyond the injection that started the packet (sanity metric
+// for the harness itself, not a paper figure).
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	const packets, hops = 5000, 3
+	var events uint64
 	for i := 0; i < b.N; i++ {
-		g := topology.Line(4)
+		g := topology.Line(hops + 1)
 		net := network.New(g, network.Options{Seed: int64(i)})
-		for j := 0; j < 5000; j++ {
+		for j := 0; j < packets; j++ {
 			j := j
 			net.Scheduler().At(time.Duration(j)*100*time.Microsecond, func() {
-				net.Inject(0, &packet.Packet{Dst: 3, Size: 500, Seq: uint32(j)})
+				net.Inject(0, &packet.Packet{Dst: hops, Size: 500, Seq: uint32(j)})
 			})
 		}
 		net.Run(5 * time.Second)
+		events += net.Scheduler().Fired() - packets
 	}
+	forwarded := float64(b.N) * packets * hops
+	b.ReportMetric(float64(events)/forwarded, "events/hop")
+	b.ReportMetric(forwarded/b.Elapsed().Seconds(), "hops/s")
 }
 
 // BenchmarkTraceReplay measures the capture subsystem's replay path: each

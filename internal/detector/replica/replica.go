@@ -20,6 +20,7 @@ import (
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/queue"
+	"routerwatch/internal/sim"
 	"routerwatch/internal/summary"
 	"routerwatch/internal/topology"
 )
@@ -56,12 +57,16 @@ type Detector struct {
 	Discrepancies int
 }
 
-// replicaIface models one output interface of the replica: a queue plus a
-// busy/serialization clock identical to the real router's.
+// replicaIface models one output interface of the replica: a queue plus
+// the serialization clock of the real router's interface (network.iface):
+// freeAt is when the line finishes the packet it is sending, and drainEv,
+// live only while something waits, dequeues the next one then.
 type replicaIface struct {
-	link topology.Link
-	q    queue.Discipline
-	busy bool
+	link    topology.Link
+	q       queue.Discipline
+	freeAt  time.Duration
+	drainEv sim.Handle
+	cbDrain sim.Callback
 }
 
 // Attach deploys a replica detector shadowing target. The replica observes
@@ -85,7 +90,9 @@ func Attach(net *network.Network, target packet.NodeID, opts Options) *Detector 
 	g := net.Graph()
 	for _, nb := range g.Neighbors(target) {
 		link, _ := g.Link(target, nb)
-		d.queues[nb] = &replicaIface{link: link, q: queue.NewDropTail(link.QueueLimit)}
+		ifc := &replicaIface{link: link, q: queue.NewDropTail(link.QueueLimit)}
+		ifc.cbDrain = func(any, int64) { d.drainReplica(ifc) }
+		d.queues[nb] = ifc
 		d.outReal[nb] = summary.NewFPSet()
 		d.outReplica[nb] = summary.NewFPSet()
 	}
@@ -140,26 +147,39 @@ func (d *Detector) replicaForward(p *packet.Packet, oracle map[packet.NodeID]pac
 	}
 	q := p.Clone()
 	q.TTL--
-	now := d.net.Now()
+	sched := d.net.Scheduler()
+	now := sched.Now()
+	if now >= ifc.freeAt && !ifc.drainEv.Canceled() {
+		// The line frees at this instant: the departure goes first, as on
+		// the real interface.
+		ifc.drainEv.Cancel()
+		d.drainReplica(ifc)
+	}
 	if ifc.q.Enqueue(q, now) != queue.DropNone {
 		return // the replica predicts a congestive drop here too
 	}
-	if !ifc.busy {
-		d.drainReplica(ifc, next)
+	switch {
+	case !ifc.drainEv.Canceled():
+	case now >= ifc.freeAt:
+		d.drainReplica(ifc)
+	default:
+		ifc.drainEv = sched.CallAfter(ifc.freeAt-now, ifc.cbDrain, nil, 0)
 	}
 }
 
-func (d *Detector) drainReplica(ifc *replicaIface, nb packet.NodeID) {
-	now := d.net.Now()
+// drainReplica starts serializing the head-of-line packet, which joins the
+// replica's predicted output; a packet left waiting behind it schedules the
+// next drain.
+func (d *Detector) drainReplica(ifc *replicaIface) {
+	sched := d.net.Scheduler()
+	now := sched.Now()
 	p := ifc.q.Dequeue(now)
-	if p == nil {
-		ifc.busy = false
-		return
-	}
-	ifc.busy = true
-	d.outReplica[nb].Add(d.net.Hasher().Fingerprint(p))
+	d.outReplica[ifc.link.To].Add(d.net.Hasher().Fingerprint(p))
 	tx := ifc.link.TransmissionTime(p.Size)
-	d.net.Scheduler().After(tx, func() { d.drainReplica(ifc, nb) })
+	ifc.freeAt = now + tx
+	if ifc.q.Len() > 0 {
+		ifc.drainEv = sched.CallAfter(tx, ifc.cbDrain, nil, 0)
+	}
 }
 
 // compare validates r's outputs against the replica's for the last round.

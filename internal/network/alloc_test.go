@@ -10,7 +10,8 @@ import (
 // TestForwardAllocFree guards the zero-allocation data path: after warmup
 // (pools primed, heap and queue backing arrays grown), forwarding a packet
 // across a router — receive, route, queue, transmit, deliver — allocates
-// nothing.
+// nothing. Neither does a burst that queues behind a busy line: the drain
+// event is a callback bound once per interface.
 func TestForwardAllocFree(t *testing.T) {
 	net := lineNet(3, Options{Seed: 1})
 	delivered := 0
@@ -30,5 +31,22 @@ func TestForwardAllocFree(t *testing.T) {
 	}
 	if delivered < runs {
 		t.Fatalf("delivered %d packets, want at least %d", delivered, runs)
+	}
+
+	var burst [8]packet.Packet
+	sendBurst := func() {
+		for k := range burst {
+			burst[k] = packet.Packet{Dst: 2, Size: 1000, Flow: 1}
+			net.Inject(0, &burst[k])
+		}
+		net.Run(net.Now() + time.Second)
+	}
+	sendBurst()
+	delivered = 0
+	if n := testing.AllocsPerRun(runs, sendBurst); n != 0 {
+		t.Errorf("queued burst allocates %v per burst of %d, want 0", n, len(burst))
+	}
+	if delivered < runs*len(burst) {
+		t.Fatalf("delivered %d burst packets, want at least %d", delivered, runs*len(burst))
 	}
 }

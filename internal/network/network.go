@@ -161,7 +161,7 @@ func New(g *topology.Graph, opts Options) *Network {
 		},
 		pktTrace: opts.Telemetry.PacketTracer(),
 	}
-	n.sched.InstrumentFired(reg.Counter("rw_sim_events_total"))
+	n.sched.Instrument(reg.Counter("rw_sim_events_total"), reg.Gauge("rw_sim_pending_max"))
 	if tr := opts.Telemetry.Tracer(); tr != nil {
 		for _, id := range g.Nodes() {
 			if name := g.Name(id); name != "" {

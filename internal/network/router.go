@@ -178,7 +178,7 @@ func newRouter(n *Network, id packet.NodeID) *Router {
 			q = queue.Instrumented(q, n.tel.queueIns)
 		}
 		ifc := &iface{r: r, link: link, q: q}
-		ifc.cbTxDone = func(arg any, _ int64) { ifc.txDone(arg.(*packet.Packet)) }
+		ifc.cbDrain = func(any, int64) { ifc.drain() }
 		r.ifaces[nb] = ifc
 	}
 	return r
@@ -259,11 +259,18 @@ func (r *Router) emit(ev Event) {
 // and same-flow reordering would spuriously trigger TCP fast retransmit.
 func (r *Router) receive(p *packet.Packet, from packet.NodeID) {
 	r.emit(Event{Kind: EvReceive, Packet: p, Peer: from})
-	now := r.net.sched.Now()
-	t := now
-	if j := r.net.opts.ProcessingJitter; j > 0 {
-		t += time.Duration(r.rng.Int63n(int64(j) + 1))
+	j := r.net.opts.ProcessingJitter
+	if j <= 0 {
+		// No processing delay is modelled, so no event is spent on one:
+		// every packet of the stream forwards at its receive instant and
+		// none can be pending to overtake. The test is on the model
+		// parameter, never on the draw: a draw of 0 under jitter must still
+		// queue behind the stream's pending cbForward.
+		r.forward(p, from)
+		return
 	}
+	now := r.net.sched.Now()
+	t := now + time.Duration(r.rng.Int63n(int64(j)+1))
 	if last := r.lastProcess[from]; t < last {
 		t = last
 	}
@@ -329,49 +336,68 @@ func (r *Router) transmit(p *packet.Packet, next packet.NodeID) {
 	ifc.enqueue(p)
 }
 
-// iface is one output interface: a queue draining onto a link.
+// iface is one output interface: a queue draining onto a link. The line is
+// modelled by a timestamp, not an event: freeAt is when the serialisation in
+// progress ends, and a drain event is scheduled there only while a packet
+// waits for it (DESIGN.md "Hot path", the per-hop event contract).
 type iface struct {
 	r    *Router
 	link topology.Link
 	q    queue.Discipline
-	busy bool
 
-	// cbTxDone fires when a packet finishes serializing onto the link;
-	// bound once at construction (see Router's callback fields).
-	cbTxDone sim.Callback
+	// freeAt is when the line finishes serialising the last dequeued
+	// packet. drainEv is the event that will dequeue the next one then; it
+	// is live only while the queue is non-empty, so an idle interface holds
+	// nothing in the scheduler.
+	freeAt  time.Duration
+	drainEv sim.Handle
+
+	// cbDrain is drainEv's callback, bound once at construction (see
+	// Router's callback fields).
+	cbDrain sim.Callback
 }
 
 func (i *iface) enqueue(p *packet.Packet) {
-	now := i.r.net.sched.Now()
+	sched := i.r.net.sched
+	now := sched.Now()
+	if now >= i.freeAt && !i.drainEv.Canceled() {
+		// The line frees at this very instant and its drain event is still
+		// behind this one in the heap. The departure goes first — p finds
+		// the queue as the waiting packet's exit leaves it — so what an
+		// arrival sees never depends on which of the two events was
+		// scheduled earlier.
+		i.drainEv.Cancel()
+		i.drain()
+	}
 	reason := i.q.Enqueue(p, now)
 	if reason != queue.DropNone {
 		i.r.emit(Event{Kind: EvDrop, Packet: p, Reason: reason, Peer: i.link.To, QueueBytes: i.q.Bytes()})
 		return
 	}
 	i.r.emit(Event{Kind: EvEnqueue, Packet: p, Peer: i.link.To, QueueBytes: i.q.Bytes()})
-	if !i.busy {
+	switch {
+	case !i.drainEv.Canceled():
+		// p waits its turn behind the packet the pending drain will take.
+	case now >= i.freeAt:
 		i.drain()
+	default:
+		i.drainEv = sched.CallAfter(i.freeAt-now, i.cbDrain, nil, 0)
 	}
 }
 
+// drain starts serialising the head-of-line packet: it exits Q now, the line
+// is taken until now+tx, and the downstream router receives it one
+// propagation delay after that. Only a packet left waiting behind it costs
+// a further event.
 func (i *iface) drain() {
-	now := i.r.net.sched.Now()
+	sched := i.r.net.sched
+	now := sched.Now()
 	p := i.q.Dequeue(now)
-	if p == nil {
-		i.busy = false
-		return
-	}
-	i.busy = true
-	// Dequeue marks the packet's exit from Q: transmission starts now.
 	i.r.emit(Event{Kind: EvDequeue, Packet: p, Peer: i.link.To, QueueBytes: i.q.Bytes()})
 	tx := i.link.TransmissionTime(p.Size)
-	i.r.net.sched.CallAfter(tx, i.cbTxDone, p, 0)
-}
-
-// txDone runs when p's serialization completes: the line is free for the
-// next packet, and p begins propagating toward the downstream router.
-func (i *iface) txDone(p *packet.Packet) {
-	dst := i.r.net.Router(i.link.To)
-	i.r.net.sched.CallAfter(i.link.Delay, dst.cbReceive, p, int64(i.r.id))
-	i.drain()
+	i.freeAt = now + tx
+	sched.CallAfter(tx+i.link.Delay, i.r.net.routers[i.link.To].cbReceive, p, int64(i.r.id))
+	if i.q.Len() > 0 {
+		i.drainEv = sched.CallAfter(tx, i.cbDrain, nil, 0)
+	}
 }

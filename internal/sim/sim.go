@@ -195,6 +195,12 @@ type Scheduler struct {
 	// firedCtr, when attached, counts fired events for per-trial sim-event
 	// throughput metrics. Nil (the default) costs one nil-check per event.
 	firedCtr *telemetry.Counter
+
+	// pendingMax is the deepest the heap has been; pendingMaxGauge, when
+	// attached, mirrors it. Tracking costs one compare per push, and the
+	// gauge is touched only when the maximum moves.
+	pendingMax      int
+	pendingMaxGauge *telemetry.Gauge
 }
 
 // New returns a new Scheduler starting at virtual time zero.
@@ -206,10 +212,16 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// InstrumentFired attaches a telemetry counter incremented once per fired
-// event (nil detaches). Purely observational: the scheduler never reads it
-// back, so determinism is unaffected.
-func (s *Scheduler) InstrumentFired(c *telemetry.Counter) { s.firedCtr = c }
+// Instrument attaches the scheduler's telemetry (nil detaches either): fired
+// is incremented once per fired event, pendingMax holds the deepest the
+// event heap has been — the figure a change to how much work is held pending
+// reads. Purely observational: the scheduler never reads them back, so
+// determinism is unaffected.
+func (s *Scheduler) Instrument(fired *telemetry.Counter, pendingMax *telemetry.Gauge) {
+	s.firedCtr = fired
+	s.pendingMaxGauge = pendingMax
+	pendingMax.Set(int64(s.pendingMax))
+}
 
 // Pending returns the number of events scheduled but not yet fired.
 func (s *Scheduler) Pending() int { return len(s.events) }
@@ -263,6 +275,10 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), cb Callback, arg any, n
 	ev.canceled = false
 	s.seq++
 	s.events.push(ev)
+	if n := len(s.events); n > s.pendingMax {
+		s.pendingMax = n
+		s.pendingMaxGauge.Set(int64(n))
+	}
 	return Handle{ev: ev, gen: ev.gen}
 }
 

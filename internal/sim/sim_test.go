@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"routerwatch/internal/telemetry"
 )
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -118,6 +120,34 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	}
 	if s.Now() != 5*time.Millisecond {
 		t.Fatalf("Now() = %v, want 5ms", s.Now())
+	}
+}
+
+// The instruments read what the scheduler did, including what it did before
+// they were attached: the deepest heap is a high-water mark, not a level.
+func TestInstrument(t *testing.T) {
+	s := New()
+	for i := 0; i < 5; i++ {
+		s.After(time.Duration(i)*time.Millisecond, func() {})
+	}
+	reg := telemetry.NewRegistry()
+	fired, deepest := reg.Counter("fired"), reg.Gauge("deepest")
+	s.Instrument(fired, deepest)
+	s.Run()
+	for i := 0; i < 3; i++ {
+		s.After(time.Millisecond, func() {})
+	}
+	s.Run()
+	if fired.Value() != 8 || deepest.Value() != 5 {
+		t.Fatalf("fired %d deepest %d, want 8 and 5", fired.Value(), deepest.Value())
+	}
+	s.After(0, func() { s.After(0, func() {}); s.After(0, func() {}) })
+	for i := 0; i < 5; i++ {
+		s.After(time.Millisecond, func() {})
+	}
+	s.Run()
+	if deepest.Value() != 7 {
+		t.Fatalf("deepest %d after 6 pending grew by 2 less the one firing, want 7", deepest.Value())
 	}
 }
 
