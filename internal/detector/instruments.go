@@ -30,7 +30,12 @@ type Instruments struct {
 	// the §5.2.1/§7 control-plane overhead.
 	Summaries    *telemetry.Counter
 	SummaryBytes *telemetry.Counter
-	// Rounds counts validation rounds judged, per segment or queue.
+	// SilentRounds counts the segment-rounds an end had nothing to report
+	// and sent nothing (Πk+2: silence is the empty summary), so Summaries +
+	// SilentRounds is every segment-round an end came to exchange.
+	SilentRounds *telemetry.Counter
+	// Rounds counts validation rounds judged, per segment or queue, whether
+	// or not a summary was exchanged for them.
 	Rounds *telemetry.Counter
 	// Suspicions counts suspicions raised or adopted; Latency bins the
 	// delay from the validated round's end to the suspicion (ms).
@@ -53,6 +58,7 @@ func NewInstruments(set *telemetry.Set, protocol string) Instruments {
 		Fingerprints: reg.Counter("rw_detector_fingerprints_total", "protocol", protocol),
 		Summaries:    reg.Counter("rw_detector_summaries_total", "protocol", protocol),
 		SummaryBytes: reg.Counter("rw_detector_summary_bytes_total", "protocol", protocol),
+		SilentRounds: reg.Counter("rw_detector_silent_rounds_total", "protocol", protocol),
 		Rounds:       reg.Counter("rw_detector_rounds_total", "protocol", protocol),
 		Suspicions:   reg.Counter("rw_detector_suspicions_total", "protocol", protocol),
 		Latency:      reg.Histogram("rw_detector_suspicion_latency_ms", suspicionLatencyBucketsMs, "protocol", protocol),

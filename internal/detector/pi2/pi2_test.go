@@ -294,6 +294,31 @@ func TestHostileMultiplicityLocalizedToReporterPair(t *testing.T) {
 	}
 }
 
+// TestSectionlessSummaryLocalizedToReporterPair: router 1 forwards honestly
+// and floods a counter with no section after it — 28 bytes DecodeSummary
+// accepts. Every correct router judging it reached FPSet.normalise through
+// a nil pointer; it is a traffic-validation failure of a pair containing
+// the reporter.
+func TestSectionlessSummaryLocalizedToReporterPair(t *testing.T) {
+	log := detector.NewLog()
+	net := network.New(topology.Line(3), network.Options{Seed: 10})
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
+	p.SetCorruptor(1, func(_ topology.Segment, _ int, s *tvinfo.Summary) *tvinfo.Summary {
+		return &tvinfo.Summary{Counter: s.Counter}
+	})
+	pump(net, 0, 2, 100, 1)
+	net.Run(2 * time.Second)
+
+	if log.Len() == 0 {
+		t.Fatal("sectionless summary not suspected")
+	}
+	for _, s := range log.All() {
+		if s.Kind != detector.KindTrafficValidation || !s.Segment.Contains(1) {
+			t.Fatalf("suspicion is not a TV failure of the reporter's pair: %v", s)
+		}
+	}
+}
+
 // TestCollectedBoundedByRoundWindow is ROADMAP 4a's open hole: onInfo filed
 // a flooded summary under any round not yet judged, so a protocol-faulty
 // segment member could grow every correct router's collected map without

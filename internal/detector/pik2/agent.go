@@ -119,9 +119,12 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 	return a
 }
 
-// exchangeRound sends this router's summary for round n on every monitored
-// segment, through the segment itself. The boundary is batched: every
-// segment's message is encoded into one buffer first, the whole set is
+// exchangeRound sends this router's summary for round n, through the segment
+// itself, on every monitored segment that recorded a packet. Silence is the
+// empty summary: a segment-round with nothing in it (after the Corruptor, if
+// any) is not allocated, signed, sent, relayed or verified, and the peer
+// judges hearing nothing as having been told ∅. The boundary is batched:
+// every segment's message is encoded into one buffer first, the whole set is
 // signed with a single auth.SignBatch pass (one lock and pad-state setup
 // for the boundary instead of one per segment), and the messages then go
 // out in segment order.
@@ -131,13 +134,14 @@ func (a *agent) exchangeRound(n int) {
 	a.exOffs = a.exOffs[:0]
 	buf := a.p.bodyBuf[:0]
 	for _, st := range a.segOrder {
-		s := st.Summary(n)
+		s := st.Recorded(n)
 		if a.corrupt != nil {
-			replaced := a.corrupt(st.Seg, n, s)
-			if replaced == nil {
-				continue // protocol faulty: silently does not report
-			}
-			s = replaced
+			// Protocol faulty: reports what it likes, or (nil) nothing.
+			s = a.corrupt(st.Seg, n, st.Summary(n))
+		}
+		if s == nil || s.Empty() {
+			a.p.tel.SilentRounds.Inc()
+			continue
 		}
 		msg := &SummaryMsg{Seg: st.Seg, Round: n, From: a.id}
 		if a.p.opts.Exchange == ExchangeReconcile {
@@ -222,8 +226,8 @@ func (a *agent) onSummary(cm *network.ControlMessage) {
 	st.peerMsgs = append(st.peerMsgs, msg)
 }
 
-// judgeRound runs at round boundary + µ: exchange failures and TV failures
-// become suspicions.
+// judgeRound runs at round boundary + µ: TV failures become suspicions,
+// against the peer's summary or, when none came, against ∅.
 func (a *agent) judgeRound(n int) {
 	for _, st := range a.segOrder {
 		if n < st.judged {
@@ -231,34 +235,47 @@ func (a *agent) judgeRound(n int) {
 		}
 		st.judged = n + 1
 		a.p.tel.Rounds.Inc()
-		local := st.Summary(n)
+		local := st.Recorded(n)
 		st.Close(n)
 		peer := st.takePeerMsg(n)
 
 		if peer == nil {
-			// Exchange failed within µ: some router in π is protocol
-			// faulty (or the peer is), suspect π (Fig 5.3).
-			a.suspect(st, n, detector.KindExchangeTimeout, 1,
-				fmt.Sprintf("no summary from %v within %v", st.peer, a.p.opts.Timeout))
+			// Nothing from the peer within µ is the peer's ∅. A local record
+			// the TV predicate passes against ∅ (nothing, or a boundary
+			// straggler or two) leaves nothing to suspect. One it fails says
+			// traffic or a summary was lost inside π — the peer would have
+			// reported what it saw — so some router in π, or the peer, is
+			// faulty: suspect π (Fig 5.3).
+			if local != nil && !a.validate(st, local, tvinfo.NewSummary(a.p.opts.Policy)).OK {
+				a.suspect(st, n, detector.KindExchangeTimeout, 1,
+					fmt.Sprintf("no summary from %v within %v", st.peer, a.p.opts.Timeout))
+			}
 			continue
+		}
+		if local == nil {
+			local = tvinfo.NewSummary(a.p.opts.Policy)
 		}
 		if a.p.opts.Exchange == ExchangeReconcile {
 			a.judgeReconcile(st, n, local, peer)
 			continue
 		}
-		var up, down *tvinfo.Summary
-		if st.Pos == 0 {
-			up, down = local, peer.Summary
-		} else {
-			up, down = peer.Summary, local
-		}
-		if res := tvinfo.Validate(a.p.opts.Policy, a.p.opts.Thresholds, up, down); !res.OK {
+		if res := a.validate(st, local, peer.Summary); !res.OK {
 			a.suspect(st, n, detector.KindTrafficValidation, 1, res.String())
 		}
 	}
 	if len(a.segOrder) > 0 {
 		a.p.tel.RoundSpan("pik2 round", n, a.p.opts.Round, a.p.env.Now(), int32(a.id))
 	}
+}
+
+// validate applies the TV predicate between this end's summary of st's
+// segment and the peer's, whichever of the two is upstream.
+func (a *agent) validate(st *segState, local, peer *tvinfo.Summary) tvinfo.Result {
+	up, down := local, peer
+	if st.Pos != 0 {
+		up, down = peer, local
+	}
+	return tvinfo.Validate(a.p.opts.Policy, a.p.opts.Thresholds, up, down)
 }
 
 // judgeReconcile validates via Appendix A's set reconciliation: the exact

@@ -4,8 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"routerwatch/internal/attack"
 	"routerwatch/internal/detector"
+	"routerwatch/internal/detector/pik2"
 	"routerwatch/internal/mutation"
+	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 	_ "routerwatch/internal/protocol/catalog"
 )
@@ -40,8 +43,8 @@ func TestExchangeConformance(t *testing.T) {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			full := runWithExchange(t, mk(), "full")
-			reconcile := runWithExchange(t, mk(), "reconcile")
+			full := runWithExchange(t, mk(), "full", nil)
+			reconcile := runWithExchange(t, mk(), "reconcile", nil)
 			if full != reconcile {
 				t.Errorf("verdicts diverge between exchange modes\nfull:\n%s\nreconcile:\n%s", full, reconcile)
 			}
@@ -49,9 +52,68 @@ func TestExchangeConformance(t *testing.T) {
 	}
 }
 
-// runWithExchange runs the spec with the given exchange mode forced and
-// returns the canonical verdict transcript, Detail excluded.
-func runWithExchange(t *testing.T, spec *protocol.Spec, exchange string) string {
+// TestSilenceConformance pins "silence is the empty summary" (DESIGN
+// "Segment monitor") where both exchange modes must agree on it: a router that
+// forwards all data and eats every transiting summary is suspected exactly
+// where an end holds more than the thresholds allow it to have seen alone.
+// The transcripts (Detail blanked) are literal: the busy row's is the
+// parent's (b3ecda9) restricted to the segment that carried the traffic —
+// same rounds, same Kind, same instants.
+func TestSilenceConformance(t *testing.T) {
+	const busy = `t=1.25s r0 suspects <r0,r1,r2> round=0 kind=exchange-timeout conf=1.0000 
+t=1.25s r2 suspects <r0,r1,r2> round=0 kind=exchange-timeout conf=1.0000 
+t=1.2521s r1 suspects <r0,r1,r2> round=0 kind=traffic-validation conf=1.0000 
+`
+	rows := []struct {
+		name string
+		// n-router line; count packets 0→2 inside round 0; summaries eaten
+		// in transit at dropper.
+		n, count int
+		dropper  packet.NodeID
+		want     string
+	}{
+		// r1 is the middle of the segment the traffic crosses: both ends
+		// hold 50 packets, hear nothing, and fail TV against ∅.
+		{"busy", 3, 50, 1, busy},
+		// r3 is on no segment the traffic crosses, and the middle of ⟨2,3,4⟩
+		// and ⟨4,3,2⟩, which carry nothing: no summary is sent for it to
+		// eat, and nobody is harmed. (The parent timed both out at r2 and
+		// r4: suspicions of segments whose traffic — none — all arrived.)
+		{"idle", 5, 50, 3, ""},
+		// A record of exactly the threshold is what boundary jitter alone
+		// can leave at one end; one packet more is not.
+		{"at-threshold", 3, 2, 1, ""},
+		{"over-threshold", 3, 3, 1, busy},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			spec := conformanceLine5Spec()
+			spec.Name, spec.Attack, spec.Jitter = "silence-"+row.name, nil, 0
+			spec.Topology.N = row.n
+			spec.Traffic = []protocol.TrafficSpec{{
+				Kind: "stream", Src: 0, Dst: 2, Count: row.count,
+				Interval: protocol.Duration(time.Millisecond),
+				Offset:   protocol.Duration(100 * time.Millisecond),
+				Size:     500, Flow: 1,
+			}}
+			eat := func(res *protocol.Result) {
+				res.Net.Router(row.dropper).SetBehavior(
+					&attack.ControlDropper{Kinds: map[string]bool{pik2.KindSummary: true}})
+			}
+			for _, exchange := range []string{"full", "reconcile"} {
+				if got := runWithExchange(t, spec, exchange, eat); got != row.want {
+					t.Errorf("exchange=%s:\n%swant:\n%s", exchange, got, row.want)
+				}
+			}
+		})
+	}
+}
+
+// runWithExchange runs the spec with the given exchange mode forced, and
+// before (if any) applied to the assembled scenario, and returns the
+// canonical verdict transcript, Detail excluded.
+func runWithExchange(t *testing.T, spec *protocol.Spec, exchange string, before func(*protocol.Result)) string {
 	t.Helper()
 	opts := make(protocol.Params, len(spec.Options)+1)
 	for k, v := range spec.Options {
@@ -60,7 +122,7 @@ func runWithExchange(t *testing.T, spec *protocol.Spec, exchange string) string 
 	opts["exchange"] = exchange
 	run := *spec
 	run.Options = opts
-	res, err := protocol.Run(&run, protocol.RunOptions{})
+	res, err := protocol.Run(&run, protocol.RunOptions{BeforeRun: before})
 	if err != nil {
 		t.Fatalf("run (exchange=%q): %v", exchange, err)
 	}

@@ -7,10 +7,16 @@
 // (3 ≤ x ≤ k+2) of which it is an end. Per validation round τ, the two ends
 // of each monitored segment π collect traffic summaries for the traffic
 // that traverses π, exchange them — signed — through π itself within a
-// timeout µ, and evaluate a conservation-of-traffic predicate. A failed
-// exchange or failed validation makes the end suspect π and reliably
-// broadcast the signed suspicion, so every correct router eventually
-// suspects π: strong completeness with precision k+2.
+// timeout µ, and evaluate a conservation-of-traffic predicate. Silence is
+// the empty summary: an end that recorded nothing sends nothing, and an end
+// that hears nothing within µ validates its own record against ∅. A failed
+// validation — against the peer's summary, or against ∅ because the summary
+// an end with traffic to report would have sent never came — makes the end
+// suspect π and reliably broadcast the signed suspicion, so every correct
+// router eventually suspects π: strong completeness with precision k+2.
+// (DESIGN.md "Segment monitor" has the argument, and the one behaviour it
+// changes: a router that only eats control messages on a segment whose ends
+// hold no more than the thresholds is not suspected there.)
 package pik2
 
 import (
@@ -100,9 +106,11 @@ func (o *Options) fill() {
 }
 
 // Corruptor lets tests install protocol-faulty reporting at a router: it
-// may mutate the summary it is about to send for a segment, or return nil
-// to silently not send (§2.2.1 "announcing incorrect reports" / not
-// participating). Traffic-faulty behaviour is modeled in internal/attack;
+// may mutate the summary it is about to send for a segment (the empty one,
+// for a round it recorded nothing in), or return nil to not send (§2.2.1
+// "announcing incorrect reports" / not participating). A summary it leaves
+// or makes empty is not sent either: silence is the empty summary.
+// Traffic-faulty behaviour is modeled in internal/attack;
 // this hook models protocol-faulty behaviour.
 type Corruptor func(seg topology.Segment, round int, s *tvinfo.Summary) *tvinfo.Summary
 

@@ -187,7 +187,7 @@ func (w *Watch) transit(size int) time.Duration {
 // recorded yet. The protocol may hand it to a peer, who reads it at its own
 // judge event: a summary returned here is never reset or reused.
 func (w *Watch) Summary(n int) *Summary {
-	if s := w.lookup(n); s != nil {
+	if s := w.Recorded(n); s != nil {
 		return s
 	}
 	s := NewSummary(w.policy)
@@ -195,7 +195,10 @@ func (w *Watch) Summary(n int) *Summary {
 	return s
 }
 
-func (w *Watch) lookup(n int) *Summary {
+// Recorded returns this router's summary for round n if the round is open —
+// a packet was recorded into it, or Summary created it — and nil otherwise,
+// without allocating: a round nothing happened in costs its reader nothing.
+func (w *Watch) Recorded(n int) *Summary {
 	for i := range w.open {
 		if w.open[i].n == n {
 			return w.open[i].s
@@ -210,7 +213,7 @@ func (w *Watch) lookup(n int) *Summary {
 // opened by Summary for a round that saw no traffic stays a single
 // allocation.
 func (w *Watch) recording(n int) *Summary {
-	if s := w.lookup(n); s != nil {
+	if s := w.Recorded(n); s != nil {
 		return s
 	}
 	expect := 0

@@ -122,7 +122,7 @@ func TestMonitorRecording(t *testing.T) {
 		var got []recorded
 		for _, id := range []packet.NodeID{1, 2, 3} {
 			for _, n := range []int{0, 1} {
-				if watches[id].lookup(n) == nil {
+				if watches[id].Recorded(n) == nil {
 					continue
 				}
 				for _, e := range watches[id].Summary(n).Timed.Entries() {

@@ -225,19 +225,44 @@ func DecodeSummary(b []byte) (*Summary, bool) {
 	return s, true
 }
 
+// Empty reports whether the summary holds no packet in any section: the
+// summary a round without traffic produces, which Πk+2 does not send.
+func (s *Summary) Empty() bool {
+	return s.Counter.Packets == 0 &&
+		(s.FPs == nil || s.FPs.Len() == 0) &&
+		(s.Ordered == nil || s.Ordered.Len() == 0) &&
+		(s.Timed == nil || s.Timed.Len() == 0)
+}
+
 // Validate applies the policy's TV predicate between an upstream and a
-// downstream summary.
+// downstream summary. Either may have been signed by a protocol-faulty
+// router or decoded from the wire with the section the policy reads left
+// out: that is a failed validation, not a nil dereference — the segment a
+// caller then suspects contains the summary's signer, so it is accurate.
 func Validate(policy Policy, th Thresholds, up, down *Summary) Result {
 	switch policy {
 	case PolicyFlow:
 		return flowTV(th, up.Counter, down.Counter)
 	case PolicyTimeliness:
+		if up.Timed == nil || down.Timed == nil {
+			return missingSection("timed")
+		}
 		return timelinessTV(th, up.Timed, down.Timed)
 	case PolicyOrder:
+		if up.Ordered == nil || down.Ordered == nil {
+			return missingSection("ordered")
+		}
 		return orderTV(th, up.Ordered, down.Ordered)
 	default:
+		if up.FPs == nil || down.FPs == nil {
+			return missingSection("fingerprint")
+		}
 		return contentTV(th, up.FPs, down.FPs)
 	}
+}
+
+func missingSection(name string) Result {
+	return Result{Detail: "a summary lacks the " + name + " section the policy validates"}
 }
 
 // PathOracle predicts the routing path of any (src, dst) pair in the stable

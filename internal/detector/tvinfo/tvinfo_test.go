@@ -2,6 +2,7 @@ package tvinfo
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -75,6 +76,61 @@ func TestValidateTimeliness(t *testing.T) {
 	th.Late = 5
 	if res := Validate(PolicyTimeliness, th, up, down); !res.OK {
 		t.Fatalf("within late threshold: %v", res)
+	}
+}
+
+// TestTimelinessFabricationThreshold: timelinessTV bounded packets seen only
+// downstream by th.Loss where contentTV and orderTV use th.Fabrication, so
+// the two thresholds could not be set apart under PolicyTimeliness — and a
+// Πk+2 sink end judging its record against ∅ sees all of it as fabricated.
+func TestTimelinessFabricationThreshold(t *testing.T) {
+	up, down := NewSummary(PolicyTimeliness), NewSummary(PolicyTimeliness)
+	for i := 0; i < 3; i++ {
+		down.RecordTimed(packet.Fingerprint(i), 100, time.Duration(i)*time.Millisecond)
+	}
+	for _, tc := range []struct {
+		th Thresholds
+		ok bool
+	}{
+		{Thresholds{Loss: 0, Fabrication: 3}, true},
+		{Thresholds{Loss: 3, Fabrication: 2}, false},
+	} {
+		res := Validate(PolicyTimeliness, tc.th, up, down)
+		if res.OK != tc.ok || res.Fabricated != 3 {
+			t.Errorf("3 fabricated under %+v: %v, want ok=%v", tc.th, res, tc.ok)
+		}
+	}
+}
+
+// TestValidateMissingSection: a summary that omits the section its policy
+// validates — a Corruptor's &Summary{Counter: c}, or a 28-byte wire payload
+// whose three sections are absent, which DecodeSummary accepts — reached
+// FPSet.normalise (or Seq, or Entries) through a nil pointer. It fails
+// validation instead, whichever side it is on, and says which section.
+func TestValidateMissingSection(t *testing.T) {
+	bare, ok := DecodeSummary((&Summary{}).Encode())
+	if !ok || bare.FPs != nil || bare.Ordered != nil || bare.Timed != nil {
+		t.Fatalf("the all-absent encoding decoded to %+v, %v", bare, ok)
+	}
+	for _, tc := range []struct {
+		policy  Policy
+		section string
+	}{
+		{PolicyContent, "fingerprint"},
+		{PolicyOrder, "ordered"},
+		{PolicyTimeliness, "timed"},
+	} {
+		full := NewSummary(tc.policy)
+		full.Record(1, 100)
+		for _, pair := range [][2]*Summary{{bare, full}, {full, bare}, {bare, bare}} {
+			res := Validate(tc.policy, Thresholds{Loss: 10, Fabrication: 10}, pair[0], pair[1])
+			if res.OK || !strings.Contains(res.Detail, tc.section) {
+				t.Errorf("policy %v: %v, want a failure naming the %s section", tc.policy, res, tc.section)
+			}
+		}
+	}
+	if res := Validate(PolicyFlow, Thresholds{}, bare, bare); !res.OK {
+		t.Errorf("PolicyFlow reads only the counter: %v", res)
 	}
 }
 

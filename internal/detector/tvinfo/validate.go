@@ -139,7 +139,7 @@ func timelinessTV(th Thresholds, up, down *summary.TimedFP) Result {
 		res.OK = false
 		res.Detail += fmt.Sprintf(" %d packets later than %v", res.LateCount, th.MaxDelay)
 	}
-	if res.Fabricated > 0 && res.Fabricated > th.Loss {
+	if res.Fabricated > th.Fabrication {
 		res.OK = false
 		res.Detail += fmt.Sprintf(" %d fabricated", res.Fabricated)
 	}
