@@ -1,6 +1,8 @@
 # Tier-1 verification is `make verify`: build everything, vet it, then run
 # the full test suite under the race detector. The suite includes the
 # parallel-runner determinism regressions (internal/experiments), the
+# differential harness (the root TestDifferential: every row's scenarios
+# run concurrently, its workers axis on a four-worker runner.Map), the
 # concurrent-kernel property tests (internal/sim) and the telemetry
 # disabled-path allocation guard (internal/telemetry), so -race is
 # load-bearing, not decorative.

@@ -1,28 +1,22 @@
 package capture_test
 
 import (
-	"fmt"
+	"errors"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"routerwatch/internal/capture"
-	"routerwatch/internal/detector"
-	"routerwatch/internal/detector/chi"
 	"routerwatch/internal/network"
 	"routerwatch/internal/protocol"
 	_ "routerwatch/internal/protocol/catalog"
 	"routerwatch/internal/protocol/envtest"
 )
 
-// Committed fixture: the line5 dropping-router trace recorded by this very
-// test (RW_UPDATE_GOLDEN=1 regenerates both) and the suspicion log every
-// replay of it must reproduce byte for byte.
-const (
-	fixtureDir = "testdata/line5drop"
-	goldenPath = "testdata/line5drop.golden"
-)
+// fixtureDir is the committed trace recorded from testdata/line5drop.json;
+// the root package's differential harness replays it to line5drop.golden.
+const fixtureDir = "testdata/line5drop"
 
 // A TraceEnv is both halves of the runtime contract.
 var (
@@ -30,164 +24,31 @@ var (
 	_ protocol.Backend = (*capture.TraceEnv)(nil)
 )
 
-// line5DropSpec is the golden scenario: Πk+2 on a 5-router line with the
-// middle router dropping 30% from t=1s — the dissertation's Fig 5.2 shape,
-// shortened to keep the committed trace small.
-func line5DropSpec() *protocol.Spec {
-	return &protocol.Spec{
-		Name:     "line5drop-golden",
-		Protocol: "pik2",
-		Options: protocol.Params{
-			"k": "1", "round": "1s", "timeout": "250ms",
-			"loss-threshold": "2", "fabrication-threshold": "2",
-		},
-		Seed:     1,
-		Duration: protocol.Duration(4 * time.Second),
-		Jitter:   protocol.Duration(100 * time.Microsecond),
-		Topology: protocol.TopologySpec{Kind: "line", N: 5},
-		Attack: &protocol.AttackSpec{
-			Kind: "drop", Node: 2, Rate: 0.3,
-			Start: protocol.Duration(time.Second),
-		},
-		Traffic: []protocol.TrafficSpec{{
-			Kind: "pair", Src: 0, Dst: 4, Count: 400,
-			Interval: protocol.Duration(10 * time.Millisecond),
-			Offset:   protocol.Duration(time.Microsecond),
-			Size:     500, Flow: 1, ReverseFlow: 2,
-		}},
-	}
-}
-
-// line5ChiOptions deploys χ alongside Πk+2 with a fixed calibration —
-// replay has no learning pass, so the calibration must be data, not a
-// side effect of the run.
-func line5ChiOptions(log *detector.Log) chi.Options {
-	return chi.Options{
-		Round:                time.Second,
-		Timeout:              250 * time.Millisecond,
-		Calibration:          chi.Calibration{Mu: 0, Sigma: 1000},
-		FabricationTolerance: 2,
-		Sink:                 detector.LogSink(log),
-	}
-}
-
-// render flattens the two detectors' suspicion logs into the canonical
-// byte-comparable transcript.
-func render(pik, chiLog *detector.Log) string {
-	return "=== pik2 ===\n" + pik.String() + "=== chi ===\n" + chiLog.String()
-}
-
-// runLine5Sim runs the golden scenario under SimEnv, recording every
-// router's packet events into dir, with χ attached next to the scenario's
-// own Πk+2. Returns the rendered suspicion transcript.
-func runLine5Sim(t *testing.T, dir string) string {
+// recordLine5Drop runs the scenario the fixture was recorded from (the Fig
+// 5.2 shape, shortened), after edit, with every router's packet events
+// recorded into a fresh directory, and returns the directory.
+func recordLine5Drop(t *testing.T, edit func(*protocol.Spec)) string {
 	t.Helper()
-	chiLog := detector.NewLog()
+	data, err := os.ReadFile("testdata/line5drop.json")
+	spec, decodeErr := protocol.DecodeSpec(data)
+	if err = errors.Join(err, decodeErr); err != nil {
+		t.Fatal(err)
+	}
+	edit(spec)
+	dir := t.TempDir()
 	var rec *capture.Recorder
-	res, err := protocol.Run(line5DropSpec(), protocol.RunOptions{
-		BeforeRun: func(r *protocol.Result) {
-			rec = capture.NewRecorder(dir, capture.RecorderOptions{Gzip: true})
-			if err := rec.Attach(r.Net); err != nil {
-				t.Fatalf("recorder attach: %v", err)
-			}
-			chi.Attach(r.Env, line5ChiOptions(chiLog))
-		},
-	})
-	if err != nil {
-		t.Fatalf("sim run: %v", err)
+	if _, err := protocol.Run(spec, protocol.RunOptions{BeforeRun: func(r *protocol.Result) {
+		rec = capture.NewRecorder(dir, capture.RecorderOptions{Gzip: true})
+		if err := rec.Attach(r.Net); err != nil {
+			t.Fatalf("recorder attach: %v", err)
+		}
+	}}); err != nil {
+		t.Fatalf("recording run: %v", err)
 	}
 	if err := rec.Close(); err != nil {
-		t.Fatalf("recorder close: %v", err)
-	}
-	if res.Log.Len() == 0 {
-		t.Fatal("sim run produced no Πk+2 suspicions — the golden scenario is inert")
-	}
-	return render(res.Log, chiLog)
-}
-
-// replayLine5 replays a recorded golden-scenario trace through a TraceEnv
-// with the same Πk+2 options and the same χ deployment, and returns the
-// rendered suspicion transcript.
-func replayLine5(t testing.TB, dir string) string {
-	t.Helper()
-	env, err := capture.OpenTrace(dir, capture.TraceOptions{})
-	if err != nil {
-		t.Fatalf("open trace: %v", err)
-	}
-	defer env.Close()
-	d, err := protocol.Lookup("pik2")
-	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := d.ParseOptions(line5DropSpec().Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hooks, pikLog := protocol.LogHooks()
-	if _, err := protocol.Attach(env, "pik2", opts, hooks); err != nil {
-		t.Fatalf("attach pik2: %v", err)
-	}
-	chiLog := detector.NewLog()
-	chi.Attach(env, line5ChiOptions(chiLog))
-	env.Run(0)
-	if err := env.Err(); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	return render(pikLog, chiLog)
-}
-
-// TestRecordReplayGolden is the subsystem's acceptance test: record the
-// golden scenario under SimEnv, replay the trace through TraceEnv, and
-// require the Πk+2 and χ suspicion logs to match byte for byte — then
-// require the committed fixture to still replay to the committed golden.
-// RW_UPDATE_GOLDEN=1 regenerates fixture and golden together.
-func TestRecordReplayGolden(t *testing.T) {
-	dir := t.TempDir()
-	simOut := runLine5Sim(t, dir)
-	repOut := replayLine5(t, dir)
-	if repOut != simOut {
-		t.Fatalf("replay diverges from the originating sim run:\n--- sim\n%s--- replay\n%s", simOut, repOut)
-	}
-
-	if os.Getenv("RW_UPDATE_GOLDEN") == "1" {
-		if err := os.RemoveAll(fixtureDir); err != nil {
-			t.Fatal(err)
-		}
-		if got := runLine5Sim(t, fixtureDir); got != simOut {
-			t.Fatalf("re-recording produced a different transcript:\n%s", got)
-		}
-		if err := os.WriteFile(goldenPath, []byte(simOut), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s and %s", fixtureDir, goldenPath)
-	}
-
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden (run with RW_UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	fixOut := replayLine5(t, fixtureDir)
-	if fixOut != string(golden) {
-		t.Errorf("committed fixture no longer replays to the committed golden:\n--- golden\n%s--- replay\n%s", golden, fixOut)
-	}
-}
-
-// TestReplayParallelDeterminism replays the committed fixture on parallel
-// subtests and requires every transcript to equal the sequential baseline
-// — replay determinism must survive goroutine interleaving.
-func TestReplayParallelDeterminism(t *testing.T) {
-	if _, err := os.Stat(fixtureDir); err != nil {
-		t.Skipf("fixture not recorded yet: %v", err)
-	}
-	want := replayLine5(t, fixtureDir)
-	for i := 0; i < 4; i++ {
-		t.Run(fmt.Sprintf("replay%d", i), func(t *testing.T) {
-			t.Parallel()
-			if got := replayLine5(t, fixtureDir); got != want {
-				t.Errorf("parallel replay diverges:\n--- want\n%s--- got\n%s", want, got)
-			}
-		})
-	}
+	return dir
 }
 
 // TestTraceEnvContract runs the shared Env conformance suite against
@@ -196,25 +57,11 @@ func TestReplayParallelDeterminism(t *testing.T) {
 // suite drives its own control/flood/timer activity; replayed data events
 // just coexist).
 func TestTraceEnvContract(t *testing.T) {
-	dir := t.TempDir()
-	spec := line5DropSpec()
-	spec.Attack = nil
-	spec.Duration = protocol.Duration(2 * time.Second)
-	spec.Traffic[0].Count = 50
-	var rec *capture.Recorder
-	if _, err := protocol.Run(spec, protocol.RunOptions{
-		BeforeRun: func(r *protocol.Result) {
-			rec = capture.NewRecorder(dir, capture.RecorderOptions{Gzip: true})
-			if err := rec.Attach(r.Net); err != nil {
-				t.Fatalf("recorder attach: %v", err)
-			}
-		},
-	}); err != nil {
-		t.Fatalf("recording run: %v", err)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir := recordLine5Drop(t, func(spec *protocol.Spec) {
+		spec.Attack = nil
+		spec.Duration = protocol.Duration(2 * time.Second)
+		spec.Traffic[0].Count = 50
+	})
 	envtest.Run(t, func(t *testing.T) protocol.Backend {
 		env, err := capture.OpenTrace(dir, capture.TraceOptions{})
 		if err != nil {
@@ -228,15 +75,12 @@ func TestTraceEnvContract(t *testing.T) {
 // recorded events: same count, same order, same packet identity, at the
 // recorded virtual instants.
 func TestTraceReplayedEvents(t *testing.T) {
-	dir := t.TempDir()
-	runLine5Sim(t, dir)
-	env, err := capture.OpenTrace(dir, capture.TraceOptions{})
+	env, err := capture.OpenTrace(recordLine5Drop(t, func(*protocol.Spec) {}), capture.TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	total := 0
-	last := time.Duration(-1)
+	total, last := 0, time.Duration(-1)
 	for _, id := range env.Nodes() {
 		env.Tap(id, func(ev network.Event) {
 			total++

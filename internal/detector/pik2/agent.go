@@ -295,8 +295,15 @@ func (a *agent) judgeReconcile(st *segState, n int, local *tvinfo.Summary, peer 
 		upEvals, upCount = peer.Evals, peer.Count
 		downEvals, downCount = localEvals, len(localFPs)
 	}
+	// The peer signed whatever it sent, so a malformed message is a
+	// validation failure of a segment that contains its signer.
 	if len(peer.Evals) != len(points) {
 		a.suspect(st, n, detector.KindTrafficValidation, 1, "malformed reconciliation evaluations")
+		return
+	}
+	if peer.Count < 0 {
+		a.suspect(st, n, detector.KindTrafficValidation, 1,
+			fmt.Sprintf("negative reconciliation set size %d", peer.Count))
 		return
 	}
 	onlyUp, onlyDown, err := summary.Reconcile(upEvals, downEvals, points, upCount, downCount)

@@ -1,7 +1,9 @@
 package pik2
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
+	"routerwatch/internal/summary"
 	"routerwatch/internal/topology"
 )
 
@@ -101,6 +104,33 @@ func TestReconcileRequiresContentPolicy(t *testing.T) {
 	opts := reconcileOpts(log)
 	opts.Policy = tvinfo.PolicyOrder
 	Attach(protocol.NewSimEnv(net), opts)
+}
+
+// TestReconcileNegativeCountSuspected: router 0 signs a round-0 summary of
+// ⟨0,1,2⟩ with the right number of evaluations and Count = math.MinInt64,
+// which sent router 2's judgeReconcile into a ~2⁶²-step degree search. It
+// must suspect the segment instead, which contains the message's signer.
+func TestReconcileNegativeCountSuspected(t *testing.T) {
+	log := detector.NewLog()
+	net := network.New(topology.Line(3), network.Options{Seed: 67})
+	env := protocol.NewSimEnv(net)
+	opts := reconcileOpts(log)
+	p := Attach(env, opts)
+	net.Scheduler().At(testRound+opts.Timeout/2, func() {
+		msg := &SummaryMsg{Seg: topology.Segment{0, 1, 2}, Round: 0, From: 0, Count: math.MinInt64,
+			Evals: summary.EvaluateCharPoly([]uint64{42}, p.reconcilePoints())}
+		msg.Sig = net.Auth().Sign(0, appendSignedBody(nil, msg))
+		env.SendControl(&network.ControlMessage{From: 0, To: 2, Kind: KindSummary, Payload: msg, Path: topology.Path(msg.Seg)})
+	})
+	net.Run(2 * testRound)
+
+	for _, s := range log.All() {
+		if s.By == 2 && s.Kind == detector.KindTrafficValidation && s.Segment.Contains(0) &&
+			strings.Contains(s.Detail, "negative reconciliation set size") {
+			return
+		}
+	}
+	t.Fatalf("router 2 raised no suspicion naming the negative count:\n%s", log)
 }
 
 func TestReconcileModificationDetected(t *testing.T) {

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"testing"
 	"time"
@@ -11,33 +12,6 @@ import (
 	"routerwatch/internal/protocol/envtest"
 	"routerwatch/internal/telemetry"
 )
-
-// line5DropSpec is the replay smoke's golden scenario shape: Πk+2 on a
-// 5-router line with the middle router dropping 30% from t=1s.
-func line5DropSpec() *protocol.Spec {
-	return &protocol.Spec{
-		Name:     "line5drop",
-		Protocol: "pik2",
-		Options: protocol.Params{
-			"k": "1", "round": "1s", "timeout": "250ms",
-			"loss-threshold": "2", "fabrication-threshold": "2",
-		},
-		Seed:     1,
-		Duration: protocol.Duration(4 * time.Second),
-		Jitter:   protocol.Duration(100 * time.Microsecond),
-		Topology: protocol.TopologySpec{Kind: "line", N: 5},
-		Attack: &protocol.AttackSpec{
-			Kind: "drop", Node: 2, Rate: 0.3,
-			Start: protocol.Duration(time.Second),
-		},
-		Traffic: []protocol.TrafficSpec{{
-			Kind: "pair", Src: 0, Dst: 4, Count: 400,
-			Interval: protocol.Duration(10 * time.Millisecond),
-			Offset:   protocol.Duration(time.Microsecond),
-			Size:     500, Flow: 1, ReverseFlow: 2,
-		}},
-	}
-}
 
 // ispDropSpec is a generated ~100-router hierarchical scenario: link-state
 // routing with every scale option on, a 40-pair random traffic mesh, and a
@@ -109,24 +83,35 @@ func withShardsField(t *testing.T, spec *protocol.Spec) *protocol.Spec {
 	return dec
 }
 
-// TestScaleScenariosDetect runs Πk+2 end to end on the committed golden
-// scenario shape and on a generated hierarchical topology with every
+// loadScenario decodes a committed scenario file.
+func loadScenario(t *testing.T, path string) *protocol.Spec {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	spec, decodeErr := protocol.DecodeSpec(data)
+	if err = errors.Join(err, decodeErr); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return spec
+}
+
+// TestScaleScenariosDetect runs Πk+2 end to end on the capture golden's
+// committed scenario and on a generated hierarchical topology with every
 // routing scale option on — the only tier-1 run of a detector over an ISP
 // graph — and requires suspicions that implicate the faulty router. The
 // legacyShards row pins that a scenario file carrying the ignored "shards"
 // field still decodes and changes neither verdicts nor telemetry.
 func TestScaleScenariosDetect(t *testing.T) {
+	line5 := loadScenario(t, "../../capture/testdata/line5drop.json")
 	scenarios := []struct {
 		name         string
 		spec         *protocol.Spec
 		legacyShards bool
 	}{
-		{"line5drop", line5DropSpec(), false},
+		{"line5drop", line5, false},
 		{"isp96drop", ispDropSpec(), false},
-		{"line5drop-shards-field", line5DropSpec(), true},
+		{"line5drop-shards-field", line5, true},
 	}
 	for _, sc := range scenarios {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
 			verdicts, tel, res := renderRun(t, sc.spec)
@@ -214,15 +199,7 @@ func TestScaleFull(t *testing.T) {
 	if os.Getenv("RW_SCALE_FULL") == "" {
 		t.Skip("set RW_SCALE_FULL=1 to run the 1000-router / 1M-flow acceptance scenario")
 	}
-	data, err := os.ReadFile("../testdata/isp1000.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := protocol.DecodeSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := protocol.Run(spec, protocol.RunOptions{})
+	res, err := protocol.Run(loadScenario(t, "../testdata/isp1000.json"), protocol.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -167,14 +166,7 @@ func TestRunBadAttackAndTraffic(t *testing.T) {
 // TestScenarioFileRuns decodes the committed golden scenario and executes
 // it end to end — the mrsim -scenario path minus the CLI.
 func TestScenarioFileRuns(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "testdata", "line-drop.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := protocol.DecodeSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := loadScenario(t, filepath.Join("..", "testdata", "line-drop.json"))
 	// Trim the canonical 30s to keep the test snappy; the shape is what
 	// matters here.
 	spec.Duration = protocol.Duration(10 * time.Second)

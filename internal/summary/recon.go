@@ -239,10 +239,14 @@ var ErrReconcile = errors.New("summary: set reconciliation failed")
 // parties' characteristic-polynomial evaluations at the shared points
 // (Appendix A). sizeA and sizeB are the multiset sizes; the recoverable
 // difference |A∖B| + |B∖A| is bounded by len(points) − 1 (one point is
-// reserved for verification).
+// reserved for verification). A negative size is an error: it is no
+// multiset's, and the degree search below would overflow on it.
 func Reconcile(evalA, evalB, points []uint64, sizeA, sizeB int) (onlyA, onlyB []uint64, err error) {
 	if len(evalA) != len(points) || len(evalB) != len(points) {
 		return nil, nil, fmt.Errorf("%w: evaluation/point length mismatch", ErrReconcile)
+	}
+	if sizeA < 0 || sizeB < 0 {
+		return nil, nil, fmt.Errorf("%w: negative set size", ErrReconcile)
 	}
 	delta := sizeA - sizeB
 	ratio := make([]uint64, len(points))

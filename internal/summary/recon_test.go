@@ -1,6 +1,8 @@
 package summary
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -228,6 +230,20 @@ func TestReconcileExceedsBudget(t *testing.T) {
 	evalB := EvaluateCharPoly(b, points)
 	if _, _, err := Reconcile(evalA, evalB, points, len(a), len(b)); err == nil {
 		t.Fatal("oversized difference did not error")
+	}
+}
+
+// TestReconcileNegativeSize: a size is what a peer signs into its message,
+// not something this side counted. math.MinInt64 made sizeA − sizeB
+// overflow, left the degree search's start negative, and looped ~2⁶² times.
+func TestReconcileNegativeSize(t *testing.T) {
+	points := ReconcilePoints(4)
+	evalA := EvaluateCharPoly([]uint64{1, 2, 3}, points)
+	evalB := EvaluateCharPoly([]uint64{9}, points)
+	for _, sizes := range [][2]int{{0, math.MinInt64}, {math.MinInt64, 0}, {3, -1}} {
+		if _, _, err := Reconcile(evalA, evalB, points, sizes[0], sizes[1]); !errors.Is(err, ErrReconcile) {
+			t.Errorf("sizes %d, %d: err = %v, want ErrReconcile", sizes[0], sizes[1], err)
+		}
 	}
 }
 
