@@ -6,12 +6,7 @@
 //
 //	go run ./cmd/mrsim -protocol pik2 -rate 0.3 -record /tmp/tr
 //	go run ./cmd/mrreplay -trace /tmp/tr -protocol pik2
-//	go run ./cmd/mrreplay -trace /tmp/tr -protocol pik2 -repeat 8 -parallel 4
 //	go run ./cmd/mrreplay -trace /tmp/tr -info
-//
-// -repeat N replays the trace N times (on -parallel workers) and verifies
-// that every replay renders the identical suspicion log — the subsystem's
-// determinism claim, checked on demand against any trace.
 //
 // Protocol options are given textually (-options "k=1,round=1s"), parsed
 // by the same registry descriptors mrsim's scenario files use.
@@ -35,7 +30,6 @@ import (
 	"routerwatch/internal/detector"
 	"routerwatch/internal/protocol"
 	_ "routerwatch/internal/protocol/catalog"
-	"routerwatch/internal/runner"
 	"routerwatch/internal/telemetry"
 )
 
@@ -47,8 +41,6 @@ func main() {
 	protoName := flag.String("protocol", "pik2", "registry protocol to attach (see mrsim -list-protocols)")
 	options := flag.String("options", "", "protocol options as key=value pairs, comma separated (e.g. \"k=1,round=1s\")")
 	dur := flag.Duration("duration", 0, "replay horizon (0 = the recorded duration)")
-	repeat := flag.Int("repeat", 1, "replay the trace this many times and verify identical verdicts")
-	parallel := flag.Int("parallel", 0, "worker pool size for -repeat (0 = GOMAXPROCS, 1 = serial)")
 	verdicts := flag.String("verdicts", "", "write the full suspicion log, one per line, to this file")
 	info := flag.Bool("info", false, "print the trace manifest and exit")
 
@@ -114,13 +106,6 @@ func main() {
 		}
 	}
 
-	if *repeat > 1 {
-		if err := verifyRepeats(*traceDir, *protoName, opts, *dur, *repeat, *parallel, logbook.String()); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\n%d replays, all verdicts byte-identical\n", *repeat)
-	}
-
 	if err := tf.Finish(tel); err != nil {
 		log.Fatal(err)
 	}
@@ -144,25 +129,6 @@ func replay(dir, name string, opts any, dur time.Duration, tel *telemetry.Set) (
 	return logbook, nil
 }
 
-// verifyRepeats replays the trace repeat-1 more times on a worker pool and
-// requires every rendered suspicion log to equal the first replay's.
-func verifyRepeats(dir, name string, opts any, dur time.Duration, repeat, parallel int, want string) error {
-	outs, _ := runner.Map(runner.Config{Workers: parallel}, repeat-1, func(runner.Trial) string {
-		logbook, err := replay(dir, name, opts, dur, nil)
-		if err != nil {
-			return "error: " + err.Error()
-		}
-		return logbook.String()
-	})
-	for i, got := range outs {
-		if got != want {
-			return fmt.Errorf("replay %d diverged from replay 0:\n--- replay 0\n%s--- replay %d\n%s",
-				i+1, want, i+1, got)
-		}
-	}
-	return nil
-}
-
 // parseParams decodes "k=1,round=1s" into protocol.Params.
 func parseParams(s string) (protocol.Params, error) {
 	if s == "" {
@@ -180,8 +146,7 @@ func parseParams(s string) (protocol.Params, error) {
 }
 
 func printInfo(meta *capture.Meta) {
-	fmt.Printf("seed %d, duration %v, control delay %v, jitter %v\n",
-		meta.Seed, meta.Duration.D(), meta.ControlDelay.D(), meta.Jitter.D())
+	fmt.Printf("seed %d, recorded from %v to %v\n", meta.Seed, meta.Start.D(), meta.Duration.D())
 	fmt.Printf("%d routers, %d directed links\n", len(meta.Nodes), len(meta.Links))
 	for i, n := range meta.Nodes {
 		fmt.Printf("  r%-3d %-14s %s\n", i, n, meta.Files[i])

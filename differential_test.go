@@ -64,7 +64,9 @@ func differentialRows(t *testing.T) []*diffRow {
 	rows := []*diffRow{
 		{name: "mesh-forward", spec: loadSpec(t, "bench/workloads/mesh-forward.json"),
 			pin: "fa6be229afd88d8b091239ce"}, // 2 500 suspicions
-		{name: "isp-converge", spec: loadSpec(t, "bench/workloads/isp-converge.json"),
+		// Routed: its replay's clock must start where the recorder attached,
+		// after convergence.
+		{name: "isp-converge", spec: loadSpec(t, "bench/workloads/isp-converge.json"), axes: axBackend,
 			pin: "2b0de781e8ef6a060facf3b5"}, // 4 500
 		{name: "line5drop", spec: line5, axes: axBackend | axExchange | axTelemetry | axWorkers, chi: true,
 			pin:     "b39faf0322a26a259ea37df3", // 10

@@ -1,7 +1,7 @@
 // Package auth provides the cryptographic substrate the detection protocols
-// assume (§2.1.5): a key-distribution authority, pairwise shared keys,
-// message authentication codes standing in for digital signatures, and keyed
-// fingerprint keys.
+// assume (§2.1.5): a key-distribution authority, message authentication
+// codes standing in for digital signatures, keyed fingerprint keys and
+// per-pair sampling keys.
 //
 // The paper's negative result (Goldberg et al., §3.11) shows any Byzantine
 // detection protocol needs a key infrastructure; this package is that
@@ -44,26 +44,23 @@ func (s Signature) String() string {
 
 // Authority is the administrative key-distribution service (§2.1.5: "the
 // administrative ability to assign and distribute shared keys"). It issues
-// per-router signing keys, pairwise keys, and fingerprint keys.
+// per-router signing keys, fingerprint keys and per-pair sampling keys.
 //
 // Authority is safe for concurrent use.
 //
-// Signing and MAC verification run on the simulator's per-message hot path,
+// Signing and verification run on the simulator's per-message hot path,
 // so the Authority never calls hmac.New per message: it precomputes each
 // key's HMAC inner/outer pad digests once (macState) and restores them into
 // a reusable scratch digest per operation. The scratch state is per-
 // Authority — one Authority per simulated network, never global — so
 // parallel trials stay independent and race-free.
 type Authority struct {
-	mu       sync.RWMutex
-	master   Key
-	signing  map[packet.NodeID]Key
-	pairwise map[pairKey]Key
+	mu     sync.RWMutex
+	master Key
 
-	// signingSt / pairwiseSt cache the precomputed HMAC pad states for the
-	// corresponding keys, filled lazily alongside them.
-	signingSt  map[packet.NodeID]*macState
-	pairwiseSt map[pairKey]*macState
+	// signingSt caches each router's precomputed HMAC pad state, derived
+	// lazily on first use.
+	signingSt map[packet.NodeID]*macState
 
 	// scratch is the reusable SHA-256 digest the pad states are restored
 	// into; scratchU is the same digest's unmarshal view, asserted once.
@@ -138,30 +135,8 @@ func (a *Authority) macInto(st *macState, msg []byte, out *[sha256.Size]byte) {
 func (a *Authority) signingState(r packet.NodeID) *macState {
 	st := a.signingSt[r]
 	if st == nil {
-		k, ok := a.signing[r]
-		if !ok {
-			k = a.derive("sign", uint64(uint32(r)))
-			a.signing[r] = k
-		}
-		st = newMACState(k)
+		st = newMACState(a.derive("sign", uint64(uint32(r))))
 		a.signingSt[r] = st
-	}
-	return st
-}
-
-// pairwiseState returns (creating if needed) the cached pad state for the
-// pair. Callers must hold a.mu.
-func (a *Authority) pairwiseState(x, y packet.NodeID) *macState {
-	p := orderedPair(x, y)
-	st := a.pairwiseSt[p]
-	if st == nil {
-		k, ok := a.pairwise[p]
-		if !ok {
-			k = a.derive("pair", uint64(uint32(p.a)), uint64(uint32(p.b)))
-			a.pairwise[p] = k
-		}
-		st = newMACState(k)
-		a.pairwiseSt[p] = st
 	}
 	return st
 }
@@ -183,12 +158,9 @@ func NewAuthority(seed uint64) *Authority {
 	sum := sha256.Sum256(master[:])
 	copy(master[:], sum[:])
 	a := &Authority{
-		master:     master,
-		signing:    make(map[packet.NodeID]Key),
-		pairwise:   make(map[pairKey]Key),
-		signingSt:  make(map[packet.NodeID]*macState),
-		pairwiseSt: make(map[pairKey]*macState),
-		scratch:    sha256.New(),
+		master:    master,
+		signingSt: make(map[packet.NodeID]*macState),
+		scratch:   sha256.New(),
 	}
 	a.scratchU = a.scratch.(encoding.BinaryUnmarshaler)
 	return a
@@ -204,32 +176,6 @@ func (a *Authority) derive(label string, parts ...uint64) Key {
 	}
 	var k Key
 	copy(k[:], mac.Sum(nil))
-	return k
-}
-
-// SigningKey returns router r's signing key, creating it on first use.
-func (a *Authority) SigningKey(r packet.NodeID) Key {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	k, ok := a.signing[r]
-	if !ok {
-		k = a.derive("sign", uint64(uint32(r)))
-		a.signing[r] = k
-	}
-	return k
-}
-
-// PairwiseKey returns the shared key between routers x and y (symmetric in
-// its arguments), creating it on first use.
-func (a *Authority) PairwiseKey(x, y packet.NodeID) Key {
-	p := orderedPair(x, y)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	k, ok := a.pairwise[p]
-	if !ok {
-		k = a.derive("pair", uint64(uint32(p.a)), uint64(uint32(p.b)))
-		a.pairwise[p] = k
-	}
 	return k
 }
 
@@ -267,21 +213,4 @@ func (a *Authority) Verify(msg []byte, sig Signature) bool {
 	ok := hmac.Equal(a.outBuf[:], sig.Tag[:])
 	a.mu.Unlock()
 	return ok
-}
-
-// MAC computes an HMAC over msg under the pairwise key of (x, y); used to
-// authenticate point-to-point summary exchanges. With the pair's pad state
-// warmed, a call allocates nothing.
-func (a *Authority) MAC(x, y packet.NodeID, msg []byte) [sha256.Size]byte {
-	a.mu.Lock()
-	a.macInto(a.pairwiseState(x, y), msg, &a.outBuf)
-	out := a.outBuf
-	a.mu.Unlock()
-	return out
-}
-
-// VerifyMAC checks a pairwise MAC.
-func (a *Authority) VerifyMAC(x, y packet.NodeID, msg []byte, tag [sha256.Size]byte) bool {
-	want := a.MAC(x, y, msg)
-	return hmac.Equal(want[:], tag[:])
 }

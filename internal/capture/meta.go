@@ -20,21 +20,21 @@ const metaVersion = 1
 // Meta is a trace directory's manifest: everything TraceEnv needs to
 // rebuild the recorded run's environment — the topology, the seed (from
 // which the authority re-derives the identical signing and fingerprint
-// keys), the control-plane latency, and the per-router capture files.
+// keys), the instant recording began, and the per-router capture files.
+// Keys it does not name, such as the control-delay and jitter of older
+// manifests, are ignored.
 type Meta struct {
 	Version int `json:"version"`
 	// Seed is the recorded network's base seed; replay derives the same
 	// auth keys and RNG streams from it.
 	Seed int64 `json:"seed"`
+	// Start is the virtual instant the recorder attached: the replay clock
+	// starts there, so an attached protocol counts its rounds from the
+	// instant the recorded one did.
+	Start protocol.Duration `json:"start"`
 	// Duration is the recorded run's final virtual time: the replay
 	// horizon.
 	Duration protocol.Duration `json:"duration"`
-	// ControlDelay is the per-hop control-plane latency of the recorded
-	// network, reproduced by the replay control plane.
-	ControlDelay protocol.Duration `json:"control-delay"`
-	// Jitter is the recorded per-packet processing jitter (provenance
-	// only: replayed events carry their observed times).
-	Jitter protocol.Duration `json:"jitter,omitempty"`
 
 	// Nodes lists router display names in node-ID order.
 	Nodes []string `json:"nodes"`
@@ -109,6 +109,9 @@ func ReadMeta(dir string) (*Meta, error) {
 	}
 	if len(m.Files) != len(m.Nodes) {
 		return nil, fmt.Errorf("capture: %d files for %d nodes", len(m.Files), len(m.Nodes))
+	}
+	if m.Start < 0 || m.Start > m.Duration {
+		return nil, fmt.Errorf("capture: start %v outside the recording [0, %v]", m.Start.D(), m.Duration.D())
 	}
 	return m, nil
 }

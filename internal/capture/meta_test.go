@@ -10,6 +10,8 @@ import (
 )
 
 // manifest is a two-file trace.json with the given nodes and links lists.
+// Its control-delay key, which older recorders wrote, is ignored like any
+// other unknown key.
 func manifest(nodes, links string) string {
 	return `{"version":1,"seed":1,"duration":"1s","control-delay":"100µs",` +
 		`"nodes":[` + nodes + `],"links":[` + links + `],"files":["r0.pcap.gz","r1.pcap.gz"]}`
@@ -17,9 +19,15 @@ func manifest(nodes, links string) string {
 
 const goodLink = `{"from":0,"to":1,"bandwidth":100000000,"delay":"2ms","queue-limit":65536,"cost":10}`
 
-// Manifests whose topology no run can use. The first two used to get past
-// Graph's range check and panic — in AddLink and, through network.New, in
-// queue.NewDropTail.
+// withStart is a usable two-router manifest whose recording began at start.
+func withStart(start string) string {
+	return strings.Replace(manifest(`"a","b"`, goodLink), `"seed":1,`, `"seed":1,"start":"`+start+`",`, 1)
+}
+
+// Manifests no replay can use. The first two used to get past Graph's range
+// check and panic — in AddLink and, through network.New, in
+// queue.NewDropTail; the last two would start the replay clock outside the
+// recording.
 var badManifests = []struct {
 	name, in, wantErr string
 }{
@@ -28,6 +36,8 @@ var badManifests = []struct {
 	{"link without queue-limit", manifest(`"a","b"`, `{"from":0,"to":1,"bandwidth":100000000,"delay":"2ms","cost":10}`),
 		"link 0->1: queue-limit 0 must be positive"},
 	{"duplicate node", manifest(`"a","a"`, goodLink), `duplicate node name "a"`},
+	{"negative start", withStart("-1ms"), "start -1ms outside the recording [0, 1s]"},
+	{"start after duration", withStart("2s"), "start 2s outside the recording [0, 1s]"},
 }
 
 // writeManifest writes data as the trace directory's trace.json.
@@ -83,6 +93,7 @@ func FuzzReadMeta(f *testing.F) {
 		f.Add([]byte(tc.in))
 	}
 	f.Add([]byte(manifest(`"a","b"`, goodLink)))
+	f.Add([]byte(withStart("500ms")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		writeManifest(t, dir, data)
 		env, err := capture.OpenTrace(dir, capture.TraceOptions{})

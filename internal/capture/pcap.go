@@ -7,154 +7,59 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
 )
 
-// Classic libpcap magic numbers, as they appear when read in the file's
-// native byte order.
+// The one pcap format this package reads and writes: a classic libpcap
+// file, little-endian, with nanosecond timestamp fractions (virtual time is
+// nanosecond-grained) and the Ethernet link type.
 const (
-	// MagicMicros marks a capture with microsecond timestamp fractions.
-	MagicMicros = 0xa1b2c3d4
-	// MagicNanos marks a capture with nanosecond timestamp fractions.
-	MagicNanos = 0xa1b23c4d
+	// magicNanos is the nanosecond-resolution libpcap magic, stored
+	// little-endian.
+	magicNanos = 0xa1b23c4d
+	// linkTypeEthernet is the link type of every frame AppendFrame writes.
+	linkTypeEthernet = 1
+	snapLen          = 65535
 )
-
-// LinkTypeEthernet is the pcap link type of every file this package writes.
-const LinkTypeEthernet = 1
 
 // maxRecordLen bounds a single record's captured length. Classic pcap
 // snap lengths top out at 256 KiB in practice; anything larger in a header
 // is treated as corruption rather than an allocation request.
 const maxRecordLen = 1 << 20
 
-// Format describes a pcap file's global header completely, so that a file
-// read by Reader can be re-written byte-identically by a Writer built from
-// the same Format.
-type Format struct {
-	// LittleEndian selects the file byte order.
-	LittleEndian bool
-	// Nanos selects nanosecond (vs microsecond) timestamp fractions.
-	Nanos bool
-
-	VersionMajor uint16
-	VersionMinor uint16
-	// ThisZone and SigFigs are historical header fields, preserved verbatim.
-	ThisZone int32
-	SigFigs  uint32
-	SnapLen  uint32
-	LinkType uint32
-}
-
-// DefaultFormat is what the Recorder writes: little-endian, nanosecond
-// timestamps (virtual time is nanosecond-grained), Ethernet link type.
-func DefaultFormat() Format {
-	return Format{
-		LittleEndian: true,
-		Nanos:        true,
-		VersionMajor: 2,
-		VersionMinor: 4,
-		SnapLen:      65535,
-		LinkType:     LinkTypeEthernet,
-	}
-}
-
-func (f Format) order() binary.ByteOrder {
-	if f.LittleEndian {
-		return binary.LittleEndian
-	}
-	return binary.BigEndian
-}
-
-func (f Format) magic() uint32 {
-	if f.Nanos {
-		return MagicNanos
-	}
-	return MagicMicros
-}
-
-// Record is one captured frame. Sec/Frac/Orig are kept exactly as stored so
-// a read file re-writes byte-identically; Data is the captured bytes.
+// Record is one captured frame: its timestamp from the capture epoch
+// (virtual time zero for recorded traces) and the captured bytes.
 type Record struct {
-	Sec  uint32
-	Frac uint32
-	// Orig is the original wire length (>= len(Data) in a truncating
-	// capture).
-	Orig uint32
+	Time time.Duration
 	Data []byte
 }
 
-// Time returns the record timestamp as a duration from the capture epoch.
-// Recorded simulator traces use virtual time zero as the epoch.
-func (r *Record) Time(f Format) time.Duration {
-	frac := time.Duration(r.Frac)
-	if !f.Nanos {
-		frac *= time.Microsecond / time.Nanosecond
-	}
-	return time.Duration(r.Sec)*time.Second + frac
-}
-
-// makeTimestamp splits a duration into the (sec, frac) pair for the format.
-func makeTimestamp(ts time.Duration, f Format) (sec, frac uint32) {
-	if ts < 0 {
-		ts = 0
-	}
-	sec = uint32(ts / time.Second)
-	rem := ts % time.Second
-	if f.Nanos {
-		return sec, uint32(rem)
-	}
-	return sec, uint32(rem / time.Microsecond)
-}
-
-// Reader decodes a classic pcap stream, transparently unwrapping gzip.
+// Reader decodes a pcap stream in the one format.
 type Reader struct {
 	r   *bufio.Reader
-	fmt Format
 	hdr [16]byte
 }
 
-// NewReader parses the global header and returns a record reader. Gzip
-// input (detected by magic) is decompressed transparently.
+// NewReader parses the global header and returns a record reader. A header
+// of any other byte order, resolution or link type is an error.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("pcap: gzip: %w", err)
-		}
-		br = bufio.NewReader(zr)
-	}
 	var hdr [24]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: short global header: %w", err)
 	}
-	var f Format
-	switch m := binary.LittleEndian.Uint32(hdr[:4]); m {
-	case MagicMicros, MagicNanos:
-		f.LittleEndian = true
-		f.Nanos = m == MagicNanos
-	default:
-		switch m := binary.BigEndian.Uint32(hdr[:4]); m {
-		case MagicMicros, MagicNanos:
-			f.Nanos = m == MagicNanos
-		default:
-			return nil, fmt.Errorf("pcap: bad magic %#08x", m)
-		}
+	le := binary.LittleEndian
+	if m := le.Uint32(hdr[0:4]); m != magicNanos {
+		return nil, fmt.Errorf("pcap: magic %#08x read little-endian, want the nanosecond magic %#08x", m, magicNanos)
 	}
-	bo := f.order()
-	f.VersionMajor = bo.Uint16(hdr[4:6])
-	f.VersionMinor = bo.Uint16(hdr[6:8])
-	f.ThisZone = int32(bo.Uint32(hdr[8:12]))
-	f.SigFigs = bo.Uint32(hdr[12:16])
-	f.SnapLen = bo.Uint32(hdr[16:20])
-	f.LinkType = bo.Uint32(hdr[20:24])
-	return &Reader{r: br, fmt: f}, nil
+	if lt := le.Uint32(hdr[20:24]); lt != linkTypeEthernet {
+		return nil, fmt.Errorf("pcap: link type %d, want Ethernet (%d)", lt, linkTypeEthernet)
+	}
+	return &Reader{r: br}, nil
 }
-
-// Format returns the file's global header fields.
-func (d *Reader) Format() Format { return d.fmt }
 
 // Next reads the next record into rec, reusing rec.Data's capacity. It
 // returns io.EOF cleanly at end of stream and a descriptive error on a
@@ -166,14 +71,15 @@ func (d *Reader) Next(rec *Record) error {
 		}
 		return fmt.Errorf("pcap: short record header: %w", err)
 	}
-	bo := d.fmt.order()
-	rec.Sec = bo.Uint32(d.hdr[0:4])
-	rec.Frac = bo.Uint32(d.hdr[4:8])
-	incl := bo.Uint32(d.hdr[8:12])
-	rec.Orig = bo.Uint32(d.hdr[12:16])
+	le := binary.LittleEndian
+	sec, nanos, incl := le.Uint32(d.hdr[0:4]), le.Uint32(d.hdr[4:8]), le.Uint32(d.hdr[8:12])
+	if nanos >= uint32(time.Second) {
+		return fmt.Errorf("pcap: timestamp fraction %d ns is not below one second", nanos)
+	}
 	if incl > maxRecordLen {
 		return fmt.Errorf("pcap: record length %d exceeds limit", incl)
 	}
+	rec.Time = time.Duration(sec)*time.Second + time.Duration(nanos)
 	if cap(rec.Data) < int(incl) {
 		rec.Data = make([]byte, incl)
 	} else {
@@ -185,56 +91,50 @@ func (d *Reader) Next(rec *Record) error {
 	return nil
 }
 
-// Writer encodes a classic pcap stream in the given Format.
+// Writer encodes a pcap stream in the one format.
 type Writer struct {
 	w   io.Writer
-	fmt Format
 	hdr [16]byte
 	err error
 }
 
 // NewWriter writes the global header and returns a record writer.
-func NewWriter(w io.Writer, f Format) (*Writer, error) {
+func NewWriter(w io.Writer) (*Writer, error) {
 	var hdr [24]byte
-	bo := f.order()
-	bo.PutUint32(hdr[0:4], f.magic())
-	bo.PutUint16(hdr[4:6], f.VersionMajor)
-	bo.PutUint16(hdr[6:8], f.VersionMinor)
-	bo.PutUint32(hdr[8:12], uint32(f.ThisZone))
-	bo.PutUint32(hdr[12:16], f.SigFigs)
-	bo.PutUint32(hdr[16:20], f.SnapLen)
-	bo.PutUint32(hdr[20:24], f.LinkType)
+	le := binary.LittleEndian
+	le.PutUint32(hdr[0:4], magicNanos)
+	le.PutUint16(hdr[4:6], 2) // version 2.4
+	le.PutUint16(hdr[6:8], 4)
+	le.PutUint32(hdr[16:20], snapLen)
+	le.PutUint32(hdr[20:24], linkTypeEthernet)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, err
 	}
-	return &Writer{w: w, fmt: f}, nil
-}
-
-// WriteRecord appends one record verbatim (Sec/Frac/Orig as given).
-func (w *Writer) WriteRecord(rec *Record) error {
-	if w.err != nil {
-		return w.err
-	}
-	bo := w.fmt.order()
-	bo.PutUint32(w.hdr[0:4], rec.Sec)
-	bo.PutUint32(w.hdr[4:8], rec.Frac)
-	bo.PutUint32(w.hdr[8:12], uint32(len(rec.Data)))
-	bo.PutUint32(w.hdr[12:16], rec.Orig)
-	if _, err := w.w.Write(w.hdr[:]); err != nil {
-		w.err = err
-		return err
-	}
-	if _, err := w.w.Write(rec.Data); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
+	return &Writer{w: w}, nil
 }
 
 // Write appends a frame captured whole at virtual time ts.
 func (w *Writer) Write(ts time.Duration, data []byte) error {
-	sec, frac := makeTimestamp(ts, w.fmt)
-	return w.WriteRecord(&Record{Sec: sec, Frac: frac, Orig: uint32(len(data)), Data: data})
+	if w.err != nil {
+		return w.err
+	}
+	if ts < 0 || ts/time.Second > math.MaxUint32 {
+		return fmt.Errorf("pcap: timestamp %v outside the format's range", ts)
+	}
+	le := binary.LittleEndian
+	le.PutUint32(w.hdr[0:4], uint32(ts/time.Second))
+	le.PutUint32(w.hdr[4:8], uint32(ts%time.Second))
+	le.PutUint32(w.hdr[8:12], uint32(len(data)))
+	le.PutUint32(w.hdr[12:16], uint32(len(data)))
+	if _, err := w.w.Write(w.hdr[:]); err != nil {
+		w.err = err
+		return err
+	}
+	if _, err := w.w.Write(data); err != nil {
+		w.err = err
+		return err
+	}
+	return nil
 }
 
 // FileReader is a Reader over an opened capture file.
@@ -243,13 +143,23 @@ type FileReader struct {
 	f io.Closer
 }
 
-// OpenFile opens a pcap (or gzipped pcap) file for reading.
+// OpenFile opens a pcap file for reading, gunzipping it when the path ends
+// in ".gz".
 func OpenFile(path string) (*FileReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r, err := NewReader(f)
+	var src io.Reader = f
+	if strings.HasSuffix(path, ".gz") {
+		if src, err = gzip.NewReader(f); err != nil {
+			err = fmt.Errorf("pcap: gzip: %w", err)
+		}
+	}
+	var r *Reader
+	if err == nil {
+		r, err = NewReader(src)
+	}
 	if err != nil {
 		err = fmt.Errorf("%s: %w", path, err)
 		if cerr := f.Close(); cerr != nil {
@@ -273,7 +183,7 @@ type FileWriter struct {
 }
 
 // CreateFile creates a pcap file (gzipped when path has a ".gz" suffix).
-func CreateFile(path string, format Format) (*FileWriter, error) {
+func CreateFile(path string) (*FileWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
@@ -284,7 +194,7 @@ func CreateFile(path string, format Format) (*FileWriter, error) {
 		fw.zw = gzip.NewWriter(fw.bw)
 		sink = fw.zw
 	}
-	if fw.Writer, err = NewWriter(sink, format); err != nil {
+	if fw.Writer, err = NewWriter(sink); err != nil {
 		if cerr := f.Close(); cerr != nil {
 			err = errors.Join(err, cerr)
 		}

@@ -2,8 +2,11 @@ package capture
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,105 +14,102 @@ import (
 	"routerwatch/internal/packet"
 )
 
-// formats under test: every (endianness, resolution) combination.
-var testFormats = map[string]Format{
-	"le-nanos":  DefaultFormat(),
-	"le-micros": {LittleEndian: true, VersionMajor: 2, VersionMinor: 4, SnapLen: 65535, LinkType: 1},
-	"be-nanos":  {Nanos: true, VersionMajor: 2, VersionMinor: 4, SnapLen: 65535, LinkType: 1},
-	"be-micros": {VersionMajor: 2, VersionMinor: 4, SnapLen: 262144, LinkType: 1},
-}
+// sample is a record sequence with nanosecond timestamps.
+var sample = func() []Record {
+	var recs []Record
+	for i, ts := range []time.Duration{0, 1500, time.Millisecond, 3*time.Second + 7*time.Microsecond + 9} {
+		recs = append(recs, Record{Time: ts, Data: bytes.Repeat([]byte{byte(i + 1)}, 20+i)})
+	}
+	return recs
+}()
 
-func writeSample(t *testing.T, f Format) []byte {
+// writeStream writes recs as a pcap stream.
+func writeStream(t testing.TB, recs []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, f)
+	w, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ts := range []time.Duration{0, 1500, time.Millisecond, 3*time.Second + 7*time.Microsecond} {
-		data := bytes.Repeat([]byte{byte(i + 1)}, 20+i)
-		if err := w.Write(ts, data); err != nil {
+	for _, rec := range recs {
+		if err := w.Write(rec.Time, rec.Data); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return buf.Bytes()
 }
 
-func TestPcapRoundTrip(t *testing.T) {
-	for name, f := range testFormats {
-		f := f
-		t.Run(name, func(t *testing.T) {
-			raw := writeSample(t, f)
-			r, err := NewReader(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Format() != f {
-				t.Fatalf("format round-trip: got %+v want %+v", r.Format(), f)
-			}
-			var rec Record
-			var out bytes.Buffer
-			w, err := NewWriter(&out, r.Format())
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := 0
-			for {
-				err := r.Next(&rec)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				n++
-				if err := w.WriteRecord(&rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n != 4 {
-				t.Fatalf("read %d records, want 4", n)
-			}
-			if !bytes.Equal(out.Bytes(), raw) {
-				t.Fatal("write→read→write is not byte-identical")
-			}
-		})
+// readStream reads a whole pcap stream, or returns the first error.
+func readStream(data []byte) ([]Record, error) {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	var recs []Record
+	for {
+		var rec Record
+		switch err := r.Next(&rec); err {
+		case nil:
+			recs = append(recs, rec)
+		case io.EOF:
+			return recs, nil
+		default:
+			return nil, err
+		}
 	}
 }
 
+// TestPcapRoundTrip writes a stream, reads back the same (Time, Data)
+// sequence to the nanosecond, and writes that out again byte-identically.
+// The subtest names the one format written: little-endian, nanosecond.
+func TestPcapRoundTrip(t *testing.T) {
+	t.Run("le-nanos", func(t *testing.T) {
+		raw := writeStream(t, sample)
+		got, err := readStream(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, sample) {
+			t.Fatalf("read back %v, wrote %v", got, sample)
+		}
+		if !bytes.Equal(writeStream(t, got), raw) {
+			t.Fatal("write→read→write is not byte-identical")
+		}
+	})
+}
+
+// TestPcapTimestampResolution holds timestamps to the nanosecond across the
+// format's whole range, and the writer refuses one the format cannot hold.
 func TestPcapTimestampResolution(t *testing.T) {
-	ts := 3*time.Second + 7*time.Microsecond + 9*time.Nanosecond
-	for name, f := range testFormats {
-		f := f
-		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			w, _ := NewWriter(&buf, f)
-			if err := w.Write(ts, []byte{1}); err != nil {
-				t.Fatal(err)
+	t.Run("le-nanos", func(t *testing.T) {
+		last := time.Duration(math.MaxUint32)*time.Second + time.Second - 1
+		var recs []Record
+		for _, ts := range []time.Duration{0, 1, time.Second - 1, time.Second, last} {
+			recs = append(recs, Record{Time: ts, Data: []byte{1}})
+		}
+		got, err := readStream(writeStream(t, recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, recs) {
+			t.Fatalf("read back %v, wrote %v", got, recs)
+		}
+		w, err := NewWriter(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range []time.Duration{-1, last + 1} {
+			if err := w.Write(ts, []byte{1}); err == nil {
+				t.Errorf("wrote a record at %v", ts)
 			}
-			r, err := NewReader(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rec Record
-			if err := r.Next(&rec); err != nil {
-				t.Fatal(err)
-			}
-			want := ts
-			if !f.Nanos {
-				want = ts.Truncate(time.Microsecond)
-			}
-			if got := rec.Time(r.Format()); got != want {
-				t.Fatalf("timestamp %v, want %v", got, want)
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestPcapGzipFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.pcap.gz")
-	w, err := CreateFile(path, DefaultFormat())
+	w, err := CreateFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,120 +128,85 @@ func TestPcapGzipFile(t *testing.T) {
 	if err := r.Next(&rec); err != nil {
 		t.Fatal(err)
 	}
-	if string(rec.Data) != "payload" || rec.Time(r.Format()) != time.Millisecond {
-		t.Fatalf("gzip round-trip: %q at %v", rec.Data, rec.Time(r.Format()))
+	if string(rec.Data) != "payload" || rec.Time != time.Millisecond {
+		t.Fatalf("gzip round-trip: %q at %v", rec.Data, rec.Time)
 	}
 	if err := r.Next(&rec); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }
 
-func TestPcapMalformed(t *testing.T) {
-	valid := writeSample(t, DefaultFormat())
-	cases := map[string][]byte{
-		"empty":            {},
-		"short-header":     valid[:10],
-		"bad-magic":        append([]byte{0xde, 0xad, 0xbe, 0xef}, valid[4:]...),
-		"truncated-record": valid[:len(valid)-3],
-		"giant-record": func() []byte {
-			b := bytes.Clone(valid[:24+16])
-			// incl_len little-endian at record offset 8.
-			b[24+8], b[24+9], b[24+10], b[24+11] = 0xff, 0xff, 0xff, 0x7f
-			return b
-		}(),
+// withHeader is a stream's records under a global header of another byte
+// order, magic or link type.
+func withHeader(stream []byte, order binary.ByteOrder, magic, linkType uint32) []byte {
+	var hdr [24]byte
+	order.PutUint32(hdr[0:4], magic)
+	order.PutUint16(hdr[4:6], 2)
+	order.PutUint16(hdr[6:8], 4)
+	order.PutUint32(hdr[16:20], snapLen)
+	order.PutUint32(hdr[20:24], linkType)
+	return append(hdr[:], stream[24:]...)
+}
+
+// malformed are streams the reader must refuse. The header rows are other
+// pcap formats: a reader that took them would misread every timestamp or
+// every frame.
+func malformed(t testing.TB) []struct {
+	name string
+	data []byte
+} {
+	valid := writeStream(t, sample)
+	giant := bytes.Clone(valid[:24+16])
+	binary.LittleEndian.PutUint32(giant[24+8:], 0x7fffffff) // incl_len
+	overflow := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(overflow[24+4:], uint32(time.Second)) // ts fraction
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"empty", []byte{}},
+		{"short-header", valid[:10]},
+		{"bad-magic", append([]byte{0xde, 0xad, 0xbe, 0xef}, valid[4:]...)},
+		{"le-micros", withHeader(valid, binary.LittleEndian, 0xa1b2c3d4, linkTypeEthernet)},
+		{"be-nanos", withHeader(valid, binary.BigEndian, magicNanos, linkTypeEthernet)},
+		{"be-micros", withHeader(valid, binary.BigEndian, 0xa1b2c3d4, linkTypeEthernet)},
+		{"not-ethernet", withHeader(valid, binary.LittleEndian, magicNanos, 101)}, // raw IP
+		{"truncated-record", valid[:len(valid)-3]},
+		{"giant-record", giant},
+		{"fraction-overflow", overflow},
 	}
-	for name, data := range cases {
-		t.Run(name, func(t *testing.T) {
-			r, err := NewReader(bytes.NewReader(data))
-			if err != nil {
-				return // header rejection is a pass
-			}
-			var rec Record
-			for {
-				err := r.Next(&rec)
-				if err == io.EOF {
-					if name == "truncated-record" || name == "giant-record" {
-						t.Fatal("malformed stream read cleanly")
-					}
-					return
-				}
-				if err != nil {
-					return // record rejection is a pass
-				}
+}
+
+func TestPcapMalformed(t *testing.T) {
+	for _, tc := range malformed(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			if recs, err := readStream(tc.data); err == nil {
+				t.Fatalf("malformed stream read cleanly as %d records", len(recs))
 			}
 		})
 	}
 }
 
 // FuzzPcapRoundTrip fuzzes the reader against arbitrary bytes (it must
-// never panic and never misallocate) and checks the rewrite identity: any
-// stream the reader fully accepts re-serializes byte-identically through a
-// writer built from the recovered Format, twice over.
+// never panic and never misallocate) and checks the round trip: any stream
+// the reader accepts writes back out and reads back as the same (Time,
+// Data) sequence.
 func FuzzPcapRoundTrip(f *testing.F) {
-	for _, format := range testFormats {
-		var buf bytes.Buffer
-		w, _ := NewWriter(&buf, format)
-		w.Write(0, []byte("ab"))
-		w.Write(time.Second+42, bytes.Repeat([]byte{7}, 60))
-		f.Add(buf.Bytes())
+	f.Add(writeStream(f, sample))
+	for _, tc := range malformed(f) {
+		f.Add(tc.data)
 	}
-	f.Add([]byte{0x1f, 0x8b})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
+		recs, err := readStream(data)
 		if err != nil {
 			return
 		}
-		var recs []Record
-		for {
-			var rec Record
-			err := r.Next(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return // rejected mid-stream: fine, as long as no panic
-			}
-			rec.Data = bytes.Clone(rec.Data)
-			recs = append(recs, rec)
-			if len(recs) > 1024 {
-				return
-			}
-		}
-		rewrite := func(in []Record) []byte {
-			var out bytes.Buffer
-			w, err := NewWriter(&out, r.Format())
-			if err != nil {
-				t.Fatalf("rewrite header: %v", err)
-			}
-			for i := range in {
-				if err := w.WriteRecord(&in[i]); err != nil {
-					t.Fatalf("rewrite record: %v", err)
-				}
-			}
-			return out.Bytes()
-		}
-		first := rewrite(recs)
-		r2, err := NewReader(bytes.NewReader(first))
+		again, err := readStream(writeStream(t, recs))
 		if err != nil {
-			t.Fatalf("re-read header: %v", err)
+			t.Fatalf("re-read: %v", err)
 		}
-		if r2.Format() != r.Format() {
-			t.Fatalf("format drift: %+v vs %+v", r2.Format(), r.Format())
-		}
-		var recs2 []Record
-		for {
-			var rec Record
-			err := r2.Next(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("re-read record: %v", err)
-			}
-			recs2 = append(recs2, rec)
-		}
-		if !bytes.Equal(first, rewrite(recs2)) {
-			t.Fatal("write→read→write not byte-identical")
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("round trip changed the records: %v vs %v", again, recs)
 		}
 	})
 }

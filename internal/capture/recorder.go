@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"time"
 
 	"routerwatch/internal/network"
 	"routerwatch/internal/protocol"
@@ -22,14 +23,16 @@ type RecorderOptions struct {
 // trace directory for TraceEnv.
 //
 // Attach it before the run (e.g. from RunOptions.BeforeRun) and Close it
-// after: Close stamps the manifest with the final virtual time, which
-// becomes the replay horizon. Recording only observes — a recorded run's
-// outputs are byte-identical to an unrecorded one.
+// after: the manifest records the virtual instant Attach ran, where a
+// replay's clock starts, and the final virtual time, the replay horizon.
+// Recording only observes — a recorded run's outputs are byte-identical to
+// an unrecorded one.
 type Recorder struct {
 	dir  string
 	opts RecorderOptions
 
 	net     *network.Network
+	start   time.Duration
 	writers []*FileWriter
 	scratch []byte
 	err     error
@@ -50,14 +53,14 @@ func (rec *Recorder) Attach(net *network.Network) error {
 	if err := os.MkdirAll(rec.dir, 0o755); err != nil {
 		return err
 	}
-	rec.net = net
+	rec.net, rec.start = net, net.Now()
 	g := net.Graph()
 	for _, id := range g.Nodes() {
 		name := fmt.Sprintf("%s/r%d.pcap", rec.dir, int32(id))
 		if rec.opts.Gzip {
 			name += ".gz"
 		}
-		w, err := CreateFile(name, DefaultFormat())
+		w, err := CreateFile(name)
 		if err != nil {
 			if cerr := rec.close(); cerr != nil {
 				err = errors.Join(err, cerr)
@@ -91,11 +94,10 @@ func (rec *Recorder) Close() error {
 	}
 	g := rec.net.Graph()
 	m := &Meta{
-		Version:      metaVersion,
-		Seed:         rec.net.Seed(),
-		Duration:     protocol.Duration(rec.net.Now()),
-		ControlDelay: protocol.Duration(rec.net.ControlDelay()),
-		Jitter:       protocol.Duration(rec.net.ProcessingJitter()),
+		Version:  metaVersion,
+		Seed:     rec.net.Seed(),
+		Start:    protocol.Duration(rec.start),
+		Duration: protocol.Duration(rec.net.Now()),
 	}
 	for _, id := range g.Nodes() {
 		m.Nodes = append(m.Nodes, g.Name(id))

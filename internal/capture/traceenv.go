@@ -22,11 +22,11 @@ type TraceOptions struct {
 // TraceEnv is a protocol.Env driven by a recorded trace directory: the
 // second Env backend after SimEnv.
 //
-// Virtual time is the recorded timestamps. The env owns a loopback
-// simulated network rebuilt from the trace manifest — same topology, same
-// seed, same control-plane latency — whose scheduler is the clock and
-// whose control plane carries SendControl/Flood exactly as the recorded
-// network's did (the authority's signing and fingerprint keys are pure
+// Virtual time is the recorded timestamps, and the clock starts where the
+// recorder attached. The env owns a loopback simulated network rebuilt from
+// the trace manifest — same topology, same seed — whose scheduler is the
+// clock and whose control plane carries SendControl/Flood exactly as the
+// recorded network's did (the authority's signing and fingerprint keys are pure
 // functions of the seed, so signatures and fingerprints verify across the
 // record/replay boundary). No data traffic ever enters the loopback
 // routers: replayed packet events are decoded from the per-router pcap
@@ -72,8 +72,9 @@ type traceCursor struct {
 }
 
 // OpenTrace opens a trace directory recorded by Recorder and returns an
-// environment positioned at virtual time zero with every trace event still
-// pending.
+// environment positioned at the instant the recorder attached, with every
+// trace event still pending. A protocol attached to it counts its rounds
+// from that instant, as the recorded one did.
 func OpenTrace(dir string, opts TraceOptions) (*TraceEnv, error) {
 	meta, err := ReadMeta(dir)
 	if err != nil {
@@ -83,11 +84,8 @@ func OpenTrace(dir string, opts TraceOptions) (*TraceEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := network.New(g, network.Options{
-		Seed:         meta.Seed,
-		ControlDelay: meta.ControlDelay.D(),
-		Telemetry:    opts.Telemetry,
-	})
+	net := network.New(g, network.Options{Seed: meta.Seed, Telemetry: opts.Telemetry})
+	net.Run(meta.Start.D())
 	t := &TraceEnv{
 		loopbackEnv: protocol.NewSimEnv(net),
 		meta:        meta,
@@ -137,7 +135,7 @@ func (t *TraceEnv) advance(i int) error {
 		c.live = false
 		return fmt.Errorf("capture: %s: %w", t.meta.Files[i], err)
 	}
-	ev.Time = c.rec.Time(c.r.Format())
+	ev.Time = c.rec.Time
 	if int(ev.Router) != i {
 		c.live = false
 		return fmt.Errorf("capture: %s: event for %v in r%d's trace", t.meta.Files[i], ev.Router, i)

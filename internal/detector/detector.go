@@ -118,9 +118,9 @@ func (l *Log) Len() int { return len(l.suspicions) }
 
 // String renders the log as the verdict transcript: one Suspicion.String()
 // per line, in recording order. It is the byte-comparable form of a run's
-// outcome — what the CLIs' -verdicts flag writes, what mrreplay -repeat and
-// the record/replay goldens compare, and the format the rwbench verdict
-// digest hashes.
+// outcome — what the CLIs' -verdicts flag writes, what the differential
+// harness and the record/replay goldens compare, and the format the rwbench
+// verdict digest hashes.
 func (l *Log) String() string {
 	var b strings.Builder
 	for _, s := range l.suspicions {

@@ -96,6 +96,6 @@ func (n *Network) relayControl(m *ControlMessage) {
 	if ok {
 		delay = link.Delay
 	}
-	delay += n.opts.ControlDelay
+	delay += controlDelay
 	n.sched.CallAfter(delay, n.cbRelay, m, 0)
 }

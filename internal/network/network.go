@@ -58,10 +58,6 @@ type Options struct {
 	// make qact − qpred a random variable.
 	ProcessingJitter time.Duration
 
-	// ControlDelay is the per-hop latency of control-plane messages on top
-	// of link propagation delay.
-	ControlDelay time.Duration
-
 	// QueueFactory builds output queues; nil means drop-tail.
 	QueueFactory QueueFactory
 
@@ -77,12 +73,13 @@ type Options struct {
 // defaultTTL is the initial TTL of injected packets.
 const defaultTTL = 64
 
+// controlDelay is the per-hop latency of control-plane messages on top of
+// link propagation delay.
+const controlDelay = 100 * time.Microsecond
+
 func (o *Options) fill() {
 	if o.QueueFactory == nil {
 		o.QueueFactory = DropTailFactory
-	}
-	if o.ControlDelay == 0 {
-		o.ControlDelay = 100 * time.Microsecond
 	}
 }
 
@@ -198,15 +195,6 @@ func (n *Network) Auth() *auth.Authority { return n.auth }
 
 // Hasher returns the network-wide packet fingerprint function.
 func (n *Network) Hasher() packet.Hasher { return n.hasher }
-
-// ControlDelay returns the per-hop control-plane latency the network was
-// built with (after defaulting). Trace recorders persist it so a replay
-// control plane reproduces the same latencies.
-func (n *Network) ControlDelay() time.Duration { return n.opts.ControlDelay }
-
-// ProcessingJitter returns the per-packet processing jitter bound the
-// network was built with; recorded for trace provenance.
-func (n *Network) ProcessingJitter() time.Duration { return n.opts.ProcessingJitter }
 
 // Telemetry returns the instrumentation set the network was built with
 // (nil when telemetry is disabled). Protocol layers attach their own

@@ -56,6 +56,9 @@ func attachChi(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 // onto ChiHarness. The generic runner cannot express it because of the
 // two-pass calibration and the TCP sources.
 func runChiScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.Result, error) {
+	if err := spec.Topology.CheckChi(); err != nil {
+		return nil, fmt.Errorf("scenario: topology: %w", err)
+	}
 	st := spec.Topology.BuildChi()
 	hooks, log := protocol.LogHooks()
 	res := &protocol.Result{Spec: spec, Log: log, Faulty: -1}

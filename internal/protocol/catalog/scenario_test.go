@@ -128,6 +128,22 @@ func TestCanonicalScenarioRejectsIgnoredFields(t *testing.T) {
 	}
 }
 
+// TestChiScenarioRejectsNegativeSizes runs χ's canonical scenario on a
+// simple-chi star with a negative source or sink count, which used to panic
+// in topology.SimpleChi.
+func TestChiScenarioRejectsNegativeSizes(t *testing.T) {
+	for _, size := range []string{`"n":-1`, `"m":-1`} {
+		spec, err := protocol.DecodeSpec([]byte(`{"protocol":"chi","seed":1,"duration":"1s","topology":{"kind":"simple-chi",` + size + `}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = protocol.Run(spec, protocol.RunOptions{})
+		if err == nil || !strings.HasPrefix(err.Error(), "scenario: topology: simple-chi: ") {
+			t.Errorf("%s: err = %v, want the scenario's topology error", size, err)
+		}
+	}
+}
+
 // TestFatihOnlyRunsAsScenario pins the one way to run Fatih: the descriptor
 // has no Attach (Fatih brings its own network and routing fabric), so
 // protocol.Attach — and with it mrreplay -protocol fatih — refuses by name.

@@ -12,10 +12,11 @@ import (
 // file format — encode it, decode that, encode again, and the two encodings
 // are the same bytes (compared as encodings because omitempty folds an
 // empty list or map into an absent one). Seeded with the committed scenario
-// files and the custom topologies Build must refuse. A small custom topology
-// is also built: Build returns an error or a graph whose every link passes
-// topology.Link.Validate — what network.New and the path computations rely
-// on.
+// files and the topologies Build must refuse. A topology of any kind is also
+// built when it is small (no count or size field beyond ±64, and not the
+// 1000-router default "isp"): Build returns an error, never panics, or a
+// graph whose every link passes topology.Link.Validate — what network.New
+// and the path computations rely on.
 func FuzzDecodeSpec(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil || len(files) == 0 {
@@ -29,7 +30,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"protocol":"pik2","duration":-1,"options":{},"attacks":[{}],"traffic":[]}`))
-	for _, tc := range badLinkSpecs {
+	for _, tc := range append(badLinkSpecs, badChiSpecs...) {
 		f.Add([]byte(tc.in))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -52,10 +53,16 @@ func FuzzDecodeSpec(f *testing.F) {
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("round trip changed the spec:\n--- first\n%s--- second\n%s", enc, enc2)
 		}
-		if spec.Topology.Kind != "custom" || len(spec.Topology.Nodes) > 64 {
+		top := spec.Topology
+		for _, v := range []int{top.N, top.M, top.Pops, top.EdgeUplinks, top.ExtraBackbone, len(top.Nodes)} {
+			if v < -64 || v > 64 {
+				return
+			}
+		}
+		if top.Kind == "isp" && top.N <= 0 {
 			return
 		}
-		g, err := spec.Topology.Build()
+		g, err := top.Build()
 		if err != nil {
 			return
 		}

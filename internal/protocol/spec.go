@@ -173,6 +173,9 @@ func (t TopologySpec) Build() (*topology.Graph, error) {
 			Seed:          t.Seed,
 		}), nil
 	case "simple-chi":
+		if err := t.CheckChi(); err != nil {
+			return nil, err
+		}
 		return t.BuildChi().Graph, nil
 	case "custom":
 		if len(t.Nodes) == 0 {
@@ -214,8 +217,17 @@ func (t TopologySpec) Build() (*topology.Graph, error) {
 	}
 }
 
+// CheckChi rejects the source and sink counts BuildChi cannot build: a
+// negative N or M (zero takes the default).
+func (t TopologySpec) CheckChi() error {
+	if t.N < 0 || t.M < 0 {
+		return fmt.Errorf("simple-chi: n %d sources, m %d sinks: must not be negative", t.N, t.M)
+	}
+	return nil
+}
+
 // BuildChi constructs the Fig 6.4 star topology with its distinguished
-// validated queue (only meaningful for Kind "simple-chi").
+// validated queue (only meaningful for Kind "simple-chi", after CheckChi).
 func (t TopologySpec) BuildChi() *topology.SimpleChiTopology {
 	sources, sinks := t.N, t.M
 	if sources == 0 {

@@ -170,6 +170,16 @@ var badLinkSpecs = []scenarioErrCase{
 	{"duplicate node", `{"protocol":"stub","duration":"1s","topology":{"kind":"custom","nodes":["a","b","a"]}}`, `duplicate node name "a"`},
 }
 
+// badChiSpecs are simple-chi stars with a negative source or sink count,
+// rows of TestScenarioFileErrors and seeds of FuzzDecodeSpec. Both used to
+// panic in topology.SimpleChi.
+var badChiSpecs = []scenarioErrCase{
+	{"simple-chi negative n", `{"protocol":"stub","seed":1,"duration":"1s","topology":{"kind":"simple-chi","n":-1}}`,
+		"simple-chi: n -1 sources, m 0 sinks: must not be negative"},
+	{"simple-chi negative m", `{"protocol":"stub","seed":1,"duration":"1s","topology":{"kind":"simple-chi","m":-1}}`,
+		"simple-chi: n 0 sources, m -1 sinks: must not be negative"},
+}
+
 // TestScenarioFileErrors feeds Run and AssembleSim scenario files whose
 // values do not fit their topology. Such files used to panic inside the run
 // (or, for fabricate endpoints and negative count/pairs, ran a silently
@@ -206,7 +216,7 @@ func TestScenarioFileErrors(t *testing.T) {
 		{"negative count", `{` + line5 + `,"traffic":[{"kind":"mesh","count":-3,"interval":"1ms"}]}`, "must not be negative"},
 		{"negative pairs", `{` + line5 + `,"traffic":[{"kind":"mesh","pairs":-1,"count":3,"interval":"1ms"}]}`, "must not be negative"},
 	}
-	cases = append(cases, badLinkSpecs...)
+	cases = append(append(cases, badLinkSpecs...), badChiSpecs...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			spec, err := DecodeSpec([]byte(tc.in))
