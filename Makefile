@@ -57,12 +57,13 @@ perf:
 	$(GO) -C bench run ./rwbench -compare out/baseline-seed1-a.json $$tmp; \
 	status=$$?; rm -f $$tmp; exit $$status
 
-# Short fuzz pass over all eleven fuzz harnesses (satisfies `go test`
+# Short fuzz pass over all twelve fuzz harnesses (satisfies `go test`
 # normally too — the seed corpus runs as ordinary tests): the summary codecs,
 # the flat-lane FPSet against its map-backed reference, the mutation-campaign
 # spec round-trip, the capture decoders and the trace manifest loader, the
-# SPF kernels against their reference, the scenario-file decoder (which also
-# builds small topologies of every kind), and every descriptor's option parser.
+# SPF kernels and the monitoring-set enumeration against their references,
+# the scenario-file decoder (which also builds small topologies of every
+# kind), and every descriptor's option parser.
 # Override FUZZTIME for quicker smokes: make fuzz FUZZTIME=2s.
 FUZZTIME ?= 10s
 
@@ -76,6 +77,7 @@ fuzz:
 		$(GO) test ./internal/capture/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 	$(GO) test ./internal/routing/ -run='^$$' -fuzz=FuzzComputeTable -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/topology/ -run='^$$' -fuzz=FuzzMonitorSets -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/protocol/ -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/protocol/catalog/ -run='^$$' -fuzz=FuzzParseOptions -fuzztime=$(FUZZTIME)
 

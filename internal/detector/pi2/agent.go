@@ -32,7 +32,7 @@ type agent struct {
 	id  packet.NodeID
 	mon tvinfo.Monitor
 
-	segs     map[topology.SegmentKey]*segState
+	// segOrder is indexed by watch order: mon.Find's answer.
 	segOrder []*segState
 
 	corrupt    Corruptor
@@ -49,7 +49,6 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 	a := &agent{
 		p:         p,
 		id:        id,
-		segs:      make(map[topology.SegmentKey]*segState),
 		suspected: make(map[topology.SegmentKey]bool),
 	}
 	a.mon.Start(&p.rec, id)
@@ -60,7 +59,6 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 		if !a.mon.Watch(&st.Watch, seg) {
 			continue
 		}
-		a.segs[st.Key] = st
 		a.segOrder = append(a.segOrder, st)
 	}
 
@@ -111,8 +109,12 @@ func (a *agent) onInfo(m consensus.Msg) {
 	// ticked past (or is about to) and has not judged. Anything else is
 	// dropped before it costs a slot: a late summary cannot change a
 	// verdict, and a protocol-faulty member may sign any round number.
-	st := a.segs[key]
-	if st == nil || n < st.judged || n > a.ticks {
+	i, ok := a.mon.Find(key)
+	if !ok {
+		return
+	}
+	st := a.segOrder[i]
+	if n < st.judged || n > a.ticks {
 		return
 	}
 	if len(m.Payload) < 4 {

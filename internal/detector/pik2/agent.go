@@ -54,7 +54,7 @@ type agent struct {
 	id  packet.NodeID
 	mon tvinfo.Monitor
 
-	segs     map[topology.SegmentKey]*segState
+	// segOrder is indexed by watch order: mon.Find's answer.
 	segOrder []*segState
 
 	corrupt Corruptor
@@ -86,7 +86,6 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 	a := &agent{
 		p:         p,
 		id:        id,
-		segs:      make(map[topology.SegmentKey]*segState),
 		suspected: make(map[topology.SegmentKey]bool),
 	}
 	a.mon.Start(&p.rec, id)
@@ -102,7 +101,6 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 			st.peer, st.path = seg[0], slices.Clone(st.path)
 			slices.Reverse(st.path)
 		}
-		a.segs[st.Key] = st
 		a.segOrder = append(a.segOrder, st)
 	}
 
@@ -199,8 +197,12 @@ func (a *agent) onSummary(cm *network.ControlMessage) {
 		return
 	}
 	a.keyBuf = topology.AppendKey(a.keyBuf[:0], msg.Seg)
-	st := a.segs[topology.SegmentKey(a.keyBuf)]
-	if st == nil || msg.From != st.peer {
+	i, ok := a.mon.Find(topology.SegmentKey(a.keyBuf))
+	if !ok {
+		return
+	}
+	st := a.segOrder[i]
+	if msg.From != st.peer {
 		return
 	}
 	// A correct peer's summary for round n leaves after boundary n+1 and is

@@ -243,7 +243,7 @@ type Agent agent
 
 // MonitoredSegments returns the segments the router monitors (its Pr).
 func (a *Agent) MonitoredSegments() []topology.Segment {
-	out := make([]topology.Segment, 0, len(a.segs))
+	out := make([]topology.Segment, 0, len(a.segOrder))
 	for _, st := range a.segOrder {
 		out = append(out, st.Seg)
 	}

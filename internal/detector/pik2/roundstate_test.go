@@ -118,7 +118,12 @@ func TestSentSummaryNeverReused(t *testing.T) {
 	if held == nil {
 		t.Fatal("no round-1 summary with traffic in it reached router 2")
 	}
-	if st := p.agents[0].segs[topology.Key(held.Seg)]; st.judged < 4 {
+	sender := p.agents[0]
+	i, ok := sender.mon.Find(topology.Key(held.Seg))
+	if !ok {
+		t.Fatalf("the sender does not watch %v", held.Seg)
+	}
+	if st := sender.segOrder[i]; st.judged < 4 {
 		t.Fatalf("sender judged %d rounds, want round 1 closed and two more rounds past", st.judged)
 	}
 	if now := appendSignedBody(nil, held); !bytes.Equal(now, body) {

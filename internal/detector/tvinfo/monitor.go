@@ -123,8 +123,8 @@ type route struct {
 // is memory the simulation would rather spend elsewhere, so a full memo is
 // dropped and refills from live traffic. A miss costs a probe per shape,
 // not a pass over the watches, so the memo only has to hold the pairs that
-// repeat: a router of the 100-router mesh-forward workload holds between 64
-// and 256.
+// repeat: a router of the 100-router mesh-forward workload sees 8 distinct
+// pairs in the median and 157 at most over the whole run.
 const maxRoutes = 512
 
 // Start binds the monitor to router id and installs its packet tap.
@@ -169,6 +169,18 @@ func (m *Monitor) Watch(w *Watch, seg topology.Segment) bool {
 	}
 	clear(m.routes) // filled without w
 	return true
+}
+
+// Find returns the rank, in the order Watch accepted them, of this router's
+// watch on the segment with key k, and false if it watches no such segment:
+// a protocol that keeps its per-segment state in that order indexes it here
+// instead of keeping a second map by segment.
+func (m *Monitor) Find(k topology.SegmentKey) (int, bool) {
+	w := m.bySeg[k]
+	if w == nil {
+		return 0, false
+	}
+	return w.order, true
 }
 
 // transit predicts how long a size-byte packet takes from this router's

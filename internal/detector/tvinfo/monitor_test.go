@@ -1,6 +1,7 @@
 package tvinfo
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -150,6 +151,25 @@ func TestMonitorRecording(t *testing.T) {
 	}
 	if lost, fabricated := src.DiffCounts(sink); lost != 0 || fabricated != 0 || sink.Len() != src.Len() {
 		t.Fatalf("ends sampled different subsets: %d only at source, %d only at sink", lost, fabricated)
+	}
+}
+
+// TestForgedAddressesRecordNothing: a fabricator, or a corrupt trace, can put
+// any address in a packet. One outside the path table has no predicted path,
+// so every router of π ignores it — on either event kind, at any position.
+func TestForgedAddressesRecordNothing(t *testing.T) {
+	env, watches := watchLine(0)
+	for _, addr := range [][2]packet.NodeID{{-1, 4}, {0, -7}, {0, 5}, {math.MaxInt32, 4}, {math.MinInt32, math.MaxInt32}} {
+		p := &packet.Packet{Src: addr[0], Dst: addr[1], Size: testSize}
+		for _, id := range []packet.NodeID{1, 2, 3} {
+			env.taps[id](network.Event{Router: id, Kind: network.EvDequeue, Peer: id + 1, Packet: p})
+			env.taps[id](network.Event{Router: id, Kind: network.EvReceive, Peer: id - 1, Packet: p})
+		}
+	}
+	for id, w := range watches {
+		if s := w.Recorded(0); s != nil {
+			t.Errorf("router %v recorded %d forged packets", id, s.Counter.Packets)
+		}
 	}
 }
 

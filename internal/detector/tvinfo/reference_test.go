@@ -2,6 +2,7 @@ package tvinfo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -268,23 +269,26 @@ func TestDispatchMatchesScan(t *testing.T) {
 	t.Run("diverted packet", func(t *testing.T) {
 		// Router 1 of the line 0-1-2-3-4 is shown packets of the pair 0→4
 		// leaving toward 0 and arriving from 2 — against the prediction —
-		// before and after the pair's entry is in the memo.
+		// before and after the pair's entry is in the memo, and then one whose
+		// forged addresses lie outside the path table.
 		g := topology.Line(5)
 		net := network.New(g, network.Options{Seed: 4})
 		paths := g.AllPairsPaths()
 		e := deploy(t, net, NewPathOracleFromPaths(paths), paths, topology.ModeNodes, 0)
 		m := e.monitors[1]
 		p := &packet.Packet{Src: 0, Dst: 4, Size: 500}
+		forged := &packet.Packet{Src: -1, Dst: math.MaxInt32, Size: 500}
 		for i, ev := range []network.Event{
-			{Kind: network.EvDequeue, Peer: 0},
-			{Kind: network.EvReceive, Peer: 2},
-			{Kind: network.EvDequeue, Peer: 2}, // as predicted: fills and records
-			{Kind: network.EvReceive, Peer: 0},
-			{Kind: network.EvDequeue, Peer: 0},
-			{Kind: network.EvReceive, Peer: 2},
-			{Kind: network.EvDequeue, Peer: 3}, // not a neighbour on any watch
+			{Kind: network.EvDequeue, Peer: 0, Packet: p},
+			{Kind: network.EvReceive, Peer: 2, Packet: p},
+			{Kind: network.EvDequeue, Peer: 2, Packet: p}, // as predicted: fills and records
+			{Kind: network.EvReceive, Peer: 0, Packet: p},
+			{Kind: network.EvDequeue, Peer: 0, Packet: p},
+			{Kind: network.EvReceive, Peer: 2, Packet: p},
+			{Kind: network.EvDequeue, Peer: 3, Packet: p}, // not a neighbour on any watch
+			{Kind: network.EvDequeue, Peer: 2, Packet: forged},
 		} {
-			ev.Router, ev.Packet, ev.Time = 1, p, time.Duration(i)*time.Millisecond
+			ev.Router, ev.Time = 1, time.Duration(i)*time.Millisecond
 			e.check(m, ev, m.onEvent)
 		}
 		if e.records == 0 {

@@ -267,10 +267,12 @@ func missingSection(name string) Result {
 
 // PathOracle predicts the routing path of any (src, dst) pair in the stable
 // state (§4.1: deterministic forwarding lets a router predict packet
-// paths). With an ECMP topology it additionally resolves the flow-hash
-// next-hop choices (§7.4.1).
+// paths). Built from explicit paths, it is a dense table of them indexed
+// src·n+dst, so a lookup is a bounds check and a load; over an ECMP fabric
+// it resolves the flow-hash next-hop choices instead (§7.4.1).
 type PathOracle struct {
-	paths map[uint64]topology.Path
+	paths []topology.Path // src·n+dst → path; nil where none was given
+	n     int
 	ecmp  *topology.ECMP
 }
 
@@ -282,15 +284,23 @@ func NewECMPPathOracle(e *topology.ECMP) *PathOracle {
 
 // NewPathOracleFromPaths builds an oracle from explicit per-pair paths
 // (e.g. traced from live forwarding tables after a routing change, or the
-// Graph.AllPairsPaths a detector already holds). It keeps the paths, which
-// callers must not mutate afterwards.
+// Graph.AllPairsPaths a detector already holds). The table spans n = one
+// more than the largest end ID; a path with a negative end or fewer than two
+// routers is left out, and of two paths with the same ends the later wins.
+// It keeps the paths, which callers must not mutate afterwards.
 func NewPathOracleFromPaths(paths []topology.Path) *PathOracle {
-	o := &PathOracle{paths: make(map[uint64]topology.Path, len(paths))}
+	o := &PathOracle{}
+	usable := func(p topology.Path) bool { return len(p) >= 2 && p[0] >= 0 && p[len(p)-1] >= 0 }
 	for _, p := range paths {
-		if len(p) < 2 {
-			continue
+		if usable(p) {
+			o.n = max(o.n, int(p[0])+1, int(p[len(p)-1])+1)
 		}
-		o.paths[pairKey(p[0], p[len(p)-1])] = p
+	}
+	o.paths = make([]topology.Path, o.n*o.n)
+	for _, p := range paths {
+		if usable(p) {
+			o.paths[int(p[0])*o.n+int(p[len(p)-1])] = p
+		}
 	}
 	return o
 }
@@ -300,14 +310,14 @@ func NewPathOracle(g *topology.Graph) *PathOracle {
 	return NewPathOracleFromPaths(g.AllPairsPaths())
 }
 
-func pairKey(a, b packet.NodeID) uint64 {
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-// Path returns the predicted path src→dst for a flow (nil if unknown).
+// Path returns the predicted path src→dst for a flow (nil if unknown). The
+// addresses are the sender's to write, so either may lie outside the table.
 func (o *PathOracle) Path(src, dst packet.NodeID, flow packet.FlowID) topology.Path {
 	if o.ecmp != nil {
 		return o.ecmp.FlowPath(src, dst, flow)
 	}
-	return o.paths[pairKey(src, dst)]
+	if src < 0 || dst < 0 || int(src) >= o.n || int(dst) >= o.n {
+		return nil
+	}
+	return o.paths[int(src)*o.n+int(dst)]
 }

@@ -2,6 +2,7 @@ package tvinfo
 
 import (
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -216,6 +217,35 @@ func TestValidatePolicies(t *testing.T) {
 	}
 	if res := Validate(PolicyContent, Thresholds{Loss: 5}, up, down); !res.OK {
 		t.Error("losses within threshold failed")
+	}
+}
+
+// TestOracleOutOfRange: a packet's addresses are the sender's to write, so
+// the dense table must answer nil, not index outside itself, for any pair
+// it does not span.
+func TestOracleOutOfRange(t *testing.T) {
+	g := topology.Line(5)
+	o := NewPathOracle(g)
+	n := packet.NodeID(g.NumNodes())
+	if o.Path(0, n-1, 0) == nil {
+		t.Fatal("the table lost the path 0→4")
+	}
+	for _, c := range [][2]packet.NodeID{{-1, 2}, {2, -1}, {1, n}, {n, 1}, {1, math.MaxInt32}, {math.MinInt32, 1}, {n, n}} {
+		if p := o.Path(c[0], c[1], 0); p != nil {
+			t.Errorf("Path(%d, %d) = %v, want nil", c[0], c[1], p)
+		}
+	}
+	if p := NewPathOracleFromPaths(nil).Path(0, 0, 0); p != nil {
+		t.Errorf("an oracle of no paths answered %v", p)
+	}
+}
+
+// TestOracleAllocs: the oracle is one table of the paths it was given, not a
+// structure per pair.
+func TestOracleAllocs(t *testing.T) {
+	paths := topology.ISP(topology.ISPSpec{Nodes: 100, Seed: 1}).AllPairsPaths()
+	if n := testing.AllocsPerRun(5, func() { NewPathOracleFromPaths(paths) }); n > 2 {
+		t.Fatalf("NewPathOracleFromPaths over %d paths: %v allocations, want at most 2", len(paths), n)
 	}
 }
 

@@ -85,7 +85,7 @@ func (e *ECMP) reverseDijkstra(dst packet.NodeID) []int64 {
 // NextHops returns u's equal-cost next hops toward dst.
 func (e *ECMP) NextHops(u, dst packet.NodeID) []packet.NodeID {
 	nh := e.next[dst]
-	if nh == nil || int(u) >= len(nh) {
+	if nh == nil || u < 0 || int(u) >= len(nh) {
 		return nil
 	}
 	return nh[u]

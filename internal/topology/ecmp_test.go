@@ -32,6 +32,12 @@ func TestECMPNextHops(t *testing.T) {
 	if e.FlowNextHop(3, 3, 1) != -1 {
 		t.Fatal("self destination should have no next hop")
 	}
+	// A forged packet's addresses reach FlowPath through the path oracle.
+	for _, c := range [][2]packet.NodeID{{-1, 3}, {0, -1}, {4, 3}, {0, 4}} {
+		if p := e.FlowPath(c[0], c[1], 1); p != nil {
+			t.Errorf("FlowPath(%d, %d) = %v, want nil", c[0], c[1], p)
+		}
+	}
 }
 
 func TestECMPDeterministicPerFlow(t *testing.T) {

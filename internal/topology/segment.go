@@ -2,6 +2,7 @@ package topology
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"routerwatch/internal/packet"
@@ -133,35 +134,65 @@ func segLess(a, b Segment) bool {
 // derives from the routing paths: for ModeNodes every (exactly)
 // target-length window plus every shorter whole path of length ≥ 3, for
 // ModeEnds every window of length 3..target. Windows are sub-slices of
-// the paths — visit must not retain or mutate them.
+// the paths — visit must not retain or mutate them — and a window may be
+// visited more than once.
+//
+// Each path's pass visits the windows ending at p[j] for j from its last
+// router down, and stops at the first j < len(p)-1 whose prefix p[:j+1] is
+// itself an input path: every window ending at or before p[j] is a window
+// of that prefix, of the same kind, so the prefix's own pass covers it. By
+// induction on path length every window of every path is visited. On
+// Graph.AllPairsPaths each prefix is the tree path to its last router, so a
+// path costs its windows ending at the destination plus one compare, not
+// every window along it.
 func forEachWindow(paths []Path, target int, mode MonitorMode, visit func(w []packet.NodeID)) {
-	switch mode {
-	case ModeNodes:
-		for _, p := range paths {
-			if len(p) < 3 {
-				continue
-			}
-			if len(p) < target {
-				visit(p)
-				continue
-			}
-			for i := 0; i+target <= len(p); i++ {
-				visit(p[i : i+target])
-			}
-		}
-	case ModeEnds:
-		for _, p := range paths {
-			for x := 3; x <= target; x++ {
-				if len(p) < x {
-					break
-				}
-				for i := 0; i+x <= len(p); i++ {
-					visit(p[i : i+x])
-				}
-			}
-		}
-	default:
+	if mode != ModeNodes && mode != ModeEnds {
 		panic("topology: unknown monitor mode")
+	}
+	// byEnds holds 1 + the index of an input path of length ≥ 3 with each
+	// (first, last) router pair, over IDs in [0, n); 0 is none. Only such
+	// a path can stop another's pass: a shorter prefix ends no window.
+	indexed := func(p Path) bool { return len(p) >= 3 && p[0] >= 0 && p[len(p)-1] >= 0 }
+	n := 0
+	for _, p := range paths {
+		if indexed(p) {
+			n = max(n, int(p[0])+1, int(p[len(p)-1])+1)
+		}
+	}
+	byEnds := make([]int32, n*n)
+	for i, p := range paths {
+		if indexed(p) {
+			byEnds[int(p[0])*n+int(p[len(p)-1])] = int32(i + 1)
+		}
+	}
+	isPath := func(prefix Path) bool {
+		first, last := int(prefix[0]), int(prefix[len(prefix)-1])
+		if first < 0 || last < 0 || first >= n || last >= n {
+			return false
+		}
+		i := byEnds[first*n+last]
+		return i > 0 && slices.Equal(paths[i-1], prefix)
+	}
+	shortest := 3
+	if mode == ModeNodes {
+		shortest = target
+	}
+	for _, p := range paths {
+		if len(p) < 3 {
+			continue
+		}
+		if len(p) < shortest {
+			visit(p) // ModeNodes: a whole path shorter than target
+			continue
+		}
+		for j := len(p) - 1; j+1 >= shortest; j-- {
+			if j < len(p)-1 && isPath(p[:j+1]) {
+				break
+			}
+			for x := shortest; x <= target && x <= j+1; x++ {
+				visit(p[j+1-x : j+1])
+			}
+		}
 	}
 }
 
