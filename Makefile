@@ -57,9 +57,10 @@ perf:
 	$(GO) -C bench run ./rwbench -compare out/baseline-seed1-a.json $$tmp; \
 	status=$$?; rm -f $$tmp; exit $$status
 
-# Short fuzz pass over all twelve fuzz harnesses (satisfies `go test`
-# normally too — the seed corpus runs as ordinary tests): the summary codecs,
-# the flat-lane FPSet against its map-backed reference, the mutation-campaign
+# Short fuzz pass over all thirteen fuzz harnesses (satisfies `go test`
+# normally too — the seed corpus runs as ordinary tests): the summary codecs
+# and the tvinfo.Summary section framing around them, the flat-lane FPSet
+# against its map-backed reference, the mutation-campaign
 # spec round-trip, the capture decoders and the trace manifest loader, the
 # SPF kernels and the monitoring-set enumeration against their references,
 # the scenario-file decoder (which also builds small topologies of every
@@ -72,6 +73,7 @@ fuzz:
 	          FuzzCharPolyMultiplicative; do \
 		$(GO) test ./internal/summary/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
+	$(GO) test ./internal/detector/tvinfo/ -run='^$$' -fuzz=FuzzDecodeSummary -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mutation/ -run='^$$' -fuzz=FuzzMutantSpecRoundTrip -fuzztime=$(FUZZTIME)
 	@for f in FuzzPcapRoundTrip FuzzDecodeFrame FuzzReadMeta; do \
 		$(GO) test ./internal/capture/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \

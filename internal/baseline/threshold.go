@@ -104,7 +104,7 @@ func AttachQueueMonitor(net *network.Network, r, rd packet.NodeID, opts QueueMon
 		rsID := rs
 		net.Router(rsID).AddTap(func(ev network.Event) {
 			if ev.Kind == network.EvDequeue && ev.Peer == m.r {
-				if m.nextHopAtR(ev.Packet) == m.rd {
+				if m.oracle.NextHop(ev.Packet, m.r) == m.rd {
 					m.sent++
 				}
 			}
@@ -118,19 +118,6 @@ func AttachQueueMonitor(net *network.Network, r, rd packet.NodeID, opts QueueMon
 
 	net.Scheduler().NewTicker(opts.Round, func() { m.closeRound() })
 	return m
-}
-
-func (m *QueueMonitor) nextHopAtR(p *packet.Packet) packet.NodeID {
-	if p.Dst == m.r {
-		return -1
-	}
-	path := m.oracle.Path(p.Src, p.Dst, p.Flow)
-	for i, node := range path {
-		if node == m.r && i+1 < len(path) {
-			return path[i+1]
-		}
-	}
-	return -1
 }
 
 func (m *QueueMonitor) closeRound() {

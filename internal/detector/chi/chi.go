@@ -28,6 +28,7 @@ import (
 	"routerwatch/internal/protocol"
 	"routerwatch/internal/queue"
 	"routerwatch/internal/stats"
+	"routerwatch/internal/summary"
 )
 
 // KindBatch is the control-message kind carrying reporter batches.
@@ -130,23 +131,21 @@ func (o *Options) fill() {
 type Calibration struct {
 	// Mu and Sigma describe X = qact − qpred in bytes.
 	Mu, Sigma float64
-	// REDExcessMean and REDExcessStd describe the no-attack distribution
-	// of the per-round drop excess (observed drops − Σp over replayed
-	// arrivals). The excess test compares windowed mean excess against
-	// this empirical null; zero REDExcessStd means uncalibrated (a
-	// conservative default of sd 3 packets is used).
-	REDExcessMean, REDExcessStd float64
+	// REDExcessStd is the no-attack standard deviation of the per-round
+	// drop excess (observed drops − Σp over replayed arrivals). The excess
+	// test differences the windowed mean excess against a trailing
+	// baseline, so only this spread of the empirical null is learned; zero
+	// means uncalibrated (a conservative default of sd 3 packets is used).
+	REDExcessStd float64
 }
 
-// redNull returns the usable RED per-round excess null parameters.
-func (c Calibration) redNull() (mean, sd float64) {
+// redNull returns the usable standard deviation of the RED per-round
+// excess null.
+func (c Calibration) redNull() float64 {
 	if c.REDExcessStd <= 0 {
-		return 0, 3
+		return 3
 	}
-	if c.REDExcessStd < 0.5 {
-		return c.REDExcessMean, 0.5
-	}
-	return c.REDExcessMean, c.REDExcessStd
+	return max(c.REDExcessStd, 0.5)
 }
 
 // RoundReport summarizes one queue's validation round.
@@ -245,22 +244,21 @@ func (v *Validator) Calibrate() Calibration {
 		for _, z := range v.redExcess {
 			ze.Add(z)
 		}
-		c.REDExcessMean, c.REDExcessStd = ze.Mean(), ze.StdDev()
+		c.REDExcessStd = ze.StdDev()
 	}
 	return c
 }
 
 // Batch is the signed per-round traffic report a neighbor rs sends to the
-// validating router rd (Tinfo(rs, Qin, ⟨rs,r,rd⟩, τ) of §6.2.1). Records
-// travel as structure-of-arrays lanes (queue.PacketBatch): the reporter
-// fills them straight from its event tap and the validator merges them into
-// its replay stream with bulk lane appends, never materializing per-record
-// structs.
+// validating router rd (Tinfo(rs, Qin, ⟨rs,r,rd⟩, τ) of §6.2.1). Its
+// records are a summary.TimedFP: the reporter fills the lanes straight from
+// its event tap, the validator merges them into its replay stream with bulk
+// lane appends, and the signed bytes are the summary's own encoding.
 type Batch struct {
 	Queue    QueueID
 	Reporter packet.NodeID
 	Round    int
-	Pkts     queue.PacketBatch
+	Pkts     summary.TimedFP
 	// Sig is an auth.AggregateTag over the batch's body items (see
 	// batchBodies): one constant-size signature for any record count,
 	// verified with a single tag comparison at the checkpoint.
@@ -285,8 +283,9 @@ func batchBodies(buf []byte, items [][]byte, b *Batch) ([]byte, [][]byte) {
 	const header = 20
 	buf = b.Pkts.AppendEncode(buf)
 	items = append(items[:0], buf[:header])
-	for off := header; off < len(buf); off += 28 * batchChunk {
-		end := off + 28*batchChunk
+	const chunk = summary.TimedRecordLen * batchChunk
+	for off := header; off < len(buf); off += chunk {
+		end := off + chunk
 		if end > len(buf) {
 			end = len(buf)
 		}

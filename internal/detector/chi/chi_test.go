@@ -99,7 +99,7 @@ func learnParamsN(t *testing.T, seed int64, redCfg *queue.REDConfig, flows int) 
 	}
 	cal := onePass(seed, Calibration{})
 	if redCfg == nil {
-		cal.REDExcessMean, cal.REDExcessStd = 0, 0
+		cal.REDExcessStd = 0
 		return cal
 	}
 	return onePass(seed+100000, Calibration{Mu: cal.Mu, Sigma: cal.Sigma})

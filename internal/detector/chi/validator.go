@@ -11,6 +11,7 @@ import (
 	"routerwatch/internal/packet"
 	"routerwatch/internal/queue"
 	"routerwatch/internal/stats"
+	"routerwatch/internal/summary"
 	"routerwatch/internal/topology"
 )
 
@@ -26,7 +27,7 @@ type reporter struct {
 
 	// pending holds unreported records; carry is the partition scratch the
 	// next round's records swap through at each flush.
-	pending, carry queue.PacketBatch
+	pending, carry summary.TimedFP
 	// bodyBuf / items are the signing scratch behind batchBodies, reused
 	// round over round.
 	bodyBuf []byte
@@ -51,8 +52,8 @@ type queueValidator struct {
 
 	// ins and outs buffer unprocessed records as SoA lanes; the replay
 	// merge walks them by index.
-	ins  queue.PacketBatch
-	outs queue.PacketBatch
+	ins  summary.TimedFP
+	outs summary.TimedFP
 
 	// bodyBuf / items are the checkpoint's aggregate-verification scratch.
 	bodyBuf []byte
@@ -204,28 +205,13 @@ func (r *reporter) onEvent(ev network.Event) {
 	}
 	// Only traffic r will forward to rd enters Q: predictable from the
 	// routing oracle (§4.1).
-	pathNext := r.v.nextHopAtR(ev.Packet)
-	if pathNext != r.v.q.RD {
+	if r.v.p.oracle.NextHop(ev.Packet, r.v.q.R) != r.v.q.RD {
 		return
 	}
 	enq := ev.Time + r.inLink.TransmissionTime(ev.Packet.Size) + r.inLink.Delay
 	fp := r.v.p.env.Hasher().Fingerprint(ev.Packet)
 	r.pending.Append(fp, int32(ev.Packet.Size), enq, ev.Packet.Flow)
 	r.v.p.tel.Fingerprints.Inc()
-}
-
-// nextHopAtR predicts which interface router R forwards the packet to.
-func (v *queueValidator) nextHopAtR(p *packet.Packet) packet.NodeID {
-	if p.Dst == v.q.R {
-		return -1
-	}
-	path := v.p.oracle.Path(p.Src, p.Dst, p.Flow)
-	for i, node := range path {
-		if node == v.q.R && i+1 < len(path) {
-			return path[i+1]
-		}
-	}
-	return -1
 }
 
 // flush sends all pending records with predicted enqueue time before the
@@ -548,8 +534,7 @@ func (v *queueValidator) finishRound(n int) {
 				base += e
 			}
 			base /= float64(len(baselineRounds))
-			nullMean, nullSD := v.p.opts.Calibration.redNull()
-			_ = nullMean // the differencing removes the mean; only the spread matters
+			nullSD := v.p.opts.Calibration.redNull()
 			// Serial correlation discount: treat the window as W/2
 			// effective samples.
 			eff := float64(w) / 2

@@ -126,8 +126,8 @@ func TestMonitorRecording(t *testing.T) {
 				if watches[id].Recorded(n) == nil {
 					continue
 				}
-				for _, e := range watches[id].Summary(n).Timed.Entries() {
-					got = append(got, recorded{id, n, e.TS})
+				for _, ts := range watches[id].Summary(n).Timed.TSs {
+					got = append(got, recorded{id, n, ts})
 				}
 			}
 		}

@@ -142,11 +142,11 @@ func (e *scanEnv) check(m *Monitor, ev network.Event, onEvent func(network.Event
 	var got []recorded
 	for _, w := range m.watches {
 		for _, o := range w.open {
-			entries := o.s.Timed.Entries()
-			for _, en := range entries[e.seen[o.s]:] {
-				got = append(got, recorded{w, en.FP, en.Size, en.TS, o.n})
+			tf := o.s.Timed
+			for i := e.seen[o.s]; i < tf.Len(); i++ {
+				got = append(got, recorded{w, tf.FPs[i], int(tf.Sizes[i]), tf.TSs[i], o.n})
 			}
-			e.seen[o.s] = len(entries)
+			e.seen[o.s] = tf.Len()
 		}
 	}
 	e.events++

@@ -6,6 +6,7 @@ package tvinfo
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 
 	"routerwatch/internal/packet"
@@ -53,15 +54,16 @@ type Summary struct {
 	Timed   *summary.TimedFP
 }
 
-// NewSummary allocates the structures the policy needs — all of them in one
-// allocation beside the Summary that points at them, since most
-// segment-rounds of a large deployment see no traffic and are only this.
+// NewSummary allocates the structures the policy needs — the counter, set
+// and sequence in one allocation beside the Summary that points at them,
+// since most segment-rounds of a large deployment see no traffic and are
+// only this. The timed lanes are a second allocation that only
+// PolicyTimeliness pays for.
 func NewSummary(policy Policy) *Summary {
 	b := &struct {
 		Summary
 		fps     summary.FPSet
 		ordered summary.OrderedFP
-		timed   summary.TimedFP
 	}{}
 	s := &b.Summary
 	if policy >= PolicyContent {
@@ -71,7 +73,7 @@ func NewSummary(policy Policy) *Summary {
 		s.Ordered = &b.ordered
 	}
 	if policy >= PolicyTimeliness {
-		s.Timed = &b.timed
+		s.Timed = &summary.TimedFP{}
 	}
 	return s
 }
@@ -92,44 +94,38 @@ func (s *Summary) RecordTimed(fp packet.Fingerprint, size int, ts time.Duration)
 		s.Ordered.Add(fp)
 	}
 	if s.Timed != nil {
-		s.Timed.Add(fp, size, ts)
+		s.Timed.Append(fp, int32(size), ts, 0)
 	}
 }
 
+// absent is the section length that marks a section not collected, so
+// decoding can distinguish "empty" from "not collected".
+const absent = ^uint32(0)
+
 // AppendEncode appends the summary encoding to b and returns the extended
-// slice. Layout: counter (16 B) · uint32 FP-section length · FP bytes ·
-// uint32 order-section length · order bytes · uint32 timed-section length ·
-// timed bytes. Absent sections encode length 0xFFFFFFFF so decoding can
-// distinguish "empty" from "not collected". Each present section is
-// appended in place and its length backfilled, so one buffer serves the
-// whole encoding.
+// slice. Layout: counter (16 B) · FP section · order section · timed
+// section, each a uint32 length followed by that many bytes, or the absent
+// length alone.
 func (s *Summary) AppendEncode(b []byte) []byte {
-	const absent = ^uint32(0)
 	b = s.Counter.AppendEncode(b)
-	if s.FPs != nil {
-		at := len(b)
-		b = append(b, 0, 0, 0, 0)
-		b = s.FPs.AppendEncode(b)
-		binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
-	} else {
-		b = binary.BigEndian.AppendUint32(b, absent)
+	b = appendSection(b, s.FPs)
+	b = appendSection(b, s.Ordered)
+	return appendSection(b, s.Timed)
+}
+
+// appendSection appends one section, or the absent length for a nil one.
+// The section is appended in place and its length backfilled, so one buffer
+// serves the whole encoding.
+func appendSection[P interface {
+	*T
+	AppendEncode([]byte) []byte
+}, T any](b []byte, sec P) []byte {
+	if sec == nil {
+		return binary.BigEndian.AppendUint32(b, absent)
 	}
-	if s.Ordered != nil {
-		at := len(b)
-		b = append(b, 0, 0, 0, 0)
-		b = s.Ordered.AppendEncode(b)
-		binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
-	} else {
-		b = binary.BigEndian.AppendUint32(b, absent)
-	}
-	if s.Timed != nil {
-		at := len(b)
-		b = append(b, 0, 0, 0, 0)
-		b = s.Timed.AppendEncode(b)
-		binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
-	} else {
-		b = binary.BigEndian.AppendUint32(b, absent)
-	}
+	at := len(b)
+	b = sec.AppendEncode(append(b, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	return b
 }
 
@@ -152,77 +148,45 @@ func (s *Summary) EncodedLen() int {
 	return n
 }
 
-// DecodeSummary parses an encoded summary. It returns false on malformed
-// input (which protocols treat as a missing report).
+// DecodeSummary parses an encoded summary: the section framing around the
+// four summary decoders. It returns false on malformed input (which
+// protocols treat as a missing report).
 func DecodeSummary(b []byte) (*Summary, bool) {
-	const absent = ^uint32(0)
-	if len(b) < 24 {
+	c, err := summary.DecodeCounter(b[:min(len(b), 16)])
+	if err != nil {
 		return nil, false
 	}
-	s := &Summary{}
-	s.Counter, _ = summary.DecodeCounter(b[:16]) // length checked above
+	s := &Summary{Counter: c}
 	rest := b[16:]
-
-	readSection := func() ([]byte, bool, bool) { // data, present, ok
-		if len(rest) < 4 {
-			return nil, false, false
-		}
-		n := binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		if n == absent {
-			return nil, false, true
-		}
-		if uint32(len(rest)) < n {
-			return nil, false, false
-		}
-		data := rest[:n]
-		rest = rest[n:]
-		return data, true, true
-	}
-
-	fpSec, fpPresent, ok := readSection()
-	if !ok {
+	if !decodeSection(&rest, &s.FPs, summary.DecodeFPSet) ||
+		!decodeSection(&rest, &s.Ordered, summary.DecodeOrderedFP) ||
+		!decodeSection(&rest, &s.Timed, summary.DecodeTimedFP) || len(rest) != 0 {
 		return nil, false
-	}
-	if fpPresent {
-		fps, err := summary.DecodeFPSet(fpSec)
-		if err != nil {
-			return nil, false
-		}
-		s.FPs = fps
-	}
-	ordSec, ordPresent, ok := readSection()
-	if !ok {
-		return nil, false
-	}
-	if ordPresent {
-		if len(ordSec)%8 != 0 {
-			return nil, false
-		}
-		s.Ordered = summary.NewOrderedFP()
-		for i := 0; i+8 <= len(ordSec); i += 8 {
-			s.Ordered.Add(packet.Fingerprint(binary.BigEndian.Uint64(ordSec[i:])))
-		}
-	}
-	timedSec, timedPresent, ok := readSection()
-	if !ok || len(rest) != 0 {
-		return nil, false
-	}
-	if timedPresent {
-		if len(timedSec)%28 != 0 {
-			return nil, false
-		}
-		s.Timed = summary.NewTimedFP()
-		for i := 0; i+28 <= len(timedSec); i += 28 {
-			s.Timed.AddFlow(
-				packet.Fingerprint(binary.BigEndian.Uint64(timedSec[i:])),
-				int(binary.BigEndian.Uint32(timedSec[i+8:])),
-				time.Duration(binary.BigEndian.Uint64(timedSec[i+12:])),
-				packet.FlowID(binary.BigEndian.Uint64(timedSec[i+20:])),
-			)
-		}
 	}
 	return s, true
+}
+
+// decodeSection consumes the next section of *rest and, unless it is
+// absent, decodes it into *dst. It reports whether the section was well
+// formed.
+func decodeSection[T any](rest *[]byte, dst **T, decode func([]byte) (*T, error)) bool {
+	if len(*rest) < 4 {
+		return false
+	}
+	n := binary.BigEndian.Uint32(*rest)
+	*rest = (*rest)[4:]
+	if n == absent {
+		return true
+	}
+	if uint32(len(*rest)) < n {
+		return false
+	}
+	sec, err := decode((*rest)[:n])
+	if err != nil {
+		return false
+	}
+	*dst, *rest = sec, (*rest)[n:]
+	return true
 }
 
 // Empty reports whether the summary holds no packet in any section: the
@@ -320,4 +284,18 @@ func (o *PathOracle) Path(src, dst packet.NodeID, flow packet.FlowID) topology.P
 		return nil
 	}
 	return o.paths[int(src)*o.n+int(dst)]
+}
+
+// NextHop predicts the router that at forwards p to: the one after at on
+// p's predicted path, or −1 when at is p's destination or the path's last
+// router, is not on the path, or no path is known.
+func (o *PathOracle) NextHop(p *packet.Packet, at packet.NodeID) packet.NodeID {
+	if p.Dst == at {
+		return -1
+	}
+	path := o.Path(p.Src, p.Dst, p.Flow)
+	if i := slices.Index(path, at); i >= 0 && i+1 < len(path) {
+		return path[i+1]
+	}
+	return -1
 }

@@ -1,19 +1,22 @@
 package tvinfo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"routerwatch/internal/packet"
 	"routerwatch/internal/topology"
 )
 
+var policies = []Policy{PolicyFlow, PolicyContent, PolicyOrder, PolicyTimeliness}
+
 func TestSummaryEncodeDecodeRoundTrip(t *testing.T) {
-	for _, policy := range []Policy{PolicyFlow, PolicyContent, PolicyOrder, PolicyTimeliness} {
+	for _, policy := range policies {
 		s := NewSummary(policy)
 		for i := 0; i < 20; i++ {
 			s.RecordTimed(packet.Fingerprint(i%7), 100+i, time.Duration(i)*time.Millisecond)
@@ -32,27 +35,12 @@ func TestSummaryEncodeDecodeRoundTrip(t *testing.T) {
 		if s.FPs != nil && got.FPs.Len() != s.FPs.Len() {
 			t.Fatalf("policy %v: fp count %d != %d", policy, got.FPs.Len(), s.FPs.Len())
 		}
-		if s.Ordered != nil {
-			a, b := got.Ordered.Seq(), s.Ordered.Seq()
-			if len(a) != len(b) {
-				t.Fatalf("ordered length mismatch")
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("ordered content mismatch at %d", i)
-				}
-			}
+		if s.Ordered != nil && !slices.Equal(got.Ordered.Seq(), s.Ordered.Seq()) {
+			t.Fatalf("policy %v: ordered %v, want %v", policy, got.Ordered.Seq(), s.Ordered.Seq())
 		}
-		if s.Timed != nil {
-			a, b := got.Timed.Entries(), s.Timed.Entries()
-			if len(a) != len(b) {
-				t.Fatalf("timed length mismatch")
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("timed entry mismatch at %d: %+v vs %+v", i, a[i], b[i])
-				}
-			}
+		if a, b := got.Timed, s.Timed; b != nil && (!slices.Equal(a.FPs, b.FPs) ||
+			!slices.Equal(a.Sizes, b.Sizes) || !slices.Equal(a.TSs, b.TSs) || !slices.Equal(a.Flows, b.Flows)) {
+			t.Fatalf("policy %v: timed %+v, want %+v", policy, *a, *b)
 		}
 	}
 }
@@ -148,30 +136,33 @@ func contentEncoding(entries ...uint64) []byte {
 	return binary.BigEndian.AppendUint32(b, ^uint32(0)) // no timed section
 }
 
+const hostile = 1<<32 - 1
+
+// malformedSummaries are hand-made wire payloads, well formed or not.
+var malformedSummaries = []struct {
+	name  string
+	b     []byte
+	ok    bool
+	count int // multiplicity of fingerprint 3 when decoded
+}{
+	{"nil", nil, false, 0},
+	{"short", make([]byte, 10), false, 0},
+	{"truncated header", make([]byte, 23), false, 0},
+	{"trailing junk", append(NewSummary(PolicyContent).Encode(), 0xFF), false, 0},
+	{"canonical fp section", contentEncoding(3, 1, 9, 2), true, 1},
+	{"unsorted fp section", contentEncoding(9, 1, 3, 1), false, 0},
+	{"duplicate fingerprint", contentEncoding(3, 1, 3, 1), false, 0},
+	{"zero count", contentEncoding(3, 0), false, 0},
+	// One 12-byte entry claiming 2³²−1 copies is canonical; decoding it
+	// must cost one entry, not 2³²−1 insertions.
+	{"hostile multiplicity", contentEncoding(3, hostile), true, hostile},
+}
+
 func TestDecodeSummaryMalformed(t *testing.T) {
-	const hostile = 1<<32 - 1
-	cases := []struct {
-		name  string
-		b     []byte
-		ok    bool
-		count int // multiplicity of fingerprint 3 when decoded
-	}{
-		{"nil", nil, false, 0},
-		{"short", make([]byte, 10), false, 0},
-		{"truncated header", make([]byte, 23), false, 0},
-		{"trailing junk", append(NewSummary(PolicyContent).Encode(), 0xFF), false, 0},
-		{"canonical fp section", contentEncoding(3, 1, 9, 2), true, 1},
-		{"unsorted fp section", contentEncoding(9, 1, 3, 1), false, 0},
-		{"duplicate fingerprint", contentEncoding(3, 1, 3, 1), false, 0},
-		{"zero count", contentEncoding(3, 0), false, 0},
-		// One 12-byte entry claiming 2³²−1 copies is canonical; decoding it
-		// must cost one entry, not 2³²−1 insertions.
-		{"hostile multiplicity", contentEncoding(3, hostile), true, hostile},
-	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for _, tc := range cases {
+		for _, tc := range malformedSummaries {
 			s, ok := DecodeSummary(tc.b)
 			if ok != tc.ok {
 				t.Errorf("%s: decoded = %v, want %v", tc.name, ok, tc.ok)
@@ -188,14 +179,71 @@ func TestDecodeSummaryMalformed(t *testing.T) {
 	}
 }
 
-func TestDecodeSummaryFuzz(t *testing.T) {
-	f := func(b []byte) bool {
-		// Must never panic; validity is incidental.
-		DecodeSummary(b)
-		return true
+// FuzzDecodeSummary feeds DecodeSummary peer-written bytes. It must never
+// panic. What it accepts must re-encode to the same bytes, since Π2
+// re-verifies evidence by re-encoding a decoded summary. And a decoded
+// summary validated against itself passes every policy whose section it
+// carries and fails, without panicking, every policy whose section it lacks.
+func FuzzDecodeSummary(f *testing.F) {
+	for _, policy := range policies {
+		s := NewSummary(policy)
+		f.Add(s.Encode())
+		for i := 0; i < 5; i++ {
+			s.RecordTimed(packet.Fingerprint(i%3), 100+i, time.Duration(i)*time.Millisecond)
+		}
+		f.Add(s.Encode())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
+	for _, tc := range malformedSummaries {
+		f.Add(tc.b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, ok := DecodeSummary(b)
+		if !ok {
+			return
+		}
+		if got := s.Encode(); !bytes.Equal(got, b) {
+			t.Fatalf("decoded %x re-encodes to %x", b, got)
+		}
+		carries := map[Policy]bool{
+			PolicyFlow:       true,
+			PolicyContent:    s.FPs != nil,
+			PolicyOrder:      s.Ordered != nil,
+			PolicyTimeliness: s.Timed != nil,
+		}
+		for _, policy := range policies {
+			if res := Validate(policy, Thresholds{}, s, s); res.OK != carries[policy] {
+				t.Fatalf("policy %v against itself: %v, section present %v", policy, res, carries[policy])
+			}
+		}
+	})
+}
+
+// TestNextHop: the prediction χ and the threshold baseline share answers −1
+// for a router off the path, at its end, or for addresses the sender forged
+// outside the table.
+func TestNextHop(t *testing.T) {
+	g := topology.Line(5) // 0-1-2-3-4
+	o := NewPathOracle(g)
+	n := packet.NodeID(g.NumNodes())
+	for _, tc := range []struct {
+		src, dst, at, want packet.NodeID
+	}{
+		{0, 4, 0, 1},
+		{0, 4, 2, 3},
+		{4, 0, 3, 2},
+		{0, 4, 4, -1}, // the last router
+		{0, 2, 2, -1}, // the destination
+		{0, 2, 3, -1}, // off the path
+		{0, 4, n, -1}, // not a router
+		{-1, 4, 2, -1},
+		{0, n, 2, -1},
+		{math.MaxInt32, 4, 2, -1},
+		{0, math.MinInt32, 2, -1},
+	} {
+		p := &packet.Packet{Src: tc.src, Dst: tc.dst}
+		if got := o.NextHop(p, tc.at); got != tc.want {
+			t.Errorf("NextHop(%d→%d, at %d) = %d, want %d", tc.src, tc.dst, tc.at, got, tc.want)
+		}
 	}
 }
 

@@ -113,17 +113,17 @@ func orderTV(th Thresholds, up, down *summary.OrderedFP) Result {
 func timelinessTV(th Thresholds, up, down *summary.TimedFP) Result {
 	res := Result{OK: true}
 	downTimes := make(map[uint64][]time.Duration)
-	for _, e := range down.Entries() {
-		downTimes[uint64(e.FP)] = append(downTimes[uint64(e.FP)], e.TS)
+	for i, fp := range down.FPs {
+		downTimes[uint64(fp)] = append(downTimes[uint64(fp)], down.TSs[i])
 	}
-	for _, e := range up.Entries() {
-		ts := downTimes[uint64(e.FP)]
+	for i, fp := range up.FPs {
+		ts := downTimes[uint64(fp)]
 		if len(ts) == 0 {
 			res.Lost++
 			continue
 		}
-		delay := ts[0] - e.TS
-		downTimes[uint64(e.FP)] = ts[1:]
+		delay := ts[0] - up.TSs[i]
+		downTimes[uint64(fp)] = ts[1:]
 		if delay > th.MaxDelay {
 			res.LateCount++
 		}

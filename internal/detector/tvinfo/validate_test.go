@@ -137,36 +137,36 @@ func TestOrderTV(t *testing.T) {
 }
 
 func TestTimelinessTV(t *testing.T) {
-	up, down := summary.NewTimedFP(), summary.NewTimedFP()
+	var up, down summary.TimedFP
 	for i := 0; i < 10; i++ {
 		fp := packet.Fingerprint(i)
 		sent := time.Duration(i) * time.Millisecond
-		up.Add(fp, 100, sent)
+		up.Append(fp, 100, sent, 0)
 		delay := 2 * time.Millisecond
 		if i == 7 {
 			delay = 500 * time.Millisecond // maliciously delayed
 		}
-		down.Add(fp, 100, sent+delay)
+		down.Append(fp, 100, sent+delay, 0)
 	}
 	th := Thresholds{MaxDelay: 10 * time.Millisecond, Late: 0}
-	res := timelinessTV(th, up, down)
+	res := timelinessTV(th, &up, &down)
 	if res.OK || res.LateCount != 1 {
 		t.Fatalf("late packet not flagged: %v", res)
 	}
 	th = Thresholds{MaxDelay: time.Second}
-	if res := timelinessTV(th, up, down); !res.OK {
+	if res := timelinessTV(th, &up, &down); !res.OK {
 		t.Fatalf("all within bound: %v", res)
 	}
 }
 
 func TestTimelinessTVLossAndFabrication(t *testing.T) {
-	up, down := summary.NewTimedFP(), summary.NewTimedFP()
-	up.Add(1, 100, 0)
-	up.Add(2, 100, 0)
-	down.Add(1, 100, time.Millisecond)
-	down.Add(9, 100, time.Millisecond)
+	var up, down summary.TimedFP
+	up.Append(1, 100, 0, 0)
+	up.Append(2, 100, 0, 0)
+	down.Append(1, 100, time.Millisecond, 0)
+	down.Append(9, 100, time.Millisecond, 0)
 	th := Thresholds{MaxDelay: time.Second, Loss: 0}
-	res := timelinessTV(th, up, down)
+	res := timelinessTV(th, &up, &down)
 	if res.OK || res.Lost != 1 || res.Fabricated != 1 {
 		t.Fatalf("res %v", res)
 	}

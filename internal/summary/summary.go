@@ -4,17 +4,26 @@
 // timestamped fingerprints for conservation of timeliness — plus the
 // supporting machinery: the Bloom-filter sizing rule, polynomial set
 // reconciliation (Appendix A), and hash-range sampling.
+//
+// Each summary's wire decoder sits beside its AppendEncode. Decoders
+// validate their input — a malicious router controls the bytes on the wire,
+// so malformed input must yield an error, never a panic or an oversized
+// allocation.
 package summary
 
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"routerwatch/internal/packet"
 )
+
+// ErrCodec reports malformed summary bytes.
+var ErrCodec = errors.New("summary: malformed encoding")
 
 // Counter is the conservation-of-flow summary: how many packets and bytes
 // traversed a monitoring point in a validation round (the WATCHERS counter,
@@ -42,6 +51,17 @@ func (c Counter) Encode() []byte { return c.AppendEncode(make([]byte, 0, c.Encod
 
 // EncodedLen returns len(Encode()) without materializing the encoding.
 func (c Counter) EncodedLen() int { return 16 }
+
+// DecodeCounter parses an encoded Counter.
+func DecodeCounter(data []byte) (Counter, error) {
+	if len(data) != 16 {
+		return Counter{}, fmt.Errorf("%w: counter is %d bytes, want 16", ErrCodec, len(data))
+	}
+	return Counter{
+		Packets: int64(binary.BigEndian.Uint64(data)),
+		Bytes:   int64(binary.BigEndian.Uint64(data[8:])),
+	}, nil
+}
 
 // FPSet is the conservation-of-content summary: the multiset of packet
 // fingerprints observed in a round. Multiplicity matters — a fabricating
@@ -255,6 +275,34 @@ func (s *FPSet) EncodedLen() int {
 	return 12 * len(s.fps)
 }
 
+// DecodeFPSet parses an encoded fingerprint multiset. The encoding is
+// canonical — strictly increasing fingerprints with positive counts — and
+// the decoder rejects anything else, so Encode∘DecodeFPSet is the identity
+// on valid input.
+func DecodeFPSet(data []byte) (*FPSet, error) {
+	if len(data)%12 != 0 {
+		return nil, fmt.Errorf("%w: fpset length %d not a multiple of 12", ErrCodec, len(data))
+	}
+	s := NewFPSet()
+	s.Grow(len(data) / 12)
+	var prev packet.Fingerprint
+	for i := 0; i < len(data); i += 12 {
+		fp := packet.Fingerprint(binary.BigEndian.Uint64(data[i:]))
+		n := binary.BigEndian.Uint32(data[i+8:])
+		if n == 0 {
+			return nil, fmt.Errorf("%w: fpset zero count for %x", ErrCodec, uint64(fp))
+		}
+		if i > 0 && fp <= prev {
+			return nil, fmt.Errorf("%w: fpset fingerprints not strictly increasing", ErrCodec)
+		}
+		prev = fp
+		s.push(fp, int(n))
+		s.count += int(n)
+	}
+	s.norm = len(s.fps)
+	return s, nil
+}
+
 // OrderedFP is the conservation-of-order summary: packet fingerprints in
 // observation order (§2.4.1 "maintain ordered lists of packet fingerprints
 // rather than simple sets").
@@ -288,6 +336,19 @@ func (o *OrderedFP) Encode() []byte { return o.AppendEncode(make([]byte, 0, o.En
 
 // EncodedLen returns len(Encode()) without materializing the encoding.
 func (o *OrderedFP) EncodedLen() int { return 8 * len(o.seq) }
+
+// DecodeOrderedFP parses an encoded sequence; any whole number of
+// fingerprints is valid.
+func DecodeOrderedFP(data []byte) (*OrderedFP, error) {
+	if len(data)%8 != 0 {
+		return nil, fmt.Errorf("%w: ordered length %d not a multiple of 8", ErrCodec, len(data))
+	}
+	o := &OrderedFP{seq: make([]packet.Fingerprint, 0, len(data)/8)}
+	for i := 0; i < len(data); i += 8 {
+		o.Add(packet.Fingerprint(binary.BigEndian.Uint64(data[i:])))
+	}
+	return o, nil
+}
 
 // ReorderAmount implements the §2.2.1 reordering metric [107]: remove from
 // both streams all lost/fabricated/modified packets (i.e. keep the common
@@ -355,60 +416,6 @@ func longestIncreasing(xs []int) int {
 	}
 	return len(tails)
 }
-
-// TimedEntry is one record of the conservation-of-timeliness / Protocol χ
-// summary: a packet fingerprint, its size, the time it entered or exited
-// the monitored queue (§6.2.1's ⟨fp, ps, ts⟩ triples), and the flow it
-// belongs to (for per-flow drop attribution).
-type TimedEntry struct {
-	FP   packet.Fingerprint
-	Size int
-	TS   time.Duration
-	Flow packet.FlowID
-}
-
-// TimedFP is an ordered collection of TimedEntry, the Tinfo(r, Qdir, π, τ)
-// structure of Protocol χ.
-type TimedFP struct {
-	entries []TimedEntry
-}
-
-// NewTimedFP returns an empty timed summary.
-func NewTimedFP() *TimedFP { return &TimedFP{} }
-
-// Add appends an entry.
-func (t *TimedFP) Add(fp packet.Fingerprint, size int, ts time.Duration) {
-	t.entries = append(t.entries, TimedEntry{FP: fp, Size: size, TS: ts})
-}
-
-// AddFlow appends an entry tagged with its flow.
-func (t *TimedFP) AddFlow(fp packet.Fingerprint, size int, ts time.Duration, flow packet.FlowID) {
-	t.entries = append(t.entries, TimedEntry{FP: fp, Size: size, TS: ts, Flow: flow})
-}
-
-// Len returns the number of entries.
-func (t *TimedFP) Len() int { return len(t.entries) }
-
-// Entries returns the entries (not a copy; callers must not mutate).
-func (t *TimedFP) Entries() []TimedEntry { return t.entries }
-
-// AppendEncode appends the entry encodings to b and returns the extended
-// slice.
-func (t *TimedFP) AppendEncode(b []byte) []byte {
-	for _, e := range t.entries {
-		b = binary.BigEndian.AppendUint64(b, uint64(e.FP))
-		b = binary.BigEndian.AppendUint32(b, uint32(e.Size))
-		b = binary.BigEndian.AppendUint64(b, uint64(e.TS))
-		b = binary.BigEndian.AppendUint64(b, uint64(e.Flow))
-	}
-	return b
-}
-
-// Encode serializes the summary for signing.
-func (t *TimedFP) Encode() []byte { return t.AppendEncode(make([]byte, 0, t.EncodedLen())) }
-
-// EncodedLen returns len(Encode()) without materializing the encoding.
-func (t *TimedFP) EncodedLen() int { return 28 * len(t.entries) }
 
 // SampleRange is the hash-range sampling of §2.4.1 (trajectory sampling /
 // SATS): a packet is monitored iff a keyed hash of its fingerprint falls

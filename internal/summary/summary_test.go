@@ -169,26 +169,6 @@ func TestReorderAmountMatchesReference(t *testing.T) {
 	}
 }
 
-func TestTimedFP(t *testing.T) {
-	tf := NewTimedFP()
-	tf.Add(7, 1000, 5000)
-	tf.Add(8, 500, 6000)
-	if tf.Len() != 2 {
-		t.Fatalf("len %d", tf.Len())
-	}
-	e := tf.Entries()[1]
-	if e.FP != 8 || e.Size != 500 || e.TS != 6000 {
-		t.Fatalf("entry %+v", e)
-	}
-	if len(tf.Encode()) != 56 {
-		t.Fatalf("encode size %d", len(tf.Encode()))
-	}
-	tf.AddFlow(9, 100, 7000, 42)
-	if got := tf.Entries()[2]; got.Flow != 42 {
-		t.Fatalf("flow not recorded: %+v", got)
-	}
-}
-
 func TestSampleRangeFraction(t *testing.T) {
 	s := SampleRange{K0: 1, K1: 2, Fraction: 0.25}
 	hits := 0
