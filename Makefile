@@ -57,12 +57,13 @@ perf:
 	$(GO) -C bench run ./rwbench -compare out/baseline-seed1-a.json $$tmp; \
 	status=$$?; rm -f $$tmp; exit $$status
 
-# Short fuzz pass over all thirteen fuzz harnesses (satisfies `go test`
+# Short fuzz pass over all fourteen fuzz harnesses (satisfies `go test`
 # normally too — the seed corpus runs as ordinary tests): the summary codecs
 # and the tvinfo.Summary section framing around them, the flat-lane FPSet
 # against its map-backed reference, the mutation-campaign
 # spec round-trip, the capture decoders and the trace manifest loader, the
 # SPF kernels and the monitoring-set enumeration against their references,
+# the routing daemon's LSA door (malformed origins and typed-nil payloads),
 # the scenario-file decoder (which also builds small topologies of every
 # kind), and every descriptor's option parser.
 # Override FUZZTIME for quicker smokes: make fuzz FUZZTIME=2s.
@@ -78,7 +79,9 @@ fuzz:
 	@for f in FuzzPcapRoundTrip FuzzDecodeFrame FuzzReadMeta; do \
 		$(GO) test ./internal/capture/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
-	$(GO) test ./internal/routing/ -run='^$$' -fuzz=FuzzComputeTable -fuzztime=$(FUZZTIME)
+	@for f in FuzzComputeTable FuzzAcceptLSA; do \
+		$(GO) test ./internal/routing/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
+	done
 	$(GO) test ./internal/topology/ -run='^$$' -fuzz=FuzzMonitorSets -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/protocol/ -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/protocol/catalog/ -run='^$$' -fuzz=FuzzParseOptions -fuzztime=$(FUZZTIME)
@@ -143,6 +146,12 @@ scale-smoke:
 # empty summary): rw_detector_summaries_total / rw_detector_rounds_total must
 # stay at or under 0.25 (0.20 since ISSUE 24: 3 859 / 18 960; 1.17 when every
 # monitored segment signed and sent a summary every round, empty or not).
+# Last, the assembly heap budget (internal/protocol/catalog
+# TestAssembleAllocBudget): isp-converge, assembled through protocol.Run up
+# to BeforeRun, must allocate at most 56 MB in at most 290 000 allocations
+# (50.3 MB / 269 k today; 86.7 MB / 338 k with eager static tables, map
+# LSDBs, per-source Dijkstra buffers, a copied path table and eagerly
+# seeded RNGs).
 budget-smoke:
 	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json > budget-smoke-plain.txt
 	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json -metrics - \
@@ -157,6 +166,7 @@ budget-smoke:
 		      printf "budget smoke: %d summaries / %d segment-rounds = %.2f per round (limit 0.25)\n", sum, rounds, sum / rounds; \
 		      exit !(sum / rounds <= 0.25) }' budget-smoke-metrics.prom
 	@rm -f budget-smoke-plain.txt budget-smoke-metrics.txt budget-smoke-metrics.prom
+	$(GO) test ./internal/protocol/catalog/ -run '^TestAssembleAllocBudget$$' -count=1 -v
 
 figures:
 	$(GO) run ./cmd/figures

@@ -231,11 +231,13 @@ func missingSection(name string) Result {
 
 // PathOracle predicts the routing path of any (src, dst) pair in the stable
 // state (§4.1: deterministic forwarding lets a router predict packet
-// paths). Built from explicit paths, it is a dense table of them indexed
-// src·n+dst, so a lookup is a bounds check and a load; over an ECMP fabric
-// it resolves the flow-hash next-hop choices instead (§7.4.1).
+// paths). Built from explicit paths, it keeps the caller's slice and one
+// dense int32 index into it by src·n+dst, so a lookup is a bounds check and
+// two loads; over an ECMP fabric it resolves the flow-hash next-hop choices
+// instead (§7.4.1).
 type PathOracle struct {
-	paths []topology.Path // src·n+dst → path; nil where none was given
+	paths []topology.Path
+	idx   []int32 // src·n+dst → 1 + index into paths; 0 where none was given
 	n     int
 	ecmp  *topology.ECMP
 }
@@ -251,22 +253,27 @@ func NewECMPPathOracle(e *topology.ECMP) *PathOracle {
 // Graph.AllPairsPaths a detector already holds). The table spans n = one
 // more than the largest end ID; a path with a negative end or fewer than two
 // routers is left out, and of two paths with the same ends the later wins.
-// It keeps the paths, which callers must not mutate afterwards.
+// It keeps the paths slice itself, which callers must not mutate afterwards.
 func NewPathOracleFromPaths(paths []topology.Path) *PathOracle {
-	o := &PathOracle{}
+	idx, n := pairIndex(paths)
+	return &PathOracle{paths: paths, idx: idx, n: n}
+}
+
+// pairIndex returns the oracle's index over paths and its side n.
+func pairIndex(paths []topology.Path) (idx []int32, n int) {
 	usable := func(p topology.Path) bool { return len(p) >= 2 && p[0] >= 0 && p[len(p)-1] >= 0 }
 	for _, p := range paths {
 		if usable(p) {
-			o.n = max(o.n, int(p[0])+1, int(p[len(p)-1])+1)
+			n = max(n, int(p[0])+1, int(p[len(p)-1])+1)
 		}
 	}
-	o.paths = make([]topology.Path, o.n*o.n)
-	for _, p := range paths {
+	idx = make([]int32, n*n)
+	for i, p := range paths {
 		if usable(p) {
-			o.paths[int(p[0])*o.n+int(p[len(p)-1])] = p
+			idx[int(p[0])*n+int(p[len(p)-1])] = int32(i + 1)
 		}
 	}
-	return o
+	return idx, n
 }
 
 // NewPathOracle precomputes all-pairs deterministic paths.
@@ -283,7 +290,10 @@ func (o *PathOracle) Path(src, dst packet.NodeID, flow packet.FlowID) topology.P
 	if src < 0 || dst < 0 || int(src) >= o.n || int(dst) >= o.n {
 		return nil
 	}
-	return o.paths[int(src)*o.n+int(dst)]
+	if i := o.idx[int(src)*o.n+int(dst)]; i > 0 {
+		return o.paths[i-1]
+	}
+	return nil
 }
 
 // NextHop predicts the router that at forwards p to: the one after at on

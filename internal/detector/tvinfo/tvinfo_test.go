@@ -288,12 +288,15 @@ func TestOracleOutOfRange(t *testing.T) {
 	}
 }
 
-// TestOracleAllocs: the oracle is one table of the paths it was given, not a
-// structure per pair.
+// TestOracleAllocs: the oracle is one int32 index over the paths it was
+// given, not a copy of their headers nor a structure per pair. The
+// constructor inlines, so the oracle's own header is allocated wherever the
+// caller's escape analysis puts it (here, on the stack); what is counted is
+// the one index.
 func TestOracleAllocs(t *testing.T) {
 	paths := topology.ISP(topology.ISPSpec{Nodes: 100, Seed: 1}).AllPairsPaths()
-	if n := testing.AllocsPerRun(5, func() { NewPathOracleFromPaths(paths) }); n > 2 {
-		t.Fatalf("NewPathOracleFromPaths over %d paths: %v allocations, want at most 2", len(paths), n)
+	if n := testing.AllocsPerRun(5, func() { NewPathOracleFromPaths(paths) }); n > 1 {
+		t.Fatalf("NewPathOracleFromPaths over %d paths: %v allocations, want at most 1", len(paths), n)
 	}
 }
 

@@ -29,6 +29,10 @@ type ControlMessage struct {
 	// summaries "through π"). Path[0] must be From and Path[len-1] To.
 	Path topology.Path
 
+	// direct backs Path for SendControlDirect's two-router path, so a
+	// single-hop message is one allocation.
+	direct [2]packet.NodeID
+
 	// hop is the index into Path of the router currently holding the
 	// message.
 	hop int
@@ -65,7 +69,8 @@ func (n *Network) SendControlDirect(from, to packet.NodeID, kind string, payload
 		panic("network: SendControlDirect between non-adjacent routers")
 	}
 	m := &ControlMessage{From: from, To: to, Kind: kind, Payload: payload, Sig: sig,
-		Path: topology.Path{from, to}}
+		direct: [2]packet.NodeID{from, to}}
+	m.Path = m.direct[:]
 	n.SendControl(m)
 }
 

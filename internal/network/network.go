@@ -219,41 +219,20 @@ func (n *Network) NextPacketID() uint64 {
 }
 
 // InstallShortestPaths sets every router's forwarding function to static
-// shortest-path next hops over the current topology (ignoring inbound
-// interface). Dynamic routing (internal/routing) replaces these.
+// shortest-path next hops over the topology as it stands now (ignoring
+// inbound interface). A router computes its table on its first forwarding
+// decision, over the adjacency snapshot taken here: a later topology
+// mutation cannot change what was installed, and a router whose forwarder
+// dynamic routing (internal/routing) replaces first never computes one.
 func (n *Network) InstallShortestPaths() {
-	const unresolved = packet.NodeID(-2)
-	var climb []packet.NodeID
-	for _, src := range n.graph.Nodes() {
-		parent, _ := n.graph.ShortestPathTree(src)
-		// next[dst] is the child of src that dst hangs under in the tree.
-		// Resolve each by climbing toward src until a node with a known
-		// answer, then hand that answer to everything climbed over: every
-		// node is climbed over once per source.
-		next := make([]packet.NodeID, len(parent))
-		for v := range next {
-			next[v] = unresolved
-			if parent[v] == -1 || packet.NodeID(v) == src {
-				next[v] = -1
-			}
-		}
-		for dst := range next {
-			v := packet.NodeID(dst)
-			climb = climb[:0]
-			for next[v] == unresolved && parent[v] != src {
-				climb = append(climb, v)
-				v = parent[v]
-			}
-			if next[v] == unresolved {
-				next[v] = v
-			}
-			for _, u := range climb {
-				next[u] = next[v]
-			}
-		}
-		r := n.routers[src]
-		table := next
+	c := n.graph.CSR()
+	for _, r := range n.routers {
+		src := r.id
+		var table []packet.NodeID
 		r.SetForwarder(func(p *packet.Packet, _ packet.NodeID) (packet.NodeID, bool) {
+			if table == nil {
+				table = staticTable(c, src)
+			}
 			if uint32(p.Dst) >= uint32(len(table)) {
 				return -1, false
 			}
@@ -261,6 +240,40 @@ func (n *Network) InstallShortestPaths() {
 			return nh, nh >= 0
 		})
 	}
+}
+
+// staticTable returns src's next hop toward every destination over c (-1
+// for src itself and the unreachable).
+func staticTable(c *topology.CSR, src packet.NodeID) []packet.NodeID {
+	const unresolved = packet.NodeID(-2)
+	parent, _ := c.ShortestPathTree(src)
+	// next[dst] is the child of src that dst hangs under in the tree.
+	// Resolve each by climbing toward src until a node with a known answer,
+	// then hand that answer to everything climbed over: every node is
+	// climbed over once.
+	next := make([]packet.NodeID, len(parent))
+	for v := range next {
+		next[v] = unresolved
+		if parent[v] == -1 || packet.NodeID(v) == src {
+			next[v] = -1
+		}
+	}
+	var climb []packet.NodeID
+	for dst := range next {
+		v := packet.NodeID(dst)
+		climb = climb[:0]
+		for next[v] == unresolved && parent[v] != src {
+			climb = append(climb, v)
+			v = parent[v]
+		}
+		if next[v] == unresolved {
+			next[v] = v
+		}
+		for _, u := range climb {
+			next[u] = next[v]
+		}
+	}
+	return next
 }
 
 // InstallECMP sets every router's forwarding to deterministic hash-based

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -390,5 +391,52 @@ func TestInstallShortestPathsMatchesTreePaths(t *testing.T) {
 	}
 	if nh, ok := net.Router(0).forwarder(&packet.Packet{Dst: island}, 0); ok {
 		t.Fatalf("route to a disconnected router: %v", nh)
+	}
+}
+
+// The lazy static tables must give the next hop the eager tables gave for
+// every (router, destination), forged destinations included, and must keep
+// the topology of install time: a link removed between New and the first
+// packet changes no answer.
+func TestStaticForwardingMatchesEager(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    func() *topology.Graph
+	}{
+		{"isp100", func() *topology.Graph { return topology.ISP(topology.ISPSpec{Nodes: 100, PoPs: 4, Seed: 3}) }},
+		{"abilene", topology.Abilene},
+		{"line", func() *topology.Graph { return topology.Line(7) }},
+	}
+	for _, tc := range graphs {
+		for _, cut := range []bool{false, true} {
+			name := tc.name
+			if cut {
+				name += "/remove-link"
+			}
+			t.Run(name, func(t *testing.T) {
+				g := tc.g()
+				lazy := New(g, Options{Seed: 1})
+				eager := New(g, Options{Seed: 1})
+				eager.installShortestPathsEager()
+				if cut {
+					// Cut the first hop of router 0's route to the far end.
+					far := packet.NodeID(g.NumNodes() - 1)
+					nh, _ := eager.Router(0).forwarder(&packet.Packet{Dst: far}, 0)
+					g.RemoveLink(0, nh)
+					g.RemoveLink(nh, 0)
+				}
+				dsts := append(g.Nodes(), -1, packet.NodeID(g.NumNodes()), math.MaxInt32)
+				for _, src := range g.Nodes() {
+					for _, dst := range dsts {
+						p := &packet.Packet{Dst: dst}
+						got, gotOK := lazy.Router(src).forwarder(p, src)
+						want, wantOK := eager.Router(src).forwarder(p, src)
+						if got != want || gotOK != wantOK {
+							t.Fatalf("%v→%v: next hop %v/%v, eager %v/%v", src, dst, got, gotOK, want, wantOK)
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -62,7 +62,9 @@ type Daemon struct {
 	router *network.Router
 	id     packet.NodeID
 
-	lsdb      map[packet.NodeID]*LSA
+	// lsdb holds the newest LSA of each origin, indexed by origin; nil
+	// where none was heard yet.
+	lsdb      []*LSA
 	seenAlert map[packet.NodeID]uint64
 	excl      *Exclusions
 	seq       uint64
@@ -143,8 +145,14 @@ func (d *Daemon) handleLSA(m *network.ControlMessage) {
 }
 
 // acceptLSA installs a new LSA and re-floods it. from is the neighbor it
-// arrived from, or -1 if originated locally.
+// arrived from, or -1 if originated locally. A nil LSA, or one whose
+// origin is not a router of the topology, is dropped at the door: a
+// protocol-faulty router must not grow a correct router's LSDB, nor panic
+// it.
 func (d *Daemon) acceptLSA(lsa *LSA, from packet.NodeID) {
+	if lsa == nil || uint32(lsa.Origin) >= uint32(len(d.lsdb)) {
+		return
+	}
 	if cur := d.lsdb[lsa.Origin]; cur != nil && cur.Seq >= lsa.Seq {
 		return
 	}
@@ -160,7 +168,7 @@ func (d *Daemon) acceptLSA(lsa *LSA, from packet.NodeID) {
 // handleAlert processes a flooded suspicion.
 func (d *Daemon) handleAlert(m *network.ControlMessage) {
 	alert, ok := m.Payload.(*Alert)
-	if !ok {
+	if !ok || alert == nil {
 		return
 	}
 	d.acceptAlert(alert, m.From)
@@ -278,7 +286,8 @@ func (d *Daemon) install(at time.Duration) {
 // iff u advertises v and the link physically exists (LSAs are trusted here;
 // securing the control plane is §1.1.1's problem, explicitly out of scope
 // for the detectors), at the advertised cost; of duplicate entries the last
-// wins.
+// wins. The LSDB is one slot per router of truth: acceptLSA refuses any
+// other origin.
 func (d *Daemon) lsdbCSR(c *topology.CSR, truth *topology.CSR) {
 	n := truth.NumNodes()
 	c.Off = grow(c.Off, n+1)
@@ -286,7 +295,7 @@ func (d *Daemon) lsdbCSR(c *topology.CSR, truth *topology.CSR) {
 	for o := 0; o < n; o++ {
 		start := len(c.To)
 		c.Off[o] = int32(start)
-		lsa := d.lsdb[packet.NodeID(o)]
+		lsa := d.lsdb[o]
 		if lsa == nil {
 			continue
 		}

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"container/heap"
-	"sort"
 
 	"routerwatch/internal/packet"
 	"routerwatch/internal/topology"
@@ -124,14 +123,12 @@ func (d *Daemon) graphFromLSDB() *topology.Graph {
 	for _, id := range truth.Nodes() {
 		g.AddNode(truth.Name(id))
 	}
-	origins := make([]packet.NodeID, 0, len(d.lsdb))
-	for o := range d.lsdb {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	for _, o := range origins {
-		for _, nb := range d.lsdb[o].Neighbors {
-			if l, ok := truth.Link(o, nb.ID); ok {
+	for o, lsa := range d.lsdb {
+		if lsa == nil {
+			continue
+		}
+		for _, nb := range lsa.Neighbors {
+			if l, ok := truth.Link(packet.NodeID(o), nb.ID); ok {
 				l.Cost = nb.Cost
 				g.AddLink(l)
 			}

@@ -81,7 +81,7 @@ func Attach(net *network.Network, opts Options) *Protocol {
 			proto:     p,
 			router:    r,
 			id:        r.ID(),
-			lsdb:      make(map[packet.NodeID]*LSA),
+			lsdb:      make([]*LSA, net.Graph().NumNodes()),
 			seenAlert: make(map[packet.NodeID]uint64),
 			excl:      NewExclusions(),
 			timers:    opts.Timers,
@@ -112,7 +112,7 @@ func Attach(net *network.Network, opts Options) *Protocol {
 // through the normal seq-gated path, and novel ones re-flood (bundled).
 func (d *Daemon) handleLSABundle(m *network.ControlMessage) {
 	b, ok := m.Payload.(*LSABundle)
-	if !ok {
+	if !ok || b == nil {
 		return
 	}
 	for _, lsa := range b.LSAs {

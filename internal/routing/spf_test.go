@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -174,8 +175,9 @@ func FuzzComputeTable(f *testing.F) {
 
 // The daemon's LSDB → adjacency path must advertise exactly the graph the
 // old graphFromLSDB built, including for LSAs no correct router would send:
-// unordered and duplicate entries, neighbors that are not physically
-// adjacent or do not exist, and an origin outside the topology.
+// unordered and duplicate entries and neighbors that are not physically
+// adjacent or do not exist. An origin outside the topology is refused at
+// the door.
 func TestLSDBAdjacencyMatchesReference(t *testing.T) {
 	g := topology.ISP(topology.ISPSpec{Nodes: 96, PoPs: 4, Seed: 11})
 	net := network.New(g, network.Options{Seed: 5})
@@ -201,8 +203,12 @@ func TestLSDBAdjacencyMatchesReference(t *testing.T) {
 		{ID: 400, Cost: 1}, {ID: -2, Cost: 1},
 		{ID: nbrs[0], Cost: 1}, // duplicate: the later cost wins
 	}}
-	d.lsdb[400] = &LSA{Origin: 400, Seq: 1, Neighbors: []NeighborEntry{{ID: 0, Cost: 1}}}
-	delete(d.lsdb, 5) // a router never heard from advertises nothing
+	lsdb := slices.Clone(d.lsdb)
+	d.acceptLSA(&LSA{Origin: 400, Seq: 1, Neighbors: []NeighborEntry{{ID: 0, Cost: 1}}}, -1)
+	if !slices.Equal(d.lsdb, lsdb) {
+		t.Fatal("an LSA of origin 400 changed a 96-router LSDB")
+	}
+	d.lsdb[5] = nil // a router never heard from advertises nothing
 	d.excl.Add(topology.Segment{nbrs[0], 3, nbrs[len(nbrs)-1]})
 	check(d)
 }

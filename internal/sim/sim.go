@@ -374,9 +374,38 @@ func (s *Scheduler) peek() *Event {
 
 // NewRNG returns a deterministic random source for the given seed. All
 // simulation components must obtain randomness through explicitly seeded
-// sources; package-global randomness is forbidden by design.
+// sources; package-global randomness is forbidden by design. It draws the
+// sequence rand.New(rand.NewSource(seed)) draws, but seeds its ~4.9 KB
+// source state on the first draw, so a component that never draws (a
+// drop-tail router without processing jitter) never pays for it.
 func NewRNG(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	return rand.New(&lazySource{seed: seed})
+}
+
+// lazySource is a rand.Source64 that seeds rand.NewSource(seed) on first
+// use.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64   { return s.source().Int63() }
+func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
+
+// Seed restarts the sequence at seed, reseeding the state in place once it
+// exists.
+func (s *lazySource) Seed(seed int64) {
+	s.seed = seed
+	if s.src != nil {
+		s.src.Seed(seed)
+	}
 }
 
 // Ticker repeatedly schedules fn every interval until Stop is called.

@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -207,4 +211,57 @@ func TestEventOrderProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// NewRNG seeds its source on the first draw, which must not show: for any
+// seed it draws rand.New(rand.NewSource(seed))'s sequences, also after Seed
+// (on a drawn and on an undrawn source). An undrawn one costs its headers,
+// not the ~4.9 KB source state.
+func TestNewRNGMatchesRandSource(t *testing.T) {
+	draws := func(r *rand.Rand) []uint64 {
+		var out []uint64
+		for i := 0; i < 20; i++ {
+			out = append(out, uint64(r.Int63()), r.Uint64(), uint64(r.Intn(1000)),
+				math.Float64bits(r.Float64()), math.Float64bits(r.NormFloat64()))
+		}
+		for _, v := range r.Perm(30) {
+			out = append(out, uint64(v))
+		}
+		s := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+		r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+		for _, v := range s {
+			out = append(out, uint64(v))
+		}
+		return out
+	}
+	for _, seed := range []int64{0, 1, -7, math.MaxInt64} {
+		got, want := NewRNG(seed), rand.New(rand.NewSource(seed))
+		if !slices.Equal(draws(got), draws(want)) {
+			t.Fatalf("seed %d: NewRNG draws differ from rand.NewSource", seed)
+		}
+		got.Seed(seed + 1)
+		want.Seed(seed + 1)
+		if !slices.Equal(draws(got), draws(want)) {
+			t.Fatalf("seed %d: draws differ after Seed on a drawn source", seed)
+		}
+		got, want = NewRNG(seed), rand.New(rand.NewSource(seed))
+		got.Seed(seed - 1)
+		want.Seed(seed - 1)
+		if !slices.Equal(draws(got), draws(want)) {
+			t.Fatalf("seed %d: draws differ after Seed on an undrawn source", seed)
+		}
+	}
+
+	const calls = 100
+	rngs := make([]*rand.Rand, calls)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range rngs {
+		rngs[i] = NewRNG(int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 256 {
+		t.Errorf("an undrawn NewRNG allocates %d B, want under 256", per)
+	}
+	runtime.KeepAlive(rngs)
 }

@@ -51,6 +51,67 @@ func (c *CSR) Edge(from, to packet.NodeID) int32 {
 	return -1
 }
 
+// ShortestPathTree computes a deterministic single-source shortest path tree
+// from src using link costs. Ties are broken toward the lower predecessor
+// node ID, modeling the deterministic forwarding the paper assumes (§4.1:
+// "a router can predict the path that a packet will take in the stable
+// state"). It returns parent[v] (the predecessor of v on its path from src;
+// parent[src] = src; parent[v] = -1 if unreachable) and dist[v], both the
+// caller's to keep.
+func (c *CSR) ShortestPathTree(src packet.NodeID) (parent []packet.NodeID, dist []int64) {
+	var s sptScratch
+	s.run(c, src)
+	return s.parent, s.dist
+}
+
+// sptScratch holds the buffers of ShortestPathTree's Dijkstra. A run
+// overwrites the previous one's answer, so AllPairsPaths reuses one scratch
+// for all n sources instead of allocating a buffer set per source.
+type sptScratch struct {
+	parent []packet.NodeID
+	dist   []int64
+	done   []bool
+	heap   distHeap
+}
+
+// run leaves the shortest path tree from src over c in s.parent and s.dist.
+func (s *sptScratch) run(c *CSR, src packet.NodeID) {
+	n := c.NumNodes()
+	if cap(s.parent) < n {
+		s.parent, s.dist, s.done = make([]packet.NodeID, n), make([]int64, n), make([]bool, n)
+	}
+	parent, dist, done := s.parent[:n], s.dist[:n], s.done[:n]
+	s.parent, s.dist, s.done = parent, dist, done
+	for i := range parent {
+		parent[i], dist[i], done[i] = -1, infCost, false
+	}
+	parent[src] = src
+	dist[src] = 0
+	h := append(s.heap[:0], distItem{node: src})
+	for len(h) > 0 {
+		v := h.pop().node
+		if done[v] {
+			continue
+		}
+		done[v] = true
+		for e := c.Off[v]; e < c.Off[v+1]; e++ {
+			to := c.To[e]
+			nd := dist[v] + c.Cost[e]
+			if nd < dist[to] || (nd == dist[to] && !done[to] && parent[to] != -1 && v < parent[to]) {
+				dist[to] = nd
+				parent[to] = v
+				h.push(distItem{dist: nd, node: to})
+			}
+		}
+	}
+	s.heap = h
+	for i := range parent {
+		if dist[i] == infCost {
+			parent[i] = -1
+		}
+	}
+}
+
 // distItem is a tentative distance label on a node.
 type distItem struct {
 	dist int64

@@ -350,47 +350,10 @@ func (g *Graph) RemoveLink(from, to packet.NodeID) {
 // Shortest paths
 
 // ShortestPathTree computes a deterministic single-source shortest path tree
-// from src using link costs. Ties are broken toward the lower predecessor
-// node ID, modeling the deterministic forwarding the paper assumes (§4.1:
-// "a router can predict the path that a packet will take in the stable
-// state"). It returns parent[v] (the predecessor of v on its path from src;
-// parent[src] = src; parent[v] = -1 if unreachable) and dist[v].
+// from src using link costs; see CSR.ShortestPathTree, which it runs over
+// the graph's cached adjacency.
 func (g *Graph) ShortestPathTree(src packet.NodeID) (parent []packet.NodeID, dist []int64) {
-	n := g.NumNodes()
-	const inf = int64(1) << 62
-	parent = make([]packet.NodeID, n)
-	dist = make([]int64, n)
-	done := make([]bool, n)
-	for i := range parent {
-		parent[i] = -1
-		dist[i] = inf
-	}
-	parent[src] = src
-	dist[src] = 0
-	c := g.CSR()
-	h := distHeap{{node: src}}
-	for len(h) > 0 {
-		v := h.pop().node
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		for e := c.Off[v]; e < c.Off[v+1]; e++ {
-			to := c.To[e]
-			nd := dist[v] + c.Cost[e]
-			if nd < dist[to] || (nd == dist[to] && !done[to] && parent[to] != -1 && v < parent[to]) {
-				dist[to] = nd
-				parent[to] = v
-				h.push(distItem{dist: nd, node: to})
-			}
-		}
-	}
-	for i := range parent {
-		if dist[i] == inf {
-			parent[i] = -1
-		}
-	}
-	return parent, dist
+	return g.CSR().ShortestPathTree(src)
 }
 
 // Path is a sequence of adjacent routers (§4.1). The first router is the
@@ -458,9 +421,11 @@ func PathBetween(parent []packet.NodeID, src, dst packet.NodeID) Path {
 func (g *Graph) AllPairsPaths() []Path {
 	n := g.NumNodes()
 	out := make([]Path, 0, n*(n-1))
+	c := g.CSR()
+	var s sptScratch
 	var arena Path
 	for src := 0; src < n; src++ {
-		parent, _ := g.ShortestPathTree(packet.NodeID(src))
+		s.run(c, packet.NodeID(src))
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
@@ -472,7 +437,7 @@ func (g *Graph) AllPairsPaths() []Path {
 				arena = make(Path, 0, min(segArenaChunk, n*n)+n)
 			}
 			start := len(arena)
-			arena = appendPath(arena, parent, packet.NodeID(src), packet.NodeID(dst))
+			arena = appendPath(arena, s.parent, packet.NodeID(src), packet.NodeID(dst))
 			if len(arena) > start {
 				out = append(out, arena[start:len(arena):len(arena)])
 			}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -337,5 +338,23 @@ func TestAddLinkPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// AllPairsPaths runs its n Dijkstras over one scratch: it may allocate the
+// path-header slice, the arena chunks the paths pack into, the scratch's
+// three buffers and the doublings of its heap — nothing per source.
+func TestAllPairsPathsAllocs(t *testing.T) {
+	for _, n := range []int{20, 100, 300} {
+		g := ISP(ISPSpec{Nodes: n, Seed: 1})
+		nodes := 0
+		for _, p := range g.AllPairsPaths() {
+			nodes += len(p)
+		}
+		chunks := nodes/min(segArenaChunk, n*n) + 1
+		want := 1 + chunks + 3 + bits.Len(uint(g.NumDirectedLinks()+1))
+		if got := testing.AllocsPerRun(3, func() { g.AllPairsPaths() }); got > float64(want) {
+			t.Errorf("ISP(%d): %v allocations, want at most %d", n, got, want)
+		}
 	}
 }
