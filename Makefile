@@ -148,10 +148,11 @@ scale-smoke:
 # monitored segment signed and sent a summary every round, empty or not).
 # Last, the assembly heap budget (internal/protocol/catalog
 # TestAssembleAllocBudget): isp-converge, assembled through protocol.Run up
-# to BeforeRun, must allocate at most 56 MB in at most 290 000 allocations
-# (50.3 MB / 269 k today; 86.7 MB / 338 k with eager static tables, map
-# LSDBs, per-source Dijkstra buffers, a copied path table and eagerly
-# seeded RNGs).
+# to BeforeRun, must allocate at most 53 MB in at most 290 000 allocations
+# (49.0 MB / 269 k today; 2.3 MB more with a control message carrying an ID
+# and a transport signature nothing read; 86.7 MB / 338 k with eager static
+# tables, map LSDBs, per-source Dijkstra buffers, a copied path table and
+# eagerly seeded RNGs).
 budget-smoke:
 	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json > budget-smoke-plain.txt
 	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json -metrics - \

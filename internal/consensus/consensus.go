@@ -150,6 +150,6 @@ func (s *Service) receive(at packet.NodeID, msg Msg, from packet.NodeID) {
 		if nb == from {
 			continue
 		}
-		s.net.SendControlDirect(at, nb, KindFlood, &m, msg.Sig)
+		s.net.SendControlDirect(at, nb, KindFlood, &m)
 	}
 }

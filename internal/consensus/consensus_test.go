@@ -108,7 +108,7 @@ func TestForgedFloodRejected(t *testing.T) {
 	sig := net.Auth().Sign(1, body)
 	sig.Signer = 0
 	msg := &Msg{Origin: 0, Topic: "t", Instance: "i", Payload: []byte("forged"), Sig: sig}
-	net.SendControlDirect(1, 2, KindFlood, msg, sig)
+	net.SendControlDirect(1, 2, KindFlood, msg)
 	net.Run(time.Second)
 	if reached {
 		t.Fatal("forged flood message delivered")

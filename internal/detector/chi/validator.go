@@ -24,6 +24,9 @@ type reporter struct {
 	rs packet.NodeID
 	// inLink is rs→r.
 	inLink topology.Link
+	// route is ⟨rs, r, rd⟩, the path every batch travels: the segment an
+	// exchange timeout names is the one that can suppress the batch.
+	route topology.Path
 
 	// pending holds unreported records; carry is the partition scratch the
 	// next round's records swap through at each flush.
@@ -150,7 +153,7 @@ func newQueueValidator(p *Protocol, q QueueID) *queueValidator {
 			continue
 		}
 		inLink, _ := g.Link(rs, q.R)
-		rep := &reporter{v: v, rs: rs, inLink: inLink}
+		rep := &reporter{v: v, rs: rs, inLink: inLink, route: topology.Path{rs, q.R, q.RD}}
 		v.reporters = append(v.reporters, rep)
 		p.env.Tap(rs, rep.onEvent)
 	}
@@ -236,7 +239,7 @@ func (r *reporter) flush(n int) {
 	r.v.p.tel.SummaryBytes.Add(int64(len(r.bodyBuf)))
 	r.v.p.tel.BatchEntries.Observe(int64(b.Pkts.Len()))
 	r.v.p.env.SendControl(&network.ControlMessage{
-		From: r.rs, To: r.v.q.RD, Kind: KindBatch, Payload: b,
+		From: r.rs, To: r.v.q.RD, Kind: KindBatch, Payload: b, Path: r.route,
 	})
 }
 

@@ -94,8 +94,7 @@ type Protocol struct {
 func Attach(env protocol.Env, opts Options) *Protocol {
 	opts.fill()
 	g := env.Graph()
-	paths := g.AllPairsPaths()
-	pr, _ := topology.MonitorSets(paths, opts.K, topology.ModeNodes)
+	pr, _ := topology.MonitorSets(g.CSR().Paths().All(), opts.K, topology.ModeNodes)
 
 	p := &Protocol{
 		env:    env,
@@ -106,7 +105,7 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 	}
 	p.rec = tvinfo.Recording{
 		Env:          env,
-		Oracle:       tvinfo.NewPathOracleFromPaths(paths),
+		Oracle:       tvinfo.NewPathOracle(g),
 		Policy:       opts.Policy,
 		Round:        opts.Round,
 		Fingerprints: p.tel.Fingerprints,

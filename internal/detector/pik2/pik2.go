@@ -134,8 +134,8 @@ type Protocol struct {
 // segments are derived from the deterministic routing paths of the current
 // topology (§4.1: paths are predictable in the stable state).
 func Attach(env protocol.Env, opts Options) *Protocol {
-	paths := env.Graph().AllPairsPaths()
-	return attach(env, opts, paths, tvinfo.NewPathOracleFromPaths(paths))
+	g := env.Graph()
+	return attach(env, opts, g.CSR().Paths().All(), tvinfo.NewPathOracle(g))
 }
 
 // AttachECMP deploys Πk+2 over an equal-cost multipath fabric (§7.4.1).

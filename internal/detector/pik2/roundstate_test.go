@@ -34,7 +34,7 @@ func (h *summaryHolder) OnControl(_ *network.RouterView, m *network.ControlMessa
 		return network.CtrlForward
 	}
 	h.net.Scheduler().After(h.hold, func() {
-		h.net.SendControlDirect(1, 2, KindSummary, msg, msg.Sig)
+		h.net.SendControlDirect(1, 2, KindSummary, msg)
 	})
 	return network.CtrlDrop
 }

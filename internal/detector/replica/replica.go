@@ -43,6 +43,11 @@ type Detector struct {
 	target packet.NodeID
 	opts   Options
 
+	// paths is the stable-state path table static forwarding reads; the
+	// replica forwards by it too (§2.3: "the behavior of a router is
+	// deterministic").
+	paths *topology.PathTable
+
 	// replica state: one queue model + forwarding per output interface,
 	// fed by the tapped inputs of the monitored router.
 	queues map[packet.NodeID]*replicaIface
@@ -83,6 +88,7 @@ func Attach(net *network.Network, target packet.NodeID, opts Options) *Detector 
 		net:        net,
 		target:     target,
 		opts:       opts,
+		paths:      net.Graph().CSR().Paths(),
 		queues:     make(map[packet.NodeID]*replicaIface),
 		outReal:    make(map[packet.NodeID]*summary.FPSet),
 		outReplica: make(map[packet.NodeID]*summary.FPSet),
@@ -97,26 +103,12 @@ func Attach(net *network.Network, target packet.NodeID, opts Options) *Detector 
 		d.outReplica[nb] = summary.NewFPSet()
 	}
 
-	// The replica's forwarding mirrors the deterministic next-hop table of
-	// the monitored router's position (§2.3: "the behavior of a router is
-	// deterministic").
-	oracle := make(map[packet.NodeID]packet.NodeID) // dst → next hop
-	parent, _ := g.ShortestPathTree(target)
-	for _, dst := range g.Nodes() {
-		if dst == target {
-			continue
-		}
-		if path := topology.PathBetween(parent, target, dst); len(path) >= 2 {
-			oracle[dst] = path[1]
-		}
-	}
-
 	r := net.Router(target)
 	r.AddTap(func(ev network.Event) {
 		switch ev.Kind {
 		case network.EvReceive:
 			// The replica sees the same input and forwards it itself.
-			d.replicaForward(ev.Packet, oracle)
+			d.replicaForward(ev.Packet)
 		case network.EvDequeue:
 			// r's observed output.
 			d.outReal[ev.Peer].Add(net.Hasher().Fingerprint(ev.Packet))
@@ -130,18 +122,14 @@ func Attach(net *network.Network, target packet.NodeID, opts Options) *Detector 
 // replicaForward runs the replica's forwarding path for one input packet:
 // TTL, next-hop lookup, enqueue (with identical drop-tail semantics) and
 // serialized dequeue.
-func (d *Detector) replicaForward(p *packet.Packet, oracle map[packet.NodeID]packet.NodeID) {
+func (d *Detector) replicaForward(p *packet.Packet) {
 	if p.Dst == d.target {
 		return // consumed locally; not part of the output streams
 	}
 	if p.TTL <= 1 {
 		return
 	}
-	next, ok := oracle[p.Dst]
-	if !ok {
-		return
-	}
-	ifc := d.queues[next]
+	ifc := d.queues[d.paths.NextHop(d.target, p.Dst)]
 	if ifc == nil {
 		return
 	}

@@ -231,14 +231,12 @@ func missingSection(name string) Result {
 
 // PathOracle predicts the routing path of any (src, dst) pair in the stable
 // state (§4.1: deterministic forwarding lets a router predict packet
-// paths). Built from explicit paths, it keeps the caller's slice and one
-// dense int32 index into it by src·n+dst, so a lookup is a bounds check and
-// two loads; over an ECMP fabric it resolves the flow-hash next-hop choices
-// instead (§7.4.1).
+// paths). It reads a topology.PathTable — the graph's own (NewPathOracle),
+// the very table static forwarding reads, or one over explicit paths — and
+// over an ECMP fabric it resolves the flow-hash next-hop choices instead
+// (§7.4.1).
 type PathOracle struct {
-	paths []topology.Path
-	idx   []int32 // src·n+dst → 1 + index into paths; 0 where none was given
-	n     int
+	table topology.PathTable
 	ecmp  *topology.ECMP
 }
 
@@ -249,36 +247,17 @@ func NewECMPPathOracle(e *topology.ECMP) *PathOracle {
 }
 
 // NewPathOracleFromPaths builds an oracle from explicit per-pair paths
-// (e.g. traced from live forwarding tables after a routing change, or the
-// Graph.AllPairsPaths a detector already holds). The table spans n = one
-// more than the largest end ID; a path with a negative end or fewer than two
-// routers is left out, and of two paths with the same ends the later wins.
-// It keeps the paths slice itself, which callers must not mutate afterwards.
+// (e.g. traced from live forwarding tables after a routing change), indexed
+// by topology.NewPathTable, which keeps the paths slice itself: callers
+// must not mutate it afterwards.
 func NewPathOracleFromPaths(paths []topology.Path) *PathOracle {
-	idx, n := pairIndex(paths)
-	return &PathOracle{paths: paths, idx: idx, n: n}
+	return &PathOracle{table: topology.NewPathTable(paths)}
 }
 
-// pairIndex returns the oracle's index over paths and its side n.
-func pairIndex(paths []topology.Path) (idx []int32, n int) {
-	usable := func(p topology.Path) bool { return len(p) >= 2 && p[0] >= 0 && p[len(p)-1] >= 0 }
-	for _, p := range paths {
-		if usable(p) {
-			n = max(n, int(p[0])+1, int(p[len(p)-1])+1)
-		}
-	}
-	idx = make([]int32, n*n)
-	for i, p := range paths {
-		if usable(p) {
-			idx[int(p[0])*n+int(p[len(p)-1])] = int32(i + 1)
-		}
-	}
-	return idx, n
-}
-
-// NewPathOracle precomputes all-pairs deterministic paths.
+// NewPathOracle predicts the graph's stable-state paths: it shares the
+// graph's path table (topology.CSR.Paths) rather than building its own.
 func NewPathOracle(g *topology.Graph) *PathOracle {
-	return NewPathOracleFromPaths(g.AllPairsPaths())
+	return &PathOracle{table: *g.CSR().Paths()}
 }
 
 // Path returns the predicted path src→dst for a flow (nil if unknown). The
@@ -287,13 +266,7 @@ func (o *PathOracle) Path(src, dst packet.NodeID, flow packet.FlowID) topology.P
 	if o.ecmp != nil {
 		return o.ecmp.FlowPath(src, dst, flow)
 	}
-	if src < 0 || dst < 0 || int(src) >= o.n || int(dst) >= o.n {
-		return nil
-	}
-	if i := o.idx[int(src)*o.n+int(dst)]; i > 0 {
-		return o.paths[i-1]
-	}
-	return nil
+	return o.table.Path(src, dst)
 }
 
 // NextHop predicts the router that at forwards p to: the one after at on

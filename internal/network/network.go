@@ -99,8 +99,7 @@ type Network struct {
 	// relaying schedules through the pooled callback path.
 	cbRelay sim.Callback
 
-	nextPacketID  uint64
-	nextControlID uint64
+	nextPacketID uint64
 }
 
 // netTel is the network's resolved instrumentation: all handles are
@@ -220,60 +219,22 @@ func (n *Network) NextPacketID() uint64 {
 
 // InstallShortestPaths sets every router's forwarding function to static
 // shortest-path next hops over the topology as it stands now (ignoring
-// inbound interface). A router computes its table on its first forwarding
-// decision, over the adjacency snapshot taken here: a later topology
-// mutation cannot change what was installed, and a router whose forwarder
-// dynamic routing (internal/routing) replaces first never computes one.
+// inbound interface): router r sends a packet for dst to the second router
+// of r's own path in the snapshot's path table (topology.CSR.Paths), the
+// table the detectors predict paths from. The table is built on the first
+// forwarding decision, over the adjacency snapshot taken here: a later
+// topology mutation cannot change what was installed, and a network whose
+// forwarders dynamic routing (internal/routing) replaces first never
+// builds it.
 func (n *Network) InstallShortestPaths() {
 	c := n.graph.CSR()
 	for _, r := range n.routers {
 		src := r.id
-		var table []packet.NodeID
 		r.SetForwarder(func(p *packet.Packet, _ packet.NodeID) (packet.NodeID, bool) {
-			if table == nil {
-				table = staticTable(c, src)
-			}
-			if uint32(p.Dst) >= uint32(len(table)) {
-				return -1, false
-			}
-			nh := table[p.Dst]
+			nh := c.Paths().NextHop(src, p.Dst)
 			return nh, nh >= 0
 		})
 	}
-}
-
-// staticTable returns src's next hop toward every destination over c (-1
-// for src itself and the unreachable).
-func staticTable(c *topology.CSR, src packet.NodeID) []packet.NodeID {
-	const unresolved = packet.NodeID(-2)
-	parent, _ := c.ShortestPathTree(src)
-	// next[dst] is the child of src that dst hangs under in the tree.
-	// Resolve each by climbing toward src until a node with a known answer,
-	// then hand that answer to everything climbed over: every node is
-	// climbed over once.
-	next := make([]packet.NodeID, len(parent))
-	for v := range next {
-		next[v] = unresolved
-		if parent[v] == -1 || packet.NodeID(v) == src {
-			next[v] = -1
-		}
-	}
-	var climb []packet.NodeID
-	for dst := range next {
-		v := packet.NodeID(dst)
-		climb = climb[:0]
-		for next[v] == unresolved && parent[v] != src {
-			climb = append(climb, v)
-			v = parent[v]
-		}
-		if next[v] == unresolved {
-			next[v] = v
-		}
-		for _, u := range climb {
-			next[u] = next[v]
-		}
-	}
-	return next
 }
 
 // InstallECMP sets every router's forwarding to deterministic hash-based

@@ -2,10 +2,10 @@ package network
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
-	"routerwatch/internal/auth"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/queue"
 	"routerwatch/internal/sim"
@@ -246,7 +246,7 @@ func TestControlMessageDelivery(t *testing.T) {
 	net := lineNet(4, Options{Seed: 1})
 	var got *ControlMessage
 	net.Router(3).HandleControl("summary", func(m *ControlMessage) { got = m })
-	net.SendControl(&ControlMessage{From: 0, To: 3, Kind: "summary", Payload: 42})
+	net.SendControl(&ControlMessage{From: 0, To: 3, Kind: "summary", Payload: 42, Path: topology.Path{0, 1, 2, 3}})
 	net.Run(time.Second)
 	if got == nil {
 		t.Fatal("control message not delivered")
@@ -268,7 +268,7 @@ func TestProtocolFaultyRouterDropsControl(t *testing.T) {
 	net.Router(2).SetBehavior(ctrlDropper{})
 	delivered := false
 	net.Router(3).HandleControl("summary", func(*ControlMessage) { delivered = true })
-	net.SendControl(&ControlMessage{From: 0, To: 3, Kind: "summary"})
+	net.SendControl(&ControlMessage{From: 0, To: 3, Kind: "summary", Path: topology.Path{0, 1, 2, 3}})
 	net.Run(time.Second)
 	if delivered {
 		t.Fatal("control message passed a protocol-faulty router")
@@ -293,21 +293,68 @@ func TestControlExplicitPath(t *testing.T) {
 	if delivered {
 		t.Fatal("pinned path ignored: message should have died at b")
 	}
-	net.SendControl(&ControlMessage{From: a, To: c, Kind: "x"}) // default path is direct
+	net.SendControl(&ControlMessage{From: a, To: c, Kind: "x", Path: topology.Path{a, c}})
 	net.Run(2 * time.Second)
 	if !delivered {
 		t.Fatal("direct control message lost")
 	}
 }
 
+// A single-hop send crosses the one link it names: between routers with
+// none the message is lost, like any unroutable control message.
 func TestSendControlDirectRequiresAdjacency(t *testing.T) {
 	net := lineNet(3, Options{Seed: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-adjacent SendControlDirect did not panic")
-		}
-	}()
-	net.SendControlDirect(0, 2, "x", nil, auth.Signature{})
+	var got []packet.NodeID
+	for _, r := range net.Routers() {
+		r.HandleControl("x", func(m *ControlMessage) { got = append(got, m.From) })
+	}
+	net.SendControlDirect(0, 2, "x", nil)
+	net.SendControlDirect(1, 2, "x", nil)
+	net.Run(time.Second)
+	if !slices.Equal(got, []packet.NodeID{1}) {
+		t.Fatalf("delivered from %v, want only the adjacent sender 1", got)
+	}
+}
+
+// A route the sender writes that does not start at From, end at To and
+// cross a link at every hop is lost like an unreachable destination: no
+// panic, no delivery, and no skipping the routers in between.
+func TestMalformedControlRouteDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		from, to packet.NodeID
+		path     topology.Path
+	}{
+		{"nil-path", 0, 3, nil},
+		{"empty-path", 0, 3, topology.Path{}},
+		{"wrong-first", 0, 3, topology.Path{1, 2, 3}},
+		{"wrong-last", 0, 3, topology.Path{0, 1, 2}},
+		{"skipped-router", 0, 3, topology.Path{0, 2, 3}},
+		{"no-link-back", 0, 3, topology.Path{0, 1, 0, 3}},
+		{"from-out-of-range", 4, 3, topology.Path{4, 3}},
+		{"from-negative", -1, 3, topology.Path{-1, 0, 1, 2, 3}},
+		{"hop-out-of-range", 0, 3, topology.Path{0, 1, math.MaxInt32, 3}},
+		{"to-out-of-range", 0, 4, topology.Path{0, 1, 2, 3, 4}},
+		{"to-negative", 0, -1, topology.Path{0, 1, -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := lineNet(4, Options{Seed: 1})
+			delivered := 0
+			for _, r := range net.Routers() {
+				r.HandleControl("x", func(*ControlMessage) { delivered++ })
+			}
+			net.SendControl(&ControlMessage{From: tc.from, To: tc.to, Kind: "x", Path: tc.path})
+			net.Run(time.Second)
+			if delivered != 0 {
+				t.Fatalf("route %v from %v to %v delivered %d times", tc.path, tc.from, tc.to, delivered)
+			}
+			net.SendControl(&ControlMessage{From: 0, To: 3, Kind: "x", Path: topology.Path{0, 1, 2, 3}})
+			net.Run(2 * time.Second)
+			if delivered != 1 {
+				t.Fatalf("well-formed route delivered %d times, want 1", delivered)
+			}
+		})
+	}
 }
 
 func TestFlowConservationAcrossRouter(t *testing.T) {
@@ -377,12 +424,13 @@ func TestInstallShortestPathsMatchesTreePaths(t *testing.T) {
 	island := g.AddNode("island")
 	net := New(g, Options{Seed: 1})
 	for _, src := range g.Nodes() {
-		parent, _ := g.ShortestPathTree(src)
+		parent, _ := g.CSR().ShortestPathTree(src)
 		fwd := net.Router(src).forwarder
 		for _, dst := range append(g.Nodes(), -1, packet.NodeID(g.NumNodes())) {
 			want := packet.NodeID(-1)
-			if p := topology.PathBetween(parent, src, dst); len(p) >= 2 {
-				want = p[1]
+			if dst >= 0 && int(dst) < len(parent) && dst != src && parent[dst] != -1 {
+				for want = dst; parent[want] != src; want = parent[want] {
+				}
 			}
 			if nh, ok := fwd(&packet.Packet{Dst: dst}, src); nh != want || ok != (want >= 0) {
 				t.Fatalf("%v→%v: next hop %v/%v, want %v", src, dst, nh, ok, want)

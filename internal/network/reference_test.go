@@ -12,7 +12,7 @@ func (n *Network) installShortestPathsEager() {
 	const unresolved = packet.NodeID(-2)
 	var climb []packet.NodeID
 	for _, src := range n.graph.Nodes() {
-		parent, _ := n.graph.ShortestPathTree(src)
+		parent, _ := n.graph.CSR().ShortestPathTree(src)
 		// next[dst] is the child of src that dst hangs under in the tree.
 		// Resolve each by climbing toward src until a node with a known
 		// answer, then hand that answer to everything climbed over: every

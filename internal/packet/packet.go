@@ -88,15 +88,17 @@ type Packet struct {
 
 	Flags Flag
 
+	// TTL decrements per hop and is excluded from the fingerprint. It sits
+	// beside Flags, in the padding before Size, which keeps Packet at 64
+	// bytes (TestPacketSize).
+	TTL uint8
+
 	// Size is the wire size in bytes (headers + payload).
 	Size int
 
 	// Payload is a compact stand-in for packet contents; a corrupting
 	// router changes it, which changes the fingerprint.
 	Payload uint64
-
-	// TTL decrements per hop and is excluded from the fingerprint.
-	TTL uint8
 
 	// SentAt is the virtual time the packet was first transmitted by its
 	// source; used for end-to-end latency metrics only.

@@ -3,7 +3,17 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// Every simulated packet is a Packet, served by the Arena 256 at a time: at
+// 64 bytes one is a cache line. TTL sits beside Flags in the padding before
+// Size; after Payload it cost a second 8-byte pad (72 bytes).
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 64", got)
+	}
+}
 
 func samplePacket() *Packet {
 	return &Packet{

@@ -45,8 +45,9 @@ type Env interface {
 	// Hasher returns the network-wide packet fingerprint function.
 	Hasher() packet.Hasher
 
-	// SendControl transmits a control-plane message (summaries, batches),
-	// optionally pinned to a path.
+	// SendControl transmits a control-plane message (summaries, batches)
+	// along the path it names; Graph().CSR().Paths() holds the
+	// stable-state route between any two routers.
 	SendControl(m *network.ControlMessage)
 	// HandleControl registers a control-message handler at a router.
 	HandleControl(at packet.NodeID, kind string, h func(*network.ControlMessage))

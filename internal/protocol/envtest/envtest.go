@@ -187,6 +187,7 @@ func testControl(t *testing.T, f Factory) {
 	env.At(time.Millisecond, func() {
 		env.SendControl(&network.ControlMessage{
 			From: from, To: to, Kind: "envtest/ping", Payload: "pong",
+			Path: env.Graph().CSR().Paths().Path(from, to),
 		})
 	})
 	b.Run(time.Second)
@@ -256,6 +257,7 @@ func testDeterminism(t *testing.T, f Factory) {
 		env.At(time.Millisecond, func() {
 			env.SendControl(&network.ControlMessage{
 				From: nodes[0], To: last, Kind: "envtest/d", Payload: "x",
+				Path: env.Graph().CSR().Paths().Path(nodes[0], last),
 			})
 			env.Flood().Flood(last, "envtest/topic", "i", []byte("y"))
 		})

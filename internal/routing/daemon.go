@@ -218,7 +218,7 @@ func (d *Daemon) flood(kind string, payload any, except packet.NodeID) {
 		if nb == except {
 			continue
 		}
-		d.proto.net.SendControlDirect(d.id, nb, kind, payload, auth.Signature{})
+		d.proto.net.SendControlDirect(d.id, nb, kind, payload)
 	}
 }
 

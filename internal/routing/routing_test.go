@@ -229,7 +229,7 @@ func TestForgedAlertSignatureRejected(t *testing.T) {
 	}
 	forged.Sig.Signer = den // lie about the signer
 	for _, nb := range g.Neighbors(sea) {
-		net.SendControlDirect(sea, nb, KindAlert, forged, forged.Sig)
+		net.SendControlDirect(sea, nb, KindAlert, forged)
 	}
 	net.Run(net.Now() + 5*time.Second)
 	for _, d := range proto.Daemons() {

@@ -28,7 +28,6 @@ import (
 	"sort"
 	"time"
 
-	"routerwatch/internal/auth"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/runner"
@@ -143,7 +142,7 @@ func (d *Daemon) flushPending() {
 	b := &LSABundle{LSAs: d.pending}
 	d.pending = nil
 	for _, nb := range d.proto.net.Graph().Neighbors(d.id) {
-		d.proto.net.SendControlDirect(d.id, nb, KindLSABundle, b, auth.Signature{})
+		d.proto.net.SendControlDirect(d.id, nb, KindLSABundle, b)
 	}
 }
 

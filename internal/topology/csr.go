@@ -7,10 +7,14 @@ import "routerwatch/internal/packet"
 // edge indices enumerate the directed links in (from, to) order. It is the
 // read-only form every shortest-path kernel iterates: Graph.CSR caches one
 // per graph, and internal/routing builds one per recompute from its LSDB.
+// Paths caches on the CSR, so an adjacency rebuilt in place (routing's)
+// must never ask for it.
 type CSR struct {
 	Off  []int32
 	To   []packet.NodeID
 	Cost []int64
+
+	paths *PathTable // Paths, built on first use
 }
 
 // NumNodes returns the number of nodes the adjacency covers.

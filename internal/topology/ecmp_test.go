@@ -76,8 +76,7 @@ func TestECMPPathsAreShortest(t *testing.T) {
 	g := Generate(GeneratorSpec{Name: "t", Nodes: 40, Links: 80, MaxDegree: 8, Seed: 2})
 	e := NewECMP(g, 3, 4)
 	for _, src := range g.Nodes()[:10] {
-		parent, dist := g.ShortestPathTree(src)
-		_ = parent
+		_, dist := g.CSR().ShortestPathTree(src)
 		for _, dst := range g.Nodes() {
 			if src == dst {
 				continue

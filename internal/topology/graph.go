@@ -349,13 +349,6 @@ func (g *Graph) RemoveLink(from, to packet.NodeID) {
 // ---------------------------------------------------------------------------
 // Shortest paths
 
-// ShortestPathTree computes a deterministic single-source shortest path tree
-// from src using link costs; see CSR.ShortestPathTree, which it runs over
-// the graph's cached adjacency.
-func (g *Graph) ShortestPathTree(src packet.NodeID) (parent []packet.NodeID, dist []int64) {
-	return g.CSR().ShortestPathTree(src)
-}
-
 // Path is a sequence of adjacent routers (§4.1). The first router is the
 // source, the last the sink.
 type Path []packet.NodeID
@@ -377,71 +370,4 @@ func (p Path) Contains(r packet.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// appendPath appends the path src→dst from a shortest-path tree parent
-// array onto b and returns the extended slice; on an unreachable dst it
-// returns b unchanged. AllPairsPaths uses it to pack every path into
-// shared arena chunks instead of one heap object per pair.
-func appendPath(b Path, parent []packet.NodeID, src, dst packet.NodeID) Path {
-	if int(dst) < 0 || int(dst) >= len(parent) || parent[dst] == -1 {
-		return b
-	}
-	start := len(b)
-	for v := dst; ; v = parent[v] {
-		b = append(b, v)
-		if v == src {
-			break
-		}
-		if parent[v] == -1 || parent[v] == v {
-			return b[:start]
-		}
-	}
-	// Reverse the appended tail in place.
-	for i, j := start, len(b)-1; i < j; i, j = i+1, j-1 {
-		b[i], b[j] = b[j], b[i]
-	}
-	return b
-}
-
-// PathBetween extracts the path src→dst from a shortest-path tree parent
-// array (as produced by ShortestPathTree with source src). Returns nil if
-// dst is unreachable.
-func PathBetween(parent []packet.NodeID, src, dst packet.NodeID) Path {
-	p := appendPath(nil, parent, src, dst)
-	if len(p) == 0 {
-		return nil
-	}
-	return p
-}
-
-// AllPairsPaths computes the deterministic routing path between every
-// ordered pair of routers. The returned paths share arena-backed storage;
-// callers must not append to or mutate them.
-func (g *Graph) AllPairsPaths() []Path {
-	n := g.NumNodes()
-	out := make([]Path, 0, n*(n-1))
-	c := g.CSR()
-	var s sptScratch
-	var arena Path
-	for src := 0; src < n; src++ {
-		s.run(c, packet.NodeID(src))
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			// A path visits at most n nodes; keep that much headroom so
-			// one path never straddles two chunks. A small graph's n(n-1)
-			// paths do not need a full chunk.
-			if cap(arena)-len(arena) < n {
-				arena = make(Path, 0, min(segArenaChunk, n*n)+n)
-			}
-			start := len(arena)
-			arena = appendPath(arena, s.parent, packet.NodeID(src), packet.NodeID(dst))
-			if len(arena) > start {
-				out = append(out, arena[start:len(arena):len(arena)])
-			}
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,8 +26,8 @@ func TestAbilenePrimaryPath(t *testing.T) {
 	g := Abilene()
 	sunny, _ := g.Lookup("Sunnyvale")
 	ny, _ := g.Lookup("NewYork")
-	parent, dist := g.ShortestPathTree(sunny)
-	p := PathBetween(parent, sunny, ny)
+	_, dist := g.CSR().ShortestPathTree(sunny)
+	p := g.CSR().Paths().Path(sunny, ny)
 	want := []string{"Sunnyvale", "Denver", "KansasCity", "Indianapolis", "Chicago", "NewYork"}
 	if len(p) != len(want) {
 		t.Fatalf("path %v, want %v", p, want)
@@ -51,8 +52,8 @@ func TestAbileneAlternatePathAfterExclusion(t *testing.T) {
 	}
 	sunny, _ := g.Lookup("Sunnyvale")
 	ny, _ := g.Lookup("NewYork")
-	parent, dist := g.ShortestPathTree(sunny)
-	p := PathBetween(parent, sunny, ny)
+	_, dist := g.CSR().ShortestPathTree(sunny)
+	p := g.CSR().Paths().Path(sunny, ny)
 	want := []string{"Sunnyvale", "LosAngeles", "Houston", "Atlanta", "Washington", "NewYork"}
 	if len(p) != len(want) {
 		t.Fatalf("alternate path %v, want %v", p, want)
@@ -85,9 +86,8 @@ func TestSimpleChi(t *testing.T) {
 	}
 	// Every source routes to every sink through r then rd.
 	for _, s := range st.Sources {
-		parent, _ := g.ShortestPathTree(s)
 		for _, sink := range st.Sinks {
-			p := PathBetween(parent, s, sink)
+			p := g.CSR().Paths().Path(s, sink)
 			if len(p) != 4 || p[1] != st.R || p[2] != st.RD {
 				t.Fatalf("source %v to sink %v path %v, want s->r->rd->t", s, sink, p)
 			}
@@ -100,8 +100,7 @@ func TestLine(t *testing.T) {
 	if g.NumNodes() != 5 || g.NumDuplexLinks() != 4 {
 		t.Fatalf("Line(5): %d nodes, %d links", g.NumNodes(), g.NumDuplexLinks())
 	}
-	parent, _ := g.ShortestPathTree(0)
-	p := PathBetween(parent, 0, 4)
+	p := g.CSR().Paths().Path(0, 4)
 	if len(p) != 5 {
 		t.Fatalf("line path %v", p)
 	}
@@ -159,9 +158,11 @@ func TestPathBetweenUnreachable(t *testing.T) {
 	g := NewGraph()
 	a := g.AddNode("a")
 	b := g.AddNode("b")
-	parent, _ := g.ShortestPathTree(a)
-	if p := PathBetween(parent, a, b); p != nil {
+	if p := g.CSR().Paths().Path(a, b); p != nil {
 		t.Fatalf("unreachable node produced path %v", p)
+	}
+	if nh := g.CSR().Paths().NextHop(a, b); nh != -1 {
+		t.Fatalf("unreachable node has next hop %v", nh)
 	}
 }
 
@@ -338,6 +339,46 @@ func TestAddLinkPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// §4.1, "a router can predict the path that a packet will take in the
+// stable state", holds for the path table only if each router on a path
+// forwards the packet along the rest of it: the tail of every path from
+// router r on must be r's own path to the same destination. Static
+// forwarding at r reads r's own path (PathTable.NextHop), so this is what
+// makes it follow every prediction hop for hop.
+func TestPathTableTailsArePaths(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		graph func() *Graph
+	}{
+		{"abilene", Abilene},
+		{"line5", func() *Graph { return Line(5) }},
+		{"simplechi-12-2", func() *Graph { return SimpleChi(12, 2).Graph }},
+		{"isp-100-4-7", func() *Graph { return ISP(ISPSpec{Nodes: 100, PoPs: 4, Seed: 7}) }},
+		{"isp-500-20-7", func() *Graph { return ISP(ISPSpec{Nodes: 500, PoPs: 20, Seed: 7}) }},
+		{"sprintlink", func() *Graph { return Generate(SprintlinkSpec()) }},
+		{"ebone", func() *Graph { return Generate(EBONESpec()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.graph()
+			table := g.CSR().Paths()
+			if n := g.NumNodes(); len(table.All()) != n*(n-1) {
+				t.Fatalf("%d paths over %d connected routers, want %d", len(table.All()), n, n*(n-1))
+			}
+			tails := 0
+			for _, p := range table.All() {
+				dst := p[len(p)-1]
+				for i := 1; i+1 < len(p); i++ {
+					if own := table.Path(p[i], dst); !slices.Equal(own, p[i:]) {
+						t.Fatalf("path %v: the tail from %v is not its own path %v", p, p[i], own)
+					}
+					tails++
+				}
+			}
+			t.Logf("%d tails, each its router's own path", tails)
+		})
 	}
 }
 
