@@ -152,7 +152,11 @@ scale-smoke:
 # (49.0 MB / 269 k today; 2.3 MB more with a control message carrying an ID
 # and a transport signature nothing read; 86.7 MB / 338 k with eager static
 # tables, map LSDBs, per-source Dijkstra buffers, a copied path table and
-# eagerly seeded RNGs).
+# eagerly seeded RNGs). And the run heap budget (TestRunAllocBudget):
+# chi-tcp and mesh-forward, run end to end through protocol.Run, must
+# allocate at most 20 MB and 46 MB (17.1 and 41.5 MB today; 64.0 and
+# 67.1 MB when every packet was fresh memory, and chi-tcp 30.4 MB with the
+# packet pool but χ batches grown by append doubling).
 budget-smoke:
 	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json > budget-smoke-plain.txt
 	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json -metrics - \
@@ -167,7 +171,7 @@ budget-smoke:
 		      printf "budget smoke: %d summaries / %d segment-rounds = %.2f per round (limit 0.25)\n", sum, rounds, sum / rounds; \
 		      exit !(sum / rounds <= 0.25) }' budget-smoke-metrics.prom
 	@rm -f budget-smoke-plain.txt budget-smoke-metrics.txt budget-smoke-metrics.prom
-	$(GO) test ./internal/protocol/catalog/ -run '^TestAssembleAllocBudget$$' -count=1 -v
+	$(GO) test ./internal/protocol/catalog/ -run '^(TestAssembleAllocBudget|TestRunAllocBudget)$$' -count=1 -v
 
 figures:
 	$(GO) run ./cmd/figures

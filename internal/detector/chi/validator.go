@@ -223,6 +223,13 @@ func (r *reporter) onEvent(ev network.Event) {
 func (r *reporter) flush(n int) {
 	boundary := time.Duration(n+1) * r.v.p.opts.Round
 	b := &Batch{Queue: r.v.q, Reporter: r.rs, Round: n}
+	due := 0
+	for _, ts := range r.pending.TSs {
+		if ts < boundary {
+			due++
+		}
+	}
+	b.Pkts.Grow(due)
 	r.carry.Reset()
 	for i := 0; i < r.pending.Len(); i++ {
 		if r.pending.TSs[i] < boundary {

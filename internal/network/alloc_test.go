@@ -11,7 +11,9 @@ import (
 // (pools primed, heap and queue backing arrays grown), forwarding a packet
 // across a router — receive, route, queue, transmit, deliver — allocates
 // nothing. Neither does a burst that queues behind a busy line: the drain
-// event is a callback bound once per interface.
+// event is a callback bound once per interface. Nor, in steady state, does
+// the packet itself when it comes from NewPacket: delivery hands it back
+// and the next send reuses it.
 func TestForwardAllocFree(t *testing.T) {
 	net := lineNet(3, Options{Seed: 1})
 	delivered := 0
@@ -31,6 +33,21 @@ func TestForwardAllocFree(t *testing.T) {
 	}
 	if delivered < runs {
 		t.Fatalf("delivered %d packets, want at least %d", delivered, runs)
+	}
+
+	pooled := func() {
+		p := net.NewPacket()
+		p.Dst, p.Size, p.Flow = 2, 1000, 1
+		net.Inject(0, p)
+		net.Run(net.Now() + time.Second)
+	}
+	pooled()
+	delivered = 0
+	if n := testing.AllocsPerRun(runs, pooled); n != 0 {
+		t.Errorf("inject → deliver of a NewPacket allocates %v per packet, want 0", n)
+	}
+	if delivered < runs {
+		t.Fatalf("delivered %d pooled packets, want at least %d", delivered, runs)
 	}
 
 	var burst [8]packet.Packet

@@ -57,6 +57,9 @@ type Event struct {
 	Time   time.Duration
 	Router packet.NodeID
 	Kind   EventKind
+	// Packet is live only for the tap call: a pooled packet is reused after
+	// its last event (Network.NewPacket), so a tap that needs it later keeps
+	// a Clone, never the pointer.
 	Packet *packet.Packet
 	// Peer is the other router involved: upstream neighbor for
 	// EvReceive/EvDeliver, downstream neighbor for EvEnqueue/EvDequeue and

@@ -100,6 +100,10 @@ type Network struct {
 	cbRelay sim.Callback
 
 	nextPacketID uint64
+
+	// pool serves NewPacket; the network frees a pooled packet after its
+	// last event (delivery, a drop, an attacker's silent ActDrop).
+	pool packet.Arena
 }
 
 // netTel is the network's resolved instrumentation: all handles are
@@ -217,6 +221,14 @@ func (n *Network) NextPacketID() uint64 {
 	return n.nextPacketID
 }
 
+// NewPacket returns a zeroed packet from the network's pool, for Inject.
+// The network takes it back after its last event — once the local handler
+// has returned on delivery, once the EvDrop taps have run on a TTL,
+// no-route or queue drop, or when a Behavior drops it silently — and hands
+// it out again, so nothing may keep the pointer past that: a tap, local
+// handler or Behavior that needs the packet later keeps a Clone.
+func (n *Network) NewPacket() *packet.Packet { return n.pool.New() }
+
 // InstallShortestPaths sets every router's forwarding function to static
 // shortest-path next hops over the topology as it stands now (ignoring
 // inbound interface): router r sends a packet for dst to the second router
@@ -251,7 +263,9 @@ func (n *Network) InstallECMP(e *topology.ECMP) {
 
 // Inject originates a packet at router src toward p.Dst. The packet gets an
 // ID, TTL and send timestamp if unset. Injection models traffic from a host
-// behind the (good, per §2.1.4) terminal router.
+// behind the (good, per §2.1.4) terminal router. A packet from NewPacket is
+// reused after its last event, so the caller must not touch it once Inject
+// returns; a packet built any other way is never reused.
 func (n *Network) Inject(src packet.NodeID, p *packet.Packet) {
 	if p.ID == 0 {
 		p.ID = n.NextPacketID()

@@ -60,7 +60,9 @@ const (
 // have a nil Behavior.
 type Behavior interface {
 	// OnForward is consulted for every data packet the router is about to
-	// enqueue toward next.
+	// enqueue toward next. It must not keep p after it returns: a pooled
+	// packet is reused after its last event (Network.NewPacket), so a
+	// Behavior that needs the packet later keeps a Clone.
 	OnForward(rv *RouterView, p *packet.Packet, next packet.NodeID) Verdict
 	// OnControl is consulted for every transiting control message.
 	OnControl(rv *RouterView, m *ControlMessage) ControlVerdict
@@ -197,7 +199,8 @@ func (r *Router) SetBehavior(b Behavior) { r.behavior = b }
 func (r *Router) Behavior() Behavior { return r.behavior }
 
 // SetLocalHandler registers the host stack invoked for packets destined to
-// this router.
+// this router. The handler must not keep the packet after it returns: the
+// network reuses a pooled packet once delivery is over (Network.NewPacket).
 func (r *Router) SetLocalHandler(h func(*packet.Packet)) { r.localHandler = h }
 
 // HandleControl registers the handler for control messages of the given
@@ -211,7 +214,8 @@ func (r *Router) HandleControl(kind string, h func(*ControlMessage)) {
 }
 
 // AddTap registers an observer of this router's local packet events.
-// Detectors attach here; each router only ever observes its own events.
+// Detectors attach here; each router only ever observes its own events. A
+// tap must not keep Event.Packet after it returns (see Event.Packet).
 func (r *Router) AddTap(tap func(Event)) { r.taps = append(r.taps, tap) }
 
 // InjectTransit hands a packet directly to the router's forwarding path as
@@ -286,11 +290,12 @@ func (r *Router) forward(p *packet.Packet, from packet.NodeID) {
 		if r.localHandler != nil {
 			r.localHandler(p)
 		}
+		r.net.pool.Free(p)
 		return
 	}
 	if from != r.id { // transit traffic decrements TTL
 		if p.TTL <= 1 {
-			r.emit(Event{Kind: EvDrop, Packet: p, Reason: queue.DropTTL, Peer: from})
+			r.drop(Event{Packet: p, Reason: queue.DropTTL, Peer: from})
 			return
 		}
 		p.TTL--
@@ -300,7 +305,7 @@ func (r *Router) forward(p *packet.Packet, from packet.NodeID) {
 	}
 	next, ok := r.forwarder(p, from)
 	if !ok {
-		r.emit(Event{Kind: EvDrop, Packet: p, Reason: queue.DropNoRoute, Peer: from})
+		r.drop(Event{Packet: p, Reason: queue.DropNoRoute, Peer: from})
 		return
 	}
 
@@ -311,6 +316,7 @@ func (r *Router) forward(p *packet.Packet, from packet.NodeID) {
 			// Malicious drops are silent: no tap event. The compromised
 			// router does not advertise its crime; detection must come
 			// from other routers' observations.
+			r.net.pool.Free(p)
 			return
 		case ActDivert:
 			if v.NewNext >= 0 {
@@ -330,10 +336,18 @@ func (r *Router) forward(p *packet.Packet, from packet.NodeID) {
 func (r *Router) transmit(p *packet.Packet, next packet.NodeID) {
 	ifc := r.ifaces[next]
 	if ifc == nil {
-		r.emit(Event{Kind: EvDrop, Packet: p, Reason: queue.DropNoRoute, Peer: next})
+		r.drop(Event{Packet: p, Reason: queue.DropNoRoute, Peer: next})
 		return
 	}
 	ifc.enqueue(p)
+}
+
+// drop ends ev.Packet's life at this router: the EvDrop taps see it, then
+// the pool takes it back.
+func (r *Router) drop(ev Event) {
+	ev.Kind = EvDrop
+	r.emit(ev)
+	r.net.pool.Free(ev.Packet)
 }
 
 // iface is one output interface: a queue draining onto a link. The line is
@@ -371,7 +385,7 @@ func (i *iface) enqueue(p *packet.Packet) {
 	}
 	reason := i.q.Enqueue(p, now)
 	if reason != queue.DropNone {
-		i.r.emit(Event{Kind: EvDrop, Packet: p, Reason: reason, Peer: i.link.To, QueueBytes: i.q.Bytes()})
+		i.r.drop(Event{Packet: p, Reason: reason, Peer: i.link.To, QueueBytes: i.q.Bytes()})
 		return
 	}
 	i.r.emit(Event{Kind: EvEnqueue, Packet: p, Peer: i.link.To, QueueBytes: i.q.Bytes()})

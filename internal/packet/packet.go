@@ -93,6 +93,10 @@ type Packet struct {
 	// bytes (TestPacketSize).
 	TTL uint8
 
+	// pooled marks a packet an Arena handed out and has not taken back.
+	// It shares TTL's padding, so Packet stays 64 bytes.
+	pooled bool
+
 	// Size is the wire size in bytes (headers + payload).
 	Size int
 
@@ -106,9 +110,11 @@ type Packet struct {
 }
 
 // Clone returns a copy of the packet. Routers that modify packets (either
-// legitimately, e.g. TTL, or maliciously) operate on their own copy.
+// legitimately, e.g. TTL, or maliciously) operate on their own copy. The
+// copy belongs to the caller: it is never pooled, whatever the original.
 func (p *Packet) Clone() *Packet {
 	q := *p
+	q.pooled = false
 	return &q
 }
 
@@ -116,27 +122,53 @@ func (p *Packet) Clone() *Packet {
 // so a chunk is never scanned by the collector.
 const arenaChunk = 256
 
-// Arena hands out zeroed Packets in chunks, amortizing one heap allocation
-// over arenaChunk packets. Traffic sources on the simulation hot path
-// allocate millions of packets per run; serving them from chunks removes
-// the per-packet allocation and the mark work it generates. Packets are
-// never recycled — a chunk is reclaimed by the collector when every packet
-// in it is dead — so an Arena imposes no lifetime protocol on its callers
-// beyond ordinary garbage collection.
+// Arena is a packet pool. New hands out a zeroed Packet, reusing one that
+// Free took back if there is any and otherwise carving it from a chunk of
+// arenaChunk packets, so one heap allocation serves a chunk and a run's
+// packet memory scales with the packets alive at once, not with every
+// packet it ever sent. Free takes back only packets an Arena handed out (a
+// packet built as a literal or by Clone is never reused), and only once:
+// it clears the pooled mark, so a second Free of the same packet is a
+// no-op and a packet is never handed out twice.
 //
-// An Arena is single-goroutine, like the scheduler that drives its callers.
+// Whoever frees a packet decides its lifetime: a pointer kept past the Free
+// sees the packet zeroed and refilled by a later New. network.Network owns
+// the one pool of a simulation and frees a packet after its last event.
+//
+// The free list is LIFO and an Arena is single-goroutine, like the
+// scheduler that drives its callers, so which packet New returns is a pure
+// function of the call sequence.
 type Arena struct {
 	chunk []Packet
+	free  []*Packet
 }
 
-// New returns a pointer to a zeroed Packet.
+// New returns a pointer to a zeroed pooled Packet.
 func (a *Arena) New() *Packet {
-	if len(a.chunk) == 0 {
-		a.chunk = make([]Packet, arenaChunk)
+	var p *Packet
+	if n := len(a.free); n > 0 {
+		p = a.free[n-1]
+		a.free = a.free[:n-1]
+		*p = Packet{}
+	} else {
+		if len(a.chunk) == 0 {
+			a.chunk = make([]Packet, arenaChunk)
+		}
+		p = &a.chunk[0]
+		a.chunk = a.chunk[1:]
 	}
-	p := &a.chunk[0]
-	a.chunk = a.chunk[1:]
+	p.pooled = true
 	return p
+}
+
+// Free hands p back for reuse if an Arena handed it out and it has not
+// been freed since; otherwise it does nothing.
+func (a *Arena) Free(p *Packet) {
+	if !p.pooled {
+		return
+	}
+	p.pooled = false
+	a.free = append(a.free, p)
 }
 
 // Fingerprint is a 64-bit keyed digest of a packet's invariant content.

@@ -55,3 +55,45 @@ func TestAssembleAllocBudget(t *testing.T) {
 			mb, allocs, budgetMB, budgetAllocs)
 	}
 }
+
+// A run allocates for the packets in flight, not for every packet it sent
+// (DESIGN.md "Hot path"): the network reuses a packet after its last event,
+// and a χ batch is allocated once at its final size. chi-tcp and
+// mesh-forward, read in place and run through protocol.Run end to end, must
+// stay within their heap budgets. chi-tcp read 64.0 MB when every packet
+// was fresh memory and batches grew by doubling, 30.4 MB with the pool
+// alone and 17.1 MB with both; mesh-forward read 67.1 MB before the pool
+// and 41.5 MB with it, most of the rest being Πk+2's fingerprint lanes.
+func TestRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates the heap the budget measures")
+	}
+	for _, tc := range []struct {
+		workload string
+		budgetMB float64
+	}{
+		{"chi-tcp", 20},
+		{"mesh-forward", 46},
+	} {
+		t.Run(tc.workload, func(t *testing.T) {
+			path := "../../../bench/workloads/" + tc.workload + ".json"
+			data, err := os.ReadFile(path)
+			spec, decodeErr := protocol.DecodeSpec(data)
+			if err = errors.Join(err, decodeErr); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if _, err := protocol.Run(spec, protocol.RunOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+			t.Logf("%s: %.2f MB in %d allocations", tc.workload, mb, after.Mallocs-before.Mallocs)
+			if mb > tc.budgetMB {
+				t.Errorf("%s allocated %.2f MB, budget %.0f MB", tc.workload, mb, tc.budgetMB)
+			}
+		})
+	}
+}

@@ -324,7 +324,6 @@ func attackSelector(name string, flows []packet.FlowID) (attack.Selector, error)
 // and order then match the historical bidirectional harnesses exactly.
 func scheduleTraffic(net *network.Network, spec *Spec, base time.Duration) error {
 	sched := net.Scheduler()
-	arena := &packet.Arena{}
 	for ti := range spec.Traffic {
 		t := &spec.Traffic[ti]
 		size := t.Size
@@ -337,7 +336,7 @@ func scheduleTraffic(net *network.Network, spec *Spec, base time.Duration) error
 			for i := 0; i < t.Count; i++ {
 				i := i
 				sched.At(base+time.Duration(i)*t.Interval.D()+t.Offset.D(), func() {
-					p := arena.New()
+					p := net.NewPacket()
 					p.Dst, p.Size, p.Flow = dst, size, t.Flow
 					p.Seq, p.Payload = uint32(i), uint64(i)
 					net.Inject(src, p)
@@ -347,18 +346,18 @@ func scheduleTraffic(net *network.Network, spec *Spec, base time.Duration) error
 			for i := 0; i < t.Count; i++ {
 				i := i
 				sched.At(base+time.Duration(i)*t.Interval.D()+t.Offset.D(), func() {
-					p := arena.New()
+					p := net.NewPacket()
 					p.Dst, p.Size, p.Flow = dst, size, t.Flow
 					p.Seq, p.Payload = uint32(i), uint64(i)
 					net.Inject(src, p)
-					q := arena.New()
+					q := net.NewPacket()
 					q.Dst, q.Size, q.Flow = src, size, t.ReverseFlow
 					q.Seq, q.Payload = uint32(i), uint64(i)
 					net.Inject(dst, q)
 				})
 			}
 		case "mesh":
-			scheduleMesh(net, spec, t, ti, arena, base, size)
+			scheduleMesh(net, spec, t, ti, base, size)
 		default:
 			return fmt.Errorf("unknown traffic kind %q", t.Kind)
 		}
@@ -371,7 +370,7 @@ func scheduleTraffic(net *network.Network, spec *Spec, base time.Duration) error
 // (never from the network's streams, so a mesh cannot shift unrelated
 // draws). Each flow is one self-rechaining event — a 1000-pair ×
 // 1000-packet mesh keeps only 1000 events pending instead of a million.
-func scheduleMesh(net *network.Network, spec *Spec, t *TrafficSpec, ti int, arena *packet.Arena, base time.Duration, size int) {
+func scheduleMesh(net *network.Network, spec *Spec, t *TrafficSpec, ti int, base time.Duration, size int) {
 	sched := net.Scheduler()
 	pairs := t.Pairs
 	if pairs == 0 {
@@ -393,7 +392,7 @@ func scheduleMesh(net *network.Network, spec *Spec, t *TrafficSpec, ti int, aren
 		i := 0
 		var tick func()
 		tick = func() {
-			p := arena.New()
+			p := net.NewPacket()
 			p.Dst, p.Size, p.Flow = dst, size, flow
 			p.Seq, p.Payload = uint32(i), uint64(i)
 			net.Inject(src, p)

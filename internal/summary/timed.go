@@ -1,9 +1,10 @@
 package summary
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"routerwatch/internal/packet"
@@ -43,6 +44,15 @@ func (t *TimedFP) Reset() {
 	t.Sizes = t.Sizes[:0]
 	t.TSs = t.TSs[:0]
 	t.Flows = t.Flows[:0]
+}
+
+// Grow makes room for n more records in every lane, so the next n appends
+// allocate nothing.
+func (t *TimedFP) Grow(n int) {
+	t.FPs = slices.Grow(t.FPs, n)
+	t.Sizes = slices.Grow(t.Sizes, n)
+	t.TSs = slices.Grow(t.TSs, n)
+	t.Flows = slices.Grow(t.Flows, n)
 }
 
 // Append adds one record.
@@ -93,7 +103,7 @@ func (t *TimedFP) StableSortByTS() {
 		order[i] = i
 	}
 	ts := t.TSs
-	sort.SliceStable(order, func(i, j int) bool { return ts[order[i]] < ts[order[j]] })
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(ts[i], ts[j]) })
 	for i, src := range order {
 		for src < i {
 			src = order[src]
@@ -139,6 +149,7 @@ func DecodeTimedFP(data []byte) (*TimedFP, error) {
 		return nil, fmt.Errorf("%w: timed length %d not a multiple of %d", ErrCodec, len(data), TimedRecordLen)
 	}
 	t := &TimedFP{}
+	t.Grow(len(data) / TimedRecordLen)
 	for i := 0; i < len(data); i += TimedRecordLen {
 		t.Append(
 			packet.Fingerprint(binary.BigEndian.Uint64(data[i:])),

@@ -66,11 +66,17 @@ func randRecs(rng *rand.Rand, n int) []rec {
 }
 
 // TestStableSortByTS compares the lane sort against a reference stable sort
-// of an array-of-structs copy, which pins the tie-break order.
+// of an array-of-structs copy, which pins the tie-break order: on batches
+// of a χ round's size, where thousands of records share each of the five
+// timestamps, and on 50 short ones.
 func TestStableSortByTS(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		recs := randRecs(rng, rng.Intn(40))
+	lens := []int{100, 1000, 4097}
+	for range 50 {
+		lens = append(lens, rng.Intn(40))
+	}
+	for trial, n := range lens {
+		recs := randRecs(rng, n)
 		var b TimedFP
 		for _, r := range recs {
 			b.Append(r.fp, r.size, r.ts, r.flow)
@@ -87,6 +93,39 @@ func TestStableSortByTS(t *testing.T) {
 				t.Fatalf("trial %d record %d: got %+v want %+v", trial, i, got, w)
 			}
 		}
+	}
+}
+
+// TestTimedFPGrow: after Grow(n), n appends allocate nothing, and
+// DecodeTimedFP allocates as much for a thousand records as for one — each
+// lane once, at its final size.
+func TestTimedFPGrow(t *testing.T) {
+	const n = 1000
+	var b TimedFP
+	grow := func() {
+		b = TimedFP{}
+		b.Grow(n)
+	}
+	grown := testing.AllocsPerRun(10, grow)
+	filled := testing.AllocsPerRun(10, func() {
+		grow()
+		for i := range n {
+			b.Append(packet.Fingerprint(i), int32(i), time.Duration(i), packet.FlowID(i))
+		}
+	})
+	if filled != grown {
+		t.Errorf("%d appends after Grow(%d) allocated %v times, want 0", n, n, filled-grown)
+	}
+	decode := func(enc []byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := DecodeTimedFP(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	enc := b.AppendEncode(nil)
+	if one, all := decode(enc[:TimedRecordLen]), decode(enc); all != one {
+		t.Errorf("DecodeTimedFP allocates %v times for %d records, %v for one", all, n, one)
 	}
 }
 

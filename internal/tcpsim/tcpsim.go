@@ -27,11 +27,6 @@ type Manager struct {
 	nextFlow packet.FlowID
 	rng      interface{ Float64() float64 }
 	hosts    map[packet.NodeID]bool
-
-	// arena serves all packets the manager's sources inject; the per-packet
-	// allocation would otherwise dominate the heap profile of the §6.4
-	// experiments.
-	arena packet.Arena
 }
 
 // NewManager returns a Manager over the network.
@@ -205,7 +200,7 @@ func (f *Flow) sendSYN() {
 	} else {
 		f.Stats.SynRetries++
 	}
-	p := f.m.arena.New()
+	p := f.m.net.NewPacket()
 	p.Dst, p.Flow, p.Flags = f.cfg.Dst, f.id, packet.FlagSYN
 	p.Size, p.Payload = 40, uint64(f.id)<<32|0x5359
 	f.m.net.Inject(f.cfg.Src, p)
@@ -229,7 +224,7 @@ func (f *Flow) receiverHandle(p *packet.Packet) {
 	switch {
 	case p.Flags.Has(packet.FlagSYN):
 		// SYN → SYN|ACK.
-		reply := f.m.arena.New()
+		reply := f.m.net.NewPacket()
 		reply.Dst, reply.Flow, reply.Flags = f.cfg.Src, f.id, packet.FlagSYN|packet.FlagACK
 		reply.Size, reply.Payload = 40, uint64(f.id)<<32|0x53414b
 		f.m.net.Inject(f.cfg.Dst, reply)
@@ -246,7 +241,7 @@ func (f *Flow) receiverHandle(p *packet.Packet) {
 		}
 		f.Stats.Delivered = int(f.rcvNxt)
 		f.Stats.LastDeliverAt = f.now()
-		ack := f.m.arena.New()
+		ack := f.m.net.NewPacket()
 		ack.Dst, ack.Flow, ack.Flags = f.cfg.Src, f.id, packet.FlagACK
 		ack.Ack, ack.Size = f.rcvNxt, 40
 		ack.Payload = uint64(f.rcvNxt)<<8 | uint64(p.Seq&0xff)<<40
@@ -342,7 +337,7 @@ func (f *Flow) pump() {
 }
 
 func (f *Flow) sendData(seq uint32, isRetx bool) {
-	p := f.m.arena.New()
+	p := f.m.net.NewPacket()
 	p.Dst, p.Flow, p.Seq, p.Size = f.cfg.Dst, f.id, seq, mss
 	p.Payload = uint64(f.id)<<32 | uint64(seq)
 	if isRetx {
@@ -408,7 +403,7 @@ func (m *Manager) StartCBR(src, dst packet.NodeID, rate int64, pktSize int, star
 			return
 		}
 		seq++
-		p := m.arena.New()
+		p := m.net.NewPacket()
 		p.Dst, p.Flow, p.Seq, p.Size = dst, id, seq, pktSize
 		p.Payload = uint64(id)<<32 | uint64(seq)
 		m.net.Inject(src, p)
@@ -438,7 +433,7 @@ func (m *Manager) StartPoisson(src, dst packet.NodeID, pps float64, pktSize int,
 			return
 		}
 		seq++
-		p := m.arena.New()
+		p := m.net.NewPacket()
 		p.Dst, p.Flow, p.Seq, p.Size = dst, id, seq, pktSize
 		p.Payload = uint64(id)<<32 | uint64(seq)
 		m.net.Inject(src, p)
