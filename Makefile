@@ -127,13 +127,17 @@ replay-smoke:
 	@rm -rf replay-smoke-trace replay-smoke-sim.txt replay-smoke-replay.txt
 	@echo "replay smoke: verdicts byte-identical across record/replay"
 
-# Internet-scale smoke (internal/protocol/catalog TestScaleSmoke): a
-# generated ~200-router hierarchical topology with a 120-pair traffic mesh
-# runs end to end with the routing scale options on, and the §4.2.2
-# conformance checkers judge the Πk+2 suspicion log.
+# Internet-scale smoke (internal/protocol/catalog), every run judged by the
+# §4.2.2 conformance checkers at Πk+2's bound: TestScaleSmoke, a generated
+# ~200-router hierarchical topology with a 120-pair traffic mesh and the
+# routing scale options on; TestSeedAccuracy, the committed isp-converge
+# and mesh-forward workloads at spec seeds 1–10 (tier-1 runs three of the
+# twenty cells); and TestScaleFull, the 1000-router one-million-flow
+# isp1000.json (~25 s), which must implicate r0 with no false accusation.
 scale-smoke:
-	RW_SCALE_SMOKE=1 $(GO) test ./internal/protocol/catalog/ -run TestScaleSmoke -v
-	@echo "scale smoke: 200-router ISP scenario detected and judged by the §4.2.2 checkers"
+	RW_SCALE_SMOKE=1 RW_SCALE_FULL=1 $(GO) test ./internal/protocol/catalog/ \
+		-run '^(TestScaleSmoke|TestSeedAccuracy|TestScaleFull)$$' -count=1 -v
+	@echo "scale smoke: 200-router ISP, two workloads at seeds 1-10 and isp1000 judged by the §4.2.2 checkers"
 
 # Event-budget smoke (DESIGN.md "Hot path", the per-hop event contract): the
 # mesh-forward scenario, read in place from bench/workloads, must fire at

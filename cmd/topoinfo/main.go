@@ -44,7 +44,7 @@ func main() {
 		os.Exit(0)
 	}
 
-	paths := g.AllPairsPaths()
+	paths := g.CSR().Paths().All()
 	fmt.Printf("%d routing paths\n\n", len(paths))
 
 	printMode := func(m topology.MonitorMode, name string) {

@@ -56,7 +56,8 @@ type LinkMeta struct {
 }
 
 // Graph rebuilds the recorded topology. Node IDs are assigned by Nodes
-// order, matching the recorded network's IDs exactly.
+// order, matching the recorded network's IDs exactly. Every link must have
+// a reverse of the same cost.
 func (m *Meta) Graph() (*topology.Graph, error) {
 	g := topology.NewGraph()
 	for i, name := range m.Nodes {
@@ -81,6 +82,18 @@ func (m *Meta) Graph() (*topology.Graph, error) {
 			return nil, fmt.Errorf("capture: link %d->%d: %w", l.From, l.To, err)
 		}
 		g.AddLink(link)
+	}
+	// The stable-state path table reads each router's next hop off the
+	// shortest path tree rooted at the destination, which is right only on
+	// a duplex graph with symmetric costs (Graph.AddLink).
+	for _, l := range g.Links() {
+		back, ok := g.Link(l.To, l.From)
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("capture: link %d->%d has no reverse link", l.From, l.To)
+		case back.Cost != l.Cost:
+			return nil, fmt.Errorf("capture: link %d->%d costs %d but its reverse costs %d", l.From, l.To, l.Cost, back.Cost)
+		}
 	}
 	return g, nil
 }

@@ -1,6 +1,7 @@
 package capture_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,17 +18,24 @@ func manifest(nodes, links string) string {
 		`"nodes":[` + nodes + `],"links":[` + links + `],"files":["r0.pcap.gz","r1.pcap.gz"]}`
 }
 
-const goodLink = `{"from":0,"to":1,"bandwidth":100000000,"delay":"2ms","queue-limit":65536,"cost":10}`
+// link is the directed link from→to with the given cost.
+func link(from, to, cost int) string {
+	return fmt.Sprintf(`{"from":%d,"to":%d,"bandwidth":100000000,"delay":"2ms","queue-limit":65536,"cost":%d}`, from, to, cost)
+}
+
+// goodLinks is one duplex link between the two routers.
+var goodLinks = link(0, 1, 10) + "," + link(1, 0, 10)
 
 // withStart is a usable two-router manifest whose recording began at start.
 func withStart(start string) string {
-	return strings.Replace(manifest(`"a","b"`, goodLink), `"seed":1,`, `"seed":1,"start":"`+start+`",`, 1)
+	return strings.Replace(manifest(`"a","b"`, goodLinks), `"seed":1,`, `"seed":1,"start":"`+start+`",`, 1)
 }
 
 // Manifests no replay can use. The first two used to get past Graph's range
 // check and panic — in AddLink and, through network.New, in
-// queue.NewDropTail; the last two would start the replay clock outside the
-// recording.
+// queue.NewDropTail; the next two break the duplex, symmetric-cost
+// precondition the path table is built on; the last two would start the
+// replay clock outside the recording.
 var badManifests = []struct {
 	name, in, wantErr string
 }{
@@ -35,7 +43,9 @@ var badManifests = []struct {
 		"link 1->1: self-loop"},
 	{"link without queue-limit", manifest(`"a","b"`, `{"from":0,"to":1,"bandwidth":100000000,"delay":"2ms","cost":10}`),
 		"link 0->1: queue-limit 0 must be positive"},
-	{"duplicate node", manifest(`"a","a"`, goodLink), `duplicate node name "a"`},
+	{"one-way link", manifest(`"a","b"`, link(0, 1, 10)), "link 0->1 has no reverse link"},
+	{"asymmetric cost", manifest(`"a","b"`, link(0, 1, 10)+","+link(1, 0, 20)), "link 0->1 costs 10 but its reverse costs 20"},
+	{"duplicate node", manifest(`"a","a"`, goodLinks), `duplicate node name "a"`},
 	{"negative start", withStart("-1ms"), "start -1ms outside the recording [0, 1s]"},
 	{"start after duration", withStart("2s"), "start 2s outside the recording [0, 1s]"},
 }
@@ -92,7 +102,7 @@ func FuzzReadMeta(f *testing.F) {
 	for _, tc := range badManifests {
 		f.Add([]byte(tc.in))
 	}
-	f.Add([]byte(manifest(`"a","b"`, goodLink)))
+	f.Add([]byte(manifest(`"a","b"`, goodLinks)))
 	f.Add([]byte(withStart("500ms")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		writeManifest(t, dir, data)

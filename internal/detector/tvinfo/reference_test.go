@@ -181,7 +181,7 @@ func TestDispatchMatchesScan(t *testing.T) {
 	t.Run("isp mesh", func(t *testing.T) {
 		g := topology.ISP(topology.ISPSpec{Nodes: 60, PoPs: 3, Seed: 7})
 		net := network.New(g, network.Options{Seed: 1, ProcessingJitter: 50 * time.Microsecond})
-		paths := g.AllPairsPaths()
+		paths := g.CSR().Paths().All()
 		// Half-rate sampling, so the sample range sits between dispatch and
 		// the summary here and is absent in the other runs.
 		e := deploy(t, net, NewPathOracleFromPaths(paths), paths, topology.ModeEnds, 0.5)
@@ -247,12 +247,12 @@ func TestDispatchMatchesScan(t *testing.T) {
 			g.AddDuplex(packet.NodeID(i), packet.NodeID((i+1)%ring), topology.DefaultLinkAttrs())
 		}
 		net := network.New(g, network.Options{Seed: 3})
-		paths := g.AllPairsPaths()
+		paths := g.CSR().Paths().All()
 		e := deploy(t, net, NewPathOracleFromPaths(paths), paths, topology.ModeNodes, 0)
 		cut := g.Clone()
 		cut.RemoveLink(0, 1)
 		cut.RemoveLink(1, 0)
-		rerouted := NewPathOracleFromPaths(cut.AllPairsPaths())
+		rerouted := NewPathOracleFromPaths(cut.CSR().Paths().All())
 		var before int
 		net.Scheduler().At(500*time.Millisecond, func() {
 			before = e.records
@@ -273,7 +273,7 @@ func TestDispatchMatchesScan(t *testing.T) {
 		// forged addresses lie outside the path table.
 		g := topology.Line(5)
 		net := network.New(g, network.Options{Seed: 4})
-		paths := g.AllPairsPaths()
+		paths := g.CSR().Paths().All()
 		e := deploy(t, net, NewPathOracleFromPaths(paths), paths, topology.ModeNodes, 0)
 		m := e.monitors[1]
 		p := &packet.Packet{Src: 0, Dst: 4, Size: 500}

@@ -294,7 +294,7 @@ func TestOracleOutOfRange(t *testing.T) {
 // caller's escape analysis puts it (here, on the stack); what is counted is
 // the one index.
 func TestOracleAllocs(t *testing.T) {
-	paths := topology.ISP(topology.ISPSpec{Nodes: 100, Seed: 1}).AllPairsPaths()
+	paths := topology.ISP(topology.ISPSpec{Nodes: 100, Seed: 1}).CSR().Paths().All()
 	if n := testing.AllocsPerRun(5, func() { NewPathOracleFromPaths(paths) }); n > 1 {
 		t.Fatalf("NewPathOracleFromPaths over %d paths: %v allocations, want at most 1", len(paths), n)
 	}

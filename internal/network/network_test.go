@@ -416,36 +416,10 @@ func TestNetworkWideConservationProperty(t *testing.T) {
 	}
 }
 
-// The static forwarders must send every (src, dst) to the second node of
-// the deterministic shortest path, and treat an unreachable or out-of-range
-// destination as unroutable.
-func TestInstallShortestPathsMatchesTreePaths(t *testing.T) {
-	g := topology.ISP(topology.ISPSpec{Nodes: 96, PoPs: 4, Seed: 11})
-	island := g.AddNode("island")
-	net := New(g, Options{Seed: 1})
-	for _, src := range g.Nodes() {
-		parent, _ := g.CSR().ShortestPathTree(src)
-		fwd := net.Router(src).forwarder
-		for _, dst := range append(g.Nodes(), -1, packet.NodeID(g.NumNodes())) {
-			want := packet.NodeID(-1)
-			if dst >= 0 && int(dst) < len(parent) && dst != src && parent[dst] != -1 {
-				for want = dst; parent[want] != src; want = parent[want] {
-				}
-			}
-			if nh, ok := fwd(&packet.Packet{Dst: dst}, src); nh != want || ok != (want >= 0) {
-				t.Fatalf("%v→%v: next hop %v/%v, want %v", src, dst, nh, ok, want)
-			}
-		}
-	}
-	if nh, ok := net.Router(0).forwarder(&packet.Packet{Dst: island}, 0); ok {
-		t.Fatalf("route to a disconnected router: %v", nh)
-	}
-}
-
-// The lazy static tables must give the next hop the eager tables gave for
-// every (router, destination), forged destinations included, and must keep
-// the topology of install time: a link removed between New and the first
-// packet changes no answer.
+// Static forwarding must send every (src, dst) where the one stable-state
+// rule says (forwardingRule), treat an unreachable, out-of-range or
+// disconnected destination as unroutable, and keep the topology of install
+// time: a link removed between New and the first packet changes no answer.
 func TestStaticForwardingMatchesEager(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -454,6 +428,12 @@ func TestStaticForwardingMatchesEager(t *testing.T) {
 		{"isp100", func() *topology.Graph { return topology.ISP(topology.ISPSpec{Nodes: 100, PoPs: 4, Seed: 3}) }},
 		{"abilene", topology.Abilene},
 		{"line", func() *topology.Graph { return topology.Line(7) }},
+		{"ebone", func() *topology.Graph { return topology.Generate(topology.EBONESpec()) }}, // many equal-cost ties, where the lowest-ID next hop decides
+		{"isp96-island", func() *topology.Graph {
+			g := topology.ISP(topology.ISPSpec{Nodes: 96, PoPs: 4, Seed: 11})
+			g.AddNode("island")
+			return g
+		}},
 	}
 	for _, tc := range graphs {
 		for _, cut := range []bool{false, true} {
@@ -463,24 +443,28 @@ func TestStaticForwardingMatchesEager(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				g := tc.g()
-				lazy := New(g, Options{Seed: 1})
-				eager := New(g, Options{Seed: 1})
-				eager.installShortestPathsEager()
+				net := New(g, Options{Seed: 1})
+				want := forwardingRule(g)
 				if cut {
-					// Cut the first hop of router 0's route to the far end.
-					far := packet.NodeID(g.NumNodes() - 1)
-					nh, _ := eager.Router(0).forwarder(&packet.Packet{Dst: far}, 0)
+					// Cut the first hop of router 0's route to the far
+					// end: the highest-ID router it reaches.
+					far := g.NumNodes() - 1
+					for want[0][far] < 0 {
+						far--
+					}
+					nh := want[0][far]
 					g.RemoveLink(0, nh)
 					g.RemoveLink(nh, 0)
 				}
 				dsts := append(g.Nodes(), -1, packet.NodeID(g.NumNodes()), math.MaxInt32)
 				for _, src := range g.Nodes() {
 					for _, dst := range dsts {
-						p := &packet.Packet{Dst: dst}
-						got, gotOK := lazy.Router(src).forwarder(p, src)
-						want, wantOK := eager.Router(src).forwarder(p, src)
-						if got != want || gotOK != wantOK {
-							t.Fatalf("%v→%v: next hop %v/%v, eager %v/%v", src, dst, got, gotOK, want, wantOK)
+						wantHop := packet.NodeID(-1)
+						if dst >= 0 && int(dst) < g.NumNodes() {
+							wantHop = want[src][dst]
+						}
+						if nh, ok := net.Router(src).forwarder(&packet.Packet{Dst: dst}, src); nh != wantHop || ok != (wantHop >= 0) {
+							t.Fatalf("%v→%v: next hop %v/%v, want %v", src, dst, nh, ok, wantHop)
 						}
 					}
 				}

@@ -1,51 +1,36 @@
 package network
 
 import (
+	"math"
+
 	"routerwatch/internal/packet"
+	"routerwatch/internal/topology"
 )
 
-// installShortestPathsEager is InstallShortestPaths as it was before the
-// static tables became lazy, kept verbatim as the oracle: every router's
-// table computed at install time over the graph as it stands. Every next
-// hop the lazy tables give must equal what this installs.
-func (n *Network) installShortestPathsEager() {
-	const unresolved = packet.NodeID(-2)
-	var climb []packet.NodeID
-	for _, src := range n.graph.Nodes() {
-		parent, _ := n.graph.CSR().ShortestPathTree(src)
-		// next[dst] is the child of src that dst hangs under in the tree.
-		// Resolve each by climbing toward src until a node with a known
-		// answer, then hand that answer to everything climbed over: every
-		// node is climbed over once per source.
-		next := make([]packet.NodeID, len(parent))
-		for v := range next {
-			next[v] = unresolved
-			if parent[v] == -1 || packet.NodeID(v) == src {
-				next[v] = -1
-			}
-		}
-		for dst := range next {
-			v := packet.NodeID(dst)
-			climb = climb[:0]
-			for next[v] == unresolved && parent[v] != src {
-				climb = append(climb, v)
-				v = parent[v]
-			}
-			if next[v] == unresolved {
-				next[v] = v
-			}
-			for _, u := range climb {
-				next[u] = next[v]
-			}
-		}
-		r := n.routers[src]
-		table := next
-		r.SetForwarder(func(p *packet.Packet, _ packet.NodeID) (packet.NodeID, bool) {
-			if uint32(p.Dst) >= uint32(len(table)) {
-				return -1, false
-			}
-			nh := table[p.Dst]
-			return nh, nh >= 0
-		})
+// forwardingRule is the stable-state forwarding rule computed by brute
+// force over the graph as it stands, the oracle static forwarding is held
+// to: router r sends a packet for dst to its lowest-ID neighbour v
+// minimising cost(r,v) + dist(v,dst), with dist read off the shortest path
+// tree rooted at dst — the rule internal/routing's "(cost, first hop)"
+// minimum applies. next[r][dst] is −1 where r is dst or dst is unreachable.
+func forwardingRule(g *topology.Graph) (next [][]packet.NodeID) {
+	n := g.NumNodes()
+	next = make([][]packet.NodeID, n)
+	for r := range next {
+		next[r] = make([]packet.NodeID, n)
 	}
+	for dst := range n {
+		parent, dist := g.CSR().ShortestPathTree(packet.NodeID(dst))
+		for r := range n {
+			best, hop := int64(math.MaxInt64), packet.NodeID(-1)
+			for _, v := range g.Neighbors(packet.NodeID(r)) {
+				l, _ := g.Link(packet.NodeID(r), v)
+				if cost := int64(l.Cost) + dist[v]; r != dst && parent[v] != -1 && cost < best {
+					best, hop = cost, v
+				}
+			}
+			next[r][dst] = hop
+		}
+	}
+	return next
 }

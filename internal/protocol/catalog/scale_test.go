@@ -3,6 +3,7 @@ package catalog
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -208,4 +209,35 @@ func TestScaleFull(t *testing.T) {
 		Faulty:   []packet.NodeID{res.Faulty},
 		Accuracy: 3,
 	})
+}
+
+// TestSeedAccuracy holds a-Accuracy as a property of the protocol, not of
+// one spec seed: the committed Πk+2 workloads, read in place, run at other
+// traffic seeds and the §4.2.2 checkers judge each run at bound k+2 = 3.
+// Tier-1 runs a fixed subset; RW_SCALE_SMOKE=1 (make scale-smoke) runs
+// seeds 1–10 of each. A path table that broke equal-cost ties otherwise
+// than the routers forward (isp-converge at seed 7) fails here.
+func TestSeedAccuracy(t *testing.T) {
+	cells := map[string][]int64{"isp-converge": {2, 7}, "mesh-forward": {2}}
+	if os.Getenv("RW_SCALE_SMOKE") != "" {
+		seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+		cells = map[string][]int64{"isp-converge": seeds, "mesh-forward": seeds}
+	}
+	for _, workload := range []string{"isp-converge", "mesh-forward"} {
+		for _, seed := range cells[workload] {
+			t.Run(fmt.Sprintf("%s/seed%d", workload, seed), func(t *testing.T) {
+				spec := loadScenario(t, "../../../bench/workloads/"+workload+".json")
+				spec.Seed = seed
+				res, err := protocol.Run(spec, protocol.RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				envtest.CheckDetection(t, envtest.Detection{
+					Log:      res.Log,
+					Faulty:   []packet.NodeID{res.Faulty},
+					Accuracy: 3,
+				})
+			})
+		}
+	}
 }

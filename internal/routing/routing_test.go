@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -352,5 +354,55 @@ func TestNoLoopsUnderRandomExclusions(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRoutingWalksArePaths pins the one stable-state tie rule (§4.1: "a
+// router can predict the path that a packet will take in the stable
+// state"): with no exclusion, every walk through the routers' tables is
+// the path CSR.Paths predicts, and ECMP's first equal-cost next hop is the
+// table's next hop. Equal-cost ties are common on these graphs, and a table
+// that broke them another way than routing's lowest first hop would accuse
+// routers for following their own tables.
+func TestRoutingWalksArePaths(t *testing.T) {
+	type tc struct {
+		name  string
+		graph *topology.Graph
+	}
+	cases := []tc{
+		{"isp-500-20-7", topology.ISP(topology.ISPSpec{Nodes: 500, PoPs: 20, Seed: 7})},
+		{"sprintlink", topology.Generate(topology.SprintlinkSpec())},
+		{"ebone", topology.Generate(topology.EBONESpec())},
+		{"abilene", topology.Abilene()},
+	}
+	rng := rand.New(rand.NewSource(36))
+	for seed := int64(1); seed <= 20; seed++ {
+		spec := topology.ISPSpec{Nodes: 16 + rng.Intn(48), PoPs: 2 + rng.Intn(4), Seed: seed}
+		cases = append(cases, tc{fmt.Sprintf("isp-%d-%d-%d", spec.Nodes, spec.PoPs, seed), topology.ISP(spec)})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.graph
+			table := g.CSR().Paths()
+			ecmp := topology.NewECMP(g, 1, 2)
+			tables := make(map[packet.NodeID]*Table, g.NumNodes())
+			excl := NewExclusions()
+			for _, r := range g.Nodes() {
+				tables[r] = ComputeTable(g, r, excl)
+			}
+			for _, src := range g.Nodes() {
+				for _, dst := range g.Nodes() {
+					if src == dst {
+						continue
+					}
+					if walk, want := PathFromTables(tables, src, dst, g.NumNodes()), table.Path(src, dst); !slices.Equal(walk, want) {
+						t.Fatalf("%v→%v: routing walks %v, the path table predicts %v", src, dst, walk, want)
+					}
+					if hops, want := ecmp.NextHops(src, dst), table.NextHop(src, dst); len(hops) == 0 || hops[0] != want {
+						t.Fatalf("%v→%v: ECMP's next hops %v, the path table's next hop %v", src, dst, hops, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -55,22 +55,23 @@ func (c *CSR) Edge(from, to packet.NodeID) int32 {
 	return -1
 }
 
-// ShortestPathTree computes a deterministic single-source shortest path tree
-// from src using link costs. Ties are broken toward the lower predecessor
-// node ID, modeling the deterministic forwarding the paper assumes (§4.1:
-// "a router can predict the path that a packet will take in the stable
-// state"). It returns parent[v] (the predecessor of v on its path from src;
-// parent[src] = src; parent[v] = -1 if unreachable) and dist[v], both the
-// caller's to keep.
-func (c *CSR) ShortestPathTree(src packet.NodeID) (parent []packet.NodeID, dist []int64) {
+// ShortestPathTree computes a deterministic shortest path tree rooted at
+// root: parent[v] is v's predecessor on its path from root (parent[root] =
+// root; −1 if unreachable) and dist[v] its cost, both the caller's to keep.
+// Ties go to the lower predecessor ID, so on a duplex graph with symmetric
+// positive costs (Graph.AddLink) parent[v] is v's lowest-ID next hop of
+// least cost toward root: the tree rooted at a destination is the
+// stable-state forwarding toward it (CSR.Paths).
+func (c *CSR) ShortestPathTree(root packet.NodeID) (parent []packet.NodeID, dist []int64) {
 	var s sptScratch
-	s.run(c, src)
+	s.run(c, root)
 	return s.parent, s.dist
 }
 
 // sptScratch holds the buffers of ShortestPathTree's Dijkstra. A run
-// overwrites the previous one's answer, so AllPairsPaths reuses one scratch
-// for all n sources instead of allocating a buffer set per source.
+// overwrites the previous one's answer, so CSR.Paths and NewECMP reuse one
+// scratch for all n destinations instead of allocating a buffer set per
+// destination.
 type sptScratch struct {
 	parent []packet.NodeID
 	dist   []int64
@@ -78,7 +79,8 @@ type sptScratch struct {
 	heap   distHeap
 }
 
-// run leaves the shortest path tree from src over c in s.parent and s.dist.
+// run leaves the shortest path tree rooted at src over c in s.parent and
+// s.dist.
 func (s *sptScratch) run(c *CSR, src packet.NodeID) {
 	n := c.NumNodes()
 	if cap(s.parent) < n {
@@ -116,15 +118,17 @@ func (s *sptScratch) run(c *CSR, src packet.NodeID) {
 	}
 }
 
+const infCost = int64(1) << 62
+
 // distItem is a tentative distance label on a node.
 type distItem struct {
 	dist int64
 	node packet.NodeID
 }
 
-// distHeap is the 4-ary min-heap of (dist, node) behind ShortestPathTree
-// and the ECMP distance pass — typed like sim's event heap, so no interface
-// dispatch and no boxing per push. (dist, node) is a total order up to
+// distHeap is the 4-ary min-heap of (dist, node) behind ShortestPathTree —
+// typed like sim's event heap, so no interface dispatch and no boxing per
+// push. (dist, node) is a total order up to
 // identical items, so the pop sequence does not depend on the sift
 // algorithm.
 type distHeap []distItem

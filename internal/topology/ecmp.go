@@ -12,37 +12,33 @@ import (
 // take in the stable state based on its own routing tables and the hash
 // functions" (Cisco CEF / Juniper IP ASIC behaviour the paper cites).
 type ECMP struct {
-	g *Graph
-	// dist[dst][u] is the cost from u to dst.
-	dist map[packet.NodeID][]int64
-	// next[dst][u] lists u's equal-cost next hops toward dst, sorted.
-	next map[packet.NodeID][][]packet.NodeID
+	// next[dst][u] lists u's equal-cost next hops toward dst, ascending.
+	next [][][]packet.NodeID
 	// hashKeys key the flow-spreading hash; all routers share them (the
 	// deterministic prediction assumption).
 	k0, k1 uint64
 }
 
-// NewECMP computes the equal-cost forwarding DAGs for every destination.
+// NewECMP computes the equal-cost forwarding DAGs for every destination:
+// one shortest path tree per destination (the run CSR.Paths makes) gives
+// every router's cost to it, and u's next hops are the neighbours v with
+// cost(u,v) + dist(v) = dist(u). The first of them is the tree parent, so
+// NextHops(u, dst)[0] is the stable-state table's NextHop(u, dst).
 func NewECMP(g *Graph, k0, k1 uint64) *ECMP {
-	e := &ECMP{
-		g:    g,
-		dist: make(map[packet.NodeID][]int64),
-		next: make(map[packet.NodeID][][]packet.NodeID),
-		k0:   k0,
-		k1:   k1,
-	}
-	for _, dst := range g.Nodes() {
-		dist := e.reverseDijkstra(dst)
-		e.dist[dst] = dist
-		nh := make([][]packet.NodeID, g.NumNodes())
-		for _, u := range g.Nodes() {
-			if u == dst || dist[u] == infCost {
+	c := g.CSR()
+	n := c.NumNodes()
+	e := &ECMP{next: make([][][]packet.NodeID, n), k0: k0, k1: k1}
+	var s sptScratch
+	for dst := range e.next {
+		s.run(c, packet.NodeID(dst))
+		nh := make([][]packet.NodeID, n)
+		for u := range nh {
+			if u == dst || s.dist[u] == infCost {
 				continue
 			}
-			for _, v := range g.Neighbors(u) {
-				l, _ := g.Link(u, v)
-				if dist[v] != infCost && dist[v]+int64(l.Cost) == dist[u] {
-					nh[u] = append(nh[u], v) // Neighbors() is sorted
+			for i := c.Off[u]; i < c.Off[u+1]; i++ {
+				if v := c.To[i]; s.dist[v]+c.Cost[i] == s.dist[u] {
+					nh[u] = append(nh[u], v) // a CSR row is sorted
 				}
 			}
 		}
@@ -51,44 +47,12 @@ func NewECMP(g *Graph, k0, k1 uint64) *ECMP {
 	return e
 }
 
-const infCost = int64(1) << 62
-
-// reverseDijkstra computes every node's cost to dst (over the reversed
-// graph; our graphs are symmetric duplex so costs coincide).
-func (e *ECMP) reverseDijkstra(dst packet.NodeID) []int64 {
-	n := e.g.NumNodes()
-	dist := make([]int64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = infCost
-	}
-	dist[dst] = 0
-	h := distHeap{{node: dst}}
-	for len(h) > 0 {
-		v := h.pop().node
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		for _, from := range e.g.Neighbors(v) {
-			l, _ := e.g.Link(from, v)
-			nd := dist[v] + int64(l.Cost)
-			if nd < dist[from] {
-				dist[from] = nd
-				h.push(distItem{dist: nd, node: from})
-			}
-		}
-	}
-	return dist
-}
-
 // NextHops returns u's equal-cost next hops toward dst.
 func (e *ECMP) NextHops(u, dst packet.NodeID) []packet.NodeID {
-	nh := e.next[dst]
-	if nh == nil || u < 0 || int(u) >= len(nh) {
+	if uint(dst) >= uint(len(e.next)) || uint(u) >= uint(len(e.next)) {
 		return nil
 	}
-	return nh[u]
+	return e.next[dst][u]
 }
 
 // FlowNextHop returns the deterministic hash-selected next hop for a flow
@@ -124,7 +88,7 @@ func (e *ECMP) FlowPath(src, dst packet.NodeID, flow packet.FlowID) Path {
 		}
 		cur = nxt
 		path = append(path, cur)
-		if len(path) > e.g.NumNodes() {
+		if len(path) > len(e.next) {
 			return nil // defensive; cannot happen on a cost DAG
 		}
 	}
@@ -136,8 +100,9 @@ func (e *ECMP) FlowPath(src, dst packet.NodeID, flow packet.FlowID) Path {
 // al.'s measurement, §2.1.3, motivates the good-path assumption).
 func (e *ECMP) MultipathPairs() int {
 	count := 0
-	for _, src := range e.g.Nodes() {
-		for _, dst := range e.g.Nodes() {
+	n := packet.NodeID(len(e.next))
+	for src := packet.NodeID(0); src < n; src++ {
+		for dst := packet.NodeID(0); dst < n; dst++ {
 			if src == dst {
 				continue
 			}

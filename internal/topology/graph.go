@@ -188,7 +188,12 @@ func (g *Graph) Nodes() []packet.NodeID {
 }
 
 // AddLink installs a single directed link. It replaces any existing link
-// with the same endpoints.
+// with the same endpoints. A graph must end up duplex with symmetric costs —
+// every link from→to beside a link to→from of the same Cost — because the
+// path table and ECMP read a router's next hop toward dst off the shortest
+// path tree rooted at dst (CSR.ShortestPathTree). AddDuplex keeps that by
+// construction; input that installs single links (capture.Meta.Graph)
+// checks it.
 func (g *Graph) AddLink(l Link) {
 	if _, ok := g.adj[l.From]; !ok {
 		panic(fmt.Sprintf("topology: unknown node %v", l.From))

@@ -11,7 +11,9 @@ import "routerwatch/internal/packet"
 // network's static forwarders, its control-message senders, the replica
 // and every detector's path oracle. The path a monitor predicts is
 // therefore the path the routers forward along, not a second computation
-// that happens to agree with it.
+// that happens to agree with it; and the table breaks equal-cost ties as
+// internal/routing does (CSR.Paths), so a converged routing fabric forwards
+// along it too.
 type PathTable struct {
 	paths []Path
 	idx   []int32 // src·n+dst → 1 + index into paths; 0 where none was given
@@ -19,12 +21,12 @@ type PathTable struct {
 	n     int
 }
 
-// NewPathTable indexes explicit per-pair paths (AllPairsPaths, or paths
-// traced from live forwarding tables after a routing change). The table
-// spans n = one more than the largest end ID; a path with a negative end or
-// fewer than two routers is left out, and of two paths with the same ends
-// the later wins. It keeps the paths slice itself, which callers must not
-// mutate afterwards.
+// NewPathTable indexes explicit per-pair paths, such as paths traced from
+// live forwarding tables after a routing change. The table spans n = one
+// more than the largest end ID; a path with a negative end or fewer than
+// two routers is left out, and of two paths with the same ends the later
+// wins. It keeps the paths slice itself, which callers must not mutate
+// afterwards.
 func NewPathTable(paths []Path) PathTable {
 	usable := func(p Path) bool { return len(p) >= 2 && p[0] >= 0 && p[len(p)-1] >= 0 }
 	n := 0
@@ -81,10 +83,10 @@ func (t *PathTable) key(src, dst packet.NodeID) int {
 }
 
 // Paths returns the stable-state path table of the adjacency, computing it
-// (AllPairsPaths) on first use and caching it on c. A CSR is a snapshot:
-// whoever holds this one keeps its paths after the graph is mutated, which
-// drops only the graph's cached CSR. Like Graph.CSR, the first call is not
-// safe concurrently with another; callers must not mutate the result.
+// on first use and caching it on c. A CSR is a snapshot: whoever holds this
+// one keeps its paths after the graph is mutated, which drops only the
+// graph's cached CSR. Like Graph.CSR, the first call is not safe
+// concurrently with another; callers must not mutate the result.
 func (c *CSR) Paths() *PathTable {
 	if c.paths == nil {
 		c.paths = c.newPaths() // out of line, so every forwarding decision inlines Paths
@@ -93,64 +95,51 @@ func (c *CSR) Paths() *PathTable {
 }
 
 func (c *CSR) newPaths() *PathTable {
-	t := NewPathTable(c.allPairsPaths())
+	t := c.buildPaths()
 	return &t
 }
 
-// AllPairsPaths computes the deterministic routing path between every
-// ordered pair of routers, ordered by (source, destination). The returned
-// paths share arena-backed storage; callers must not append to or mutate
-// them. g.CSR().Paths() holds the same paths, computed once per snapshot.
-func (g *Graph) AllPairsPaths() []Path { return g.CSR().allPairsPaths() }
-
-func (c *CSR) allPairsPaths() []Path {
+// buildPaths computes the path of every ordered router pair by the rule
+// routing forwards by: each router sends a packet for dst to its lowest-ID
+// neighbour of least cost to dst. One Dijkstra per destination gives that
+// neighbour as the tree parent (ShortestPathTree), so the tree's parent
+// column is the table's next-hop column toward dst, and each path is the
+// walk from its source along that column. Paths are packed into shared
+// arena chunks in (source, destination) order.
+func (c *CSR) buildPaths() PathTable {
 	n := c.NumNodes()
-	out := make([]Path, 0, n*(n-1))
+	idx := make([]int32, 2*n*n)
+	idx, next := idx[:n*n:n*n], idx[n*n:]
 	var s sptScratch
+	for dst := 0; dst < n; dst++ {
+		s.run(c, packet.NodeID(dst))
+		for u, p := range s.parent {
+			next[u*n+dst] = int32(p)
+		}
+		next[dst*n+dst] = -1
+	}
+	paths := make([]Path, 0, n*(n-1))
 	var arena Path
-	for src := 0; src < n; src++ {
-		s.run(c, packet.NodeID(src))
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			// A path visits at most n nodes; keep that much headroom so
-			// one path never straddles two chunks. A small graph's n(n-1)
-			// paths do not need a full chunk.
-			if cap(arena)-len(arena) < n {
-				arena = make(Path, 0, min(segArenaChunk, n*n)+n)
-			}
-			start := len(arena)
-			arena = appendPath(arena, s.parent, packet.NodeID(src), packet.NodeID(dst))
-			if len(arena) > start {
-				out = append(out, arena[start:len(arena):len(arena)])
+	for k, hop := range next {
+		if hop < 0 {
+			continue
+		}
+		// A path visits at most n nodes; keep that much headroom so one
+		// path never straddles two chunks. A small graph's n(n-1) paths do
+		// not need a full chunk.
+		if cap(arena)-len(arena) < n {
+			arena = make(Path, 0, min(segArenaChunk, n*n)+n)
+		}
+		start, dst := len(arena), k%n
+		arena = append(arena, packet.NodeID(k/n))
+		for ; ; hop = next[int(hop)*n+dst] {
+			arena = append(arena, packet.NodeID(hop))
+			if int(hop) == dst {
+				break
 			}
 		}
+		paths = append(paths, arena[start:len(arena):len(arena)])
+		idx[k] = int32(len(paths))
 	}
-	return out
-}
-
-// appendPath appends the path src→dst from a shortest-path tree parent
-// array onto b and returns the extended slice; on an unreachable dst it
-// returns b unchanged. AllPairsPaths uses it to pack every path into
-// shared arena chunks instead of one heap object per pair.
-func appendPath(b Path, parent []packet.NodeID, src, dst packet.NodeID) Path {
-	if int(dst) < 0 || int(dst) >= len(parent) || parent[dst] == -1 {
-		return b
-	}
-	start := len(b)
-	for v := dst; ; v = parent[v] {
-		b = append(b, v)
-		if v == src {
-			break
-		}
-		if parent[v] == -1 || parent[v] == v {
-			return b[:start]
-		}
-	}
-	// Reverse the appended tail in place.
-	for i, j := start, len(b)-1; i < j; i, j = i+1, j-1 {
-		b[i], b[j] = b[j], b[i]
-	}
-	return b
+	return PathTable{paths: paths, idx: idx, next: next, n: n}
 }

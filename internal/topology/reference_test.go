@@ -104,7 +104,7 @@ func TestMonitorSetsMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := ISP(ISPSpec{Nodes: 16 + rng.Intn(24), PoPs: 2 + rng.Intn(3), Seed: seed})
 		n := g.NumNodes()
-		all := g.AllPairsPaths()
+		all := g.CSR().Paths().All()
 
 		subset := append([]Path(nil), all...)
 		rng.Shuffle(len(subset), func(i, j int) { subset[i], subset[j] = subset[j], subset[i] })

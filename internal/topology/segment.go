@@ -142,9 +142,9 @@ func segLess(a, b Segment) bool {
 // itself an input path: every window ending at or before p[j] is a window
 // of that prefix, of the same kind, so the prefix's own pass covers it. By
 // induction on path length every window of every path is visited. On
-// Graph.AllPairsPaths each prefix is the tree path to its last router, so a
-// path costs its windows ending at the destination plus one compare, not
-// every window along it.
+// CSR.Paths's table each prefix is itself the table's path to its last
+// router (TestPathTableTailsArePaths), so a path costs its windows ending
+// at the destination plus one compare, not every window along it.
 func forEachWindow(paths []Path, target int, mode MonitorMode, visit func(w []packet.NodeID)) {
 	if mode != ModeNodes && mode != ModeEnds {
 		panic("topology: unknown monitor mode")

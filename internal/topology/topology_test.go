@@ -191,7 +191,7 @@ func TestSegmentKeyRoundTrip(t *testing.T) {
 func TestMonitorSetsLineNodes(t *testing.T) {
 	// Line of 6 routers, k=1: Π2 monitors every 3-segment of every path.
 	g := Line(6)
-	paths := g.AllPairsPaths()
+	paths := g.CSR().Paths().All()
 	pr, all := MonitorSets(paths, 1, ModeNodes)
 	// Line of 6 has 3-segments: (0,1,2),(1,2,3),(2,3,4),(3,4,5) in both
 	// directions = 8 segments.
@@ -211,7 +211,7 @@ func TestMonitorSetsLineNodes(t *testing.T) {
 func TestMonitorSetsLineEnds(t *testing.T) {
 	// Line of 6, k=1: Πk+2 monitors x-segments for x=3 with r as an end.
 	g := Line(6)
-	paths := g.AllPairsPaths()
+	paths := g.CSR().Paths().All()
 	pr, all := MonitorSets(paths, 1, ModeEnds)
 	if len(all) != 8 {
 		t.Fatalf("universe has %d segments, want 8", len(all))
@@ -230,7 +230,7 @@ func TestMonitorSetsShortPathsIncluded(t *testing.T) {
 	// Line of 3 with k=3 (target length 5): whole 3-hop paths are still
 	// monitored under ModeNodes because no 5-segment exists.
 	g := Line(3)
-	paths := g.AllPairsPaths()
+	paths := g.CSR().Paths().All()
 	_, all := MonitorSets(paths, 3, ModeNodes)
 	if len(all) != 2 { // (0,1,2) and (2,1,0)
 		t.Fatalf("universe = %v, want the two whole paths", all.Slice())
@@ -242,7 +242,7 @@ func TestMonitorSetSizesMatchMonitorSets(t *testing.T) {
 	// ComputePrStats; it must agree exactly with len(pr[r]) from the full
 	// MonitorSets construction, for both rules across k.
 	g := Generate(GeneratorSpec{Name: "t", Nodes: 40, Links: 70, MaxDegree: 8, Seed: 7})
-	paths := g.AllPairsPaths()
+	paths := g.CSR().Paths().All()
 	for _, mode := range []MonitorMode{ModeNodes, ModeEnds} {
 		for k := 1; k <= 6; k++ {
 			pr, _ := MonitorSets(paths, k, mode)
@@ -261,7 +261,7 @@ func TestEndsMonitorsFewerThanNodes(t *testing.T) {
 	// On a realistic topology, Πk+2's per-router monitoring load must be
 	// much smaller than Π2's (the Fig 5.2 vs Fig 5.4 claim).
 	g := Generate(GeneratorSpec{Name: "t", Nodes: 60, Links: 110, MaxDegree: 10, Seed: 1})
-	paths := g.AllPairsPaths()
+	paths := g.CSR().Paths().All()
 	for _, k := range []int{1, 2, 3} {
 		nodes := ComputePrStats(g, paths, k, ModeNodes)
 		ends := ComputePrStats(g, paths, k, ModeEnds)
@@ -273,7 +273,7 @@ func TestEndsMonitorsFewerThanNodes(t *testing.T) {
 
 func TestPrGrowsWithK(t *testing.T) {
 	g := Generate(GeneratorSpec{Name: "t", Nodes: 60, Links: 110, MaxDegree: 10, Seed: 1})
-	paths := g.AllPairsPaths()
+	paths := g.CSR().Paths().All()
 	prevNodes, prevEnds := -1.0, -1.0
 	for k := 1; k <= 4; k++ {
 		n := ComputePrStats(g, paths, k, ModeNodes)
@@ -347,7 +347,9 @@ func TestAddLinkPanics(t *testing.T) {
 // forwards the packet along the rest of it: the tail of every path from
 // router r on must be r's own path to the same destination. Static
 // forwarding at r reads r's own path (PathTable.NextHop), so this is what
-// makes it follow every prediction hop for hop.
+// makes it follow every prediction hop for hop. Every prefix must be a path
+// of the table too: MonitorSets stops a path's pass at its first prefix
+// that is an input path, and costs a window per hop without it.
 func TestPathTableTailsArePaths(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -369,32 +371,37 @@ func TestPathTableTailsArePaths(t *testing.T) {
 			}
 			tails := 0
 			for _, p := range table.All() {
-				dst := p[len(p)-1]
+				src, dst := p[0], p[len(p)-1]
 				for i := 1; i+1 < len(p); i++ {
 					if own := table.Path(p[i], dst); !slices.Equal(own, p[i:]) {
 						t.Fatalf("path %v: the tail from %v is not its own path %v", p, p[i], own)
 					}
+					if own := table.Path(src, p[i]); !slices.Equal(own, p[:i+1]) {
+						t.Fatalf("path %v: the prefix to %v is not the path %v", p, p[i], own)
+					}
 					tails++
 				}
 			}
-			t.Logf("%d tails, each its router's own path", tails)
+			t.Logf("%d tails and as many prefixes, each a path of the table", tails)
 		})
 	}
 }
 
-// AllPairsPaths runs its n Dijkstras over one scratch: it may allocate the
-// path-header slice, the arena chunks the paths pack into, the scratch's
-// three buffers and the doublings of its heap — nothing per source.
+// CSR.Paths runs its n Dijkstras over one scratch: the build may allocate
+// the index (with the next-hop column beside it), the path-header slice,
+// the arena chunks the paths pack into, the scratch's three buffers and the
+// doublings of its heap — nothing per destination.
 func TestAllPairsPathsAllocs(t *testing.T) {
 	for _, n := range []int{20, 100, 300} {
 		g := ISP(ISPSpec{Nodes: n, Seed: 1})
+		c := g.CSR()
 		nodes := 0
-		for _, p := range g.AllPairsPaths() {
+		for _, p := range c.Paths().All() {
 			nodes += len(p)
 		}
 		chunks := nodes/min(segArenaChunk, n*n) + 1
-		want := 1 + chunks + 3 + bits.Len(uint(g.NumDirectedLinks()+1))
-		if got := testing.AllocsPerRun(3, func() { g.AllPairsPaths() }); got > float64(want) {
+		want := 1 + 1 + chunks + 3 + bits.Len(uint(g.NumDirectedLinks()+1))
+		if got := testing.AllocsPerRun(3, func() { c.buildPaths() }); got > float64(want) {
 			t.Errorf("ISP(%d): %v allocations, want at most %d", n, got, want)
 		}
 	}
