@@ -73,6 +73,12 @@ func differentialRows(t *testing.T) []*diffRow {
 			fixture: "internal/capture/testdata/line5drop", golden: "internal/capture/testdata/line5drop.golden"},
 		{name: "abilene-pik2", spec: loadSpec(t, "internal/capture/testdata/abilene-pik2.json"),
 			axes: axExchange | axTelemetry, pin: "158e18a220bf10ce58fd3fcb"}, // 22
+		// Responding: every suspicion is announced through routing's response
+		// and excised from the fabric.
+		{name: "line-drop", spec: loadSpec(t, "internal/protocol/testdata/line-drop.json"),
+			pin: "14dd6ffc329ae76e1fb7b6e0"}, // 20
+		{name: "isp-respond", spec: loadSpec(t, "bench/workloads/isp-respond.json"),
+			pin: "b9bbc72eced930b8722313d2"}, // 3 000
 	}
 
 	survs, err := mutation.LoadSurvivors("internal/mutation/testdata/survivors")
