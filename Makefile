@@ -57,13 +57,14 @@ perf:
 	$(GO) -C bench run ./rwbench -compare out/baseline-seed1-a.json $$tmp; \
 	status=$$?; rm -f $$tmp; exit $$status
 
-# Short fuzz pass over all fourteen fuzz harnesses (satisfies `go test`
+# Short fuzz pass over all fifteen fuzz harnesses (satisfies `go test`
 # normally too — the seed corpus runs as ordinary tests): the summary codecs
 # and the tvinfo.Summary section framing around them, the flat-lane FPSet
 # against its map-backed reference, the mutation-campaign
 # spec round-trip, the capture decoders and the trace manifest loader, the
 # SPF kernels and the monitoring-set enumeration against their references,
-# the routing daemon's LSA door (malformed origins and typed-nil payloads),
+# the routing daemon's LSA door (malformed origins and typed-nil payloads)
+# and its alert subscriber (arbitrary origins and payloads),
 # the scenario-file decoder (which also builds small topologies of every
 # kind), and every descriptor's option parser.
 # Override FUZZTIME for quicker smokes: make fuzz FUZZTIME=2s.
@@ -79,7 +80,7 @@ fuzz:
 	@for f in FuzzPcapRoundTrip FuzzDecodeFrame FuzzReadMeta; do \
 		$(GO) test ./internal/capture/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
-	@for f in FuzzComputeTable FuzzAcceptLSA; do \
+	@for f in FuzzComputeTable FuzzAcceptLSA FuzzRoutingAlert; do \
 		$(GO) test ./internal/routing/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 	$(GO) test ./internal/topology/ -run='^$$' -fuzz=FuzzMonitorSets -fuzztime=$(FUZZTIME)

@@ -33,9 +33,9 @@ func withStart(start string) string {
 
 // Manifests no replay can use. The first two used to get past Graph's range
 // check and panic — in AddLink and, through network.New, in
-// queue.NewDropTail; the next two break the duplex, symmetric-cost
-// precondition the path table is built on; the last two would start the
-// replay clock outside the recording.
+// queue.NewDropTail; the next three break the duplex, symmetric, positive
+// cost precondition the path table is built on; the last two would start
+// the replay clock outside the recording.
 var badManifests = []struct {
 	name, in, wantErr string
 }{
@@ -45,6 +45,7 @@ var badManifests = []struct {
 		"link 0->1: queue-limit 0 must be positive"},
 	{"one-way link", manifest(`"a","b"`, link(0, 1, 10)), "link 0->1 has no reverse link"},
 	{"asymmetric cost", manifest(`"a","b"`, link(0, 1, 10)+","+link(1, 0, 20)), "link 0->1 costs 10 but its reverse costs 20"},
+	{"zero cost", manifest(`"a","b"`, link(0, 1, 0)+","+link(1, 0, 0)), "link 0->1: cost 0 must be positive"},
 	{"duplicate node", manifest(`"a","a"`, goodLinks), `duplicate node name "a"`},
 	{"negative start", withStart("-1ms"), "start -1ms outside the recording [0, 1s]"},
 	{"start after duration", withStart("2s"), "start 2s outside the recording [0, 1s]"},

@@ -136,12 +136,14 @@ func (s *Service) receive(at packet.NodeID, msg Msg, from packet.NodeID) {
 	if _, dup := s.seen[key]; dup {
 		return
 	}
-	s.seen[key] = struct{}{}
 	// Correct routers verify the origin signature before delivering (or
-	// re-flooding — unsigned garbage must not propagate).
+	// re-flooding — unsigned garbage must not propagate). Only a verified
+	// message is remembered: a forged copy that arrives first must not
+	// shadow the genuine one, whose body an attacker can predict.
 	if !s.net.Auth().Verify(s.body, msg.Sig) || msg.Sig.Signer != msg.Origin {
 		return
 	}
+	s.seen[key] = struct{}{}
 	if fn := s.subs[at][msg.Topic]; fn != nil {
 		fn(msg)
 	}

@@ -3,6 +3,7 @@ package pik2
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"routerwatch/internal/auth"
 	"routerwatch/internal/consensus"
@@ -344,24 +345,23 @@ func (a *agent) suspect(st *segState, round int, kind detector.Kind, conf float6
 	}
 	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round)
 	// Reliable broadcast of [π]r (Fig 5.3): strong completeness.
-	a.p.flood.Flood(a.id, TopicAlert, fmt.Sprintf("%d", round), AlertBody(a.id, round, st.Seg))
+	a.p.flood.Flood(a.id, TopicAlert, strconv.Itoa(round), []byte(st.Key))
 }
 
 // onAlert accepts another router's flooded suspicion: verify the flood
-// signature (done by the consensus layer), require the announcer to be a
-// member of the suspected segment, and adopt the suspicion.
+// signature (done by the consensus layer), require a whole segment key with
+// the announcer as a member, and adopt the suspicion. The round travels in
+// the instance.
 func (a *agent) onAlert(m consensus.Msg) {
-	by, round, seg, ok := decodeAlert(m.Payload)
-	if !ok || by != m.Origin {
+	round, err := strconv.Atoi(m.Instance)
+	if err != nil || m.Origin == a.id {
 		return
 	}
-	if !seg.Contains(by) {
+	seg, ok := topology.MemberSegment(m.Payload, m.Origin)
+	if !ok {
 		return // a non-member announcement could frame correct routers
 	}
-	if by == a.id {
-		return
-	}
-	key := topology.Key(seg)
+	key := topology.SegmentKey(m.Payload)
 	if a.suspected[key] {
 		return
 	}
@@ -369,24 +369,7 @@ func (a *agent) onAlert(m consensus.Msg) {
 	s := detector.Suspicion{
 		By: a.id, Segment: seg, Round: round, At: a.p.env.Now(),
 		Kind: detector.KindTrafficValidation, Confidence: 1,
-		Detail: fmt.Sprintf("announced by %v", by),
+		Detail: fmt.Sprintf("announced by %v", m.Origin),
 	}
 	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round)
-}
-
-func decodeAlert(b []byte) (by packet.NodeID, round int, seg topology.Segment, ok bool) {
-	if len(b) < 12 || (len(b)-12)%4 != 0 {
-		return 0, 0, nil, false
-	}
-	by = packet.NodeID(int32(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])))
-	var r uint64
-	for i := 4; i < 12; i++ {
-		r = r<<8 | uint64(b[i])
-	}
-	round = int(r)
-	seg = topology.DecodeKey(topology.SegmentKey(b[12:]))
-	if len(seg) == 0 {
-		return 0, 0, nil, false
-	}
-	return by, round, seg, true
 }

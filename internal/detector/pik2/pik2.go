@@ -293,11 +293,3 @@ func appendSignedBody(b []byte, m *SummaryMsg) []byte {
 	}
 	return b
 }
-
-// AlertBody encodes a flooded suspicion for signing.
-func AlertBody(by packet.NodeID, round int, seg topology.Segment) []byte {
-	b := make([]byte, 0, 16+4*len(seg))
-	b = binary.BigEndian.AppendUint32(b, uint32(by))
-	b = binary.BigEndian.AppendUint64(b, uint64(round))
-	return topology.AppendKey(b, seg)
-}

@@ -61,24 +61,19 @@ func Deploy(net *network.Network) *System {
 	env := protocol.NewSimEnv(net)
 	s := &System{Net: net, Log: detector.NewLog()}
 
-	// Link-state routing daemon with alert-driven exclusion, at routing's
-	// default timers — the prototype's OSPF delay 5 s / hold 10 s. Every
-	// table recomputation marks the detector's path oracle dirty; the
+	// Link-state routing daemon with alert-driven exclusion (its alerts
+	// ride the flood Πk+2's alerts ride), at routing's default timers —
+	// the prototype's OSPF delay 5 s / hold 10 s. Every table
+	// recomputation marks the detector's path oracle dirty; the
 	// Coordinator refreshes it once the wave settles ("the coordinator is
 	// kept abreast of routing changes so that it always knows which
 	// path-segments should be monitored", §5.3.1).
-	s.Routing = routing.Attach(net, routing.Options{})
+	s.Routing = routing.Attach(net, env.Flood(), routing.Options{})
 	dirty := false
-	tr := net.Telemetry().Tracer()
-	rerouteCtr := net.Telemetry().Registry().Counter("rw_reroutes_total")
 	for _, d := range s.Routing.Daemons() {
 		d := d
 		d.OnRecompute(func(at time.Duration) {
 			s.Reroutes = append(s.Reroutes, RerouteEvent{Router: d.ID(), At: at})
-			rerouteCtr.Inc()
-			if tr != nil {
-				tr.Instant("ospf-recompute", "routing", at, int32(d.ID()), "")
-			}
 			dirty = true
 		})
 	}

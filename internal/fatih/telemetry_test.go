@@ -89,7 +89,7 @@ func TestAbileneTelemetry(t *testing.T) {
 	}
 	for _, base := range []string{
 		"rw_detector_suspicions_total", "rw_detector_fingerprints_total",
-		"rw_reroutes_total", "rw_sim_events_total",
+		"rw_routing_recomputes_total", "rw_sim_events_total",
 	} {
 		found := false
 		for _, c := range snap.Counters {

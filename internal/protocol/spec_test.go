@@ -165,7 +165,7 @@ type scenarioErrCase struct {
 var badLinkSpecs = []scenarioErrCase{
 	{"link self-loop", customSpec(`{"from":"b","to":"b"}`), "link b-b: self-loop"},
 	{"link queue-limit", customSpec(`{"from":"a","to":"b","queue-limit":-5}`), "link a-b: queue-limit -5 must be positive"},
-	{"link cost", customSpec(`{"from":"a","to":"b","cost":-3}`), "link a-b: cost -3 must not be negative"},
+	{"link cost", customSpec(`{"from":"a","to":"b","cost":-3}`), "link a-b: cost -3 must be positive"},
 	{"link bandwidth", customSpec(`{"from":"a","to":"b","bandwidth":-1}`), "link a-b: bandwidth -1 must be positive"},
 	{"duplicate node", `{"protocol":"stub","duration":"1s","topology":{"kind":"custom","nodes":["a","b","a"]}}`, `duplicate node name "a"`},
 }

@@ -1,24 +1,24 @@
 package routing
 
 import (
-	"encoding/binary"
 	"time"
 
-	"routerwatch/internal/auth"
+	"routerwatch/internal/consensus"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/sim"
+	"routerwatch/internal/telemetry"
 	"routerwatch/internal/topology"
 )
 
-// Control message kinds used by the routing protocol.
-const (
-	// KindLSA floods link-state advertisements.
-	KindLSA = "routing/lsa"
-	// KindAlert floods signed path-segment suspicions.
-	KindAlert = "routing/alert"
-)
+// KindLSA is the control-message kind that floods link-state
+// advertisements.
+const KindLSA = "routing/lsa"
+
+// TopicAlert is the consensus topic of the response's suspicion alerts: the
+// payload is the suspected segment's key, signed by the announcer.
+const TopicAlert = "routing/alert"
 
 // LSA is a link-state advertisement: a router's view of its own adjacency.
 type LSA struct {
@@ -33,29 +33,6 @@ type NeighborEntry struct {
 	Cost int
 }
 
-// Alert is a flooded suspicion: the announcer suspects the path-segment.
-// Correct routers honor it only if the signature verifies and the announcer
-// is a member of the segment (§4.2.2: a faulty router announcing bogus
-// suspicions can only break links adjacent to itself, which "adds no
-// further disadvantage").
-type Alert struct {
-	Announcer packet.NodeID
-	Seq       uint64
-	Segment   topology.Segment
-	Sig       auth.Signature
-}
-
-// EncodeAlertBody serializes the signed portion of an alert.
-func EncodeAlertBody(announcer packet.NodeID, seq uint64, seg topology.Segment) []byte {
-	b := make([]byte, 12+4*len(seg))
-	binary.BigEndian.PutUint32(b, uint32(announcer))
-	binary.BigEndian.PutUint64(b[4:], seq)
-	for i, id := range seg {
-		binary.BigEndian.PutUint32(b[12+4*i:], uint32(id))
-	}
-	return b
-}
-
 // Daemon is the per-router routing process.
 type Daemon struct {
 	proto  *Protocol
@@ -64,11 +41,9 @@ type Daemon struct {
 
 	// lsdb holds the newest LSA of each origin, indexed by origin; nil
 	// where none was heard yet.
-	lsdb      []*LSA
-	seenAlert map[packet.NodeID]uint64
-	excl      *Exclusions
-	seq       uint64
-	alertSeq  uint64
+	lsdb []*LSA
+	excl *Exclusions
+	seq  uint64
 
 	timers        Timers
 	lastCompute   time.Duration
@@ -90,8 +65,13 @@ type Daemon struct {
 // Protocol wires a routing daemon onto every router of a network.
 type Protocol struct {
 	net     *network.Network
+	flood   *consensus.Service
 	opts    Options
 	daemons []*Daemon
+	// recomputes and tracer count and mark each table installation; both
+	// are nil when telemetry is off.
+	recomputes *telemetry.Counter
+	tracer     *telemetry.Tracer
 	// due maps a batch instant to the daemons whose recompute is coalesced
 	// into it (Options.BatchCompute).
 	due map[time.Duration][]*Daemon
@@ -160,65 +140,41 @@ func (d *Daemon) acceptLSA(lsa *LSA, from packet.NodeID) {
 	if d.proto.opts.BundleFlood {
 		d.enqueueFlood(lsa)
 	} else {
-		d.flood(KindLSA, lsa, from)
+		d.flood(lsa, from)
 	}
 	d.scheduleRecompute()
 }
 
-// handleAlert processes a flooded suspicion.
-func (d *Daemon) handleAlert(m *network.ControlMessage) {
-	alert, ok := m.Payload.(*Alert)
-	if !ok || alert == nil {
+// AnnounceSuspicion floods this router's signed suspicion of the
+// path-segment (detectors call this; §2.4.3 response) over the network's
+// robust flood, which delivers it to every daemon, this one included. A
+// router announces only segments it is a member of: one that adopted
+// another's suspicion floods nothing.
+func (d *Daemon) AnnounceSuspicion(seg topology.Segment) {
+	if !seg.Contains(d.id) {
 		return
 	}
-	d.acceptAlert(alert, m.From)
+	d.proto.flood.Flood(d.id, TopicAlert, "", topology.AppendKey(nil, seg))
 }
 
-func (d *Daemon) acceptAlert(alert *Alert, from packet.NodeID) {
-	if d.seenAlert[alert.Announcer] >= alert.Seq {
-		return
-	}
-	// Verify the announcer signed this exact suspicion.
-	body := EncodeAlertBody(alert.Announcer, alert.Seq, alert.Segment)
-	if !d.proto.net.Auth().Verify(body, alert.Sig) || alert.Sig.Signer != alert.Announcer {
-		return
-	}
-	// Only segments containing the announcer are honored.
-	if !alert.Segment.Contains(alert.Announcer) {
-		return
-	}
-	d.seenAlert[alert.Announcer] = alert.Seq
-	d.flood(KindAlert, alert, from)
-	if d.excl.Add(alert.Segment) {
+// onAlert honours a flooded suspicion. The flood has already checked that
+// its origin signed it; the daemon requires a whole segment key with the
+// origin as a member (§4.2.2: a faulty router announcing bogus suspicions
+// can only break links adjacent to itself, which "adds no further
+// disadvantage").
+func (d *Daemon) onAlert(m consensus.Msg) {
+	if seg, ok := topology.MemberSegment(m.Payload, m.Origin); ok && d.excl.Add(seg) {
 		d.scheduleRecompute()
 	}
 }
 
-// AnnounceSuspicion floods a signed suspicion of the path-segment from this
-// router (detectors call this; §2.4.3 response). The announcement is also
-// applied locally.
-func (d *Daemon) AnnounceSuspicion(seg topology.Segment) {
-	d.alertSeq++
-	body := EncodeAlertBody(d.id, d.alertSeq, seg)
-	alert := &Alert{
-		Announcer: d.id,
-		Seq:       d.alertSeq,
-		Segment:   append(topology.Segment(nil), seg...),
-		Sig:       d.proto.net.Auth().Sign(d.id, body),
-	}
-	d.acceptAlert(alert, -1)
-}
-
-// flood relays a message to all neighbors except the one it came from
-// (Perlman-style robust flooding over direct links; a protocol-faulty
-// neighbor can refuse to relay, but with the good-path assumption every
-// correct router is still reached).
-func (d *Daemon) flood(kind string, payload any, except packet.NodeID) {
+// flood relays an LSA to all neighbors except the one it came from.
+func (d *Daemon) flood(lsa *LSA, except packet.NodeID) {
 	for _, nb := range d.proto.net.Graph().Neighbors(d.id) {
 		if nb == except {
 			continue
 		}
-		d.proto.net.SendControlDirect(d.id, nb, kind, payload)
+		d.proto.net.SendControlDirect(d.id, nb, KindLSA, lsa)
 	}
 }
 
@@ -267,8 +223,9 @@ func (d *Daemon) prepare(truth *topology.CSR) {
 	spfPool.Put(s)
 }
 
-// install publishes the prepared table as the router's forwarder and fires
-// the recompute observer. at is the simulated instant of the installation.
+// install publishes the prepared table as the router's forwarder, counts
+// and marks it, and fires the recompute observer. at is the simulated
+// instant of the installation.
 func (d *Daemon) install(at time.Duration) {
 	d.computeQueued = false
 	d.lastCompute = at
@@ -277,6 +234,8 @@ func (d *Daemon) install(at time.Duration) {
 	d.router.SetForwarder(func(p *packet.Packet, from packet.NodeID) (packet.NodeID, bool) {
 		return tbl.NextHop(from, p.Dst)
 	})
+	d.proto.recomputes.Inc()
+	d.proto.tracer.Instant("ospf-recompute", "routing", at, int32(d.id), "")
 	if d.onRecompute != nil {
 		d.onRecompute(at)
 	}

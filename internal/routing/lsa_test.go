@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"routerwatch/internal/consensus"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/telemetry"
@@ -29,13 +30,15 @@ func doorGraph() *topology.Graph {
 
 // A protocol-faulty neighbour can send an LSA of any origin, or a typed nil
 // where a pointer payload belongs. Each must be dropped at the door: no
-// panic, nothing stored, nothing flooded, no recompute scheduled.
+// panic, nothing stored, nothing flooded, no recompute scheduled. An alert
+// enters at the flood's door instead: whatever the flood delivers or
+// refuses, no daemon may exclude anything or recompute.
 func TestMalformedRoutingMessagesDropped(t *testing.T) {
 	const n = 96
 	g := topology.ISP(topology.ISPSpec{Nodes: n, PoPs: 4, Seed: 11})
 	tel := &telemetry.Set{Metrics: telemetry.NewRegistry()}
 	net := network.New(g, network.Options{Seed: 5, Telemetry: tel})
-	proto := Attach(net, Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
+	proto := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
 	if !proto.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("routing did not converge")
 	}
@@ -57,7 +60,6 @@ func TestMalformedRoutingMessagesDropped(t *testing.T) {
 		{"bundle of bad origins", d.handleLSABundle, &LSABundle{LSAs: []*LSA{lsa(-1), lsa(n), lsa(math.MaxInt32)}}},
 		{"nil bundle", d.handleLSABundle, (*LSABundle)(nil)},
 		{"nil bundle member", d.handleLSABundle, &LSABundle{LSAs: []*LSA{nil}}},
-		{"nil alert", d.handleAlert, (*Alert)(nil)},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -71,6 +73,37 @@ func TestMalformedRoutingMessagesDropped(t *testing.T) {
 			}
 			if got := net.Scheduler().Pending(); got != pending || d.computeQueued {
 				t.Errorf("%d events scheduled (recompute queued: %v)", got-pending, d.computeQueued)
+			}
+		})
+	}
+
+	recomputes := tel.Registry().Counter("rw_routing_recomputes_total")
+	member := topology.AppendKey(nil, topology.Segment{from, 7})
+	alerts := []struct {
+		name           string
+		origin, signer packet.NodeID
+		payload        []byte
+	}{
+		{"empty alert", from, from, nil},
+		{"odd-length alert", from, from, append(slices.Clone(member), 0)},
+		{"one-router alert", from, from, topology.AppendKey(nil, topology.Segment{from})},
+		{"non-member alert", from, from, topology.AppendKey(nil, topology.Segment{7, g.Neighbors(7)[1]})},
+		{"alert signed by another router", from, 7, member},
+	}
+	for _, row := range alerts {
+		t.Run(row.name, func(t *testing.T) {
+			before := recomputes.Value()
+			m := &consensus.Msg{Origin: row.origin, Topic: TopicAlert, Payload: row.payload}
+			m.Sig = net.Auth().Sign(row.signer, consensus.SignedBody(row.origin, TopicAlert, "", row.payload))
+			net.SendControlDirect(from, 7, consensus.KindFlood, m)
+			net.Run(net.Now() + 10*time.Second)
+			for _, d := range proto.Daemons() {
+				if d.Exclusions().Len() != 0 {
+					t.Fatalf("router %v excludes %v", d.ID(), d.Exclusions().Segments())
+				}
+			}
+			if got := recomputes.Value(); got != before {
+				t.Errorf("%d tables recomputed", got-before)
 			}
 		})
 	}
@@ -130,7 +163,8 @@ func FuzzAcceptLSA(f *testing.F) {
 	f.Add([]byte{1, 3, 2, 7, 3, 1, 5, 2, 0, 2, 1, 4, 2, 1, 2, 2, 1, 0, 1, 2, 3, 1, 6, 5, 1, 0, 3, 4, 2, 2, 1, 4, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := doorGraph()
-		proto := Attach(network.New(g, network.Options{Seed: 3}), Options{})
+		net := network.New(g, network.Options{Seed: 3})
+		proto := Attach(net, consensus.NewService(net), Options{})
 		n := g.NumNodes()
 		d := proto.Daemon(0)
 		nbrs := g.Neighbors(0)
@@ -200,6 +234,38 @@ func FuzzAcceptLSA(f *testing.F) {
 					t.Fatalf("advertised link %d→%v is not in the graph", u, v)
 				}
 			}
+		}
+	})
+}
+
+// FuzzRoutingAlert delivers one flooded alert of an arbitrary origin
+// (fuzzNode) and payload to a daemon of doorGraph. The daemon must not
+// panic, and it excludes exactly the payload's segment when that is a whole
+// key of at least two routers with the origin among them, else nothing.
+func FuzzRoutingAlert(f *testing.F) {
+	f.Add(byte(0), []byte{})
+	f.Add(byte(0), []byte{0, 0, 0})                                  // odd length
+	f.Add(byte(0), []byte{0, 0, 0, 0, 0, 0, 0, 1, 0})                // ⟨0,1⟩ and a stray byte
+	f.Add(byte(0), []byte{0, 0, 0, 0})                               // one router
+	f.Add(byte(0), []byte{0, 0, 0, 0, 0, 0, 0, 1})                   // ⟨0,1⟩
+	f.Add(byte(2), []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2})       // ⟨0,1,2⟩ from 2
+	f.Add(byte(4), []byte{0, 0, 0, 0, 0, 0, 0, 1})                   // non-member
+	f.Add(byte(0x80), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1})    // ⟨−1,1⟩ from −1
+	f.Add(byte(0x82), []byte{0x7f, 0xff, 0xff, 0xff, 0, 0, 0, 0x1b}) // out-of-range routers
+	f.Fuzz(func(t *testing.T, originByte byte, payload []byte) {
+		g := doorGraph()
+		net := network.New(g, network.Options{Seed: 3})
+		proto := Attach(net, consensus.NewService(net), Options{})
+		d := proto.Daemon(0)
+		origin := fuzzNode(originByte, g.NumNodes())
+		d.onAlert(consensus.Msg{Origin: origin, Topic: TopicAlert, Payload: payload})
+		seg := topology.DecodeKey(topology.SegmentKey(payload))
+		honour := len(payload)%4 == 0 && len(seg) >= 2 && seg.Contains(origin)
+		switch got := d.Exclusions().Segments(); {
+		case !honour && len(got) != 0:
+			t.Fatalf("alert %v from %v: excludes %v", seg, origin, got)
+		case honour && (len(got) != 1 || !slices.Equal(got[0], seg)):
+			t.Fatalf("alert %v from %v: excludes %v", seg, origin, got)
 		}
 	})
 }

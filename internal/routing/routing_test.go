@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"routerwatch/internal/consensus"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/topology"
@@ -117,7 +118,7 @@ func newAbileneNet(t *testing.T) (*network.Network, *Protocol) {
 	t.Helper()
 	g := topology.Abilene()
 	net := network.New(g, network.Options{Seed: 5})
-	proto := Attach(net, Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
+	proto := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
 	if !proto.RunUntilConverged(time.Minute) {
 		t.Fatal("routing did not converge")
 	}
@@ -197,15 +198,22 @@ func TestBogusAlertRejected(t *testing.T) {
 	ind, _ := g.Lookup("Indianapolis")
 	chi, _ := g.Lookup("Chicago")
 	sea, _ := g.Lookup("Seattle")
+	seg := topology.Segment{kc, ind, chi}
 
-	// Seattle (not a member of the segment) announces a suspicion framing
-	// Kansas City–Indianapolis–Chicago. Correct routers must ignore it.
-	proto.Daemon(sea).AnnounceSuspicion(topology.Segment{kc, ind, chi})
+	// The announcer's check: Seattle, not a member of the segment, floods
+	// nothing when asked to announce it.
+	pending := net.Scheduler().Pending()
+	proto.Daemon(sea).AnnounceSuspicion(seg)
+	if got := net.Scheduler().Pending(); got != pending {
+		t.Fatalf("a non-member announcement scheduled %d events", got-pending)
+	}
+
+	// The receiver's check: Seattle floods a validly signed alert framing
+	// Kansas City–Indianapolis–Chicago past its own daemon. Every router,
+	// Seattle's included, must ignore it.
+	proto.flood.Flood(sea, TopicAlert, "", topology.AppendKey(nil, seg))
 	net.Run(net.Now() + 5*time.Second)
 	for _, d := range proto.Daemons() {
-		if d.ID() == sea {
-			continue
-		}
 		if d.Exclusions().Len() != 0 {
 			t.Fatalf("router %v accepted a non-member suspicion", d.ID())
 		}
@@ -222,16 +230,11 @@ func TestForgedAlertSignatureRejected(t *testing.T) {
 
 	// Seattle forges an alert claiming to be from Denver without Denver's
 	// key: signature verification must reject it.
-	seg := topology.Segment{den, kc, ind}
-	forged := &Alert{
-		Announcer: den,
-		Seq:       99,
-		Segment:   seg,
-		Sig:       net.Auth().Sign(sea, EncodeAlertBody(den, 99, seg)),
-	}
+	forged := &consensus.Msg{Origin: den, Topic: TopicAlert, Payload: topology.AppendKey(nil, topology.Segment{den, kc, ind})}
+	forged.Sig = net.Auth().Sign(sea, consensus.SignedBody(den, TopicAlert, "", forged.Payload))
 	forged.Sig.Signer = den // lie about the signer
 	for _, nb := range g.Neighbors(sea) {
-		net.SendControlDirect(sea, nb, KindAlert, forged)
+		net.SendControlDirect(sea, nb, consensus.KindFlood, forged)
 	}
 	net.Run(net.Now() + 5*time.Second)
 	for _, d := range proto.Daemons() {
@@ -241,10 +244,88 @@ func TestForgedAlertSignatureRejected(t *testing.T) {
 	}
 }
 
+// TestForgedAlertDoesNotShadowGenuine pins the order of the flood's checks:
+// an alert's body is predictable, so a faulty router can send its
+// neighbours a forged copy of ⟨x,f,y⟩ before x announces it. The forgery
+// must be dropped without being remembered, so x's genuine announcement
+// still reaches every correct router.
+func TestForgedAlertDoesNotShadowGenuine(t *testing.T) {
+	net, proto := newAbileneNet(t)
+	g := net.Graph()
+	den, _ := g.Lookup("Denver")
+	kc, _ := g.Lookup("KansasCity")
+	ind, _ := g.Lookup("Indianapolis")
+	seg := topology.Segment{den, kc, ind}
+
+	forged := &consensus.Msg{Origin: den, Topic: TopicAlert, Payload: topology.AppendKey(nil, seg)}
+	forged.Sig = net.Auth().Sign(kc, consensus.SignedBody(den, TopicAlert, "", forged.Payload))
+	forged.Sig.Signer = den
+	for _, nb := range g.Neighbors(kc) {
+		net.SendControlDirect(kc, nb, consensus.KindFlood, forged)
+	}
+	net.Run(net.Now() + time.Second)
+	net.Scheduler().At(net.Now(), func() { proto.Daemon(den).AnnounceSuspicion(seg) })
+	net.Run(net.Now() + 5*time.Second)
+	for _, d := range proto.Daemons() {
+		if d.ID() != kc && !d.Exclusions().Has(seg) {
+			t.Fatalf("correct router %v does not exclude %v after a forged copy", d.ID(), seg)
+		}
+	}
+}
+
+// firstAlertDropper is a protocol-faulty relay that drops the first control
+// message it handles that is not an LSA, and forwards everything else.
+type firstAlertDropper struct{ dropped bool }
+
+func (b *firstAlertDropper) OnForward(*network.RouterView, *packet.Packet, packet.NodeID) network.Verdict {
+	return network.Verdict{Action: network.ActForward}
+}
+
+func (b *firstAlertDropper) OnControl(_ *network.RouterView, m *network.ControlMessage) network.ControlVerdict {
+	if _, lsa := m.Payload.(*LSA); lsa || b.dropped {
+		return network.CtrlForward
+	}
+	b.dropped = true
+	return network.CtrlDrop
+}
+
+// TestAlertSurvivesSelectiveRelay pins robust flooding under selective
+// forwarding: on the ring a–f–r–s, where a–f–r is fast and r–s–a slow, the
+// faulty f drops a's first alert and relays its second, so r hears the
+// second first. Every correct router must still exclude both segments.
+func TestAlertSurvivesSelectiveRelay(t *testing.T) {
+	g := topology.NewGraph()
+	a, f, r, s := g.AddNode("a"), g.AddNode("f"), g.AddNode("r"), g.AddNode("s")
+	fast, slow := topology.DefaultLinkAttrs(), topology.DefaultLinkAttrs()
+	fast.Delay, slow.Delay = time.Millisecond, 20*time.Millisecond
+	g.AddDuplex(a, f, fast)
+	g.AddDuplex(f, r, fast)
+	g.AddDuplex(r, s, slow)
+	g.AddDuplex(s, a, slow)
+	net := network.New(g, network.Options{Seed: 5})
+	proto := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
+	if !proto.RunUntilConverged(time.Minute) {
+		t.Fatal("routing did not converge")
+	}
+	net.Router(f).SetBehavior(&firstAlertDropper{})
+	older, newer := topology.Segment{s, a, f}, topology.Segment{f, a, s}
+	net.Scheduler().At(net.Now(), func() {
+		proto.Daemon(a).AnnounceSuspicion(older)
+		proto.Daemon(a).AnnounceSuspicion(newer)
+	})
+	net.Run(net.Now() + 10*time.Second)
+	for _, id := range []packet.NodeID{a, r, s} {
+		excl := proto.Daemon(id).Exclusions()
+		if !excl.Has(older) || !excl.Has(newer) {
+			t.Fatalf("correct router %v excludes %v", id, excl.Segments())
+		}
+	}
+}
+
 func TestHoldTimerBatchesRecomputations(t *testing.T) {
 	g := topology.Abilene()
 	net := network.New(g, network.Options{Seed: 5})
-	proto := Attach(net, Options{Timers: Timers{Delay: time.Second, Hold: 10 * time.Second}})
+	proto := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 10 * time.Second}})
 	if !proto.RunUntilConverged(2 * time.Minute) {
 		t.Fatal("no convergence")
 	}

@@ -28,8 +28,8 @@ import (
 	"sort"
 	"time"
 
+	"routerwatch/internal/consensus"
 	"routerwatch/internal/network"
-	"routerwatch/internal/packet"
 	"routerwatch/internal/runner"
 )
 
@@ -67,30 +67,34 @@ const floodHold = time.Millisecond
 
 // Attach creates and starts a daemon on every router. Initial LSAs flood at
 // staggered start times; tables converge after the delay/hold timers.
-func Attach(net *network.Network, opts Options) *Protocol {
+// Suspicion alerts ride flood, the network's one robust-flooding service
+// (the one its detectors flood on): a second service on the same network
+// would take over the other's relay handler.
+func Attach(net *network.Network, flood *consensus.Service, opts Options) *Protocol {
 	if opts.Timers.Delay == 0 && opts.Timers.Hold == 0 {
 		opts.Timers = DefaultTimers()
 	}
-	p := &Protocol{net: net, opts: opts}
+	tel := net.Telemetry()
+	p := &Protocol{net: net, flood: flood, opts: opts,
+		recomputes: tel.Registry().Counter("rw_routing_recomputes_total"), tracer: tel.Tracer()}
 	if opts.BatchCompute {
 		p.due = make(map[time.Duration][]*Daemon)
 	}
 	for _, r := range net.Routers() {
 		d := &Daemon{
-			proto:     p,
-			router:    r,
-			id:        r.ID(),
-			lsdb:      make([]*LSA, net.Graph().NumNodes()),
-			seenAlert: make(map[packet.NodeID]uint64),
-			excl:      NewExclusions(),
-			timers:    opts.Timers,
+			proto:  p,
+			router: r,
+			id:     r.ID(),
+			lsdb:   make([]*LSA, net.Graph().NumNodes()),
+			excl:   NewExclusions(),
+			timers: opts.Timers,
 			// Allow the very first computation to run immediately after
 			// the delay timer regardless of hold.
 			lastCompute: -opts.Timers.Hold,
 		}
 		r.HandleControl(KindLSA, d.handleLSA)
 		r.HandleControl(KindLSABundle, d.handleLSABundle)
-		r.HandleControl(KindAlert, d.handleAlert)
+		flood.Subscribe(d.id, TopicAlert, d.onAlert)
 		p.daemons = append(p.daemons, d)
 	}
 	// Origin LSAs, staggered to avoid a synchronized burst: per router by

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"routerwatch/internal/consensus"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/topology"
@@ -46,13 +47,13 @@ func TestScaleOptionsConvergeToLegacyTables(t *testing.T) {
 	timers := Timers{Delay: time.Second, Hold: 2 * time.Second}
 
 	legacyNet := network.New(g.Clone(), network.Options{Seed: 5})
-	legacy := Attach(legacyNet, Options{Timers: timers})
+	legacy := Attach(legacyNet, consensus.NewService(legacyNet), Options{Timers: timers})
 	if !legacy.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("legacy path did not converge")
 	}
 
 	scaledNet := network.New(g.Clone(), network.Options{Seed: 5})
-	scaled := Attach(scaledNet, Options{
+	scaled := Attach(scaledNet, consensus.NewService(scaledNet), Options{
 		Timers:         timers,
 		StaggerRegions: true,
 		BundleFlood:    true,
@@ -84,7 +85,7 @@ func TestBatchComputeWorkerInvariance(t *testing.T) {
 	run := func(workers int) map[[3]packet.NodeID]packet.NodeID {
 		runtime.GOMAXPROCS(workers)
 		net := network.New(g.Clone(), network.Options{Seed: 9})
-		p := Attach(net, Options{Timers: timers, BatchCompute: true})
+		p := Attach(net, consensus.NewService(net), Options{Timers: timers, BatchCompute: true})
 		if !p.RunUntilConverged(5 * time.Minute) {
 			t.Fatalf("workers=%d did not converge", workers)
 		}
@@ -111,13 +112,13 @@ func TestBundleFloodConverges(t *testing.T) {
 	timers := Timers{Delay: time.Second, Hold: 2 * time.Second}
 
 	legacyNet := network.New(g.Clone(), network.Options{Seed: 3})
-	legacy := Attach(legacyNet, Options{Timers: timers})
+	legacy := Attach(legacyNet, consensus.NewService(legacyNet), Options{Timers: timers})
 	if !legacy.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("legacy did not converge")
 	}
 
 	net := network.New(g.Clone(), network.Options{Seed: 3})
-	p := Attach(net, Options{Timers: timers, BundleFlood: true})
+	p := Attach(net, consensus.NewService(net), Options{Timers: timers, BundleFlood: true})
 	if !p.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("bundled flooding did not converge")
 	}

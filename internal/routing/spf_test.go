@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"routerwatch/internal/consensus"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/topology"
@@ -181,7 +182,7 @@ func FuzzComputeTable(f *testing.F) {
 func TestLSDBAdjacencyMatchesReference(t *testing.T) {
 	g := topology.ISP(topology.ISPSpec{Nodes: 96, PoPs: 4, Seed: 11})
 	net := network.New(g, network.Options{Seed: 5})
-	proto := Attach(net, Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
+	proto := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
 	if !proto.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("routing did not converge")
 	}

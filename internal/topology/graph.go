@@ -188,12 +188,13 @@ func (g *Graph) Nodes() []packet.NodeID {
 }
 
 // AddLink installs a single directed link. It replaces any existing link
-// with the same endpoints. A graph must end up duplex with symmetric costs —
-// every link from→to beside a link to→from of the same Cost — because the
-// path table and ECMP read a router's next hop toward dst off the shortest
-// path tree rooted at dst (CSR.ShortestPathTree). AddDuplex keeps that by
-// construction; input that installs single links (capture.Meta.Graph)
-// checks it.
+// with the same endpoints. A graph must end up duplex with symmetric,
+// positive costs — every link from→to beside a link to→from of the same
+// positive Cost — because the path table and ECMP read a router's next hop
+// toward dst off the shortest path tree rooted at dst
+// (CSR.ShortestPathTree). AddDuplex keeps the duplex by construction;
+// input that installs single links (capture.Meta.Graph) checks it, and
+// Link.Validate checks the cost of every link from outside the program.
 func (g *Graph) AddLink(l Link) {
 	if _, ok := g.adj[l.From]; !ok {
 		panic(fmt.Sprintf("topology: unknown node %v", l.From))
@@ -231,8 +232,10 @@ func (a LinkAttrs) Link(from, to packet.NodeID) Link {
 // Validate checks a link that arrived from outside the program — a scenario
 // file's custom topology, a trace manifest — before it reaches AddLink and
 // the queue constructors, which panic on a self-loop or a non-positive
-// buffer, and the SPF, which does not terminate on a negative cost. Go
-// builders call AddLink directly: a bad link from them is a programmer error.
+// buffer, and the path table, which predicts the path routing forwards along
+// only for positive costs (a zero-cost link ties a two-hop path with a
+// one-hop one, and the two break the tie differently). Go builders call
+// AddLink directly: a bad link from them is a programmer error.
 func (l Link) Validate() error {
 	switch {
 	case l.From == l.To:
@@ -243,8 +246,8 @@ func (l Link) Validate() error {
 		return fmt.Errorf("queue-limit %d must be positive", l.QueueLimit)
 	case l.Delay < 0:
 		return fmt.Errorf("delay %v must not be negative", l.Delay)
-	case l.Cost < 0:
-		return fmt.Errorf("cost %d must not be negative", l.Cost)
+	case l.Cost <= 0:
+		return fmt.Errorf("cost %d must be positive", l.Cost)
 	}
 	return nil
 }

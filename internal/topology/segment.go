@@ -43,6 +43,17 @@ func DecodeKey(k SegmentKey) Segment {
 	return s
 }
 
+// MemberSegment decodes a flooded suspicion's payload: it must be a whole
+// segment key, and the segment must contain the origin that signed it — a
+// router may only announce segments it belongs to (§4.2.2).
+func MemberSegment(payload []byte, origin packet.NodeID) (Segment, bool) {
+	if len(payload)%4 != 0 {
+		return nil, false
+	}
+	seg := DecodeKey(SegmentKey(payload))
+	return seg, seg.Contains(origin)
+}
+
 // SegmentSet is a deduplicated collection of segments.
 type SegmentSet map[SegmentKey]struct{}
 
