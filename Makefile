@@ -158,10 +158,13 @@ scale-smoke:
 # and a transport signature nothing read; 86.7 MB / 338 k with eager static
 # tables, map LSDBs, per-source Dijkstra buffers, a copied path table and
 # eagerly seeded RNGs). And the run heap budget (TestRunAllocBudget):
-# chi-tcp and mesh-forward, run end to end through protocol.Run, must
-# allocate at most 20 MB and 46 MB (17.1 and 41.5 MB today; 64.0 and
-# 67.1 MB when every packet was fresh memory, and chi-tcp 30.4 MB with the
-# packet pool but χ batches grown by append doubling).
+# chi-tcp, mesh-forward and isp-converge, run end to end through
+# protocol.Run, must allocate at most 20, 36 and 70 MB (17.1, 31.8 and
+# 65.8–65.9 MB today; chi-tcp 64.0 and mesh-forward 67.1 MB when every
+# packet was fresh memory, chi-tcp 30.4 MB with the packet pool but χ
+# batches grown by append doubling, and mesh-forward 41.4 MB with Πk+2's
+# fingerprint lanes grown by append and each boundary's summaries signed
+# as one batch).
 budget-smoke:
 	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json > budget-smoke-plain.txt
 	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json -metrics - \

@@ -9,10 +9,11 @@ import (
 )
 
 // Batched signing and aggregate verification. The per-message Sign pays a
-// lock acquisition and a signer pad-state lookup per call; round boundaries
-// sign whole batches of bodies at once, so SignBatch holds the lock once
-// and reuses the resolved pad state for every body — the amortization that
-// makes per-round summary exchange O(1) setup instead of O(messages).
+// lock acquisition and a signer pad-state lookup per call; SignBatch holds
+// the lock once and reuses the resolved pad state for every body of a set
+// signed at once, O(1) setup instead of O(messages). Πk+2 does not use it:
+// it signs each summary with Sign as it encodes it, so its signing buffer
+// holds one body, not a round boundary's worth.
 
 // SignBatch signs each body under r's key and appends the signatures to
 // dst (pass nil to allocate). One locked pass with one pad-state

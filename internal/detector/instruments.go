@@ -41,8 +41,9 @@ type Instruments struct {
 	// delay from the validated round's end to the suspicion (ms).
 	Suspicions *telemetry.Counter
 	Latency    *telemetry.Histogram
-	// BatchEntries bins the record count of each signed batch a reporter
-	// flushes — the denominator of the aggregate-MAC amortization.
+	// BatchEntries bins the record count of each signed batch a χ reporter
+	// flushes — the denominator of the aggregate-MAC amortization — and
+	// the number of summaries a Πk+2 router sends at one round boundary.
 	BatchEntries *telemetry.Histogram
 
 	// Trace, when non-nil, receives suspicion instants and round spans on

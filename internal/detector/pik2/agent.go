@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strconv"
 
-	"routerwatch/internal/auth"
 	"routerwatch/internal/consensus"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/tvinfo"
@@ -71,14 +70,6 @@ type agent struct {
 	// overhead accounting).
 	bytesSent int64
 
-	// Round-boundary batching scratch: all of a boundary's outgoing
-	// messages are encoded back to back, signed with one auth.SignBatch
-	// pass, then sent in segment order. exSts parallels exMsgs.
-	exMsgs   []*SummaryMsg
-	exSts    []*segState
-	exOffs   []int
-	exBodies [][]byte
-	exSigs   []auth.Signature
 	// keyBuf is the scratch a received message's segment key is built in.
 	keyBuf []byte
 }
@@ -122,16 +113,11 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 // itself, on every monitored segment that recorded a packet. Silence is the
 // empty summary: a segment-round with nothing in it (after the Corruptor, if
 // any) is not allocated, signed, sent, relayed or verified, and the peer
-// judges hearing nothing as having been told ∅. The boundary is batched:
-// every segment's message is encoded into one buffer first, the whole set is
-// signed with a single auth.SignBatch pass (one lock and pad-state setup
-// for the boundary instead of one per segment), and the messages then go
-// out in segment order.
+// judges hearing nothing as having been told ∅. Each message is encoded into
+// the Protocol's one signing buffer, signed and sent before the next is
+// encoded, so the buffer only ever holds one summary body.
 func (a *agent) exchangeRound(n int) {
-	a.exMsgs = a.exMsgs[:0]
-	a.exSts = a.exSts[:0]
-	a.exOffs = a.exOffs[:0]
-	buf := a.p.bodyBuf[:0]
+	sent := 0
 	for _, st := range a.segOrder {
 		s := st.Recorded(n)
 		if a.corrupt != nil {
@@ -150,29 +136,8 @@ func (a *agent) exchangeRound(n int) {
 		} else {
 			msg.Summary = s
 		}
-		a.exOffs = append(a.exOffs, len(buf))
-		buf = appendSignedBody(buf, msg)
-		a.exMsgs = append(a.exMsgs, msg)
-		a.exSts = append(a.exSts, st)
-	}
-	a.p.bodyBuf = buf
-	if len(a.exMsgs) == 0 {
-		return
-	}
-	a.exBodies = a.exBodies[:0]
-	for i, off := range a.exOffs {
-		end := len(buf)
-		if i+1 < len(a.exOffs) {
-			end = a.exOffs[i+1]
-		}
-		a.exBodies = append(a.exBodies, buf[off:end])
-	}
-	a.exSigs = a.p.env.Auth().SignBatch(a.id, a.exBodies, a.exSigs[:0])
-	a.p.tel.BatchEntries.Observe(int64(len(a.exMsgs)))
-
-	for i, msg := range a.exMsgs {
-		st := a.exSts[i]
-		msg.Sig = a.exSigs[i]
+		a.p.bodyBuf = appendSignedBody(a.p.bodyBuf[:0], msg)
+		msg.Sig = a.p.env.Auth().Sign(a.id, a.p.bodyBuf)
 		wire := int64(msg.WireBytes())
 		a.bytesSent += wire
 		a.p.tel.Summaries.Inc()
@@ -181,6 +146,10 @@ func (a *agent) exchangeRound(n int) {
 			From: a.id, To: st.peer, Kind: KindSummary,
 			Payload: msg, Path: st.path,
 		})
+		sent++
+	}
+	if sent > 0 {
+		a.p.tel.BatchEntries.Observe(int64(sent))
 	}
 }
 

@@ -38,6 +38,10 @@ type Recording struct {
 	Sampling float64
 	// Fingerprints counts recorded packets (nil-safe).
 	Fingerprints *telemetry.Counter
+
+	// scratch holds the chunks every watch's fingerprint sets record into
+	// until they are first read: the deployment's, single-goroutine like it.
+	scratch summary.Scratch
 }
 
 // Watch is one router's recording state for one watched segment. Protocols
@@ -57,11 +61,13 @@ type Watch struct {
 	// the segment agrees on the binning.
 	links  []topology.Link
 	sample summary.SampleRange
-	policy Policy
+	rec    *Recording
 	// open holds this router's summaries for the rounds not yet closed,
-	// oldest first. One or two are live at a time — a packet's bin is its
-	// predicted sink arrival, never earlier than now, and a round closes µ
-	// after its boundary — so a search is a compare or two.
+	// oldest first. Two or three are live at a time — a packet's bin is its
+	// predicted sink arrival, never earlier than now, and the protocol
+	// closes a round µ after its round tick, which comes as long after the
+	// bin's end as the protocol attached after time 0 — so a search is a
+	// compare or three.
 	open []openRound
 }
 
@@ -150,7 +156,7 @@ func (m *Monitor) Watch(w *Watch, seg topology.Segment) bool {
 		Pos:    pos,
 		order:  len(m.watches),
 		sample: summary.SampleRange{Fraction: 1},
-		policy: m.rec.Policy,
+		rec:    m.rec,
 	}
 	g := m.rec.Env.Graph()
 	for i := pos; i+1 < len(seg); i++ {
@@ -202,7 +208,10 @@ func (w *Watch) Summary(n int) *Summary {
 	if s := w.Recorded(n); s != nil {
 		return s
 	}
-	s := NewSummary(w.policy)
+	s := NewSummary(w.rec.Policy)
+	if s.FPs != nil {
+		s.FPs.UseScratch(&w.rec.scratch)
+	}
 	w.open = append(w.open, openRound{n, s})
 	return s
 }
@@ -217,26 +226,6 @@ func (w *Watch) Recorded(n int) *Summary {
 		}
 	}
 	return nil
-}
-
-// recording returns round n's summary for a packet about to be recorded. A
-// round opened here gets its fingerprint lane sized from the round before
-// it, which under steady traffic is still open and all but complete; one
-// opened by Summary for a round that saw no traffic stays a single
-// allocation.
-func (w *Watch) recording(n int) *Summary {
-	if s := w.Recorded(n); s != nil {
-		return s
-	}
-	expect := 0
-	if k := len(w.open); k > 0 {
-		expect = int(w.open[k-1].s.Counter.Packets)
-	}
-	s := w.Summary(n)
-	if s.FPs != nil {
-		s.FPs.Grow(expect)
-	}
-	return s
 }
 
 // Close forgets round n once the protocol has judged it.
@@ -347,6 +336,6 @@ func (m *Monitor) record(w *Watch, fp packet.Fingerprint, size int, now time.Dur
 		return
 	}
 	sinkTS := now + w.transit(size)
-	w.recording(int(sinkTS/m.rec.Round)).RecordTimed(fp, size, sinkTS)
+	w.Summary(int(sinkTS/m.rec.Round)).RecordTimed(fp, size, sinkTS)
 	m.rec.Fingerprints.Inc()
 }

@@ -174,17 +174,20 @@ func TestForgedAddressesRecordNothing(t *testing.T) {
 }
 
 // TestRecordingAllocatesNothing pins the per-packet path: a packet of a pair
-// the route memo knows, recorded into a round whose lane is already sized,
-// costs no allocation at either end of the segment.
+// the route memo knows, recorded into a round whose summary is open and
+// whose chunks the round before gave back, costs no allocation at either
+// end of the segment.
 func TestRecordingAllocatesNothing(t *testing.T) {
 	g := topology.Line(5)
 	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
 	rec := &Recording{Env: env, Oracle: NewPathOracle(g), Policy: PolicyContent, Round: testRound}
 	seg := topology.Segment{1, 2, 3}
+	var watches []*Watch
 	for _, id := range []packet.NodeID{1, 3} {
-		m := new(Monitor)
+		m, w := new(Monitor), new(Watch)
 		m.Start(rec, id)
-		m.Watch(new(Watch), seg)
+		m.Watch(w, seg)
+		watches = append(watches, w)
 	}
 	p := &packet.Packet{Src: 0, Dst: 4, Size: testSize}
 	events := func(now time.Duration) {
@@ -192,14 +195,66 @@ func TestRecordingAllocatesNothing(t *testing.T) {
 		env.taps[1](network.Event{Time: now, Router: 1, Kind: network.EvDequeue, Peer: 2, Packet: p})
 		env.taps[3](network.Event{Time: now + 2*testHop, Router: 3, Kind: network.EvReceive, Peer: 2, Packet: p})
 	}
-	// Round 0 fills the memo and grows its lanes by appending; round 1's
-	// lanes open sized for round 0's 1000 packets.
+	// Round 0 fills the memo and records 1000 packets into chunks its read
+	// gives back; round 1 records into them.
 	for i := 0; i < 1000; i++ {
 		events(0)
 	}
+	for _, w := range watches {
+		w.Summary(0).FPs.Encode()
+		w.Close(0)
+	}
 	events(testRound)
 	if n := testing.AllocsPerRun(500, func() { events(testRound) }); n != 0 {
-		t.Fatalf("recording a packet of a known pair into a warmed lane: %v allocations, want 0", n)
+		t.Fatalf("recording a packet of a known pair into recycled chunks: %v allocations, want 0", n)
+	}
+}
+
+// TestRecordingRecyclesChunks pins the deployment's chunk pool under steady
+// traffic on a small topology. Each round is read one round late, so two
+// rounds hold chunks at once, and each round needs more chunks than one
+// carve holds; still, from the third round on, a round records only into
+// chunks that reads of earlier rounds gave back.
+func TestRecordingRecyclesChunks(t *testing.T) {
+	g := topology.Line(5)
+	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
+	rec := &Recording{Env: env, Oracle: NewPathOracle(g), Policy: PolicyContent, Round: testRound}
+	seg := topology.Segment{1, 2, 3}
+	var watches []*Watch
+	for _, id := range seg {
+		m, w := new(Monitor), new(Watch)
+		m.Start(rec, id)
+		m.Watch(w, seg)
+		watches = append(watches, w)
+	}
+	const perRound = 1400 // 22 chunks at each of the three routers, more than a carve
+	p := &packet.Packet{Src: 0, Dst: 4, Size: testSize}
+	for n := 0; n < 8; n++ {
+		carved := rec.scratch.Chunks()
+		start := time.Duration(n)*testRound + 10*time.Millisecond
+		for i := 0; i < perRound; i++ {
+			p.Seq++
+			now := start + time.Duration(i)*500*time.Microsecond
+			env.taps[1](network.Event{Time: now, Router: 1, Kind: network.EvDequeue, Peer: 2, Packet: p})
+			env.taps[2](network.Event{Time: now + testHop, Router: 2, Kind: network.EvDequeue, Peer: 3, Packet: p})
+			env.taps[3](network.Event{Time: now + 2*testHop, Router: 3, Kind: network.EvReceive, Peer: 2, Packet: p})
+		}
+		if n >= 2 && rec.scratch.Chunks() != carved {
+			t.Fatalf("round %d carved %d chunks, want none: earlier reads gave back enough",
+				n, rec.scratch.Chunks()-carved)
+		}
+		if n == 0 {
+			continue
+		}
+		for i, w := range watches {
+			if got := w.Summary(n - 1).FPs.Fingerprints(); len(got) != perRound {
+				t.Fatalf("round %d at %v: read %d fingerprints, want %d", n-1, seg[i], len(got), perRound)
+			}
+			w.Close(n - 1)
+		}
+	}
+	if held := rec.scratch.Chunks(); held < 2*3*22 {
+		t.Fatalf("the pool carved %d chunks, fewer than two rounds record: the pin above is vacuous", held)
 	}
 }
 

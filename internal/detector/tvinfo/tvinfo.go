@@ -54,28 +54,33 @@ type Summary struct {
 	Timed   *summary.TimedFP
 }
 
-// NewSummary allocates the structures the policy needs — the counter, set
-// and sequence in one allocation beside the Summary that points at them,
-// since most segment-rounds of a large deployment see no traffic and are
-// only this. The timed lanes are a second allocation that only
-// PolicyTimeliness pays for.
+// NewSummary allocates the structures the policy needs — the counter, and
+// the set and sequence if the policy reads them, in one allocation beside
+// the Summary that points at them, since most segment-rounds of a large
+// deployment see no traffic and are only this. The timed lanes are a
+// second allocation that only PolicyTimeliness pays for.
 func NewSummary(policy Policy) *Summary {
-	b := &struct {
-		Summary
-		fps     summary.FPSet
-		ordered summary.OrderedFP
-	}{}
-	s := &b.Summary
-	if policy >= PolicyContent {
-		s.FPs = &b.fps
+	switch {
+	case policy >= PolicyOrder:
+		b := &struct {
+			Summary
+			fps     summary.FPSet
+			ordered summary.OrderedFP
+		}{}
+		b.FPs, b.Ordered = &b.fps, &b.ordered
+		if policy >= PolicyTimeliness {
+			b.Timed = &summary.TimedFP{}
+		}
+		return &b.Summary
+	case policy == PolicyContent:
+		b := &struct {
+			Summary
+			fps summary.FPSet
+		}{}
+		b.FPs = &b.fps
+		return &b.Summary
 	}
-	if policy >= PolicyOrder {
-		s.Ordered = &b.ordered
-	}
-	if policy >= PolicyTimeliness {
-		s.Timed = &summary.TimedFP{}
-	}
-	return s
+	return &Summary{}
 }
 
 // Record adds one observed packet.

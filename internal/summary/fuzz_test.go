@@ -68,8 +68,10 @@ func FuzzFPSetCodec(f *testing.F) {
 // observable to agree after every step, so reads land between writes (a
 // normalised set that is written again must re-normalise), duplicates pile
 // up, and a peer-claimed multiplicity of 2³²−1 is held, written to, compared
-// and re-encoded as a count. The script is (op, arg) byte pairs over two
-// sets; fingerprints come from a 16-value domain in scrambled order.
+// and re-encoded as a count. Every set draws its chunks from one Scratch,
+// so a read hands chunks to the other set's next write. The script is (op,
+// arg) byte pairs over two sets; fingerprints come from a 16-value domain
+// in scrambled order.
 func FuzzFPSetMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 3, 0, 1, 1, 3, 0, 9, 1, 9, 1, 9})       // duplicates on both sides
 	f.Add([]byte{0, 5, 0, 2, 6, 0, 0, 2, 0, 7, 6, 0, 0, 5, 6, 0}) // write, read, write, read
@@ -81,7 +83,10 @@ func FuzzFPSetMatchesReference(f *testing.F) {
 		return packet.Fingerprint(uint64(arg%16) * 0x9e3779b97f4a7c15)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
+		var sc Scratch
 		got := [2]*FPSet{NewFPSet(), NewFPSet()}
+		got[0].UseScratch(&sc)
+		got[1].UseScratch(&sc)
 		ref := [2]*refFPSet{newRefFPSet(), newRefFPSet()}
 		check := func(step int) {
 			t.Helper()
@@ -133,6 +138,7 @@ func FuzzFPSetMatchesReference(f *testing.F) {
 				if err != nil || refErr != nil {
 					t.Fatalf("step %d: hostile entry rejected: %v / %v", step, err, refErr)
 				}
+				g.UseScratch(&sc)
 				got[1], ref[1] = g, r
 			case 5: // Replace set 0 by the decoding of its own encoding
 				g, err := DecodeFPSet(got[0].Encode())
@@ -141,6 +147,7 @@ func FuzzFPSetMatchesReference(f *testing.F) {
 					t.Fatalf("step %d: decode of own encoding: %v, reference %v", step, err, refErr)
 				}
 				if err == nil { // a count that wrapped to 0 on the wire is rejected by both
+					g.UseScratch(&sc)
 					got[0], ref[0] = g, r
 				}
 			case 6: // read between writes

@@ -1,7 +1,10 @@
 package summary
 
 import (
+	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -218,4 +221,103 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// A set's Adds land in 64-fingerprint chunks until a read copies them out,
+// so the edges that matter are an empty chain, a partial chunk, a full one,
+// one Add past it, and many chunks — each with reads between the writes. A
+// set drawing chunks from a shared Scratch, one allocating each chunk fresh
+// and the map-backed reference must agree on every read.
+func TestFPSetChunkEdges(t *testing.T) {
+	fpOf := func(i int) packet.Fingerprint {
+		return packet.Fingerprint(uint64(i*i%701) * 0x9e3779b97f4a7c15) // repeats past 701
+	}
+	other, otherRef := NewFPSet(), newRefFPSet()
+	for i := 0; i < 100; i++ {
+		other.Add(fpOf(3 * i))
+		otherRef.Add(fpOf(3 * i))
+	}
+	var sc Scratch
+	for _, adds := range []int{0, 1, 63, 64, 65, 1000} {
+		for _, every := range []int{0, 1, 7, 64, 65} { // read after every so many Adds; 0 reads at the end only
+			pooled, fresh, ref := NewFPSet(), NewFPSet(), newRefFPSet()
+			pooled.UseScratch(&sc)
+			check := func(done int) {
+				t.Helper()
+				want := ref.Encode()
+				for i, s := range []*FPSet{pooled, fresh} {
+					name := [...]string{"pooled", "fresh"}[i]
+					if got := s.Encode(); !bytes.Equal(got, want) {
+						t.Fatalf("%d Adds, read every %d, after %d: %s Encode differs from the reference", adds, every, done, name)
+					}
+					gotS, gotO := s.DiffCounts(other)
+					refS, refO := ref.DiffCounts(otherRef)
+					if gotS != refS || gotO != refO {
+						t.Fatalf("%d Adds, read every %d, after %d: %s DiffCounts (%d, %d), reference (%d, %d)",
+							adds, every, done, name, gotS, gotO, refS, refO)
+					}
+					for _, fp := range []packet.Fingerprint{fpOf(0), fpOf(1), fpOf(done), fpOf(700)} {
+						if g, r := s.Count(fp), ref.Count(fp); g != r {
+							t.Fatalf("%d Adds, read every %d, after %d: %s Count(%x) %d, reference %d",
+								adds, every, done, name, uint64(fp), g, r)
+						}
+					}
+					if s.Len() != ref.Len() {
+						t.Fatalf("%d Adds, read every %d, after %d: %s Len %d, reference %d", adds, every, done, name, s.Len(), ref.Len())
+					}
+				}
+			}
+			for i := 0; i < adds; i++ {
+				pooled.Add(fpOf(i))
+				fresh.Add(fpOf(i))
+				ref.Add(fpOf(i))
+				if every > 0 && (i+1)%every == 0 {
+					check(i + 1)
+				}
+			}
+			check(adds)
+		}
+	}
+}
+
+// A read gives a set's chunks back to its Scratch, and the next set to
+// record draws them and overwrites them with its own fingerprints: the
+// first set's lane, copied out at its read, must not change — whether the
+// set filled part of one chunk or several.
+func TestFPSetReadLaneOutlivesItsChunks(t *testing.T) {
+	for _, n := range []int{10, 200} {
+		var sc Scratch
+		first := NewFPSet()
+		first.UseScratch(&sc)
+		for i := 0; i < n; i++ {
+			first.Add(packet.Fingerprint(i))
+		}
+		chunks := chain(first)
+		enc := first.Encode()
+		fps := slices.Clone(first.Fingerprints())
+
+		second := NewFPSet()
+		second.UseScratch(&sc)
+		for i := 0; i < n; i++ {
+			second.Add(packet.Fingerprint(1_000_000 + i))
+		}
+		if !maps.Equal(chain(second), chunks) {
+			t.Fatalf("%d: the second set does not record into the chunks the first set's read gave back", n)
+		}
+		if !bytes.Equal(first.Encode(), enc) || !slices.Equal(first.Fingerprints(), fps) {
+			t.Fatalf("%d: a read set changed when its chunks were recorded into again", n)
+		}
+		if second.Len() != n || second.Count(1_000_000) != 1 || second.Count(0) != 0 {
+			t.Fatalf("%d: second set: Len %d, Count %d / %d", n, second.Len(), second.Count(1_000_000), second.Count(0))
+		}
+	}
+}
+
+// chain returns the chunks holding s's unread Adds.
+func chain(s *FPSet) map[*chunk]bool {
+	in := make(map[*chunk]bool)
+	for c := s.last; c != nil; c = c.next {
+		in[c] = true
+	}
+	return in
 }
