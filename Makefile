@@ -153,18 +153,20 @@ scale-smoke:
 # monitored segment signed and sent a summary every round, empty or not).
 # Last, the assembly heap budget (internal/protocol/catalog
 # TestAssembleAllocBudget): isp-converge, assembled through protocol.Run up
-# to BeforeRun, must allocate at most 53 MB in at most 290 000 allocations
-# (49.0 MB / 269 k today; 2.3 MB more with a control message carrying an ID
-# and a transport signature nothing read; 86.7 MB / 338 k with eager static
-# tables, map LSDBs, per-source Dijkstra buffers, a copied path table and
-# eagerly seeded RNGs). And the run heap budget (TestRunAllocBudget):
-# chi-tcp, mesh-forward and isp-converge, run end to end through
-# protocol.Run, must allocate at most 20, 36 and 70 MB (17.1, 31.8 and
-# 65.8–65.9 MB today; chi-tcp 64.0 and mesh-forward 67.1 MB when every
-# packet was fresh memory, chi-tcp 30.4 MB with the packet pool but χ
-# batches grown by append doubling, and mesh-forward 41.4 MB with Πk+2's
-# fingerprint lanes grown by append and each boundary's summaries signed
-# as one batch).
+# to BeforeRun, must allocate at most 38 MB in at most 236 000 allocations
+# (34.8 MB / 219 k today; 48.9 MB / 268 k with a path table of path headers,
+# routing tables of degree+1 rows and LSA bundles grown by doubling; 2.3 MB
+# more with a control message carrying an ID and a transport signature
+# nothing read; 86.7 MB / 338 k with eager static tables, map LSDBs,
+# per-source Dijkstra buffers, a copied path table and eagerly seeded RNGs).
+# And the run heap budget (TestRunAllocBudget): chi-tcp, mesh-forward and
+# isp-converge, run end to end through protocol.Run, must allocate at most
+# 20, 36 and 55 MB (17.1, 31.5 and 51.8 MB today; chi-tcp 64.0 and
+# mesh-forward 67.1 MB when every packet was fresh memory, chi-tcp 30.4 MB
+# with the packet pool but χ batches grown by append doubling, mesh-forward
+# 41.4 MB with Πk+2's fingerprint lanes grown by append and each boundary's
+# summaries signed as one batch, and isp-converge 65.8 MB with the
+# stable-state tables above).
 budget-smoke:
 	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json > budget-smoke-plain.txt
 	$(GO) run ./cmd/mrsim -scenario bench/workloads/mesh-forward.json -metrics - \

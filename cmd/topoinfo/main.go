@@ -44,8 +44,8 @@ func main() {
 		os.Exit(0)
 	}
 
-	paths := g.CSR().Paths().All()
-	fmt.Printf("%d routing paths\n\n", len(paths))
+	paths := g.CSR().Paths()
+	fmt.Printf("%d routing paths\n\n", paths.Len())
 
 	printMode := func(m topology.MonitorMode, name string) {
 		fmt.Printf("%s:\n  k   max|Pr|   avg|Pr|   median|Pr|\n", name)

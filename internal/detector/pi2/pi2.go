@@ -94,7 +94,7 @@ type Protocol struct {
 func Attach(env protocol.Env, opts Options) *Protocol {
 	opts.fill()
 	g := env.Graph()
-	pr, _ := topology.MonitorSets(g.CSR().Paths().All(), opts.K, topology.ModeNodes)
+	pr, _ := topology.MonitorSets(g.CSR().Paths(), opts.K, topology.ModeNodes)
 
 	p := &Protocol{
 		env:    env,

@@ -135,7 +135,7 @@ type Protocol struct {
 // topology (§4.1: paths are predictable in the stable state).
 func Attach(env protocol.Env, opts Options) *Protocol {
 	g := env.Graph()
-	return attach(env, opts, g.CSR().Paths().All(), tvinfo.NewPathOracle(g))
+	return attach(env, opts, g.CSR().Paths(), tvinfo.NewPathOracle(g))
 }
 
 // AttachECMP deploys Πk+2 over an equal-cost multipath fabric (§7.4.1).
@@ -167,12 +167,13 @@ func AttachECMP(env protocol.Env, e *topology.ECMP, flows []packet.FlowID, opts 
 	for _, k := range keys {
 		paths = append(paths, pathSet[k])
 	}
-	return attach(env, opts, paths, tvinfo.NewECMPPathOracle(e))
+	table := topology.NewPathTable(paths)
+	return attach(env, opts, &table, tvinfo.NewECMPPathOracle(e))
 }
 
-// attach deploys Πk+2 monitoring the segment ends of paths, with oracle
-// predicting which of them each packet follows.
-func attach(env protocol.Env, opts Options, paths []topology.Path, oracle *tvinfo.PathOracle) *Protocol {
+// attach deploys Πk+2 monitoring the segment ends of the table's paths,
+// with oracle predicting which of them each packet follows.
+func attach(env protocol.Env, opts Options, paths *topology.PathTable, oracle *tvinfo.PathOracle) *Protocol {
 	opts.fill()
 	pr, _ := topology.MonitorSets(paths, opts.K, topology.ModeEnds)
 

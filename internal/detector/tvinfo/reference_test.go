@@ -112,10 +112,19 @@ func (e *scanEnv) Tap(at packet.NodeID, fn func(network.Event)) {
 	e.net.Router(at).AddTap(func(ev network.Event) { e.check(e.monitors[at], ev, fn) })
 }
 
+// tablePaths lists the table's paths in its order.
+func tablePaths(t *topology.PathTable) []topology.Path {
+	paths := make([]topology.Path, t.Len())
+	for i := range paths {
+		paths[i] = t.At(i)
+	}
+	return paths
+}
+
 // deploy starts a monitor on every router, watching the segments MonitorSets
-// derives from paths, under PolicyTimeliness so that a watch's summaries
+// derives from the table's paths, under PolicyTimeliness so that a watch's summaries
 // keep every record's (fp, size, sinkTS) in recording order.
-func deploy(t *testing.T, net *network.Network, oracle *PathOracle, paths []topology.Path, mode topology.MonitorMode, sampling float64) *scanEnv {
+func deploy(t *testing.T, net *network.Network, oracle *PathOracle, paths *topology.PathTable, mode topology.MonitorMode, sampling float64) *scanEnv {
 	e := &scanEnv{t: t, net: net, monitors: make(map[packet.NodeID]*Monitor), seen: make(map[*Summary]int)}
 	e.rec = &Recording{Env: e, Oracle: oracle, Policy: PolicyTimeliness, Round: 100 * time.Millisecond, Sampling: sampling}
 	pr, _ := topology.MonitorSets(paths, 2, mode)
@@ -181,10 +190,10 @@ func TestDispatchMatchesScan(t *testing.T) {
 	t.Run("isp mesh", func(t *testing.T) {
 		g := topology.ISP(topology.ISPSpec{Nodes: 60, PoPs: 3, Seed: 7})
 		net := network.New(g, network.Options{Seed: 1, ProcessingJitter: 50 * time.Microsecond})
-		paths := g.CSR().Paths().All()
 		// Half-rate sampling, so the sample range sits between dispatch and
 		// the summary here and is absent in the other runs.
-		e := deploy(t, net, NewPathOracleFromPaths(paths), paths, topology.ModeEnds, 0.5)
+		paths := g.CSR().Paths()
+		e := deploy(t, net, NewPathOracleFromPaths(tablePaths(paths)), paths, topology.ModeEnds, 0.5)
 		meshTraffic(net, rand.New(rand.NewSource(1)), 150, 20, []packet.FlowID{1})
 		net.Run(2 * time.Second)
 		e.requireCoverage(10000, 5000)
@@ -218,7 +227,8 @@ func TestDispatchMatchesScan(t *testing.T) {
 				}
 			}
 		}
-		e := deploy(t, net, NewECMPPathOracle(ecmp), paths, topology.ModeEnds, 0)
+		table := topology.NewPathTable(paths)
+		e := deploy(t, net, NewECMPPathOracle(ecmp), &table, topology.ModeEnds, 0)
 		meshTraffic(net, rand.New(rand.NewSource(2)), 60, 10, flows)
 		net.Run(2 * time.Second)
 		e.requireCoverage(2000, 1000)
@@ -247,12 +257,12 @@ func TestDispatchMatchesScan(t *testing.T) {
 			g.AddDuplex(packet.NodeID(i), packet.NodeID((i+1)%ring), topology.DefaultLinkAttrs())
 		}
 		net := network.New(g, network.Options{Seed: 3})
-		paths := g.CSR().Paths().All()
-		e := deploy(t, net, NewPathOracleFromPaths(paths), paths, topology.ModeNodes, 0)
+		paths := g.CSR().Paths()
+		e := deploy(t, net, NewPathOracleFromPaths(tablePaths(paths)), paths, topology.ModeNodes, 0)
 		cut := g.Clone()
 		cut.RemoveLink(0, 1)
 		cut.RemoveLink(1, 0)
-		rerouted := NewPathOracleFromPaths(cut.CSR().Paths().All())
+		rerouted := NewPathOracleFromPaths(tablePaths(cut.CSR().Paths()))
 		var before int
 		net.Scheduler().At(500*time.Millisecond, func() {
 			before = e.records
@@ -273,8 +283,8 @@ func TestDispatchMatchesScan(t *testing.T) {
 		// forged addresses lie outside the path table.
 		g := topology.Line(5)
 		net := network.New(g, network.Options{Seed: 4})
-		paths := g.CSR().Paths().All()
-		e := deploy(t, net, NewPathOracleFromPaths(paths), paths, topology.ModeNodes, 0)
+		paths := g.CSR().Paths()
+		e := deploy(t, net, NewPathOracleFromPaths(tablePaths(paths)), paths, topology.ModeNodes, 0)
 		m := e.monitors[1]
 		p := &packet.Packet{Src: 0, Dst: 4, Size: 500}
 		forged := &packet.Packet{Src: -1, Dst: math.MaxInt32, Size: 500}

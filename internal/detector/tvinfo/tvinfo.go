@@ -252,9 +252,8 @@ func NewECMPPathOracle(e *topology.ECMP) *PathOracle {
 }
 
 // NewPathOracleFromPaths builds an oracle from explicit per-pair paths
-// (e.g. traced from live forwarding tables after a routing change), indexed
-// by topology.NewPathTable, which keeps the paths slice itself: callers
-// must not mutate it afterwards.
+// (e.g. traced from live forwarding tables after a routing change), copied
+// into a topology.NewPathTable.
 func NewPathOracleFromPaths(paths []topology.Path) *PathOracle {
 	return &PathOracle{table: topology.NewPathTable(paths)}
 }

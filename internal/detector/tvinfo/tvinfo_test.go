@@ -289,14 +289,14 @@ func TestOracleOutOfRange(t *testing.T) {
 }
 
 // TestOracleAllocs: the oracle is one int32 index over the paths it was
-// given, not a copy of their headers nor a structure per pair. The
-// constructor inlines, so the oracle's own header is allocated wherever the
-// caller's escape analysis puts it (here, on the stack); what is counted is
-// the one index.
+// given and one arena their router IDs are copied into, not a copy of their
+// headers nor a structure per pair. The constructor inlines, so the
+// oracle's own header is allocated wherever the caller's escape analysis
+// puts it (here, on the stack); what is counted is the index and the arena.
 func TestOracleAllocs(t *testing.T) {
-	paths := topology.ISP(topology.ISPSpec{Nodes: 100, Seed: 1}).CSR().Paths().All()
-	if n := testing.AllocsPerRun(5, func() { NewPathOracleFromPaths(paths) }); n > 1 {
-		t.Fatalf("NewPathOracleFromPaths over %d paths: %v allocations, want at most 1", len(paths), n)
+	paths := tablePaths(topology.ISP(topology.ISPSpec{Nodes: 100, Seed: 1}).CSR().Paths())
+	if n := testing.AllocsPerRun(5, func() { NewPathOracleFromPaths(paths) }); n > 2 {
+		t.Fatalf("NewPathOracleFromPaths over %d paths: %v allocations, want at most 2", len(paths), n)
 	}
 }
 

@@ -32,7 +32,7 @@ type PrFigure struct {
 // identical for every worker count.
 func RunPrFigure(spec topology.GeneratorSpec, mode topology.MonitorMode, maxK, workers int) *PrFigure {
 	g := topology.Generate(spec)
-	paths := g.CSR().Paths().All()
+	paths := g.CSR().Paths()
 	f := &PrFigure{Spec: spec, Mode: mode}
 	f.Stats, _ = runner.Map(runner.Config{Workers: workers}, maxK, func(tr runner.Trial) topology.PrStats {
 		return topology.ComputePrStats(g, paths, tr.Index+1, mode)

@@ -118,7 +118,7 @@ func (r *ChiVsThresholdResult) Table() *Table {
 // counters (flow policy, one counter per monitored unit).
 func StateSizeTable(spec topology.GeneratorSpec, k int) *Table {
 	g := topology.Generate(spec)
-	paths := g.CSR().Paths().All()
+	paths := g.CSR().Paths()
 	nodes := topology.ComputePrStats(g, paths, k, topology.ModeNodes)
 	ends := topology.ComputePrStats(g, paths, k, topology.ModeEnds)
 

@@ -53,7 +53,8 @@ type Daemon struct {
 	table *Table
 
 	// pending and flushQueued implement bundled flooding (Options.BundleFlood):
-	// accepted LSAs collect here until the floodHold flush.
+	// accepted LSAs collect here until the floodHold flush, which sends a
+	// copy and reuses the slice.
 	pending     []*LSA
 	flushQueued bool
 
@@ -68,10 +69,12 @@ type Protocol struct {
 	flood   *consensus.Service
 	opts    Options
 	daemons []*Daemon
-	// recomputes and tracer count and mark each table installation; both
-	// are nil when telemetry is off.
-	recomputes *telemetry.Counter
-	tracer     *telemetry.Tracer
+	// recomputes and tracer count and mark each table installation, and
+	// nodeTables and edgeTables count the installed tables by the kernel
+	// that computed them; all are nil when telemetry is off.
+	recomputes             *telemetry.Counter
+	nodeTables, edgeTables *telemetry.Counter
+	tracer                 *telemetry.Tracer
 	// due maps a batch instant to the daemons whose recompute is coalesced
 	// into it (Options.BatchCompute).
 	due map[time.Duration][]*Daemon
@@ -224,8 +227,8 @@ func (d *Daemon) prepare(truth *topology.CSR) {
 }
 
 // install publishes the prepared table as the router's forwarder, counts
-// and marks it, and fires the recompute observer. at is the simulated
-// instant of the installation.
+// and marks it (serially, unlike prepare), and fires the recompute
+// observer. at is the simulated instant of the installation.
 func (d *Daemon) install(at time.Duration) {
 	d.computeQueued = false
 	d.lastCompute = at
@@ -235,6 +238,11 @@ func (d *Daemon) install(at time.Duration) {
 		return tbl.NextHop(from, p.Dst)
 	})
 	d.proto.recomputes.Inc()
+	if tbl.hops != nil {
+		d.proto.nodeTables.Inc()
+	} else {
+		d.proto.edgeTables.Inc()
+	}
 	d.proto.tracer.Instant("ospf-recompute", "routing", at, int32(d.id), "")
 	if d.onRecompute != nil {
 		d.onRecompute(at)

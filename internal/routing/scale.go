@@ -25,6 +25,7 @@
 package routing
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -74,9 +75,11 @@ func Attach(net *network.Network, flood *consensus.Service, opts Options) *Proto
 	if opts.Timers.Delay == 0 && opts.Timers.Hold == 0 {
 		opts.Timers = DefaultTimers()
 	}
-	tel := net.Telemetry()
-	p := &Protocol{net: net, flood: flood, opts: opts,
-		recomputes: tel.Registry().Counter("rw_routing_recomputes_total"), tracer: tel.Tracer()}
+	reg := net.Telemetry().Registry()
+	p := &Protocol{net: net, flood: flood, opts: opts, tracer: net.Telemetry().Tracer(),
+		recomputes: reg.Counter("rw_routing_recomputes_total"),
+		nodeTables: reg.Counter("rw_routing_tables_total", "kernel", "node"),
+		edgeTables: reg.Counter("rw_routing_tables_total", "kernel", "edge")}
 	if opts.BatchCompute {
 		p.due = make(map[time.Duration][]*Daemon)
 	}
@@ -124,6 +127,8 @@ func (d *Daemon) handleLSABundle(m *network.ControlMessage) {
 }
 
 // enqueueFlood defers re-flooding of a novel LSA to the next bundle flush.
+// pending is the daemon's scratch: the flush sends an exact-size copy and
+// keeps the backing array for the next bundle.
 func (d *Daemon) enqueueFlood(lsa *LSA) {
 	d.pending = append(d.pending, lsa)
 	if d.flushQueued {
@@ -143,8 +148,9 @@ func (d *Daemon) flushPending() {
 	if len(d.pending) == 0 {
 		return
 	}
-	b := &LSABundle{LSAs: d.pending}
-	d.pending = nil
+	b := &LSABundle{LSAs: slices.Clone(d.pending)}
+	clear(d.pending)
+	d.pending = d.pending[:0]
 	for _, nb := range d.proto.net.Graph().Neighbors(d.id) {
 		d.proto.net.SendControlDirect(d.id, nb, KindLSABundle, b)
 	}

@@ -2,12 +2,14 @@ package routing
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"routerwatch/internal/consensus"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
+	"routerwatch/internal/telemetry"
 	"routerwatch/internal/topology"
 )
 
@@ -128,5 +130,59 @@ func TestBundleFloodConverges(t *testing.T) {
 		if got[k] != v {
 			t.Fatalf("bundled tables diverge at %v: %v vs %v", k, v, got[k])
 		}
+	}
+}
+
+// A flush sends a copy of the daemon's pending scratch, which the next
+// bundle reuses: a bundle already in flight must keep the LSAs it was sent
+// with.
+func TestBundleOutlivesPendingScratch(t *testing.T) {
+	g := doorGraph()
+	net := network.New(g, network.Options{Seed: 2})
+	p := Attach(net, consensus.NewService(net), Options{BundleFlood: true})
+	var got [][]*LSA
+	net.Router(1).HandleControl(KindLSABundle, func(m *network.ControlMessage) {
+		if m.From == 0 {
+			got = append(got, m.Payload.(*LSABundle).LSAs)
+		}
+	})
+	d := p.Daemon(0)
+	a, b, c := &LSA{Origin: 4, Seq: 1}, &LSA{Origin: 5, Seq: 1}, &LSA{Origin: 2, Seq: 1}
+	d.enqueueFlood(a)
+	d.enqueueFlood(b)
+	d.flushPending()
+	d.enqueueFlood(c)
+	d.flushPending()
+	net.Run(100 * time.Millisecond)
+	if len(got) < 2 || !slices.Equal(got[0], []*LSA{a, b}) || !slices.Equal(got[1], []*LSA{c}) {
+		t.Fatalf("router 1 heard bundles %v first, want [a b] then [c]", got)
+	}
+}
+
+// rw_routing_tables_total counts installed tables by kernel: every router
+// converges on a node-kernel table, and a suspected 3-segment forbids a
+// transition, so every router's next table is an edge-kernel one.
+func TestTablesCountedByKernel(t *testing.T) {
+	g := ispGraph(t)
+	tel := &telemetry.Set{Metrics: telemetry.NewRegistry()}
+	net := network.New(g, network.Options{Seed: 5, Telemetry: tel})
+	p := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
+	node := tel.Registry().Counter("rw_routing_tables_total", "kernel", "node")
+	edge := tel.Registry().Counter("rw_routing_tables_total", "kernel", "edge")
+	if !p.RunUntilConverged(5 * time.Minute) {
+		t.Fatal("routing did not converge")
+	}
+	n := int64(g.NumNodes())
+	if node.Value() != n || edge.Value() != 0 {
+		t.Fatalf("converged: %d node and %d edge tables, want %d and 0", node.Value(), edge.Value(), n)
+	}
+	nbrs := g.Neighbors(7)
+	p.Daemon(7).AnnounceSuspicion(topology.Segment{nbrs[0], 7, nbrs[1]})
+	net.Run(net.Now() + time.Second)
+	if !p.RunUntilConverged(net.Now() + 5*time.Minute) {
+		t.Fatal("routing did not reconverge")
+	}
+	if node.Value() != n || edge.Value() != n {
+		t.Fatalf("after the response: %d node and %d edge tables, want %d each", node.Value(), edge.Value(), n)
 	}
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"sync"
 
 	"routerwatch/internal/packet"
@@ -22,9 +23,9 @@ import (
 //     suspicion of a 3-or-longer segment). Walk legality then depends only
 //     on the links used, so states are nodes, and the contexts differ only
 //     in which first hop they ban. One Dijkstra per router settles, per
-//     node, the best label and the best label with another first hop; the
-//     row of the context that bans first hop f reads the second wherever
-//     the first starts with f.
+//     node, the best label and the best label with another first hop. The
+//     table keeps both first hops, and a lookup from the context that bans
+//     first hop f reads the second wherever the first starts with f.
 //   - edgeRow, otherwise. Legality of a step depends on the link the walk
 //     arrived over, so states are directed links (the line graph), indexed
 //     densely by CSR edge number, one Dijkstra per arrival context.
@@ -134,9 +135,9 @@ func grow[T any](s []T, n int) []T {
 // computeTable builds router r's table over adjacency c.
 func (s *spfScratch) computeTable(c *topology.CSR, r packet.NodeID, excl *Exclusions) *Table {
 	n, nbrs := c.NumNodes(), c.Row(r)
-	t := newTable(n, nbrs)
 	if len(nbrs) == 0 {
-		fillNone(t.rows[0])
+		t := &Table{hops: make([]packet.NodeID, 2*n)}
+		fillNone(t.hops)
 		return t
 	}
 	s.dead = grow(s.dead, len(c.To))
@@ -147,8 +148,7 @@ func (s *spfScratch) computeTable(c *topology.CSR, r packet.NodeID, excl *Exclus
 		}
 	}
 	if len(excl.trans) == 0 {
-		s.nodeRows(c, r, t, nbrs)
-		return t
+		return s.nodeRows(c, r)
 	}
 
 	s.mid = grow(s.mid, n)
@@ -166,6 +166,7 @@ func (s *spfScratch) computeTable(c *topology.CSR, r packet.NodeID, excl *Exclus
 	}
 	s.dist = grow(s.dist, len(c.To))
 	s.hop = grow(s.hop, len(c.To))
+	t := newEdgeTable(n, nbrs)
 	s.edgeRow(c, r, r, excl, t.rows[0])
 	for i, from := range nbrs {
 		s.edgeRow(c, r, from, excl, t.rows[1+i])
@@ -179,8 +180,9 @@ func fillNone(row []packet.NodeID) {
 	}
 }
 
-// nodeRows fills every row of t with one node-state Dijkstra from r.
-func (s *spfScratch) nodeRows(c *topology.CSR, r packet.NodeID, t *Table, nbrs []packet.NodeID) {
+// nodeRows computes r's node-form table with one node-state Dijkstra from
+// r: the table keeps both labels of every destination.
+func (s *spfScratch) nodeRows(c *topology.CSR, r packet.NodeID) *Table {
 	n := c.NumNodes()
 	s.dist = grow(s.dist, 2*n)
 	s.hop = grow(s.hop, 2*n)
@@ -210,20 +212,7 @@ func (s *spfScratch) nodeRows(c *topology.CSR, r packet.NodeID, t *Table, nbrs [
 		}
 	}
 
-	local := t.rows[0]
-	for v := range local {
-		local[v] = s.hop[2*v]
-	}
-	for i, from := range nbrs {
-		row := t.rows[1+i]
-		for v := range row {
-			h := s.hop[2*v]
-			if h == from {
-				h = s.hop[2*v+1]
-			}
-			row[v] = h
-		}
-	}
+	return &Table{hops: slices.Clone(s.hop)}
 }
 
 // relax offers node v the label (d, first hop f). v keeps its best label

@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -14,24 +13,28 @@ import (
 	"routerwatch/internal/topology"
 )
 
-// checkTable fails unless got equals the reference table of router r: the
-// same set of arrival contexts, and an identical row for each.
+// checkTable fails unless got answers as the reference table of router r
+// does. For every arrival context — r itself and each neighbor — and every
+// destination, NextHop reads that context's reference row. Any other
+// sender, in the graph or not, reads r's own row (mis-delivered traffic),
+// and a destination outside the graph has no next hop.
 func checkTable(t testing.TB, g *topology.Graph, r packet.NodeID, excl *Exclusions, got *Table) {
 	t.Helper()
 	want := referenceTable(g, r, excl)
-	if len(got.rows) != len(want) {
-		t.Fatalf("router %v: %d rows, reference has %d", r, len(got.rows), len(want))
-	}
-	contexts := append([]packet.NodeID{r}, g.Neighbors(r)...)
-	for i, from := range contexts {
-		if !reflect.DeepEqual(got.rows[i], want[from]) {
-			t.Fatalf("router %v from %v (%d links, %d transitions excluded):\n got %v\nwant %v",
-				r, from, len(excl.links), len(excl.trans), got.rows[i], want[from])
+	n := packet.NodeID(g.NumNodes())
+	for from := packet.NodeID(-1); from <= n; from++ {
+		row, ok := want[from]
+		if !ok {
+			row = want[r]
 		}
-		// NextHop must read that same row for this context.
-		for dst, nh := range want[from] {
-			if h, ok := got.NextHop(from, packet.NodeID(dst)); h != nh || ok != (nh >= 0) {
-				t.Fatalf("router %v: NextHop(%v, %d) = %v/%v, row says %v", r, from, dst, h, ok, nh)
+		for dst := packet.NodeID(-1); dst <= n; dst++ {
+			nh := packet.NodeID(-1)
+			if dst >= 0 && dst < n {
+				nh = row[dst]
+			}
+			if h, ok := got.NextHop(from, dst); h != nh || ok != (nh >= 0) {
+				t.Fatalf("router %v (%d links, %d transitions excluded): NextHop(%v, %v) = %v/%v, reference row says %v",
+					r, len(excl.links), len(excl.trans), from, dst, h, ok, nh)
 			}
 		}
 	}
@@ -214,10 +217,36 @@ func TestLSDBAdjacencyMatchesReference(t *testing.T) {
 	check(d)
 }
 
+// The node kernel's table is its two labels per destination: one
+// allocation of 2n IDs beside the Table itself, with no row per arrival
+// context and no context index. The edge kernel keeps a row per context.
+func TestNodeTableAllocs(t *testing.T) {
+	g := topology.ISP(topology.ISPSpec{Nodes: 96, PoPs: 4, Seed: 11})
+	c, n := g.CSR(), g.NumNodes()
+	links, trans := NewExclusions(), NewExclusions()
+	links.Add(topology.Segment{5, g.Neighbors(5)[0]})
+	trans.Add(topology.Segment{g.Neighbors(5)[0], 5, g.Neighbors(5)[1]})
+	var s spfScratch
+	for _, excl := range []*Exclusions{NewExclusions(), links} {
+		s.computeTable(c, 5, excl) // size the scratch
+		if a := testing.AllocsPerRun(10, func() { s.computeTable(c, 5, excl) }); a != 2 {
+			t.Errorf("%d links excluded: %v allocations per node-kernel table, want 2 (the Table and its IDs)", excl.Len(), a)
+		}
+		if tbl := s.computeTable(c, 5, excl); len(tbl.hops) != 2*n || tbl.rows != nil || tbl.rowOf != nil {
+			t.Errorf("%d links excluded: node-kernel table holds %d IDs, %d rows and a %d-entry row index; want %d IDs and neither",
+				excl.Len(), len(tbl.hops), len(tbl.rows), len(tbl.rowOf), 2*n)
+		}
+	}
+	if tbl := s.computeTable(c, 5, trans); tbl.hops != nil || len(tbl.rows) != 1+len(g.Neighbors(5)) {
+		t.Errorf("edge-kernel table: %d IDs and %d rows, want none and %d", len(tbl.hops), len(tbl.rows), 1+len(g.Neighbors(5)))
+	}
+}
+
 // The ISP-500 graph of the isp-converge workload: one table with no
 // exclusions (node kernel) and one with forbidden transitions (edge
-// kernel). A table may allocate its struct, its row headers, its row index
-// and one block of cells — nothing per row, nothing per state.
+// kernel). A node-kernel table allocates its struct and its 2n IDs; an
+// edge-kernel table its struct, its row headers, its row index and one
+// block of cells — nothing per state either way.
 func BenchmarkComputeTable(b *testing.B) {
 	g := topology.ISP(topology.ISPSpec{Nodes: 500, PoPs: 20, Seed: 7})
 	rng := rand.New(rand.NewSource(3))
@@ -226,13 +255,14 @@ func BenchmarkComputeTable(b *testing.B) {
 		excl.Add(randomSegment(rng, g, 3))
 	}
 	for _, bc := range []struct {
-		name string
-		excl *Exclusions
-	}{{"empty", NewExclusions()}, {"excl", excl}} {
+		name   string
+		excl   *Exclusions
+		allocs float64
+	}{{"empty", NewExclusions(), 2}, {"excl", excl, 4}} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := packet.NodeID(0)
-			if allocs := testing.AllocsPerRun(5, func() { ComputeTable(g, r, bc.excl) }); allocs > 4 {
-				b.Fatalf("%v allocations per table, want at most 4", allocs)
+			if allocs := testing.AllocsPerRun(5, func() { ComputeTable(g, r, bc.excl) }); allocs > bc.allocs {
+				b.Fatalf("%v allocations per table, want at most %v", allocs, bc.allocs)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -89,19 +89,30 @@ func (e *Exclusions) TransitionForbidden(u, v, w packet.NodeID) bool {
 // (inbound neighbor, destination). The inbound dimension implements the
 // paper's policy-based routing (§5.3.1): traffic that arrived along the
 // prefix of a suspected segment must not continue along its suffix.
+//
+// A table takes one of two forms, fixed by the kernel that computed it
+// (spf.go). The node kernel's contexts differ only in the first hop they
+// ban, so its table keeps the kernel's two labels per destination and picks
+// at lookup: best[dst], and alt[dst], the best with another first hop, read
+// exactly where best[dst] is the neighbor the packet came from (no U-turn
+// over the arrival link). The edge kernel's contexts differ arbitrarily, so
+// its table keeps a row per context.
 type Table struct {
-	// rows[i][dst] = next hop, -1 if unreachable. Row 0 serves locally
-	// originated traffic, row 1+i traffic arriving from the router's i-th
-	// neighbor (ascending ID).
+	// hops is the node form, nil in the edge form: best[dst] at 2·dst and
+	// alt[dst] at 2·dst+1, -1 where unreachable.
+	hops []packet.NodeID
+	// rows[i][dst] = next hop, -1 if unreachable (edge form only). Row 0
+	// serves locally originated traffic, row 1+i traffic arriving from the
+	// router's i-th neighbor (ascending ID).
 	rows [][]packet.NodeID
 	// rowOf[from] is the row for inbound neighbor from; 0 for every other
 	// node, the router itself included.
 	rowOf []int32
 }
 
-// newTable allocates the table of a router with neighbors nbrs, n
-// destinations per row.
-func newTable(n int, nbrs []packet.NodeID) *Table {
+// newEdgeTable allocates the edge-form table of a router with neighbors
+// nbrs, n destinations per row.
+func newEdgeTable(n int, nbrs []packet.NodeID) *Table {
 	t := &Table{rows: make([][]packet.NodeID, 1+len(nbrs)), rowOf: make([]int32, n)}
 	cells := make([]packet.NodeID, len(t.rows)*n)
 	for i := range t.rows {
@@ -115,9 +126,20 @@ func newTable(n int, nbrs []packet.NodeID) *Table {
 
 // NextHop returns the next hop for a packet from inbound neighbor from
 // (equal to the table's router for locally originated traffic) toward dst.
-// An unknown inbound neighbor (e.g. mis-delivered traffic) falls back to
-// the locally-originated row, which has no transition constraint.
+// An unknown inbound neighbor (e.g. mis-delivered traffic) is served as
+// locally originated traffic, which has no transition constraint.
 func (t *Table) NextHop(from, dst packet.NodeID) (packet.NodeID, bool) {
+	if t.hops != nil {
+		i := 2 * int(dst)
+		if uint(i) >= uint(len(t.hops)) {
+			return -1, false
+		}
+		nh := t.hops[i]
+		if nh == from {
+			nh = t.hops[i+1]
+		}
+		return nh, nh >= 0
+	}
 	row := t.rows[0]
 	if uint32(from) < uint32(len(t.rowOf)) {
 		row = t.rows[t.rowOf[from]]

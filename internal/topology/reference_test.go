@@ -74,9 +74,10 @@ func refMonitorSets(paths []Path, k int, mode MonitorMode) (map[packet.NodeID][]
 // router IDs [0, n).
 func requireMatchesReference(t *testing.T, name string, paths []Path, n int) {
 	t.Helper()
+	table := NewPathTable(paths)
 	for _, mode := range []MonitorMode{ModeNodes, ModeEnds} {
 		for k := 1; k <= 4; k++ {
-			pr, all := MonitorSets(paths, k, mode)
+			pr, all := MonitorSets(&table, k, mode)
 			wantPr, wantAll := refMonitorSets(paths, k, mode)
 			if !reflect.DeepEqual(all, wantAll) {
 				t.Fatalf("%s, mode %d, k=%d: universe has %d segments, the reference %d", name, mode, k, len(all), len(wantAll))
@@ -84,7 +85,7 @@ func requireMatchesReference(t *testing.T, name string, paths []Path, n int) {
 			if !reflect.DeepEqual(pr, wantPr) {
 				t.Fatalf("%s, mode %d, k=%d: monitoring sets differ from the reference", name, mode, k)
 			}
-			sizes := MonitorSetSizes(paths, k, mode, n)
+			sizes := MonitorSetSizes(&table, k, mode, n)
 			for r := range sizes {
 				if want := len(wantPr[packet.NodeID(r)]); sizes[r] != want {
 					t.Fatalf("%s, mode %d, k=%d: |Pr(%d)| = %d, the reference %d", name, mode, k, r, sizes[r], want)
@@ -104,7 +105,7 @@ func TestMonitorSetsMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := ISP(ISPSpec{Nodes: 16 + rng.Intn(24), PoPs: 2 + rng.Intn(3), Seed: seed})
 		n := g.NumNodes()
-		all := g.CSR().Paths().All()
+		all := tablePaths(g.CSR().Paths())
 
 		subset := append([]Path(nil), all...)
 		rng.Shuffle(len(subset), func(i, j int) { subset[i], subset[j] = subset[j], subset[i] })
@@ -136,6 +137,15 @@ func TestMonitorSetsMatchReference(t *testing.T) {
 			requireMatchesReference(t, fmt.Sprintf("seed %d, %s", seed, in.name), in.paths, n)
 		}
 	}
+}
+
+// tablePaths lists the table's paths in its order.
+func tablePaths(t *PathTable) []Path {
+	paths := make([]Path, t.Len())
+	for i := range paths {
+		paths[i] = t.At(i)
+	}
+	return paths
 }
 
 // decodePaths reads a path list from fuzz input: each path is a length byte

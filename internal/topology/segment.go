@@ -142,7 +142,7 @@ func segLess(a, b Segment) bool {
 }
 
 // forEachWindow enumerates the sliding windows the monitoring-set rule
-// derives from the routing paths: for ModeNodes every (exactly)
+// derives from the table's paths: for ModeNodes every (exactly)
 // target-length window plus every shorter whole path of length ≥ 3, for
 // ModeEnds every window of length 3..target. Windows are sub-slices of
 // the paths — visit must not retain or mutate them — and a window may be
@@ -150,45 +150,25 @@ func segLess(a, b Segment) bool {
 //
 // Each path's pass visits the windows ending at p[j] for j from its last
 // router down, and stops at the first j < len(p)-1 whose prefix p[:j+1] is
-// itself an input path: every window ending at or before p[j] is a window
-// of that prefix, of the same kind, so the prefix's own pass covers it. By
-// induction on path length every window of every path is visited. On
-// CSR.Paths's table each prefix is itself the table's path to its last
+// itself a path of the table: every window ending at or before p[j] is a
+// window of that prefix, of the same kind, so the prefix's own pass covers
+// it. By induction on path length every window of every path is visited.
+// On CSR.Paths's table each prefix is itself the table's path to its last
 // router (TestPathTableTailsArePaths), so a path costs its windows ending
 // at the destination plus one compare, not every window along it.
-func forEachWindow(paths []Path, target int, mode MonitorMode, visit func(w []packet.NodeID)) {
+func forEachWindow(paths *PathTable, target int, mode MonitorMode, visit func(w []packet.NodeID)) {
 	if mode != ModeNodes && mode != ModeEnds {
 		panic("topology: unknown monitor mode")
 	}
-	// byEnds holds 1 + the index of an input path of length ≥ 3 with each
-	// (first, last) router pair, over IDs in [0, n); 0 is none. Only such
-	// a path can stop another's pass: a shorter prefix ends no window.
-	indexed := func(p Path) bool { return len(p) >= 3 && p[0] >= 0 && p[len(p)-1] >= 0 }
-	n := 0
-	for _, p := range paths {
-		if indexed(p) {
-			n = max(n, int(p[0])+1, int(p[len(p)-1])+1)
-		}
-	}
-	byEnds := make([]int32, n*n)
-	for i, p := range paths {
-		if indexed(p) {
-			byEnds[int(p[0])*n+int(p[len(p)-1])] = int32(i + 1)
-		}
-	}
 	isPath := func(prefix Path) bool {
-		first, last := int(prefix[0]), int(prefix[len(prefix)-1])
-		if first < 0 || last < 0 || first >= n || last >= n {
-			return false
-		}
-		i := byEnds[first*n+last]
-		return i > 0 && slices.Equal(paths[i-1], prefix)
+		return slices.Equal(paths.Path(prefix[0], prefix[len(prefix)-1]), prefix)
 	}
 	shortest := 3
 	if mode == ModeNodes {
 		shortest = target
 	}
-	for _, p := range paths {
+	for i := 0; i < paths.Len(); i++ {
+		p := paths.At(i)
 		if len(p) < 3 {
 			continue
 		}
@@ -208,11 +188,11 @@ func forEachWindow(paths []Path, target int, mode MonitorMode, visit func(w []pa
 }
 
 // MonitorSets computes Pr — the set of path-segments each router monitors —
-// for the given routing paths, adjacent-fault bound k, and protocol rule.
+// for the table's routing paths, adjacent-fault bound k, and protocol rule.
 // It returns the per-router monitoring sets and the global deduplicated
 // segment universe. The returned segments share arena-backed storage;
 // callers must not mutate them.
-func MonitorSets(paths []Path, k int, mode MonitorMode) (pr map[packet.NodeID][]Segment, all SegmentSet) {
+func MonitorSets(paths *PathTable, k int, mode MonitorMode) (pr map[packet.NodeID][]Segment, all SegmentSet) {
 	if k < 1 {
 		k = 1
 	}
@@ -248,7 +228,7 @@ func MonitorSets(paths []Path, k int, mode MonitorMode) (pr map[packet.NodeID][]
 // deterministic sort leaves one dedup-map probe per window, which is most
 // of the difference between the sweep and the raw window enumeration.
 // Routers with IDs ≥ n are ignored.
-func MonitorSetSizes(paths []Path, k int, mode MonitorMode, n int) []int {
+func MonitorSetSizes(paths *PathTable, k int, mode MonitorMode, n int) []int {
 	if k < 1 {
 		k = 1
 	}
@@ -293,7 +273,7 @@ type PrStats struct {
 
 // ComputePrStats computes |Pr| statistics over all routers in the graph
 // (routers monitoring zero segments count as zero).
-func ComputePrStats(g *Graph, paths []Path, k int, mode MonitorMode) PrStats {
+func ComputePrStats(g *Graph, paths *PathTable, k int, mode MonitorMode) PrStats {
 	sizes := MonitorSetSizes(paths, k, mode, g.NumNodes())
 	sort.Ints(sizes)
 	st := PrStats{K: k, Routers: g.NumNodes()}

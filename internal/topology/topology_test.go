@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -191,7 +190,7 @@ func TestSegmentKeyRoundTrip(t *testing.T) {
 func TestMonitorSetsLineNodes(t *testing.T) {
 	// Line of 6 routers, k=1: Π2 monitors every 3-segment of every path.
 	g := Line(6)
-	paths := g.CSR().Paths().All()
+	paths := g.CSR().Paths()
 	pr, all := MonitorSets(paths, 1, ModeNodes)
 	// Line of 6 has 3-segments: (0,1,2),(1,2,3),(2,3,4),(3,4,5) in both
 	// directions = 8 segments.
@@ -211,7 +210,7 @@ func TestMonitorSetsLineNodes(t *testing.T) {
 func TestMonitorSetsLineEnds(t *testing.T) {
 	// Line of 6, k=1: Πk+2 monitors x-segments for x=3 with r as an end.
 	g := Line(6)
-	paths := g.CSR().Paths().All()
+	paths := g.CSR().Paths()
 	pr, all := MonitorSets(paths, 1, ModeEnds)
 	if len(all) != 8 {
 		t.Fatalf("universe has %d segments, want 8", len(all))
@@ -230,7 +229,7 @@ func TestMonitorSetsShortPathsIncluded(t *testing.T) {
 	// Line of 3 with k=3 (target length 5): whole 3-hop paths are still
 	// monitored under ModeNodes because no 5-segment exists.
 	g := Line(3)
-	paths := g.CSR().Paths().All()
+	paths := g.CSR().Paths()
 	_, all := MonitorSets(paths, 3, ModeNodes)
 	if len(all) != 2 { // (0,1,2) and (2,1,0)
 		t.Fatalf("universe = %v, want the two whole paths", all.Slice())
@@ -242,7 +241,7 @@ func TestMonitorSetSizesMatchMonitorSets(t *testing.T) {
 	// ComputePrStats; it must agree exactly with len(pr[r]) from the full
 	// MonitorSets construction, for both rules across k.
 	g := Generate(GeneratorSpec{Name: "t", Nodes: 40, Links: 70, MaxDegree: 8, Seed: 7})
-	paths := g.CSR().Paths().All()
+	paths := g.CSR().Paths()
 	for _, mode := range []MonitorMode{ModeNodes, ModeEnds} {
 		for k := 1; k <= 6; k++ {
 			pr, _ := MonitorSets(paths, k, mode)
@@ -261,7 +260,7 @@ func TestEndsMonitorsFewerThanNodes(t *testing.T) {
 	// On a realistic topology, Πk+2's per-router monitoring load must be
 	// much smaller than Π2's (the Fig 5.2 vs Fig 5.4 claim).
 	g := Generate(GeneratorSpec{Name: "t", Nodes: 60, Links: 110, MaxDegree: 10, Seed: 1})
-	paths := g.CSR().Paths().All()
+	paths := g.CSR().Paths()
 	for _, k := range []int{1, 2, 3} {
 		nodes := ComputePrStats(g, paths, k, ModeNodes)
 		ends := ComputePrStats(g, paths, k, ModeEnds)
@@ -273,7 +272,7 @@ func TestEndsMonitorsFewerThanNodes(t *testing.T) {
 
 func TestPrGrowsWithK(t *testing.T) {
 	g := Generate(GeneratorSpec{Name: "t", Nodes: 60, Links: 110, MaxDegree: 10, Seed: 1})
-	paths := g.CSR().Paths().All()
+	paths := g.CSR().Paths()
 	prevNodes, prevEnds := -1.0, -1.0
 	for k := 1; k <= 4; k++ {
 		n := ComputePrStats(g, paths, k, ModeNodes)
@@ -366,11 +365,11 @@ func TestPathTableTailsArePaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.graph()
 			table := g.CSR().Paths()
-			if n := g.NumNodes(); len(table.All()) != n*(n-1) {
-				t.Fatalf("%d paths over %d connected routers, want %d", len(table.All()), n, n*(n-1))
+			if n := g.NumNodes(); table.Len() != n*(n-1) {
+				t.Fatalf("%d paths over %d connected routers, want %d", table.Len(), n, n*(n-1))
 			}
 			tails := 0
-			for _, p := range table.All() {
+			for _, p := range tablePaths(table) {
 				src, dst := p[0], p[len(p)-1]
 				for i := 1; i+1 < len(p); i++ {
 					if own := table.Path(p[i], dst); !slices.Equal(own, p[i:]) {
@@ -387,22 +386,25 @@ func TestPathTableTailsArePaths(t *testing.T) {
 	}
 }
 
-// CSR.Paths runs its n Dijkstras over one scratch: the build may allocate
-// the index (with the next-hop column beside it), the path-header slice,
-// the arena chunks the paths pack into, the scratch's three buffers and the
-// doublings of its heap — nothing per destination.
+// CSR.Paths runs its n Dijkstras over one scratch and allocates each
+// structure once, whatever n: the index with the next-hop column beside
+// it, the offsets, the arena, the hop counts, the scratch's three buffers
+// and its heap, presized — nothing per destination or per path. Offsets
+// and arena are exact-size, and the arena is every path back to back.
 func TestAllPairsPathsAllocs(t *testing.T) {
 	for _, n := range []int{20, 100, 300} {
-		g := ISP(ISPSpec{Nodes: n, Seed: 1})
-		c := g.CSR()
-		nodes := 0
-		for _, p := range c.Paths().All() {
-			nodes += len(p)
+		c := ISP(ISPSpec{Nodes: n, Seed: 1}).CSR()
+		if got := testing.AllocsPerRun(3, func() { c.buildPaths() }); got != 8 {
+			t.Errorf("ISP(%d): %v allocations, want 8", n, got)
 		}
-		chunks := nodes/min(segArenaChunk, n*n) + 1
-		want := 1 + 1 + chunks + 3 + bits.Len(uint(g.NumDirectedLinks()+1))
-		if got := testing.AllocsPerRun(3, func() { c.buildPaths() }); got > float64(want) {
-			t.Errorf("ISP(%d): %v allocations, want at most %d", n, got, want)
+		table := c.buildPaths()
+		nodes := 0
+		for i := 0; i < table.Len(); i++ {
+			nodes += len(table.At(i))
+		}
+		if len(table.nodes) != nodes || cap(table.nodes) != nodes || cap(table.off) != table.Len()+1 {
+			t.Errorf("ISP(%d): arena %d/%d IDs and %d offsets for %d paths of %d IDs in all",
+				n, len(table.nodes), cap(table.nodes), cap(table.off), table.Len(), nodes)
 		}
 	}
 }
