@@ -57,35 +57,22 @@ perf:
 	$(GO) -C bench run ./rwbench -compare out/baseline-seed1-a.json $$tmp; \
 	status=$$?; rm -f $$tmp; exit $$status
 
-# Short fuzz pass over all fifteen fuzz harnesses (satisfies `go test`
-# normally too — the seed corpus runs as ordinary tests): the summary codecs
-# and the tvinfo.Summary section framing around them, the flat-lane FPSet
-# against its map-backed reference, the mutation-campaign
-# spec round-trip, the capture decoders and the trace manifest loader, the
-# SPF kernels and the monitoring-set enumeration against their references,
-# the routing daemon's LSA door (malformed origins and typed-nil payloads)
-# and its alert subscriber (arbitrary origins and payloads),
-# the scenario-file decoder (which also builds small topologies of every
-# kind), and every descriptor's option parser.
+# Short fuzz pass over every fuzz harness of the module (the seed corpus
+# also runs as ordinary tests under `go test`). The harnesses are found, not
+# listed: `go test -list` prints each package's Fuzz* names before its "ok"
+# line, and each one is fuzzed on its own, since -fuzz takes one target.
 # Override FUZZTIME for quicker smokes: make fuzz FUZZTIME=2s.
 FUZZTIME ?= 10s
 
 fuzz:
-	@for f in FuzzCounterCodec FuzzFPSetCodec FuzzFPSetMatchesReference \
-	          FuzzCharPolyMultiplicative; do \
-		$(GO) test ./internal/summary/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ { n = n " " $$1 } /^ok / { if (n != "") print $$2 n; n = "" }'); \
+	[ -n "$$targets" ] || { echo "fuzz: no harness found"; exit 1; }; \
+	echo "$$targets" | while read pkg names; do \
+		for f in $$names; do \
+			$(GO) test $$pkg -run='^$$' -fuzz="^$$f\$$" -fuzztime=$(FUZZTIME) </dev/null || exit 1; \
+		done; \
 	done
-	$(GO) test ./internal/detector/tvinfo/ -run='^$$' -fuzz=FuzzDecodeSummary -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/mutation/ -run='^$$' -fuzz=FuzzMutantSpecRoundTrip -fuzztime=$(FUZZTIME)
-	@for f in FuzzPcapRoundTrip FuzzDecodeFrame FuzzReadMeta; do \
-		$(GO) test ./internal/capture/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
-	done
-	@for f in FuzzComputeTable FuzzAcceptLSA FuzzRoutingAlert; do \
-		$(GO) test ./internal/routing/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
-	done
-	$(GO) test ./internal/topology/ -run='^$$' -fuzz=FuzzMonitorSets -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/protocol/ -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/protocol/catalog/ -run='^$$' -fuzz=FuzzParseOptions -fuzztime=$(FUZZTIME)
 
 # Bounded adversary-mutation campaign (cmd/campaign): one operator axis per
 # family would be too narrow, so the smoke sweeps the full catalog with a

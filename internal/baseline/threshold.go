@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"routerwatch/internal/detector"
-	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/stats"
@@ -23,7 +22,7 @@ type QueueMonitor struct {
 	r      packet.NodeID
 	rd     packet.NodeID
 	opts   QueueMonitorOptions
-	oracle *tvinfo.PathOracle
+	oracle *topology.PathTable
 
 	sent     int
 	received int
@@ -96,7 +95,7 @@ func AttachQueueMonitor(net *network.Network, r, rd packet.NodeID, opts QueueMon
 	// The next-hop oracle answers "does R forward this packet toward RD?"
 	// per dequeue event; paths are deterministic in the stable state (§4.1),
 	// so they are precomputed once instead of re-running Dijkstra per packet.
-	m := &QueueMonitor{net: net, r: r, rd: rd, opts: opts, oracle: tvinfo.NewPathOracle(g)}
+	m := &QueueMonitor{net: net, r: r, rd: rd, opts: opts, oracle: g.CSR().Paths()}
 	for _, rs := range g.Neighbors(r) {
 		if rs == rd {
 			continue
@@ -104,7 +103,7 @@ func AttachQueueMonitor(net *network.Network, r, rd packet.NodeID, opts QueueMon
 		rsID := rs
 		net.Router(rsID).AddTap(func(ev network.Event) {
 			if ev.Kind == network.EvDequeue && ev.Peer == m.r {
-				if m.oracle.NextHop(ev.Packet, m.r) == m.rd {
+				if m.oracle.After(ev.Packet.Src, ev.Packet.Dst, m.r) == m.rd {
 					m.sent++
 				}
 			}

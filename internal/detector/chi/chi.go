@@ -23,12 +23,12 @@ import (
 
 	"routerwatch/internal/auth"
 	"routerwatch/internal/detector"
-	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 	"routerwatch/internal/queue"
 	"routerwatch/internal/stats"
 	"routerwatch/internal/summary"
+	"routerwatch/internal/topology"
 )
 
 // KindBatch is the control-message kind carrying reporter batches.
@@ -187,7 +187,7 @@ type RoundReport struct {
 type Protocol struct {
 	env    protocol.Env
 	opts   Options
-	oracle *tvinfo.PathOracle
+	oracle *topology.PathTable
 
 	validators map[QueueID]*queueValidator
 	tel        detector.Instruments
@@ -200,7 +200,7 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 	p := &Protocol{
 		env:        env,
 		opts:       opts,
-		oracle:     tvinfo.NewPathOracle(g),
+		oracle:     g.CSR().Paths(),
 		validators: make(map[QueueID]*queueValidator),
 		tel:        detector.NewInstruments(env.Telemetry(), "chi"),
 	}

@@ -208,7 +208,7 @@ func (r *reporter) onEvent(ev network.Event) {
 	}
 	// Only traffic r will forward to rd enters Q: predictable from the
 	// routing oracle (§4.1).
-	if r.v.p.oracle.NextHop(ev.Packet, r.v.q.R) != r.v.q.RD {
+	if r.v.p.oracle.After(ev.Packet.Src, ev.Packet.Dst, r.v.q.R) != r.v.q.RD {
 		return
 	}
 	enq := ev.Time + r.inLink.TransmissionTime(ev.Packet.Size) + r.inLink.Delay

@@ -94,7 +94,8 @@ type Protocol struct {
 func Attach(env protocol.Env, opts Options) *Protocol {
 	opts.fill()
 	g := env.Graph()
-	pr, _ := topology.MonitorSets(g.CSR().Paths(), opts.K, topology.ModeNodes)
+	paths := g.CSR().Paths()
+	pr, _ := topology.MonitorSets(paths, opts.K, topology.ModeNodes)
 
 	p := &Protocol{
 		env:    env,
@@ -105,7 +106,7 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 	}
 	p.rec = tvinfo.Recording{
 		Env:          env,
-		Oracle:       tvinfo.NewPathOracle(g),
+		Oracle:       paths,
 		Policy:       opts.Policy,
 		Round:        opts.Round,
 		Fingerprints: p.tel.Fingerprints,

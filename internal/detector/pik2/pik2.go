@@ -21,7 +21,6 @@ package pik2
 
 import (
 	"encoding/binary"
-	"sort"
 	"time"
 
 	"routerwatch/internal/auth"
@@ -132,49 +131,11 @@ type Protocol struct {
 
 // Attach deploys Πk+2 on every router of the environment. Monitored
 // segments are derived from the deterministic routing paths of the current
-// topology (§4.1: paths are predictable in the stable state).
+// topology (§4.1: paths are predictable in the stable state), and the same
+// path table predicts which of them each packet follows.
 func Attach(env protocol.Env, opts Options) *Protocol {
-	g := env.Graph()
-	return attach(env, opts, g.CSR().Paths(), tvinfo.NewPathOracle(g))
-}
-
-// AttachECMP deploys Πk+2 over an equal-cost multipath fabric (§7.4.1).
-// The monitoring set is derived from the deterministic per-flow paths of
-// the given active flows, and the path oracle resolves the same flow-hash
-// choices the routers make, so both segment ends classify every packet
-// identically.
-func AttachECMP(env protocol.Env, e *topology.ECMP, flows []packet.FlowID, opts Options) *Protocol {
-	g := env.Graph()
-	pathSet := make(map[string]topology.Path)
-	for _, src := range g.Nodes() {
-		for _, dst := range g.Nodes() {
-			if src == dst {
-				continue
-			}
-			for _, f := range flows {
-				if p := e.FlowPath(src, dst, f); p != nil {
-					pathSet[p.String()] = p
-				}
-			}
-		}
-	}
-	paths := make([]topology.Path, 0, len(pathSet))
-	keys := make([]string, 0, len(pathSet))
-	for k := range pathSet {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		paths = append(paths, pathSet[k])
-	}
-	table := topology.NewPathTable(paths)
-	return attach(env, opts, &table, tvinfo.NewECMPPathOracle(e))
-}
-
-// attach deploys Πk+2 monitoring the segment ends of the table's paths,
-// with oracle predicting which of them each packet follows.
-func attach(env protocol.Env, opts Options, paths *topology.PathTable, oracle *tvinfo.PathOracle) *Protocol {
 	opts.fill()
+	paths := env.Graph().CSR().Paths()
 	pr, _ := topology.MonitorSets(paths, opts.K, topology.ModeEnds)
 
 	p := &Protocol{
@@ -186,7 +147,7 @@ func attach(env protocol.Env, opts Options, paths *topology.PathTable, oracle *t
 	}
 	p.rec = tvinfo.Recording{
 		Env:          env,
-		Oracle:       oracle,
+		Oracle:       paths,
 		Policy:       opts.Policy,
 		Round:        opts.Round,
 		Sampling:     opts.Sampling,
@@ -203,10 +164,12 @@ func (p *Protocol) SetCorruptor(r packet.NodeID, c Corruptor) {
 	p.agents[r].corrupt = c
 }
 
-// RefreshPaths replaces the oracle with explicit routing paths traced from
-// the live forwarding tables (which include path-segment exclusions).
+// RefreshPaths replaces the path table packets are predicted to follow with
+// one over explicit routing paths traced from the live forwarding tables
+// (which include path-segment exclusions).
 func (p *Protocol) RefreshPaths(paths []topology.Path) {
-	p.rec.Oracle = tvinfo.NewPathOracleFromPaths(paths)
+	t := topology.NewPathTable(paths)
+	p.rec.Oracle = &t
 }
 
 // reconcileBudget bounds the recoverable set difference per segment-round

@@ -375,68 +375,3 @@ func TestTimelinessNoFalsePositives(t *testing.T) {
 		t.Fatalf("timeliness false positives: %v", log.All())
 	}
 }
-
-func TestECMPFabricDetection(t *testing.T) {
-	// Diamond with tails: 0—1—{2,3}—4—5. ECMP splits flows between the
-	// equal-cost middles; router 2 is compromised and drops its share.
-	// Only flows hashed through 2 suffer; Πk+2 over the flow-aware oracle
-	// localizes the fault to segments containing 2, and flows through 3
-	// cause no false suspicion.
-	g := topology.NewGraph()
-	n0, n1 := g.AddNode("n0"), g.AddNode("n1")
-	m2, m3 := g.AddNode("m2"), g.AddNode("m3")
-	n4, n5 := g.AddNode("n4"), g.AddNode("n5")
-	attrs := topology.DefaultLinkAttrs()
-	g.AddDuplex(n0, n1, attrs)
-	g.AddDuplex(n1, m2, attrs)
-	g.AddDuplex(n1, m3, attrs)
-	g.AddDuplex(m2, n4, attrs)
-	g.AddDuplex(m3, n4, attrs)
-	g.AddDuplex(n4, n5, attrs)
-
-	net := network.New(g, network.Options{Seed: 19})
-	e := topology.NewECMP(g, 11, 13)
-	net.InstallECMP(e)
-
-	// Pick flows so both branches carry traffic.
-	var via2, via3 packet.FlowID = 0, 0
-	for f := packet.FlowID(1); f < 100 && (via2 == 0 || via3 == 0); f++ {
-		p := e.FlowPath(n0, n5, f)
-		if p.Contains(m2) && via2 == 0 {
-			via2 = f
-		}
-		if p.Contains(m3) && via3 == 0 {
-			via3 = f
-		}
-	}
-	if via2 == 0 || via3 == 0 {
-		t.Fatal("could not find flows for both branches")
-	}
-
-	log := detector.NewLog()
-	opts := testOpts(log)
-	AttachECMP(protocol.NewSimEnv(net), e, []packet.FlowID{via2, via3}, opts)
-	net.Router(m2).SetBehavior(&attack.Dropper{Select: attack.All, P: 1})
-
-	for i := 0; i < 600; i++ {
-		i := i
-		net.Scheduler().At(time.Duration(i)*time.Millisecond+time.Microsecond, func() {
-			net.Inject(n0, &packet.Packet{Dst: n5, Size: 500, Flow: via2, Seq: uint32(i), Payload: uint64(i)})
-			net.Inject(n0, &packet.Packet{Dst: n5, Size: 500, Flow: via3, Seq: uint32(2000 + i), Payload: uint64(i)})
-		})
-	}
-	net.Run(3 * time.Second)
-
-	if log.Len() == 0 {
-		t.Fatal("ECMP-branch attack not detected")
-	}
-	gt := detector.NewGroundTruth([]packet.NodeID{m2}, nil)
-	if v := detector.CheckAccuracy(log, gt, 3); len(v) != 0 {
-		t.Fatalf("accuracy violations: %v", v)
-	}
-	for _, seg := range log.Segments() {
-		if seg.Contains(m3) && !seg.Contains(m2) {
-			t.Fatalf("innocent branch suspected: %v", seg)
-		}
-	}
-}

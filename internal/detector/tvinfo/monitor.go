@@ -25,9 +25,10 @@ type Env interface {
 // judges it.
 type Recording struct {
 	Env Env
-	// Oracle predicts packet paths (§4.1). Protocols replace it after a
-	// routing change; monitors read it on every packet.
-	Oracle *PathOracle
+	// Oracle is the path table that predicts packet paths (§4.1).
+	// Protocols replace it after a routing change; monitors read it on
+	// every packet.
+	Oracle *topology.PathTable
 	// Policy decides which structures a round's Summary carries.
 	Policy Policy
 	// Round is the validation interval τ packets are binned by.
@@ -92,11 +93,11 @@ type Monitor struct {
 	bySeg  map[topology.SegmentKey]*Watch
 	shapes []shape
 
-	// routes memoises dispatch: for each traffic key the oracle tells apart,
-	// the watches its packets are recorded into here. It is filled against
-	// routesFor and dropped when rec.Oracle is another oracle.
+	// routes memoises dispatch: for each address pair, the watches its
+	// packets are recorded into here. It is filled against routesFor and
+	// dropped when rec.Oracle is another table.
 	routes    map[routeKey]route
-	routesFor *PathOracle
+	routesFor *topology.PathTable
 
 	// The fill's scratch.
 	keyBuf        []byte
@@ -105,12 +106,9 @@ type Monitor struct {
 
 type shape struct{ len, pos int }
 
-// routeKey is what a PathOracle keys a predicted path on: the address pair,
-// plus the flow when forwarding is ECMP (zero otherwise).
-type routeKey struct {
-	src, dst packet.NodeID
-	flow     packet.FlowID
-}
+// routeKey is what the path table keys a predicted path on: the address
+// pair.
+type routeKey struct{ src, dst packet.NodeID }
 
 // route is where a packet with one routeKey is recorded at this router. A
 // segment is aligned at the router's one position on the predicted path, so
@@ -124,13 +122,13 @@ type route struct {
 	forward, sink []*Watch
 }
 
-// maxRoutes bounds the memo: addresses and flow labels are the sender's to
-// choose, and a thousand routers each remembering every pair they carried
-// is memory the simulation would rather spend elsewhere, so a full memo is
-// dropped and refills from live traffic. A miss costs a probe per shape,
-// not a pass over the watches, so the memo only has to hold the pairs that
-// repeat: a router of the 100-router mesh-forward workload sees 8 distinct
-// pairs in the median and 157 at most over the whole run.
+// maxRoutes bounds the memo: addresses are the sender's to choose, and a
+// thousand routers each remembering every pair they carried is memory the
+// simulation would rather spend elsewhere, so a full memo is dropped and
+// refills from live traffic. A miss costs a probe per shape, not a pass
+// over the watches, so the memo only has to hold the pairs that repeat: a
+// router of the 100-router mesh-forward workload sees 8 distinct pairs in
+// the median and 157 at most over the whole run.
 const maxRoutes = 512
 
 // Start binds the monitor to router id and installs its packet tap.
@@ -272,13 +270,10 @@ func (m *Monitor) route(p *packet.Packet) route {
 		clear(m.routes)
 		m.routesFor = oracle
 	}
-	key := routeKey{src: p.Src, dst: p.Dst}
-	if oracle.ecmp != nil {
-		key.flow = p.Flow
-	}
+	key := routeKey{p.Src, p.Dst}
 	r, ok := m.routes[key]
 	if !ok {
-		r = m.fill(oracle.Path(p.Src, p.Dst, p.Flow))
+		r = m.fill(oracle.Path(p.Src, p.Dst))
 		m.routes[key] = r
 	}
 	return r

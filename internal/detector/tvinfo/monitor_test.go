@@ -42,7 +42,7 @@ func watchLine(sampling float64) (*tapEnv, map[packet.NodeID]*Watch) {
 	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
 	rec := &Recording{
 		Env:      env,
-		Oracle:   NewPathOracle(g),
+		Oracle:   g.CSR().Paths(),
 		Policy:   PolicyTimeliness,
 		Round:    testRound,
 		Sampling: sampling,
@@ -180,7 +180,7 @@ func TestForgedAddressesRecordNothing(t *testing.T) {
 func TestRecordingAllocatesNothing(t *testing.T) {
 	g := topology.Line(5)
 	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
-	rec := &Recording{Env: env, Oracle: NewPathOracle(g), Policy: PolicyContent, Round: testRound}
+	rec := &Recording{Env: env, Oracle: g.CSR().Paths(), Policy: PolicyContent, Round: testRound}
 	seg := topology.Segment{1, 2, 3}
 	var watches []*Watch
 	for _, id := range []packet.NodeID{1, 3} {
@@ -218,7 +218,7 @@ func TestRecordingAllocatesNothing(t *testing.T) {
 func TestRecordingRecyclesChunks(t *testing.T) {
 	g := topology.Line(5)
 	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
-	rec := &Recording{Env: env, Oracle: NewPathOracle(g), Policy: PolicyContent, Round: testRound}
+	rec := &Recording{Env: env, Oracle: g.CSR().Paths(), Policy: PolicyContent, Round: testRound}
 	seg := topology.Segment{1, 2, 3}
 	var watches []*Watch
 	for _, id := range seg {
@@ -264,7 +264,7 @@ func TestRecordingRecyclesChunks(t *testing.T) {
 func TestRouteMemoBounded(t *testing.T) {
 	g := topology.Line(5)
 	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
-	rec := &Recording{Env: env, Oracle: NewPathOracle(g), Policy: PolicyFlow, Round: testRound}
+	rec := &Recording{Env: env, Oracle: g.CSR().Paths(), Policy: PolicyFlow, Round: testRound}
 	m, w := new(Monitor), new(Watch)
 	m.Start(rec, 1)
 	m.Watch(w, topology.Segment{1, 2, 3})

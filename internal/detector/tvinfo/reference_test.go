@@ -23,22 +23,22 @@ type recorded struct {
 	round  int
 }
 
-// OnSegment, refOnEvent and refRecord are PathOracle.OnSegment,
-// Monitor.onEvent and Monitor.record as they stood before the route memo
-// (ISSUE 19), kept verbatim as the oracle TestDispatchMatchesScan compares
-// the memo against: walk every watch of the router, compare the event's
-// peer with the watch's neighbour on the segment, ask the oracle whether the
-// packet's predicted path follows the segment here, then fingerprint, sample
-// and bin. The one change is refRecord's last line, which returns what the
-// old code wrote into w.Summary(round). OnSegment is the definition of "the
-// packet traverses π through this router" that Monitor.fill's window probes
-// must agree with; nothing outside the tests calls it any more.
+// OnSegment, refOnEvent and refRecord are the per-watch scan that
+// Monitor.onEvent and Monitor.record did before the route memo, kept as the
+// reference TestDispatchMatchesScan compares the memo against: walk every
+// watch of the router, compare the event's peer with the watch's neighbour
+// on the segment, ask the path table whether the packet's predicted path
+// follows the segment here, then fingerprint, sample and bin. refRecord
+// returns what the scan wrote into w.Summary(round). OnSegment is the
+// definition of "the packet traverses π through this router" that
+// Monitor.fill's window probes must agree with; nothing outside the tests
+// calls it.
 
-// OnSegment reports whether a packet routed src→dst traverses seg with the
-// segment aligned so that seg[segPos] sits at the packet's position of
-// router at.
-func (o *PathOracle) OnSegment(src, dst packet.NodeID, flow packet.FlowID, seg topology.Segment, at packet.NodeID, segPos int) bool {
-	path := o.Path(src, dst, flow)
+// OnSegment reports whether a packet the table routes src→dst traverses seg
+// with the segment aligned so that seg[segPos] sits at the packet's position
+// of router at.
+func OnSegment(paths *topology.PathTable, src, dst packet.NodeID, seg topology.Segment, at packet.NodeID, segPos int) bool {
+	path := paths.Path(src, dst)
 	if path == nil {
 		return false
 	}
@@ -80,7 +80,7 @@ func refOnEvent(m *Monitor, ev network.Event) []recorded {
 }
 
 func refRecord(out []recorded, m *Monitor, w *Watch, p *packet.Packet, now time.Duration) []recorded {
-	if !m.rec.Oracle.OnSegment(p.Src, p.Dst, p.Flow, w.Seg, m.id, w.Pos) {
+	if !OnSegment(m.rec.Oracle, p.Src, p.Dst, w.Seg, m.id, w.Pos) {
 		return out
 	}
 	fp := m.rec.Env.Hasher().Fingerprint(p)
@@ -101,8 +101,9 @@ type scanEnv struct {
 	// seen is how many timed entries of each open round have been matched
 	// to a reference record already.
 	seen map[*Summary]int
-	// events and records count what the comparison covered.
-	events, records int
+	// events and records count what the comparison covered, and clears how
+	// often a monitor's route memo was emptied under it.
+	events, records, clears int
 }
 
 func (e *scanEnv) Graph() *topology.Graph { return e.net.Graph() }
@@ -122,11 +123,12 @@ func tablePaths(t *topology.PathTable) []topology.Path {
 }
 
 // deploy starts a monitor on every router, watching the segments MonitorSets
-// derives from the table's paths, under PolicyTimeliness so that a watch's summaries
-// keep every record's (fp, size, sinkTS) in recording order.
-func deploy(t *testing.T, net *network.Network, oracle *PathOracle, paths *topology.PathTable, mode topology.MonitorMode, sampling float64) *scanEnv {
+// derives from the table's paths and predicting packet paths from the same
+// table, under PolicyTimeliness so that a watch's summaries keep every
+// record's (fp, size, sinkTS) in recording order.
+func deploy(t *testing.T, net *network.Network, paths *topology.PathTable, mode topology.MonitorMode, sampling float64) *scanEnv {
 	e := &scanEnv{t: t, net: net, monitors: make(map[packet.NodeID]*Monitor), seen: make(map[*Summary]int)}
-	e.rec = &Recording{Env: e, Oracle: oracle, Policy: PolicyTimeliness, Round: 100 * time.Millisecond, Sampling: sampling}
+	e.rec = &Recording{Env: e, Oracle: paths, Policy: PolicyTimeliness, Round: 100 * time.Millisecond, Sampling: sampling}
 	pr, _ := topology.MonitorSets(paths, 2, mode)
 	for _, id := range net.Graph().Nodes() {
 		m := new(Monitor)
@@ -146,7 +148,11 @@ func deploy(t *testing.T, net *network.Network, oracle *PathOracle, paths *topol
 // the same (fp, size, sinkTS) appended to the same round.
 func (e *scanEnv) check(m *Monitor, ev network.Event, onEvent func(network.Event)) {
 	want := refOnEvent(m, ev)
+	memo := len(m.routes)
 	onEvent(ev)
+	if len(m.routes) < memo {
+		e.clears++
+	}
 
 	var got []recorded
 	for _, w := range m.watches {
@@ -161,30 +167,34 @@ func (e *scanEnv) check(m *Monitor, ev network.Event, onEvent func(network.Event
 	e.events++
 	e.records += len(want)
 	if !slices.Equal(got, want) {
-		e.t.Fatalf("router %v, %v of packet %v→%v flow %d via %v: recorded %v, the scan records %v",
-			m.id, ev.Kind, ev.Packet.Src, ev.Packet.Dst, ev.Packet.Flow, ev.Peer, got, want)
+		e.t.Fatalf("router %v, %v of packet %v→%v via %v: recorded %v, the scan records %v",
+			m.id, ev.Kind, ev.Packet.Src, ev.Packet.Dst, ev.Peer, got, want)
 	}
 }
 
 // meshTraffic injects count packets between each of pairs random router
 // pairs, spread over the first second.
-func meshTraffic(net *network.Network, rng *rand.Rand, pairs, count int, flows []packet.FlowID) {
+func meshTraffic(net *network.Network, rng *rand.Rand, pairs, count int) {
 	nodes := net.Graph().Nodes()
 	for i := 0; i < pairs; i++ {
 		src, dst := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
 		if src == dst {
 			continue
 		}
-		flow := flows[rng.Intn(len(flows))]
 		for j := 0; j < count; j++ {
-			p := &packet.Packet{Dst: dst, Size: 200 + 100*(j%5), Flow: flow, Seq: uint32(j), Payload: uint64(i)}
-			at := time.Duration(rng.Int63n(int64(time.Second)))
-			net.Scheduler().At(at, func() { net.Inject(src, p) })
+			inject(net, rng, src, &packet.Packet{Dst: dst, Size: 200 + 100*(j%5), Seq: uint32(j), Payload: uint64(i)})
 		}
 	}
 }
 
-// TestDispatchMatchesScan replays every tap event of four runs through the
+// inject schedules p's injection at src at a random instant of the first
+// second.
+func inject(net *network.Network, rng *rand.Rand, src packet.NodeID, p *packet.Packet) {
+	at := time.Duration(rng.Int63n(int64(time.Second)))
+	net.Scheduler().At(at, func() { net.Inject(src, p) })
+}
+
+// TestDispatchMatchesScan replays every tap event of five runs through the
 // route memo and through the scan it replaced.
 func TestDispatchMatchesScan(t *testing.T) {
 	t.Run("isp mesh", func(t *testing.T) {
@@ -192,62 +202,41 @@ func TestDispatchMatchesScan(t *testing.T) {
 		net := network.New(g, network.Options{Seed: 1, ProcessingJitter: 50 * time.Microsecond})
 		// Half-rate sampling, so the sample range sits between dispatch and
 		// the summary here and is absent in the other runs.
-		paths := g.CSR().Paths()
-		e := deploy(t, net, NewPathOracleFromPaths(tablePaths(paths)), paths, topology.ModeEnds, 0.5)
-		meshTraffic(net, rand.New(rand.NewSource(1)), 150, 20, []packet.FlowID{1})
+		e := deploy(t, net, g.CSR().Paths(), topology.ModeEnds, 0.5)
+		meshTraffic(net, rand.New(rand.NewSource(1)), 150, 20)
 		net.Run(2 * time.Second)
 		e.requireCoverage(10000, 5000)
 	})
 
-	t.Run("ecmp fabric", func(t *testing.T) {
-		// The diamond with tails of pik2's TestECMPFabricDetection:
-		// 0—1—{2,3}—4—5, flows hashed over the two middles.
-		g := topology.NewGraph()
-		var n [6]packet.NodeID
-		for i := range n {
-			n[i] = g.AddNode(fmt.Sprint("n", i))
-		}
-		attrs := topology.DefaultLinkAttrs()
-		for _, l := range [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 4}, {4, 5}} {
-			g.AddDuplex(n[l[0]], n[l[1]], attrs)
-		}
-		net := network.New(g, network.Options{Seed: 19})
-		ecmp := topology.NewECMP(g, 11, 13)
-		net.InstallECMP(ecmp)
-		flows := []packet.FlowID{1, 2, 3, 4, 5, 6, 7, 8}
-		var paths []topology.Path
-		seen := make(map[string]bool)
+	t.Run("one-shot pairs", func(t *testing.T) {
+		// Every ordered pair carries one packet, as in isp1000: a router
+		// meets each pair it carries once per direction, so nearly every
+		// event fills the memo, and the core routers carry more than
+		// maxRoutes pairs, so their memos fill up and are dropped mid-run.
+		g := topology.ISP(topology.ISPSpec{Nodes: 80, PoPs: 4, Seed: 11})
+		net := network.New(g, network.Options{Seed: 5})
+		e := deploy(t, net, g.CSR().Paths(), topology.ModeEnds, 0)
+		rng := rand.New(rand.NewSource(5))
 		for _, src := range g.Nodes() {
 			for _, dst := range g.Nodes() {
-				for _, f := range flows {
-					if p := ecmp.FlowPath(src, dst, f); src != dst && p != nil && !seen[p.String()] {
-						seen[p.String()] = true
-						paths = append(paths, p)
-					}
+				if src != dst {
+					inject(net, rng, src, &packet.Packet{Dst: dst, Size: 500, Payload: uint64(src)})
 				}
 			}
 		}
-		table := topology.NewPathTable(paths)
-		e := deploy(t, net, NewECMPPathOracle(ecmp), &table, topology.ModeEnds, 0)
-		meshTraffic(net, rand.New(rand.NewSource(2)), 60, 10, flows)
 		net.Run(2 * time.Second)
-		e.requireCoverage(2000, 1000)
-		var via [2]bool
-		for _, f := range flows {
-			via[0] = via[0] || ecmp.FlowPath(n[0], n[5], f).Contains(n[2])
-			via[1] = via[1] || ecmp.FlowPath(n[0], n[5], f).Contains(n[3])
-		}
-		if !via[0] || !via[1] {
-			t.Fatal("the flows do not split over both middles: the memo's flow key went unexercised")
+		e.requireCoverage(80000, 50000)
+		if e.clears == 0 {
+			t.Fatalf("no route memo reached its bound of %d pairs", maxRoutes)
 		}
 	})
 
 	t.Run("oracle replaced mid-run", func(t *testing.T) {
 		// Forwarding keeps following the ring's shortest paths; half-way
-		// through, the oracle is replaced by one computed without the 0—1
-		// link (what RefreshPaths does after a response), so pairs whose
+		// through, the path table is replaced by one computed without the
+		// 0—1 link (what RefreshPaths does after a response), so pairs whose
 		// prediction moved stop matching their old watches. A memo that
-		// outlived its oracle would keep recording them.
+		// outlived its table would keep recording them.
 		g := topology.NewGraph()
 		const ring = 8
 		for i := 0; i < ring; i++ {
@@ -257,18 +246,16 @@ func TestDispatchMatchesScan(t *testing.T) {
 			g.AddDuplex(packet.NodeID(i), packet.NodeID((i+1)%ring), topology.DefaultLinkAttrs())
 		}
 		net := network.New(g, network.Options{Seed: 3})
-		paths := g.CSR().Paths()
-		e := deploy(t, net, NewPathOracleFromPaths(tablePaths(paths)), paths, topology.ModeNodes, 0)
+		e := deploy(t, net, g.CSR().Paths(), topology.ModeNodes, 0)
 		cut := g.Clone()
 		cut.RemoveLink(0, 1)
 		cut.RemoveLink(1, 0)
-		rerouted := NewPathOracleFromPaths(tablePaths(cut.CSR().Paths()))
 		var before int
 		net.Scheduler().At(500*time.Millisecond, func() {
 			before = e.records
-			e.rec.Oracle = rerouted
+			e.rec.Oracle = cut.CSR().Paths()
 		})
-		meshTraffic(net, rand.New(rand.NewSource(3)), 56, 40, []packet.FlowID{1})
+		meshTraffic(net, rand.New(rand.NewSource(3)), 56, 40)
 		net.Run(2 * time.Second)
 		e.requireCoverage(5000, 2000)
 		if before == 0 || e.records == before {
@@ -283,8 +270,7 @@ func TestDispatchMatchesScan(t *testing.T) {
 		// forged addresses lie outside the path table.
 		g := topology.Line(5)
 		net := network.New(g, network.Options{Seed: 4})
-		paths := g.CSR().Paths()
-		e := deploy(t, net, NewPathOracleFromPaths(tablePaths(paths)), paths, topology.ModeNodes, 0)
+		e := deploy(t, net, g.CSR().Paths(), topology.ModeNodes, 0)
 		m := e.monitors[1]
 		p := &packet.Packet{Src: 0, Dst: 4, Size: 500}
 		forged := &packet.Packet{Src: -1, Dst: math.MaxInt32, Size: 500}

@@ -1,17 +1,15 @@
 // Package tvinfo holds the traffic-information machinery shared by the
 // path-segment detection protocols (Π2 and Πk+2): conservation policies,
-// per-round traffic summaries info(r, π, τ), and the path oracle that
-// predicts which segments a packet traverses (§4.1, §4.2.1).
+// per-round traffic summaries info(r, π, τ), and the segment monitor that
+// records them along the paths topology.PathTable predicts (§4.1, §4.2.1).
 package tvinfo
 
 import (
 	"encoding/binary"
-	"slices"
 	"time"
 
 	"routerwatch/internal/packet"
 	"routerwatch/internal/summary"
-	"routerwatch/internal/topology"
 )
 
 // Policy selects the conservation-of-traffic property to validate (§2.4.1).
@@ -232,57 +230,4 @@ func Validate(policy Policy, th Thresholds, up, down *Summary) Result {
 
 func missingSection(name string) Result {
 	return Result{Detail: "a summary lacks the " + name + " section the policy validates"}
-}
-
-// PathOracle predicts the routing path of any (src, dst) pair in the stable
-// state (§4.1: deterministic forwarding lets a router predict packet
-// paths). It reads a topology.PathTable — the graph's own (NewPathOracle),
-// the very table static forwarding reads, or one over explicit paths — and
-// over an ECMP fabric it resolves the flow-hash next-hop choices instead
-// (§7.4.1).
-type PathOracle struct {
-	table topology.PathTable
-	ecmp  *topology.ECMP
-}
-
-// NewECMPPathOracle predicts per-flow paths over an equal-cost multipath
-// forwarding fabric.
-func NewECMPPathOracle(e *topology.ECMP) *PathOracle {
-	return &PathOracle{ecmp: e}
-}
-
-// NewPathOracleFromPaths builds an oracle from explicit per-pair paths
-// (e.g. traced from live forwarding tables after a routing change), copied
-// into a topology.NewPathTable.
-func NewPathOracleFromPaths(paths []topology.Path) *PathOracle {
-	return &PathOracle{table: topology.NewPathTable(paths)}
-}
-
-// NewPathOracle predicts the graph's stable-state paths: it shares the
-// graph's path table (topology.CSR.Paths) rather than building its own.
-func NewPathOracle(g *topology.Graph) *PathOracle {
-	return &PathOracle{table: *g.CSR().Paths()}
-}
-
-// Path returns the predicted path src→dst for a flow (nil if unknown). The
-// addresses are the sender's to write, so either may lie outside the table.
-func (o *PathOracle) Path(src, dst packet.NodeID, flow packet.FlowID) topology.Path {
-	if o.ecmp != nil {
-		return o.ecmp.FlowPath(src, dst, flow)
-	}
-	return o.table.Path(src, dst)
-}
-
-// NextHop predicts the router that at forwards p to: the one after at on
-// p's predicted path, or −1 when at is p's destination or the path's last
-// router, is not on the path, or no path is known.
-func (o *PathOracle) NextHop(p *packet.Packet, at packet.NodeID) packet.NodeID {
-	if p.Dst == at {
-		return -1
-	}
-	path := o.Path(p.Src, p.Dst, p.Flow)
-	if i := slices.Index(path, at); i >= 0 && i+1 < len(path) {
-		return path[i+1]
-	}
-	return -1
 }

@@ -218,12 +218,12 @@ func FuzzDecodeSummary(f *testing.F) {
 	})
 }
 
-// TestNextHop: the prediction χ and the threshold baseline share answers −1
-// for a router off the path, at its end, or for addresses the sender forged
-// outside the table.
+// TestNextHop: PathTable.After, the next-hop prediction χ and the threshold
+// baseline share, answers −1 for a router off the path, at its end, or for
+// addresses the sender forged outside the table.
 func TestNextHop(t *testing.T) {
 	g := topology.Line(5) // 0-1-2-3-4
-	o := NewPathOracle(g)
+	o := g.CSR().Paths()
 	n := packet.NodeID(g.NumNodes())
 	for _, tc := range []struct {
 		src, dst, at, want packet.NodeID
@@ -240,9 +240,8 @@ func TestNextHop(t *testing.T) {
 		{math.MaxInt32, 4, 2, -1},
 		{0, math.MinInt32, 2, -1},
 	} {
-		p := &packet.Packet{Src: tc.src, Dst: tc.dst}
-		if got := o.NextHop(p, tc.at); got != tc.want {
-			t.Errorf("NextHop(%d→%d, at %d) = %d, want %d", tc.src, tc.dst, tc.at, got, tc.want)
+		if got := o.After(tc.src, tc.dst, tc.at); got != tc.want {
+			t.Errorf("After(%d, %d, %d) = %d, want %d", tc.src, tc.dst, tc.at, got, tc.want)
 		}
 	}
 }
@@ -269,51 +268,50 @@ func TestValidatePolicies(t *testing.T) {
 }
 
 // TestOracleOutOfRange: a packet's addresses are the sender's to write, so
-// the dense table must answer nil, not index outside itself, for any pair
-// it does not span.
+// the dense path table the monitors predict from must answer nil, not index
+// outside itself, for any pair it does not span.
 func TestOracleOutOfRange(t *testing.T) {
 	g := topology.Line(5)
-	o := NewPathOracle(g)
+	o := g.CSR().Paths()
 	n := packet.NodeID(g.NumNodes())
-	if o.Path(0, n-1, 0) == nil {
+	if o.Path(0, n-1) == nil {
 		t.Fatal("the table lost the path 0→4")
 	}
 	for _, c := range [][2]packet.NodeID{{-1, 2}, {2, -1}, {1, n}, {n, 1}, {1, math.MaxInt32}, {math.MinInt32, 1}, {n, n}} {
-		if p := o.Path(c[0], c[1], 0); p != nil {
+		if p := o.Path(c[0], c[1]); p != nil {
 			t.Errorf("Path(%d, %d) = %v, want nil", c[0], c[1], p)
 		}
 	}
-	if p := NewPathOracleFromPaths(nil).Path(0, 0, 0); p != nil {
-		t.Errorf("an oracle of no paths answered %v", p)
+	if empty := topology.NewPathTable(nil); empty.Path(0, 0) != nil {
+		t.Errorf("a table of no paths answered %v", empty.Path(0, 0))
 	}
 }
 
-// TestOracleAllocs: the oracle is one int32 index over the paths it was
-// given and one arena their router IDs are copied into, not a copy of their
-// headers nor a structure per pair. The constructor inlines, so the
-// oracle's own header is allocated wherever the caller's escape analysis
-// puts it (here, on the stack); what is counted is the index and the arena.
+// TestOracleAllocs: a path table built from explicit paths, as RefreshPaths
+// builds one after a routing change, is one int32 index over the paths and
+// one arena their router IDs are copied into, not a copy of their headers
+// nor a structure per pair. NewPathTable returns the table by value, so
+// what is counted is the index and the arena.
 func TestOracleAllocs(t *testing.T) {
 	paths := tablePaths(topology.ISP(topology.ISPSpec{Nodes: 100, Seed: 1}).CSR().Paths())
-	if n := testing.AllocsPerRun(5, func() { NewPathOracleFromPaths(paths) }); n > 2 {
-		t.Fatalf("NewPathOracleFromPaths over %d paths: %v allocations, want at most 2", len(paths), n)
+	if n := testing.AllocsPerRun(5, func() { topology.NewPathTable(paths) }); n > 2 {
+		t.Fatalf("NewPathTable over %d paths: %v allocations, want at most 2", len(paths), n)
 	}
 }
 
 func TestOracleOnSegment(t *testing.T) {
-	g := topology.Line(5)
-	o := NewPathOracle(g)
+	o := topology.Line(5).CSR().Paths()
 	// Path 0→4 is 0-1-2-3-4.
-	if !o.OnSegment(0, 4, 0, topology.Segment{1, 2, 3}, 1, 0) {
+	if !OnSegment(o, 0, 4, topology.Segment{1, 2, 3}, 1, 0) {
 		t.Fatal("aligned segment rejected")
 	}
-	if o.OnSegment(0, 4, 0, topology.Segment{1, 2, 3}, 1, 1) {
+	if OnSegment(o, 0, 4, topology.Segment{1, 2, 3}, 1, 1) {
 		t.Fatal("misaligned position accepted")
 	}
-	if o.OnSegment(0, 4, 0, topology.Segment{2, 1, 0}, 2, 0) {
+	if OnSegment(o, 0, 4, topology.Segment{2, 1, 0}, 2, 0) {
 		t.Fatal("reverse segment accepted for forward path")
 	}
-	if !o.OnSegment(4, 0, 0, topology.Segment{2, 1, 0}, 0, 2) {
+	if !OnSegment(o, 4, 0, topology.Segment{2, 1, 0}, 0, 2) {
 		t.Fatal("reverse path segment rejected")
 	}
 }

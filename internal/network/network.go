@@ -249,18 +249,6 @@ func (n *Network) InstallShortestPaths() {
 	}
 }
 
-// InstallECMP sets every router's forwarding to deterministic hash-based
-// equal-cost multipath (§7.4.1).
-func (n *Network) InstallECMP(e *topology.ECMP) {
-	for _, r := range n.routers {
-		self := r.ID()
-		r.SetForwarder(func(p *packet.Packet, _ packet.NodeID) (packet.NodeID, bool) {
-			nh := e.FlowNextHop(self, p.Dst, p.Flow)
-			return nh, nh >= 0
-		})
-	}
-}
-
 // Inject originates a packet at router src toward p.Dst. The packet gets an
 // ID, TTL and send timestamp if unset. Injection models traffic from a host
 // behind the (good, per §2.1.4) terminal router. A packet from NewPacket is

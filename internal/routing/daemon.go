@@ -54,9 +54,11 @@ type Daemon struct {
 
 	// pending and flushQueued implement bundled flooding (Options.BundleFlood):
 	// accepted LSAs collect here until the floodHold flush, which sends a
-	// copy and reuses the slice.
+	// copy and reuses the slice. flush is flushPending, bound once so that
+	// scheduling a flush allocates no method value.
 	pending     []*LSA
 	flushQueued bool
+	flush       func()
 
 	// onRecompute, if set, observes each table installation (tests,
 	// experiment timelines).

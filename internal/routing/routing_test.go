@@ -441,9 +441,10 @@ func TestNoLoopsUnderRandomExclusions(t *testing.T) {
 // TestRoutingWalksArePaths pins the one stable-state tie rule (§4.1: "a
 // router can predict the path that a packet will take in the stable
 // state"): with no exclusion, every walk through the routers' tables is
-// the path CSR.Paths predicts, and ECMP's first equal-cost next hop is the
-// table's next hop. Equal-cost ties are common on these graphs, and a table
-// that broke them another way than routing's lowest first hop would accuse
+// the path CSR.Paths predicts, and the path table's next hop is the
+// lowest-ID of the equal-cost first hops (equalCostHops). Equal-cost ties
+// are common on these graphs — the test requires some — and a table that
+// broke them another way than routing's lowest first hop would accuse
 // routers for following their own tables.
 func TestRoutingWalksArePaths(t *testing.T) {
 	type tc struct {
@@ -461,29 +462,56 @@ func TestRoutingWalksArePaths(t *testing.T) {
 		spec := topology.ISPSpec{Nodes: 16 + rng.Intn(48), PoPs: 2 + rng.Intn(4), Seed: seed}
 		cases = append(cases, tc{fmt.Sprintf("isp-%d-%d-%d", spec.Nodes, spec.PoPs, seed), topology.ISP(spec)})
 	}
+	ties := 0
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			g := c.graph
 			table := g.CSR().Paths()
-			ecmp := topology.NewECMP(g, 1, 2)
 			tables := make(map[packet.NodeID]*Table, g.NumNodes())
 			excl := NewExclusions()
 			for _, r := range g.Nodes() {
 				tables[r] = ComputeTable(g, r, excl)
 			}
-			for _, src := range g.Nodes() {
-				for _, dst := range g.Nodes() {
+			for _, dst := range g.Nodes() {
+				hops := equalCostHops(g.CSR(), dst)
+				for _, src := range g.Nodes() {
 					if src == dst {
 						continue
 					}
 					if walk, want := PathFromTables(tables, src, dst, g.NumNodes()), table.Path(src, dst); !slices.Equal(walk, want) {
 						t.Fatalf("%v→%v: routing walks %v, the path table predicts %v", src, dst, walk, want)
 					}
-					if hops, want := ecmp.NextHops(src, dst), table.NextHop(src, dst); len(hops) == 0 || hops[0] != want {
-						t.Fatalf("%v→%v: ECMP's next hops %v, the path table's next hop %v", src, dst, hops, want)
+					if h, want := hops[src], table.NextHop(src, dst); len(h) == 0 || h[0] != want {
+						t.Fatalf("%v→%v: equal-cost first hops %v, the path table's next hop %v", src, dst, h, want)
+					}
+					if len(hops[src]) > 1 {
+						ties++
 					}
 				}
 			}
 		})
 	}
+	if ties == 0 {
+		t.Fatal("no pair has two equal-cost first hops: the tie rule went unexercised")
+	}
+}
+
+// equalCostHops returns, for every router u, its neighbours on a least-cost
+// path toward dst in ascending ID order (a CSR row is sorted): the v with
+// cost(u,v) + dist(v,dst) = dist(u,dst), distances read off the shortest
+// path tree rooted at dst (the graph is duplex with symmetric costs).
+func equalCostHops(c *topology.CSR, dst packet.NodeID) [][]packet.NodeID {
+	_, dist := c.ShortestPathTree(dst)
+	hops := make([][]packet.NodeID, c.NumNodes())
+	for u := range hops {
+		if packet.NodeID(u) == dst {
+			continue
+		}
+		for i := c.Off[u]; i < c.Off[u+1]; i++ {
+			if v := c.To[i]; dist[v]+c.Cost[i] == dist[u] {
+				hops[u] = append(hops[u], v)
+			}
+		}
+	}
+	return hops
 }

@@ -95,6 +95,7 @@ func Attach(net *network.Network, flood *consensus.Service, opts Options) *Proto
 			// the delay timer regardless of hold.
 			lastCompute: -opts.Timers.Hold,
 		}
+		d.flush = d.flushPending
 		r.HandleControl(KindLSA, d.handleLSA)
 		r.HandleControl(KindLSABundle, d.handleLSABundle)
 		flood.Subscribe(d.id, TopicAlert, d.onAlert)
@@ -136,7 +137,7 @@ func (d *Daemon) enqueueFlood(lsa *LSA) {
 	}
 	d.flushQueued = true
 	sched := d.proto.net.Scheduler()
-	sched.At(sched.Now()+floodHold, d.flushPending)
+	sched.At(sched.Now()+floodHold, d.flush)
 }
 
 // flushPending sends everything accepted since the last flush as one bundle

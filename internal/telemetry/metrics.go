@@ -303,14 +303,3 @@ func (r *Registry) gaugeByName(name string) *Gauge {
 	}
 	return g
 }
-
-// Fold merges the given per-trial registries, in order, into a fresh
-// registry — the telemetry analogue of a stats.Folded series. Nil entries
-// (trials that ran without telemetry) are skipped.
-func Fold(regs ...*Registry) *Registry {
-	out := NewRegistry()
-	for _, r := range regs {
-		out.Merge(r)
-	}
-	return out
-}

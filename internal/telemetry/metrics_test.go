@@ -81,7 +81,9 @@ func TestMergeFold(t *testing.T) {
 	a.Histogram("h", []int64{10}).Observe(4)
 	b.Histogram("h", []int64{10}).Observe(40)
 
-	dst := Fold(a, b)
+	dst := NewRegistry()
+	dst.Merge(a)
+	dst.Merge(b)
 	if got := dst.Counter("c").Value(); got != 5 {
 		t.Errorf("folded counter = %d, want 5", got)
 	}

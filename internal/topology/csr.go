@@ -69,8 +69,8 @@ func (c *CSR) ShortestPathTree(root packet.NodeID) (parent []packet.NodeID, dist
 }
 
 // sptScratch holds the buffers of ShortestPathTree's Dijkstra. A run
-// overwrites the previous one's answer, so CSR.Paths and NewECMP reuse one
-// scratch for all n destinations instead of allocating a buffer set per
+// overwrites the previous one's answer, so CSR.Paths reuses one scratch
+// for all n destinations instead of allocating a buffer set per
 // destination.
 type sptScratch struct {
 	parent []packet.NodeID

@@ -190,8 +190,8 @@ func (g *Graph) Nodes() []packet.NodeID {
 // AddLink installs a single directed link. It replaces any existing link
 // with the same endpoints. A graph must end up duplex with symmetric,
 // positive costs — every link from→to beside a link to→from of the same
-// positive Cost — because the path table and ECMP read a router's next hop
-// toward dst off the shortest path tree rooted at dst
+// positive Cost — because the path table reads a router's next hop toward
+// dst off the shortest path tree rooted at dst
 // (CSR.ShortestPathTree). AddDuplex keeps the duplex by construction;
 // input that installs single links (capture.Meta.Graph) checks it, and
 // Link.Validate checks the cost of every link from outside the program.

@@ -1,6 +1,10 @@
 package topology
 
-import "routerwatch/internal/packet"
+import (
+	"slices"
+
+	"routerwatch/internal/packet"
+)
 
 // PathTable is the stable-state routing path of every ordered router pair
 // (§4.1: "a router can predict the path that a packet will take in the
@@ -9,11 +13,11 @@ import "routerwatch/internal/packet"
 // router, so a next hop is one. CSR.Paths builds one per topology snapshot,
 // and everything that needs the stable-state path reads that one table: the
 // network's static forwarders, its control-message senders, the replica
-// and every detector's path oracle. The path a monitor predicts is
-// therefore the path the routers forward along, not a second computation
-// that happens to agree with it; and the table breaks equal-cost ties as
-// internal/routing does (CSR.Paths), so a converged routing fabric forwards
-// along it too.
+// and every detector, which predicts packet paths straight from it. The
+// path a monitor predicts is therefore the path the routers forward along,
+// not a second computation that happens to agree with it; and the table
+// breaks equal-cost ties as internal/routing does (CSR.Paths), so a
+// converged routing fabric forwards along it too.
 //
 // The paths themselves lie back to back in one exact-size arena of router
 // IDs, addressed by int32 offsets: however many paths the table holds, its
@@ -87,6 +91,21 @@ func (t *PathTable) Path(src, dst packet.NodeID) Path {
 func (t *PathTable) NextHop(r, dst packet.NodeID) packet.NodeID {
 	if k := t.key(r, dst); k >= 0 {
 		return packet.NodeID(t.next[k])
+	}
+	return -1
+}
+
+// After returns the router that at hands a packet routed src→dst to: the
+// one after at's first occurrence on the path src→dst. It is −1 when at is
+// dst, is not on the path, or no path src→dst is known. Unlike NextHop, it
+// answers for any router of the path, not only its source.
+func (t *PathTable) After(src, dst, at packet.NodeID) packet.NodeID {
+	if at == dst {
+		return -1
+	}
+	path := t.Path(src, dst)
+	if i := slices.Index(path, at); i >= 0 && i+1 < len(path) {
+		return path[i+1]
 	}
 	return -1
 }

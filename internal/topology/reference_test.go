@@ -98,8 +98,9 @@ func requireMatchesReference(t *testing.T, name string, paths []Path, n int) {
 // TestMonitorSetsMatchReference holds the prefix-stopping enumeration to the
 // all-windows reference on random ISP graphs, over the path lists the
 // protocols derive monitoring sets from and three that break the all-pairs
-// shape: a shuffled subset (prefixes often missing), several ECMP flow
-// paths per pair, and pairs given twice.
+// shape: a shuffled subset (prefixes often missing), two paths per pair
+// (the graph's and those of the graph without one of its links), and pairs
+// given twice.
 func TestMonitorSetsMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -111,17 +112,12 @@ func TestMonitorSetsMatchReference(t *testing.T) {
 		rng.Shuffle(len(subset), func(i, j int) { subset[i], subset[j] = subset[j], subset[i] })
 		subset = subset[:len(subset)/3]
 
-		ecmp := NewECMP(g, uint64(seed), uint64(seed)+1)
-		var flows []Path
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				for f := packet.FlowID(0); f < 4; f++ {
-					if p := ecmp.FlowPath(packet.NodeID(src), packet.NodeID(dst), f); src != dst && p != nil {
-						flows = append(flows, p)
-					}
-				}
-			}
+		cut := g.Clone()
+		if p := all[rng.Intn(len(all))]; len(p) > 1 {
+			cut.RemoveLink(p[0], p[1])
+			cut.RemoveLink(p[1], p[0])
 		}
+		rerouted := append(append([]Path(nil), all...), tablePaths(cut.CSR().Paths())...)
 
 		twice := append([]Path(nil), all...)
 		for i := 0; i < 5; i++ {
@@ -133,7 +129,7 @@ func TestMonitorSetsMatchReference(t *testing.T) {
 		for _, in := range []struct {
 			name  string
 			paths []Path
-		}{{"all pairs", all}, {"shuffled third", subset}, {"ecmp flows", flows}, {"duplicated pairs", twice}} {
+		}{{"all pairs", all}, {"shuffled third", subset}, {"rerouted pairs", rerouted}, {"duplicated pairs", twice}} {
 			requireMatchesReference(t, fmt.Sprintf("seed %d, %s", seed, in.name), in.paths, n)
 		}
 	}

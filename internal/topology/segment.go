@@ -295,21 +295,3 @@ func ComputePrStats(g *Graph, paths *PathTable, k int, mode MonitorMode) PrStats
 	}
 	return st
 }
-
-// SubsegmentOf reports whether needle appears as a contiguous subsequence
-// of hay.
-func SubsegmentOf(needle, hay Segment) bool {
-	if len(needle) == 0 || len(needle) > len(hay) {
-		return false
-	}
-outer:
-	for i := 0; i+len(needle) <= len(hay); i++ {
-		for j := range needle {
-			if hay[i+j] != needle[j] {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}

@@ -291,27 +291,6 @@ func TestPrGrowsWithK(t *testing.T) {
 	}
 }
 
-func TestSubsegmentOf(t *testing.T) {
-	hay := Segment{1, 2, 3, 4, 5}
-	cases := []struct {
-		needle Segment
-		want   bool
-	}{
-		{Segment{2, 3}, true},
-		{Segment{1, 2, 3, 4, 5}, true},
-		{Segment{5}, true},
-		{Segment{3, 2}, false},
-		{Segment{1, 3}, false},
-		{Segment{}, false},
-		{Segment{1, 2, 3, 4, 5, 6}, false},
-	}
-	for _, c := range cases {
-		if got := SubsegmentOf(c.needle, hay); got != c.want {
-			t.Errorf("SubsegmentOf(%v, %v) = %v, want %v", c.needle, hay, got, c.want)
-		}
-	}
-}
-
 func TestTransmissionTime(t *testing.T) {
 	l := Link{Bandwidth: 8e6} // 8 Mbit/s = 1 byte/µs
 	if got := l.TransmissionTime(1000); got.Microseconds() != 1000 {
