@@ -88,14 +88,20 @@ campaign-smoke:
 # Aggregate-mode smoke (mrsim -trials): no test drives the CLI's fold, which
 # is how a shard array sized for 64 workers survived to panic on a 65-CPU
 # host. 70 trials on a 65-way pool must print their aggregate, and a
-# 16-trial aggregate must be byte-identical across -parallel.
+# 16-trial aggregate must be byte-identical across -parallel. Then the
+# honest cells: 16 attack-free trials each of Πk+2 and Π2 must accuse no
+# correct router.
 trials-smoke:
 	GOMAXPROCS=65 $(GO) run ./cmd/mrsim -protocol pik2 -trials 70 -duration 8s > /dev/null
 	$(GO) run ./cmd/mrsim -protocol pik2 -trials 16 -duration 8s -parallel 1 > trials-a.txt
 	$(GO) run ./cmd/mrsim -protocol pik2 -trials 16 -duration 8s -parallel 4 > trials-b.txt
 	cmp trials-a.txt trials-b.txt
-	@rm -f trials-a.txt trials-b.txt
-	@echo "trials smoke: aggregate printed on a 65-way pool, deterministic across -parallel"
+	for p in pik2 pi2; do \
+		$(GO) run ./cmd/mrsim -protocol $$p -attack none -trials 16 -duration 8s > trials-honest.txt && \
+		grep -q '^  accused a correct router: 0/16$$' trials-honest.txt || { cat trials-honest.txt; exit 1; }; \
+	done
+	@rm -f trials-a.txt trials-b.txt trials-honest.txt
+	@echo "trials smoke: aggregate printed on a 65-way pool, deterministic across -parallel; honest pik2 and pi2 accuse no one"
 
 # Capture-and-replay smoke (internal/capture + cmd/mrreplay): record the
 # routed isp-converge Πk+2 run, whose detectors attach after the fabric

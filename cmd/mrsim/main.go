@@ -45,8 +45,6 @@ import (
 	"time"
 
 	"routerwatch/internal/capture"
-	"routerwatch/internal/detector"
-	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 	_ "routerwatch/internal/protocol/catalog"
 	"routerwatch/internal/runner"
@@ -56,8 +54,10 @@ import (
 
 // outcome is one trial's result.
 type outcome struct {
-	suspicions int
 	implicated bool
+	// accused is 1 when some suspicion names a segment holding no
+	// compromised router, a false accusation, and 0 otherwise.
+	accused int
 	// firstAt is the first suspicion time (0 if none).
 	firstAt time.Duration
 }
@@ -103,10 +103,10 @@ func main() {
 
 	if *trials <= 1 {
 		tel := tf.NewSet()
-		logbook, faulty := runSpec(spec, true, tel, *record)
-		report(logbook, faulty)
+		res := runSpec(spec, true, tel, *record)
+		report(res)
 		if *verdicts != "" {
-			if err := os.WriteFile(*verdicts, []byte(logbook.String()), 0o644); err != nil {
+			if err := os.WriteFile(*verdicts, []byte(res.Log.String()), 0o644); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -141,16 +141,13 @@ func main() {
 			}
 			s := *spec
 			s.Seed = tr.Seed
-			logbook, faulty := runSpec(&s, false, tel, "")
-			return summarize(logbook, faulty)
+			return summarize(runSpec(&s, false, tel, ""))
 		})
 
-	detected, implicated := 0, 0
+	accused, implicated := 0, 0
 	var first stats.Folded
 	for _, o := range outs {
-		if o.suspicions > 0 {
-			detected++
-		}
+		accused += o.accused
 		if o.implicated {
 			implicated++
 		}
@@ -159,7 +156,7 @@ func main() {
 		}
 	}
 	fmt.Printf("%d trials of %s/%s (base seed %d):\n", *trials, spec.Protocol, *attackName, spec.Seed)
-	fmt.Printf("  detected:        %d/%d\n", detected, *trials)
+	fmt.Printf("  accused a correct router: %d/%d\n", accused, *trials)
 	fmt.Printf("  faulty implicated: %d/%d\n", implicated, *trials)
 	if first.N() > 0 {
 		fmt.Printf("  first suspicion: mean %.2fs, median %.2fs, max %.2fs\n",
@@ -235,10 +232,10 @@ func buildSpec(file, protoName, attackName string, rate float64, seed int64, dur
 	return spec, nil
 }
 
-// runSpec executes one trial and returns its suspicion log and the
-// compromised router. verbose enables the single-run narration; recordDir,
+// runSpec executes one trial and returns its result: the suspicion log and
+// the compromised routers. verbose enables the single-run narration; recordDir,
 // when non-empty, dumps per-router pcap traces of the run there.
-func runSpec(spec *protocol.Spec, verbose bool, tel *telemetry.Set, recordDir string) (*detector.Log, packet.NodeID) {
+func runSpec(spec *protocol.Spec, verbose bool, tel *telemetry.Set, recordDir string) *protocol.Result {
 	run := protocol.RunOptions{Telemetry: tel}
 	if verbose {
 		run.Progress = func(format string, args ...any) { fmt.Printf(format, args...) }
@@ -262,26 +259,31 @@ func runSpec(spec *protocol.Spec, verbose bool, tel *telemetry.Set, recordDir st
 		}
 		fmt.Fprintf(os.Stderr, "mrsim: recorded trace in %s\n", recordDir)
 	}
-	return res.Log, res.Faulty
+	return res
 }
 
-// summarize condenses a trial's log into the aggregate-mode outcome.
-func summarize(logbook *detector.Log, faulty packet.NodeID) outcome {
-	o := outcome{suspicions: logbook.Len(), firstAt: logbook.FirstAt()}
-	for _, seg := range logbook.Segments() {
-		if seg.Contains(faulty) {
+// summarize condenses a trial's result into the aggregate-mode outcome.
+func summarize(res *protocol.Result) outcome {
+	o := outcome{firstAt: res.Log.FirstAt()}
+	for _, seg := range res.Log.Segments() {
+		if seg.Contains(res.Faulty) {
 			o.implicated = true
+		}
+		if !res.FaultyContains(seg) {
+			o.accused = 1
 		}
 	}
 	return o
 }
 
-func report(logbook *detector.Log, faulty packet.NodeID) {
+func report(res *protocol.Result) {
 	fmt.Println()
-	if err := logbook.WriteReport(os.Stdout); err != nil {
+	if err := res.Log.WriteReport(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	if logbook.Len() > 0 {
-		fmt.Printf("\nfaulty router %v implicated: %v\n", faulty, summarize(logbook, faulty).implicated)
+	if res.Log.Len() > 0 {
+		o := summarize(res)
+		fmt.Printf("\nfaulty router %v implicated: %v\n", res.Faulty, o.implicated)
+		fmt.Printf("accused a correct router: %d/1\n", o.accused)
 	}
 }

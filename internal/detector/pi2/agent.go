@@ -2,6 +2,7 @@ package pi2
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
@@ -21,9 +22,6 @@ type segState struct {
 	// collected maps round → origin → received signed summaries (more
 	// than one distinct payload per origin = equivocation).
 	collected map[int]map[packet.NodeID][]consensus.Msg
-	// judged counts the rounds already judged (in tick order: round n is
-	// judged iff n < judged).
-	judged int
 }
 
 // agent is the per-router Π2 engine.
@@ -37,10 +35,6 @@ type agent struct {
 
 	corrupt    Corruptor
 	equivocate bool
-
-	// ticks counts the round boundaries this router has passed: the next
-	// round to publish.
-	ticks int
 
 	suspected map[topology.SegmentKey]bool
 }
@@ -64,13 +58,6 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 
 	p.flood.Subscribe(a.id, TopicInfo, a.onInfo)
 	p.flood.Subscribe(a.id, TopicAlert, a.onAlert)
-
-	p.env.Every(p.opts.Round, func() {
-		n := a.ticks
-		a.ticks++
-		a.publishRound(n)
-		p.env.After(p.opts.Settle, func() { a.judgeRound(n) })
-	})
 	return a
 }
 
@@ -101,22 +88,14 @@ func (a *agent) publishRound(n int) {
 // consensus layer).
 func (a *agent) onInfo(m consensus.Msg) {
 	key, n, ok := parseInstance(m.Instance)
-	if !ok {
+	if !ok || !a.p.rec.Admits(n) {
 		return
 	}
-	// A correct member's summary for round n is flooded at boundary n and
-	// judged Settle after it, so it arrives for a round this router has
-	// ticked past (or is about to) and has not judged. Anything else is
-	// dropped before it costs a slot: a late summary cannot change a
-	// verdict, and a protocol-faulty member may sign any round number.
 	i, ok := a.mon.Find(key)
 	if !ok {
 		return
 	}
 	st := a.segOrder[i]
-	if n < st.judged || n > a.ticks {
-		return
-	}
 	if len(m.Payload) < 4 {
 		return
 	}
@@ -142,10 +121,6 @@ func (a *agent) onInfo(m consensus.Msg) {
 // round n (Fig 5.1's post-consensus loop).
 func (a *agent) judgeRound(n int) {
 	for _, st := range a.segOrder {
-		if n < st.judged {
-			continue
-		}
-		st.judged = n + 1
 		a.p.tel.Rounds.Inc()
 		byOrigin := st.collected[n]
 		delete(st.collected, n)
@@ -303,9 +278,9 @@ func parseInstance(inst string) (topology.SegmentKey, int, bool) {
 	if err != nil {
 		return "", 0, false
 	}
-	keyBytes := make([]byte, len(inst[:i])/2)
-	if _, err := fmt.Sscanf(inst[:i], "%x", &keyBytes); err != nil {
+	key, err := hex.DecodeString(inst[:i])
+	if err != nil {
 		return "", 0, false
 	}
-	return topology.SegmentKey(keyBytes), n, true
+	return topology.SegmentKey(key), n, true
 }

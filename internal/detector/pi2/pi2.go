@@ -82,11 +82,12 @@ type Corruptor func(seg topology.Segment, round int, s *tvinfo.Summary) *tvinfo.
 
 // Protocol is a running Π2 deployment.
 type Protocol struct {
-	env    protocol.Env
-	opts   Options
-	flood  *consensus.Service
-	rec    tvinfo.Recording
-	agents map[packet.NodeID]*agent
+	env   protocol.Env
+	opts  Options
+	flood *consensus.Service
+	rec   tvinfo.Recording
+	// agents is indexed by router ID, in env.Nodes() order.
+	agents []*agent
 	tel    detector.Instruments
 }
 
@@ -98,11 +99,10 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 	pr, _ := topology.MonitorSets(paths, opts.K, topology.ModeNodes)
 
 	p := &Protocol{
-		env:    env,
-		opts:   opts,
-		flood:  env.Flood(),
-		agents: make(map[packet.NodeID]*agent),
-		tel:    detector.NewInstruments(env.Telemetry(), "pi2"),
+		env:   env,
+		opts:  opts,
+		flood: env.Flood(),
+		tel:   detector.NewInstruments(env.Telemetry(), "pi2"),
 	}
 	p.rec = tvinfo.Recording{
 		Env:          env,
@@ -112,8 +112,17 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 		Fingerprints: p.tel.Fingerprints,
 	}
 	for _, id := range env.Nodes() {
-		p.agents[id] = newAgent(p, id, pr[id])
+		p.agents = append(p.agents, newAgent(p, id, pr[id]))
 	}
+	p.rec.Drive(opts.Settle, func(n int) {
+		for _, a := range p.agents {
+			a.publishRound(n)
+		}
+	}, func(n int) {
+		for _, a := range p.agents {
+			a.judgeRound(n)
+		}
+	})
 	return p
 }
 
@@ -123,16 +132,6 @@ func (p *Protocol) SetCorruptor(r packet.NodeID, c Corruptor) { p.agents[r].corr
 // SetEquivocator makes router r flood two conflicting summaries for every
 // segment-round (the consensus attack signed messages defeat).
 func (p *Protocol) SetEquivocator(r packet.NodeID) { p.agents[r].equivocate = true }
-
-// MonitoredSegments returns router r's Pr.
-func (p *Protocol) MonitoredSegments(r packet.NodeID) []topology.Segment {
-	a := p.agents[r]
-	out := make([]topology.Segment, 0, len(a.segOrder))
-	for _, st := range a.segOrder {
-		out = append(out, st.Seg)
-	}
-	return out
-}
 
 // infoInstance names the consensus instance for one segment-round.
 func infoInstance(key topology.SegmentKey, round int) string {

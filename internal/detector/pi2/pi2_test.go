@@ -2,6 +2,7 @@ package pi2
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -43,7 +44,7 @@ func TestMonitoredSegments(t *testing.T) {
 	p := Attach(protocol.NewSimEnv(net), testOpts(detector.NewLog()))
 	// k=1 on a 6-line: router 2 belongs to 3-segments starting at 0,1,2 in
 	// each direction = 6 (mirrors the topology test).
-	if got := len(p.MonitoredSegments(2)); got != 6 {
+	if got := len(p.agents[2].segOrder); got != 6 {
 		t.Fatalf("router 2 monitors %d segments, want 6", got)
 	}
 }
@@ -351,10 +352,10 @@ func TestCollectedBoundedByRoundWindow(t *testing.T) {
 	if got != want {
 		t.Errorf("transcript with %d far-future summaries:\n%s\nwithout:\n%s", forgeries, got, want)
 	}
-	for id, a := range p.agents {
+	for _, a := range p.agents {
 		for _, st := range a.segOrder {
 			if n := len(st.collected); n > 2 {
-				t.Errorf("router %v holds %d rounds for %v after the run, want at most 2", id, n, st.Seg)
+				t.Errorf("router %v holds %d rounds for %v after the run, want at most 2", a.id, n, st.Seg)
 			}
 		}
 	}
@@ -392,7 +393,29 @@ func TestInstanceRoundTrip(t *testing.T) {
 	if !ok || gotKey != key || gotRound != 42 {
 		t.Fatalf("parseInstance(%q) = %x/%d/%v", inst, gotKey, gotRound, ok)
 	}
-	if _, _, ok := parseInstance("nonsense"); ok {
-		t.Fatal("malformed instance accepted")
+	// A member signs whatever instance string it likes; only the one a
+	// correct router makes names the key.
+	hexKey := hex.EncodeToString([]byte(key))
+	for _, bad := range []string{
+		"nonsense",
+		hexKey + "zz/42",     // trailing non-hex
+		" " + hexKey + "/42", // leading space
+		hexKey[1:] + "/42",   // odd length
+		hexKey + "42",        // no '/'
+	} {
+		if k, n, ok := parseInstance(bad); ok {
+			t.Errorf("parseInstance(%q) accepted as %x/%d", bad, k, n)
+		}
+	}
+}
+
+// TestOneRoundClock: the deployment has one round clock, not one per
+// router: attached to a traffic-free line of five routers, Π2 leaves one
+// pending event.
+func TestOneRoundClock(t *testing.T) {
+	net := network.New(topology.Line(5), network.Options{Seed: 13})
+	Attach(protocol.NewSimEnv(net), testOpts(detector.NewLog()))
+	if n := net.Scheduler().Pending(); n != 1 {
+		t.Fatalf("Attach left %d events pending, want 1", n)
 	}
 }

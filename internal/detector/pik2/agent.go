@@ -27,13 +27,9 @@ type segState struct {
 	path topology.Path
 	// peerMsgs holds the verified summary messages received from the peer
 	// for rounds still to be judged, at most one per round. onSummary
-	// admits a round only inside the window [judged, the agent's tick
-	// count], so the list stays a couple of entries long whatever the peer
-	// signs.
+	// admits only the rounds Recording.Admits does, so the list stays a
+	// couple of entries long whatever the peer signs.
 	peerMsgs []*SummaryMsg
-	// judged counts the rounds already judged: rounds are judged in tick
-	// order, so round n is judged iff n < judged.
-	judged int
 }
 
 // takePeerMsg removes and returns the peer's message for round n, nil if
@@ -58,10 +54,6 @@ type agent struct {
 	segOrder []*segState
 
 	corrupt Corruptor
-
-	// ticks counts the round boundaries this router has passed: the next
-	// round to exchange.
-	ticks int
 
 	// suspected dedupes this agent's suspicions per segment.
 	suspected map[topology.SegmentKey]bool
@@ -98,14 +90,6 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 
 	p.env.HandleControl(a.id, KindSummary, a.onSummary)
 	p.flood.Subscribe(a.id, TopicAlert, a.onAlert)
-
-	// Round ticks: snapshot/exchange at each boundary, judge at boundary+µ.
-	p.env.Every(p.opts.Round, func() {
-		n := a.ticks
-		a.ticks++
-		a.exchangeRound(n)
-		p.env.After(p.opts.Timeout, func() { a.judgeRound(n) })
-	})
 	return a
 }
 
@@ -175,14 +159,7 @@ func (a *agent) onSummary(cm *network.ControlMessage) {
 	if msg.From != st.peer {
 		return
 	}
-	// A correct peer's summary for round n leaves after boundary n+1 and is
-	// judged µ after it: it arrives for a round this router has ticked past
-	// (or, its clock a boundary behind the peer's, is about to) and has not
-	// judged. Anything else is dropped before it costs a verification or a
-	// slot — a late summary cannot change a verdict (the timeout suspicion
-	// stands; rounds are not re-judged), and a protocol-faulty peer may sign
-	// any round number it likes.
-	if msg.Round < st.judged || msg.Round > a.ticks {
+	if !a.p.rec.Admits(msg.Round) {
 		return
 	}
 	a.p.bodyBuf = appendSignedBody(a.p.bodyBuf[:0], msg)
@@ -202,10 +179,6 @@ func (a *agent) onSummary(cm *network.ControlMessage) {
 // against the peer's summary or, when none came, against ∅.
 func (a *agent) judgeRound(n int) {
 	for _, st := range a.segOrder {
-		if n < st.judged {
-			continue
-		}
-		st.judged = n + 1
 		a.p.tel.Rounds.Inc()
 		local := st.Recorded(n)
 		st.Close(n)

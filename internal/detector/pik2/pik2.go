@@ -115,11 +115,12 @@ type Corruptor func(seg topology.Segment, round int, s *tvinfo.Summary) *tvinfo.
 
 // Protocol is a running Πk+2 deployment.
 type Protocol struct {
-	env    protocol.Env
-	opts   Options
-	flood  *consensus.Service
-	rec    tvinfo.Recording
-	agents map[packet.NodeID]*agent
+	env   protocol.Env
+	opts  Options
+	flood *consensus.Service
+	rec   tvinfo.Recording
+	// agents is indexed by router ID, in env.Nodes() order.
+	agents []*agent
 	tel    detector.Instruments
 
 	// recPts caches the shared reconciliation points; bodyBuf is the
@@ -139,11 +140,10 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 	pr, _ := topology.MonitorSets(paths, opts.K, topology.ModeEnds)
 
 	p := &Protocol{
-		env:    env,
-		opts:   opts,
-		flood:  env.Flood(),
-		agents: make(map[packet.NodeID]*agent),
-		tel:    detector.NewInstruments(env.Telemetry(), "pik2"),
+		env:   env,
+		opts:  opts,
+		flood: env.Flood(),
+		tel:   detector.NewInstruments(env.Telemetry(), "pik2"),
 	}
 	p.rec = tvinfo.Recording{
 		Env:          env,
@@ -154,8 +154,17 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 		Fingerprints: p.tel.Fingerprints,
 	}
 	for _, id := range env.Nodes() {
-		p.agents[id] = newAgent(p, id, pr[id])
+		p.agents = append(p.agents, newAgent(p, id, pr[id]))
 	}
+	p.rec.Drive(opts.Timeout, func(n int) {
+		for _, a := range p.agents {
+			a.exchangeRound(n)
+		}
+	}, func(n int) {
+		for _, a := range p.agents {
+			a.judgeRound(n)
+		}
+	})
 	return p
 }
 

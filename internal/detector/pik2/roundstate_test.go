@@ -79,10 +79,10 @@ func TestPeerMsgsBoundedByRoundWindow(t *testing.T) {
 	if got != want {
 		t.Errorf("transcript with %d far-future forgeries:\n%s\nwithout:\n%s", forgeries, got, want)
 	}
-	for id, a := range p.agents {
+	for _, a := range p.agents {
 		for _, st := range a.segOrder {
 			if n := len(st.peerMsgs); n > 2 {
-				t.Errorf("router %v holds %d peer messages for %v after the run, want at most 2", id, n, st.Seg)
+				t.Errorf("router %v holds %d peer messages for %v after the run, want at most 2", a.id, n, st.Seg)
 			}
 		}
 	}
@@ -123,13 +123,36 @@ func TestSentSummaryNeverReused(t *testing.T) {
 	if !ok {
 		t.Fatalf("the sender does not watch %v", held.Seg)
 	}
-	if st := sender.segOrder[i]; st.judged < 4 {
-		t.Fatalf("sender judged %d rounds, want round 1 closed and two more rounds past", st.judged)
+	if p.rec.Admits(3) {
+		t.Fatal("the deployment judged fewer than four rounds: want round 1 closed and two more rounds past")
+	}
+	if sender.segOrder[i].Recorded(1) != nil {
+		t.Fatal("the sender still holds round 1 after judging it")
 	}
 	if now := appendSignedBody(nil, held); !bytes.Equal(now, body) {
 		t.Fatalf("the held round-1 message encodes differently after the sender's later rounds (%d bytes, was %d)", len(now), len(body))
 	}
 	if !net.Auth().Verify(body, held.Sig) {
 		t.Fatal("the held message no longer verifies")
+	}
+}
+
+// TestOneRoundClock: the deployment has one round clock, not one per
+// router. Attached to a traffic-free line of five routers, Πk+2 leaves one
+// pending event, and R idle rounds, in which nothing is recorded and so
+// nothing is sent, fire 2R: each boundary once and each judge once.
+func TestOneRoundClock(t *testing.T) {
+	const rounds = 6
+	net := network.New(topology.Line(5), network.Options{Seed: 26})
+	opts := testOpts(detector.NewLog())
+	Attach(protocol.NewSimEnv(net), opts)
+	s := net.Scheduler()
+	if n := s.Pending(); n != 1 {
+		t.Fatalf("Attach left %d events pending, want 1", n)
+	}
+	before := s.Fired()
+	net.Run(rounds*testRound + opts.Timeout)
+	if got := s.Fired() - before; got != 2*rounds {
+		t.Fatalf("%d idle rounds fired %d events, want %d", rounds, got, 2*rounds)
 	}
 }

@@ -60,10 +60,10 @@ func TestSilentRoundsSendNothing(t *testing.T) {
 	recorded := make(map[segEnd]int)
 	for n := 0; n < rounds; n++ {
 		net.Scheduler().At(testRound*time.Duration(n+1)+opts.Timeout/2, func() {
-			for id, a := range p.agents {
+			for _, a := range p.agents {
 				for _, st := range a.segOrder {
 					if st.Recorded(n) != nil {
-						recorded[segEnd{st.Key, id}]++
+						recorded[segEnd{st.Key, a.id}]++
 					}
 				}
 			}

@@ -7,22 +7,26 @@ import (
 	"routerwatch/internal/auth"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
+	"routerwatch/internal/sim"
 	"routerwatch/internal/summary"
 	"routerwatch/internal/telemetry"
 	"routerwatch/internal/topology"
 )
 
-// Env is the part of protocol.Env the segment monitor uses.
+// Env is the part of protocol.Env the segment monitor and the round clock
+// use.
 type Env interface {
 	Graph() *topology.Graph
 	Auth() *auth.Authority
 	Hasher() packet.Hasher
 	Tap(at packet.NodeID, fn func(network.Event))
+	After(d time.Duration, fn func())
+	Every(interval time.Duration, fn func()) *sim.Ticker
 }
 
 // Recording is what every router's Monitor in one protocol deployment
-// shares: how info(r, π, τ) is collected, independent of who exchanges and
-// judges it.
+// shares: how info(r, π, τ) is collected, and the round clock that closes
+// each round for every router at once (§4.2.1).
 type Recording struct {
 	Env Env
 	// Oracle is the path table that predicts packet paths (§4.1).
@@ -43,7 +47,35 @@ type Recording struct {
 	// scratch holds the chunks every watch's fingerprint sets record into
 	// until they are first read: the deployment's, single-goroutine like it.
 	scratch summary.Scratch
+
+	// ticks counts the round boundaries Drive has passed, the next round to
+	// exchange; judged counts the rounds it has judged.
+	ticks, judged int
 }
+
+// Drive starts the deployment's one round clock, a boundary every Round from
+// now: the boundary that closes round n calls exchange(n), and the timeout
+// µ later judge(n), each for every router. Call it once, after every Start.
+func (r *Recording) Drive(timeout time.Duration, exchange, judge func(n int)) {
+	r.Env.Every(r.Round, func() {
+		n := r.ticks
+		r.ticks++
+		exchange(n)
+		r.Env.After(timeout, func() {
+			r.judged = n + 1
+			judge(n)
+		})
+	})
+}
+
+// Admits reports whether a received round-n message can still count: n is
+// in [judged, ticks]. A correct router's round-n message leaves at the
+// boundary that closes n and is judged µ later; one round ahead allows a
+// sender whose clock reaches the boundary first. Anything else is dropped
+// before it costs a verification or a slot: rounds are not re-judged, and
+// a protocol-faulty sender may sign any round, so the window bounds what a
+// router holds for rounds in flight.
+func (r *Recording) Admits(n int) bool { return r.judged <= n && n <= r.ticks }
 
 // Watch is one router's recording state for one watched segment. Protocols
 // embed it by value in their own per-segment state and hand its address to
@@ -66,9 +98,9 @@ type Watch struct {
 	// open holds this router's summaries for the rounds not yet closed,
 	// oldest first. Two or three are live at a time — a packet's bin is its
 	// predicted sink arrival, never earlier than now, and the protocol
-	// closes a round µ after its round tick, which comes as long after the
-	// bin's end as the protocol attached after time 0 — so a search is a
-	// compare or three.
+	// closes a round µ after the Drive boundary that exchanged it, which
+	// comes as long after the bin's end as the protocol attached after
+	// time 0 — so a search is a compare or three.
 	open []openRound
 }
 

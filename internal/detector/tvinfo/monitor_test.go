@@ -1,6 +1,7 @@
 package tvinfo
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -9,15 +10,18 @@ import (
 	"routerwatch/internal/auth"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
+	"routerwatch/internal/sim"
 	"routerwatch/internal/topology"
 )
 
 // tapEnv is the monitor's environment with the taps exposed, so a test
-// plays a router's packet events straight into its monitor.
+// plays a router's packet events straight into its monitor. Its clock is
+// sched, for the tests that drive rounds.
 type tapEnv struct {
-	g    *topology.Graph
-	au   *auth.Authority
-	taps map[packet.NodeID]func(network.Event)
+	g     *topology.Graph
+	au    *auth.Authority
+	taps  map[packet.NodeID]func(network.Event)
+	sched *sim.Scheduler
 }
 
 func (e *tapEnv) Graph() *topology.Graph { return e.g }
@@ -25,6 +29,10 @@ func (e *tapEnv) Auth() *auth.Authority  { return e.au }
 func (e *tapEnv) Hasher() packet.Hasher  { return packet.NewHasher(1, 2) }
 func (e *tapEnv) Tap(at packet.NodeID, fn func(network.Event)) {
 	e.taps[at] = fn
+}
+func (e *tapEnv) After(d time.Duration, fn func()) { e.sched.After(d, fn) }
+func (e *tapEnv) Every(d time.Duration, fn func()) *sim.Ticker {
+	return e.sched.NewTicker(d, fn)
 }
 
 // Line(5) is 0-1-2-3-4 with the default 100 Mb/s, 2 ms links: a 1000-byte
@@ -281,5 +289,57 @@ func TestRouteMemoBounded(t *testing.T) {
 	dequeue(0)
 	if got := w.Summary(0).Counter.Packets; got != 1 {
 		t.Fatalf("recorded %d packets of the known pair after the memo was dropped, want 1", got)
+	}
+}
+
+// TestDriveWindow pins the deployment's round clock: one pending event
+// however many routers it serves, a boundary every Round from the Drive
+// call, exchange(n) at the boundary that closes round n and judge(n) the
+// timeout later, and the window Admits answers in between.
+func TestDriveWindow(t *testing.T) {
+	const attach, timeout = 300 * time.Millisecond, testRound / 4
+	s := sim.New()
+	s.RunUntil(attach)
+	rec := &Recording{Env: &tapEnv{sched: s}, Round: testRound}
+	var got []string
+	rec.Drive(timeout, func(n int) {
+		got = append(got, fmt.Sprintf("exchange %d at %v", n, s.Now()))
+	}, func(n int) {
+		got = append(got, fmt.Sprintf("judge %d at %v", n, s.Now()))
+	})
+	if n := s.Pending(); n != 1 {
+		t.Fatalf("Drive left %d events pending, want 1", n)
+	}
+	// admitted lists the rounds in [-1, 3] that Admits lets in.
+	admitted := func() []int {
+		var in []int
+		for n := -1; n <= 3; n++ {
+			if rec.Admits(n) {
+				in = append(in, n)
+			}
+		}
+		return in
+	}
+	windows := []struct {
+		at   time.Duration
+		want []int
+	}{
+		{attach, []int{0}},
+		{attach + testRound, []int{0, 1}},
+		{attach + testRound + timeout, []int{1}},
+		{attach + 2*testRound + timeout, []int{2}},
+	}
+	for _, w := range windows {
+		s.RunUntil(w.at)
+		if got := admitted(); !reflect.DeepEqual(got, w.want) {
+			t.Errorf("at %v Admits lets in rounds %v, want %v", w.at, got, w.want)
+		}
+	}
+	want := []string{
+		"exchange 0 at 1.3s", "judge 0 at 1.55s",
+		"exchange 1 at 2.3s", "judge 1 at 2.55s",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the clock fired\n%v\nwant\n%v", got, want)
 	}
 }

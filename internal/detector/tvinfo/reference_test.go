@@ -11,6 +11,7 @@ import (
 	"routerwatch/internal/auth"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
+	"routerwatch/internal/sim"
 	"routerwatch/internal/topology"
 )
 
@@ -106,9 +107,13 @@ type scanEnv struct {
 	events, records, clears int
 }
 
-func (e *scanEnv) Graph() *topology.Graph { return e.net.Graph() }
-func (e *scanEnv) Auth() *auth.Authority  { return e.net.Auth() }
-func (e *scanEnv) Hasher() packet.Hasher  { return e.net.Hasher() }
+func (e *scanEnv) Graph() *topology.Graph           { return e.net.Graph() }
+func (e *scanEnv) Auth() *auth.Authority            { return e.net.Auth() }
+func (e *scanEnv) Hasher() packet.Hasher            { return e.net.Hasher() }
+func (e *scanEnv) After(d time.Duration, fn func()) { e.net.Scheduler().After(d, fn) }
+func (e *scanEnv) Every(d time.Duration, fn func()) *sim.Ticker {
+	return e.net.Scheduler().NewTicker(d, fn)
+}
 func (e *scanEnv) Tap(at packet.NodeID, fn func(network.Event)) {
 	e.net.Router(at).AddTap(func(ev network.Event) { e.check(e.monitors[at], ev, fn) })
 }

@@ -7,6 +7,7 @@ import (
 
 	"routerwatch/internal/attack"
 	"routerwatch/internal/detector/chi"
+	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 	"routerwatch/internal/tcpsim"
 	"routerwatch/internal/topology"
@@ -113,7 +114,7 @@ func runChiScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.Res
 		return nil, fmt.Errorf("attack %q not available for chi", kind)
 	}
 	if h.Attack != nil {
-		res.Faulty = st.R
+		res.Faulty, res.FaultySet = st.R, []packet.NodeID{st.R}
 	}
 	h.BeforeRun = func(cr *ChiRun) {
 		res.Env, res.Net, res.Engine, res.Extra = cr.Env, cr.Net, cr.Protocol, cr.Calibration

@@ -90,8 +90,8 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Faulty != -1 {
-				t.Errorf("clean scenario reports faulty router %v", res.Faulty)
+			if res.Faulty != -1 || len(res.FaultySet) != 0 {
+				t.Errorf("clean scenario reports faulty router %v, fault set %v", res.Faulty, res.FaultySet)
 			}
 			// With nothing faulty, any suspicion is a false accusation.
 			envtest.CheckDetection(t, envtest.Detection{Log: res.Log, Accuracy: bound})
@@ -103,8 +103,9 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Faulty < 0 {
-				t.Fatal("attacked scenario reports no faulty router")
+			// FaultyContains reads the set: a custom scenario fills it too.
+			if res.Faulty < 0 || len(res.FaultySet) == 0 || res.FaultySet[0] != res.Faulty {
+				t.Fatalf("attacked scenario reports faulty router %v, fault set %v", res.Faulty, res.FaultySet)
 			}
 			envtest.CheckDetection(t, envtest.Detection{
 				Log:      res.Log,

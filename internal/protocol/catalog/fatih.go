@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"routerwatch/internal/fatih"
+	"routerwatch/internal/packet"
 	"routerwatch/internal/protocol"
 )
 
@@ -49,14 +50,14 @@ func runFatihScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.R
 	}
 	net := sres.System.Net
 	kc, _ := net.Graph().Lookup("KansasCity")
-	faulty := kc
+	faulty, faultySet := kc, []packet.NodeID{kc}
 	if a := spec.Attack; a != nil && a.Kind == "none" {
-		faulty = -1
+		faulty, faultySet = -1, nil
 	}
 	return &protocol.Result{
 		Spec: spec, Env: protocol.NewSimEnv(net), Net: net,
 		Routing: sres.System.Routing, Engine: sres.System,
-		Log: sres.System.Log, Faulty: faulty, Extra: sres,
+		Log: sres.System.Log, Faulty: faulty, FaultySet: faultySet, Extra: sres,
 	}, nil
 }
 

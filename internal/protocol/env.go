@@ -32,7 +32,8 @@ type Env interface {
 	// After schedules fn d after the current virtual time.
 	After(d time.Duration, fn func())
 	// Every schedules fn at every multiple of interval, starting one
-	// interval from now — the per-round lifecycle driver.
+	// interval from now: the tick under every periodic driver, such as a
+	// deployment's round clock (tvinfo.Recording.Drive).
 	Every(interval time.Duration, fn func()) *sim.Ticker
 
 	// Nodes lists every router, in deterministic (ID) order.

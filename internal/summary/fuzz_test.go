@@ -26,6 +26,15 @@ func fpsFromBytes(data []byte) []packet.Fingerprint {
 	return fps
 }
 
+// elemsFromBytes is fpsFromBytes as field-element inputs.
+func elemsFromBytes(data []byte) []uint64 {
+	var out []uint64
+	for _, fp := range fpsFromBytes(data) {
+		out = append(out, uint64(fp))
+	}
+	return out
+}
+
 func FuzzCounterCodec(f *testing.F) {
 	f.Add(Counter{Packets: 3, Bytes: 1500}.Encode())
 	f.Add([]byte{})
@@ -167,14 +176,7 @@ func FuzzCharPolyMultiplicative(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 
 	f.Fuzz(func(t *testing.T, dataA, dataB []byte) {
-		toU64 := func(data []byte) []uint64 {
-			var out []uint64
-			for _, fp := range fpsFromBytes(data) {
-				out = append(out, uint64(fp))
-			}
-			return out
-		}
-		a, b := toU64(dataA), toU64(dataB)
+		a, b := elemsFromBytes(dataA), elemsFromBytes(dataB)
 		pts := ReconcilePoints(5)
 		evalA := EvaluateCharPoly(a, pts)
 		evalB := EvaluateCharPoly(b, pts)
@@ -184,6 +186,80 @@ func FuzzCharPolyMultiplicative(f *testing.F) {
 				t.Fatalf("χ_{A∪B}(z%d) != χ_A·χ_B: %d != %d·%d",
 					i, union[i], evalA[i], evalB[i])
 			}
+		}
+	})
+}
+
+// FuzzReconcile drives Reconcile the way Πk+2's reconciling end does: the
+// local set's evaluations against the Count and Evals its peer signed
+// (pik2's judgeReconcile). A protocol-faulty peer signs whatever it likes,
+// so every mode must return a result or an error, never panic. mode 0 is an
+// honest peer: its evaluations and count are those of shared ∪ onlyPeer
+// against a local shared ∪ onlyLocal, and when the two differ by no more
+// than the points can recover, A∖B and B∖A (as field elements) must come
+// back exactly. mode 1 keeps the honest evaluations under a forged count;
+// mode 2 forges both, the evaluations read from forged.
+func FuzzReconcile(f *testing.F) {
+	f.Add([]byte("shared-1shared-2"), []byte("peer-onepeer-two"), []byte("localone"), []byte{}, int64(0), uint8(0))
+	f.Add(bytes.Repeat([]byte{7}, 64), []byte{}, []byte{}, bytes.Repeat([]byte{0xff}, 80), int64(-1), uint8(2))
+	f.Add([]byte("shared-1"), []byte{}, []byte("localonelocaltwo"), []byte{}, int64(1<<62), uint8(1))
+	f.Add([]byte{}, []byte{}, []byte{}, bytes.Repeat([]byte{0}, 80), int64(0), uint8(2))
+
+	points := ReconcilePoints(10)
+	f.Fuzz(func(t *testing.T, shared, onlyPeer, onlyLocal, forged []byte, count int64, mode uint8) {
+		peer := append(elemsFromBytes(shared), elemsFromBytes(onlyPeer)...)
+		local := append(elemsFromBytes(shared), elemsFromBytes(onlyLocal)...)
+		localEvals := EvaluateCharPoly(local, points)
+		peerEvals, peerCount := EvaluateCharPoly(peer, points), len(peer)
+		switch mode % 3 {
+		case 1:
+			peerCount = int(count)
+		case 2:
+			peerEvals, peerCount = elemsFromBytes(forged), int(count)
+			if len(peerEvals) > len(points) {
+				peerEvals = peerEvals[:len(points)]
+			}
+		}
+		// The peer is either end of the segment.
+		Reconcile(localEvals, peerEvals, points, len(local), peerCount)
+		gotPeer, gotLocal, err := Reconcile(peerEvals, localEvals, points, peerCount, len(local))
+		if mode%3 != 0 {
+			return
+		}
+
+		// The difference is taken over field elements, and an element that
+		// is an evaluation point zeroes its set's evaluation there.
+		counts := make(map[uint64]int)
+		for _, e := range peer {
+			counts[e%FieldPrime]++
+		}
+		for _, e := range local {
+			counts[e%FieldPrime]--
+		}
+		var wantPeer, wantLocal []uint64
+		for e, c := range counts {
+			if slices.Contains(points, e) {
+				return
+			}
+			for ; c > 0; c-- {
+				wantPeer = append(wantPeer, e)
+			}
+			for ; c < 0; c++ {
+				wantLocal = append(wantLocal, e)
+			}
+		}
+		if len(wantPeer)+len(wantLocal) > len(points)-1 {
+			return
+		}
+		if err != nil {
+			t.Fatalf("honest difference of %d+%d within the budget of %d: %v",
+				len(wantPeer), len(wantLocal), len(points)-1, err)
+		}
+		for _, s := range [][]uint64{wantPeer, wantLocal, gotPeer, gotLocal} {
+			slices.Sort(s)
+		}
+		if !slices.Equal(gotPeer, wantPeer) || !slices.Equal(gotLocal, wantLocal) {
+			t.Fatalf("recovered peer-only %v, local-only %v; want %v, %v", gotPeer, gotLocal, wantPeer, wantLocal)
 		}
 	})
 }
