@@ -9,6 +9,7 @@ package detector
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -163,13 +164,23 @@ func (l *Log) FirstAt() time.Duration {
 	return min
 }
 
-// Segments returns the distinct suspected segments.
+// Segments returns the distinct suspected segments in key order
+// (topology.CompareSegments), each a copy. A segment suspected again costs
+// one probe with a scratch key: the log allocates per distinct segment.
 func (l *Log) Segments() []topology.Segment {
-	ss := make(topology.SegmentSet)
+	seen := make(map[topology.SegmentKey]struct{})
+	var kb []byte
+	var out []topology.Segment
 	for _, s := range l.suspicions {
-		ss.Add(s.Segment)
+		kb = topology.AppendKey(kb[:0], s.Segment)
+		if _, dup := seen[topology.SegmentKey(kb)]; dup {
+			continue
+		}
+		seen[topology.SegmentKey(kb)] = struct{}{}
+		out = append(out, slices.Clone(s.Segment))
 	}
-	return ss.Slice()
+	slices.SortFunc(out, topology.CompareSegments)
+	return out
 }
 
 // GroundTruth is the oracle the property checkers compare against: which

@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -32,6 +33,34 @@ func TestLogBasics(t *testing.T) {
 	}
 	if p := Precision(l); p != 2 {
 		t.Fatalf("precision %d", p)
+	}
+}
+
+// TestLogSegments: the distinct suspected segments come out once each, in
+// key order (node IDs compared unsigned, a proper prefix first), as copies
+// of the log's; and a segment suspected again allocates nothing more.
+func TestLogSegments(t *testing.T) {
+	segs := []topology.Segment{{2, 1, 0}, {0, 1}, {0, 1, 2}, {-1, 0}, {0, 1}, {2, 1, 0}, {0, 1}}
+	l := NewLog()
+	for i, seg := range segs {
+		l.Add(susp(packet.NodeID(i), seg, 0))
+	}
+	got := l.Segments()
+	want := []topology.Segment{{0, 1}, {0, 1, 2}, {2, 1, 0}, {-1, 0}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Segments() = %v, want %v", got, want)
+	}
+	got[0][0] = 9
+	if l.All()[1].Segment[0] != 0 {
+		t.Fatal("Segments() aliases the log's segments")
+	}
+
+	distinct := testing.AllocsPerRun(20, func() { l.Segments() })
+	for i := 0; i < 1000; i++ {
+		l.Add(susp(1, segs[i%len(segs)], 0))
+	}
+	if repeated := testing.AllocsPerRun(20, func() { l.Segments() }); repeated != distinct {
+		t.Fatalf("Segments() allocates %v times over 1000 repeated suspicions, %v without them", repeated, distinct)
 	}
 }
 

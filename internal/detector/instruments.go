@@ -25,6 +25,12 @@ type Instruments struct {
 	// Fingerprints counts traffic records folded into summaries — the
 	// per-packet work of the protocol's data-plane taps.
 	Fingerprints *telemetry.Counter
+	// RouteFills counts the route-memo misses a Π2 or Πk+2 monitor filled
+	// from the path table, and RouteResets the memos it dropped — full,
+	// filled against a replaced table, or filled before a watch was added —
+	// so fills per packet says how often dispatch missed.
+	RouteFills  *telemetry.Counter
+	RouteResets *telemetry.Counter
 	// Summaries counts summary messages sent (Πk+2 exchanges, Π2 floods,
 	// χ reporter batches); SummaryBytes accumulates their payload bytes —
 	// the §5.2.1/§7 control-plane overhead.
@@ -57,6 +63,8 @@ func NewInstruments(set *telemetry.Set, protocol string) Instruments {
 	reg := set.Registry()
 	return Instruments{
 		Fingerprints: reg.Counter("rw_detector_fingerprints_total", "protocol", protocol),
+		RouteFills:   reg.Counter("rw_detector_route_fills_total", "protocol", protocol),
+		RouteResets:  reg.Counter("rw_detector_route_resets_total", "protocol", protocol),
 		Summaries:    reg.Counter("rw_detector_summaries_total", "protocol", protocol),
 		SummaryBytes: reg.Counter("rw_detector_summary_bytes_total", "protocol", protocol),
 		SilentRounds: reg.Counter("rw_detector_silent_rounds_total", "protocol", protocol),

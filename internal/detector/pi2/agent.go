@@ -20,7 +20,8 @@ type segState struct {
 	tvinfo.Watch
 
 	// collected maps round → origin → received signed summaries (more
-	// than one distinct payload per origin = equivocation).
+	// than one distinct payload per origin = equivocation). It is made at
+	// the first summary received.
 	collected map[int]map[packet.NodeID][]consensus.Msg
 }
 
@@ -30,8 +31,8 @@ type agent struct {
 	id  packet.NodeID
 	mon tvinfo.Monitor
 
-	// segOrder is indexed by watch order: mon.Find's answer.
-	segOrder []*segState
+	// segs is indexed by watch order: mon.Find's answer.
+	segs []segState
 
 	corrupt    Corruptor
 	equivocate bool
@@ -39,22 +40,22 @@ type agent struct {
 	suspected map[topology.SegmentKey]bool
 }
 
-func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agent {
+func newAgent(p *Protocol, id packet.NodeID) *agent {
 	a := &agent{
 		p:         p,
 		id:        id,
 		suspected: make(map[topology.SegmentKey]bool),
 	}
 	a.mon.Start(&p.rec, id)
-	for _, seg := range monitored {
-		st := &segState{
-			collected: make(map[int]map[packet.NodeID][]consensus.Msg),
+	monitored := p.rec.Segments.Monitored(id)
+	a.segs = make([]segState, len(monitored))
+	n := 0
+	for _, sid := range monitored {
+		if a.mon.Watch(&a.segs[n].Watch, sid) {
+			n++
 		}
-		if !a.mon.Watch(&st.Watch, seg) {
-			continue
-		}
-		a.segOrder = append(a.segOrder, st)
 	}
+	a.segs = a.segs[:n]
 
 	p.flood.Subscribe(a.id, TopicInfo, a.onInfo)
 	p.flood.Subscribe(a.id, TopicAlert, a.onAlert)
@@ -63,7 +64,8 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 
 // publishRound floods this router's signed summaries for round n.
 func (a *agent) publishRound(n int) {
-	for _, st := range a.segOrder {
+	for i := range a.segs {
+		st := &a.segs[i]
 		s := st.Summary(n)
 		if a.corrupt != nil {
 			s = a.corrupt(st.Seg, n, s)
@@ -71,7 +73,7 @@ func (a *agent) publishRound(n int) {
 				continue
 			}
 		}
-		inst := infoInstance(st.Key, n)
+		inst := infoInstance(st.Seg, n)
 		payload := infoPayload(st.Pos, s)
 		a.p.flood.Flood(a.id, TopicInfo, inst, payload)
 		a.p.tel.Summaries.Inc()
@@ -87,21 +89,24 @@ func (a *agent) publishRound(n int) {
 // onInfo collects a flooded summary (already signature-verified by the
 // consensus layer).
 func (a *agent) onInfo(m consensus.Msg) {
-	key, n, ok := parseInstance(m.Instance)
+	seg, n, ok := parseInstance(m.Instance)
 	if !ok || !a.p.rec.Admits(n) {
 		return
 	}
-	i, ok := a.mon.Find(key)
+	i, ok := a.mon.Find(seg)
 	if !ok {
 		return
 	}
-	st := a.segOrder[i]
+	st := &a.segs[i]
 	if len(m.Payload) < 4 {
 		return
 	}
 	pos := int(binary.BigEndian.Uint32(m.Payload))
 	if pos < 0 || pos >= len(st.Seg) || st.Seg[pos] != m.Origin {
 		return // a router may only report for its own position
+	}
+	if st.collected == nil {
+		st.collected = make(map[int]map[packet.NodeID][]consensus.Msg)
 	}
 	byOrigin := st.collected[n]
 	if byOrigin == nil {
@@ -120,7 +125,8 @@ func (a *agent) onInfo(m consensus.Msg) {
 // judgeRound evaluates all adjacent pairs of each monitored segment for
 // round n (Fig 5.1's post-consensus loop).
 func (a *agent) judgeRound(n int) {
-	for _, st := range a.segOrder {
+	for i := range a.segs {
+		st := &a.segs[i]
 		a.p.tel.Rounds.Inc()
 		byOrigin := st.collected[n]
 		delete(st.collected, n)
@@ -166,7 +172,7 @@ func (a *agent) judgeRound(n int) {
 			}
 		}
 	}
-	if len(a.segOrder) > 0 {
+	if len(a.segs) > 0 {
 		a.p.tel.RoundSpan("pi2 round", n, a.p.opts.Round, a.p.env.Now(), int32(a.id))
 	}
 }
@@ -235,7 +241,7 @@ func (a *agent) onAlert(m consensus.Msg) {
 // verifyEvidence checks the two signed summaries and re-runs TV.
 func (a *agent) verifyEvidence(ev *AlertEvidence) bool {
 	au := a.p.env.Auth()
-	inst := infoInstance(topology.Key(ev.Seg), ev.Round)
+	inst := infoInstance(ev.Seg, ev.Round)
 	for _, m := range []consensus.Msg{ev.Up, ev.Dn} {
 		if m.Topic != TopicInfo || m.Instance != inst {
 			return false
@@ -269,18 +275,20 @@ func (a *agent) verifyEvidence(ev *AlertEvidence) bool {
 	return !res.OK
 }
 
-func parseInstance(inst string) (topology.SegmentKey, int, bool) {
+// parseInstance reads the segment and round an info instance names: the
+// inverse of infoInstance, for a whole segment key only.
+func parseInstance(inst string) (topology.Segment, int, bool) {
 	i := strings.LastIndexByte(inst, '/')
 	if i < 0 {
-		return "", 0, false
+		return nil, 0, false
 	}
 	n, err := strconv.Atoi(inst[i+1:])
 	if err != nil {
-		return "", 0, false
+		return nil, 0, false
 	}
 	key, err := hex.DecodeString(inst[:i])
-	if err != nil {
-		return "", 0, false
+	if err != nil || len(key)%4 != 0 {
+		return nil, 0, false
 	}
-	return topology.SegmentKey(key), n, true
+	return topology.DecodeKey(topology.SegmentKey(key)), n, true
 }

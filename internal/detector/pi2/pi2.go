@@ -94,9 +94,7 @@ type Protocol struct {
 // Attach deploys Π2 on every router of the environment.
 func Attach(env protocol.Env, opts Options) *Protocol {
 	opts.fill()
-	g := env.Graph()
-	paths := g.CSR().Paths()
-	pr, _ := topology.MonitorSets(paths, opts.K, topology.ModeNodes)
+	paths := env.Graph().CSR().Paths()
 
 	p := &Protocol{
 		env:   env,
@@ -107,12 +105,17 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 	p.rec = tvinfo.Recording{
 		Env:          env,
 		Oracle:       paths,
+		Segments:     topology.MonitorSets(paths, opts.K, topology.ModeNodes),
 		Policy:       opts.Policy,
 		Round:        opts.Round,
 		Fingerprints: p.tel.Fingerprints,
+		RouteFills:   p.tel.RouteFills,
+		RouteResets:  p.tel.RouteResets,
 	}
-	for _, id := range env.Nodes() {
-		p.agents = append(p.agents, newAgent(p, id, pr[id]))
+	nodes := env.Nodes()
+	p.agents = make([]*agent, 0, len(nodes))
+	for _, id := range nodes {
+		p.agents = append(p.agents, newAgent(p, id))
 	}
 	p.rec.Drive(opts.Settle, func(n int) {
 		for _, a := range p.agents {
@@ -134,8 +137,8 @@ func (p *Protocol) SetCorruptor(r packet.NodeID, c Corruptor) { p.agents[r].corr
 func (p *Protocol) SetEquivocator(r packet.NodeID) { p.agents[r].equivocate = true }
 
 // infoInstance names the consensus instance for one segment-round.
-func infoInstance(key topology.SegmentKey, round int) string {
-	return fmt.Sprintf("%x/%d", string(key), round)
+func infoInstance(seg topology.Segment, round int) string {
+	return fmt.Sprintf("%x/%d", topology.AppendKey(nil, seg), round)
 }
 
 // infoPayload is the flooded summary encoding: position in segment +
@@ -170,7 +173,7 @@ func (p *Protocol) floodAlert(by packet.NodeID, ev *AlertEvidence) {
 	if err := gob.NewEncoder(&buf).Encode(ev); err != nil {
 		panic(fmt.Sprintf("pi2: encoding alert: %v", err))
 	}
-	inst := infoInstance(topology.Key(ev.Pair), ev.Round)
+	inst := infoInstance(ev.Pair, ev.Round)
 	p.flood.Flood(by, TopicAlert, inst, buf.Bytes())
 }
 

@@ -3,6 +3,7 @@ package pi2
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,7 +45,7 @@ func TestMonitoredSegments(t *testing.T) {
 	p := Attach(protocol.NewSimEnv(net), testOpts(detector.NewLog()))
 	// k=1 on a 6-line: router 2 belongs to 3-segments starting at 0,1,2 in
 	// each direction = 6 (mirrors the topology test).
-	if got := len(p.agents[2].segOrder); got != 6 {
+	if got := len(p.agents[2].segs); got != 6 {
 		t.Fatalf("router 2 monitors %d segments, want 6", got)
 	}
 }
@@ -246,7 +247,7 @@ func TestSelfSignedEmptyEvidenceRejected(t *testing.T) {
 	net.Run(300 * time.Millisecond)
 
 	seg := topology.Segment{1, 2, 3}
-	inst := infoInstance(topology.Key(seg), 0)
+	inst := infoInstance(seg, 0)
 	empty := consensus.Msg{Origin: 0, Topic: TopicInfo, Instance: inst}
 	empty.Sig = net.Auth().Sign(0, consensus.SignedBody(0, TopicInfo, inst, nil))
 	p.floodAlert(0, &AlertEvidence{
@@ -334,10 +335,10 @@ func TestCollectedBoundedByRoundWindow(t *testing.T) {
 		net := network.New(topology.Line(3), network.Options{Seed: 12})
 		p := Attach(protocol.NewSimEnv(net), testOpts(log))
 		if forge {
-			key := topology.Key(topology.Segment{0, 1, 2})
+			seg := topology.Segment{0, 1, 2}
 			net.Scheduler().At(1100*time.Millisecond, func() {
 				for i := 0; i < forgeries; i++ {
-					p.flood.Flood(1, TopicInfo, infoInstance(key, 1000+i),
+					p.flood.Flood(1, TopicInfo, infoInstance(seg, 1000+i),
 						infoPayload(1, tvinfo.NewSummary(tvinfo.PolicyContent)))
 				}
 			})
@@ -353,7 +354,7 @@ func TestCollectedBoundedByRoundWindow(t *testing.T) {
 		t.Errorf("transcript with %d far-future summaries:\n%s\nwithout:\n%s", forgeries, got, want)
 	}
 	for _, a := range p.agents {
-		for _, st := range a.segOrder {
+		for _, st := range a.segs {
 			if n := len(st.collected); n > 2 {
 				t.Errorf("router %v holds %d rounds for %v after the run, want at most 2", a.id, n, st.Seg)
 			}
@@ -387,24 +388,24 @@ func TestNonMemberTimeoutAlertRejected(t *testing.T) {
 
 func TestInstanceRoundTrip(t *testing.T) {
 	seg := topology.Segment{3, 7, 11}
-	key := topology.Key(seg)
-	inst := infoInstance(key, 42)
-	gotKey, gotRound, ok := parseInstance(inst)
-	if !ok || gotKey != key || gotRound != 42 {
-		t.Fatalf("parseInstance(%q) = %x/%d/%v", inst, gotKey, gotRound, ok)
+	inst := infoInstance(seg, 42)
+	gotSeg, gotRound, ok := parseInstance(inst)
+	if !ok || !slices.Equal(gotSeg, seg) || gotRound != 42 {
+		t.Fatalf("parseInstance(%q) = %v/%d/%v", inst, gotSeg, gotRound, ok)
 	}
 	// A member signs whatever instance string it likes; only the one a
-	// correct router makes names the key.
-	hexKey := hex.EncodeToString([]byte(key))
+	// correct router makes names the segment.
+	hexKey := hex.EncodeToString([]byte(topology.Key(seg)))
 	for _, bad := range []string{
 		"nonsense",
 		hexKey + "zz/42",     // trailing non-hex
 		" " + hexKey + "/42", // leading space
 		hexKey[1:] + "/42",   // odd length
 		hexKey + "42",        // no '/'
+		hexKey[2:] + "/42",   // not a whole segment key
 	} {
-		if k, n, ok := parseInstance(bad); ok {
-			t.Errorf("parseInstance(%q) accepted as %x/%d", bad, k, n)
+		if s, n, ok := parseInstance(bad); ok {
+			t.Errorf("parseInstance(%q) accepted as %v/%d", bad, s, n)
 		}
 	}
 }

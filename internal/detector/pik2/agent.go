@@ -50,8 +50,8 @@ type agent struct {
 	id  packet.NodeID
 	mon tvinfo.Monitor
 
-	// segOrder is indexed by watch order: mon.Find's answer.
-	segOrder []*segState
+	// segs is indexed by watch order: mon.Find's answer.
+	segs []segState
 
 	corrupt Corruptor
 
@@ -62,35 +62,54 @@ type agent struct {
 	// overhead accounting).
 	bytesSent int64
 
-	// keyBuf is the scratch a received message's segment key is built in.
+	// keyBuf is the scratch a suspected segment's key is built in.
 	keyBuf []byte
 }
 
-func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agent {
+// reversedChunk sizes the Protocol's chunks of reversed exchange paths.
+const reversedChunk = 4096
+
+func newAgent(p *Protocol, id packet.NodeID) *agent {
 	a := &agent{
 		p:         p,
 		id:        id,
 		suspected: make(map[topology.SegmentKey]bool),
 	}
 	a.mon.Start(&p.rec, id)
-	for _, seg := range monitored {
-		st := &segState{}
-		if !a.mon.Watch(&st.Watch, seg) {
+	monitored := p.rec.Segments.Monitored(id)
+	a.segs = make([]segState, len(monitored))
+	n := 0
+	for _, sid := range monitored {
+		st := &a.segs[n]
+		if !a.mon.Watch(&st.Watch, sid) {
 			continue
 		}
+		n++
 		// The exchange travels through π itself (§5.2.1): source→sink
 		// along the segment, sink→source along its reverse.
+		seg := st.Seg
 		st.peer, st.path = seg[len(seg)-1], topology.Path(seg)
 		if st.Pos != 0 {
-			st.peer, st.path = seg[0], slices.Clone(st.path)
-			slices.Reverse(st.path)
+			st.peer, st.path = seg[0], p.reverse(seg)
 		}
-		a.segOrder = append(a.segOrder, st)
 	}
+	a.segs = a.segs[:n]
 
 	p.env.HandleControl(a.id, KindSummary, a.onSummary)
 	p.flood.Subscribe(a.id, TopicAlert, a.onAlert)
 	return a
+}
+
+// reverse returns seg reversed, carved from the Protocol's chunks.
+func (p *Protocol) reverse(seg topology.Segment) topology.Path {
+	if cap(p.reversed)-len(p.reversed) < len(seg) {
+		p.reversed = make([]packet.NodeID, 0, max(reversedChunk, len(seg)))
+	}
+	start := len(p.reversed)
+	p.reversed = append(p.reversed, seg...)
+	path := topology.Path(p.reversed[start:len(p.reversed):len(p.reversed)])
+	slices.Reverse(path)
+	return path
 }
 
 // exchangeRound sends this router's summary for round n, through the segment
@@ -102,7 +121,8 @@ func newAgent(p *Protocol, id packet.NodeID, monitored []topology.Segment) *agen
 // encoded, so the buffer only ever holds one summary body.
 func (a *agent) exchangeRound(n int) {
 	sent := 0
-	for _, st := range a.segOrder {
+	for i := range a.segs {
+		st := &a.segs[i]
 		s := st.Recorded(n)
 		if a.corrupt != nil {
 			// Protocol faulty: reports what it likes, or (nil) nothing.
@@ -150,12 +170,11 @@ func (a *agent) onSummary(cm *network.ControlMessage) {
 	} else if msg.Summary == nil {
 		return
 	}
-	a.keyBuf = topology.AppendKey(a.keyBuf[:0], msg.Seg)
-	i, ok := a.mon.Find(topology.SegmentKey(a.keyBuf))
+	i, ok := a.mon.Find(msg.Seg)
 	if !ok {
 		return
 	}
-	st := a.segOrder[i]
+	st := &a.segs[i]
 	if msg.From != st.peer {
 		return
 	}
@@ -178,7 +197,8 @@ func (a *agent) onSummary(cm *network.ControlMessage) {
 // judgeRound runs at round boundary + µ: TV failures become suspicions,
 // against the peer's summary or, when none came, against ∅.
 func (a *agent) judgeRound(n int) {
-	for _, st := range a.segOrder {
+	for i := range a.segs {
+		st := &a.segs[i]
 		a.p.tel.Rounds.Inc()
 		local := st.Recorded(n)
 		st.Close(n)
@@ -208,7 +228,7 @@ func (a *agent) judgeRound(n int) {
 			a.suspect(st, n, detector.KindTrafficValidation, 1, res.String())
 		}
 	}
-	if len(a.segOrder) > 0 {
+	if len(a.segs) > 0 {
 		a.p.tel.RoundSpan("pik2 round", n, a.p.opts.Round, a.p.env.Now(), int32(a.id))
 	}
 }
@@ -277,17 +297,18 @@ func fpMultiset(s *tvinfo.Summary) []uint64 {
 
 // suspect raises and floods a suspicion of st.Seg.
 func (a *agent) suspect(st *segState, round int, kind detector.Kind, conf float64, detail string) {
-	if a.suspected[st.Key] {
+	a.keyBuf = topology.AppendKey(a.keyBuf[:0], st.Seg)
+	if a.suspected[topology.SegmentKey(a.keyBuf)] {
 		return
 	}
-	a.suspected[st.Key] = true
+	a.suspected[topology.SegmentKey(a.keyBuf)] = true
 	s := detector.Suspicion{
 		By: a.id, Segment: st.Seg, Round: round,
 		At: a.p.env.Now(), Kind: kind, Confidence: conf, Detail: detail,
 	}
 	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round)
 	// Reliable broadcast of [π]r (Fig 5.3): strong completeness.
-	a.p.flood.Flood(a.id, TopicAlert, strconv.Itoa(round), []byte(st.Key))
+	a.p.flood.Flood(a.id, TopicAlert, strconv.Itoa(round), slices.Clone(a.keyBuf))
 }
 
 // onAlert accepts another router's flooded suspicion: verify the flood

@@ -128,6 +128,8 @@ type Protocol struct {
 	// single-threaded like the simulation that drives it).
 	recPts  []uint64
 	bodyBuf []byte
+	// reversed is the chunk the sink ends' exchange paths are carved from.
+	reversed []packet.NodeID
 }
 
 // Attach deploys Πk+2 on every router of the environment. Monitored
@@ -137,7 +139,6 @@ type Protocol struct {
 func Attach(env protocol.Env, opts Options) *Protocol {
 	opts.fill()
 	paths := env.Graph().CSR().Paths()
-	pr, _ := topology.MonitorSets(paths, opts.K, topology.ModeEnds)
 
 	p := &Protocol{
 		env:   env,
@@ -148,13 +149,18 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 	p.rec = tvinfo.Recording{
 		Env:          env,
 		Oracle:       paths,
+		Segments:     topology.MonitorSets(paths, opts.K, topology.ModeEnds),
 		Policy:       opts.Policy,
 		Round:        opts.Round,
 		Sampling:     opts.Sampling,
 		Fingerprints: p.tel.Fingerprints,
+		RouteFills:   p.tel.RouteFills,
+		RouteResets:  p.tel.RouteResets,
 	}
-	for _, id := range env.Nodes() {
-		p.agents = append(p.agents, newAgent(p, id, pr[id]))
+	nodes := env.Nodes()
+	p.agents = make([]*agent, 0, len(nodes))
+	for _, id := range nodes {
+		p.agents = append(p.agents, newAgent(p, id))
 	}
 	p.rec.Drive(opts.Timeout, func(n int) {
 		for _, a := range p.agents {
@@ -206,21 +212,6 @@ func (p *Protocol) BandwidthBytes() int64 {
 		total += a.bytesSent
 	}
 	return total
-}
-
-// Agent returns router r's protocol agent (tests).
-func (p *Protocol) Agent(r packet.NodeID) *Agent { return (*Agent)(p.agents[r]) }
-
-// Agent is the exported read-only view of a router's protocol state.
-type Agent agent
-
-// MonitoredSegments returns the segments the router monitors (its Pr).
-func (a *Agent) MonitoredSegments() []topology.Segment {
-	out := make([]topology.Segment, 0, len(a.segOrder))
-	for _, st := range a.segOrder {
-		out = append(out, st.Seg)
-	}
-	return out
 }
 
 // SummaryMsg is the exchanged control payload. Under ExchangeFull, Summary

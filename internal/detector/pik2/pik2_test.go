@@ -2,6 +2,7 @@ package pik2
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,9 +45,12 @@ func TestMonitoredSegmentsLine(t *testing.T) {
 	net := network.New(topology.Line(4), network.Options{Seed: 1})
 	p := Attach(protocol.NewSimEnv(net), testOpts(detector.NewLog()))
 	// k=1: router 0 is an end of ⟨0,1,2⟩ and ⟨2,1,0⟩ only.
-	segs := p.Agent(0).MonitoredSegments()
-	if len(segs) != 2 {
-		t.Fatalf("router 0 monitors %v, want 2 segments", segs)
+	var got []string
+	for _, st := range p.agents[0].segs {
+		got = append(got, st.Seg.String())
+	}
+	if want := []string{"<r0,r1,r2>", "<r2,r1,r0>"}; !slices.Equal(got, want) {
+		t.Fatalf("router 0 monitors %v, want %v", got, want)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestPeerMsgsBoundedByRoundWindow(t *testing.T) {
 		t.Errorf("transcript with %d far-future forgeries:\n%s\nwithout:\n%s", forgeries, got, want)
 	}
 	for _, a := range p.agents {
-		for _, st := range a.segOrder {
+		for _, st := range a.segs {
 			if n := len(st.peerMsgs); n > 2 {
 				t.Errorf("router %v holds %d peer messages for %v after the run, want at most 2", a.id, n, st.Seg)
 			}
@@ -103,7 +103,7 @@ func TestSentSummaryNeverReused(t *testing.T) {
 	var body []byte
 	// Round 1's messages leave at 2·τ and are judged (and closed) µ later.
 	net.Scheduler().At(2*testRound+testOpts(nil).Timeout/2, func() {
-		for _, st := range p.agents[2].segOrder {
+		for _, st := range p.agents[2].segs {
 			for _, msg := range st.peerMsgs {
 				// 0 is router 2's peer on ⟨0,1,2⟩ and on ⟨2,1,0⟩; the
 				// traffic runs along the first.
@@ -119,14 +119,14 @@ func TestSentSummaryNeverReused(t *testing.T) {
 		t.Fatal("no round-1 summary with traffic in it reached router 2")
 	}
 	sender := p.agents[0]
-	i, ok := sender.mon.Find(topology.Key(held.Seg))
+	i, ok := sender.mon.Find(held.Seg)
 	if !ok {
 		t.Fatalf("the sender does not watch %v", held.Seg)
 	}
 	if p.rec.Admits(3) {
 		t.Fatal("the deployment judged fewer than four rounds: want round 1 closed and two more rounds past")
 	}
-	if sender.segOrder[i].Recorded(1) != nil {
+	if sender.segs[i].Recorded(1) != nil {
 		t.Fatal("the sender still holds round 1 after judging it")
 	}
 	if now := appendSignedBody(nil, held); !bytes.Equal(now, body) {

@@ -61,9 +61,9 @@ func TestSilentRoundsSendNothing(t *testing.T) {
 	for n := 0; n < rounds; n++ {
 		net.Scheduler().At(testRound*time.Duration(n+1)+opts.Timeout/2, func() {
 			for _, a := range p.agents {
-				for _, st := range a.segOrder {
+				for _, st := range a.segs {
 					if st.Recorded(n) != nil {
-						recorded[segEnd{st.Key, a.id}]++
+						recorded[segEnd{topology.Key(st.Seg), a.id}]++
 					}
 				}
 			}
@@ -89,7 +89,7 @@ func TestSilentRoundsSendNothing(t *testing.T) {
 
 	watches := 0
 	for _, a := range p.agents {
-		watches += len(a.segOrder)
+		watches += len(a.segs)
 	}
 	summaries, silent := p.tel.Summaries.Value(), p.tel.SilentRounds.Value()
 	if want := int64(watches * rounds); summaries+silent != want || p.tel.Rounds.Value() != want {

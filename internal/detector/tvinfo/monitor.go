@@ -41,12 +41,18 @@ type Recording struct {
 	// segment (§5.2.1), the same subset at every router of the segment;
 	// any other value records everything.
 	Sampling float64
-	// Fingerprints counts recorded packets (nil-safe).
-	Fingerprints *telemetry.Counter
+	// Segments is the deployment's segment table: every Watch names one of
+	// its segments, and a monitor probes it to find its watch on a window.
+	Segments *topology.SegmentTable
+	// Fingerprints counts recorded packets; RouteFills counts route-memo
+	// misses filled and RouteResets memos dropped (all nil-safe).
+	Fingerprints, RouteFills, RouteResets *telemetry.Counter
 
 	// scratch holds the chunks every watch's fingerprint sets record into
 	// until they are first read: the deployment's, single-goroutine like it.
 	scratch summary.Scratch
+	// links is the chunk the watches' links are carved from.
+	links []topology.Link
 
 	// ticks counts the round boundaries Drive has passed, the next round to
 	// exchange; judged counts the rounds it has judged.
@@ -82,16 +88,16 @@ func (r *Recording) Admits(n int) bool { return r.judged <= n && n <= r.ticks }
 // Monitor.Watch.
 type Watch struct {
 	Seg topology.Segment
-	Key topology.SegmentKey
 	// Pos is this router's index in Seg: 0 is the segment's source, len-1
 	// its sink.
 	Pos int
 
 	// order is the watch's rank among its monitor's watches.
 	order int
-	// links are the segment links from Pos to the sink. Packets are binned
-	// into rounds by predicted arrival time at the sink so every router of
-	// the segment agrees on the binning.
+	// links are the segment links from Pos to the sink, a view of the
+	// Recording's link chunks. Packets are binned into rounds by predicted
+	// arrival time at the sink so every router of the segment agrees on the
+	// binning.
 	links  []topology.Link
 	sample summary.SampleRange
 	rec    *Recording
@@ -116,13 +122,13 @@ type Monitor struct {
 	rec     *Recording
 	id      packet.NodeID
 	watches []*Watch
-
-	// bySeg finds the router's watch on a segment, and shapes lists the
-	// distinct (segment length, router position) pairs its watches have:
-	// together they turn "which watched segments does this path follow
-	// through here" into one probe per shape instead of a pass over every
-	// watch.
-	bySeg  map[topology.SegmentKey]*Watch
+	// ids holds each watch's segment ID, ascending: a binary search in it
+	// finds the router's watch on a segment of rec.Segments. shapes lists
+	// the distinct (segment length, router position) pairs the watches
+	// have. Together they turn "which watched segments does this path
+	// follow through here" into one probe per shape instead of a pass over
+	// every watch.
+	ids    []topology.SegmentID
 	shapes []shape
 
 	// routes memoises dispatch: for each address pair, the watches its
@@ -132,7 +138,6 @@ type Monitor struct {
 	routesFor *topology.PathTable
 
 	// The fill's scratch.
-	keyBuf        []byte
 	forward, sink []*Watch
 }
 
@@ -163,60 +168,82 @@ type route struct {
 // the median and 157 at most over the whole run.
 const maxRoutes = 512
 
-// Start binds the monitor to router id and installs its packet tap.
+// linkChunk sizes the Recording's link chunks.
+const linkChunk = 1024
+
+// Start binds the monitor to router id, sizes it for the router's monitoring
+// set in rec.Segments, and installs its packet tap.
 func (m *Monitor) Start(rec *Recording, id packet.NodeID) {
 	m.rec, m.id = rec, id
-	m.bySeg = make(map[topology.SegmentKey]*Watch)
+	n := len(rec.Segments.Monitored(id))
+	m.watches = make([]*Watch, 0, n)
+	m.ids = make([]topology.SegmentID, 0, n)
 	m.routes = make(map[routeKey]route)
 	rec.Env.Tap(id, m.onEvent)
 }
 
-// Watch initialises w as this router's watch on seg and starts recording
-// into it. It reports false, leaving w unwatched, when the router is not on
-// seg or already watches it.
-func (m *Monitor) Watch(w *Watch, seg topology.Segment) bool {
+// Watch initialises w as this router's watch on segment sid of
+// rec.Segments and starts recording into it. Segments are watched in
+// ascending ID order, the order Monitored lists them in. It reports false,
+// leaving w unwatched, when the router is not on the segment or sid does
+// not follow the last ID watched (a segment listed twice).
+func (m *Monitor) Watch(w *Watch, sid topology.SegmentID) bool {
+	seg := m.rec.Segments.Segment(sid)
 	pos := slices.Index(seg, m.id)
-	key := topology.Key(seg)
-	if pos < 0 || m.bySeg[key] != nil {
+	if n := len(m.ids); pos < 0 || n > 0 && sid <= m.ids[n-1] {
 		return false
 	}
 	*w = Watch{
 		Seg:    seg,
-		Key:    key,
 		Pos:    pos,
 		order:  len(m.watches),
+		links:  m.rec.linksFrom(seg[pos:]),
 		sample: summary.SampleRange{Fraction: 1},
 		rec:    m.rec,
-	}
-	g := m.rec.Env.Graph()
-	for i := pos; i+1 < len(seg); i++ {
-		if l, ok := g.Link(seg[i], seg[i+1]); ok {
-			w.links = append(w.links, l)
-		}
 	}
 	if f := m.rec.Sampling; f > 0 && f < 1 {
 		k0, k1 := m.rec.Env.Auth().SamplingKeys(seg[0], seg[len(seg)-1])
 		w.sample = summary.SampleRange{K0: k0, K1: k1, Fraction: f}
 	}
 	m.watches = append(m.watches, w)
-	m.bySeg[key] = w
+	m.ids = append(m.ids, sid)
 	if sh := (shape{len(seg), pos}); !slices.Contains(m.shapes, sh) {
 		m.shapes = append(m.shapes, sh)
 	}
-	clear(m.routes) // filled without w
+	m.reset() // filled without w
 	return true
 }
 
+// linksFrom returns the links along path, carved from the Recording's
+// chunks: a link the graph lacks is left zero, and adds nothing to a
+// transit time.
+func (r *Recording) linksFrom(path topology.Path) []topology.Link {
+	n := len(path) - 1
+	if n <= 0 {
+		return nil
+	}
+	if cap(r.links)-len(r.links) < n {
+		r.links = make([]topology.Link, 0, max(linkChunk, n))
+	}
+	start := len(r.links)
+	r.links = r.links[:start+n]
+	g := r.Env.Graph()
+	for i := range n {
+		r.links[start+i], _ = g.Link(path[i], path[i+1])
+	}
+	return r.links[start : start+n : start+n]
+}
+
 // Find returns the rank, in the order Watch accepted them, of this router's
-// watch on the segment with key k, and false if it watches no such segment:
-// a protocol that keeps its per-segment state in that order indexes it here
-// instead of keeping a second map by segment.
-func (m *Monitor) Find(k topology.SegmentKey) (int, bool) {
-	w := m.bySeg[k]
-	if w == nil {
+// watch on segment seg, and false if it watches no such segment: a protocol
+// that keeps its per-segment state in that order indexes it here instead of
+// keeping a second map by segment.
+func (m *Monitor) Find(seg topology.Segment) (int, bool) {
+	sid, ok := m.rec.Segments.ID(seg)
+	if !ok {
 		return 0, false
 	}
-	return w.order, true
+	return slices.BinarySearch(m.ids, sid)
 }
 
 // transit predicts how long a size-byte packet takes from this router's
@@ -299,7 +326,7 @@ func (m *Monitor) onEvent(ev network.Event) {
 func (m *Monitor) route(p *packet.Packet) route {
 	oracle := m.rec.Oracle
 	if oracle != m.routesFor || len(m.routes) >= maxRoutes {
-		clear(m.routes)
+		m.reset()
 		m.routesFor = oracle
 	}
 	key := routeKey{p.Src, p.Dst}
@@ -311,14 +338,24 @@ func (m *Monitor) route(p *packet.Packet) route {
 	return r
 }
 
+// reset drops the route memo, counting it if it held anything.
+func (m *Monitor) reset() {
+	if len(m.routes) > 0 {
+		clear(m.routes)
+		m.rec.RouteResets.Inc()
+	}
+}
+
 // fill computes the route of traffic predicted to follow path: the watches
 // whose segment the path follows through this router's position. Each shape
 // the router's watches have names one window of the path around the router;
-// the window is a watched segment or it is not, so a miss costs a probe per
-// shape however many segments the router watches. (The scan this replaced
-// asked the oracle about every watch; TestDispatchMatchesScan holds the two
-// to the same answer.)
+// the window is a watched segment or it is not — one probe of the
+// deployment's segment index and a binary search in the router's IDs — so a
+// miss costs a probe per shape however many segments the router watches.
+// (The scan this replaced asked the oracle about every watch;
+// TestDispatchMatchesScan holds the two to the same answer.)
 func (m *Monitor) fill(path topology.Path) route {
+	m.rec.RouteFills.Inc()
 	at := slices.Index(path, m.id)
 	if at < 0 {
 		return route{}
@@ -329,9 +366,16 @@ func (m *Monitor) fill(path topology.Path) route {
 		if start < 0 || start+sh.len > len(path) {
 			continue
 		}
-		m.keyBuf = topology.AppendKey(m.keyBuf[:0], topology.Segment(path[start:start+sh.len]))
-		switch w := m.bySeg[topology.SegmentKey(m.keyBuf)]; {
-		case w == nil || w.Pos != sh.pos:
+		sid, ok := m.rec.Segments.ID(path[start : start+sh.len])
+		if !ok {
+			continue
+		}
+		i, ok := slices.BinarySearch(m.ids, sid)
+		if !ok {
+			continue
+		}
+		switch w := m.watches[i]; {
+		case w.Pos != sh.pos:
 		case w.Pos < len(w.Seg)-1:
 			forward = append(forward, w)
 		default:

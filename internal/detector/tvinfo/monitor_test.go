@@ -11,6 +11,7 @@ import (
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
 	"routerwatch/internal/sim"
+	"routerwatch/internal/telemetry"
 	"routerwatch/internal/topology"
 )
 
@@ -43,6 +44,19 @@ const (
 	testRound = time.Second
 )
 
+// lineSegments is g's segment table under Π2's rule at k=1: on a line,
+// every 3-segment, ⟨1,2,3⟩ among them.
+func lineSegments(g *topology.Graph) *topology.SegmentTable {
+	return topology.MonitorSets(g.CSR().Paths(), 1, topology.ModeNodes)
+}
+
+// watch makes w monitor m's watch on seg, a segment of the deployment's
+// table.
+func watch(m *Monitor, w *Watch, seg topology.Segment) bool {
+	sid, ok := m.rec.Segments.ID(seg)
+	return ok && m.Watch(w, sid)
+}
+
 // watchLine deploys a monitor on every router of π = ⟨1,2,3⟩ and returns
 // the environment and each router's watch.
 func watchLine(sampling float64) (*tapEnv, map[packet.NodeID]*Watch) {
@@ -51,6 +65,7 @@ func watchLine(sampling float64) (*tapEnv, map[packet.NodeID]*Watch) {
 	rec := &Recording{
 		Env:      env,
 		Oracle:   g.CSR().Paths(),
+		Segments: lineSegments(g),
 		Policy:   PolicyTimeliness,
 		Round:    testRound,
 		Sampling: sampling,
@@ -60,7 +75,7 @@ func watchLine(sampling float64) (*tapEnv, map[packet.NodeID]*Watch) {
 	for _, id := range seg {
 		m, w := new(Monitor), new(Watch)
 		m.Start(rec, id)
-		if !m.Watch(w, seg) {
+		if !watch(m, w, seg) {
 			panic("router not on its own segment")
 		}
 		watches[id] = w
@@ -188,13 +203,13 @@ func TestForgedAddressesRecordNothing(t *testing.T) {
 func TestRecordingAllocatesNothing(t *testing.T) {
 	g := topology.Line(5)
 	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
-	rec := &Recording{Env: env, Oracle: g.CSR().Paths(), Policy: PolicyContent, Round: testRound}
+	rec := &Recording{Env: env, Oracle: g.CSR().Paths(), Segments: lineSegments(g), Policy: PolicyContent, Round: testRound}
 	seg := topology.Segment{1, 2, 3}
 	var watches []*Watch
 	for _, id := range []packet.NodeID{1, 3} {
 		m, w := new(Monitor), new(Watch)
 		m.Start(rec, id)
-		m.Watch(w, seg)
+		watch(m, w, seg)
 		watches = append(watches, w)
 	}
 	p := &packet.Packet{Src: 0, Dst: 4, Size: testSize}
@@ -226,13 +241,13 @@ func TestRecordingAllocatesNothing(t *testing.T) {
 func TestRecordingRecyclesChunks(t *testing.T) {
 	g := topology.Line(5)
 	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
-	rec := &Recording{Env: env, Oracle: g.CSR().Paths(), Policy: PolicyContent, Round: testRound}
+	rec := &Recording{Env: env, Oracle: g.CSR().Paths(), Segments: lineSegments(g), Policy: PolicyContent, Round: testRound}
 	seg := topology.Segment{1, 2, 3}
 	var watches []*Watch
 	for _, id := range seg {
 		m, w := new(Monitor), new(Watch)
 		m.Start(rec, id)
-		m.Watch(w, seg)
+		watch(m, w, seg)
 		watches = append(watches, w)
 	}
 	const perRound = 1400 // 22 chunks at each of the three routers, more than a carve
@@ -268,19 +283,25 @@ func TestRecordingRecyclesChunks(t *testing.T) {
 
 // TestRouteMemoBounded: source addresses are the sender's to choose, so a
 // router shown more of them than the memo holds must not keep them all —
-// and must still record the pair it knows afterwards.
+// and must still record the pair it knows afterwards. The instruments count
+// every miss filled and every full memo dropped.
 func TestRouteMemoBounded(t *testing.T) {
 	g := topology.Line(5)
 	env := &tapEnv{g: g, au: auth.NewAuthority(7), taps: make(map[packet.NodeID]func(network.Event))}
-	rec := &Recording{Env: env, Oracle: g.CSR().Paths(), Policy: PolicyFlow, Round: testRound}
+	reg := telemetry.NewRegistry()
+	rec := &Recording{
+		Env: env, Oracle: g.CSR().Paths(), Segments: lineSegments(g), Policy: PolicyFlow, Round: testRound,
+		RouteFills: reg.Counter("fills"), RouteResets: reg.Counter("resets"),
+	}
 	m, w := new(Monitor), new(Watch)
 	m.Start(rec, 1)
-	m.Watch(w, topology.Segment{1, 2, 3})
+	watch(m, w, topology.Segment{1, 2, 3})
 	dequeue := func(src packet.NodeID) {
 		p := &packet.Packet{Src: src, Dst: 4, Size: testSize}
 		env.taps[1](network.Event{Router: 1, Kind: network.EvDequeue, Peer: 2, Packet: p})
 	}
-	for i := 0; i < maxRoutes+100; i++ {
+	const spoofed = maxRoutes + 100
+	for i := 0; i < spoofed; i++ {
 		dequeue(packet.NodeID(1000 + i))
 		if len(m.routes) > maxRoutes {
 			t.Fatalf("memo holds %d entries after %d spoofed sources, bound is %d", len(m.routes), i+1, maxRoutes)
@@ -289,6 +310,9 @@ func TestRouteMemoBounded(t *testing.T) {
 	dequeue(0)
 	if got := w.Summary(0).Counter.Packets; got != 1 {
 		t.Fatalf("recorded %d packets of the known pair after the memo was dropped, want 1", got)
+	}
+	if fills, resets := rec.RouteFills.Value(), rec.RouteResets.Value(); fills != spoofed+1 || resets != 1 {
+		t.Fatalf("counted %d fills and %d resets, want %d and 1", fills, resets, spoofed+1)
 	}
 }
 

@@ -27,14 +27,17 @@ var raceEnabled bool
 // they answer: a path table of path headers over chunked arenas and
 // routing tables of degree+1 materialised rows, with LSA bundles regrown by
 // doubling, cost 14.1 MB and 49 k allocations (34.8 MB and 219 k without
-// them).
+// them). Πk+2 attaches per router, not per watch: a segment key, a links
+// slice, a state object and a reversed path for each of the 15 976 watches,
+// a string key per segment and per-router segment lists grown by append
+// cost 4.1 MB and 92 k allocations (30.2 MB and 113 k without them).
 func TestAssembleAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates the heap the budget measures")
 	}
 	const (
 		budgetMB     = 38
-		budgetAllocs = 236_000
+		budgetAllocs = 119_000
 	)
 	const path = "../../../bench/workloads/isp-converge.json"
 	data, err := os.ReadFile(path)
@@ -71,10 +74,11 @@ func TestAssembleAllocBudget(t *testing.T) {
 // both. mesh-forward read 67.1 MB before the pool and 41.4 MB with it, and
 // 31.8 MB once its lanes stopped being presized from the round before and
 // grown by append and each boundary's summaries stopped being signed out of
-// one growing buffer, and 31.5 MB without path headers. isp-converge read 66.7 MB before the chunks and
-// 65.8–65.9 MB with them, and reads 51.8 MB since the path table is one
-// arena, a node-kernel routing table two next-hop rows and an LSA bundle
-// one exact-size copy.
+// one growing buffer, 31.5 MB without path headers, and 30.6 MB since
+// Πk+2 attaches per router. isp-converge read 66.7 MB before the chunks and
+// 65.8–65.9 MB with them, 51.8 MB once the path table was one arena, a
+// node-kernel routing table two next-hop rows and an LSA bundle one
+// exact-size copy, and reads 47.1 MB since Πk+2 attaches per router.
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates the heap the budget measures")

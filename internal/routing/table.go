@@ -12,6 +12,7 @@
 package routing
 
 import (
+	"slices"
 	"time"
 
 	"routerwatch/internal/packet"
@@ -63,13 +64,15 @@ func (e *Exclusions) Has(seg topology.Segment) bool {
 	return ok
 }
 
-// Segments returns all excluded segments.
+// Segments returns all excluded segments in key order
+// (topology.CompareSegments), each a copy.
 func (e *Exclusions) Segments() []topology.Segment {
-	ss := make(topology.SegmentSet)
+	out := make([]topology.Segment, 0, len(e.segments))
 	for _, seg := range e.segments {
-		ss.Add(seg)
+		out = append(out, slices.Clone(seg))
 	}
-	return ss.Slice()
+	slices.SortFunc(out, topology.CompareSegments)
+	return out
 }
 
 // Len returns the number of excluded segments.

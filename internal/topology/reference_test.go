@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"routerwatch/internal/packet"
@@ -44,17 +46,34 @@ func refForEachWindow(paths []Path, target int, mode MonitorMode, visit func(w [
 	}
 }
 
+// segmentSet is a deduplicated collection of segments, by key.
+type segmentSet map[SegmentKey]struct{}
+
+// sorted returns the segments in key order.
+func (ss segmentSet) sorted() []Segment {
+	keys := make([]string, 0, len(ss))
+	for k := range ss {
+		keys = append(keys, string(k))
+	}
+	sort.Strings(keys)
+	out := make([]Segment, len(keys))
+	for i, k := range keys {
+		out[i] = DecodeKey(SegmentKey(k))
+	}
+	return out
+}
+
 // refMonitorSets is the monitoring-set rule read straight off the reference
 // enumeration: the distinct windows in key order, each filed under the
 // routers the mode assigns it to.
-func refMonitorSets(paths []Path, k int, mode MonitorMode) (map[packet.NodeID][]Segment, SegmentSet) {
+func refMonitorSets(paths []Path, k int, mode MonitorMode) (map[packet.NodeID][]Segment, segmentSet) {
 	if k < 1 {
 		k = 1
 	}
-	all := make(SegmentSet)
-	refForEachWindow(paths, k+2, mode, func(w []packet.NodeID) { all.Add(w) })
+	all := make(segmentSet)
+	refForEachWindow(paths, k+2, mode, func(w []packet.NodeID) { all[Key(w)] = struct{}{} })
 	pr := make(map[packet.NodeID][]Segment)
-	for _, seg := range all.Slice() {
+	for _, seg := range all.sorted() {
 		owners := []packet.NodeID(seg)
 		if mode == ModeEnds {
 			owners = []packet.NodeID{seg[0]}
@@ -69,6 +88,36 @@ func refMonitorSets(paths []Path, k int, mode MonitorMode) (map[packet.NodeID][]
 	return pr, all
 }
 
+// tableSets reads a SegmentTable back as the reference's shapes — each
+// router's monitored segments, and the set of them all — and checks its own
+// invariants on the way: IDs in key order, ID finding every segment, each
+// router's IDs ascending.
+func tableSets(t *testing.T, name string, st *SegmentTable, routers int) (map[packet.NodeID][]Segment, segmentSet) {
+	t.Helper()
+	all := make(segmentSet)
+	for id := 0; id < st.Len(); id++ {
+		seg := st.Segment(SegmentID(id))
+		all[Key(seg)] = struct{}{}
+		if got, ok := st.ID(seg); !ok || got != SegmentID(id) {
+			t.Fatalf("%s: ID(%v) = %d, %v, want %d", name, seg, got, ok, id)
+		}
+		if id > 0 && CompareSegments(st.Segment(SegmentID(id-1)), seg) >= 0 {
+			t.Fatalf("%s: segments %d and %d are out of key order", name, id-1, id)
+		}
+	}
+	pr := make(map[packet.NodeID][]Segment)
+	for r := packet.NodeID(-1); int(r) <= routers; r++ {
+		ids := st.Monitored(r)
+		if !slices.IsSorted(ids) {
+			t.Fatalf("%s: Pr(%d) = %v is not ascending", name, r, ids)
+		}
+		for _, id := range ids {
+			pr[r] = append(pr[r], st.Segment(id))
+		}
+	}
+	return pr, all
+}
+
 // requireMatchesReference checks MonitorSets and MonitorSetSizes on paths
 // against the reference, for k = 1…4 under both rules; sizes are taken over
 // router IDs [0, n).
@@ -77,18 +126,19 @@ func requireMatchesReference(t *testing.T, name string, paths []Path, n int) {
 	table := NewPathTable(paths)
 	for _, mode := range []MonitorMode{ModeNodes, ModeEnds} {
 		for k := 1; k <= 4; k++ {
-			pr, all := MonitorSets(&table, k, mode)
+			cell := fmt.Sprintf("%s, mode %d, k=%d", name, mode, k)
+			pr, all := tableSets(t, cell, MonitorSets(&table, k, mode), n)
 			wantPr, wantAll := refMonitorSets(paths, k, mode)
 			if !reflect.DeepEqual(all, wantAll) {
-				t.Fatalf("%s, mode %d, k=%d: universe has %d segments, the reference %d", name, mode, k, len(all), len(wantAll))
+				t.Fatalf("%s: universe has %d segments, the reference %d", cell, len(all), len(wantAll))
 			}
 			if !reflect.DeepEqual(pr, wantPr) {
-				t.Fatalf("%s, mode %d, k=%d: monitoring sets differ from the reference", name, mode, k)
+				t.Fatalf("%s: monitoring sets differ from the reference", cell)
 			}
 			sizes := MonitorSetSizes(&table, k, mode, n)
 			for r := range sizes {
 				if want := len(wantPr[packet.NodeID(r)]); sizes[r] != want {
-					t.Fatalf("%s, mode %d, k=%d: |Pr(%d)| = %d, the reference %d", name, mode, k, r, sizes[r], want)
+					t.Fatalf("%s: |Pr(%d)| = %d, the reference %d", cell, r, sizes[r], want)
 				}
 			}
 		}

@@ -54,32 +54,6 @@ func MemberSegment(payload []byte, origin packet.NodeID) (Segment, bool) {
 	return seg, seg.Contains(origin)
 }
 
-// SegmentSet is a deduplicated collection of segments.
-type SegmentSet map[SegmentKey]struct{}
-
-// Add inserts a segment.
-func (ss SegmentSet) Add(s Segment) { ss[Key(s)] = struct{}{} }
-
-// Has reports membership.
-func (ss SegmentSet) Has(s Segment) bool {
-	_, ok := ss[Key(s)]
-	return ok
-}
-
-// Slice returns the segments in a deterministic order.
-func (ss SegmentSet) Slice() []Segment {
-	keys := make([]string, 0, len(ss))
-	for k := range ss {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	out := make([]Segment, len(keys))
-	for i, k := range keys {
-		out[i] = DecodeKey(SegmentKey(k))
-	}
-	return out
-}
-
 // MonitorMode selects which protocol's monitoring-set rule to apply.
 type MonitorMode int
 
@@ -99,46 +73,126 @@ const (
 // one heap object per segment.
 const segArenaChunk = 16 * 1024
 
-// monitorArena accumulates the deduplicated segment universe. The sliding
-// windows over the routing paths overlap enormously (every duplicate window
-// previously cost a fresh segment copy plus two key allocations); the arena
-// probes membership with a reusable key buffer — free for duplicates — and
-// pays one key copy plus amortized arena space only for unique segments.
-type monitorArena struct {
-	all   SegmentSet
-	segs  []Segment       // unique segments, later sorted into key order
-	arena []packet.NodeID // chunked backing store for segs
-	kb    []byte          // reusable key scratch
+// SegmentID numbers a segment of a SegmentTable: IDs are dense, from 0, in
+// the segments' key order.
+type SegmentID int32
+
+// SegmentTable is what a monitoring-set rule derives from a path table
+// (MonitorSets): every distinct monitored segment once, numbered by
+// SegmentID, the index that finds a window's ID, and each router's
+// monitoring set Pr as an ascending run of IDs in one shared array. It is
+// read-only once built, and its segments share arena chunks: callers must
+// not mutate them.
+type SegmentTable struct {
+	segs []Segment // by ID
+	// index finds a segment by hashSegment: it holds the last segment met
+	// with that hash, numbered in the order the windows were first met;
+	// chain links each to the one met before it with the same hash (−1:
+	// none), and rank turns that number into an ID.
+	index map[uint64]int32
+	chain []int32
+	rank  []SegmentID
+	// ids holds every router's Pr back to back: router r's is
+	// ids[off[r]:off[r+1]].
+	ids []SegmentID
+	off []int32
 }
 
-func (m *monitorArena) add(w []packet.NodeID) {
-	m.kb = AppendKey(m.kb[:0], w)
-	if _, dup := m.all[SegmentKey(m.kb)]; dup {
-		return
+// Len returns the number of segments.
+func (t *SegmentTable) Len() int { return len(t.segs) }
+
+// Segment returns the segment numbered id.
+func (t *SegmentTable) Segment(id SegmentID) Segment { return t.segs[id] }
+
+// ID returns the ID of the segment w, and false if the table has no such
+// segment. It allocates nothing.
+func (t *SegmentTable) ID(w []packet.NodeID) (SegmentID, bool) { return t.find(hashSegment(w), w) }
+
+// find looks w up among the segments indexed under hash h.
+func (t *SegmentTable) find(h uint64, w []packet.NodeID) (SegmentID, bool) {
+	i, ok := t.index[h]
+	for ok && i >= 0 {
+		if id := t.rank[i]; slices.Equal(t.segs[id], w) {
+			return id, true
+		}
+		i = t.chain[i]
+	}
+	return -1, false
+}
+
+// Monitored returns Pr, the IDs of the segments router r monitors, in
+// ascending order; a segment that visits r twice is listed twice under
+// ModeNodes. The slice aliases the table.
+func (t *SegmentTable) Monitored(r packet.NodeID) []SegmentID {
+	if r < 0 || int(r) >= len(t.off)-1 {
+		return nil
+	}
+	lo, hi := t.off[r], t.off[r+1]
+	return t.ids[lo:hi:hi]
+}
+
+// hashSegment mixes a segment's router IDs into its index key. Two segments
+// with one hash cost the index a comparison, never a wrong answer.
+func hashSegment(w []packet.NodeID) uint64 {
+	h := uint64(len(w))
+	for _, r := range w {
+		h = (h ^ uint64(uint32(r))) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
+}
+
+// monitorArena accumulates the deduplicated segment universe. The sliding
+// windows over the routing paths overlap enormously; a duplicate window
+// costs one probe of the index and a comparison, and a unique one a copy
+// into shared arena chunks — no heap object of its own, no key.
+type monitorArena struct {
+	index map[uint64]int32 // as SegmentTable.index
+	chain []int32          // as SegmentTable.chain
+	segs  []Segment        // unique segments, in the order first met
+	arena []packet.NodeID  // chunked backing store for segs
+	// routers is one more than the largest router ID in a segment.
+	routers int
+}
+
+func (m *monitorArena) add(w []packet.NodeID) { m.insert(hashSegment(w), w) }
+
+// insert adds w, indexed under hash h, unless it is there already.
+func (m *monitorArena) insert(h uint64, w []packet.NodeID) {
+	head, ok := m.index[h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = m.chain[i] {
+		if slices.Equal(m.segs[i], w) {
+			return
+		}
 	}
 	if cap(m.arena)-len(m.arena) < len(w) {
 		m.arena = make([]packet.NodeID, 0, segArenaChunk+len(w))
 	}
 	start := len(m.arena)
 	m.arena = append(m.arena, w...)
-	seg := Segment(m.arena[start:len(m.arena):len(m.arena)])
-	m.all[SegmentKey(m.kb)] = struct{}{}
-	m.segs = append(m.segs, seg)
+	m.index[h] = int32(len(m.segs))
+	m.chain = append(m.chain, head)
+	m.segs = append(m.segs, Segment(m.arena[start:len(m.arena):len(m.arena)]))
+	for _, r := range w {
+		m.routers = max(m.routers, int(r)+1)
+	}
 }
 
-// segLess orders segments identically to sort.Strings over their encoded
+// CompareSegments orders segments identically to comparing their encoded
 // keys: element-wise by unsigned node ID, with a proper prefix first.
-func segLess(a, b Segment) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
+func CompareSegments(a, b Segment) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {
-			return uint32(a[i]) < uint32(b[i])
+			if uint32(a[i]) < uint32(b[i]) {
+				return -1
+			}
+			return 1
 		}
 	}
-	return len(a) < len(b)
+	return len(a) - len(b)
 }
 
 // forEachWindow enumerates the sliding windows the monitoring-set rule
@@ -188,73 +242,101 @@ func forEachWindow(paths *PathTable, target int, mode MonitorMode, visit func(w 
 }
 
 // MonitorSets computes Pr — the set of path-segments each router monitors —
-// for the table's routing paths, adjacent-fault bound k, and protocol rule.
-// It returns the per-router monitoring sets and the global deduplicated
-// segment universe. The returned segments share arena-backed storage;
-// callers must not mutate them.
-func MonitorSets(paths *PathTable, k int, mode MonitorMode) (pr map[packet.NodeID][]Segment, all SegmentSet) {
+// for the table's routing paths, adjacent-fault bound k, and protocol rule,
+// as one SegmentTable. Routers with negative IDs are given no Pr.
+func MonitorSets(paths *PathTable, k int, mode MonitorMode) *SegmentTable {
 	if k < 1 {
 		k = 1
 	}
-	m := monitorArena{all: make(SegmentSet)}
+	m := monitorArena{index: make(map[uint64]int32)}
 	forEachWindow(paths, k+2, mode, m.add)
+	return m.table(mode)
+}
 
-	// Sort into encoded-key order: the same deterministic order the
-	// previous SegmentSet.Slice pass produced, without re-decoding keys.
-	sort.Slice(m.segs, func(i, j int) bool { return segLess(m.segs[i], m.segs[j]) })
+// table numbers the arena's segments and files them under the routers the
+// rule assigns them to.
+func (m *monitorArena) table(mode MonitorMode) *SegmentTable {
+	// Number the segments in key order; the index keeps the order they were
+	// met in, and rank translates.
+	order := make([]int32, len(m.segs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return CompareSegments(m.segs[a], m.segs[b]) })
+	t := &SegmentTable{
+		segs:  make([]Segment, len(order)),
+		index: m.index,
+		chain: m.chain,
+		rank:  make([]SegmentID, len(order)),
+		off:   make([]int32, m.routers+1),
+	}
+	for id, i := range order {
+		t.segs[id] = m.segs[i]
+		t.rank[i] = SegmentID(id)
+	}
 
-	pr = make(map[packet.NodeID][]Segment)
-	for _, seg := range m.segs {
-		switch mode {
-		case ModeNodes:
-			for _, r := range seg {
-				pr[r] = append(pr[r], seg)
-			}
-		case ModeEnds:
-			pr[seg[0]] = append(pr[seg[0]], seg)
-			last := seg[len(seg)-1]
-			if last != seg[0] {
-				pr[last] = append(pr[last], seg)
+	// Counting sort by owner: a router's IDs come out ascending.
+	var ends [2]packet.NodeID
+	for _, seg := range t.segs {
+		for _, r := range owners(seg, mode, &ends) {
+			if r >= 0 {
+				t.off[r+1]++
 			}
 		}
 	}
-	return pr, m.all
+	for r := 1; r < len(t.off); r++ {
+		t.off[r] += t.off[r-1]
+	}
+	t.ids = make([]SegmentID, t.off[len(t.off)-1])
+	next := slices.Clone(t.off[:len(t.off)-1])
+	for id, seg := range t.segs {
+		for _, r := range owners(seg, mode, &ends) {
+			if r >= 0 {
+				t.ids[next[r]] = SegmentID(id)
+				next[r]++
+			}
+		}
+	}
+	return t
 }
 
-// MonitorSetSizes computes |Pr| per router — len(pr[r]) for the pr that
-// MonitorSets would return, indexed by router ID over [0, n) — without
+// owners returns the routers the rule files seg under: every router of it
+// under ModeNodes, its one or two ends, written into ends, under ModeEnds.
+func owners(seg Segment, mode MonitorMode, ends *[2]packet.NodeID) []packet.NodeID {
+	if mode == ModeNodes {
+		return seg
+	}
+	ends[0], ends[1] = seg[0], seg[len(seg)-1]
+	if ends[1] == ends[0] {
+		return ends[:1]
+	}
+	return ends[:]
+}
+
+// MonitorSetSizes computes |Pr| per router — len(Monitored(r)) for the
+// table MonitorSets would return, indexed by router ID over [0, n) — without
 // materializing the sets. The figure-5 k-sweeps need only these sizes;
-// skipping the arena copies, the per-router segment slices and the
-// deterministic sort leaves one dedup-map probe per window, which is most
-// of the difference between the sweep and the raw window enumeration.
-// Routers with IDs ≥ n are ignored.
+// skipping the arena copies, the numbering and the per-router ID runs
+// leaves one probe of a set of keys per window, which holds less per
+// segment than the arena does at large k. Routers with IDs outside [0, n)
+// are ignored.
 func MonitorSetSizes(paths *PathTable, k int, mode MonitorMode, n int) []int {
 	if k < 1 {
 		k = 1
 	}
 	sizes := make([]int, n)
-	seen := make(SegmentSet)
+	seen := make(map[SegmentKey]struct{})
 	var kb []byte
+	var ends [2]packet.NodeID
 	forEachWindow(paths, k+2, mode, func(w []packet.NodeID) {
 		kb = AppendKey(kb[:0], w)
 		if _, dup := seen[SegmentKey(kb)]; dup {
 			return
 		}
 		seen[SegmentKey(kb)] = struct{}{}
-		switch mode {
-		case ModeNodes:
-			for _, r := range w {
-				if int(r) < n {
-					sizes[r]++
-				}
-			}
-		case ModeEnds:
-			first, last := w[0], w[len(w)-1]
-			if int(first) < n {
-				sizes[first]++
-			}
-			if last != first && int(last) < n {
-				sizes[last]++
+		for _, r := range owners(w, mode, &ends) {
+			if r >= 0 && int(r) < n {
+				sizes[r]++
 			}
 		}
 	})

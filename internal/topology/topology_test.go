@@ -191,19 +191,19 @@ func TestMonitorSetsLineNodes(t *testing.T) {
 	// Line of 6 routers, k=1: Π2 monitors every 3-segment of every path.
 	g := Line(6)
 	paths := g.CSR().Paths()
-	pr, all := MonitorSets(paths, 1, ModeNodes)
+	st := MonitorSets(paths, 1, ModeNodes)
 	// Line of 6 has 3-segments: (0,1,2),(1,2,3),(2,3,4),(3,4,5) in both
 	// directions = 8 segments.
-	if len(all) != 8 {
-		t.Fatalf("universe has %d segments, want 8: %v", len(all), all.Slice())
+	if st.Len() != 8 {
+		t.Fatalf("universe has %d segments, want 8", st.Len())
 	}
 	// Router 0 belongs only to (0,1,2) and (2,1,0).
-	if got := len(pr[0]); got != 2 {
-		t.Fatalf("|Pr(0)| = %d, want 2: %v", got, pr[0])
+	if got := len(st.Monitored(0)); got != 2 {
+		t.Fatalf("|Pr(0)| = %d, want 2: %v", got, st.Monitored(0))
 	}
 	// Router 2 belongs to 3-segments starting at 0,1,2 in each direction.
-	if got := len(pr[2]); got != 6 {
-		t.Fatalf("|Pr(2)| = %d, want 6: %v", got, pr[2])
+	if got := len(st.Monitored(2)); got != 6 {
+		t.Fatalf("|Pr(2)| = %d, want 6: %v", got, st.Monitored(2))
 	}
 }
 
@@ -211,17 +211,17 @@ func TestMonitorSetsLineEnds(t *testing.T) {
 	// Line of 6, k=1: Πk+2 monitors x-segments for x=3 with r as an end.
 	g := Line(6)
 	paths := g.CSR().Paths()
-	pr, all := MonitorSets(paths, 1, ModeEnds)
-	if len(all) != 8 {
-		t.Fatalf("universe has %d segments, want 8", len(all))
+	st := MonitorSets(paths, 1, ModeEnds)
+	if st.Len() != 8 {
+		t.Fatalf("universe has %d segments, want 8", st.Len())
 	}
 	// Router 0 is an end of (0,1,2) and (2,1,0).
-	if got := len(pr[0]); got != 2 {
-		t.Fatalf("|Pr(0)| = %d, want 2: %v", got, pr[0])
+	if got := len(st.Monitored(0)); got != 2 {
+		t.Fatalf("|Pr(0)| = %d, want 2: %v", got, st.Monitored(0))
 	}
 	// Router 2: end of (2,3,4),(4,3,2),(2,1,0),(0,1,2).
-	if got := len(pr[2]); got != 4 {
-		t.Fatalf("|Pr(2)| = %d, want 4: %v", got, pr[2])
+	if got := len(st.Monitored(2)); got != 4 {
+		t.Fatalf("|Pr(2)| = %d, want 4: %v", got, st.Monitored(2))
 	}
 }
 
@@ -230,9 +230,44 @@ func TestMonitorSetsShortPathsIncluded(t *testing.T) {
 	// monitored under ModeNodes because no 5-segment exists.
 	g := Line(3)
 	paths := g.CSR().Paths()
-	_, all := MonitorSets(paths, 3, ModeNodes)
-	if len(all) != 2 { // (0,1,2) and (2,1,0)
-		t.Fatalf("universe = %v, want the two whole paths", all.Slice())
+	st := MonitorSets(paths, 3, ModeNodes)
+	if st.Len() != 2 { // (0,1,2) and (2,1,0)
+		t.Fatalf("universe has %d segments, want the two whole paths", st.Len())
+	}
+}
+
+// TestSegmentIndexCollisions: segments that share an index hash are told
+// apart by their router IDs — a duplicate is still dropped, a lookup still
+// answers the segment it names, and a window absent from the table is not
+// mistaken for one present under its hash.
+func TestSegmentIndexCollisions(t *testing.T) {
+	const h = 42
+	a, b, c := Segment{0, 1, 2}, Segment{2, 1, 0}, Segment{1, 2, 3}
+	m := monitorArena{index: make(map[uint64]int32)}
+	for _, seg := range []Segment{b, a, b, a} {
+		m.insert(h, seg)
+	}
+	m.insert(h+1, c)
+	st := m.table(ModeEnds)
+	if st.Len() != 3 {
+		t.Fatalf("table holds %d segments, want 3", st.Len())
+	}
+	for _, q := range []struct {
+		h   uint64
+		seg Segment
+		id  SegmentID // key order: a, c, b
+	}{{h, a, 0}, {h, b, 2}, {h + 1, c, 1}} {
+		if got, ok := st.find(q.h, q.seg); !ok || got != q.id || !slices.Equal(st.Segment(got), q.seg) {
+			t.Fatalf("find(%v) = %d, %v, want %d", q.seg, got, ok, q.id)
+		}
+	}
+	for _, absent := range []Segment{c, {0, 1, 3}} {
+		if id, ok := st.find(h, absent); ok {
+			t.Fatalf("%v, absent under hash %d, found as %d", absent, h, id)
+		}
+	}
+	if got := st.Monitored(2); !slices.Equal(got, []SegmentID{0, 2}) {
+		t.Fatalf("Monitored(2) = %v, want [0 2]", got)
 	}
 }
 
@@ -244,12 +279,11 @@ func TestMonitorSetSizesMatchMonitorSets(t *testing.T) {
 	paths := g.CSR().Paths()
 	for _, mode := range []MonitorMode{ModeNodes, ModeEnds} {
 		for k := 1; k <= 6; k++ {
-			pr, _ := MonitorSets(paths, k, mode)
+			st := MonitorSets(paths, k, mode)
 			sizes := MonitorSetSizes(paths, k, mode, g.NumNodes())
 			for r := 0; r < g.NumNodes(); r++ {
-				if sizes[r] != len(pr[packet.NodeID(r)]) {
-					t.Fatalf("mode %d k=%d router %d: size %d, want %d",
-						mode, k, r, sizes[r], len(pr[packet.NodeID(r)]))
+				if want := len(st.Monitored(packet.NodeID(r))); sizes[r] != want {
+					t.Fatalf("mode %d k=%d router %d: size %d, want %d", mode, k, r, sizes[r], want)
 				}
 			}
 		}
