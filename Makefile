@@ -146,8 +146,10 @@ scale-smoke:
 # monitored segment signed and sent a summary every round, empty or not).
 # Last, the assembly heap budget (internal/protocol/catalog
 # TestAssembleAllocBudget): isp-converge, assembled through protocol.Run up
-# to BeforeRun, must allocate at most 38 MB in at most 119 000 allocations
-# (30.2 MB / 113 k today; 34.3 MB / 205 k with Πk+2 attaching per watch —
+# to BeforeRun, must allocate at most 38 MB in at most 39 000 allocations
+# (26.4 MB / 37 k today; 30.2 MB / 113 k with an allocation per control
+# message hop, per accepting flood relay and per LSA bundle flush;
+# 34.3 MB / 205 k with Πk+2 attaching per watch —
 # a key, links, state and reversed path each — and a string key per
 # segment; 48.9 MB / 268 k with a path table of path headers,
 # routing tables of degree+1 rows and LSA bundles grown by doubling; 2.3 MB
@@ -156,7 +158,11 @@ scale-smoke:
 # per-source Dijkstra buffers, a copied path table and eagerly seeded RNGs).
 # And the run heap budget (TestRunAllocBudget): chi-tcp, mesh-forward and
 # isp-converge, run end to end through protocol.Run, must allocate at most
-# 20, 36 and 55 MB (17.0, 30.6 and 47.1 MB today; chi-tcp 64.0 and
+# 20, 36 and 55 MB in at most 23 600, 37 400 and 78 000 allocations (16.9,
+# 29.1 and 39.8 MB in 22 k, 36 k and 74 k today; 25 k, 64 k and 196 k
+# allocations while every control message hop, accepting flood relay and
+# LSA flush allocated and every alert was decoded before its admission;
+# 17.0, 30.6 and 47.1 MB before that; chi-tcp 64.0 and
 # mesh-forward 67.1 MB when every packet was fresh memory, chi-tcp 30.4 MB
 # with the packet pool but χ batches grown by append doubling, mesh-forward
 # 41.4 MB with Πk+2's fingerprint lanes grown by append and each boundary's

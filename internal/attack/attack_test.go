@@ -204,8 +204,8 @@ func TestControlDropperSelective(t *testing.T) {
 	gotSecret, gotPlain := false, false
 	net.Router(2).HandleControl("secret", func(*network.ControlMessage) { gotSecret = true })
 	net.Router(2).HandleControl("plain", func(*network.ControlMessage) { gotPlain = true })
-	net.SendControl(&network.ControlMessage{From: 0, To: 2, Kind: "secret", Path: topology.Path{0, 1, 2}})
-	net.SendControl(&network.ControlMessage{From: 0, To: 2, Kind: "plain", Path: topology.Path{0, 1, 2}})
+	net.SendControl(network.ControlMessage{From: 0, To: 2, Kind: "secret", Path: topology.Path{0, 1, 2}})
+	net.SendControl(network.ControlMessage{From: 0, To: 2, Kind: "plain", Path: topology.Path{0, 1, 2}})
 	net.Run(time.Second)
 	if gotSecret {
 		t.Fatal("selected control kind not dropped")

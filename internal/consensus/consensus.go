@@ -26,7 +26,10 @@ import (
 // KindFlood is the control-message kind used by the flooding service.
 const KindFlood = "consensus/flood"
 
-// Msg is a flooded, signed value.
+// Msg is a flooded, signed value. A flood carries one Msg from its origin
+// to every router: each relay forwards the pointer it was handed, so a Msg
+// is immutable once Flood signs it (a subscriber receives a copy; a relay
+// that wants to alter a flood must send a Msg of its own).
 type Msg struct {
 	Origin   packet.NodeID
 	Topic    string
@@ -93,10 +96,10 @@ func NewService(net *network.Network) *Service {
 		id := r.ID()
 		r.HandleControl(KindFlood, func(cm *network.ControlMessage) {
 			msg, ok := cm.Payload.(*Msg)
-			if !ok {
+			if !ok || msg == nil {
 				return
 			}
-			s.receive(id, *msg, cm.From)
+			s.receive(id, msg, cm.From)
 		})
 	}
 	return s
@@ -119,13 +122,14 @@ func (s *Service) Subscribe(r packet.NodeID, topic string, fn func(Msg)) {
 // tolerates.
 func (s *Service) Flood(from packet.NodeID, topic, instance string, payload []byte) {
 	sig := s.net.Auth().Sign(from, SignedBody(from, topic, instance, payload))
-	msg := Msg{Origin: from, Topic: topic, Instance: instance, Payload: payload, Sig: sig}
+	msg := &Msg{Origin: from, Topic: topic, Instance: instance, Payload: payload, Sig: sig}
 	s.receive(from, msg, -1)
 }
 
 // receive processes a flooded message at router at, delivering locally and
-// relaying to all neighbors except the one it came from.
-func (s *Service) receive(at packet.NodeID, msg Msg, from packet.NodeID) {
+// relaying to all neighbors except the one it came from. The relays carry
+// msg itself: one Msg per flood, not one per router that accepts it.
+func (s *Service) receive(at packet.NodeID, msg *Msg, from packet.NodeID) {
 	// One pass builds the signed body into the reusable buffer; its hash is
 	// the dedup digest, so the hot path hashes the message exactly once.
 	s.body = AppendSignedBody(s.body[:0], msg.Origin, msg.Topic, msg.Instance, msg.Payload)
@@ -145,13 +149,12 @@ func (s *Service) receive(at packet.NodeID, msg Msg, from packet.NodeID) {
 	}
 	s.seen[key] = struct{}{}
 	if fn := s.subs[at][msg.Topic]; fn != nil {
-		fn(msg)
+		fn(*msg)
 	}
-	m := msg
 	for _, nb := range s.net.Graph().Neighbors(at) {
 		if nb == from {
 			continue
 		}
-		s.net.SendControlDirect(at, nb, KindFlood, &m)
+		s.net.SendControlDirect(at, nb, KindFlood, msg)
 	}
 }

@@ -109,8 +109,45 @@ func TestForgedFloodRejected(t *testing.T) {
 	sig.Signer = 0
 	msg := &Msg{Origin: 0, Topic: "t", Instance: "i", Payload: []byte("forged"), Sig: sig}
 	net.SendControlDirect(1, 2, KindFlood, msg)
+	net.SendControlDirect(1, 2, KindFlood, (*Msg)(nil)) // dropped, not dereferenced
 	net.Run(time.Second)
 	if reached {
 		t.Fatal("forged flood message delivered")
+	}
+}
+
+// TestFloodRelayAllocFree: a flood's relays allocate nothing — every router
+// that accepts it forwards the one Msg Flood signed, each hop in a pooled
+// envelope — so a flood over Line(4) costs what originating one costs at a
+// lone router.
+func TestFloodRelayAllocFree(t *testing.T) {
+	perFlood := func(routers int) float64 {
+		net := network.New(topology.Line(routers), network.Options{Seed: 1})
+		s := NewService(net)
+		delivered := 0
+		for _, r := range net.Routers() {
+			s.Subscribe(r.ID(), "t", func(Msg) { delivered++ })
+		}
+		const runs = 200
+		payloads := make([][]byte, runs+2)
+		for i := range payloads {
+			payloads[i] = []byte{byte(i), byte(i >> 8)}
+		}
+		i := 0
+		flood := func() {
+			s.Flood(0, "t", "i", payloads[i])
+			i++
+			net.Run(net.Now() + time.Second)
+		}
+		flood() // warm: envelope pool, event pool, heap array
+		n := testing.AllocsPerRun(runs, flood)
+		if want := routers * (runs + 2); delivered != want {
+			t.Fatalf("Line(%d): %d deliveries, want %d", routers, delivered, want)
+		}
+		return n
+	}
+	if alone, line := perFlood(1), perFlood(4); line != alone {
+		t.Errorf("a flood over Line(4) allocates %v, a lone router's %v: its relays allocate %v per flood, want 0",
+			line, alone, line-alone)
 	}
 }

@@ -245,7 +245,7 @@ func (r *reporter) flush(n int) {
 	r.v.p.tel.Summaries.Inc()
 	r.v.p.tel.SummaryBytes.Add(int64(len(r.bodyBuf)))
 	r.v.p.tel.BatchEntries.Observe(int64(b.Pkts.Len()))
-	r.v.p.env.SendControl(&network.ControlMessage{
+	r.v.p.env.SendControl(network.ControlMessage{
 		From: r.rs, To: r.v.q.RD, Kind: KindBatch, Payload: b, Path: r.route,
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -92,10 +93,42 @@ type Suspicion struct {
 	Detail string
 }
 
-// String renders the suspicion.
+// String renders the suspicion: the fmt form "t=%v %v suspects %v
+// round=%d kind=%v conf=%.4f %s" of At, By, Segment, Round, Kind,
+// Confidence and Detail, built by Append in one buffer (on the stack for
+// a line of up to 256 bytes, so the string is the one allocation).
 func (s Suspicion) String() string {
-	return fmt.Sprintf("t=%v %v suspects %v round=%d kind=%v conf=%.4f %s",
-		s.At, s.By, s.Segment, s.Round, s.Kind, s.Confidence, s.Detail)
+	var buf [256]byte
+	return string(s.Append(buf[:0]))
+}
+
+// Append appends the suspicion's String form to b and returns the extended
+// slice.
+func (s Suspicion) Append(b []byte) []byte {
+	b = append(b, "t="...)
+	b = append(b, s.At.String()...)
+	b = append(b, ' ')
+	b = appendNode(b, s.By)
+	b = append(b, " suspects <"...)
+	for i, r := range s.Segment {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendNode(b, r)
+	}
+	b = append(b, "> round="...)
+	b = strconv.AppendInt(b, int64(s.Round), 10)
+	b = append(b, " kind="...)
+	b = append(b, s.Kind.String()...)
+	b = append(b, " conf="...)
+	b = strconv.AppendFloat(b, s.Confidence, 'f', 4, 64)
+	b = append(b, ' ')
+	return append(b, s.Detail...)
+}
+
+// appendNode appends the router's String form, "r<id>".
+func appendNode(b []byte, r packet.NodeID) []byte {
+	return strconv.AppendInt(append(b, 'r'), int64(r), 10)
 }
 
 // Log collects suspicions from all routers in a run. Protocols append to a
@@ -123,12 +156,11 @@ func (l *Log) Len() int { return len(l.suspicions) }
 // harness and the record/replay goldens compare, and the format the rwbench
 // verdict digest hashes.
 func (l *Log) String() string {
-	var b strings.Builder
+	var b []byte
 	for _, s := range l.suspicions {
-		b.WriteString(s.String())
-		b.WriteByte('\n')
+		b = append(s.Append(b), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // WriteReport prints the CLIs' human-readable report of the log to w: the

@@ -1,6 +1,8 @@
 package detector
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -11,6 +13,46 @@ import (
 
 func susp(by packet.NodeID, seg topology.Segment, at time.Duration) Suspicion {
 	return Suspicion{By: by, Segment: seg, At: at, Kind: KindTrafficValidation, Confidence: 1}
+}
+
+// TestSuspicionString: the transcript line is byte for byte the fmt form it
+// has always been — %v of the instant, router and segment, conf=%.4f — and
+// costs one allocation, the string itself.
+func TestSuspicionString(t *testing.T) {
+	ref := func(s Suspicion) string {
+		return fmt.Sprintf("t=%v %v suspects %v round=%d kind=%v conf=%.4f %s",
+			s.At, s.By, s.Segment, s.Round, s.Kind, s.Confidence, s.Detail)
+	}
+	long := Suspicion{By: 7, Segment: topology.Segment{1, 2, 3, 4, 5, 6}, Round: 123456,
+		At: 2*time.Hour + 3*time.Minute + 4*time.Second + 5, Kind: KindCombinedLoss,
+		Confidence: 0.999951, Detail: "no summary from r3 within 1s, and then some more words"}
+	table := []Suspicion{
+		{},
+		susp(1, topology.Segment{2, 3}, 10*time.Second),
+		{By: 0, Segment: topology.Segment{0}, Round: -1, At: 999, Kind: KindExchangeTimeout, Confidence: 0.5},
+		{By: -1, Segment: topology.Segment{-1, math.MaxInt32, math.MinInt32}, Round: math.MinInt64,
+			At: -1500 * time.Microsecond, Kind: Kind(99), Confidence: -0.00001, Detail: "x"},
+		{By: 3, Segment: topology.Segment{}, Round: 3, At: time.Nanosecond, Kind: KindREDShare,
+			Confidence: math.Inf(1), Detail: ""},
+		{By: 4, Round: 4, At: 1500 * time.Millisecond, Kind: KindFabrication, Confidence: math.NaN()},
+		{By: 5, Segment: topology.Segment{5, 6}, At: math.MinInt64, Confidence: math.Inf(-1), Detail: "µ é"},
+		{By: 6, Segment: topology.Segment{6, 7}, At: math.MaxInt64, Confidence: math.Copysign(0, -1)},
+		{At: 1234567 * time.Nanosecond, Confidence: 0.12345, Detail: "announced by r2"},
+		long,
+	}
+	for _, s := range table {
+		if got, want := s.String(), ref(s); got != want {
+			t.Errorf("String() = %q, fmt renders %q", got, want)
+		}
+	}
+	if got, want := string(long.Append([]byte("> "))), "> "+ref(long); got != want {
+		t.Errorf("Append = %q, want %q", got, want)
+	}
+	for _, s := range table {
+		if n := testing.AllocsPerRun(100, func() { _ = s.String() }); n > 1 {
+			t.Errorf("String of %q allocates %v times, want at most 1", ref(s), n)
+		}
+	}
 }
 
 func TestLogBasics(t *testing.T) {

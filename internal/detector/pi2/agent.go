@@ -2,7 +2,6 @@ package pi2
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
@@ -87,10 +86,16 @@ func (a *agent) publishRound(n int) {
 }
 
 // onInfo collects a flooded summary (already signature-verified by the
-// consensus layer).
+// consensus layer). The instance is parsed into the Protocol's scratch and
+// probed against this router's watches first: an info for a segment the
+// router does not watch costs no allocation.
 func (a *agent) onInfo(m consensus.Msg) {
-	seg, n, ok := parseInstance(m.Instance)
-	if !ok || !a.p.rec.Admits(n) {
+	seg, n, ok := parseInstance(m.Instance, a.p.instBuf)
+	if !ok {
+		return
+	}
+	a.p.instBuf = seg
+	if !a.p.rec.Admits(n) {
 		return
 	}
 	i, ok := a.mon.Find(seg)
@@ -276,8 +281,11 @@ func (a *agent) verifyEvidence(ev *AlertEvidence) bool {
 }
 
 // parseInstance reads the segment and round an info instance names: the
-// inverse of infoInstance, for a whole segment key only.
-func parseInstance(inst string) (topology.Segment, int, bool) {
+// inverse of infoInstance, for a whole segment key only (hex of 4-byte
+// router IDs, either case, as hex.DecodeString reads it). The segment is
+// decoded into buf's storage, so an info is probed against the router's
+// watches before anything is allocated for it.
+func parseInstance(inst string, buf topology.Segment) (topology.Segment, int, bool) {
 	i := strings.LastIndexByte(inst, '/')
 	if i < 0 {
 		return nil, 0, false
@@ -286,9 +294,34 @@ func parseInstance(inst string) (topology.Segment, int, bool) {
 	if err != nil {
 		return nil, 0, false
 	}
-	key, err := hex.DecodeString(inst[:i])
-	if err != nil || len(key)%4 != 0 {
+	hx := inst[:i]
+	if len(hx)%8 != 0 {
 		return nil, 0, false
 	}
-	return topology.DecodeKey(topology.SegmentKey(key)), n, true
+	seg := buf[:0]
+	for j := 0; j < len(hx); j += 8 {
+		var id uint32
+		for k := j; k < j+8; k++ {
+			d, ok := unhex(hx[k])
+			if !ok {
+				return nil, 0, false
+			}
+			id = id<<4 | uint32(d)
+		}
+		seg = append(seg, packet.NodeID(id))
+	}
+	return seg, n, true
+}
+
+// unhex is the value of the hex digit c.
+func unhex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }

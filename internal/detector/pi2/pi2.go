@@ -89,6 +89,8 @@ type Protocol struct {
 	// agents is indexed by router ID, in env.Nodes() order.
 	agents []*agent
 	tel    detector.Instruments
+	// instBuf is the scratch onInfo decodes an instance's segment into.
+	instBuf topology.Segment
 }
 
 // Attach deploys Π2 on every router of the environment.

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -389,7 +391,7 @@ func TestNonMemberTimeoutAlertRejected(t *testing.T) {
 func TestInstanceRoundTrip(t *testing.T) {
 	seg := topology.Segment{3, 7, 11}
 	inst := infoInstance(seg, 42)
-	gotSeg, gotRound, ok := parseInstance(inst)
+	gotSeg, gotRound, ok := parseInstance(inst, nil)
 	if !ok || !slices.Equal(gotSeg, seg) || gotRound != 42 {
 		t.Fatalf("parseInstance(%q) = %v/%d/%v", inst, gotSeg, gotRound, ok)
 	}
@@ -404,10 +406,40 @@ func TestInstanceRoundTrip(t *testing.T) {
 		hexKey + "42",        // no '/'
 		hexKey[2:] + "/42",   // not a whole segment key
 	} {
-		if s, n, ok := parseInstance(bad); ok {
+		if s, n, ok := parseInstance(bad, nil); ok {
 			t.Errorf("parseInstance(%q) accepted as %v/%d", bad, s, n)
 		}
 	}
+	// It reads what hex.DecodeString and DecodeKey read: either case, the
+	// empty key, any round Atoi takes.
+	for _, in := range []string{
+		inst, strings.ToUpper(hexKey) + "/42", "/7", hexKey + "/-1", hexKey + "/x",
+		"nonsense", hexKey + "zz/42", hexKey[1:] + "/42", hexKey[2:] + "/42",
+	} {
+		gotSeg, gotRound, ok := parseInstance(in, make(topology.Segment, 0, 1))
+		refSeg, refRound, refOK := refParseInstance(in)
+		if ok != refOK || ok && (!slices.Equal(gotSeg, refSeg) || gotRound != refRound) {
+			t.Errorf("parseInstance(%q) = %v/%d/%v, hex.DecodeString reads %v/%d/%v",
+				in, gotSeg, gotRound, ok, refSeg, refRound, refOK)
+		}
+	}
+}
+
+// refParseInstance is parseInstance by the standard library's hex decoder.
+func refParseInstance(inst string) (topology.Segment, int, bool) {
+	i := strings.LastIndexByte(inst, '/')
+	if i < 0 {
+		return nil, 0, false
+	}
+	n, err := strconv.Atoi(inst[i+1:])
+	if err != nil {
+		return nil, 0, false
+	}
+	key, err := hex.DecodeString(inst[:i])
+	if err != nil || len(key)%4 != 0 {
+		return nil, 0, false
+	}
+	return topology.DecodeKey(topology.SegmentKey(key)), n, true
 }
 
 // TestOneRoundClock: the deployment has one round clock, not one per
@@ -418,5 +450,39 @@ func TestOneRoundClock(t *testing.T) {
 	Attach(protocol.NewSimEnv(net), testOpts(detector.NewLog()))
 	if n := net.Scheduler().Pending(); n != 1 {
 		t.Fatalf("Attach left %d events pending, want 1", n)
+	}
+}
+
+// TestOffSegmentInfoAllocFree: a flooded summary for a segment the receiver
+// does not watch costs it no allocation — onInfo parses the instance into
+// scratch and probes its watches before it keeps anything. Router 5 of a
+// 6-line is off ⟨0,1,2⟩, and ⟨0,2,4⟩ is no segment at all; router 1's
+// summary for ⟨0,1,2⟩, which router 2 watches, is collected.
+func TestOffSegmentInfoAllocFree(t *testing.T) {
+	net := network.New(topology.Line(6), network.Options{Seed: 1})
+	p := Attach(protocol.NewSimEnv(net), testOpts(detector.NewLog()))
+	if !p.rec.Admits(0) {
+		t.Fatal("round 0 not admitted before the first boundary")
+	}
+	payload := infoPayload(1, tvinfo.NewSummary(tvinfo.PolicyContent))
+	info := func(seg ...packet.NodeID) consensus.Msg {
+		return consensus.Msg{Origin: 1, Topic: TopicInfo, Instance: infoInstance(seg, 0), Payload: payload}
+	}
+	for _, tc := range []struct {
+		name string
+		m    consensus.Msg
+	}{
+		{"off-segment", info(0, 1, 2)},
+		{"unknown", info(0, 2, 4)},
+	} {
+		a := p.agents[5]
+		if n := testing.AllocsPerRun(100, func() { a.onInfo(tc.m) }); n != 0 {
+			t.Errorf("%s info allocates %v at router 5, want 0", tc.name, n)
+		}
+	}
+	p.agents[2].onInfo(info(0, 1, 2))
+	i, ok := p.agents[2].mon.Find(topology.Segment{0, 1, 2})
+	if !ok || len(p.agents[2].segs[i].collected[0][1]) != 1 {
+		t.Fatal("router 2 did not collect router 1's summary for ⟨0,1,2⟩")
 	}
 }

@@ -146,7 +146,7 @@ func (a *agent) exchangeRound(n int) {
 		a.bytesSent += wire
 		a.p.tel.Summaries.Inc()
 		a.p.tel.SummaryBytes.Add(wire)
-		a.p.env.SendControl(&network.ControlMessage{
+		a.p.env.SendControl(network.ControlMessage{
 			From: a.id, To: st.peer, Kind: KindSummary,
 			Payload: msg, Path: st.path,
 		})
@@ -314,23 +314,24 @@ func (a *agent) suspect(st *segState, round int, kind detector.Kind, conf float6
 // onAlert accepts another router's flooded suspicion: verify the flood
 // signature (done by the consensus layer), require a whole segment key with
 // the announcer as a member, and adopt the suspicion. The round travels in
-// the instance.
+// the instance. Admission reads the payload in place — a non-member or
+// already-suspected announcement costs no allocation — and only an adopted
+// one is decoded.
 func (a *agent) onAlert(m consensus.Msg) {
 	round, err := strconv.Atoi(m.Instance)
 	if err != nil || m.Origin == a.id {
 		return
 	}
-	seg, ok := topology.MemberSegment(m.Payload, m.Origin)
-	if !ok {
+	if !topology.MemberKey(m.Payload, m.Origin) {
 		return // a non-member announcement could frame correct routers
 	}
-	key := topology.SegmentKey(m.Payload)
-	if a.suspected[key] {
+	if a.suspected[topology.SegmentKey(m.Payload)] {
 		return
 	}
+	key := topology.SegmentKey(m.Payload)
 	a.suspected[key] = true
 	s := detector.Suspicion{
-		By: a.id, Segment: seg, Round: round, At: a.p.env.Now(),
+		By: a.id, Segment: topology.DecodeKey(key), Round: round, At: a.p.env.Now(),
 		Kind: detector.KindTrafficValidation, Confidence: 1,
 		Detail: fmt.Sprintf("announced by %v", m.Origin),
 	}

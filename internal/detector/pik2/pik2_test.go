@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"routerwatch/internal/attack"
+	"routerwatch/internal/consensus"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/detector/tvinfo"
 	"routerwatch/internal/network"
@@ -377,5 +378,38 @@ func TestTimelinessNoFalsePositives(t *testing.T) {
 	net.Run(4 * time.Second)
 	if log.Len() != 0 {
 		t.Fatalf("timeliness false positives: %v", log.All())
+	}
+}
+
+// TestAlertAdmissionAllocFree: an announcement the receiver refuses or has
+// already adopted costs it no allocation — onAlert reads the flooded key
+// in place and decodes only what it adopts. Router 0 of a 4-line adopts
+// 2's ⟨1,2,3⟩, then hears a payload that names no segment, a segment
+// whose announcer is not on it, and ⟨1,2,3⟩ again from 1.
+func TestAlertAdmissionAllocFree(t *testing.T) {
+	log := detector.NewLog()
+	net := network.New(topology.Line(4), network.Options{Seed: 1})
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
+	a := p.agents[0]
+	suspected := topology.AppendKey(nil, topology.Segment{1, 2, 3})
+	a.onAlert(consensus.Msg{Origin: 2, Topic: TopicAlert, Instance: "1", Payload: suspected})
+	if log.Len() != 1 {
+		t.Fatalf("router 0 adopted %d suspicions of 2's announcement, want 1", log.Len())
+	}
+	for _, tc := range []struct {
+		name string
+		m    consensus.Msg
+	}{
+		{"unknown", consensus.Msg{Origin: 2, Topic: TopicAlert, Instance: "1", Payload: suspected[:10]}},
+		{"non-member", consensus.Msg{Origin: 3, Topic: TopicAlert, Instance: "1",
+			Payload: topology.AppendKey(nil, topology.Segment{0, 1, 2})}},
+		{"already-suspected", consensus.Msg{Origin: 1, Topic: TopicAlert, Instance: "2", Payload: suspected}},
+	} {
+		if n := testing.AllocsPerRun(100, func() { a.onAlert(tc.m) }); n != 0 {
+			t.Errorf("%s alert allocates %v at its receiver, want 0", tc.name, n)
+		}
+	}
+	if log.Len() != 1 {
+		t.Fatalf("router 0 holds %d suspicions, want the 1 it adopted", log.Len())
 	}
 }

@@ -120,7 +120,7 @@ func TestReconcileNegativeCountSuspected(t *testing.T) {
 		msg := &SummaryMsg{Seg: topology.Segment{0, 1, 2}, Round: 0, From: 0, Count: math.MinInt64,
 			Evals: summary.EvaluateCharPoly([]uint64{42}, p.reconcilePoints())}
 		msg.Sig = net.Auth().Sign(0, appendSignedBody(nil, msg))
-		env.SendControl(&network.ControlMessage{From: 0, To: 2, Kind: KindSummary, Payload: msg, Path: topology.Path(msg.Seg)})
+		env.SendControl(network.ControlMessage{From: 0, To: 2, Kind: KindSummary, Payload: msg, Path: topology.Path(msg.Seg)})
 	})
 	net.Run(2 * testRound)
 

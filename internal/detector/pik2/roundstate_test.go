@@ -60,7 +60,7 @@ func TestPeerMsgsBoundedByRoundWindow(t *testing.T) {
 				for i := 0; i < forgeries; i++ {
 					msg := &SummaryMsg{Seg: seg, Round: 1000 + i, From: 0, Summary: tvinfo.NewSummary(tvinfo.PolicyContent)}
 					msg.Sig = net.Auth().Sign(0, appendSignedBody(nil, msg))
-					env.SendControl(&network.ControlMessage{
+					env.SendControl(network.ControlMessage{
 						From: 0, To: 2, Kind: KindSummary, Payload: msg, Path: topology.Path(seg),
 					})
 				}

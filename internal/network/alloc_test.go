@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"routerwatch/internal/packet"
+	"routerwatch/internal/topology"
 )
 
 // TestForwardAllocFree guards the zero-allocation data path: after warmup
@@ -65,5 +66,41 @@ func TestForwardAllocFree(t *testing.T) {
 	}
 	if delivered < runs*len(burst) {
 		t.Fatalf("delivered %d burst packets, want at least %d", delivered, runs*len(burst))
+	}
+}
+
+// TestControlAllocFree guards the control plane's relay: after warmup, a
+// control message costs no allocation at any hop — the network carries it
+// in a pooled envelope it takes back on delivery — whether it crosses one
+// link (SendControlDirect, the flood's fan-out) or names a 3-hop path
+// (SendControl, Πk+2's exchange through the segment).
+func TestControlAllocFree(t *testing.T) {
+	net := lineNet(4, Options{Seed: 1})
+	delivered := 0
+	for _, r := range net.Routers() {
+		r.HandleControl("x", func(*ControlMessage) { delivered++ })
+	}
+	payload := &packet.Packet{}
+	path := topology.Path{0, 1, 2, 3}
+	for _, tc := range []struct {
+		name string
+		send func()
+	}{
+		{"direct", func() { net.SendControlDirect(0, 1, "x", payload) }},
+		{"3-hop", func() { net.SendControl(ControlMessage{From: 0, To: 3, Kind: "x", Payload: payload, Path: path}) }},
+	} {
+		send := func() {
+			tc.send()
+			net.Run(net.Now() + time.Second)
+		}
+		send() // warm: envelope pool, event pool, heap array
+		delivered = 0
+		const runs = 100
+		if n := testing.AllocsPerRun(runs, send); n != 0 {
+			t.Errorf("%s control message allocates %v per message, want 0", tc.name, n)
+		}
+		if delivered < runs {
+			t.Fatalf("%s: delivered %d messages, want at least %d", tc.name, delivered, runs)
+		}
 	}
 }

@@ -104,6 +104,9 @@ type Network struct {
 	// pool serves NewPacket; the network frees a pooled packet after its
 	// last event (delivery, a drop, an attacker's silent ActDrop).
 	pool packet.Arena
+
+	// envelopes carries every control message in flight (SendControl).
+	envelopes envelopePool
 }
 
 // netTel is the network's resolved instrumentation: all handles are

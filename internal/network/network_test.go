@@ -244,11 +244,13 @@ func TestDivertedPacketTakesDetour(t *testing.T) {
 
 func TestControlMessageDelivery(t *testing.T) {
 	net := lineNet(4, Options{Seed: 1})
-	var got *ControlMessage
-	net.Router(3).HandleControl("summary", func(m *ControlMessage) { got = m })
-	net.SendControl(&ControlMessage{From: 0, To: 3, Kind: "summary", Payload: 42, Path: topology.Path{0, 1, 2, 3}})
+	// The envelope is the network's once the handler returns: a handler
+	// keeps a copy of what it needs.
+	var got ControlMessage
+	net.Router(3).HandleControl("summary", func(m *ControlMessage) { got = *m })
+	net.SendControl(ControlMessage{From: 0, To: 3, Kind: "summary", Payload: 42, Path: topology.Path{0, 1, 2, 3}})
 	net.Run(time.Second)
-	if got == nil {
+	if got.Payload == nil {
 		t.Fatal("control message not delivered")
 	}
 	if got.Payload.(int) != 42 || got.Kind != "summary" {
@@ -268,7 +270,7 @@ func TestProtocolFaultyRouterDropsControl(t *testing.T) {
 	net.Router(2).SetBehavior(ctrlDropper{})
 	delivered := false
 	net.Router(3).HandleControl("summary", func(*ControlMessage) { delivered = true })
-	net.SendControl(&ControlMessage{From: 0, To: 3, Kind: "summary", Path: topology.Path{0, 1, 2, 3}})
+	net.SendControl(ControlMessage{From: 0, To: 3, Kind: "summary", Path: topology.Path{0, 1, 2, 3}})
 	net.Run(time.Second)
 	if delivered {
 		t.Fatal("control message passed a protocol-faulty router")
@@ -288,12 +290,12 @@ func TestControlExplicitPath(t *testing.T) {
 	net.Router(b).SetBehavior(ctrlDropper{})
 	delivered := false
 	net.Router(c).HandleControl("x", func(*ControlMessage) { delivered = true })
-	net.SendControl(&ControlMessage{From: a, To: c, Kind: "x", Path: topology.Path{a, b, c}})
+	net.SendControl(ControlMessage{From: a, To: c, Kind: "x", Path: topology.Path{a, b, c}})
 	net.Run(time.Second)
 	if delivered {
 		t.Fatal("pinned path ignored: message should have died at b")
 	}
-	net.SendControl(&ControlMessage{From: a, To: c, Kind: "x", Path: topology.Path{a, c}})
+	net.SendControl(ControlMessage{From: a, To: c, Kind: "x", Path: topology.Path{a, c}})
 	net.Run(2 * time.Second)
 	if !delivered {
 		t.Fatal("direct control message lost")
@@ -343,12 +345,12 @@ func TestMalformedControlRouteDropped(t *testing.T) {
 			for _, r := range net.Routers() {
 				r.HandleControl("x", func(*ControlMessage) { delivered++ })
 			}
-			net.SendControl(&ControlMessage{From: tc.from, To: tc.to, Kind: "x", Path: tc.path})
+			net.SendControl(ControlMessage{From: tc.from, To: tc.to, Kind: "x", Path: tc.path})
 			net.Run(time.Second)
 			if delivered != 0 {
 				t.Fatalf("route %v from %v to %v delivered %d times", tc.path, tc.from, tc.to, delivered)
 			}
-			net.SendControl(&ControlMessage{From: 0, To: 3, Kind: "x", Path: topology.Path{0, 1, 2, 3}})
+			net.SendControl(ControlMessage{From: 0, To: 3, Kind: "x", Path: topology.Path{0, 1, 2, 3}})
 			net.Run(2 * time.Second)
 			if delivered != 1 {
 				t.Fatalf("well-formed route delivered %d times, want 1", delivered)

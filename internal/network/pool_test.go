@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -152,5 +153,62 @@ func TestPoolFreeOnce(t *testing.T) {
 	}
 	if lit.Dst != 2 || lit.Flow != 7 || lit.Payload != 42 || lit.TTL != 63 || lit.ID == 0 {
 		t.Fatalf("literal changed by delivery: %+v", *lit)
+	}
+}
+
+// kindDropper drops the control messages of one kind.
+type kindDropper string
+
+func (kindDropper) OnForward(*RouterView, *packet.Packet, packet.NodeID) Verdict {
+	return Verdict{Action: ActForward}
+}
+func (k kindDropper) OnControl(_ *RouterView, m *ControlMessage) ControlVerdict {
+	if m.Kind == string(k) {
+		return CtrlDrop
+	}
+	return CtrlForward
+}
+
+// TestEnvelopeReleased pins where a control envelope's life ends. For each
+// way it can end — delivered, dropped by a Behavior, lost at a hop with no
+// link, or refused at the door for a malformed route — every envelope the
+// pool carved is back on its free list after the run, and holds no
+// payload or path: a pooled envelope pins nothing.
+func TestEnvelopeReleased(t *testing.T) {
+	net := lineNet(4, Options{Seed: 1})
+	net.Router(2).SetBehavior(kindDropper("drop"))
+	payload := &packet.Packet{Flow: 9}
+	delivered := 0
+	for _, r := range net.Routers() {
+		for _, kind := range []string{"x", "drop"} {
+			r.HandleControl(kind, func(m *ControlMessage) {
+				delivered++
+				if m.Payload != payload || len(m.Path) == 0 || m.Path[len(m.Path)-1] != r.ID() {
+					t.Errorf("envelope already reset when its handler ran: %+v", *m)
+				}
+			})
+		}
+	}
+	send := func(kind string, path ...packet.NodeID) {
+		net.SendControl(ControlMessage{From: 0, To: 3, Kind: kind, Payload: payload, Path: path})
+	}
+	send("x", 0, 1, 2, 3)                     // delivered
+	send("drop", 0, 1, 2, 3)                  // dropped by the Behavior at 2
+	send("x", 0, 1, 0, 3)                     // lost back at 0: no link 0→3
+	send("x", 1, 2, 3)                        // refused: the route does not start at From
+	net.SendControlDirect(2, 3, "x", payload) // delivered
+	net.SendControlDirect(0, 2, "x", payload) // lost: no link 0→2
+	net.Run(time.Second)
+	if delivered != 2 {
+		t.Fatalf("delivered %d messages, want 2", delivered)
+	}
+	carved := envelopeChunk - len(net.envelopes.chunk)
+	if carved != 5 || len(net.envelopes.free) != carved {
+		t.Fatalf("%d envelopes carved, %d back on the free list; want 5 and 5", carved, len(net.envelopes.free))
+	}
+	for _, m := range net.envelopes.free {
+		if !reflect.ValueOf(*m).IsZero() {
+			t.Fatalf("pooled envelope holds %+v, want the zero message", *m)
+		}
 	}
 }

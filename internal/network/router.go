@@ -64,7 +64,11 @@ type Behavior interface {
 	// packet is reused after its last event (Network.NewPacket), so a
 	// Behavior that needs the packet later keeps a Clone.
 	OnForward(rv *RouterView, p *packet.Packet, next packet.NodeID) Verdict
-	// OnControl is consulted for every transiting control message.
+	// OnControl is consulted for every transiting control message. It
+	// must not keep m after it returns: the envelope is the network's and
+	// carries another message next (ControlMessage); a Behavior may keep
+	// m.Payload, but must not mutate a payload in place — the sender and
+	// every other receiver of a flood share it.
 	OnControl(rv *RouterView, m *ControlMessage) ControlVerdict
 }
 
@@ -205,7 +209,10 @@ func (r *Router) SetLocalHandler(h func(*packet.Packet)) { r.localHandler = h }
 
 // HandleControl registers the handler for control messages of the given
 // kind addressed to this router. Each kind has at most one handler;
-// re-registering replaces it. Messages with no handler are dropped.
+// re-registering replaces it. Messages with no handler are dropped. The
+// handler must not keep m after it returns: the network reuses the
+// envelope for a later message once delivery is over. It may keep
+// m.Payload.
 func (r *Router) HandleControl(kind string, h func(*ControlMessage)) {
 	if r.controlHandlers == nil {
 		r.controlHandlers = make(map[string]func(*ControlMessage))

@@ -48,9 +48,13 @@ type Env interface {
 
 	// SendControl transmits a control-plane message (summaries, batches)
 	// along the path it names; Graph().CSR().Paths() holds the
-	// stable-state route between any two routers.
-	SendControl(m *network.ControlMessage)
-	// HandleControl registers a control-message handler at a router.
+	// stable-state route between any two routers. The message is copied
+	// into an envelope the network owns, so the caller's value is free
+	// once SendControl returns.
+	SendControl(m network.ControlMessage)
+	// HandleControl registers a control-message handler at a router. The
+	// handler must not keep the *ControlMessage after it returns (the
+	// network reuses the envelope); it may keep the payload.
 	HandleControl(at packet.NodeID, kind string, h func(*network.ControlMessage))
 	// Tap observes a router's local packet events (the kernel Traffic
 	// Summary Generator's hook, §5.3.1).
@@ -124,7 +128,7 @@ func (e *SimEnv) Auth() *auth.Authority { return e.net.Auth() }
 func (e *SimEnv) Hasher() packet.Hasher { return e.net.Hasher() }
 
 // SendControl transmits a control-plane message.
-func (e *SimEnv) SendControl(m *network.ControlMessage) { e.net.SendControl(m) }
+func (e *SimEnv) SendControl(m network.ControlMessage) { e.net.SendControl(m) }
 
 // HandleControl registers a control handler at a router.
 func (e *SimEnv) HandleControl(at packet.NodeID, kind string, h func(*network.ControlMessage)) {

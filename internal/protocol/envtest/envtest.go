@@ -185,7 +185,7 @@ func testControl(t *testing.T, f Factory) {
 		}
 	})
 	env.At(time.Millisecond, func() {
-		env.SendControl(&network.ControlMessage{
+		env.SendControl(network.ControlMessage{
 			From: from, To: to, Kind: "envtest/ping", Payload: "pong",
 			Path: env.Graph().CSR().Paths().Path(from, to),
 		})
@@ -255,7 +255,7 @@ func testDeterminism(t *testing.T, f Factory) {
 			fmt.Fprintf(&buf, "tick@%v rng=%d\n", env.Now(), env.RNG(99).Int63())
 		})
 		env.At(time.Millisecond, func() {
-			env.SendControl(&network.ControlMessage{
+			env.SendControl(network.ControlMessage{
 				From: nodes[0], To: last, Kind: "envtest/d", Payload: "x",
 				Path: env.Graph().CSR().Paths().Path(nodes[0], last),
 			})

@@ -71,15 +71,21 @@ type Protocol struct {
 	flood   *consensus.Service
 	opts    Options
 	daemons []*Daemon
-	// recomputes and tracer count and mark each table installation, and
+	// recomputes and tracer count and mark each table installation,
 	// nodeTables and edgeTables count the installed tables by the kernel
-	// that computed them; all are nil when telemetry is off.
-	recomputes             *telemetry.Counter
-	nodeTables, edgeTables *telemetry.Counter
-	tracer                 *telemetry.Tracer
+	// that computed them, lsas counts the LSAs daemons accepted as new and
+	// bundles the LSA bundles flushed (one per flush, whatever the number
+	// of neighbours it goes to); all are nil when telemetry is off.
+	recomputes, lsas, bundles *telemetry.Counter
+	nodeTables, edgeTables    *telemetry.Counter
+	tracer                    *telemetry.Tracer
 	// due maps a batch instant to the daemons whose recompute is coalesced
 	// into it (Options.BatchCompute).
 	due map[time.Duration][]*Daemon
+	// bundleChunk and memberChunk are the append-only chunks flushes carve
+	// bundles from (carveBundle).
+	bundleChunk []LSABundle
+	memberChunk []*LSA
 }
 
 // Daemon returns the daemon at router id.
@@ -142,6 +148,7 @@ func (d *Daemon) acceptLSA(lsa *LSA, from packet.NodeID) {
 		return
 	}
 	d.lsdb[lsa.Origin] = lsa
+	d.proto.lsas.Inc()
 	if d.proto.opts.BundleFlood {
 		d.enqueueFlood(lsa)
 	} else {

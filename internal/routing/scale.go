@@ -25,7 +25,6 @@
 package routing
 
 import (
-	"slices"
 	"sort"
 	"time"
 
@@ -38,10 +37,20 @@ import (
 // (Options.BundleFlood).
 const KindLSABundle = "routing/lsab"
 
-// LSABundle is the payload of a KindLSABundle message.
+// LSABundle is the payload of a KindLSABundle message. The daemons carve
+// bundles and their member lists from the Protocol's append-only chunks and
+// never reuse one: a receiver may keep the member LSAs, and must not write
+// to the list.
 type LSABundle struct {
 	LSAs []*LSA
 }
+
+// bundleChunk and memberChunk size the Protocol's chunks of LSA bundles and
+// of their member lists.
+const (
+	bundleChunk = 256
+	memberChunk = 4096
+)
 
 // Options configures Attach.
 type Options struct {
@@ -78,6 +87,8 @@ func Attach(net *network.Network, flood *consensus.Service, opts Options) *Proto
 	reg := net.Telemetry().Registry()
 	p := &Protocol{net: net, flood: flood, opts: opts, tracer: net.Telemetry().Tracer(),
 		recomputes: reg.Counter("rw_routing_recomputes_total"),
+		lsas:       reg.Counter("rw_routing_lsas_total"),
+		bundles:    reg.Counter("rw_routing_bundles_total"),
 		nodeTables: reg.Counter("rw_routing_tables_total", "kernel", "node"),
 		edgeTables: reg.Counter("rw_routing_tables_total", "kernel", "edge")}
 	if opts.BatchCompute {
@@ -128,8 +139,8 @@ func (d *Daemon) handleLSABundle(m *network.ControlMessage) {
 }
 
 // enqueueFlood defers re-flooding of a novel LSA to the next bundle flush.
-// pending is the daemon's scratch: the flush sends an exact-size copy and
-// keeps the backing array for the next bundle.
+// pending is the daemon's scratch: the flush sends a carved copy and keeps
+// the backing array for the next bundle.
 func (d *Daemon) enqueueFlood(lsa *LSA) {
 	d.pending = append(d.pending, lsa)
 	if d.flushQueued {
@@ -149,12 +160,30 @@ func (d *Daemon) flushPending() {
 	if len(d.pending) == 0 {
 		return
 	}
-	b := &LSABundle{LSAs: slices.Clone(d.pending)}
+	b := d.proto.carveBundle(d.pending)
+	d.proto.bundles.Inc()
 	clear(d.pending)
 	d.pending = d.pending[:0]
 	for _, nb := range d.proto.net.Graph().Neighbors(d.id) {
 		d.proto.net.SendControlDirect(d.id, nb, KindLSABundle, b)
 	}
+}
+
+// carveBundle returns a new bundle of a copy of lsas, both carved from the
+// Protocol's append-only chunks: a flush costs no allocation of its own.
+func (p *Protocol) carveBundle(lsas []*LSA) *LSABundle {
+	if len(p.bundleChunk) == 0 {
+		p.bundleChunk = make([]LSABundle, bundleChunk)
+	}
+	b := &p.bundleChunk[0]
+	p.bundleChunk = p.bundleChunk[1:]
+	if cap(p.memberChunk)-len(p.memberChunk) < len(lsas) {
+		p.memberChunk = make([]*LSA, 0, max(memberChunk, len(lsas)))
+	}
+	start := len(p.memberChunk)
+	p.memberChunk = append(p.memberChunk, lsas...)
+	b.LSAs = p.memberChunk[start:len(p.memberChunk):len(p.memberChunk)]
+	return b
 }
 
 // runBatch fires one coalesced recompute instant: it prepares the batch's

@@ -186,3 +186,27 @@ func TestTablesCountedByKernel(t *testing.T) {
 		t.Fatalf("after the response: %d node and %d edge tables, want %d each", node.Value(), edge.Value(), n)
 	}
 }
+
+// rw_routing_lsas_total counts the LSAs daemons accept as new and
+// rw_routing_bundles_total the bundles they flush: a cold start over n
+// routers accepts every origin's one LSA at every daemon, n², however it
+// floods, and only bundled flooding flushes bundles — fewer than the LSAs
+// they carry.
+func TestLSAsAndBundlesCounted(t *testing.T) {
+	g := ispGraph(t)
+	n := int64(g.NumNodes())
+	for _, bundled := range []bool{false, true} {
+		tel := &telemetry.Set{Metrics: telemetry.NewRegistry()}
+		net := network.New(g, network.Options{Seed: 5, Telemetry: tel})
+		p := Attach(net, consensus.NewService(net), Options{BundleFlood: bundled})
+		if !p.RunUntilConverged(5 * time.Minute) {
+			t.Fatal("routing did not converge")
+		}
+		lsas := tel.Registry().Counter("rw_routing_lsas_total").Value()
+		bundles := tel.Registry().Counter("rw_routing_bundles_total").Value()
+		if lsas != n*n || bundled != (bundles > 0) || bundles >= lsas {
+			t.Errorf("BundleFlood %v: %d LSAs accepted and %d bundles flushed, want %d and (bundled) fewer",
+				bundled, lsas, bundles, n*n)
+		}
+	}
+}

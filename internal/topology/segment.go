@@ -47,11 +47,25 @@ func DecodeKey(k SegmentKey) Segment {
 // segment key, and the segment must contain the origin that signed it — a
 // router may only announce segments it belongs to (§4.2.2).
 func MemberSegment(payload []byte, origin packet.NodeID) (Segment, bool) {
-	if len(payload)%4 != 0 {
+	if !MemberKey(payload, origin) {
 		return nil, false
 	}
-	seg := DecodeKey(SegmentKey(payload))
-	return seg, seg.Contains(origin)
+	return DecodeKey(SegmentKey(payload)), true
+}
+
+// MemberKey reports whether payload is a whole segment key whose segment
+// contains r: MemberSegment's admission test, read off the encoding
+// without decoding it, so a refused announcement costs no allocation.
+func MemberKey(payload []byte, r packet.NodeID) bool {
+	if len(payload)%4 != 0 {
+		return false
+	}
+	for i := 0; i < len(payload); i += 4 {
+		if packet.NodeID(binary.BigEndian.Uint32(payload[i:])) == r {
+			return true
+		}
+	}
+	return false
 }
 
 // MonitorMode selects which protocol's monitoring-set rule to apply.
