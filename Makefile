@@ -158,10 +158,13 @@ scale-smoke:
 # per-source Dijkstra buffers, a copied path table and eagerly seeded RNGs).
 # And the run heap budget (TestRunAllocBudget): chi-tcp, mesh-forward and
 # isp-converge, run end to end through protocol.Run, must allocate at most
-# 20, 36 and 55 MB in at most 23 600, 37 400 and 78 000 allocations (16.9,
-# 29.1 and 39.8 MB in 22 k, 36 k and 74 k today; 25 k, 64 k and 196 k
-# allocations while every control message hop, accepting flood relay and
-# LSA flush allocated and every alert was decoded before its admission;
+# 20, 36 and 55 MB in at most 5 650, 32 300 and 65 000 allocations (16.5,
+# 29.0 and 39.7 MB in 5.4 k, 30.8 k and 61 k today; 22.5 k, 35.6 k and
+# 74.4 k while every χ batch allocated its Batch, lanes and aggregate tags
+# and every router adopting a Πk+2 announcement formatted its own Detail;
+# 25 k, 64 k and 196 k allocations while every control message hop,
+# accepting flood relay and LSA flush allocated and every alert was decoded
+# before its admission;
 # 17.0, 30.6 and 47.1 MB before that; chi-tcp 64.0 and
 # mesh-forward 67.1 MB when every packet was fresh memory, chi-tcp 30.4 MB
 # with the packet pool but χ batches grown by append doubling, mesh-forward

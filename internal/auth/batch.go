@@ -58,10 +58,12 @@ func (a *Authority) VerifyAggregate(bodies [][]byte, sig Signature) bool {
 	return hmac.Equal(want[:], sig.Tag[:])
 }
 
-// aggregateInto computes the MAC-over-MACs tag. Callers must hold a.mu.
-// The inner tags stream through a fixed-size chain buffer chunked to bound
-// scratch growth: per batch the chain holds at most aggregateChainLen tags
-// before being folded, so aggregation over any batch size uses O(1) space.
+// aggregateInto computes the MAC-over-MACs tag into the Authority's outBuf
+// and returns it by value, so neither caller's tag escapes to the heap.
+// Callers must hold a.mu. The inner tags stream through a fixed-size chain
+// buffer chunked to bound scratch growth: per batch the chain holds at most
+// aggregateChainLen tags before being folded, so aggregation over any batch
+// size uses O(1) space.
 func (a *Authority) aggregateInto(st *macState, bodies [][]byte) [sha256.Size]byte {
 	chain := a.aggBuf[:0]
 	for _, body := range bodies {
@@ -81,7 +83,6 @@ func (a *Authority) aggregateInto(st *macState, bodies [][]byte) [sha256.Size]by
 	var n [8]byte
 	binary.BigEndian.PutUint64(n[:], uint64(len(bodies)))
 	chain = append(chain, n[:]...)
-	var out [sha256.Size]byte
-	a.macInto(st, chain, &out)
-	return out
+	a.macInto(st, chain, &a.outBuf)
+	return a.outBuf
 }

@@ -96,3 +96,18 @@ func TestAggregateTagDistinguishesSplits(t *testing.T) {
 		t.Fatal("aggregate collides across item splits")
 	}
 }
+
+// TestAggregateAllocFree: with the signer's pad state warmed, AggregateTag
+// and VerifyAggregate allocate nothing, across the chain-fold boundary too —
+// the tag is computed into the Authority's scratch and returned by value.
+func TestAggregateAllocFree(t *testing.T) {
+	a := NewAuthority(7)
+	bodies := randBodies(rand.New(rand.NewSource(5)), 130)
+	sig := a.AggregateTag(2, bodies)
+	if n := testing.AllocsPerRun(100, func() { _ = a.AggregateTag(2, bodies) }); n != 0 {
+		t.Errorf("warmed AggregateTag allocates %v per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = a.VerifyAggregate(bodies, sig) }); n != 0 {
+		t.Errorf("warmed VerifyAggregate allocates %v per call, want 0", n)
+	}
+}

@@ -48,7 +48,8 @@ type Options struct {
 	// Round is the validation interval τ. Default 1 s.
 	Round time.Duration
 	// Timeout µ: the checkpoint runs this long after a round boundary.
-	// Default 250 ms.
+	// Default 250 ms. It must be shorter than Round: a validator holds
+	// one pending round's batches at a time (see Validate).
 	Timeout time.Duration
 
 	// Calibration carries the learned parameters from the learning
@@ -123,6 +124,17 @@ func (o *Options) fill() {
 	}
 }
 
+// Validate reports whether the options, with defaults filled in, can run:
+// the checkpoint of round n must run before round n+1's batches are sent,
+// so Timeout must be shorter than Round.
+func (o Options) Validate() error {
+	o.fill()
+	if o.Timeout >= o.Round {
+		return fmt.Errorf("chi: timeout %v must be shorter than round %v", o.Timeout, o.Round)
+	}
+	return nil
+}
+
 // Calibration is what the learning period estimates (§6.2.1): the mean and
 // standard deviation of the queue prediction error X = qact − qpred, and —
 // for RED — the empirical null distribution of the windowed excess-drop
@@ -191,10 +203,31 @@ type Protocol struct {
 
 	validators map[QueueID]*queueValidator
 	tel        detector.Instruments
+
+	// batches and the four lane chunks are the append-only storage
+	// carveBatch cuts every sent Batch from.
+	batches []Batch
+	fps     []packet.Fingerprint
+	sizes   []int32
+	tss     []time.Duration
+	flows   []packet.FlowID
 }
 
-// Attach deploys χ validators and reporters for the selected queues.
+// carvedBatches and carvedRecords size the Protocol's chunks of batches and
+// of lane records. A lane chunk's tail too short for the next batch is left
+// unused; at 4096 records that waste stays below what growing each batch's
+// lanes to a size class cost.
+const (
+	carvedBatches = 64
+	carvedRecords = 4096
+)
+
+// Attach deploys χ validators and reporters for the selected queues. It
+// panics if opts fail Validate.
 func Attach(env protocol.Env, opts Options) *Protocol {
+	if err := opts.Validate(); err != nil {
+		panic(err)
+	}
 	opts.fill()
 	g := env.Graph()
 	p := &Protocol{
@@ -254,6 +287,10 @@ func (v *Validator) Calibrate() Calibration {
 // records are a summary.TimedFP: the reporter fills the lanes straight from
 // its event tap, the validator merges them into its replay stream with bulk
 // lane appends, and the signed bytes are the summary's own encoding.
+//
+// A sent batch and its lanes are carved from the Protocol's append-only
+// chunks (carveBatch) and never reused or pooled: the validator keeps an
+// admitted batch until its checkpoint, and a receiver must not write to it.
 type Batch struct {
 	Queue    QueueID
 	Reporter packet.NodeID
@@ -261,8 +298,39 @@ type Batch struct {
 	Pkts     summary.TimedFP
 	// Sig is an auth.AggregateTag over the batch's body items (see
 	// batchBodies): one constant-size signature for any record count,
-	// verified with a single tag comparison at the checkpoint.
+	// verified with a single tag comparison when the batch arrives.
 	Sig auth.Signature
+}
+
+// carveBatch returns a zeroed batch whose four lanes have room for exactly
+// due records, all cut from the Protocol's append-only chunks: a flush
+// costs no allocation of its own. Carved storage is never handed out twice.
+func (p *Protocol) carveBatch(due int) *Batch {
+	if len(p.batches) == 0 {
+		p.batches = make([]Batch, carvedBatches)
+	}
+	b := &p.batches[0]
+	p.batches = p.batches[1:]
+	if len(p.fps) < due {
+		n := max(carvedRecords, due)
+		p.fps = make([]packet.Fingerprint, n)
+		p.sizes = make([]int32, n)
+		p.tss = make([]time.Duration, n)
+		p.flows = make([]packet.FlowID, n)
+	}
+	b.Pkts.FPs = carve(&p.fps, due)
+	b.Pkts.Sizes = carve(&p.sizes, due)
+	b.Pkts.TSs = carve(&p.tss, due)
+	b.Pkts.Flows = carve(&p.flows, due)
+	return b
+}
+
+// carve cuts an empty slice with capacity exactly n off the front of
+// *chunk, which must hold at least n elements.
+func carve[T any](chunk *[]T, n int) []T {
+	s := (*chunk)[:0:n]
+	*chunk = (*chunk)[n:]
+	return s
 }
 
 // batchChunk is the aggregate-signature chunking granularity in records:

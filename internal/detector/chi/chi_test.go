@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"routerwatch/internal/attack"
+	"routerwatch/internal/auth"
 	"routerwatch/internal/detector"
 	"routerwatch/internal/network"
 	"routerwatch/internal/packet"
@@ -283,11 +284,19 @@ func TestAttack4SYNDrop(t *testing.T) {
 
 func TestProtocolFaultyReportSuppression(t *testing.T) {
 	// r suppresses a neighbor's Qin report in transit: the validator times
-	// out and suspects ⟨rs, r, rd⟩.
+	// out and suspects ⟨rs, r, rd⟩. Once r relays reports again, the
+	// disabled validator admits none of them.
 	r := buildRig(33, detectOpts(learnParams(t, 32, nil)), nil)
 	r.startFlows(2)
 	r.net.Router(r.st.R).SetBehavior(&attack.ControlDropper{Kinds: map[string]bool{KindBatch: true}})
+	r.net.Run(3 * time.Second)
+	r.net.Router(r.st.R).SetBehavior(nil)
 	r.net.Run(10 * time.Second)
+	for _, rep := range r.proto.validators[QueueID{R: r.st.R, RD: r.st.RD}].reporters {
+		if rep.got != nil {
+			t.Fatalf("disabled validator admitted %v's round-%d batch", rep.rs, rep.got.Round)
+		}
+	}
 
 	found := false
 	for _, s := range r.log.All() {
@@ -337,5 +346,74 @@ func TestDetectionImplicatesOnlyGuiltyQueue(t *testing.T) {
 	}
 	if r.log.Len() == 0 {
 		t.Fatal("attack not detected")
+	}
+}
+
+// TestForgedBatchCannotFrame: a batch the validator did not ask for cannot
+// make it accuse a correct segment. Sink t1, no reporter of Q(r→rd), sends
+// rd five batches while round 3's checkpoint is pending, each ahead of s1's
+// genuine round-3 batch: one naming reporter s1 for round 3 under a tag s1
+// never made, one naming s1 for round 5, a replay of an empty batch s1
+// signed for round 2, one t1 signed itself, and a typed nil. Admitted
+// before verification, the first filled s1's round-3 slot, kept s1's
+// genuine batch out and framed ⟨s1, r, rd⟩ with an exchange timeout; the
+// second would have done the same at round 5, and the nil panicked rd. No
+// attack runs, so every round must validate and nothing may be suspected.
+func TestForgedBatchCannotFrame(t *testing.T) {
+	r := buildRig(33, detectOpts(learnParams(t, 32, nil)), nil)
+	r.startFlows(2)
+	q := QueueID{R: r.st.R, RD: r.st.RD}
+	forger, s1 := r.st.Sinks[0], r.st.Sources[0]
+	r.net.Run(4001 * time.Millisecond)
+	signed := func(reporter packet.NodeID, round int) *Batch {
+		b := &Batch{Queue: q, Reporter: reporter, Round: round}
+		_, items := batchBodies(nil, nil, b)
+		b.Sig = r.net.Auth().AggregateTag(reporter, items)
+		return b
+	}
+	for _, b := range []*Batch{
+		{Queue: q, Reporter: s1, Round: 3, Sig: auth.Signature{Signer: s1}},
+		{Queue: q, Reporter: s1, Round: 5, Sig: auth.Signature{Signer: s1}},
+		signed(s1, 2),
+		signed(forger, 3),
+		nil,
+	} {
+		r.net.SendControlDirect(forger, r.st.RD, KindBatch, b)
+	}
+	r.net.Run(10 * time.Second)
+
+	if n := r.log.Len(); n != 0 {
+		t.Fatalf("forged batches made rd raise %d suspicions, first %v", n, r.log.All()[0])
+	}
+	if len(r.repts) != 9 || r.repts[8].Round != 8 {
+		t.Fatalf("validated %d rounds by 10 s, want rounds 0–8", len(r.repts))
+	}
+}
+
+// TestRoundPathAllocs: χ's round path — each reporter's flush, rd's
+// admission of the batch and the checkpoint's replay — allocates per
+// deployment, not per batch. Under steady constant-rate traffic with no
+// loss, a round of the whole simulation (three reporters sending ~170
+// records each) allocates at most 2 objects: the Protocol's batch and lane
+// chunks, a fresh set every ~8 rounds here, and the rig's growing report
+// slice. Each batch once cost a Batch, four lanes, two aggregate tags and
+// its share of a per-round admission map and checkpoint closure (~25 per
+// round here).
+func TestRoundPathAllocs(t *testing.T) {
+	r := buildRig(41, Options{}, nil)
+	for i, src := range r.st.Sources {
+		r.man.StartCBR(src, r.st.Sinks[i%len(r.st.Sinks)], 2e6, 1500, 0, time.Hour)
+	}
+	end := 5 * time.Second
+	r.net.Run(end)
+	perRound := testing.AllocsPerRun(20, func() {
+		end += time.Second
+		r.net.Run(end)
+	})
+	if r.log.Len() != 0 || len(r.repts) < 25 {
+		t.Fatalf("rig did not validate steadily: %d rounds, suspicions %v", len(r.repts), r.log.All())
+	}
+	if perRound > 2 {
+		t.Errorf("a validated round allocates %v objects, want at most 2", perRound)
 	}
 }

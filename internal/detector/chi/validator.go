@@ -35,6 +35,10 @@ type reporter struct {
 	// round over round.
 	bodyBuf []byte
 	items   [][]byte
+
+	// got is the batch the validator admitted from this reporter for the
+	// round whose checkpoint is pending; the checkpoint reads and clears it.
+	got *Batch
 }
 
 // queueValidator runs at rd and validates Q = (r → rd) (Fig 6.1).
@@ -58,7 +62,7 @@ type queueValidator struct {
 	ins  summary.TimedFP
 	outs summary.TimedFP
 
-	// bodyBuf / items are the checkpoint's aggregate-verification scratch.
+	// bodyBuf / items are onBatch's aggregate-verification scratch.
 	bodyBuf []byte
 	items   [][]byte
 
@@ -88,9 +92,6 @@ type queueValidator struct {
 	redWindow []redRound
 	redTrail  []float64
 
-	// received buffers reporter batches by round.
-	received map[int]map[packet.NodeID]*Batch
-
 	// truthQ maps fingerprints to actual post-enqueue occupancy at r
 	// (learning instrumentation only).
 	truthQ  map[packet.Fingerprint]int
@@ -101,6 +102,11 @@ type queueValidator struct {
 
 	disabled bool
 	round    int
+	// open is the round whose checkpoint is pending, or -1 from a
+	// checkpoint to the next round boundary; onBatch admits only its
+	// batches. checkpointFn is the checkpoint bound once.
+	open         int
+	checkpointFn func()
 }
 
 type lossRec struct {
@@ -127,7 +133,9 @@ func newQueueValidator(p *Protocol, q QueueID) *queueValidator {
 		link:     link,
 		outAvail: make(map[packet.Fingerprint]int),
 		expected: make(map[packet.Fingerprint]int),
+		open:     -1,
 	}
+	v.checkpointFn = v.checkpoint
 	v.qlimit = link.QueueLimit
 	if p.opts.RED != nil {
 		cfg := *p.opts.RED
@@ -189,14 +197,15 @@ func newQueueValidator(p *Protocol, q QueueID) *queueValidator {
 	}
 
 	// Round machinery: reporters flush at each boundary; the checkpoint
-	// runs µ later at rd.
+	// runs µ later at rd, before the next boundary (µ < τ).
 	p.env.Every(p.opts.Round, func() {
 		n := v.round
 		v.round++
+		v.open = n
 		for _, rep := range v.reporters {
 			rep.flush(n)
 		}
-		p.env.After(p.opts.Timeout, func() { v.checkpoint(n) })
+		p.env.After(p.opts.Timeout, v.checkpointFn)
 	})
 	return v
 }
@@ -222,14 +231,14 @@ func (r *reporter) onEvent(ev network.Event) {
 // rd can distinguish silence from idleness.
 func (r *reporter) flush(n int) {
 	boundary := time.Duration(n+1) * r.v.p.opts.Round
-	b := &Batch{Queue: r.v.q, Reporter: r.rs, Round: n}
 	due := 0
 	for _, ts := range r.pending.TSs {
 		if ts < boundary {
 			due++
 		}
 	}
-	b.Pkts.Grow(due)
+	b := r.v.p.carveBatch(due)
+	b.Queue, b.Reporter, b.Round = r.v.q, r.rs, n
 	r.carry.Reset()
 	for i := 0; i < r.pending.Len(); i++ {
 		if r.pending.TSs[i] < boundary {
@@ -250,50 +259,40 @@ func (r *reporter) flush(n int) {
 	})
 }
 
-// batches received, keyed by round then reporter. Only the structural
-// signer/reporter binding is checked on arrival; the cryptographic
-// verification is deferred to the checkpoint, where one aggregate check
-// covers the whole batch (a batch failing it is treated exactly like a
-// missing report).
+// onBatch admits a batch into its reporter's slot only if it comes from
+// one of the validator's own reporters, is for the round whose checkpoint
+// is pending, finds the slot empty, and passes its aggregate verification —
+// one aggregate check per batch, on arrival. Anything else is dropped
+// unread, so a forged, replayed or mistimed batch can neither fill a slot
+// nor keep the genuine batch out of it. A disabled validator admits
+// nothing.
 func (v *queueValidator) onBatch(cm *network.ControlMessage) {
-	b, ok := cm.Payload.(*Batch)
-	if !ok || b.Queue != v.q {
+	b, _ := cm.Payload.(*Batch)
+	if b == nil || v.disabled || b.Queue != v.q || b.Round != v.open || b.Sig.Signer != b.Reporter {
 		return
 	}
-	if b.Sig.Signer != b.Reporter {
-		return
+	for _, rep := range v.reporters {
+		if rep.rs == b.Reporter && rep.got == nil {
+			v.bodyBuf, v.items = batchBodies(v.bodyBuf[:0], v.items, b)
+			if v.p.env.Auth().VerifyAggregate(v.items, b.Sig) {
+				rep.got = b
+			}
+			return
+		}
 	}
-	if v.received == nil {
-		v.received = make(map[int]map[packet.NodeID]*Batch)
-	}
-	byRep := v.received[b.Round]
-	if byRep == nil {
-		byRep = make(map[packet.NodeID]*Batch)
-		v.received[b.Round] = byRep
-	}
-	if _, dup := byRep[b.Reporter]; dup {
-		return
-	}
-	byRep[b.Reporter] = b
 }
 
-// checkpoint validates round n: ingest batches, process the merged stream
-// up to the safe horizon, run the combined tests, and emit the report.
-func (v *queueValidator) checkpoint(n int) {
+// checkpoint validates the pending round: ingest batches, process the
+// merged stream up to the safe horizon, run the combined tests, and emit
+// the report.
+func (v *queueValidator) checkpoint() {
+	n := v.open
+	v.open = -1
 	if v.disabled {
 		return
 	}
-	byRep := v.received[n]
-	delete(v.received, n)
 	for _, rep := range v.reporters {
-		b := byRep[rep.rs]
-		if b != nil {
-			v.bodyBuf, v.items = batchBodies(v.bodyBuf[:0], v.items, b)
-			if !v.p.env.Auth().VerifyAggregate(v.items, b.Sig) {
-				b = nil
-			}
-		}
-		if b == nil {
+		if rep.got == nil {
 			// A reporter's batch did not arrive within µ (or failed its
 			// aggregate verification — indistinguishable from suppression
 			// for attribution): protocol-faulty behaviour on ⟨rs, r, rd⟩
@@ -304,9 +303,15 @@ func (v *queueValidator) checkpoint(n int) {
 				detector.KindExchangeTimeout, 1,
 				fmt.Sprintf("no Qin report from %v for round %d", rep.rs, n))
 			v.disabled = true
+			for _, rep := range v.reporters {
+				rep.got = nil
+			}
 			return
 		}
-		v.ins.AppendBatch(&b.Pkts)
+	}
+	for _, rep := range v.reporters {
+		v.ins.AppendBatch(&rep.got.Pkts)
+		rep.got = nil
 	}
 
 	v.report = RoundReport{Queue: v.q, Round: n, At: v.p.env.Now()}

@@ -333,7 +333,23 @@ func (a *agent) onAlert(m consensus.Msg) {
 	s := detector.Suspicion{
 		By: a.id, Segment: topology.DecodeKey(key), Round: round, At: a.p.env.Now(),
 		Kind: detector.KindTrafficValidation, Confidence: 1,
-		Detail: fmt.Sprintf("announced by %v", m.Origin),
+		Detail: a.p.announcedBy(m.Origin),
 	}
 	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round)
+}
+
+// announcedBy returns the Detail of a suspicion adopted from origin's
+// announcement, formatting it once per origin rather than once per
+// adopting router.
+func (p *Protocol) announcedBy(origin packet.NodeID) string {
+	if uint(origin) >= uint(len(p.agents)) {
+		return fmt.Sprintf("announced by %v", origin)
+	}
+	if p.announced == nil {
+		p.announced = make([]string, len(p.agents))
+	}
+	if p.announced[origin] == "" {
+		p.announced[origin] = fmt.Sprintf("announced by %v", origin)
+	}
+	return p.announced[origin]
 }

@@ -130,6 +130,9 @@ type Protocol struct {
 	bodyBuf []byte
 	// reversed is the chunk the sink ends' exchange paths are carved from.
 	reversed []packet.NodeID
+	// announced holds, by router ID, the Detail of suspicions adopted from
+	// that router's announcements, each formatted at its first use.
+	announced []string
 }
 
 // Attach deploys Πk+2 on every router of the environment. Monitored

@@ -1,10 +1,12 @@
 package pik2
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"routerwatch/internal/attack"
 	"routerwatch/internal/consensus"
@@ -411,5 +413,31 @@ func TestAlertAdmissionAllocFree(t *testing.T) {
 	}
 	if log.Len() != 1 {
 		t.Fatalf("router 0 holds %d suspicions, want the 1 it adopted", log.Len())
+	}
+}
+
+// TestAdoptedDetailFormattedOnce: every router adopting one origin's
+// announcement records the Detail the fmt form gives, "announced by r2",
+// and all of them share one string, formatted at the first adoption.
+func TestAdoptedDetailFormattedOnce(t *testing.T) {
+	log := detector.NewLog()
+	net := network.New(topology.Line(5), network.Options{Seed: 1})
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
+	m := consensus.Msg{Origin: 2, Topic: TopicAlert, Instance: "1",
+		Payload: topology.AppendKey(nil, topology.Segment{1, 2, 3})}
+	for _, r := range []int{0, 4} {
+		p.agents[r].onAlert(m)
+	}
+	all := log.All()
+	if len(all) != 2 {
+		t.Fatalf("adopted %d suspicions, want 2: %v", len(all), all)
+	}
+	for _, s := range all {
+		if want := fmt.Sprintf("announced by %v", packet.NodeID(2)); s.Detail != want {
+			t.Errorf("router %v recorded Detail %q, want %q", s.By, s.Detail, want)
+		}
+	}
+	if unsafe.StringData(all[0].Detail) != unsafe.StringData(all[1].Detail) {
+		t.Error("each adopting router formatted its own Detail")
 	}
 }

@@ -68,7 +68,7 @@ func TestAssembleAllocBudget(t *testing.T) {
 
 // A run allocates for the packets in flight, not for every packet it sent
 // (DESIGN.md "Hot path"): the network reuses a packet after its last event,
-// a χ batch is allocated once at its final size, and a Πk+2 fingerprint
+// a χ batch is carved once at its final size, and a Πk+2 fingerprint
 // lane once at its exact size, recorded until then into chunks the
 // deployment recycles. chi-tcp, mesh-forward and isp-converge, read in
 // place and run through protocol.Run end to end, must stay within their
@@ -88,7 +88,13 @@ func TestAssembleAllocBudget(t *testing.T) {
 // chi-tcp read 24 966 allocations, mesh-forward 63 868 and isp-converge
 // 196 237 when every hop, every accepting relay and every flush allocated,
 // and every alert was decoded before it was admitted; they read 22 459,
-// 35 633 and 74 383 (16.9, 29.1 and 39.8 MB) without.
+// 35 633 and 74 383 (16.9, 29.1 and 39.8 MB) without. Nor does a run
+// allocate per χ batch or per adopted alert: chi-tcp read 22 474 when each
+// batch cost a Batch, four lanes, two escaping aggregate tags and a share
+// of a per-round admission map, and mesh-forward and isp-converge 35 637
+// and 74 385 when every router adopting an announcement formatted its own
+// Detail; they read 5 380–5 387, 30 747–30 759 and 60 634–61 891 (16.5,
+// 29.0 and 39.6–41.5 MB) without, at GOMAXPROCS 1–32.
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates the heap the budget measures")
@@ -98,9 +104,9 @@ func TestRunAllocBudget(t *testing.T) {
 		budgetMB     float64
 		budgetAllocs uint64
 	}{
-		{"chi-tcp", 20, 23_600},
-		{"mesh-forward", 36, 37_400},
-		{"isp-converge", 55, 78_000},
+		{"chi-tcp", 20, 5_650},
+		{"mesh-forward", 36, 32_300},
+		{"isp-converge", 55, 65_000},
 	} {
 		t.Run(tc.workload, func(t *testing.T) {
 			path := "../../../bench/workloads/" + tc.workload + ".json"

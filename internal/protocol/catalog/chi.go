@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -35,7 +36,7 @@ func parseChiOptions(p protocol.Params) (any, error) {
 		FabricationTolerance: d.Int("fabrication-tolerance", 0),
 		Learning:             d.Bool("learning", false),
 	}
-	if err := d.Err(); err != nil {
+	if err := errors.Join(d.Err(), o.Validate()); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -48,6 +49,9 @@ func attachChi(env protocol.Env, opts any, hooks protocol.Hooks) (any, error) {
 		if o, ok = opts.(chi.Options); !ok {
 			return nil, fmt.Errorf("chi: options are %T, want chi.Options", opts)
 		}
+	}
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 	o.Sink = protocol.MergeSink(o.Sink, hooks.Sink)
 	return chi.Attach(env, o), nil

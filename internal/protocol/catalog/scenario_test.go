@@ -75,6 +75,10 @@ func TestRunBadOptions(t *testing.T) {
 		{"replica negative observed", "replica", protocol.Params{"observed": "-1"}, `option "observed": "-1" must not be negative`},
 		{"replica observed out of range", "replica", protocol.Params{"observed": "99"}, `option "observed": r99 is not one of the topology's 3 routers`},
 		{"chi negative round", "chi", protocol.Params{"round": "-1s"}, `option "round": "-1s" must not be negative`},
+		// A validator holds one pending round's batches at a time, so the
+		// checkpoint must run before the next round boundary.
+		{"chi timeout not below round", "chi", protocol.Params{"timeout": "1s"}, `chi: timeout 1s must be shorter than round 1s`},
+		{"chi timeout above round", "chi", protocol.Params{"round": "200ms", "timeout": "250ms"}, `chi: timeout 250ms must be shorter than round 200ms`},
 		{"queue-monitor no such link", "queue-monitor", protocol.Params{"r": "0", "rd": "2"}, `option "rd": the topology has no link r0→r2`},
 		{"pik2 negative k", "pik2", protocol.Params{"k": "-3"}, `option "k": "-3" must not be negative`},
 	}

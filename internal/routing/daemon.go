@@ -173,9 +173,16 @@ func (d *Daemon) AnnounceSuspicion(seg topology.Segment) {
 // its origin signed it; the daemon requires a whole segment key with the
 // origin as a member (§4.2.2: a faulty router announcing bogus suspicions
 // can only break links adjacent to itself, which "adds no further
-// disadvantage").
+// disadvantage"). It admits before it decodes: an announcement it refuses
+// or whose segment is already excluded is read in place and costs nothing.
 func (d *Daemon) onAlert(m consensus.Msg) {
-	if seg, ok := topology.MemberSegment(m.Payload, m.Origin); ok && d.excl.Add(seg) {
+	if !topology.MemberKey(m.Payload, m.Origin) {
+		return
+	}
+	if _, excluded := d.excl.segments[topology.SegmentKey(m.Payload)]; excluded {
+		return
+	}
+	if d.excl.Add(topology.DecodeKey(topology.SegmentKey(m.Payload))) {
 		d.scheduleRecompute()
 	}
 }

@@ -269,3 +269,34 @@ func FuzzRoutingAlert(f *testing.F) {
 		}
 	})
 }
+
+// TestAlertAdmissionAllocFree: an announcement the daemon refuses or whose
+// segment it already excludes costs it no allocation — onAlert reads the
+// flooded key in place and decodes only a segment it adds. Daemon 0 of
+// doorGraph excludes 1's ⟨0,1,2⟩, then hears a payload that names no
+// segment, a segment whose announcer is not on it, and ⟨0,1,2⟩ again from 2.
+func TestAlertAdmissionAllocFree(t *testing.T) {
+	net := network.New(doorGraph(), network.Options{Seed: 3})
+	d := Attach(net, consensus.NewService(net), Options{}).Daemon(0)
+	excluded := topology.AppendKey(nil, topology.Segment{0, 1, 2})
+	d.onAlert(consensus.Msg{Origin: 1, Topic: TopicAlert, Payload: excluded})
+	if got := d.Exclusions().Segments(); len(got) != 1 {
+		t.Fatalf("daemon 0 excludes %v after 1's announcement, want <r0,r1,r2>", got)
+	}
+	for _, tc := range []struct {
+		name string
+		m    consensus.Msg
+	}{
+		{"unknown", consensus.Msg{Origin: 1, Topic: TopicAlert, Payload: excluded[:10]}},
+		{"non-member", consensus.Msg{Origin: 4, Topic: TopicAlert,
+			Payload: topology.AppendKey(nil, topology.Segment{2, 3})}},
+		{"already-excluded", consensus.Msg{Origin: 2, Topic: TopicAlert, Payload: excluded}},
+	} {
+		if n := testing.AllocsPerRun(100, func() { d.onAlert(tc.m) }); n != 0 {
+			t.Errorf("%s alert allocates %v at its daemon, want 0", tc.name, n)
+		}
+	}
+	if got := d.Exclusions().Segments(); len(got) != 1 {
+		t.Fatalf("daemon 0 excludes %v, want only the segment it added", got)
+	}
+}

@@ -43,19 +43,10 @@ func DecodeKey(k SegmentKey) Segment {
 	return s
 }
 
-// MemberSegment decodes a flooded suspicion's payload: it must be a whole
-// segment key, and the segment must contain the origin that signed it — a
-// router may only announce segments it belongs to (§4.2.2).
-func MemberSegment(payload []byte, origin packet.NodeID) (Segment, bool) {
-	if !MemberKey(payload, origin) {
-		return nil, false
-	}
-	return DecodeKey(SegmentKey(payload)), true
-}
-
 // MemberKey reports whether payload is a whole segment key whose segment
-// contains r: MemberSegment's admission test, read off the encoding
-// without decoding it, so a refused announcement costs no allocation.
+// contains r — a router may only announce segments it belongs to (§4.2.2).
+// It reads the encoding without decoding it, so a refused announcement
+// costs no allocation.
 func MemberKey(payload []byte, r packet.NodeID) bool {
 	if len(payload)%4 != 0 {
 		return false
