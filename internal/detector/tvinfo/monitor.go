@@ -20,6 +20,7 @@ type Env interface {
 	Auth() *auth.Authority
 	Hasher() packet.Hasher
 	Tap(at packet.NodeID, fn func(network.Event))
+	Now() time.Duration
 	After(d time.Duration, fn func())
 	Every(interval time.Duration, fn func()) *sim.Ticker
 }
@@ -59,11 +60,17 @@ type Recording struct {
 	ticks, judged int
 }
 
-// Drive starts the deployment's one round clock, a boundary every Round from
-// now: the boundary that closes round n calls exchange(n), and the timeout
-// µ later judge(n), each for every router. Call it once, after every Start.
+// Drive starts the deployment's one round clock, a boundary at every
+// multiple of Round after now: the boundary (n+1)τ, which closes round n,
+// calls exchange(n), and the timeout µ later judge(n), each for every
+// router. Packets are binned by absolute time, so the first round driven is
+// the one in progress at attach, and earlier rounds are never admitted.
+// Call it once, after every Start.
 func (r *Recording) Drive(timeout time.Duration, exchange, judge func(n int)) {
-	r.Env.Every(r.Round, func() {
+	now := r.Env.Now()
+	r.ticks = int(now / r.Round)
+	r.judged = r.ticks
+	tick := func() {
 		n := r.ticks
 		r.ticks++
 		exchange(n)
@@ -71,6 +78,10 @@ func (r *Recording) Drive(timeout time.Duration, exchange, judge func(n int)) {
 			r.judged = n + 1
 			judge(n)
 		})
+	}
+	r.Env.After(time.Duration(r.ticks+1)*r.Round-now, func() {
+		tick()
+		r.Env.Every(r.Round, tick)
 	})
 }
 
@@ -104,9 +115,8 @@ type Watch struct {
 	// open holds this router's summaries for the rounds not yet closed,
 	// oldest first. Two or three are live at a time — a packet's bin is its
 	// predicted sink arrival, never earlier than now, and the protocol
-	// closes a round µ after the Drive boundary that exchanged it, which
-	// comes as long after the bin's end as the protocol attached after
-	// time 0 — so a search is a compare or three.
+	// closes round n µ after the boundary (n+1)τ that ends its bin — so a
+	// search is a compare or three.
 	open []openRound
 }
 

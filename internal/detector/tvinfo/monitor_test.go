@@ -31,6 +31,7 @@ func (e *tapEnv) Hasher() packet.Hasher  { return packet.NewHasher(1, 2) }
 func (e *tapEnv) Tap(at packet.NodeID, fn func(network.Event)) {
 	e.taps[at] = fn
 }
+func (e *tapEnv) Now() time.Duration               { return e.sched.Now() }
 func (e *tapEnv) After(d time.Duration, fn func()) { e.sched.After(d, fn) }
 func (e *tapEnv) Every(d time.Duration, fn func()) *sim.Ticker {
 	return e.sched.NewTicker(d, fn)
@@ -317,11 +318,13 @@ func TestRouteMemoBounded(t *testing.T) {
 }
 
 // TestDriveWindow pins the deployment's round clock: one pending event
-// however many routers it serves, a boundary every Round from the Drive
-// call, exchange(n) at the boundary that closes round n and judge(n) the
-// timeout later, and the window Admits answers in between.
+// however many routers it serves, boundaries on the multiples of Round,
+// exchange(n) at the boundary that closes round n and judge(n) the timeout
+// later, and the window Admits answers in between. Attached at 1.3 s, the
+// clock first closes round 1 at 2 s; round 0, whose bin closed before
+// attach, is never admitted.
 func TestDriveWindow(t *testing.T) {
-	const attach, timeout = 300 * time.Millisecond, testRound / 4
+	const attach, timeout = 1300 * time.Millisecond, testRound / 4
 	s := sim.New()
 	s.RunUntil(attach)
 	rec := &Recording{Env: &tapEnv{sched: s}, Round: testRound}
@@ -348,10 +351,10 @@ func TestDriveWindow(t *testing.T) {
 		at   time.Duration
 		want []int
 	}{
-		{attach, []int{0}},
-		{attach + testRound, []int{0, 1}},
-		{attach + testRound + timeout, []int{1}},
-		{attach + 2*testRound + timeout, []int{2}},
+		{attach, []int{1}},
+		{2 * testRound, []int{1, 2}},
+		{2*testRound + timeout, []int{2}},
+		{3*testRound + timeout, []int{3}},
 	}
 	for _, w := range windows {
 		s.RunUntil(w.at)
@@ -360,8 +363,8 @@ func TestDriveWindow(t *testing.T) {
 		}
 	}
 	want := []string{
-		"exchange 0 at 1.3s", "judge 0 at 1.55s",
-		"exchange 1 at 2.3s", "judge 1 at 2.55s",
+		"exchange 1 at 2s", "judge 1 at 2.25s",
+		"exchange 2 at 3s", "judge 2 at 3.25s",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("the clock fired\n%v\nwant\n%v", got, want)

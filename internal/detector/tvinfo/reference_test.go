@@ -110,6 +110,7 @@ type scanEnv struct {
 func (e *scanEnv) Graph() *topology.Graph           { return e.net.Graph() }
 func (e *scanEnv) Auth() *auth.Authority            { return e.net.Auth() }
 func (e *scanEnv) Hasher() packet.Hasher            { return e.net.Hasher() }
+func (e *scanEnv) Now() time.Duration               { return e.net.Now() }
 func (e *scanEnv) After(d time.Duration, fn func()) { e.net.Scheduler().After(d, fn) }
 func (e *scanEnv) Every(d time.Duration, fn func()) *sim.Ticker {
 	return e.net.Scheduler().NewTicker(d, fn)
