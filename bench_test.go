@@ -384,8 +384,8 @@ func BenchmarkTraceReplay(b *testing.B) {
 }
 
 // benchISPSpec is the ISP-scale benchmark scenario: Πk+2 over a generated
-// 200-router hierarchical ISP topology, link-state routing with the scale
-// options on, and a 100-pair random traffic mesh.
+// 200-router hierarchical ISP topology, link-state routing, and a 100-pair
+// random traffic mesh.
 func benchISPSpec() *protocol.Spec {
 	return &protocol.Spec{
 		Name:     "bench-isp",
@@ -399,8 +399,7 @@ func benchISPSpec() *protocol.Spec {
 		Topology: protocol.TopologySpec{Kind: "isp", N: 200, Pops: 8, Seed: 7},
 		Routing: &protocol.RoutingSpec{
 			Delay: protocol.Duration(time.Second), Hold: protocol.Duration(2 * time.Second),
-			Converge:       protocol.Duration(2 * time.Minute),
-			StaggerRegions: true, BundleFlood: true, BatchCompute: true,
+			Converge: protocol.Duration(2 * time.Minute),
 		},
 		Traffic: []protocol.TrafficSpec{{
 			Kind: "mesh", Pairs: 100, Count: 200,

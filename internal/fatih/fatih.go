@@ -68,7 +68,7 @@ func Deploy(net *network.Network) *System {
 	// Coordinator refreshes it once the wave settles ("the coordinator is
 	// kept abreast of routing changes so that it always knows which
 	// path-segments should be monitored", §5.3.1).
-	s.Routing = routing.Attach(net, env.Flood(), routing.Options{})
+	s.Routing = routing.Attach(net, env.Flood(), routing.Timers{})
 	dirty := false
 	for _, d := range s.Routing.Daemons() {
 		d := d

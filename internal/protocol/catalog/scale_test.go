@@ -15,7 +15,7 @@ import (
 )
 
 // ispDropSpec is a generated ~100-router hierarchical scenario: link-state
-// routing with every scale option on, a 40-pair random traffic mesh, and a
+// routing, a 40-pair random traffic mesh, and a
 // PoP-0 core router dropping transit traffic.
 func ispDropSpec() *protocol.Spec {
 	return &protocol.Spec{
@@ -31,8 +31,7 @@ func ispDropSpec() *protocol.Spec {
 		Topology: protocol.TopologySpec{Kind: "isp", N: 96, Pops: 4, Seed: 11},
 		Routing: &protocol.RoutingSpec{
 			Delay: protocol.Duration(time.Second), Hold: protocol.Duration(2 * time.Second),
-			Converge:       protocol.Duration(2 * time.Minute),
-			StaggerRegions: true, BundleFlood: true, BatchCompute: true,
+			Converge: protocol.Duration(2 * time.Minute),
 		},
 		Attack: &protocol.AttackSpec{
 			Kind: "drop", Node: 0, Rate: 0.6, Select: "data",
@@ -138,27 +137,6 @@ func TestScaleScenariosDetect(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAssembleSimHonoursRoutingSpec pins that AssembleSim attaches the
-// routing fabric with the spec's scale options, as RunGeneric does:
-// bundling LSA floods must cut the control messages sent by assembly time.
-func TestAssembleSimHonoursRoutingSpec(t *testing.T) {
-	controlMessages := func(bundle bool) int64 {
-		spec := ispDropSpec()
-		spec.Routing.BundleFlood = bundle
-		reg := telemetry.NewRegistry()
-		be, err := protocol.AssembleSim(spec, &telemetry.Set{Metrics: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer be.Close()
-		return reg.Counter("rw_control_messages_total").Value()
-	}
-	bundled, plain := controlMessages(true), controlMessages(false)
-	if bundled <= 0 || bundled >= plain {
-		t.Errorf("rw_control_messages_total after assembly: %d with bundle-flood, %d without; want 0 < bundled < plain", bundled, plain)
 	}
 }
 

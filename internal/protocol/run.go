@@ -180,12 +180,7 @@ func assemble(spec *Spec, tel *telemetry.Set, attach func(*Result) error) (*Resu
 	res := &Result{Spec: spec, Env: NewSimEnv(net), Net: net, Faulty: -1}
 
 	if r := spec.Routing; r != nil {
-		res.Routing = routing.Attach(net, res.Env.Flood(), routing.Options{
-			Timers:         routing.Timers{Delay: r.Delay.D(), Hold: r.Hold.D()},
-			StaggerRegions: r.StaggerRegions,
-			BundleFlood:    r.BundleFlood,
-			BatchCompute:   r.BatchCompute,
-		})
+		res.Routing = routing.Attach(net, res.Env.Flood(), routing.Timers{Delay: r.Delay.D(), Hold: r.Hold.D()})
 		if c := r.Converge.D(); c > 0 {
 			res.Routing.RunUntilConverged(c)
 		}

@@ -251,9 +251,10 @@ type RoutingSpec struct {
 	// after the suspicion log: the suspecting router's daemon announces
 	// every suspected segment — the paper's response mechanism.
 	Respond bool `json:"respond,omitempty"`
-	// StaggerRegions, BundleFlood and BatchCompute map onto routing.Options
-	// — the substrate's scale knobs for generated topologies. All false
-	// reproduces the legacy routing event stream byte-for-byte.
+	// StaggerRegions, BundleFlood and BatchCompute are accepted and
+	// ignored: scenario files written when they chose between two routing
+	// schedules still decode, and run on the one that stayed (region-
+	// staggered origination, bundled floods and batched recomputes).
 	StaggerRegions bool `json:"stagger-regions,omitempty"`
 	BundleFlood    bool `json:"bundle-flood,omitempty"`
 	BatchCompute   bool `json:"batch-compute,omitempty"`

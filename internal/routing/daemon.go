@@ -12,10 +12,6 @@ import (
 	"routerwatch/internal/topology"
 )
 
-// KindLSA is the control-message kind that floods link-state
-// advertisements.
-const KindLSA = "routing/lsa"
-
 // TopicAlert is the consensus topic of the response's suspicion alerts: the
 // payload is the suspected segment's key, signed by the announcer.
 const TopicAlert = "routing/alert"
@@ -52,10 +48,10 @@ type Daemon struct {
 
 	table *Table
 
-	// pending and flushQueued implement bundled flooding (Options.BundleFlood):
-	// accepted LSAs collect here until the floodHold flush, which sends a
-	// copy and reuses the slice. flush is flushPending, bound once so that
-	// scheduling a flush allocates no method value.
+	// pending and flushQueued implement bundled flooding: accepted LSAs
+	// collect here until the floodHold flush, which sends a copy and reuses
+	// the slice. flush is flushPending, bound once so that scheduling a
+	// flush allocates no method value.
 	pending     []*LSA
 	flushQueued bool
 	flush       func()
@@ -69,7 +65,6 @@ type Daemon struct {
 type Protocol struct {
 	net     *network.Network
 	flood   *consensus.Service
-	opts    Options
 	daemons []*Daemon
 	// recomputes and tracer count and mark each table installation,
 	// nodeTables and edgeTables count the installed tables by the kernel
@@ -80,7 +75,7 @@ type Protocol struct {
 	nodeTables, edgeTables    *telemetry.Counter
 	tracer                    *telemetry.Tracer
 	// due maps a batch instant to the daemons whose recompute is coalesced
-	// into it (Options.BatchCompute).
+	// into it.
 	due map[time.Duration][]*Daemon
 	// bundleChunk and memberChunk are the append-only chunks flushes carve
 	// bundles from (carveBundle).
@@ -123,24 +118,14 @@ func (d *Daemon) originateLSA() {
 		nbs = append(nbs, NeighborEntry{ID: nb, Cost: link.Cost})
 	}
 	lsa := &LSA{Origin: d.id, Seq: d.seq, Neighbors: nbs}
-	d.acceptLSA(lsa, -1)
+	d.acceptLSA(lsa)
 }
 
-// handleLSA processes a flooded LSA arriving from a neighbor.
-func (d *Daemon) handleLSA(m *network.ControlMessage) {
-	lsa, ok := m.Payload.(*LSA)
-	if !ok {
-		return
-	}
-	d.acceptLSA(lsa, m.From)
-}
-
-// acceptLSA installs a new LSA and re-floods it. from is the neighbor it
-// arrived from, or -1 if originated locally. A nil LSA, or one whose
-// origin is not a router of the topology, is dropped at the door: a
-// protocol-faulty router must not grow a correct router's LSDB, nor panic
-// it.
-func (d *Daemon) acceptLSA(lsa *LSA, from packet.NodeID) {
+// acceptLSA installs a new LSA and queues it for the next bundle flood. A
+// nil LSA, or one whose origin is not a router of the topology, is dropped
+// at the door: a protocol-faulty router must not grow a correct router's
+// LSDB, nor panic it.
+func (d *Daemon) acceptLSA(lsa *LSA) {
 	if lsa == nil || uint32(lsa.Origin) >= uint32(len(d.lsdb)) {
 		return
 	}
@@ -149,11 +134,7 @@ func (d *Daemon) acceptLSA(lsa *LSA, from packet.NodeID) {
 	}
 	d.lsdb[lsa.Origin] = lsa
 	d.proto.lsas.Inc()
-	if d.proto.opts.BundleFlood {
-		d.enqueueFlood(lsa)
-	} else {
-		d.flood(lsa, from)
-	}
+	d.enqueueFlood(lsa)
 	d.scheduleRecompute()
 }
 
@@ -187,20 +168,10 @@ func (d *Daemon) onAlert(m consensus.Msg) {
 	}
 }
 
-// flood relays an LSA to all neighbors except the one it came from.
-func (d *Daemon) flood(lsa *LSA, except packet.NodeID) {
-	for _, nb := range d.proto.net.Graph().Neighbors(d.id) {
-		if nb == except {
-			continue
-		}
-		d.proto.net.SendControlDirect(d.id, nb, KindLSA, lsa)
-	}
-}
-
 // scheduleRecompute applies the OSPF delay/hold timers: compute Delay after
-// the trigger, but never within Hold of the previous computation. Under
-// Options.BatchCompute, same-instant recomputes across daemons coalesce into
-// one batch event (see Protocol.runBatch).
+// the trigger, but never within Hold of the previous computation.
+// Same-instant recomputes across daemons coalesce into one batch event (see
+// Protocol.runBatch).
 func (d *Daemon) scheduleRecompute() {
 	if d.computeQueued {
 		return
@@ -212,22 +183,10 @@ func (d *Daemon) scheduleRecompute() {
 	if earliest := d.lastCompute + d.timers.Hold; d.everComputed && at < earliest {
 		at = earliest
 	}
-	if p.opts.BatchCompute {
-		if _, ok := p.due[at]; !ok {
-			due := at
-			sched.At(due, func() { p.runBatch(due) })
-		}
-		p.due[at] = append(p.due[at], d)
-		return
+	if _, ok := p.due[at]; !ok {
+		sched.At(at, func() { p.runBatch(at) })
 	}
-	sched.At(at, d.recompute)
-}
-
-// recompute rebuilds the adjacency from the LSDB, applies exclusions,
-// computes the table, and installs it as the router's forwarder.
-func (d *Daemon) recompute() {
-	d.prepare(d.proto.net.Graph().CSR())
-	d.install(d.proto.net.Scheduler().Now())
+	p.due[at] = append(p.due[at], d)
 }
 
 // prepare computes the daemon's table. truth is the ground-truth adjacency,

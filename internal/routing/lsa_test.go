@@ -28,9 +28,10 @@ func doorGraph() *topology.Graph {
 	return g
 }
 
-// A protocol-faulty neighbour can send an LSA of any origin, or a typed nil
-// where a pointer payload belongs. Each must be dropped at the door: no
-// panic, nothing stored, nothing flooded, no recompute scheduled. An alert
+// A protocol-faulty neighbour can bundle an LSA of any origin, or send a
+// typed nil or a bare LSA where a bundle belongs. Each must be dropped at
+// the door: no panic, nothing stored, nothing flooded, no recompute
+// scheduled. So must a message of the retired per-LSA kind. An alert
 // enters at the flood's door instead: whatever the flood delivers or
 // refuses, no daemon may exclude anything or recompute.
 func TestMalformedRoutingMessagesDropped(t *testing.T) {
@@ -38,7 +39,7 @@ func TestMalformedRoutingMessagesDropped(t *testing.T) {
 	g := topology.ISP(topology.ISPSpec{Nodes: n, PoPs: 4, Seed: 11})
 	tel := &telemetry.Set{Metrics: telemetry.NewRegistry()}
 	net := network.New(g, network.Options{Seed: 5, Telemetry: tel})
-	proto := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
+	proto := Attach(net, consensus.NewService(net), Timers{Delay: time.Second, Hold: 2 * time.Second})
 	if !proto.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("routing did not converge")
 	}
@@ -48,23 +49,24 @@ func TestMalformedRoutingMessagesDropped(t *testing.T) {
 	lsa := func(origin packet.NodeID) *LSA {
 		return &LSA{Origin: origin, Seq: math.MaxUint64, Neighbors: []NeighborEntry{{ID: 0, Cost: 1}}}
 	}
+	one := func(lsa *LSA) *LSABundle { return &LSABundle{LSAs: []*LSA{lsa}} }
 	rows := []struct {
 		name    string
-		handle  func(*network.ControlMessage)
 		payload any
 	}{
-		{"origin -1", d.handleLSA, lsa(-1)},
-		{"origin n", d.handleLSA, lsa(n)},
-		{"origin MaxInt32", d.handleLSA, lsa(math.MaxInt32)},
-		{"nil LSA", d.handleLSA, (*LSA)(nil)},
-		{"bundle of bad origins", d.handleLSABundle, &LSABundle{LSAs: []*LSA{lsa(-1), lsa(n), lsa(math.MaxInt32)}}},
-		{"nil bundle", d.handleLSABundle, (*LSABundle)(nil)},
-		{"nil bundle member", d.handleLSABundle, &LSABundle{LSAs: []*LSA{nil}}},
+		{"origin -1", one(lsa(-1))},
+		{"origin n", one(lsa(n))},
+		{"origin MaxInt32", one(lsa(math.MaxInt32))},
+		{"nil LSA", (*LSA)(nil)},
+		{"bare LSA", lsa(from)},
+		{"bundle of bad origins", &LSABundle{LSAs: []*LSA{lsa(-1), lsa(n), lsa(math.MaxInt32)}}},
+		{"nil bundle", (*LSABundle)(nil)},
+		{"nil bundle member", one(nil)},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			lsdb, before, pending := slices.Clone(d.lsdb), sent.Value(), net.Scheduler().Pending()
-			row.handle(&network.ControlMessage{From: from, To: 7, Payload: row.payload})
+			d.handleLSABundle(&network.ControlMessage{From: from, To: 7, Payload: row.payload})
 			if !slices.Equal(d.lsdb, lsdb) {
 				t.Error("the LSDB changed")
 			}
@@ -107,6 +109,20 @@ func TestMalformedRoutingMessagesDropped(t *testing.T) {
 			}
 		})
 	}
+
+	// Floods are bundles only: a message of the retired per-LSA kind finds
+	// no handler, however new the LSA it carries.
+	t.Run("retired kind routing/lsa", func(t *testing.T) {
+		lsdb, before := slices.Clone(d.lsdb), recomputes.Value()
+		net.SendControlDirect(from, 7, "routing/lsa", lsa(from))
+		net.Run(net.Now() + 10*time.Second)
+		if !slices.Equal(d.lsdb, lsdb) {
+			t.Error("the LSDB changed")
+		}
+		if got := recomputes.Value(); got != before || d.computeQueued {
+			t.Errorf("%d tables recomputed (recompute queued: %v)", got-before, d.computeQueued)
+		}
+	})
 }
 
 // fuzzNode decodes one router ID: a byte with the high bit set names one of
@@ -145,10 +161,10 @@ func fuzzLSA(data []byte, n int) (lsa *LSA, rest []byte, ok bool) {
 	return lsa, data[2*count:], true
 }
 
-// FuzzAcceptLSA feeds one daemon of doorGraph, before anything has run, a
-// decoded sequence of messages, each from a neighbour: op byte mod 3 = 0 is
-// one LSA (fuzzLSA) through handleLSA, 1 a bundle of (next byte mod 4)
-// members through handleLSABundle, 2 a typed-nil *LSABundle. The daemon
+// FuzzAcceptLSA feeds one daemon of doorGraph's handleLSABundle, before
+// anything has run, a decoded sequence of messages, each from a neighbour:
+// op byte mod 3 = 0 is a bundle of one LSA (fuzzLSA), 1 a bundle of (next
+// byte mod 4) members, 2 a typed-nil *LSABundle. The daemon
 // must not panic, must store only in-range origins, each at the highest seq
 // offered for it, and must advertise only links the graph has.
 func FuzzAcceptLSA(f *testing.F) {
@@ -164,7 +180,7 @@ func FuzzAcceptLSA(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := doorGraph()
 		net := network.New(g, network.Options{Seed: 3})
-		proto := Attach(net, consensus.NewService(net), Options{})
+		proto := Attach(net, consensus.NewService(net), Timers{})
 		n := g.NumNodes()
 		d := proto.Daemon(0)
 		nbrs := g.Neighbors(0)
@@ -189,8 +205,8 @@ func FuzzAcceptLSA(f *testing.F) {
 				}
 				data = rest
 				offer(lsa)
-				m.Payload = lsa
-				d.handleLSA(m)
+				m.Payload = &LSABundle{LSAs: []*LSA{lsa}}
+				d.handleLSABundle(m)
 			case 1:
 				if len(data) == 0 {
 					break
@@ -255,7 +271,7 @@ func FuzzRoutingAlert(f *testing.F) {
 	f.Fuzz(func(t *testing.T, originByte byte, payload []byte) {
 		g := doorGraph()
 		net := network.New(g, network.Options{Seed: 3})
-		proto := Attach(net, consensus.NewService(net), Options{})
+		proto := Attach(net, consensus.NewService(net), Timers{})
 		d := proto.Daemon(0)
 		origin := fuzzNode(originByte, g.NumNodes())
 		d.onAlert(consensus.Msg{Origin: origin, Topic: TopicAlert, Payload: payload})
@@ -277,7 +293,7 @@ func FuzzRoutingAlert(f *testing.F) {
 // segment, a segment whose announcer is not on it, and ⟨0,1,2⟩ again from 2.
 func TestAlertAdmissionAllocFree(t *testing.T) {
 	net := network.New(doorGraph(), network.Options{Seed: 3})
-	d := Attach(net, consensus.NewService(net), Options{}).Daemon(0)
+	d := Attach(net, consensus.NewService(net), Timers{}).Daemon(0)
 	excluded := topology.AppendKey(nil, topology.Segment{0, 1, 2})
 	d.onAlert(consensus.Msg{Origin: 1, Topic: TopicAlert, Payload: excluded})
 	if got := d.Exclusions().Segments(); len(got) != 1 {

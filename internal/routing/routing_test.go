@@ -118,7 +118,7 @@ func newAbileneNet(t *testing.T) (*network.Network, *Protocol) {
 	t.Helper()
 	g := topology.Abilene()
 	net := network.New(g, network.Options{Seed: 5})
-	proto := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
+	proto := Attach(net, consensus.NewService(net), Timers{Delay: time.Second, Hold: 2 * time.Second})
 	if !proto.RunUntilConverged(time.Minute) {
 		t.Fatal("routing did not converge")
 	}
@@ -303,7 +303,7 @@ func TestAlertSurvivesSelectiveRelay(t *testing.T) {
 	g.AddDuplex(r, s, slow)
 	g.AddDuplex(s, a, slow)
 	net := network.New(g, network.Options{Seed: 5})
-	proto := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
+	proto := Attach(net, consensus.NewService(net), Timers{Delay: time.Second, Hold: 2 * time.Second})
 	if !proto.RunUntilConverged(time.Minute) {
 		t.Fatal("routing did not converge")
 	}
@@ -325,7 +325,7 @@ func TestAlertSurvivesSelectiveRelay(t *testing.T) {
 func TestHoldTimerBatchesRecomputations(t *testing.T) {
 	g := topology.Abilene()
 	net := network.New(g, network.Options{Seed: 5})
-	proto := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 10 * time.Second}})
+	proto := Attach(net, consensus.NewService(net), Timers{Delay: time.Second, Hold: 10 * time.Second})
 	if !proto.RunUntilConverged(2 * time.Minute) {
 		t.Fatal("no convergence")
 	}

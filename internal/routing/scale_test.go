@@ -42,39 +42,42 @@ func ispGraph(t *testing.T) *topology.Graph {
 	return topology.ISP(topology.ISPSpec{Nodes: 96, PoPs: 4, Seed: 11})
 }
 
-// All scale options on: the substrate must still converge to exactly the
-// tables the legacy per-router/per-LSA path computes.
-func TestScaleOptionsConvergeToLegacyTables(t *testing.T) {
-	g := ispGraph(t)
-	timers := Timers{Delay: time.Second, Hold: 2 * time.Second}
-
-	legacyNet := network.New(g.Clone(), network.Options{Seed: 5})
-	legacy := Attach(legacyNet, consensus.NewService(legacyNet), Options{Timers: timers})
-	if !legacy.RunUntilConverged(5 * time.Minute) {
-		t.Fatal("legacy path did not converge")
-	}
-
-	scaledNet := network.New(g.Clone(), network.Options{Seed: 5})
-	scaled := Attach(scaledNet, consensus.NewService(scaledNet), Options{
-		Timers:         timers,
-		StaggerRegions: true,
-		BundleFlood:    true,
-		BatchCompute:   true,
-	})
-	if !scaled.RunUntilConverged(5 * time.Minute) {
-		t.Fatal("scaled path did not converge")
-	}
-
-	want := tableMatrix(t, legacy, g)
-	got := tableMatrix(t, scaled, g)
-	if len(want) != len(got) {
-		t.Fatalf("matrix sizes differ: %d vs %d", len(want), len(got))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("next hop mismatch at router %v from %v dst %v: legacy %v, scaled %v",
-				k[0], k[1], k[2], v, got[k])
-		}
+// The convergence oracle: on ISP-96 (four regions, so origination is
+// staggered) and on Abilene (untagged, so every router originates at
+// t = 0), every daemon's converged table must forward exactly as
+// ComputeTable on the true graph does, from every inbound context to every
+// destination.
+func TestConvergesToComputeTable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"isp96", ispGraph(t)},
+		{"abilene", topology.Abilene()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			net := network.New(g.Clone(), network.Options{Seed: 5})
+			p := Attach(net, consensus.NewService(net), Timers{Delay: time.Second, Hold: 2 * time.Second})
+			if !p.RunUntilConverged(5 * time.Minute) {
+				t.Fatal("routing did not converge")
+			}
+			got := tableMatrix(t, p, g)
+			for _, r := range g.Nodes() {
+				want := ComputeTable(g, r, NewExclusions())
+				for _, from := range append([]packet.NodeID{r}, g.Neighbors(r)...) {
+					for _, dst := range g.Nodes() {
+						nh, ok := want.NextHop(from, dst)
+						if !ok {
+							nh = -1
+						}
+						if k := [3]packet.NodeID{r, from, dst}; got[k] != nh {
+							t.Fatalf("router %v from %v to %v: converged next hop %v, ComputeTable %v", r, from, dst, got[k], nh)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -87,7 +90,7 @@ func TestBatchComputeWorkerInvariance(t *testing.T) {
 	run := func(workers int) map[[3]packet.NodeID]packet.NodeID {
 		runtime.GOMAXPROCS(workers)
 		net := network.New(g.Clone(), network.Options{Seed: 9})
-		p := Attach(net, consensus.NewService(net), Options{Timers: timers, BatchCompute: true})
+		p := Attach(net, consensus.NewService(net), timers)
 		if !p.RunUntilConverged(5 * time.Minute) {
 			t.Fatalf("workers=%d did not converge", workers)
 		}
@@ -107,28 +110,24 @@ func TestBatchComputeWorkerInvariance(t *testing.T) {
 	}
 }
 
-// Bundled flooding alone (no batching) still converges and the bundles
-// terminate: total control traffic is finite and tables match legacy.
+// Bundled floods terminate: a minute after convergence no event is left
+// pending, and every daemon holds every origin's LSA.
 func TestBundleFloodConverges(t *testing.T) {
 	g := ispGraph(t)
-	timers := Timers{Delay: time.Second, Hold: 2 * time.Second}
-
-	legacyNet := network.New(g.Clone(), network.Options{Seed: 3})
-	legacy := Attach(legacyNet, consensus.NewService(legacyNet), Options{Timers: timers})
-	if !legacy.RunUntilConverged(5 * time.Minute) {
-		t.Fatal("legacy did not converge")
-	}
-
 	net := network.New(g.Clone(), network.Options{Seed: 3})
-	p := Attach(net, consensus.NewService(net), Options{Timers: timers, BundleFlood: true})
+	p := Attach(net, consensus.NewService(net), Timers{Delay: time.Second, Hold: 2 * time.Second})
 	if !p.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("bundled flooding did not converge")
 	}
-	want := tableMatrix(t, legacy, g)
-	got := tableMatrix(t, p, g)
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("bundled tables diverge at %v: %v vs %v", k, v, got[k])
+	net.Run(net.Now() + time.Minute)
+	if n := net.Scheduler().Pending(); n != 0 {
+		t.Fatalf("%d events pending a minute after convergence", n)
+	}
+	for _, d := range p.Daemons() {
+		for o, lsa := range d.lsdb {
+			if lsa == nil {
+				t.Fatalf("router %v never heard origin %d's LSA", d.ID(), o)
+			}
 		}
 	}
 }
@@ -139,7 +138,7 @@ func TestBundleFloodConverges(t *testing.T) {
 func TestBundleOutlivesPendingScratch(t *testing.T) {
 	g := doorGraph()
 	net := network.New(g, network.Options{Seed: 2})
-	p := Attach(net, consensus.NewService(net), Options{BundleFlood: true})
+	p := Attach(net, consensus.NewService(net), Timers{})
 	var got [][]*LSA
 	net.Router(1).HandleControl(KindLSABundle, func(m *network.ControlMessage) {
 		if m.From == 0 {
@@ -166,7 +165,7 @@ func TestTablesCountedByKernel(t *testing.T) {
 	g := ispGraph(t)
 	tel := &telemetry.Set{Metrics: telemetry.NewRegistry()}
 	net := network.New(g, network.Options{Seed: 5, Telemetry: tel})
-	p := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
+	p := Attach(net, consensus.NewService(net), Timers{Delay: time.Second, Hold: 2 * time.Second})
 	node := tel.Registry().Counter("rw_routing_tables_total", "kernel", "node")
 	edge := tel.Registry().Counter("rw_routing_tables_total", "kernel", "edge")
 	if !p.RunUntilConverged(5 * time.Minute) {
@@ -189,24 +188,20 @@ func TestTablesCountedByKernel(t *testing.T) {
 
 // rw_routing_lsas_total counts the LSAs daemons accept as new and
 // rw_routing_bundles_total the bundles they flush: a cold start over n
-// routers accepts every origin's one LSA at every daemon, n², however it
-// floods, and only bundled flooding flushes bundles — fewer than the LSAs
-// they carry.
+// routers accepts every origin's one LSA at every daemon, n², in fewer
+// bundles than the LSAs they carry.
 func TestLSAsAndBundlesCounted(t *testing.T) {
 	g := ispGraph(t)
 	n := int64(g.NumNodes())
-	for _, bundled := range []bool{false, true} {
-		tel := &telemetry.Set{Metrics: telemetry.NewRegistry()}
-		net := network.New(g, network.Options{Seed: 5, Telemetry: tel})
-		p := Attach(net, consensus.NewService(net), Options{BundleFlood: bundled})
-		if !p.RunUntilConverged(5 * time.Minute) {
-			t.Fatal("routing did not converge")
-		}
-		lsas := tel.Registry().Counter("rw_routing_lsas_total").Value()
-		bundles := tel.Registry().Counter("rw_routing_bundles_total").Value()
-		if lsas != n*n || bundled != (bundles > 0) || bundles >= lsas {
-			t.Errorf("BundleFlood %v: %d LSAs accepted and %d bundles flushed, want %d and (bundled) fewer",
-				bundled, lsas, bundles, n*n)
-		}
+	tel := &telemetry.Set{Metrics: telemetry.NewRegistry()}
+	net := network.New(g, network.Options{Seed: 5, Telemetry: tel})
+	p := Attach(net, consensus.NewService(net), Timers{})
+	if !p.RunUntilConverged(5 * time.Minute) {
+		t.Fatal("routing did not converge")
+	}
+	lsas := tel.Registry().Counter("rw_routing_lsas_total").Value()
+	bundles := tel.Registry().Counter("rw_routing_bundles_total").Value()
+	if lsas != n*n || bundles <= 0 || bundles >= lsas {
+		t.Errorf("%d LSAs accepted and %d bundles flushed, want %d and fewer bundles", lsas, bundles, n*n)
 	}
 }

@@ -185,7 +185,7 @@ func FuzzComputeTable(f *testing.F) {
 func TestLSDBAdjacencyMatchesReference(t *testing.T) {
 	g := topology.ISP(topology.ISPSpec{Nodes: 96, PoPs: 4, Seed: 11})
 	net := network.New(g, network.Options{Seed: 5})
-	proto := Attach(net, consensus.NewService(net), Options{Timers: Timers{Delay: time.Second, Hold: 2 * time.Second}})
+	proto := Attach(net, consensus.NewService(net), Timers{Delay: time.Second, Hold: 2 * time.Second})
 	if !proto.RunUntilConverged(5 * time.Minute) {
 		t.Fatal("routing did not converge")
 	}
@@ -208,7 +208,7 @@ func TestLSDBAdjacencyMatchesReference(t *testing.T) {
 		{ID: nbrs[0], Cost: 1}, // duplicate: the later cost wins
 	}}
 	lsdb := slices.Clone(d.lsdb)
-	d.acceptLSA(&LSA{Origin: 400, Seq: 1, Neighbors: []NeighborEntry{{ID: 0, Cost: 1}}}, -1)
+	d.acceptLSA(&LSA{Origin: 400, Seq: 1, Neighbors: []NeighborEntry{{ID: 0, Cost: 1}}})
 	if !slices.Equal(d.lsdb, lsdb) {
 		t.Fatal("an LSA of origin 400 changed a 96-router LSDB")
 	}
