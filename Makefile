@@ -123,8 +123,8 @@ replay-smoke:
 
 # Internet-scale smoke (internal/protocol/catalog), every run judged by the
 # §4.2.2 conformance checkers at Πk+2's bound: TestScaleSmoke, a generated
-# ~200-router hierarchical topology with a 120-pair traffic mesh and the
-# routing scale options on; TestSeedAccuracy, the committed isp-converge
+# ~200-router hierarchical topology with a 120-pair traffic mesh over
+# link-state routing; TestSeedAccuracy, the committed isp-converge
 # and mesh-forward workloads at spec seeds 1–10 (tier-1 runs three of the
 # twenty cells); and TestScaleFull, the 1000-router one-million-flow
 # isp1000.json (~25 s), which must implicate r0 with no false accusation.

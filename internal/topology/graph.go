@@ -62,8 +62,8 @@ type Graph struct {
 	// regions[v] is v's spatial region (PoP); nil when the topology carries
 	// no region structure. Regions are advisory metadata: they never
 	// influence path computation or forwarding, only when a router first
-	// originates its LSA (routing.Options.StaggerRegions) and the topoinfo
-	// statistics.
+	// originates its LSA (at its region index in ms, see routing.Attach)
+	// and the topoinfo statistics.
 	regions []int
 }
 
