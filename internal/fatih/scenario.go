@@ -27,6 +27,12 @@ type ScenarioOptions struct {
 	// detector metrics, and the scenario's timeline events (attack onset,
 	// routing convergence) on the trace.
 	Telemetry *telemetry.Set
+	// BeforeRun, when non-nil, is called once the scenario is fully
+	// assembled — Fatih deployed, probes, traffic and the compromise
+	// scheduled — and before the simulation runs, with the result the run
+	// goes on to fill in. Callers attach measurement (a trace recorder)
+	// there.
+	BeforeRun func(*ScenarioResult)
 }
 
 const (
@@ -232,6 +238,9 @@ func RunAbilene(opts ScenarioOptions) *ScenarioResult {
 		})
 	})
 
+	if opts.BeforeRun != nil {
+		opts.BeforeRun(res)
+	}
 	net.Run(opts.Duration)
 
 	res.LostPings = len(sentAt)

@@ -29,6 +29,7 @@ func runFatihScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.R
 	if d := spec.Duration.D(); d > 0 {
 		opts.Duration = d
 	}
+	clean := false
 	if a := spec.Attack; a != nil {
 		if a.Rate != 0 {
 			opts.AttackRate = a.Rate
@@ -37,9 +38,26 @@ func runFatihScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.R
 			opts.AttackAt = a.Start.D()
 		}
 		if a.Kind == "none" {
+			clean = true
 			// The scenario's compromise is scheduled, not optional: pushing
 			// it past the end of the run yields the clean baseline.
 			opts.AttackAt = 365 * 24 * time.Hour
+		}
+	}
+	// The result is filled in once Fatih is assembled, so that run's
+	// BeforeRun sees it as RunGeneric's does.
+	res := &protocol.Result{Spec: spec}
+	opts.BeforeRun = func(r *fatih.ScenarioResult) {
+		net := r.System.Net
+		kc, _ := net.Graph().Lookup("KansasCity")
+		res.Env, res.Net = protocol.NewSimEnv(net), net
+		res.Routing, res.Engine, res.Log = r.System.Routing, r.System, r.System.Log
+		res.Faulty, res.FaultySet, res.Extra = kc, []packet.NodeID{kc}, r
+		if clean {
+			res.Faulty, res.FaultySet = -1, nil
+		}
+		if run.BeforeRun != nil {
+			run.BeforeRun(res)
 		}
 	}
 	sres := fatih.RunAbilene(opts)
@@ -48,17 +66,7 @@ func runFatihScenario(spec *protocol.Spec, run protocol.RunOptions) (*protocol.R
 		run.Progress("attack at %v: KansasCity drops 20%% of transit traffic\n", sres.AttackAt)
 		run.Progress("first detection at %v, first reroute at %v\n", sres.FirstDetectionAt, sres.RerouteAt)
 	}
-	net := sres.System.Net
-	kc, _ := net.Graph().Lookup("KansasCity")
-	faulty, faultySet := kc, []packet.NodeID{kc}
-	if a := spec.Attack; a != nil && a.Kind == "none" {
-		faulty, faultySet = -1, nil
-	}
-	return &protocol.Result{
-		Spec: spec, Env: protocol.NewSimEnv(net), Net: net,
-		Routing: sres.System.Routing, Engine: sres.System,
-		Log: sres.System.Log, Faulty: faulty, FaultySet: faultySet, Extra: sres,
-	}, nil
+	return res, nil
 }
 
 func fatihDefaultSpec(seed int64, clean bool) *protocol.Spec {

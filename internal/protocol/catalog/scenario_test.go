@@ -208,3 +208,35 @@ func TestScenarioFileRuns(t *testing.T) {
 		t.Errorf("engine is %T, want *pik2.Protocol", res.Engine)
 	}
 }
+
+// TestFatihBeforeRunOnce: Fatih's canonical scenario calls RunOptions'
+// BeforeRun exactly once, assembled and before the simulation has run —
+// at virtual time 0 — with the Result the run returns, as RunGeneric
+// does. It once never called it, so mrsim -protocol fatih -record ran the
+// whole simulation and then failed with a recorder never attached.
+func TestFatihBeforeRunOnce(t *testing.T) {
+	d, err := protocol.Lookup("fatih")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := d.DefaultSpec(1, false)
+	spec.Duration = protocol.Duration(10 * time.Second)
+	var calls []time.Duration
+	var seen *protocol.Result
+	res, err := protocol.Run(spec, protocol.RunOptions{BeforeRun: func(r *protocol.Result) {
+		calls = append(calls, r.Net.Now())
+		if r.Env == nil || r.Log == nil || r.Engine == nil || r.Faulty < 0 {
+			t.Errorf("BeforeRun sees an unassembled result: %+v", r)
+		}
+		seen = r
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1 || calls[0] != 0 {
+		t.Fatalf("BeforeRun ran at %v, want once at 0", calls)
+	}
+	if seen != res || res.Net.Now() != 10*time.Second {
+		t.Errorf("BeforeRun saw %p, Run returned %p at %v", seen, res, res.Net.Now())
+	}
+}
