@@ -1,10 +1,12 @@
 package network
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"routerwatch/internal/packet"
+	"routerwatch/internal/queue"
 	"routerwatch/internal/topology"
 )
 
@@ -12,7 +14,7 @@ import (
 // (pools primed, heap and queue backing arrays grown), forwarding a packet
 // across a router — receive, route, queue, transmit, deliver — allocates
 // nothing. Neither does a burst that queues behind a busy line: the drain
-// event is a callback bound once per interface. Nor, in steady state, does
+// event is a callback bound once per network. Nor, in steady state, does
 // the packet itself when it comes from NewPacket: delivery hands it back
 // and the next send reuses it.
 func TestForwardAllocFree(t *testing.T) {
@@ -102,5 +104,31 @@ func TestControlAllocFree(t *testing.T) {
 		if delivered < runs {
 			t.Fatalf("%s: delivered %d messages, want at least %d", tc.name, delivered, runs)
 		}
+	}
+}
+
+// TestRouterAllocatesPerRouter: building a router costs a fixed number of
+// allocations whatever its degree — its interfaces are one slice, found
+// by a scan of its neighbours, the drain callback is the network's, and
+// a stream's processing horizon sits on the interface that sends it — so
+// with a queue factory that allocates nothing, a router of degree 8 costs
+// what one of degree 2 does: at most 7 (the router, its RNG's two, its
+// three bound callbacks and its interface slice). Each link once cost an
+// iface, a drain closure and share of two maps.
+func TestRouterAllocatesPerRouter(t *testing.T) {
+	g := topology.Line(10)
+	attrs := topology.LinkAttrs{Bandwidth: 1e9, Delay: time.Millisecond, QueueLimit: 64}
+	for _, nb := range []packet.NodeID{0, 1, 7, 8, 9, 2} {
+		g.AddDuplex(5, nb, attrs)
+	}
+	q := queue.NewDropTail(64)
+	net := New(g, Options{Seed: 1, QueueFactory: func(topology.Link, *rand.Rand) queue.Discipline { return q }})
+	if d0, d5 := len(g.Neighbors(0)), len(g.Neighbors(5)); d0 != 2 || d5 != 8 {
+		t.Fatalf("routers 0 and 5 have degrees %d and %d, want 2 and 8", d0, d5)
+	}
+	leaf := testing.AllocsPerRun(20, func() { newRouter(net, 0) })
+	hub := testing.AllocsPerRun(20, func() { newRouter(net, 5) })
+	if hub != leaf || hub > 7 {
+		t.Errorf("a router of degree 8 allocates %v objects and one of degree 2 %v, want the same, at most 7", hub, leaf)
 	}
 }

@@ -98,6 +98,9 @@ type Network struct {
 	// cbRelay advances a control message one hop; bound once so per-hop
 	// relaying schedules through the pooled callback path.
 	cbRelay sim.Callback
+	// cbDrain dequeues the head-of-line packet of the *iface it is
+	// scheduled with; bound once for every interface of the network.
+	cbDrain sim.Callback
 
 	nextPacketID uint64
 
@@ -146,6 +149,7 @@ func New(g *topology.Graph, opts Options) *Network {
 		m.hop++
 		n.relayControl(m)
 	}
+	n.cbDrain = func(arg any, _ int64) { arg.(*iface).drain() }
 
 	// Resolve instrumentation handles once; with opts.Telemetry == nil the
 	// registry accessors return nil instruments and every site below

@@ -84,7 +84,7 @@ func (v *RouterView) Now() time.Duration { return v.r.net.sched.Now() }
 // QueueBytes returns the occupancy of the output queue toward next, or -1
 // if there is no such interface.
 func (v *RouterView) QueueBytes(next packet.NodeID) int {
-	if ifc := v.r.ifaces[next]; ifc != nil {
+	if ifc := v.r.port(next); ifc != nil {
 		return ifc.q.Bytes()
 	}
 	return -1
@@ -92,7 +92,7 @@ func (v *RouterView) QueueBytes(next packet.NodeID) int {
 
 // QueueLimit returns the capacity of the output queue toward next, or -1.
 func (v *RouterView) QueueLimit(next packet.NodeID) int {
-	if ifc := v.r.ifaces[next]; ifc != nil {
+	if ifc := v.r.port(next); ifc != nil {
 		return ifc.q.Limit()
 	}
 	return -1
@@ -101,7 +101,7 @@ func (v *RouterView) QueueLimit(next packet.NodeID) int {
 // REDAvg returns the RED average queue size toward next, or -1 if the
 // interface is not RED.
 func (v *RouterView) REDAvg(next packet.NodeID) float64 {
-	if ifc := v.r.ifaces[next]; ifc != nil {
+	if ifc := v.r.port(next); ifc != nil {
 		if red, ok := queue.Unwrap(ifc.q).(*queue.RED); ok {
 			return red.State().Avg()
 		}
@@ -115,7 +115,10 @@ type Router struct {
 	net *Network
 	rng *rand.Rand
 
-	ifaces map[packet.NodeID]*iface
+	// ifaces are the router's output interfaces, one per neighbour in the
+	// graph's neighbour order; port finds one by a scan, the degree being
+	// a handful.
+	ifaces []iface
 
 	forwarder Forwarder
 	behavior  Behavior
@@ -127,10 +130,6 @@ type Router struct {
 	// telemetry is disabled; see internal/telemetry's disabled-path
 	// contract).
 	tel routerTel
-
-	// lastProcess tracks, per inbound neighbor, the latest scheduled
-	// processing time so jitter never reorders a single input stream.
-	lastProcess map[packet.NodeID]time.Duration
 
 	// cbForward, cbTransmit and cbReceive are the router's per-packet
 	// scheduling callbacks, bound once at construction: the hot path
@@ -157,11 +156,9 @@ type routerTel struct {
 
 func newRouter(n *Network, id packet.NodeID) *Router {
 	r := &Router{
-		id:          id,
-		net:         n,
-		rng:         sim.NewRNG(n.opts.Seed*1_000_003 + int64(id)),
-		ifaces:      make(map[packet.NodeID]*iface),
-		lastProcess: make(map[packet.NodeID]time.Duration),
+		id:  id,
+		net: n,
+		rng: sim.NewRNG(n.opts.Seed*1_000_003 + int64(id)),
 	}
 	r.view = RouterView{r: r}
 	r.cbForward = func(arg any, from int64) { r.forward(arg.(*packet.Packet), packet.NodeID(from)) }
@@ -177,17 +174,27 @@ func newRouter(n *Network, id packet.NodeID) *Router {
 				"router", label, "cause", queue.DropReason(reason).String())
 		}
 	}
-	for _, nb := range n.graph.Neighbors(id) {
+	nbs := n.graph.Neighbors(id)
+	r.ifaces = make([]iface, len(nbs))
+	for i, nb := range nbs {
 		link, _ := n.graph.Link(id, nb)
 		q := n.opts.QueueFactory(link, r.rng)
 		if n.tel.set.Registry() != nil {
 			q = queue.Instrumented(q, n.tel.queueIns)
 		}
-		ifc := &iface{r: r, link: link, q: q}
-		ifc.cbDrain = func(any, int64) { ifc.drain() }
-		r.ifaces[nb] = ifc
+		r.ifaces[i] = iface{r: r, link: link, q: q}
 	}
 	return r
+}
+
+// port returns the router's interface toward next, nil if it has none.
+func (r *Router) port(next packet.NodeID) *iface {
+	for i := range r.ifaces {
+		if r.ifaces[i].link.To == next {
+			return &r.ifaces[i]
+		}
+	}
+	return nil
 }
 
 // ID returns the router's node ID.
@@ -282,10 +289,11 @@ func (r *Router) receive(p *packet.Packet, from packet.NodeID) {
 	}
 	now := r.net.sched.Now()
 	t := now + time.Duration(r.rng.Int63n(int64(j)+1))
-	if last := r.lastProcess[from]; t < last {
-		t = last
-	}
-	r.lastProcess[from] = t
+	// The stream is the link from→r, whose sending interface keeps its
+	// far end's processing horizon: a receive always comes off one.
+	up := r.net.routers[from].port(r.id)
+	t = max(t, up.farProcess)
+	up.farProcess = t
 	r.net.sched.CallAfter(t-now, r.cbForward, p, int64(from))
 }
 
@@ -341,7 +349,7 @@ func (r *Router) forward(p *packet.Packet, from packet.NodeID) {
 
 // transmit enqueues the packet on the output interface toward next.
 func (r *Router) transmit(p *packet.Packet, next packet.NodeID) {
-	ifc := r.ifaces[next]
+	ifc := r.port(next)
 	if ifc == nil {
 		r.drop(Event{Packet: p, Reason: queue.DropNoRoute, Peer: next})
 		return
@@ -373,9 +381,10 @@ type iface struct {
 	freeAt  time.Duration
 	drainEv sim.Handle
 
-	// cbDrain is drainEv's callback, bound once at construction (see
-	// Router's callback fields).
-	cbDrain sim.Callback
+	// farProcess is the latest processing time the far end has scheduled
+	// for a packet off this link, so its jitter never reorders the link's
+	// stream.
+	farProcess time.Duration
 }
 
 func (i *iface) enqueue(p *packet.Packet) {
@@ -402,7 +411,7 @@ func (i *iface) enqueue(p *packet.Packet) {
 	case now >= i.freeAt:
 		i.drain()
 	default:
-		i.drainEv = sched.CallAfter(i.freeAt-now, i.cbDrain, nil, 0)
+		i.drainEv = sched.CallAfter(i.freeAt-now, i.r.net.cbDrain, i, 0)
 	}
 }
 
@@ -419,6 +428,6 @@ func (i *iface) drain() {
 	i.freeAt = now + tx
 	sched.CallAfter(tx+i.link.Delay, i.r.net.routers[i.link.To].cbReceive, p, int64(i.r.id))
 	if i.q.Len() > 0 {
-		i.drainEv = sched.CallAfter(tx, i.cbDrain, nil, 0)
+		i.drainEv = sched.CallAfter(tx, i.r.net.cbDrain, i, 0)
 	}
 }
