@@ -146,20 +146,24 @@ scale-smoke:
 # monitored segment signed and sent a summary every round, empty or not).
 # Last, the assembly heap budget (internal/protocol/catalog
 # TestAssembleAllocBudget): isp-converge, assembled through protocol.Run up
-# to BeforeRun, must allocate at most 38 MB in at most 39 000 allocations
-# (26.4 MB / 37 k today; 30.2 MB / 113 k with an allocation per control
-# message hop, per accepting flood relay and per LSA bundle flush;
-# 34.3 MB / 205 k with Πk+2 attaching per watch —
-# a key, links, state and reversed path each — and a string key per
-# segment; 48.9 MB / 268 k with a path table of path headers,
+# to BeforeRun, must allocate at most 38 MB in at most 33 500 allocations
+# (26.2 MB / 31.5 k today; 26.4 MB / 37 k with an interface, a drain
+# closure and two maps' share allocated per link; 30.2 MB / 113 k with an
+# allocation per control message hop, per accepting flood relay and per
+# LSA bundle flush; 34.3 MB / 205 k with Πk+2 attaching per watch — a key,
+# links, state and reversed path each — and a string key per segment;
+# 48.9 MB / 268 k with a path table of path headers,
 # routing tables of degree+1 rows and LSA bundles grown by doubling; 2.3 MB
 # more with a control message carrying an ID and a transport signature
 # nothing read; 86.7 MB / 338 k with eager static tables, map LSDBs,
 # per-source Dijkstra buffers, a copied path table and eagerly seeded RNGs).
 # And the run heap budget (TestRunAllocBudget): chi-tcp, mesh-forward and
 # isp-converge, run end to end through protocol.Run, must allocate at most
-# 20, 36 and 55 MB in at most 5 650, 32 300 and 65 000 allocations (16.5,
-# 29.0 and 39.7 MB in 5.4 k, 30.8 k and 61 k today; 22.5 k, 35.6 k and
+# 20, 36 and 55 MB in at most 5 650, 12 000 and 40 000 allocations (16.5,
+# 28.8 and 37.2 MB in 5.2 k, 11.5 k and 38.1 k today; mesh-forward and
+# isp-converge 30.8 k and 61 k while every Πk+2 segment-round allocated its
+# own summary, lane and SummaryMsg, every adopting router decoded its own
+# copy of an alert and every link its own interface; 22.5 k, 35.6 k and
 # 74.4 k while every χ batch allocated its Batch, lanes and aggregate tags
 # and every router adopting a Πk+2 announcement formatted its own Detail;
 # 25 k, 64 k and 196 k allocations while every control message hop,

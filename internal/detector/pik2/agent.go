@@ -132,7 +132,8 @@ func (a *agent) exchangeRound(n int) {
 			a.p.tel.SilentRounds.Inc()
 			continue
 		}
-		msg := &SummaryMsg{Seg: st.Seg, Round: n, From: a.id}
+		msg := a.p.carveMsg()
+		msg.Seg, msg.Round, msg.From = st.Seg, n, a.id
 		if a.p.opts.Exchange == ExchangeReconcile {
 			fps := fpMultiset(s)
 			msg.Count = len(fps)
@@ -191,7 +192,17 @@ func (a *agent) onSummary(cm *network.ControlMessage) {
 			return
 		}
 	}
+	if st.peerMsgs == nil {
+		st.peerMsgs = a.p.carveSlots()
+	}
+	prev := st.peerMsgs
 	st.peerMsgs = append(st.peerMsgs, msg)
+	if len(prev) == cap(prev) {
+		// The append moved the list out of its carve (a timeout µ ≥ τ
+		// admits a third round): what it left behind must not pin the
+		// messages it held.
+		clear(prev)
+	}
 }
 
 // judgeRound runs at round boundary + µ: TV failures become suspicions,
@@ -211,14 +222,14 @@ func (a *agent) judgeRound(n int) {
 			// traffic or a summary was lost inside π — the peer would have
 			// reported what it saw — so some router in π, or the peer, is
 			// faulty: suspect π (Fig 5.3).
-			if local != nil && !a.validate(st, local, tvinfo.NewSummary(a.p.opts.Policy)).OK {
+			if local != nil && !a.validate(st, local, a.p.empty).OK {
 				a.suspect(st, n, detector.KindExchangeTimeout, 1,
 					fmt.Sprintf("no summary from %v within %v", st.peer, a.p.opts.Timeout))
 			}
 			continue
 		}
 		if local == nil {
-			local = tvinfo.NewSummary(a.p.opts.Policy)
+			local = a.p.empty
 		}
 		if a.p.opts.Exchange == ExchangeReconcile {
 			a.judgeReconcile(st, n, local, peer)
@@ -328,14 +339,28 @@ func (a *agent) onAlert(m consensus.Msg) {
 	if a.suspected[topology.SegmentKey(m.Payload)] {
 		return
 	}
-	key := topology.SegmentKey(m.Payload)
-	a.suspected[key] = true
+	ad := a.p.adopt(m.Payload)
+	a.suspected[ad.key] = true
 	s := detector.Suspicion{
-		By: a.id, Segment: topology.DecodeKey(key), Round: round, At: a.p.env.Now(),
+		By: a.id, Segment: ad.seg, Round: round, At: a.p.env.Now(),
 		Kind: detector.KindTrafficValidation, Confidence: 1,
 		Detail: a.p.announcedBy(m.Origin),
 	}
 	a.p.tel.Deliver(s, a.p.opts.Sink, a.p.opts.Round)
+}
+
+// adopt returns the shared key and segment of the announced segment key,
+// converting and decoding it once per segment rather than once per
+// adopting router. The segment is read-only: every adopter's suspicion
+// carries it.
+func (p *Protocol) adopt(key []byte) adoption {
+	if ad, ok := p.adopted[topology.SegmentKey(key)]; ok {
+		return ad
+	}
+	ad := adoption{key: topology.SegmentKey(key)}
+	ad.seg = topology.DecodeKey(ad.key)
+	p.adopted[ad.key] = ad
+	return ad
 }
 
 // announcedBy returns the Detail of a suspicion adopted from origin's

@@ -133,6 +133,57 @@ type Protocol struct {
 	// announced holds, by router ID, the Detail of suspicions adopted from
 	// that router's announcements, each formatted at its first use.
 	announced []string
+	// adopted holds, by segment key, the key string and decoded segment
+	// every router adopting an announcement of that segment shares
+	// (read-only), each made at the segment's first adoption.
+	adopted map[topology.SegmentKey]adoption
+
+	// msgs and slots are the uncut rests of the append-only chunks sent
+	// summary messages and the segment states' peerMsgs are carved from,
+	// msgs one round's messages at a time. A carved message is never
+	// reused: its peer holds it until its judge, and beyond.
+	msgs  []SummaryMsg
+	slots []*SummaryMsg
+	// empty is the read-only empty summary a round is judged against when
+	// one end has nothing of it.
+	empty *tvinfo.Summary
+}
+
+// adoption is an announced segment, as every router adopting it shares it.
+type adoption struct {
+	key topology.SegmentKey
+	seg topology.Segment
+}
+
+// msgChunk sizes the Protocol's chunks of summary messages: 68 messages of
+// 120 bytes fill an 8 KB size class, where each alone was rounded to 128.
+// slotChunk sizes its chunks of peerMsgs backing arrays, peerWindow
+// messages each (Recording.Admits bounds a segment state to two rounds).
+const (
+	msgChunk   = 68
+	slotChunk  = 512
+	peerWindow = 2
+)
+
+// carveMsg returns a zeroed summary message cut from the Protocol's chunks.
+func (p *Protocol) carveMsg() *SummaryMsg {
+	if len(p.msgs) == 0 {
+		p.msgs = make([]SummaryMsg, msgChunk)
+	}
+	m := &p.msgs[0]
+	p.msgs = p.msgs[1:]
+	return m
+}
+
+// carveSlots returns an empty peerMsgs list with room for peerWindow
+// messages, cut from the Protocol's chunks.
+func (p *Protocol) carveSlots() []*SummaryMsg {
+	if len(p.slots) < peerWindow {
+		p.slots = make([]*SummaryMsg, slotChunk*peerWindow)
+	}
+	l := p.slots[:0:peerWindow]
+	p.slots = p.slots[peerWindow:]
+	return l
 }
 
 // Attach deploys Πk+2 on every router of the environment. Monitored
@@ -144,10 +195,12 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 	paths := env.Graph().CSR().Paths()
 
 	p := &Protocol{
-		env:   env,
-		opts:  opts,
-		flood: env.Flood(),
-		tel:   detector.NewInstruments(env.Telemetry(), "pik2"),
+		env:     env,
+		opts:    opts,
+		flood:   env.Flood(),
+		tel:     detector.NewInstruments(env.Telemetry(), "pik2"),
+		adopted: make(map[topology.SegmentKey]adoption),
+		empty:   tvinfo.NewSummary(opts.Policy),
 	}
 	p.rec = tvinfo.Recording{
 		Env:          env,
@@ -169,6 +222,9 @@ func Attach(env protocol.Env, opts Options) *Protocol {
 		for _, a := range p.agents {
 			a.exchangeRound(n)
 		}
+		// The next round's messages start a chunk of their own, so a chunk
+		// never pins a judged round's summaries behind a live message.
+		p.msgs = nil
 	}, func(n int) {
 		for _, a := range p.agents {
 			a.judgeRound(n)

@@ -441,3 +441,43 @@ func TestAdoptedDetailFormattedOnce(t *testing.T) {
 		t.Error("each adopting router formatted its own Detail")
 	}
 }
+
+// TestAdoptedSegmentDecodedOnce: every router adopting one announcement
+// records a suspicion of the announced segment, and all of them share one
+// decoded, read-only Segment and one key string, made at the first
+// adoption: each later adopter pays only its own suspected map's growth,
+// where each once converted and decoded the key afresh.
+func TestAdoptedSegmentDecodedOnce(t *testing.T) {
+	log := detector.NewLog()
+	net := network.New(topology.Line(8), network.Options{Seed: 1})
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
+	seg := topology.Segment{3, 4, 5}
+	m := consensus.Msg{Origin: 4, Topic: TopicAlert, Instance: "1",
+		Payload: topology.AppendKey(nil, seg)}
+	adopters := []packet.NodeID{0, 1, 2, 3, 5, 6, 7}
+	next := 0
+	// AllocsPerRun calls the function once before it counts: the first
+	// adopter's, which decodes.
+	perAdopter := testing.AllocsPerRun(len(adopters)-1, func() {
+		p.agents[adopters[next]].onAlert(m)
+		next++
+	})
+	if next != len(adopters) {
+		t.Fatalf("%d adoptions ran, want %d", next, len(adopters))
+	}
+	all := log.All()
+	if len(all) != len(adopters) {
+		t.Fatalf("adopted %d suspicions, want %d: %v", len(all), len(adopters), all)
+	}
+	for _, s := range all {
+		if !slices.Equal(s.Segment, seg) {
+			t.Errorf("router %v suspects %v, want %v", s.By, s.Segment, seg)
+		}
+		if unsafe.SliceData(s.Segment) != unsafe.SliceData(all[0].Segment) {
+			t.Errorf("router %v decoded its own copy of %v", s.By, seg)
+		}
+	}
+	if perAdopter > 1 {
+		t.Errorf("a later adopter allocates %v objects, want at most 1 (its suspected map's growth)", perAdopter)
+	}
+}

@@ -91,16 +91,21 @@ func TestPeerMsgsBoundedByRoundWindow(t *testing.T) {
 // TestSentSummaryNeverReused pins the ownership rule of the round state: a
 // Summary put into a SummaryMsg is shared by pointer with the peer, so
 // nothing reachable from it may be reset or recycled by its sender — not by
-// Close, not by later rounds growing their lanes. The receiver's copy of a
-// round-1 message is held across the sender's Close(1) and two further
-// rounds of traffic and must still encode, and verify, as it did.
+// Close, not by later rounds growing their lanes, not by the lanes, boxes
+// and messages of later rounds carved after it. The receiver's copy of a
+// round-1 message is held across the sender's Close(1) and the rest of a
+// 20 s run, whose later rounds read 40 000 fingerprints into lanes — more
+// than two of the Scratch's 16 384-fingerprint lane chunks — and must
+// still encode, and verify, as it did.
 func TestSentSummaryNeverReused(t *testing.T) {
+	const packets = 20000
 	net := network.New(topology.Line(3), network.Options{Seed: 22})
 	p := Attach(protocol.NewSimEnv(net), testOpts(detector.NewLog()))
-	pump(net, 0, 2, 2400, 1)
+	pump(net, 0, 2, packets, 1)
 
 	var held *SummaryMsg
 	var body []byte
+	var summary tvinfo.Summary
 	// Round 1's messages leave at 2·τ and are judged (and closed) µ later.
 	net.Scheduler().At(2*testRound+testOpts(nil).Timeout/2, func() {
 		for _, st := range p.agents[2].segs {
@@ -109,11 +114,13 @@ func TestSentSummaryNeverReused(t *testing.T) {
 				// traffic runs along the first.
 				if msg.Round == 1 && msg.Summary.FPs.Len() > 0 {
 					held, body = msg, appendSignedBody(nil, msg)
+					summary = *msg.Summary
 				}
 			}
 		}
 	})
-	net.Run(4*testRound + 200*time.Millisecond)
+	end := time.Duration(packets)*time.Millisecond + testRound
+	net.Run(end)
 
 	if held == nil {
 		t.Fatal("no round-1 summary with traffic in it reached router 2")
@@ -123,17 +130,56 @@ func TestSentSummaryNeverReused(t *testing.T) {
 	if !ok {
 		t.Fatalf("the sender does not watch %v", held.Seg)
 	}
-	if p.rec.Admits(3) {
-		t.Fatal("the deployment judged fewer than four rounds: want round 1 closed and two more rounds past")
+	if p.rec.Admits(int(end/testRound) - 2) {
+		t.Fatal("the deployment did not judge the run's rounds")
 	}
 	if sender.segs[i].Recorded(1) != nil {
 		t.Fatal("the sender still holds round 1 after judging it")
+	}
+	if *held.Summary != summary {
+		t.Fatal("the held round-1 summary's box was rewritten by a later round")
 	}
 	if now := appendSignedBody(nil, held); !bytes.Equal(now, body) {
 		t.Fatalf("the held round-1 message encodes differently after the sender's later rounds (%d bytes, was %d)", len(now), len(body))
 	}
 	if !net.Auth().Verify(body, held.Sig) {
 		t.Fatal("the held message no longer verifies")
+	}
+}
+
+// TestRoundPathAllocs: Πk+2's round path — each end's exchange of its
+// summary, the peer's admission of the message and the judge — allocates
+// per deployment, not per segment-round. Under steady constant-rate
+// traffic both ways along a line of five routers, with no loss, a round
+// of the whole simulation (six segments, twelve ends, each reading its
+// summary and half of them sending it) allocates at most 4 objects: the
+// round's chunk of messages and chunk of summary boxes, the round clock's
+// judge closure, and a lane chunk every few rounds. Each segment-round once
+// cost a SummaryMsg, a summary box and its lane at each end (37 per round
+// here).
+func TestRoundPathAllocs(t *testing.T) {
+	log := detector.NewLog()
+	net := network.New(topology.Line(5), network.Options{Seed: 27})
+	p := Attach(protocol.NewSimEnv(net), testOpts(log))
+	net.Scheduler().NewTicker(time.Millisecond, func() {
+		for _, ends := range [][2]packet.NodeID{{0, 4}, {4, 0}} {
+			pkt := net.NewPacket()
+			pkt.Dst, pkt.Size, pkt.Flow = ends[1], 500, 1
+			net.Inject(ends[0], pkt)
+		}
+	})
+	end := 6 * testRound
+	net.Run(end)
+	sent := p.BandwidthBytes()
+	perRound := testing.AllocsPerRun(20, func() {
+		end += testRound
+		net.Run(end)
+	})
+	if log.Len() != 0 || p.BandwidthBytes() == sent {
+		t.Fatalf("rig did not validate steadily: %d bytes exchanged, suspicions %v", p.BandwidthBytes()-sent, log.All())
+	}
+	if perRound > 4 {
+		t.Errorf("a validated round allocates %v objects, want at most 4", perRound)
 	}
 }
 

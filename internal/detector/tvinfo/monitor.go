@@ -54,6 +54,15 @@ type Recording struct {
 	scratch summary.Scratch
 	// links is the chunk the watches' links are carved from.
 	links []topology.Link
+	// boxes are the uncut rests of the append-only chunks PolicyContent
+	// summaries are carved from, one chunk per round, by round modulo the
+	// open rounds' count: a chunk holds one round's summaries and dies
+	// with them, never pinning a judged round's lanes behind a live
+	// round's box. A carved box is never reused: it may be a sent summary's.
+	boxes [openMax]boxRun
+	// opens is the uncut rest of the chunk the watches' open round lists
+	// are carved from.
+	opens []openRound
 
 	// ticks counts the round boundaries Drive has passed, the next round to
 	// exchange; judged counts the rounds it has judged.
@@ -116,7 +125,8 @@ type Watch struct {
 	// oldest first. Two or three are live at a time — a packet's bin is its
 	// predicted sink arrival, never earlier than now, and the protocol
 	// closes round n µ after the boundary (n+1)τ that ends its bin — so a
-	// search is a compare or three.
+	// search is a compare or three. Its backing array is carved from the
+	// Recording's chunks at the watch's first summary.
 	open []openRound
 }
 
@@ -180,6 +190,25 @@ const maxRoutes = 512
 
 // linkChunk sizes the Recording's link chunks.
 const linkChunk = 1024
+
+// boxChunk and openChunk size the Recording's chunks of summary boxes and
+// of open round lists: 68 boxes of 120 bytes fill an 8 KB size class to
+// its last 32 bytes, where each box alone was rounded up to 128; 256
+// lists of two rounds are 8 KB.
+const (
+	boxChunk  = 68
+	openChunk = 256
+)
+
+// openWindow is the capacity an open round list is carved with: the
+// round in progress and the one before it, awaiting its judge. A third
+// opens only when a packet's predicted sink arrival crosses the next
+// boundary inside µ; the list then grows out of its carve, once. openMax
+// is that third's count: no more rounds are open at once while µ < τ.
+const (
+	openWindow = 2
+	openMax    = 3
+)
 
 // Start binds the monitor to router id, sizes it for the router's monitoring
 // set in rec.Segments, and installs its packet tap.
@@ -275,12 +304,55 @@ func (w *Watch) Summary(n int) *Summary {
 	if s := w.Recorded(n); s != nil {
 		return s
 	}
-	s := NewSummary(w.rec.Policy)
+	s := w.rec.newSummary(n)
 	if s.FPs != nil {
 		s.FPs.UseScratch(&w.rec.scratch)
 	}
+	if w.open == nil {
+		w.open = w.rec.carveOpen()
+	}
+	prev := w.open
 	w.open = append(w.open, openRound{n, s})
+	if len(prev) == cap(prev) {
+		// The append moved the list out of its carve: what it left behind
+		// must not pin the summaries it held.
+		clear(prev)
+	}
 	return s
+}
+
+// boxRun is the uncut rest of the chunk round n's summaries are carved
+// from.
+type boxRun struct {
+	n    int
+	rest []contentBox
+}
+
+// newSummary returns an empty round-n summary for the Recording's policy:
+// a PolicyContent box is carved from round n's chunk, any other policy's
+// is NewSummary's.
+func (r *Recording) newSummary(n int) *Summary {
+	if r.Policy != PolicyContent {
+		return NewSummary(r.Policy)
+	}
+	run := &r.boxes[n%openMax]
+	if run.n != n || len(run.rest) == 0 {
+		*run = boxRun{n, make([]contentBox, boxChunk)}
+	}
+	b := &run.rest[0]
+	run.rest = run.rest[1:]
+	return b.init()
+}
+
+// carveOpen returns an empty open round list with room for openWindow
+// rounds, cut from the Recording's chunks.
+func (r *Recording) carveOpen() []openRound {
+	if len(r.opens) < openWindow {
+		r.opens = make([]openRound, openChunk*openWindow)
+	}
+	l := r.opens[:0:openWindow]
+	r.opens = r.opens[openWindow:]
+	return l
 }
 
 // Recorded returns this router's summary for round n if the round is open —

@@ -71,14 +71,22 @@ func NewSummary(policy Policy) *Summary {
 		}
 		return &b.Summary
 	case policy == PolicyContent:
-		b := &struct {
-			Summary
-			fps summary.FPSet
-		}{}
-		b.FPs = &b.fps
-		return &b.Summary
+		return new(contentBox).init()
 	}
 	return &Summary{}
+}
+
+// contentBox is a PolicyContent summary and the set it points at, in one
+// object: the box NewSummary allocates and Recording carves.
+type contentBox struct {
+	Summary
+	fps summary.FPSet
+}
+
+// init points the box's summary at its set and returns the summary.
+func (b *contentBox) init() *Summary {
+	b.FPs = &b.fps
+	return &b.Summary
 }
 
 // Record adds one observed packet.

@@ -68,8 +68,9 @@ func DecodeCounter(data []byte) (Counter, error) {
 // router might duplicate a legitimate packet.
 //
 // The set is flat lanes, not a map. Add writes into a chain of chunks; the
-// first read after a write copies them into one lane of exactly their size,
-// gives them back to the Scratch they came from, and sorts and compacts the
+// first read after a write copies them into one lane of exactly their size
+// (cut from the Scratch's lane chunks, if the set has a Scratch), gives the
+// chunks back to the Scratch they came from, and sorts and compacts the
 // lane in place, so that every operation below is a linear pass over
 // strictly increasing fingerprints (the canonical wire bytes are the lane
 // written out). A lane once read is never pooled or rearranged: a sent
@@ -107,6 +108,15 @@ type chunk struct {
 // bytes, where 32 of them left 1 792 bytes of an 18 KB class unused.
 const scratchCarve = 63
 
+// laneChunk is how many fingerprints a Scratch's lane chunk holds: 128 KB,
+// a whole number of pages, into which the lanes of a round's reads are cut
+// at their exact size. A lane longer than a quarter of it is allocated on
+// its own, so a chunk's unused tail stays below the size-class rounding
+// the lanes cut from it no longer pay. A chunk lives while any of its
+// lanes does, so it is kept small enough that the one a round's last
+// reads share with the next round's first pins little.
+const laneChunk = 16 << 10
+
 // Scratch is a pool of recording chunks for the FPSets that use it. A read
 // gives a set's chunks back and the next Add anywhere takes the most
 // recently freed one (LIFO), carving a fresh run of scratchCarve chunks
@@ -114,10 +124,17 @@ const scratchCarve = 63
 // chunks the rounds before it were read out of. Like packet.Arena, a
 // Scratch is single-goroutine: one deployment's sets share it. The zero
 // value is ready to use; a nil Scratch allocates every chunk fresh.
+//
+// A Scratch also carves the lanes that reads copy the chunks out into,
+// from append-only lane chunks. Those are never pooled: a read lane may be
+// a sent summary's, held by its peer, and a lane chunk stays live while
+// any lane cut from it does.
 type Scratch struct {
 	free   *chunk
 	carved []chunk
 	chunks int
+	// lanes is the uncut rest of the newest lane chunk.
+	lanes []packet.Fingerprint
 }
 
 // Chunks returns how many chunks sc has carved. It stops growing once
@@ -148,6 +165,21 @@ func (sc *Scratch) put(first, last *chunk) {
 	if sc != nil {
 		last.next, sc.free = sc.free, first
 	}
+}
+
+// lane returns an empty lane with capacity exactly n, capped so that an
+// append can never write into the lane cut after it. A nil Scratch, or a
+// lane longer than a quarter of a chunk, allocates it on its own.
+func (sc *Scratch) lane(n int) []packet.Fingerprint {
+	if sc == nil || n > laneChunk/4 {
+		return make([]packet.Fingerprint, 0, n)
+	}
+	if len(sc.lanes) < n {
+		sc.lanes = make([]packet.Fingerprint, laneChunk)
+	}
+	l := sc.lanes[:0:n]
+	sc.lanes = sc.lanes[n:]
+	return l
 }
 
 // lanes is a run-length multiset: strictly increasing fingerprints and
@@ -262,7 +294,7 @@ func (s *FPSet) normalise() {
 	for ; oldest.next != nil; oldest = oldest.next {
 		unread += chunkLen
 	}
-	added := append(make([]packet.Fingerprint, 0, unread), s.last.fps[s.room:]...)
+	added := append(s.scratch.lane(unread), s.last.fps[s.room:]...)
 	for c := s.last.next; c != nil; c = c.next {
 		added = append(added, c.fps[:]...)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"routerwatch/internal/packet"
 )
@@ -309,6 +310,51 @@ func TestFPSetReadLaneOutlivesItsChunks(t *testing.T) {
 		}
 		if second.Len() != n || second.Count(1_000_000) != 1 || second.Count(0) != 0 {
 			t.Fatalf("%d: second set: Len %d, Count %d / %d", n, second.Len(), second.Count(1_000_000), second.Count(0))
+		}
+	}
+}
+
+// TestCarvedLanesDoNotAlias: the lanes reads copy a set's Adds out into are
+// cut side by side from one of its Scratch's lane chunks, so each is capped
+// at its length and nothing written into one set can reach its neighbour.
+// Two sets are read from one Scratch; then the first records again and is
+// read again, which merges its lanes into fresh ones. The second set's
+// lane, cut just after the first's, and its wire bytes must not change.
+func TestCarvedLanesDoNotAlias(t *testing.T) {
+	var sc Scratch
+	first, second := NewFPSet(), NewFPSet()
+	first.UseScratch(&sc)
+	second.UseScratch(&sc)
+	for i := 0; i < 100; i++ {
+		first.Add(packet.Fingerprint(2 * i))
+		second.Add(packet.Fingerprint(2*i + 1))
+	}
+	a, b := first.Fingerprints(), second.Fingerprints()
+	for _, l := range [][]packet.Fingerprint{a, b} {
+		if cap(l) != len(l) {
+			t.Fatalf("a carved lane of %d fingerprints has capacity %d", len(l), cap(l))
+		}
+	}
+	if unsafe.Pointer(unsafe.SliceData(b)) != unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), 8*len(a)) {
+		t.Fatal("the two lanes were not cut side by side from one lane chunk")
+	}
+	fps, enc := slices.Clone(b), second.AppendEncode(nil)
+
+	for i := 0; i < 300; i++ {
+		first.Add(packet.Fingerprint(i))
+	}
+	if first.Len() != 400 || first.Count(0) != 2 || first.Count(299) != 1 {
+		t.Fatalf("first set after its merge: Len %d, Count(0) %d, Count(299) %d", first.Len(), first.Count(0), first.Count(299))
+	}
+	if !slices.Equal(second.Fingerprints(), fps) || !bytes.Equal(second.AppendEncode(nil), enc) {
+		t.Fatal("the second set's lane changed when the first set recorded and was read again")
+	}
+
+	for _, n := range []int{0, 1, 63, 64, laneChunk / 4, laneChunk/4 + 1, laneChunk} {
+		for _, sc := range []*Scratch{&sc, nil} {
+			if l := sc.lane(n); len(l) != 0 || cap(l) != n {
+				t.Errorf("lane(%d) from Scratch %p: len %d, cap %d", n, sc, len(l), cap(l))
+			}
 		}
 	}
 }
